@@ -1,14 +1,13 @@
 """jetvar: exact symbolic verification of higher-dimensional Chern-Simons
 conservation laws on jet bundles of connection bundles."""
 
-from ._backend import BACKEND
 from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                       builtin_invariant, check_invariant_tensor, direct_sum,
                       gauge_generator, killing_form, load_lie_algebra,
                       section_bracket)
 from .chern_simons import (CSData, canonical_curvature, characteristic_at_B,
                            characteristic_form, cs_form, cs_lagrangian,
-                           cs_lagrangian_direct, strength_horizontal)
+                           cs_lagrangian_direct)
 from .forms import (Chart, Form, contract, exterior_d, lie_derivative_form,
                     pullback, wedge)
 from .jets import (JetContext, contact_form, horizontal_differential,

@@ -3,19 +3,19 @@ background section, and the resulting Lagrangian on the first jet chart."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
 
 from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
 from .errors import JetvarError
 from .forms import Form, exterior_d, pullback, wedge
-from .indets import T, bg, conn, x
+from .indets import T, bg, conn, gauge, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
 
-__all__ = ["CSData", "canonical_curvature", "strength_horizontal",
-           "characteristic_form", "characteristic_at_B", "background_curvature",
+__all__ = ["CSData", "canonical_curvature", "characteristic_form",
+           "characteristic_at_B", "background_curvature", "section_correction",
            "cs_form", "cs_lagrangian", "cs_lagrangian_direct"]
 
 
@@ -62,89 +62,93 @@ class CSData:
         return Form(ch, 1, terms)
 
     def background_one_form(self, r: int) -> Form:
-        ch = self.ctx.chart
+        return self._one_form(r, self.bg_poly)
+
+    def interp_poly(self, r: int, mu: int, D: tuple = ()) -> Poly:
+        """t a^r_{D;mu} + (1-t) B^r_{D;mu}: the homotopy from B to a."""
+        t = Poly.var(T)
+        return (t * Poly.var(conn(r, mu, D))
+                + (Poly.const(1) - t) * self.bg_poly(r, mu, D))
+
+    def interp_one_form(self, r: int) -> Form:
+        return self._one_form(r, self.interp_poly)
+
+    def _one_form(self, r: int, coeff) -> Form:
         terms = {}
         for mu in range(self.n):
-            p = self.bg_poly(r, mu)
+            p = coeff(r, mu)
             if p:
                 terms[(x(mu),)] = p
-        return Form(ch, 1, terms)
+        return Form(self.ctx.chart, 1, terms)
 
 
-def canonical_curvature(cs: CSData) -> list:
-    """F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu."""
-    ch = cs.ctx.chart
+def _curvature(cs: CSData, linear: list, ones: list) -> list:
+    """F^r = linear^r + 1/2 c^r_pq X^p ^ X^q for the 1-forms X = ones."""
     m = cs.algebra.dim
     out = []
-    for r in range(m):
-        f = Form.zero(ch, 2)
-        for mu in range(cs.n):
-            f = f + wedge(Form.generator(ch, conn(r, mu)),
-                          Form.generator(ch, x(mu)))
+    for r, f in enumerate(linear):
         for p in range(m):
             for q in range(m):
                 cval = cs.algebra.bracket_const(r, p, q)
                 if cval:
-                    f = f + wedge(cs.potential_one_form(p),
-                                  cs.potential_one_form(q)).scale(cval / 2)
+                    f = f + wedge(ones[p], ones[q]).scale(cval / 2)
         out.append(f)
     return out
 
 
-def strength_horizontal(cs: CSData) -> list:
-    """Componentwise h0 of the canonical curvature (jet order >= 1)."""
-    return [horizontal_projection(f, cs.ctx) for f in canonical_curvature(cs)]
+def _multinomial(idx: tuple) -> int:
+    """Number of distinct orderings of the multiset idx."""
+    mult = factorial(len(idx))
+    for c in Counter(idx).values():
+        mult //= factorial(c)
+    return mult
+
+
+def canonical_curvature(cs: CSData) -> list:
+    """F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu."""
+    A = [cs.potential_one_form(r) for r in range(cs.algebra.dim)]
+    return _curvature(cs, [exterior_d(a) for a in A], A)
 
 
 def background_curvature(cs: CSData) -> list:
     """F_B^r as a 2-form on X: dB^r + 1/2 c^r_pq B^p B^q."""
-    ch = cs.ctx.chart
-    m = cs.algebra.dim
-    out = []
-    for r in range(m):
-        f = Form.zero(ch, 2)
-        for mu in range(cs.n):
-            p = cs.bg_poly(r, mu)
-            if p:
-                f = f + wedge(exterior_d(Form.from_poly(ch, p)),
-                              Form.generator(ch, x(mu)))
-        for p_ in range(m):
-            for q in range(m):
-                cval = cs.algebra.bracket_const(r, p_, q)
-                if cval:
-                    f = f + wedge(cs.background_one_form(p_),
-                                  cs.background_one_form(q)).scale(cval / 2)
-        out.append(f)
-    return out
+    B = [cs.background_one_form(r) for r in range(cs.algebra.dim)]
+    return _curvature(cs, [exterior_d(b) for b in B], B)
 
 
 def _invariant_contraction(cs: CSData, factors_fn) -> Form:
     """sum over ordered index tuples of b_{r1..rk} factor(r1) ^ ... ^ factor(rk),
-    using multiset enumeration with multinomial weights (all factors are even
-    or the first slot is handled by the caller)."""
+    using multiset enumeration with multinomial weights (all factors are even)."""
     ch = cs.ctx.chart
-    m = cs.algebra.dim
-    k = cs.k
-    out = Form.zero(ch, 0)
-    first = True
-    for idx in combinations_with_replacement(range(m), k):
+    out = Form.zero(ch, 2 * cs.k)
+    for idx in combinations_with_replacement(range(cs.algebra.dim), cs.k):
         bval = cs.b.value(idx)
         if not bval:
             continue
-        counts: dict = {}
-        for i in idx:
-            counts[i] = counts.get(i, 0) + 1
-        mult = factorial(k)
-        for c in counts.values():
-            mult //= factorial(c)
         term = factors_fn(idx[0])
         for i in idx[1:]:
             term = wedge(term, factors_fn(i))
-        term = term.scale(bval * mult)
-        out = term if first else out + term
-        first = False
-    if first:
-        return Form.zero(ch, 2 * k)
+        out = out + term.scale(bval * _multinomial(idx))
+    return out
+
+
+def _first_slot_contraction(cs: CSData, first: list, curv: list) -> Form:
+    """b_{r1..rk} first^{r1} ^ curv^{r2} ^ ... ^ curv^{rk}, summed over ordered
+    tuples: r1 runs over all indices, the even curv slots commute and are
+    enumerated as multisets with multinomial weights."""
+    m = cs.algebra.dim
+    out = Form.zero(cs.ctx.chart, first[0].degree + 2 * (cs.k - 1))
+    for r1 in range(m):
+        if first[r1].is_zero():
+            continue
+        for rest in combinations_with_replacement(range(m), cs.k - 1):
+            bval = cs.b.value((r1,) + rest)
+            if not bval:
+                continue
+            term = first[r1]
+            for i in rest:
+                term = wedge(term, curv[i])
+            out = out + term.scale(bval * _multinomial(rest))
     return out
 
 
@@ -163,80 +167,44 @@ def characteristic_at_B(cs: CSData) -> Form:
     return pullback(P, bindings)
 
 
-def _interp_coeff(cs: CSData, r: int, mu: int) -> Poly:
-    """t a^r_mu + (1-t) B^r_mu."""
-    t = Poly.var(T)
-    return t * Poly.var(conn(r, mu)) + (Poly.const(1) - t) * cs.bg_poly(r, mu)
+def section_correction(cs: CSData, params: list | None = None) -> Form:
+    """chi = k b_{r1..rk} xi^{r1} F_B^{r2} ^ ... ^ F_B^{rk}.
 
-
-def _interp_one_form(cs: CSData, r: int) -> Form:
+    d(chi) equals the restriction of xi_C . P_2k(F) to the background section
+    (Bianchi plus ad-invariance), which is exactly the boundary piece the
+    scaling homotopy cannot see.  Vanishes identically for B = 0."""
     ch = cs.ctx.chart
-    terms = {}
-    for mu in range(cs.n):
-        p = _interp_coeff(cs, r, mu)
-        if p:
-            terms[(x(mu),)] = p
-    return Form(ch, 1, terms)
+    if cs.background == "zero":
+        return Form.zero(ch, 2 * cs.k - 2)
+    m = cs.algebra.dim
+    xi = [Poly.var(gauge(r)) for r in range(m)] if params is None else params
+    first = [Form.from_poly(ch, p * cs.k) for p in xi]
+    return _first_slot_contraction(cs, first, background_curvature(cs))
 
 
 def _interp_curvature(cs: CSData) -> list:
     """F^r(t,B) = d(ta + (1-t)B) ^ dx (t held constant) + 1/2 c (ta+(1-t)B)^2."""
-    ch = cs.ctx.chart
-    m = cs.algebra.dim
     t = Poly.var(T)
     one_minus_t = Poly.const(1) - t
-    out = []
-    for r in range(m):
-        f = Form.zero(ch, 2)
-        for mu in range(cs.n):
-            da = wedge(Form.generator(ch, conn(r, mu)), Form.generator(ch, x(mu)))
-            f = f + da.map_coefficients(lambda p: p * t)
-            bp = cs.bg_poly(r, mu)
-            if bp:
-                dB = wedge(exterior_d(Form.from_poly(ch, bp)),
-                           Form.generator(ch, x(mu)))
-                f = f + dB.map_coefficients(lambda p: p * one_minus_t)
-        for p_ in range(m):
-            for q in range(m):
-                cval = cs.algebra.bracket_const(r, p_, q)
-                if cval:
-                    f = f + wedge(_interp_one_form(cs, p_),
-                                  _interp_one_form(cs, q)).scale(cval / 2)
-        out.append(f)
-    return out
-
-
-def _transgression_integrand(cs: CSData, curv: list) -> Form:
-    """b_{r1..rk} (a-B)^{r1} ^ curv^{r2}(t) ^ ... ^ curv^{rk}(t), summed over
-    ordered tuples (the r1 slot is a 1-form, the rest commute)."""
-    ch = cs.ctx.chart
     m = cs.algebra.dim
-    k = cs.k
-    out = Form.zero(ch, 2 * k - 1)
-    diff = [cs.potential_one_form(r) - cs.background_one_form(r) for r in range(m)]
-    for r1 in range(m):
-        for rest in combinations_with_replacement(range(m), k - 1):
-            bval = cs.b.value((r1,) + rest)
-            if not bval:
-                continue
-            counts: dict = {}
-            for i in rest:
-                counts[i] = counts.get(i, 0) + 1
-            mult = factorial(k - 1)
-            for c in counts.values():
-                mult //= factorial(c)
-            term = diff[r1]
-            for i in rest:
-                term = wedge(term, curv[i])
-            out = out + term.scale(bval * mult)
-    return out
+    linear = [exterior_d(cs.potential_one_form(r)).scale(t)
+              + exterior_d(cs.background_one_form(r)).scale(one_minus_t)
+              for r in range(m)]
+    return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
+
+
+def _transgression(cs: CSData, curv: list) -> Form:
+    """k * integral over t in [0,1] of b_{r1..rk} (a-B)^{r1} ^ curv^{r2}(t) ^
+    ... ^ curv^{rk}(t); the result is t-free."""
+    diff = [cs.potential_one_form(r) - cs.background_one_form(r)
+            for r in range(cs.algebra.dim)]
+    integrand = _first_slot_contraction(cs, diff, curv)
+    return integrand.map_coefficients(lambda p: p.integrate_t() * cs.k)
 
 
 def cs_form(cs: CSData) -> Form:
-    """S_{2k-1}(B) = k * integral over t in [0,1] of the transgression
-    integrand; the result is t-free and lives on the order-0 chart."""
-    integrand = _transgression_integrand(cs, _interp_curvature(cs))
-    return integrand.map_coefficients(lambda p: p.integrate_t() * cs.k)
+    """S_{2k-1}(B), the transgression form; it lives on the order-0 chart."""
+    return _transgression(cs, _interp_curvature(cs))
 
 
 def cs_lagrangian(cs: CSData) -> Form:
@@ -249,30 +217,20 @@ def _interp_curvature_horizontal(cs: CSData) -> list:
     directly from jet coordinates rather than through h0 (cross-check route)."""
     ch = cs.ctx.chart
     m = cs.algebra.dim
-    t = Poly.var(T)
-    one_minus_t = Poly.const(1) - t
-    out = []
+    linear = []
     for r in range(m):
         f = Form.zero(ch, 2)
         for lam in range(cs.n):
             for mu in range(cs.n):
-                coeff = t * Poly.var(conn(r, mu, (lam,))) \
-                    + one_minus_t * cs.bg_poly(r, mu, (lam,))
+                coeff = cs.interp_poly(r, mu, (lam,))
                 if coeff:
                     f = f + wedge(Form(ch, 1, {(x(lam),): coeff}),
                                   Form.generator(ch, x(mu)))
-        for p_ in range(m):
-            for q in range(m):
-                cval = cs.algebra.bracket_const(r, p_, q)
-                if cval:
-                    f = f + wedge(_interp_one_form(cs, p_),
-                                  _interp_one_form(cs, q)).scale(cval / 2)
-        out.append(f)
-    return out
+        linear.append(f)
+    return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
 
 
 def cs_lagrangian_direct(cs: CSData) -> Form:
     """Independent construction of the horizontal CS Lagrangian via the
     explicit first-order formula; must agree with cs_lagrangian exactly."""
-    integrand = _transgression_integrand(cs, _interp_curvature_horizontal(cs))
-    return integrand.map_coefficients(lambda p: p.integrate_t() * cs.k)
+    return _transgression(cs, _interp_curvature_horizontal(cs))

@@ -13,7 +13,7 @@ indeterminates; antisymmetry is normalized away at construction time.
 from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
-from .indets import AUX, CONN, MATTER, T, X, indet_str, is_field_jet
+from .indets import AUX, CONN, MATTER, X, indet_str, x
 from .polynomial import Poly
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
@@ -37,9 +37,6 @@ class Chart:
         self.coord_set = frozenset(coords)
         self.n = n
         self.jet_order = jet_order
-
-    def dx(self, lam: int) -> tuple:
-        return (X, lam)
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self.coords == other.coords
@@ -210,7 +207,7 @@ def _d_coefficient(f: Poly, chart: Chart) -> Form:
     for lam in range(chart.n):
         g = f.derive_symbols(lam, COORDINATE_KINDS)
         if g:
-            key = (chart.dx(lam),)
+            key = (x(lam),)
             s = terms.get(key, Poly.zero()) + g
             if s:
                 terms[key] = s
@@ -277,25 +274,28 @@ def apply_derivation(X: dict, f: Poly) -> Poly:
     return out
 
 
-def pullback(a: Form, bindings: dict, target_chart: Chart | None = None) -> Form:
-    """Pull back along the section substituting fiber coordinates by bindings.
+def pullback(a: Form, bindings: dict) -> Form:
+    """Pull back along the map substituting coordinates by bindings.
 
     Coefficients get the polynomial substitution; each differential dc of a
     bound coordinate becomes the exterior derivative of its binding value.
-    Unbound coordinates (x, t) pass through.
+    Unbound coordinates pass through.  A binding may mention its own key and
+    other chart coordinates such as t, so the fiber homotopy a -> B + t(a - B)
+    is a pullback too: its da becomes t da + (a - B) dt + (1 - t) dB.
     """
-    chart = target_chart or a.chart
+    chart = a.chart
+    images: dict = {}  # dc -> its pulled-back 1-form, built once per coordinate
     out = Form.zero(chart, a.degree)
     for dcs, f in a.terms.items():
         acc = Form.from_poly(chart, f.substitute(bindings))
         for c in dcs:
             if acc.is_zero():
                 break
-            if c in bindings:
-                drep = _d_coefficient(bindings[c], chart)
-                acc = wedge(acc, drep)
-            else:
-                acc = wedge(acc, Form.generator(chart, c))
+            img = images.get(c)
+            if img is None:
+                img = images[c] = (_d_coefficient(bindings[c], chart)
+                                   if c in bindings else Form.generator(chart, c))
+            acc = wedge(acc, img)
         if not acc.is_zero():
             out = out + acc
     return out

@@ -81,11 +81,6 @@ def is_field_jet(v: tuple) -> bool:
     return v[0] in (CONN, MATTER)
 
 
-def is_function_symbol(v: tuple) -> bool:
-    """True for B and xi families: x-dependent symbols without own differentials."""
-    return v[0] in (BG, GAUGE)
-
-
 def _dstr(D: tuple) -> str:
     return "(" + ",".join(str(d) for d in D) + ")"
 

@@ -8,6 +8,9 @@ therefore unique by construction: equal expressions have equal dicts.
 Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the monomials themselves.  The exact text format is
 frozen by golden tests.
+
+The term-expansion kernel (mono_mul, add_dicts, mul_dicts) works on those raw
+dicts directly; zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from ._backend import add_dicts, mul_dicts
-from .errors import CyclicSubstitution
+from .errors import ConfigError, CyclicSubstitution, TermLimitExceeded
 from .indets import AUX, T, indet_str, with_extra_deriv
 
 __all__ = ["Poly", "Q", "max_terms"]
@@ -26,7 +28,83 @@ Q = Fraction
 
 def max_terms() -> int:
     """Current monomial-count cap (env JETVAR_MAX_TERMS, default 10^7)."""
-    return int(os.environ.get("JETVAR_MAX_TERMS", "10000000"))
+    raw = os.environ.get("JETVAR_MAX_TERMS", "10000000")
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ConfigError(f"JETVAR_MAX_TERMS must be a positive integer, got {raw!r}")
+
+
+def mono_mul(ma: tuple, mb: tuple) -> tuple:
+    """Merge two sorted monomials, adding exponents."""
+    if not ma:
+        return mb
+    if not mb:
+        return ma
+    out = []
+    i = j = 0
+    na, nb = len(ma), len(mb)
+    while i < na and j < nb:
+        va, ea = ma[i]
+        vb, eb = mb[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(ma[i])
+            i += 1
+        else:
+            out.append(mb[j])
+            j += 1
+    out.extend(ma[i:])
+    out.extend(mb[j:])
+    return tuple(out)
+
+
+def add_dicts(a: dict, b: dict, limit: int) -> dict:
+    """Sum of two term dicts; raises TermLimitExceeded above `limit` terms."""
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        s = get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    if len(out) > limit:
+        raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
+    return out
+
+
+def mul_dicts(a: dict, b: dict, limit: int) -> dict:
+    """Product of two term dicts; raises TermLimitExceeded above `limit` terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            s = get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        if len(out) > limit:
+            raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
+    return out
 
 
 def _as_q(c) -> Fraction:
@@ -198,14 +276,6 @@ class Poly:
             for v, _ in m:
                 vs.add(v)
         return vs
-
-    def degree_in(self, v: tuple) -> int:
-        d = 0
-        for m in self.terms:
-            for w, e in m:
-                if w == v and e > d:
-                    d = e
-        return d
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact evaluation at a rational point (used by random-point oracles)."""

@@ -3,14 +3,13 @@ fiberwise homotopy primitive, and the exact on-shell conservation check."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from .chern_simons import CSData, background_curvature, cs_form, cs_lagrangian
+from .chern_simons import CSData, cs_form, cs_lagrangian, section_correction
 from .errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
                      SigmaMismatch)
-from .forms import Form, apply_derivation, contract, exterior_d, wedge
-from .indets import T, conn, gauge, indet_str, is_field_jet, multi_index, x
+from .forms import Form, apply_derivation, contract, exterior_d, pullback, wedge
+from .indets import T, conn, indet_str, is_field_jet, multi_index, x
 from .jets import (JetContext, horizontal_differential, horizontal_projection,
                    prolong, total_derivative)
 from .polynomial import Poly
@@ -26,7 +25,6 @@ class VerificationReport:
     name: str
     passed: bool
     residual: str = "0"
-    seconds: float = 0.0
     term_counts: dict = field(default_factory=dict)
 
     @property
@@ -172,7 +170,6 @@ def first_variational_check(L: Lagrangian, u: dict,
                             ctx: JetContext | None = None) -> VerificationReport:
     """Residual of L_{J1u}L - u.deltaL - d_H(J_u); passes iff exactly zero."""
     ctx = ctx or L.ctx
-    t0 = time.perf_counter()
     lie = lie_derivative_lagrangian(L, u, ctx)
     el = _el_term(L, u, ctx)
     bdry = horizontal_differential(noether_current(L, u, ctx).form(), ctx)
@@ -181,45 +178,11 @@ def first_variational_check(L: Lagrangian, u: dict,
         name="first_variational",
         passed=residual.is_zero(),
         residual=str(residual),
-        seconds=time.perf_counter() - t0,
         term_counts={"lie": lie.term_count(), "residual": residual.term_count()},
     )
 
 
 # -- homotopy primitive and the boundary term --------------------------
-
-
-def _homotopy_pullback(a: Form, cs: CSData) -> Form:
-    """Pull back along H(t): a -> B + t(a - B); da gains t, dt and dx parts."""
-    ch = cs.ctx.chart
-    t = Poly.var(T)
-    one_minus_t = Poly.const(1) - t
-    coeff_bindings = {}
-    diff_rep = {}
-    for r in range(cs.algebra.dim):
-        for mu in range(cs.n):
-            c = conn(r, mu)
-            bp = cs.bg_poly(r, mu)
-            coeff_bindings[c] = bp + t * (Poly.var(c) - bp)
-            rep = Form(ch, 1, {(c,): Poly(dict(t.terms))})  # t * da
-            dtpart = Poly.var(c) - bp
-            if dtpart:
-                rep = rep + Form(ch, 1, {(T,): dtpart})
-            if bp:
-                dB = exterior_d(Form.from_poly(ch, bp))
-                rep = rep + dB.map_coefficients(lambda p: p * one_minus_t)
-            diff_rep[c] = rep
-    out = Form.zero(ch, a.degree)
-    for dcs, f in a.terms.items():
-        acc = Form.from_poly(ch, f.substitute(coeff_bindings))
-        for c in dcs:
-            if acc.is_zero():
-                break
-            rep = diff_rep.get(c)
-            acc = wedge(acc, rep if rep is not None else Form.generator(ch, c))
-        if not acc.is_zero():
-            out = out + acc
-    return out
 
 
 def fiber_homotopy(omega: Form, cs: CSData) -> Form:
@@ -230,7 +193,9 @@ def fiber_homotopy(omega: Form, cs: CSData) -> Form:
     leaves a boundary piece (omega restricted to the section is nonzero)."""
     if not exterior_d(omega).is_zero():
         raise NotClosed("fiber_homotopy needs a closed form")
-    pulled = _homotopy_pullback(omega, cs)
+    homotopy = {conn(r, mu): cs.interp_poly(r, mu)
+                for r in range(cs.algebra.dim) for mu in range(cs.n)}
+    pulled = pullback(omega, homotopy)
     psi = contract({T: Poly.const(1)}, pulled).map_coefficients(
         lambda p: p.integrate_t())
     residual = omega - exterior_d(psi)
@@ -238,42 +203,6 @@ def fiber_homotopy(omega: Form, cs: CSData) -> Form:
         raise NonzeroResidual(
             f"homotopy residual has {residual.term_count()} terms: {residual}")
     return psi
-
-
-def _section_correction(cs: CSData, params: list | None = None) -> Form:
-    """chi = k b_{r1..rk} xi^{r1} F_B^{r2} ^ ... ^ F_B^{rk}.
-
-    d(chi) equals the restriction of xi_C . P_2k(F) to the background section
-    (Bianchi plus ad-invariance), which is exactly the boundary piece the
-    scaling homotopy cannot see.  Vanishes identically for B = 0."""
-    if cs.background == "zero":
-        return Form.zero(cs.ctx.chart, 2 * cs.k - 2)
-    from itertools import combinations_with_replacement
-    from math import factorial
-    FB = background_curvature(cs)
-    ch = cs.ctx.chart
-    m = cs.algebra.dim
-    k = cs.k
-    out = Form.zero(ch, 2 * k - 2)
-    for r1 in range(m):
-        xi_r1 = Poly.var(gauge(r1)) if params is None else params[r1]
-        if not xi_r1:
-            continue
-        for rest in combinations_with_replacement(range(m), k - 1):
-            bval = cs.b.value((r1,) + rest)
-            if not bval:
-                continue
-            counts: dict = {}
-            for i in rest:
-                counts[i] = counts.get(i, 0) + 1
-            mult = factorial(k - 1)
-            for c in counts.values():
-                mult //= factorial(c)
-            term = Form.from_poly(ch, xi_r1)
-            for i in rest:
-                term = wedge(term, FB[i])
-            out = out + term.scale(bval * mult * k)
-    return out
 
 
 def sigma_boundary_term(cs: CSData, xi_C: dict, params: list | None = None,
@@ -289,7 +218,7 @@ def sigma_boundary_term(cs: CSData, xi_C: dict, params: list | None = None,
         S = cs_form(cs)
     dS = exterior_d(S)
     omega = contract(xi_C, dS)
-    chi = _section_correction(cs, params)
+    chi = section_correction(cs, params)
     psi = fiber_homotopy(omega - exterior_d(chi), cs) + chi
     sigma = horizontal_projection(psi + contract(xi_C, S), ctx)
     lag = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
@@ -307,7 +236,6 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form,
 
     Returns (report, modified current form J - sigma)."""
     ctx = ctx or L_total.ctx
-    t0 = time.perf_counter()
     J = noether_current(L_total, u, ctx)
     modified = J.form() - sigma
     residual = horizontal_differential(modified, ctx) + _el_term(L_total, u, ctx)
@@ -315,7 +243,6 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form,
         name=name,
         passed=residual.is_zero(),
         residual=str(residual),
-        seconds=time.perf_counter() - t0,
         term_counts={"current": modified.term_count(),
                      "residual": residual.term_count()},
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar.errors import CyclicSubstitution
+from jetvar.errors import CyclicSubstitution, TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
 from jetvar.polynomial import Poly, Q
 
@@ -136,6 +136,17 @@ def test_derive_symbols_chain_rule():
     expected = Poly.var(bg(0, 0, (1,))) * Poly.var(XI) \
         + Poly.var(B00) * Poly.var(gauge(0, (1,)))
     assert d == expected
+
+
+def test_term_cap_stops_products_and_sums(monkeypatch):
+    a = Poly.var(A00) + Poly.var(A01) + Poly.var(X0)
+    b = Poly.var(X1) + Poly.var(B00) + Poly.var(XI)
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "5")
+    with pytest.raises(TermLimitExceeded):
+        a * b    # 9 terms
+    with pytest.raises(TermLimitExceeded):
+        a + b    # 6 terms
+    assert (a + Poly.var(A00)).term_count() == 3   # within the cap
 
 
 def test_text_format_is_frozen():
