@@ -4,7 +4,8 @@ A chart fixes the ordered list of coordinates whose differentials exist as
 generators.  Function symbols (B, xi families) are deliberately NOT chart
 coordinates: they have no differentials of their own, and the exterior
 derivative turns their variation into dx terms via the formal x-derivative
-rule s -> s_{D+lam} dx^lam.
+rule s -> s_{D+lam} dx^lam.  Any other indeterminate off the chart has no
+differential, and d raises rather than drop it.
 
 Form terms are keyed by strictly increasing tuples of coordinate
 indeterminates; antisymmetry is normalized away at construction time.
@@ -13,36 +14,41 @@ indeterminates; antisymmetry is normalized away at construction time.
 from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
-from .indets import AUX, CONN, MATTER, X, indet_str, x
+from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import Poly
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "pullback"]
 
-# Kinds whose differentials are generators on every chart built here.
-COORDINATE_KINDS = frozenset({X, CONN, MATTER, AUX})
-
 
 class Chart:
-    """Ordered coordinate list plus base dimension and jet order."""
+    """Ordered coordinate list plus base dimension."""
 
-    __slots__ = ("coords", "pos", "n", "jet_order", "coord_set")
+    __slots__ = ("coords", "n", "coord_set")
 
-    def __init__(self, coords, n: int, jet_order: int):
+    def __init__(self, coords, n: int):
         coords = tuple(sorted(coords))
         if len(set(coords)) != len(coords):
             raise JetvarError("duplicate chart coordinates")
         self.coords = coords
-        self.pos = {c: i for i, c in enumerate(coords)}
         self.coord_set = frozenset(coords)
         self.n = n
-        self.jet_order = jet_order
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)
+
+
+def _accumulate(terms: dict, key: tuple, p: Poly):
+    """terms[key] += p, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = p if s is None else s + p
+    if s:
+        terms[key] = s
+    elif key in terms:
+        del terms[key]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -119,12 +125,7 @@ class Form:
             raise JetvarError("degree mismatch in form addition")
         out = dict(self.terms)
         for dcs, p in other.terms.items():
-            s = out.get(dcs)
-            s = p if s is None else s + p
-            if s:
-                out[dcs] = s
-            elif dcs in out:
-                del out[dcs]
+            _accumulate(out, dcs, p)
         return Form(self.chart, self.degree, out)
 
     def __neg__(self) -> "Form":
@@ -184,55 +185,35 @@ def wedge(a: Form, b: Form) -> Form:
             if merged is None:
                 continue
             dcs, sign = merged
-            p = fa * fb if sign > 0 else -(fa * fb)
-            s = out.get(dcs)
-            s = p if s is None else s + p
-            if s:
-                out[dcs] = s
-            elif dcs in out:
-                del out[dcs]
+            _accumulate(out, dcs, fa * fb if sign > 0 else -(fa * fb))
     return Form(a.chart, a.degree + b.degree, out)
 
 
 def _d_coefficient(f: Poly, chart: Chart) -> Form:
-    """Exterior derivative of a 0-form: chart-coordinate partials plus the
-    function-symbol x-derivative rule."""
+    """Exterior derivative of a 0-form by the chain rule: a chart coordinate
+    v gives (df/dv) dv, a function symbol s gives (df/ds) s_{D+lam} dx^lam."""
     out = Form.zero(chart, 1)
-    terms: dict = {}
-    for v in f.indets():
+    for v, g in f.gradient().items():
         if v in chart.coord_set:
-            df = f.partial(v)
-            if df:
-                terms[(v,)] = terms.get((v,), Poly.zero()) + df
-    for lam in range(chart.n):
-        g = f.derive_symbols(lam, COORDINATE_KINDS)
-        if g:
-            key = (x(lam),)
-            s = terms.get(key, Poly.zero()) + g
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-    out.terms = {k: p for k, p in terms.items() if p}
+            _accumulate(out.terms, (v,), g)
+        elif v[0] in (BG, GAUGE):
+            for lam in range(chart.n):
+                _accumulate(out.terms, (x(lam),),
+                            g * Poly.var(with_extra_deriv(v, lam)))
+        else:
+            raise JetvarError(f"d{indet_str(v)} is not a chart differential")
     return out
 
 
 def exterior_d(a: Form) -> Form:
     out = Form.zero(a.chart, a.degree + 1)
     for dcs, f in a.terms.items():
-        df = _d_coefficient(f, a.chart)
-        for (c,), g in df.terms.items():
+        for (c,), g in _d_coefficient(f, a.chart).terms.items():
             merged = _merge_tuples((c,), dcs)
             if merged is None:
                 continue
             key, sign = merged
-            p = g if sign > 0 else -g
-            s = out.terms.get(key)
-            s = p if s is None else s + p
-            if s:
-                out.terms[key] = s
-            elif key in out.terms:
-                del out.terms[key]
+            _accumulate(out.terms, key, g if sign > 0 else -g)
     return out
 
 
@@ -249,13 +230,7 @@ def contract(X: dict, a: Form) -> Form:
             p = comp * f
             if j & 1:
                 p = -p
-            key = dcs[:j] + dcs[j + 1:]
-            s = out.terms.get(key)
-            s = p if s is None else s + p
-            if s:
-                out.terms[key] = s
-            elif key in out.terms:
-                del out.terms[key]
+            _accumulate(out.terms, dcs[:j] + dcs[j + 1:], p)
     return out
 
 
@@ -267,9 +242,9 @@ def lie_derivative_form(X: dict, a: Form) -> Form:
 def apply_derivation(X: dict, f: Poly) -> Poly:
     """The vector field acting on a scalar: sum X^c partial_c f."""
     out = Poly.zero()
-    for c, comp in X.items():
-        df = f.partial(c)
-        if df:
+    for c, df in f.gradient().items():
+        comp = X.get(c)
+        if comp:
             out = out + comp * df
     return out
 

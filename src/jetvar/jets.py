@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import JetOrderExceeded, JetvarError
-from .forms import COORDINATE_KINDS, Chart, Form, wedge
+from .forms import Chart, Form, wedge
 from .indets import (AUX, CONN, MATTER, T, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
 from .polynomial import Poly
@@ -41,7 +41,7 @@ class JetContext:
                         coords.append(conn(r, mu, D))
                 for A in range(matter_dim):
                     coords.append(matter(A, D))
-        self.chart = Chart(coords, n, jet_order)
+        self.chart = Chart(coords, n)
 
     def field_coords(self, order: int = 0) -> list:
         """Field coordinates of exactly the given jet order, chart order."""
@@ -61,16 +61,18 @@ class JetContext:
 
 
 def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
-    """d_lam f: base partial plus jet-raising terms plus function symbols."""
-    N = ctx.jet_order
-    out = f.partial(x(lam))
-    for v in f.indets():
-        if is_field_jet(v):
-            if len(multi_index(v)) >= N:
-                raise JetOrderExceeded(
-                    f"d_{lam} of expression containing top-order {indet_str(v)}")
-            out = out + Poly.var(with_extra_deriv(v, lam)) * f.partial(v)
-    out = out + f.derive_symbols(lam, COORDINATE_KINDS)
+    """d_lam f by the chain rule: the partial in x^lam, plus (df/dv) v_{D+lam}
+    for every field jet and function symbol v; other x and t are constants."""
+    out = Poly.zero()
+    for v, g in f.gradient().items():
+        if v[0] in (X, AUX):
+            if v == x(lam):
+                out = out + g
+            continue
+        if is_field_jet(v) and len(multi_index(v)) >= ctx.jet_order:
+            raise JetOrderExceeded(
+                f"d_{lam} of expression containing top-order {indet_str(v)}")
+        out = out + g * Poly.var(with_extra_deriv(v, lam))
     return out
 
 

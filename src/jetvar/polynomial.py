@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 
 from .errors import ConfigError, CyclicSubstitution, TermLimitExceeded
-from .indets import AUX, T, indet_str, with_extra_deriv
+from .indets import T, indet_str
 
 __all__ = ["Poly", "Q", "max_terms"]
 
@@ -206,6 +206,22 @@ class Poly:
                     break
         return Poly(out)
 
+    def gradient(self) -> dict:
+        """Every partial derivative in one walk over the monomials: v -> d/dv.
+
+        Keys are exactly self.indets().  Dividing distinct monomials by the
+        same v keeps them distinct, so no partial sums terms or is zero.
+        """
+        grads: dict = {}
+        for m, c in self.terms.items():
+            for i, (v, e) in enumerate(m):
+                rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+                terms = grads.get(v)
+                if terms is None:
+                    terms = grads[v] = {}
+                terms[rest] = c * e
+        return {v: Poly(terms) for v, terms in grads.items()}
+
     def substitute(self, bindings: dict) -> "Poly":
         """Simultaneous one-pass substitution indeterminate -> Poly.
 
@@ -254,19 +270,6 @@ class Poly:
             elif nm in out:
                 del out[nm]
         return Poly(out)
-
-    def derive_symbols(self, lam: int, coordinate_kinds: frozenset) -> "Poly":
-        """Chain-rule contribution of function symbols to an x-derivative.
-
-        Sums partial(self, s) * s_{D+lam} over every indeterminate s in self
-        whose kind is NOT in coordinate_kinds (and is not t).
-        """
-        out = Poly.zero()
-        for s in self.indets():
-            if s[0] in coordinate_kinds or s[0] == AUX:
-                continue
-            out = out + self.partial(s) * Poly.var(with_extra_deriv(s, lam))
-        return out
 
     # -- queries -------------------------------------------------------
 

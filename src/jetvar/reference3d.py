@@ -52,15 +52,13 @@ def _strength(g: LieAlgebraData, lam: int, mu: int, r: int, field) -> Poly:
     return f
 
 
-def _covariant_xi(g: LieAlgebraData, m: int, beta: int, symbolic_bg: bool,
-                  on_background: bool = False) -> Poly:
-    field = _B if on_background else _A
+def _covariant_xi(g: LieAlgebraData, m: int, beta: int) -> Poly:
     s = _XI(m, (beta,))
     for p in range(g.dim):
         for q in range(g.dim):
             cval = g.bracket_const(m, p, q)
             if cval:
-                s = s + cval * field(p, beta) * _XI(q)
+                s = s + cval * _A(p, beta) * _XI(q)
     return s
 
 
@@ -115,7 +113,7 @@ def lie_derivative_density_3d(g: LieAlgebraData, h: Fraction,
                     continue
                 inner = _XI(m, (be,)) * _A(n_, ga)
                 if symbolic_bg:
-                    inner = inner + _covariant_xi(g, m, be, symbolic_bg) * _B(n_, ga)
+                    inner = inner + _covariant_xi(g, m, be) * _B(n_, ga)
                 dens = dens - total_derivative(h * kv * e * inner, al, ctx)
     return dens
 
@@ -137,7 +135,7 @@ def noether_components_3d(g: LieAlgebraData, h: Fraction,
                     if not e:
                         continue
                     tail = _A(n_, ga) - _B(n_, ga) if symbolic_bg else _A(n_, ga)
-                    s = s + h * kv * e * _covariant_xi(g, m, be, symbolic_bg) * tail
+                    s = s + h * kv * e * _covariant_xi(g, m, be) * tail
         out.append(s)
     return out
 

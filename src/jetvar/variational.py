@@ -9,9 +9,10 @@ from .chern_simons import CSData, cs_form, cs_lagrangian, section_correction
 from .errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
                      SigmaMismatch)
 from .forms import Form, apply_derivation, contract, exterior_d, pullback, wedge
-from .indets import T, conn, indet_str, is_field_jet, multi_index, x
-from .jets import (JetContext, horizontal_differential, horizontal_projection,
-                   prolong, total_derivative)
+from .indets import (T, conn, indet_str, is_field_jet, multi_index,
+                     with_extra_deriv, x)
+from .jets import (JetContext, contact_form, horizontal_differential,
+                   horizontal_projection, prolong, total_derivative)
 from .polynomial import Poly
 
 __all__ = ["Lagrangian", "Current", "VerificationReport", "euler_lagrange",
@@ -102,31 +103,26 @@ def euler_lagrange(L: Lagrangian, ctx: JetContext | None = None) -> dict:
 
     Returns a dict over order-0 field coordinates; values live on J2."""
     ctx = ctx or L.ctx
+    grad = L.density.gradient()
     out = {}
     for i in ctx.field_coords(0):
-        comp = L.density.partial(i)
+        comp = grad.get(i, Poly.zero())
         for lam in range(ctx.n):
-            jet = _raise_index(i, lam)
-            dldj = L.density.partial(jet)
+            dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
                 comp = comp - total_derivative(dldj, lam, ctx)
         out[i] = comp
     return out
 
 
-def _raise_index(i: tuple, lam: int) -> tuple:
-    from .indets import with_extra_deriv
-    return with_extra_deriv(i, lam)
-
-
 def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
-    from .jets import contact_form
     ctx = ctx or L.ctx
+    grad = L.density.gradient()
     out = L.form()
     for i in ctx.field_coords(0):
         for lam in range(ctx.n):
-            dldj = L.density.partial(_raise_index(i, lam))
+            dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
                 out = out + wedge(contact_form(i, ctx),
                                   ctx.omega_lambda(lam)).map_coefficients(
@@ -137,11 +133,12 @@ def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
 def noether_current(L: Lagrangian, u: dict, ctx: JetContext | None = None) -> Current:
     """J^lam = u^i partial^lam_i(density) for a vertical order-0 field u."""
     ctx = ctx or L.ctx
+    grad = L.density.gradient()
     comps = []
     for lam in range(ctx.n):
         s = Poly.zero()
         for i, ui in u.items():
-            dldj = L.density.partial(_raise_index(i, lam))
+            dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
                 s = s + ui * dldj
         comps.append(s)

@@ -108,6 +108,15 @@ def test_non_invariant_tensor_fails_transgression(tmp_path):
     assert "[FAIL] invariant tensor ad-invariance" in r.stdout
 
 
+def test_non_invariant_tensor_fails_conservation_by_name(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"algebra": "su2", "invariant": "unit", "k": 2}))
+    r = run_cli("verify-conservation", "--config", str(cfg))
+    assert r.returncode == 1
+    assert r.stdout == "[FAIL] invariant tensor ad-invariance\n"
+
+
 def test_term_cap_exits_3():
     r = run_cli("transgression", "--config", str(CONFIGS / "su2_k2.json"),
                 env_extra={"JETVAR_MAX_TERMS": "50"})

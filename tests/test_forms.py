@@ -2,13 +2,14 @@
 Cartan's formula, pullback functoriality."""
 
 import random
+import re
 
 import pytest
 
 from jetvar.errors import AntisymmetryViolation, JetvarError
 from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
                           pullback, wedge)
-from jetvar.indets import bg, conn, gauge, x
+from jetvar.indets import bg, conn, gauge, indet_str, x
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly
@@ -60,6 +61,14 @@ def test_d_squared_is_zero_with_function_symbols():
     assert exterior_d(exterior_d(a)).is_zero()
     b = wedge(exterior_d(a), Form.generator(CH, conn(0, 0)))
     assert exterior_d(exterior_d(b)).is_zero()
+
+
+@pytest.mark.parametrize("v", [conn(0, 0, (0, 0, 0)), x(5)])
+def test_d_of_an_off_chart_coordinate_raises(v):
+    # a dropped differential could make a residual vacuously zero
+    assert v not in CH.coord_set
+    with pytest.raises(JetvarError, match=re.escape(indet_str(v))):
+        exterior_d(Form.from_poly(CH, Poly.var(v)))
 
 
 def test_leibniz_rule(rng):

@@ -2,10 +2,13 @@
 and prolongation of vertical fields."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvar.errors import JetOrderExceeded, JetvarError
 from jetvar.forms import Form, apply_derivation, exterior_d, wedge
-from jetvar.indets import T, conn, multi_index, x
+from jetvar.indets import (BG, GAUGE, T, bg, conn, gauge, is_field_jet, matter,
+                           multi_index, with_extra_deriv, x)
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_projection, prolong, total_derivative)
 from jetvar.polynomial import Poly
@@ -26,6 +29,48 @@ def test_total_derivative_examples():
     expected = Poly.var(conn(0, 0)) + Poly.var(x(0)) * Poly.var(conn(0, 0, (0,)))
     assert total_derivative(f, 0, CTX) == expected
     assert total_derivative(Poly.var(x(0)), 1, CTX) == Poly.zero()
+
+
+def test_total_derivative_applies_the_chain_rule_to_function_symbols():
+    # B and xi are function symbols of x; only d_1 of a itself is added
+    f = Poly.var(bg(0, 0)) * Poly.var(gauge(0)) + Poly.var(conn(0, 0))
+    expected = Poly.var(bg(0, 0, (1,))) * Poly.var(gauge(0)) \
+        + Poly.var(bg(0, 0)) * Poly.var(gauge(0, (1,))) \
+        + Poly.var(conn(0, 0, (1,)))
+    assert total_derivative(f, 1, CTX) == expected
+
+
+def _total_derivative_oracle(f: Poly, lam: int) -> Poly:
+    """The per-indeterminate route: one Poly.partial scan per indeterminate."""
+    out = f.partial(x(lam))
+    for v in f.indets():
+        if is_field_jet(v) or v[0] in (BG, GAUGE):
+            out = out + Poly.var(with_extra_deriv(v, lam)) * f.partial(v)
+    return out
+
+
+# Below the chart's top jet order, so d_lam never leaves the chart.
+ORACLE_POOL = [x(0), x(1), T, conn(0, 0), conn(0, 1, (0,)), conn(0, 0, (0, 1)),
+               matter(0), matter(0, (1, 1)), bg(0, 0), bg(0, 1, (0, 0, 1)),
+               gauge(0), gauge(0, (1,))]
+
+
+@st.composite
+def jet_polys(draw):
+    p = Poly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Poly.const(draw(st.fractions(-5, 5, max_denominator=6)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * Poly.var(draw(st.sampled_from(ORACLE_POOL)),
+                                   draw(st.integers(1, 3)))
+        p = p + term
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_polys(), st.integers(0, 1))
+def test_total_derivative_matches_the_per_indeterminate_oracle(f, lam):
+    assert total_derivative(f, lam, CTX) == _total_derivative_oracle(f, lam)
 
 
 def test_total_derivative_is_a_derivation(rng):

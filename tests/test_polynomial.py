@@ -72,6 +72,12 @@ def test_partials_commute(a):
     assert a.partial(A00).partial(X1) == a.partial(X1).partial(A00)
 
 
+@settings(max_examples=150, deadline=None)
+@given(polys())
+def test_gradient_equals_every_partial(a):
+    assert a.gradient() == {v: a.partial(v) for v in a.indets()}
+
+
 def test_partial_examples():
     p = Poly.var(A00, 2) * Poly.var(X0) + Poly.var(X0, 3)
     assert p.partial(A00) == 2 * Poly.var(A00) * Poly.var(X0)
@@ -126,16 +132,6 @@ def test_evaluate_is_a_ring_homomorphism(a, b):
     point = {v: Fraction(i - 3, 2) for i, v in enumerate(POOL)}
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
-
-
-def test_derive_symbols_chain_rule():
-    from jetvar.forms import COORDINATE_KINDS
-    # B and xi are function symbols of x; chart coordinates are untouched
-    p = Poly.var(B00) * Poly.var(XI) + Poly.var(A00)
-    d = p.derive_symbols(1, COORDINATE_KINDS)
-    expected = Poly.var(bg(0, 0, (1,))) * Poly.var(XI) \
-        + Poly.var(B00) * Poly.var(gauge(0, (1,)))
-    assert d == expected
 
 
 def test_term_cap_stops_products_and_sums(monkeypatch):
