@@ -222,6 +222,15 @@ def report_line(name: str, passed: bool) -> bool:
     return passed
 
 
+def fails_invariance(cs: CSData) -> bool:
+    """Reports a non-ad-invariant tensor by name, for the commands that
+    cannot proceed without one."""
+    if cs.invariance_residual:
+        report_line("invariant tensor ad-invariance", False)
+        return True
+    return False
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -280,6 +289,8 @@ def _el_components(cs: CSData) -> dict:
 def cmd_euler_lagrange(args) -> int:
     cfg = load_config(args.config)
     cs, _ = build_model(cfg)
+    if fails_invariance(cs):
+        return 1
     dump = Dump(args.dump)
     t0 = time.perf_counter()
     el = _el_components(cs)
@@ -307,6 +318,8 @@ def cmd_euler_lagrange(args) -> int:
 def cmd_noether(args) -> int:
     cfg = load_config(args.config)
     cs, _ = build_model(cfg)
+    if fails_invariance(cs):
+        return 1
     dump = Dump(args.dump)
     t0 = time.perf_counter()
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
@@ -355,8 +368,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
 def cmd_verify_conservation(args) -> int:
     cfg = load_config(args.config)
     cs, inv_name = build_model(cfg)
-    if cs.invariance_residual:
-        report_line("invariant tensor ad-invariance", False)
+    if fails_invariance(cs):
         return 1
     dump = Dump(args.dump)
     t0 = time.perf_counter()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly
+from .polynomial import Poly, chain_rule, max_terms
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "pullback"]
@@ -189,32 +189,55 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.chart, a.degree + b.degree, out)
 
 
-def _d_coefficient(f: Poly, chart: Chart) -> Form:
-    """Exterior derivative of a 0-form by the chain rule: a chart coordinate
-    v gives (df/dv) dv, a function symbol s gives (df/ds) s_{D+lam} dx^lam."""
-    out = Form.zero(chart, 1)
-    for v, g in f.gradient().items():
-        if v in chart.coord_set:
-            _accumulate(out.terms, (v,), g)
-        elif v[0] in (BG, GAUGE):
-            for lam in range(chart.n):
-                _accumulate(out.terms, (x(lam),),
-                            g * Poly.var(with_extra_deriv(v, lam)))
-        else:
-            raise JetvarError(f"d{indet_str(v)} is not a chart differential")
-    return out
+def differential(a: Form, image) -> Form:
+    """d(f dcs) = df ^ dcs for the derivation with dv = image(v).
+
+    image(v) lists (c, lift) pairs meaning dv = sum lift dc over chart
+    generators c, where lift is None for 1 or a shared (w, 1) pair for the
+    indeterminate w; it is called once per indeterminate per call.  Each
+    coefficient is walked once by the chain-rule kernel, and a partial whose
+    dc already occurs in dcs is never formed.
+    """
+    limit = max_terms()
+    images: dict = {}
+    out: dict = {}
+    for dcs, f in a.terms.items():
+        slots: dict = {}  # c -> (terms of dc ^ dcs, sign), or () when it is 0
+
+        def route(v):
+            img = images.get(v)
+            if img is None:
+                img = images[v] = image(v)
+            r = []
+            for c, lift in img:
+                slot = slots.get(c)
+                if slot is None:
+                    merged = _merge_tuples((c,), dcs)
+                    slot = slots[c] = () if merged is None else (
+                        out.setdefault(merged[0], {}), merged[1])
+                if slot:
+                    r.append((slot[0], slot[1], lift))
+            return r
+
+        chain_rule(f.terms, route, limit)
+    return Form(a.chart, a.degree + 1,
+                {key: Poly(terms) for key, terms in out.items() if terms})
 
 
 def exterior_d(a: Form) -> Form:
-    out = Form.zero(a.chart, a.degree + 1)
-    for dcs, f in a.terms.items():
-        for (c,), g in _d_coefficient(f, a.chart).terms.items():
-            merged = _merge_tuples((c,), dcs)
-            if merged is None:
-                continue
-            key, sign = merged
-            _accumulate(out.terms, key, g if sign > 0 else -g)
-    return out
+    """d by the chain rule: a chart coordinate v gives dv, a function symbol
+    s gives s_{D+lam} dx^lam; any other indeterminate raises."""
+    chart = a.chart
+
+    def image(v):
+        if v in chart.coord_set:
+            return ((v, None),)
+        if v[0] in (BG, GAUGE):
+            return tuple((x(lam), (with_extra_deriv(v, lam), 1))
+                         for lam in range(chart.n))
+        raise JetvarError(f"d{indet_str(v)} is not a chart differential")
+
+    return differential(a, image)
 
 
 def contract(X: dict, a: Form) -> Form:
@@ -268,7 +291,7 @@ def pullback(a: Form, bindings: dict) -> Form:
                 break
             img = images.get(c)
             if img is None:
-                img = images[c] = (_d_coefficient(bindings[c], chart)
+                img = images[c] = (exterior_d(Form.from_poly(chart, bindings[c]))
                                    if c in bindings else Form.generator(chart, c))
             acc = wedge(acc, img)
         if not acc.is_zero():

@@ -6,10 +6,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import JetOrderExceeded, JetvarError
-from .forms import Chart, Form, wedge
+from .forms import Chart, Form, differential, wedge
 from .indets import (AUX, CONN, MATTER, T, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly
+from .polynomial import Poly, chain_rule, max_terms
 
 __all__ = ["JetContext", "total_derivative", "horizontal_projection",
            "horizontal_differential", "contact_form", "prolong"]
@@ -60,20 +60,31 @@ class JetContext:
         return Form(self.chart, self.n - 1, {key: sign})
 
 
+def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
+    """d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed over lam for a
+    field jet or function symbol, dx^lam for x^lam, nothing for t."""
+    k = v[0]
+    if k == X:
+        return ((v, None),)
+    if k == AUX:
+        return ()
+    if is_field_jet(v) and len(multi_index(v)) >= ctx.jet_order:
+        raise JetOrderExceeded(
+            f"total derivative of expression containing top-order {indet_str(v)}")
+    return tuple((x(lam), (with_extra_deriv(v, lam), 1)) for lam in range(ctx.n))
+
+
 def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
     """d_lam f by the chain rule: the partial in x^lam, plus (df/dv) v_{D+lam}
     for every field jet and function symbol v; other x and t are constants."""
-    out = Poly.zero()
-    for v, g in f.gradient().items():
-        if v[0] in (X, AUX):
-            if v == x(lam):
-                out = out + g
-            continue
-        if is_field_jet(v) and len(multi_index(v)) >= ctx.jet_order:
-            raise JetOrderExceeded(
-                f"d_{lam} of expression containing top-order {indet_str(v)}")
-        out = out + g * Poly.var(with_extra_deriv(v, lam))
-    return out
+    out: dict = {}
+    dx = x(lam)
+
+    def route(v):
+        return [(out, 1, lift) for c, lift in _horizontal_image(v, ctx) if c == dx]
+
+    chain_rule(f.terms, route, max_terms())
+    return Poly(out)
 
 
 def _fiber_replacement(c: tuple, ctx: JetContext) -> Form:
@@ -114,17 +125,10 @@ def _require_horizontal(a: Form):
 
 
 def horizontal_differential(a: Form, ctx: JetContext) -> Form:
-    """d_H = dx^lam wedge d_lam on horizontal forms."""
+    """d_H = dx^lam wedge d_lam on horizontal forms; d_lam of a coefficient
+    is formed only for the lam whose dx^lam the wedge keeps."""
     _require_horizontal(a)
-    out = Form.zero(ctx.chart, a.degree + 1)
-    for dcs, f in a.terms.items():
-        for lam in range(ctx.n):
-            g = total_derivative(f, lam, ctx)
-            if not g:
-                continue
-            out = out + wedge(Form(ctx.chart, 1, {(x(lam),): g}),
-                              Form(ctx.chart, len(dcs), {dcs: Poly.const(1)}))
-    return out
+    return differential(a, lambda v: _horizontal_image(v, ctx))
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:

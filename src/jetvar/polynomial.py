@@ -9,13 +9,14 @@ Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the monomials themselves.  The exact text format is
 frozen by golden tests.
 
-The term-expansion kernel (mono_mul, add_dicts, mul_dicts) works on those raw
-dicts directly; zero coefficients are never stored.
+The term-expansion kernel (mono_mul, add_dicts, mul_dicts, chain_rule) works
+on those raw dicts directly; zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import ConfigError, CyclicSubstitution, TermLimitExceeded
@@ -105,6 +106,52 @@ def mul_dicts(a: dict, b: dict, limit: int) -> dict:
         if len(out) > limit:
             raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
     return out
+
+
+def chain_rule(terms: dict, route, limit: int) -> None:
+    """Add the chain rule of one term dict into caller-owned term dicts.
+
+    route(v) lists the (out, sign, lift) triples that the partial df/dv
+    feeds; it is called once per indeterminate v of the terms.  Each triple
+    adds sign * df/dv into the term dict out, times the indeterminate of the
+    pair lift = (w, 1) unless lift is None.  Callers build each lift pair
+    once and share it, so the output monomials hold one pair object per w.
+    Partials with no route are never formed.  Raises TermLimitExceeded when
+    a dict it fed holds more than `limit` terms.
+    """
+    routes: dict = {}
+    for m, c in terms.items():
+        for i, (v, e) in enumerate(m):
+            r = routes.get(v)
+            if r is None:
+                r = routes[v] = route(v)
+            if not r:
+                continue
+            rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+            ce = c if e == 1 else c * e
+            for out, sign, lift in r:
+                if lift is None:
+                    nm = rest
+                else:
+                    j = bisect_left(rest, lift)
+                    if j < len(rest) and rest[j][0] == lift[0]:
+                        nm = rest[:j] + ((lift[0], rest[j][1] + 1),) + rest[j + 1:]
+                    else:
+                        nm = rest[:j] + (lift,) + rest[j:]
+                val = ce if sign > 0 else -ce
+                s = out.get(nm)
+                if s is None:
+                    out[nm] = val
+                else:
+                    s = s + val
+                    if s:
+                        out[nm] = s
+                    else:
+                        del out[nm]
+    for r in routes.values():
+        for out, _, _ in r:
+            if len(out) > limit:
+                raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
 
 
 def _as_q(c) -> Fraction:

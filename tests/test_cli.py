@@ -117,11 +117,33 @@ def test_non_invariant_tensor_fails_conservation_by_name(tmp_path):
     assert r.stdout == "[FAIL] invariant tensor ad-invariance\n"
 
 
+@pytest.mark.parametrize("command", ["euler-lagrange", "noether"])
+def test_non_invariant_tensor_fails_lagrangian_commands_by_name(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"algebra": "su2", "invariant": "unit", "k": 2}))
+    r = run_cli(command, "--config", str(cfg))
+    assert r.returncode == 1
+    assert r.stdout == "[FAIL] invariant tensor ad-invariance\n"
+
+
 def test_term_cap_exits_3():
     r = run_cli("transgression", "--config", str(CONFIGS / "su2_k2.json"),
                 env_extra={"JETVAR_MAX_TERMS": "50"})
     assert r.returncode == 3
     assert "term limit exceeded" in r.stderr
+
+
+def test_term_cap_in_the_chain_rule_exits_3():
+    # With seed 0 no sum or product before it exceeds 10 terms: the first
+    # expression to do so is d_H of a Noether current, cut off in the chain rule.
+    r = run_cli("first-variational-selftest", "--seed", "0", "--config",
+                str(CONFIGS / "selftest.json"),
+                env_extra={"JETVAR_MAX_TERMS": "10"})
+    assert r.returncode == 3
+    assert "term limit exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "[PASS]" not in r.stdout
 
 
 def test_zero_gauge_parameters_give_zero_current(tmp_path):

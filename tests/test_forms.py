@@ -5,11 +5,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetvar.errors import AntisymmetryViolation, JetvarError
+from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
                           pullback, wedge)
-from jetvar.indets import bg, conn, gauge, indet_str, x
+from jetvar.indets import bg, conn, gauge, indet_str, with_extra_deriv, x
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly
@@ -69,6 +71,69 @@ def test_d_of_an_off_chart_coordinate_raises(v):
     assert v not in CH.coord_set
     with pytest.raises(JetvarError, match=re.escape(indet_str(v))):
         exterior_d(Form.from_poly(CH, Poly.var(v)))
+
+
+def _d_coefficient_oracle(f: Poly) -> Form:
+    """The gradient route: (df/dv) dv for a chart coordinate v, and
+    (df/ds) * s_{D+lam} dx^lam, built as a Poly product, for a symbol s."""
+    out = Form.zero(CH, 1)
+    for v, g in f.gradient().items():
+        if v in CH.coord_set:
+            out = out + Form(CH, 1, {(v,): g})
+        else:
+            for lam in range(CH.n):
+                out = out + Form(CH, 1, {(x(lam),): g * Poly.var(
+                    with_extra_deriv(v, lam))})
+    return out
+
+
+def _exterior_d_oracle(a: Form) -> Form:
+    out = Form.zero(CH, a.degree + 1)
+    for dcs, f in a.terms.items():
+        out = out + wedge(_d_coefficient_oracle(f),
+                          Form(CH, len(dcs), {dcs: Poly.const(1)}))
+    return out
+
+
+# gauge(0, (0,)) is also the x^0-derivative of gauge(0)
+D_POOL = list(CH.coords) + [bg(0, 0), bg(0, 1, (0, 1)), gauge(0),
+                            gauge(0, (0,)), gauge(0, (1, 1, 1))]
+
+
+@st.composite
+def d_forms(draw):
+    degree = draw(st.integers(0, 1))
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 3))):
+        p = Poly.zero()
+        for _ in range(draw(st.integers(1, 4))):
+            term = Poly.const(draw(st.fractions(-5, 5, max_denominator=6)))
+            for _ in range(draw(st.integers(0, 3))):
+                term = term * Poly.var(draw(st.sampled_from(D_POOL)),
+                                       draw(st.integers(1, 3)))
+            p = p + term
+        dcs = (draw(st.sampled_from(CH.coords)),) if degree else ()
+        terms[dcs] = terms.get(dcs, Poly.zero()) + p
+    return Form(CH, degree, {d: p for d, p in terms.items() if p})
+
+
+@settings(max_examples=150, deadline=None)
+@given(d_forms())
+def test_exterior_d_matches_the_gradient_oracle(a):
+    assert exterior_d(a) == _exterior_d_oracle(a)
+
+
+def test_term_cap_stops_exterior_d(monkeypatch):
+    # exterior_d makes no Poly sum or product, so the chain rule itself must
+    # hold the cap: d(x0 a0 a1) has three one-term coefficients and passes,
+    # d(x1 B) = B dx1 + x1 B_{;0} dx0 + x1 B_{;1} dx1 has two terms on dx1
+    a = Form.from_poly(CH, Poly.var(x(0)) * Poly.var(conn(0, 0))
+                       * Poly.var(conn(0, 1)))
+    f = Form.from_poly(CH, Poly.var(x(1)) * Poly.var(bg(0, 0)))
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
+    assert exterior_d(a).term_count() == 3
+    with pytest.raises(TermLimitExceeded):
+        exterior_d(f)
 
 
 def test_leibniz_rule(rng):

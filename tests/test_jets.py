@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar.errors import JetOrderExceeded, JetvarError
+from jetvar.errors import JetOrderExceeded, JetvarError, TermLimitExceeded
 from jetvar.forms import Form, apply_derivation, exterior_d, wedge
 from jetvar.indets import (BG, GAUGE, T, bg, conn, gauge, is_field_jet, matter,
                            multi_index, with_extra_deriv, x)
@@ -71,6 +71,70 @@ def jet_polys(draw):
 @given(jet_polys(), st.integers(0, 1))
 def test_total_derivative_matches_the_per_indeterminate_oracle(f, lam):
     assert total_derivative(f, lam, CTX) == _total_derivative_oracle(f, lam)
+
+
+CTX3 = JetContext(3, 1, matter_dim=1, jet_order=2)
+H_POOL = [x(0), x(1), x(2), T, conn(0, 0), conn(0, 2, (1,)), matter(0),
+          matter(0, (0,)), bg(0, 1), bg(0, 0, (2, 2)), gauge(0), gauge(0, (0,))]
+
+
+def _horizontal_differential_oracle(a: Form) -> Form:
+    """Every direction: dx^lam wedge d_lam of each coefficient, the wedge
+    dropping the lam already present."""
+    out = Form.zero(CTX3.chart, a.degree + 1)
+    for dcs, f in a.terms.items():
+        for lam in range(CTX3.n):
+            g = total_derivative(f, lam, CTX3)
+            if g:
+                out = out + wedge(Form(CTX3.chart, 1, {(x(lam),): g}),
+                                  Form(CTX3.chart, len(dcs), {dcs: Poly.const(1)}))
+    return out
+
+
+@st.composite
+def horizontal_forms(draw, degree):
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 4))):
+        p = Poly.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            term = Poly.const(draw(st.fractions(-5, 5, max_denominator=6)))
+            for _ in range(draw(st.integers(0, 3))):
+                term = term * Poly.var(draw(st.sampled_from(H_POOL)),
+                                       draw(st.integers(1, 2)))
+            p = p + term
+        lams = draw(st.lists(st.integers(0, CTX3.n - 1), min_size=degree,
+                             max_size=degree, unique=True))
+        dcs = tuple(x(lam) for lam in sorted(lams))
+        terms[dcs] = terms.get(dcs, Poly.zero()) + p
+    return Form(CTX3.chart, degree, {d: p for d, p in terms.items() if p})
+
+
+@pytest.mark.parametrize("degree", range(CTX3.n))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_horizontal_differential_matches_the_all_directions_oracle(degree, data):
+    a = data.draw(horizontal_forms(degree))
+    assert horizontal_differential(a, CTX3) == _horizontal_differential_oracle(a)
+
+
+def test_term_cap_stops_total_derivative(monkeypatch):
+    # d_0 of a product of three and of four indeterminates
+    f = Poly.var(conn(0, 0)) * Poly.var(conn(0, 1)) * Poly.var(x(0))
+    g = f * Poly.var(matter(0))
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "3")
+    assert total_derivative(f, 0, CTX).term_count() == 3
+    with pytest.raises(TermLimitExceeded):
+        total_derivative(g, 0, CTX)
+
+
+def test_term_cap_stops_horizontal_differential(monkeypatch):
+    # d_H (a0 a1 dx1) = d_0(a0 a1) dx0^dx1, two terms
+    a = Form(CTX.chart, 1, {(x(1),): Poly.var(conn(0, 0)) * Poly.var(conn(0, 1))})
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "2")
+    assert horizontal_differential(a, CTX).term_count() == 2
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
+    with pytest.raises(TermLimitExceeded):
+        horizontal_differential(a, CTX)
 
 
 def test_total_derivative_is_a_derivation(rng):

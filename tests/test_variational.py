@@ -14,7 +14,7 @@ from jetvar.errors import JetvarError, NonzeroResidual, NotClosed, NotInvariant
 from jetvar.forms import Form, exterior_d, wedge
 from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
-                         horizontal_projection)
+                         horizontal_projection, total_derivative)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_density, random_form, \
     random_vertical_field
@@ -272,6 +272,55 @@ def test_zero_gauge_parameters_give_a_zero_current():
     report, modified = conservation_check(L, xi_C, sigma, cs.ctx)
     assert report.passed
     assert modified.is_zero()
+
+
+# -- negative controls for the conservation law --------------------------
+
+
+@pytest.fixture(scope="module")
+def su2_law():
+    cs = _su2_model()
+    xi_C = gauge_generator(cs.algebra, cs.ctx)
+    S = cs_form(cs)
+    sigma = sigma_boundary_term(cs, xi_C, S=S)
+    L = Lagrangian.from_horizontal_form(
+        cs.ctx, horizontal_projection(S, cs.ctx))
+    assert conservation_check(L, xi_C, sigma, cs.ctx)[0].passed
+    return cs, xi_C, sigma, L
+
+
+def test_conservation_fails_for_sigma_plus_a_non_exact_form(su2_law):
+    cs, xi_C, sigma, L = su2_law
+    ch = cs.ctx.chart
+    # d_H eta = (a^0_{0;0} - a^1_{1;1} + a^2_{2;2}) d^3x, one term from each
+    # direction, so d_H eta != 0 and eta is not d_H-exact
+    eta = Form(ch, 2, {(x(1), x(2)): Poly.var(conn(0, 0)),
+                       (x(0), x(2)): Poly.var(conn(1, 1)),
+                       (x(0), x(1)): Poly.var(conn(2, 2))})
+    report, _ = conservation_check(L, xi_C, sigma + eta, cs.ctx)
+    assert not report.passed
+    d_eta = Poly.var(conn(0, 0, (0,))) - Poly.var(conn(1, 1, (1,))) \
+        + Poly.var(conn(2, 2, (2,)))
+    assert report.residual == str(Form(ch, 3, {(x(0), x(1), x(2)): -d_eta}))
+
+
+@pytest.mark.parametrize("lam", range(3))
+def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
+    cs, xi_C, sigma, L = su2_law
+    ctx = cs.ctx
+    J = noether_current(L, xi_C, ctx)
+    J_lam = J.components[lam]
+    assert J_lam
+    # J - (sigma + 2 J^lam omega_lam) is J with J^lam negated, minus sigma
+    shift = ctx.omega_lambda(lam).map_coefficients(lambda q: q * J_lam * 2)
+    report, modified = conservation_check(L, xi_C, sigma + shift, ctx)
+    assert not report.passed
+    flipped = Current.from_form(ctx, modified + sigma).components
+    assert flipped == [-c if i == lam else c for i, c in enumerate(J.components)]
+    # d_H(-2 J^lam omega_lam) = -2 d_lam J^lam d^3x is all that is left
+    left = ctx.volume_form().map_coefficients(
+        lambda q: q * total_derivative(J_lam, lam, ctx) * -2)
+    assert report.residual == str(left)
 
 
 # -- gauge-invariant sector ---------------------------------------------
