@@ -1,16 +1,23 @@
 """Exact-rational multivariate polynomials over indexed indeterminates.
 
-A polynomial is a dict from monomials to nonzero Fraction coefficients.
-A monomial is a tuple of (indeterminate, exponent) pairs sorted by the
-indeterminate's natural tuple order (see indets.py).  Canonical form is
-therefore unique by construction: equal expressions have equal dicts.
+A polynomial is a dict from monomials to nonzero exact rational
+coefficients.  A coefficient is stored as an int when it is integral and as
+a Fraction only when its denominator exceeds 1; no float is ever stored.
+Each operation puts a coefficient in that form where it forms it (_exact(),
+so (1/2)*2 is stored as the int 1).  Equal int and Fraction values compare
+and hash equal.  A monomial is a tuple of (indeterminate, exponent) pairs
+sorted by the indeterminate's natural tuple order (see indets.py).
+Canonical form is therefore unique by construction: equal expressions have
+equal dicts.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the monomials themselves.  The exact text format is
 frozen by golden tests.
 
 The term-expansion kernel (mono_mul, add_dicts, mul_dicts, chain_rule) works
-on those raw dicts directly; zero coefficients are never stored.
+on those raw dicts directly; zero coefficients are never stored.  A sum or
+product of two ints is an int, so only a value that came out as a Fraction
+goes through _exact().
 """
 
 from __future__ import annotations
@@ -76,6 +83,8 @@ def add_dicts(a: dict, b: dict, limit: int) -> dict:
             out[m] = c
         else:
             s = s + c
+            if type(s) is not int:
+                s = _exact(s)
             if s:
                 out[m] = s
             else:
@@ -95,14 +104,13 @@ def mul_dicts(a: dict, b: dict, limit: int) -> dict:
         for mb, cb in b.items():
             m = mono_mul(ma, mb)
             s = get(m)
-            if s is None:
-                out[m] = ca * cb
+            s = ca * cb if s is None else s + ca * cb
+            if type(s) is not int:
+                s = _exact(s)
+            if s:
+                out[m] = s
             else:
-                s = s + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                del out[m]
         if len(out) > limit:
             raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
     return out
@@ -128,7 +136,7 @@ def chain_rule(terms: dict, route, limit: int) -> None:
             if not r:
                 continue
             rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
-            ce = c if e == 1 else c * e
+            ce = c if e == 1 else _exact(c * e)
             for out, sign, lift in r:
                 if lift is None:
                     nm = rest
@@ -144,6 +152,8 @@ def chain_rule(terms: dict, route, limit: int) -> None:
                     out[nm] = val
                 else:
                     s = s + val
+                    if type(s) is not int:
+                        s = _exact(s)
                     if s:
                         out[nm] = s
                     else:
@@ -154,11 +164,16 @@ def chain_rule(terms: dict, route, limit: int) -> None:
                 raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
 
 
-def _as_q(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _exact(c):
+    """A Fraction or int value in stored form: the int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_q(c):
+    """An input coefficient in stored form; raises TypeError for anything but
+    an int or a Fraction, floats included."""
+    if isinstance(c, (int, Fraction)):
+        return _exact(c)
     raise TypeError(f"exact kernel: rational coefficient expected, got {type(c)!r}")
 
 
@@ -245,7 +260,7 @@ class Poly:
             for i, (w, e) in enumerate(m):
                 if w == v:
                     nm = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((w, e - 1),) + m[i + 1:]
-                    nc = out.get(nm, 0) + c * e
+                    nc = _exact(out.get(nm, 0) + c * e)
                     if nc:
                         out[nm] = nc
                     elif nm in out:
@@ -266,7 +281,7 @@ class Poly:
                 terms = grads.get(v)
                 if terms is None:
                     terms = grads[v] = {}
-                terms[rest] = c * e
+                terms[rest] = c if e == 1 else _exact(c * e)
         return {v: Poly(terms) for v, terms in grads.items()}
 
     def substitute(self, bindings: dict) -> "Poly":
@@ -311,7 +326,9 @@ class Poly:
                     e = k
                     nm = m[:i] + m[i + 1:]
                     break
-            nc = out.get(nm, 0) + c / (e + 1)
+            nc = out.get(nm, 0) + (Fraction(c, e + 1) if e else c)
+            if type(nc) is not int:
+                nc = _exact(nc)
             if nc:
                 out[nm] = nc
             elif nm in out:

@@ -27,6 +27,7 @@ class VerificationReport:
     passed: bool
     residual: str = "0"
     term_counts: dict = field(default_factory=dict)
+    vacuous: bool = False   # every term of the checked identity is zero
 
     @property
     def status(self) -> str:
@@ -203,23 +204,26 @@ def fiber_homotopy(omega: Form, cs: CSData) -> Form:
 
 
 def sigma_boundary_term(cs: CSData, xi_C: dict, params: list | None = None,
-                        S: Form | None = None) -> Form:
+                        S: Form | None = None,
+                        L: Lagrangian | None = None) -> Form:
     """sigma = h0(psi + xi_C . S(B)) with d(psi) = xi_C . d S(B).
 
     For a symbolic background the scaling homotopy leaves the section
     restriction of xi_C . P_2k(F); its explicit primitive chi is added before
     integrating, so the combined psi is an exact primitive.  Post-verified:
-    d_H sigma equals the Lie derivative of the CS Lagrangian along J1 xi_C."""
+    d_H sigma equals the Lie derivative of the CS Lagrangian along J1 xi_C.
+    S and its Lagrangian L = h0 S are built here unless the caller has them."""
     ctx = cs.ctx
     if S is None:
         S = cs_form(cs)
+    if L is None:
+        L = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
     dS = exterior_d(S)
     omega = contract(xi_C, dS)
     chi = section_correction(cs, params)
     psi = fiber_homotopy(omega - exterior_d(chi), cs) + chi
     sigma = horizontal_projection(psi + contract(xi_C, S), ctx)
-    lag = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
-    lie = lie_derivative_lagrangian(lag, xi_C, ctx)
+    lie = lie_derivative_lagrangian(L, xi_C, ctx)
     if not (horizontal_differential(sigma, ctx) - lie).is_zero():
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     return sigma
@@ -235,13 +239,16 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form,
     ctx = ctx or L_total.ctx
     J = noether_current(L_total, u, ctx)
     modified = J.form() - sigma
-    residual = horizontal_differential(modified, ctx) + _el_term(L_total, u, ctx)
+    boundary = horizontal_differential(modified, ctx)
+    el = _el_term(L_total, u, ctx)
+    residual = boundary + el
     report = VerificationReport(
         name=name,
         passed=residual.is_zero(),
         residual=str(residual),
         term_counts={"current": modified.term_count(),
                      "residual": residual.term_count()},
+        vacuous=boundary.is_zero() and el.is_zero(),
     )
     return report, modified
 

@@ -12,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ROOT / "configs"
+# h = 0 scales every CS object to zero, so each identity holds vacuously
+SU2_H0 = Path(__file__).resolve().parent / "configs" / "su2_k2_h0.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -35,6 +37,11 @@ GOLDEN_CASES = [
                                        str(CONFIGS / "u1_k2.json")]),
     ("verify_conservation_su2_k2.txt", ["verify-conservation", "--config",
                                         str(CONFIGS / "su2_k2.json")]),
+    ("transgression_su2_k2_h0.txt", ["transgression", "--config", str(SU2_H0)]),
+    ("verify_conservation_su2_k2_h0.txt", ["verify-conservation", "--config",
+                                           str(SU2_H0)]),
+    ("euler_lagrange_su2_k2_h0.txt", ["euler-lagrange", "--config", str(SU2_H0),
+                                      "--compare-background"]),
 ]
 
 
@@ -153,6 +160,8 @@ def test_zero_gauge_parameters_give_zero_current(tmp_path):
          "gauge_params": "zero"}))
     r = run_cli("verify-conservation", "--config", str(cfg))
     assert r.returncode == 0
+    assert ("[PASS] d_H(J - sigma) + u.(delta L) = 0 "
+            "(vacuous: every term is zero)\n") in r.stdout
     for lam in range(3):
         assert f"modified current component {lam} = 0" in r.stdout
 

@@ -1,5 +1,6 @@
 """Ring axioms, calculus rules, and the frozen text format of Poly."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from jetvar.errors import CyclicSubstitution, TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
-from jetvar.polynomial import Poly, Q
+from jetvar.polynomial import Poly, Q, add_dicts, chain_rule, mul_dicts
 
 X0, X1 = x(0), x(1)
 A00 = conn(0, 0)
@@ -151,3 +152,145 @@ def test_text_format_is_frozen():
     assert str(p) == ("1/1*x[1]*xi[r=0;D=()] + 3/4*a[r=0;mu=0;D=()]^2 "
                       "+ -1/1*a[r=1;mu=2;D=(0,1)] + -1/2")
     assert str(Poly.zero()) == "0"
+
+
+# -- integer-first coefficients against an all-Fraction oracle -------------
+#
+# Test-local copies of the kernel as it was when every coefficient was a
+# Fraction: inputs are converted with Fraction(c), so every sum and product
+# is Fraction arithmetic.  The kernel under test must give equal term dicts.
+
+
+def _oracle_add_dicts(a, b):
+    out = {m: Fraction(c) for m, c in a.items()}
+    for m, c in b.items():
+        s = out.get(m, 0) + Fraction(c)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _oracle_mul_dicts(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            s = out.get(m, 0) + Fraction(ca) * Fraction(cb)
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _oracle_chain_rule(terms, route):
+    for m, c in terms.items():
+        for i, (v, e) in enumerate(m):
+            rest = dict(m[:i] + m[i + 1:])
+            if e > 1:
+                rest[v] = e - 1
+            for out, sign, lift in route(v):
+                nm = dict(rest)
+                if lift is not None:
+                    nm[lift[0]] = nm.get(lift[0], 0) + 1
+                nm = tuple(sorted(nm.items()))
+                s = out.get(nm, 0) + sign * Fraction(c) * e
+                if s:
+                    out[nm] = s
+                else:
+                    out.pop(nm, None)
+
+
+def _oracle_integrate_t(terms):
+    out = {}
+    for m, c in terms.items():
+        e = dict(m).get(T, 0)
+        nm = tuple((w, k) for w, k in m if w != T)
+        s = out.get(nm, 0) + Fraction(c) / (e + 1)
+        if s:
+            out[nm] = s
+        else:
+            out.pop(nm, None)
+    return out
+
+
+def assert_stored_form(terms):
+    """Every coefficient is a nonzero int, or a Fraction that is not one."""
+    for c in terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+coefficients = st.one_of(st.integers(-6, 6), rationals).filter(bool).map(
+    lambda c: c.numerator if c.denominator == 1 else c)
+monomials = st.dictionaries(st.sampled_from(POOL), st.integers(1, 3),
+                            max_size=3).map(lambda d: tuple(sorted(d.items())))
+term_dicts = st.one_of(
+    st.just({(): 1}),
+    st.dictionaries(monomials, coefficients, min_size=1, max_size=1),
+    st.dictionaries(monomials, coefficients, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts)
+def test_sums_and_products_equal_the_all_fraction_oracle(a, b):
+    for got, want in ((add_dicts(a, b, 10**6), _oracle_add_dicts(a, b)),
+                      (mul_dicts(a, b, 10**6), _oracle_mul_dicts(a, b))):
+        assert got == want
+        assert_stored_form(got)
+
+
+def _route_to(outs):
+    # every indeterminate feeds a fixed mix of signs, lifts and no route
+    def route(v):
+        i = POOL.index(v)
+        return [(outs[0], 1, None), (outs[1], -1, (X1, 1)),
+                (outs[1], 1, (A00, 1))][i % 4:]
+    return route
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts)
+def test_chain_rule_and_integration_equal_the_all_fraction_oracle(a):
+    got, want = ({}, {}), ({}, {})
+    chain_rule(a, _route_to(got), 10**6)
+    _oracle_chain_rule(a, _route_to(want))
+    assert got == want
+    integral = Poly(a).integrate_t().terms
+    assert integral == _oracle_integrate_t(a)
+    for terms in (*got, integral, *(p.terms for p in Poly(a).gradient().values())):
+        assert_stored_form(terms)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Decimal("1.5"), "1/2", 1 + 0j])
+def test_non_rational_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Poly.const(bad)
+    with pytest.raises(TypeError):
+        Poly.var(A00, coeff=bad)
+
+
+def test_integral_values_are_stored_as_int():
+    half = Poly.const(Q(1, 2))
+    a = Poly.var(A00, 2, coeff=Q(1, 2))
+    for p, want in [(Poly.const(Fraction(4, 2)), 2),
+                    (Poly.var(A00, coeff=Fraction(3, 1)), 3),
+                    (Poly.const(True), 1),
+                    (half * 2, 1),
+                    (half + half, 1),
+                    (Poly.var(A00, coeff=Q(2, 3)) * Q(3, 2), 1),
+                    (a.gradient()[A00], 1)]:
+        (c,) = p.terms.values()
+        assert c == want and type(c) is int
+
+
+def test_integrate_t_promotes_to_fraction_only_for_a_fraction():
+    half = Poly.var(T).integrate_t().terms
+    assert half == {(): Fraction(1, 2)} and type(half[()]) is Fraction
+    one = (Poly.var(T) * 2).integrate_t().terms
+    assert one == {(): 1} and type(one[()]) is int

@@ -9,9 +9,11 @@ from itertools import product
 import pytest
 
 from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
-from jetvar.chern_simons import CSData, cs_form, cs_lagrangian
-from jetvar.errors import JetvarError, NonzeroResidual, NotClosed, NotInvariant
-from jetvar.forms import Form, exterior_d, wedge
+from jetvar.chern_simons import (CSData, cs_form, cs_lagrangian,
+                                 section_correction)
+from jetvar.errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
+                           SigmaMismatch)
+from jetvar.forms import Form, contract, exterior_d, wedge
 from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
                          horizontal_projection, total_derivative)
@@ -271,7 +273,51 @@ def test_zero_gauge_parameters_give_a_zero_current():
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
     report, modified = conservation_check(L, xi_C, sigma, cs.ctx)
     assert report.passed
+    assert report.vacuous
     assert modified.is_zero()
+
+
+def test_sigma_post_check_uses_the_given_lagrangian():
+    cs = _su2_model()
+    xi_C = gauge_generator(cs.algebra, cs.ctx)
+    S = cs_form(cs)
+    L = Lagrangian.from_horizontal_form(
+        cs.ctx, horizontal_projection(S, cs.ctx))
+    assert sigma_boundary_term(cs, xi_C, S=S, L=L) == \
+        sigma_boundary_term(cs, xi_C, S=S)
+    # the post-check compares d_H sigma with the Lie derivative of this L
+    with pytest.raises(SigmaMismatch):
+        sigma_boundary_term(cs, xi_C, S=S, L=L + L)
+
+
+def _assert_stored_form(a: Form):
+    """Every coefficient is a nonzero int, or a Fraction that is not one."""
+    for p in a.terms.values():
+        for c in p.terms.values():
+            assert c
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+@pytest.mark.parametrize("h,kinds", [(1, {int}), (Q(1, 4), {int, Fraction})])
+def test_pipeline_coefficients_are_int_unless_fractional(h, kinds):
+    g = builtin_algebra("su2")
+    cs = CSData(g, builtin_invariant("killing", g, 2), 2, h=h)
+    xi_C = gauge_generator(cs.algebra, cs.ctx)
+    S = cs_form(cs)
+    dS = exterior_d(S)
+    chi = section_correction(cs)
+    psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
+    sigma = sigma_boundary_term(cs, xi_C, S=S)
+    L = Lagrangian.from_horizontal_form(
+        cs.ctx, horizontal_projection(S, cs.ctx))
+    report, modified = conservation_check(L, xi_C, sigma, cs.ctx)
+    assert report.passed and not report.vacuous
+    stages = (S, dS, psi, sigma, modified)
+    for a in stages:
+        assert not a.is_zero()
+        _assert_stored_form(a)
+    assert kinds == {type(c) for a in stages for p in a.terms.values()
+                     for c in p.terms.values()}
 
 
 # -- negative controls for the conservation law --------------------------
