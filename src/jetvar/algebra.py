@@ -24,6 +24,8 @@ class LieAlgebraData:
     """dim and sparse structure constants c^r_pq (validated)."""
 
     def __init__(self, dim: int, c: dict):
+        if dim < 1:
+            raise JetvarError(f"algebra dimension must be >= 1, got {dim}")
         self.dim = dim
         self.c = {k: v for k, v in c.items() if v}
         self._validate()
@@ -194,7 +196,11 @@ def builtin_algebra(name: str) -> LieAlgebraData:
     if name == "u1":
         return LieAlgebraData(1, {})
     if name.startswith("u1^"):
-        return LieAlgebraData(int(name[3:]), {})
+        try:
+            m = int(name[3:])
+        except ValueError:
+            raise JetvarError(f"u1^m needs an integer m >= 1, got {name!r}") from None
+        return LieAlgebraData(m, {})
     if name in ("su2", "so3"):
         return LieAlgebraData(3, {k: Q(v) for k, v in _EPS3.items()})
     raise JetvarError(f"unknown algebra {name!r}")

@@ -119,8 +119,11 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
                     and isinstance(row[0], list)):
                 raise ConfigError(f"invariant.entries[{i}] must be [[indices], value]")
             idx, v = row
-            if not all(isinstance(j, int) for j in idx):
+            if not all(type(j) is int for j in idx):
                 raise ConfigError(f"invariant.entries[{i}]: indices must be ints")
+            if not all(0 <= j < g.dim for j in idx):
+                raise ConfigError(f"invariant.entries[{i}]: index out of range "
+                                  f"0..{g.dim - 1}: {idx}")
             entries[tuple(idx)] = parse_rational(v, f"invariant.entries[{i}]")
         try:
             return InvariantTensor(degree, entries), None
@@ -190,31 +193,27 @@ def note(line: str):
 
 
 def show_poly(label: str, p: Poly, dump: Dump):
-    parts = str(p).split(" + ")
+    text = str(p)
+    parts = text.split(" + ")
     if len(parts) > TRUNCATE_AT:
         shown = " + ".join(parts[:TRUNCATE_AT])
         emit(f"{label} = {shown} + ... ({len(parts) - TRUNCATE_AT} more terms"
              f"{'' if dump.path else '; pass --dump for the full expression'})")
     else:
-        emit(f"{label} = {p}")
-    dump.write(label, str(p))
+        emit(f"{label} = {text}")
+    dump.write(label, text)
 
 
 def show_form(label: str, a: Form, dump: Dump):
-    if a.is_zero():
-        emit(f"{label} = 0")
-        dump.write(label, "0")
-        return
+    text = str(a)
     n = a.term_count()
     if n > TRUNCATE_AT:
-        text = str(a)
         emit(f"{label}: {n} terms (truncated"
              f"{'' if dump.path else '; pass --dump for the full expression'})")
         emit("  " + text[:2000])
-        dump.write(label, text)
     else:
-        emit(f"{label} = {a}")
-        dump.write(label, str(a))
+        emit(f"{label} = {text}")
+    dump.write(label, text)
 
 
 VACUOUS = " (vacuous: every term is zero)"

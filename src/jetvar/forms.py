@@ -18,7 +18,8 @@ from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import Poly, chain_rule, max_terms
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
-           "lie_derivative_form", "apply_derivation", "pullback"]
+           "lie_derivative_form", "apply_derivation", "map_generators",
+           "pullback"]
 
 
 class Chart:
@@ -272,28 +273,45 @@ def apply_derivation(X: dict, f: Poly) -> Poly:
     return out
 
 
+def map_generators(a: Form, image, coeff=None) -> Form:
+    """The algebra map f dc1 ^ ... ^ dcp -> coeff(f) image(c1) ^ ... ^ image(cp).
+
+    image(c) is the 1-form that dc maps to, built once per generator per
+    call; coeff maps each coefficient (identity when None).  The images of
+    a generator tuple are wedged together first, so each coefficient is
+    multiplied once per output key.
+    """
+    images: dict = {}
+    out: dict = {}
+    for dcs, f in a.terms.items():
+        if coeff is not None:
+            f = coeff(f)
+        img = None
+        for c in dcs:
+            ic = images.get(c)
+            if ic is None:
+                ic = images[c] = image(c)
+            img = ic if img is None else wedge(img, ic)
+            if img.is_zero():
+                break
+        if img is None:
+            _accumulate(out, dcs, f)
+        else:
+            for key, g in img.terms.items():
+                _accumulate(out, key, f * g)
+    return Form(a.chart, a.degree, out)
+
+
 def pullback(a: Form, bindings: dict) -> Form:
     """Pull back along the map substituting coordinates by bindings.
 
-    Coefficients get the polynomial substitution; each differential dc of a
-    bound coordinate becomes the exterior derivative of its binding value.
-    Unbound coordinates pass through.  A binding may mention its own key and
-    other chart coordinates such as t, so the fiber homotopy a -> B + t(a - B)
-    is a pullback too: its da becomes t da + (a - B) dt + (1 - t) dB.
+    Coefficients get the polynomial substitution; each differential dc
+    becomes the exterior derivative of its binding value, so unbound
+    coordinates pass through.  A binding may mention its own key and other
+    chart coordinates such as t, so the fiber homotopy a -> B + t(a - B) is
+    a pullback too: its da becomes t da + (a - B) dt + (1 - t) dB.
     """
     chart = a.chart
-    images: dict = {}  # dc -> its pulled-back 1-form, built once per coordinate
-    out = Form.zero(chart, a.degree)
-    for dcs, f in a.terms.items():
-        acc = Form.from_poly(chart, f.substitute(bindings))
-        for c in dcs:
-            if acc.is_zero():
-                break
-            img = images.get(c)
-            if img is None:
-                img = images[c] = (exterior_d(Form.from_poly(chart, bindings[c]))
-                                   if c in bindings else Form.generator(chart, c))
-            acc = wedge(acc, img)
-        if not acc.is_zero():
-            out = out + acc
-    return out
+    return map_generators(
+        a, lambda c: exterior_d(Form.from_poly(chart, bindings.get(c, Poly.var(c)))),
+        lambda f: f.substitute(bindings))

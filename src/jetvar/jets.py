@@ -6,9 +6,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import JetOrderExceeded, JetvarError
-from .forms import Chart, Form, differential, wedge
-from .indets import (AUX, CONN, MATTER, T, X, conn, indet_str, is_field_jet,
-                     matter, multi_index, with_extra_deriv, x)
+from .forms import Chart, Form, differential, map_generators
+from .indets import (AUX, T, X, conn, indet_str, is_field_jet, matter,
+                     multi_index, with_extra_deriv, x)
 from .polynomial import Poly, chain_rule, max_terms
 
 __all__ = ["JetContext", "total_derivative", "horizontal_projection",
@@ -48,16 +48,18 @@ class JetContext:
         return [c for c in self.chart.coords
                 if is_field_jet(c) and len(multi_index(c)) == order]
 
-    def volume_form(self) -> Form:
-        """omega = d^n x."""
+    def volume_form(self, coeff: Poly) -> Form:
+        """coeff * omega, omega = d^n x."""
         key = tuple(x(lam) for lam in range(self.n))
-        return Form(self.chart, self.n, {key: Poly.const(1)})
+        return Form(self.chart, self.n, {key: coeff} if coeff else None)
 
-    def omega_lambda(self, lam: int) -> Form:
-        """omega_lam = d/dx^lam | omega (interior product with the volume)."""
+    def omega_lambda(self, lam: int, coeff: Poly) -> Form:
+        """coeff * omega_lam, omega_lam = d/dx^lam | omega (interior product
+        with the volume)."""
         key = tuple(x(nu) for nu in range(self.n) if nu != lam)
-        sign = Poly.const(1 if lam % 2 == 0 else -1)
-        return Form(self.chart, self.n - 1, {key: sign})
+        if lam % 2:
+            coeff = -coeff
+        return Form(self.chart, self.n - 1, {key: coeff} if coeff else None)
 
 
 def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
@@ -87,36 +89,6 @@ def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
     return Poly(out)
 
 
-def _fiber_replacement(c: tuple, ctx: JetContext) -> Form:
-    """h0 image of dc: c_{D+lam} dx^lam summed over lam."""
-    if len(multi_index(c)) >= ctx.jet_order:
-        raise JetOrderExceeded(f"h0 needs a jet above {indet_str(c)}")
-    out = Form.zero(ctx.chart, 1)
-    for lam in range(ctx.n):
-        out = out + Form(ctx.chart, 1,
-                         {(x(lam),): Poly.var(with_extra_deriv(c, lam))})
-    return out
-
-
-def horizontal_projection(a: Form, ctx: JetContext) -> Form:
-    out = Form.zero(ctx.chart, a.degree)
-    for dcs, f in a.terms.items():
-        acc = Form.from_poly(ctx.chart, f)
-        for c in dcs:
-            if acc.is_zero():
-                break
-            k = c[0]
-            if k == X:
-                acc = wedge(acc, Form.generator(ctx.chart, c))
-            elif k in (CONN, MATTER):
-                acc = wedge(acc, _fiber_replacement(c, ctx))
-            else:
-                raise JetvarError(f"h0 undefined on d{indet_str(c)}")
-        if not acc.is_zero():
-            out = out + acc
-    return out
-
-
 def _require_horizontal(a: Form):
     for dcs in a.terms:
         for c in dcs:
@@ -131,11 +103,27 @@ def horizontal_differential(a: Form, ctx: JetContext) -> Form:
     return differential(a, lambda v: _horizontal_image(v, ctx))
 
 
+def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
+    """d_H c as a 1-form; raises JetOrderExceeded for a top-order jet."""
+    return horizontal_differential(Form.from_poly(ctx.chart, Poly.var(c)), ctx)
+
+
+def horizontal_projection(a: Form, ctx: JetContext) -> Form:
+    """h0: each dc becomes d_H c, coefficients unchanged.  d_H t is 0, but
+    h0 is undefined on dt and raises there."""
+    def image(c):
+        if c[0] == AUX:
+            raise JetvarError(f"h0 undefined on d{indet_str(c)}")
+        return _d_H_coordinate(c, ctx)
+
+    return map_generators(a, image)
+
+
 def contact_form(c: tuple, ctx: JetContext) -> Form:
-    """theta^c = dc - c_{D+lam} dx^lam for a fiber coordinate below top order."""
+    """theta^c = dc - d_H c for a fiber coordinate below top order."""
     if not is_field_jet(c):
         raise JetvarError(f"{indet_str(c)} is not a field coordinate")
-    return Form.generator(ctx.chart, c) - _fiber_replacement(c, ctx)
+    return Form.generator(ctx.chart, c) - _d_H_coordinate(c, ctx)
 
 
 def prolong(u: dict, ctx: JetContext, order: int = 1) -> dict:

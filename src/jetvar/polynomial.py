@@ -253,21 +253,6 @@ class Poly:
 
     # -- calculus ------------------------------------------------------
 
-    def partial(self, v: tuple) -> "Poly":
-        """Formal partial derivative; every other indeterminate is a constant."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            for i, (w, e) in enumerate(m):
-                if w == v:
-                    nm = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((w, e - 1),) + m[i + 1:]
-                    nc = _exact(out.get(nm, 0) + c * e)
-                    if nc:
-                        out[nm] = nc
-                    elif nm in out:
-                        del out[nm]
-                    break
-        return Poly(out)
-
     def gradient(self) -> dict:
         """Every partial derivative in one walk over the monomials: v -> d/dv.
 
@@ -343,16 +328,6 @@ class Poly:
             for v, _ in m:
                 vs.add(v)
         return vs
-
-    def evaluate(self, point: dict) -> Fraction:
-        """Exact evaluation at a rational point (used by random-point oracles)."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                val *= point[v] ** e
-            total += val
-        return total
 
     def term_count(self) -> int:
         return len(self.terms)

@@ -53,8 +53,7 @@ class Lagrangian:
         return cls(ctx, a.coefficient(key))
 
     def form(self) -> Form:
-        return self.ctx.volume_form().map_coefficients(lambda p: p * self.density) \
-            if self.density else Form.zero(self.ctx.chart, self.ctx.n)
+        return self.ctx.volume_form(self.density)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
         return Lagrangian(self.ctx, self.density + other.density)
@@ -85,9 +84,7 @@ class Current:
     def form(self) -> Form:
         out = Form.zero(self.ctx.chart, self.ctx.n - 1)
         for lam, p in enumerate(self.components):
-            if p:
-                out = out + self.ctx.omega_lambda(lam).map_coefficients(
-                    lambda q: q * p)
+            out = out + self.ctx.omega_lambda(lam, p)
         return out
 
     def __add__(self, other: "Current") -> "Current":
@@ -126,8 +123,7 @@ def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
             dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
                 out = out + wedge(contact_form(i, ctx),
-                                  ctx.omega_lambda(lam)).map_coefficients(
-                                      lambda p: p * dldj)
+                                  ctx.omega_lambda(lam, dldj))
     return out
 
 
@@ -152,7 +148,7 @@ def lie_derivative_lagrangian(L: Lagrangian, u: dict,
     ctx = ctx or L.ctx
     ju = prolong(u, ctx, order=1)
     scalar = apply_derivation(ju, L.density)
-    return ctx.volume_form().map_coefficients(lambda p: p * scalar)
+    return ctx.volume_form(scalar)
 
 
 def _el_term(L: Lagrangian, u: dict, ctx: JetContext) -> Form:
@@ -161,7 +157,7 @@ def _el_term(L: Lagrangian, u: dict, ctx: JetContext) -> Form:
     for i, ui in u.items():
         if el.get(i):
             s = s + ui * el[i]
-    return ctx.volume_form().map_coefficients(lambda p: p * s)
+    return ctx.volume_form(s)
 
 
 def first_variational_check(L: Lagrangian, u: dict,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from jetvar import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ROOT / "configs"
@@ -174,3 +176,33 @@ def test_dump_writes_full_expressions(tmp_path):
     text = dump.read_text()
     assert "## modified current component 0" in text
     assert "## primitive" in text
+
+
+def _main_exit(capsys, tmp_path, command, cfg_obj):
+    """Runs cli.main in-process on a config object: (exit code, stderr)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_obj))
+    code = cli.main([command, "--config", str(cfg)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", ["u1^x", "u1^0", "u1^-1", "su2+u1^0"])
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+def test_malformed_abelian_power_exits_2(capsys, tmp_path, command, algebra):
+    code, err = _main_exit(capsys, tmp_path, command,
+                           {"algebra": algebra, "invariant": "unit", "k": 2})
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("index,message", [
+    ([0, 7], "index out of range"), ([-1, 0], "index out of range"),
+    ([3, 3], "index out of range"), ([True, True], "indices must be ints")])
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+def test_bad_invariant_index_exits_2(capsys, tmp_path, command, index, message):
+    # a boolean is a JSON true, not the index 1
+    code, err = _main_exit(capsys, tmp_path, command, {
+        "algebra": "su2", "k": 2,
+        "invariant": {"degree": 2, "entries": [[[0, 0], "1"], [index, "1"]]}})
+    assert code == 2
+    assert message in err

