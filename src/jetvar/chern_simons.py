@@ -9,7 +9,7 @@ from math import factorial
 
 from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
 from .errors import JetvarError
-from .forms import Form, exterior_d, pullback, wedge
+from .forms import Form, exterior_d, linear_combination, pullback, wedge
 from .indets import T, bg, conn, gauge, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
@@ -84,16 +84,10 @@ class CSData:
 
 def _curvature(cs: CSData, linear: list, ones: list) -> list:
     """F^r = linear^r + 1/2 c^r_pq X^p ^ X^q for the 1-forms X = ones."""
-    m = cs.algebra.dim
-    out = []
-    for r, f in enumerate(linear):
-        for p in range(m):
-            for q in range(m):
-                cval = cs.algebra.bracket_const(r, p, q)
-                if cval:
-                    f = f + wedge(ones[p], ones[q]).scale(cval / 2)
-        out.append(f)
-    return out
+    pairs = [[(f, 1)] for f in linear]
+    for (r, p, q), cval in cs.algebra.c.items():
+        pairs[r].append((wedge(ones[p], ones[q]), cval / 2))
+    return [linear_combination(cs.ctx.chart, 2, rows) for rows in pairs]
 
 
 def _multinomial(idx: tuple) -> int:
@@ -116,47 +110,34 @@ def background_curvature(cs: CSData) -> list:
     return _curvature(cs, [exterior_d(b) for b in B], B)
 
 
-def _invariant_contraction(cs: CSData, factors_fn) -> Form:
-    """sum over ordered index tuples of b_{r1..rk} factor(r1) ^ ... ^ factor(rk),
-    using multiset enumeration with multinomial weights (all factors are even)."""
-    ch = cs.ctx.chart
-    out = Form.zero(ch, 2 * cs.k)
-    for idx in combinations_with_replacement(range(cs.algebra.dim), cs.k):
-        bval = cs.b.value(idx)
-        if not bval:
-            continue
-        term = factors_fn(idx[0])
-        for i in idx[1:]:
-            term = wedge(term, factors_fn(i))
-        out = out + term.scale(bval * _multinomial(idx))
-    return out
-
-
 def _first_slot_contraction(cs: CSData, first: list, curv: list) -> Form:
     """b_{r1..rk} first^{r1} ^ curv^{r2} ^ ... ^ curv^{rk}, summed over ordered
     tuples: r1 runs over all indices, the even curv slots commute and are
     enumerated as multisets with multinomial weights."""
     m = cs.algebra.dim
-    out = Form.zero(cs.ctx.chart, first[0].degree + 2 * (cs.k - 1))
-    for r1 in range(m):
-        if first[r1].is_zero():
-            continue
-        for rest in combinations_with_replacement(range(m), cs.k - 1):
-            bval = cs.b.value((r1,) + rest)
-            if not bval:
+
+    def terms():
+        for r1 in range(m):
+            if first[r1].is_zero():
                 continue
-            term = first[r1]
-            for i in rest:
-                term = wedge(term, curv[i])
-            out = out + term.scale(bval * _multinomial(rest))
-    return out
+            for rest in combinations_with_replacement(range(m), cs.k - 1):
+                bval = cs.b.value((r1,) + rest)
+                if not bval:
+                    continue
+                term = first[r1]
+                for i in rest:
+                    term = wedge(term, curv[i])
+                yield term, bval * _multinomial(rest)
+
+    degree = first[0].degree + 2 * (cs.k - 1)
+    return linear_combination(cs.ctx.chart, degree, terms())
 
 
 def characteristic_form(cs: CSData) -> Form:
     """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}; closed and gauge-invariant
     when b is ad-invariant."""
     F = canonical_curvature(cs)
-    return _invariant_contraction(cs, lambda r: F[r])
+    return _first_slot_contraction(cs, F, F)
 
 
 def characteristic_at_B(cs: CSData) -> Form:

@@ -33,6 +33,9 @@ from .variational import (Current, Lagrangian, conservation_check,
                           sigma_boundary_term)
 
 TRUNCATE_AT = 40
+CONFIG_KEYS = frozenset({"algebra", "invariant", "k", "background", "h",
+                         "jet_order", "gauge_params", "selftest_instances",
+                         "dimensions"})
 
 
 # -- config ------------------------------------------------------------
@@ -53,6 +56,22 @@ def parse_rational(v, where: str) -> Fraction:
                       f"got {type(v).__name__}")
 
 
+def config_int(v, least: int, what: str) -> int:
+    """v when it is an int >= least; a JSON true is not the int 1."""
+    if type(v) is not int or v < least:
+        raise ConfigError(f"{what} must be an integer >= {least}")
+    return v
+
+
+def config_indices(idx: list, dim: int, where: str) -> tuple:
+    """idx as a tuple of algebra indices in 0..dim-1."""
+    if not all(type(j) is int for j in idx):
+        raise ConfigError(f"{where}: indices must be ints")
+    if not all(0 <= j < dim for j in idx):
+        raise ConfigError(f"{where}: index out of range 0..{dim - 1}: {idx}")
+    return tuple(idx)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -67,6 +86,9 @@ def load_config(path: str) -> dict:
             f"{exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -80,9 +102,7 @@ def config_algebra(cfg: dict) -> LieAlgebraData:
         except JetvarError as exc:
             raise ConfigError(str(exc)) from exc
     if isinstance(spec, dict):
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("algebra.dim must be a positive integer")
+        dim = config_int(spec.get("dim"), 1, "algebra.dim")
         rows = spec.get("constants", [])
         if not isinstance(rows, list):
             raise ConfigError("algebra.constants must be an array")
@@ -90,10 +110,9 @@ def config_algebra(cfg: dict) -> LieAlgebraData:
         for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == 4):
                 raise ConfigError(f"algebra.constants[{i}] must be [r, p, q, value]")
-            r, p, q, v = row
-            if not all(isinstance(j, int) for j in (r, p, q)):
-                raise ConfigError(f"algebra.constants[{i}]: indices must be ints")
-            quads.append((r, p, q, parse_rational(v, f"algebra.constants[{i}]")))
+            where = f"algebra.constants[{i}]"
+            quads.append(config_indices(row[:3], dim, where)
+                         + (parse_rational(row[3], where),))
         return load_lie_algebra(dim, quads)
     raise ConfigError("algebra must be a name or an object")
 
@@ -109,7 +128,7 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
         except JetvarError as exc:
             raise ConfigError(str(exc)) from exc
     if isinstance(spec, dict):
-        degree = spec.get("degree", k)
+        degree = config_int(spec.get("degree", k), 1, "invariant.degree")
         rows = spec.get("entries", [])
         if not isinstance(rows, list):
             raise ConfigError("invariant.entries must be an array")
@@ -118,13 +137,9 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
             if not (isinstance(row, list) and len(row) == 2
                     and isinstance(row[0], list)):
                 raise ConfigError(f"invariant.entries[{i}] must be [[indices], value]")
-            idx, v = row
-            if not all(type(j) is int for j in idx):
-                raise ConfigError(f"invariant.entries[{i}]: indices must be ints")
-            if not all(0 <= j < g.dim for j in idx):
-                raise ConfigError(f"invariant.entries[{i}]: index out of range "
-                                  f"0..{g.dim - 1}: {idx}")
-            entries[tuple(idx)] = parse_rational(v, f"invariant.entries[{i}]")
+            where = f"invariant.entries[{i}]"
+            idx = config_indices(row[0], g.dim, where)
+            entries[idx] = parse_rational(row[1], where)
         try:
             return InvariantTensor(degree, entries), None
         except JetvarError as exc:
@@ -135,17 +150,13 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
 def build_model(cfg: dict) -> tuple:
     """Returns (CSData, invariant tensor name or None)."""
     g = config_algebra(cfg)
-    k = cfg.get("k")
-    if not isinstance(k, int) or k < 2:
-        raise ConfigError("k must be an integer >= 2")
+    k = config_int(cfg.get("k"), 2, "k")
     inv, inv_name = config_invariant(cfg, g, k)
     background = cfg.get("background", "symbolic")
     if background not in ("zero", "symbolic"):
         raise ConfigError("background must be 'zero' or 'symbolic'")
     h = parse_rational(cfg.get("h", 1), "h")
-    jet_order = cfg.get("jet_order", 3)
-    if not isinstance(jet_order, int) or jet_order < 2:
-        raise ConfigError("jet_order must be an integer >= 2")
+    jet_order = config_int(cfg.get("jet_order", 3), 2, "jet_order")
     ctx = JetContext(2 * k - 1, g.dim, jet_order=jet_order)
     try:
         return CSData(g, inv, k, background=background, h=h, ctx=ctx), inv_name
@@ -240,22 +251,19 @@ def fails_invariance(cs: CSData) -> bool:
 
 def cmd_check_algebra(args) -> int:
     cfg = load_config(args.config)
-    ok = True
+    k = config_int(cfg.get("k", 2), 2, "k")
     try:
         g = config_algebra(cfg)
     except (AntisymmetryViolation, JacobiViolation) as exc:
         emit(f"[FAIL] structure constants: {exc}")
         return 1
-    emit(f"algebra: dim {g.dim}, {len(g.c)} nonzero structure constants")
-    ok &= report_line("antisymmetry c^r_pq = -c^r_qp", True)
-    ok &= report_line("Jacobi identity", True)
-    k = cfg.get("k", 2)
-    if not isinstance(k, int) or k < 2:
-        raise ConfigError("k must be an integer >= 2")
     inv, _ = config_invariant(cfg, g, k)
     residual = check_invariant_tensor(g, inv)
-    ok &= report_line(f"invariant tensor ad-invariance (degree {inv.degree})",
-                      not residual)
+    emit(f"algebra: dim {g.dim}, {len(g.c)} nonzero structure constants")
+    report_line("antisymmetry c^r_pq = -c^r_qp", True)
+    report_line("Jacobi identity", True)
+    ok = report_line(f"invariant tensor ad-invariance (degree {inv.degree})",
+                     not residual)
     if residual:
         for key in sorted(residual)[:TRUNCATE_AT]:
             emit(f"  residual at {key}: {residual[key]}")
@@ -401,12 +409,11 @@ def cmd_verify_conservation(args) -> int:
 
 def cmd_selftest(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    instances = cfg.get("selftest_instances", 100)
-    if not isinstance(instances, int) or instances < 1:
-        raise ConfigError("selftest_instances must be a positive integer")
+    instances = config_int(cfg.get("selftest_instances", 100), 1,
+                           "selftest_instances")
     dims = cfg.get("dimensions", [1, 2, 3])
     if not (isinstance(dims, list) and dims
-            and all(isinstance(d, int) and d >= 1 for d in dims)):
+            and all(type(d) is int and d >= 1 for d in dims)):
         raise ConfigError("dimensions must be a nonempty array of positive ints")
     rng = random.Random(args.seed)
     t0 = time.perf_counter()

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly, chain_rule, max_terms
+from .polynomial import Poly, add_dicts, chain_rule, mul_dicts
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "map_generators",
-           "pullback"]
+           "pullback", "linear_combination"]
 
 
 class Chart:
@@ -40,16 +40,6 @@ class Chart:
 
     def __hash__(self):
         return hash(self.coords)
-
-
-def _accumulate(terms: dict, key: tuple, p: Poly):
-    """terms[key] += p, dropping the key when the sum is zero."""
-    s = terms.get(key)
-    s = p if s is None else s + p
-    if s:
-        terms[key] = s
-    elif key in terms:
-        del terms[key]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -117,23 +107,12 @@ class Form:
             raise JetvarError("forms live on different charts")
 
     def __add__(self, other: "Form") -> "Form":
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise JetvarError("degree mismatch in form addition")
-        out = dict(self.terms)
-        for dcs, p in other.terms.items():
-            _accumulate(out, dcs, p)
-        return Form(self.chart, self.degree, out)
-
-    def __neg__(self) -> "Form":
-        return Form(self.chart, self.degree, {d: -p for d, p in self.terms.items()})
+        degree = self.degree if self.terms else other.degree
+        return linear_combination(self.chart, degree, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        degree = self.degree if self.terms else other.degree
+        return linear_combination(self.chart, degree, ((self, 1), (other, -1)))
 
     def scale(self, c) -> "Form":
         out = {}
@@ -177,6 +156,28 @@ class Form:
         return f"Form(deg={self.degree}, {self})"
 
 
+def _wrap(chart: Chart, degree: int, raw: dict) -> Form:
+    """The form whose coefficients are the raw term dicts raw[key]; empty
+    dicts are dropped."""
+    return Form(chart, degree, {key: Poly(t) for key, t in raw.items() if t})
+
+
+def linear_combination(chart: Chart, degree: int, pairs) -> Form:
+    """The sum of c * a over the (a, c) pairs, c rational, as a form of the
+    given degree (a zero a may have any degree), built in one term dict per
+    generator tuple.  pairs may be a generator: each a is then dropped once
+    it is summed."""
+    out: dict = {}
+    for a, c in pairs:
+        if a.chart != chart:
+            raise JetvarError("forms live on different charts")
+        if a.terms and a.degree != degree:
+            raise JetvarError("degree mismatch in form addition")
+        for dcs, p in a.terms.items():
+            add_dicts(out.setdefault(dcs, {}), p.terms, c)
+    return _wrap(chart, degree, out)
+
+
 def wedge(a: Form, b: Form) -> Form:
     a._check(b)
     out: dict = {}
@@ -186,8 +187,8 @@ def wedge(a: Form, b: Form) -> Form:
             if merged is None:
                 continue
             dcs, sign = merged
-            _accumulate(out, dcs, fa * fb if sign > 0 else -(fa * fb))
-    return Form(a.chart, a.degree + b.degree, out)
+            mul_dicts(fa.terms, fb.terms, out.setdefault(dcs, {}), sign)
+    return _wrap(a.chart, a.degree + b.degree, out)
 
 
 def differential(a: Form, image) -> Form:
@@ -199,7 +200,6 @@ def differential(a: Form, image) -> Form:
     coefficient is walked once by the chain-rule kernel, and a partial whose
     dc already occurs in dcs is never formed.
     """
-    limit = max_terms()
     images: dict = {}
     out: dict = {}
     for dcs, f in a.terms.items():
@@ -220,9 +220,8 @@ def differential(a: Form, image) -> Form:
                     r.append((slot[0], slot[1], lift))
             return r
 
-        chain_rule(f.terms, route, limit)
-    return Form(a.chart, a.degree + 1,
-                {key: Poly(terms) for key, terms in out.items() if terms})
+        chain_rule(f.terms, route)
+    return _wrap(a.chart, a.degree + 1, out)
 
 
 def exterior_d(a: Form) -> Form:
@@ -245,17 +244,15 @@ def contract(X: dict, a: Form) -> Form:
     """Interior product with the vector field of components X: coord -> Poly."""
     if a.degree == 0:
         return Form.zero(a.chart, 0)
-    out = Form.zero(a.chart, a.degree - 1)
+    out: dict = {}
     for dcs, f in a.terms.items():
         for j, c in enumerate(dcs):
             comp = X.get(c)
             if not comp:
                 continue
-            p = comp * f
-            if j & 1:
-                p = -p
-            _accumulate(out.terms, dcs[:j] + dcs[j + 1:], p)
-    return out
+            key = dcs[:j] + dcs[j + 1:]
+            mul_dicts(comp.terms, f.terms, out.setdefault(key, {}), -1 if j & 1 else 1)
+    return _wrap(a.chart, a.degree - 1, out)
 
 
 def lie_derivative_form(X: dict, a: Form) -> Form:
@@ -265,12 +262,12 @@ def lie_derivative_form(X: dict, a: Form) -> Form:
 
 def apply_derivation(X: dict, f: Poly) -> Poly:
     """The vector field acting on a scalar: sum X^c partial_c f."""
-    out = Poly.zero()
+    out: dict = {}
     for c, df in f.gradient().items():
         comp = X.get(c)
         if comp:
-            out = out + comp * df
-    return out
+            mul_dicts(comp.terms, df.terms, out)
+    return Poly(out)
 
 
 def map_generators(a: Form, image, coeff=None) -> Form:
@@ -295,11 +292,11 @@ def map_generators(a: Form, image, coeff=None) -> Form:
             if img.is_zero():
                 break
         if img is None:
-            _accumulate(out, dcs, f)
+            add_dicts(out.setdefault(dcs, {}), f.terms)
         else:
             for key, g in img.terms.items():
-                _accumulate(out, key, f * g)
-    return Form(a.chart, a.degree, out)
+                mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
+    return _wrap(a.chart, a.degree, out)
 
 
 def pullback(a: Form, bindings: dict) -> Form:

@@ -9,7 +9,7 @@ from .errors import JetOrderExceeded, JetvarError
 from .forms import Chart, Form, differential, map_generators
 from .indets import (AUX, T, X, conn, indet_str, is_field_jet, matter,
                      multi_index, with_extra_deriv, x)
-from .polynomial import Poly, chain_rule, max_terms
+from .polynomial import Poly, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "horizontal_projection",
            "horizontal_differential", "contact_form", "prolong"]
@@ -85,7 +85,7 @@ def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
     def route(v):
         return [(out, 1, lift) for c, lift in _horizontal_image(v, ctx) if c == dx]
 
-    chain_rule(f.terms, route, max_terms())
+    chain_rule(f.terms, route)
     return Poly(out)
 
 

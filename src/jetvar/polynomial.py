@@ -18,6 +18,13 @@ The term-expansion kernel (mono_mul, add_dicts, mul_dicts, chain_rule) works
 on those raw dicts directly; zero coefficients are never stored.  A sum or
 product of two ints is an int, so only a value that came out as a Fraction
 goes through _exact().
+
+The kernel sums in place: add_dicts, mul_dicts and chain_rule add their
+result into a term dict the caller owns and passes in, so a long sum is built
+in one dict rather than copied on each step; the dict added into must not be
+one of the inputs.  Only these three functions read the term cap
+(max_terms()), and each raises TermLimitExceeded when a dict it added into
+holds more terms than the cap.
 """
 
 from __future__ import annotations
@@ -73,32 +80,35 @@ def mono_mul(ma: tuple, mb: tuple) -> tuple:
     return tuple(out)
 
 
-def add_dicts(a: dict, b: dict, limit: int) -> dict:
-    """Sum of two term dicts; raises TermLimitExceeded above `limit` terms."""
-    out = dict(a)
-    get = out.get
-    for m, c in b.items():
+def add_dicts(a: dict, b: dict, c=1) -> None:
+    """Add c * b into the term dict a."""
+    if c != 1:
+        b = {m: _exact(v * c) for m, v in b.items()} if c else {}
+    get = a.get
+    for m, v in b.items():
         s = get(m)
         if s is None:
-            out[m] = c
+            a[m] = v
         else:
-            s = s + c
+            s = s + v
             if type(s) is not int:
                 s = _exact(s)
             if s:
-                out[m] = s
+                a[m] = s
             else:
-                del out[m]
-    if len(out) > limit:
-        raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
-    return out
+                del a[m]
+    cap = max_terms()
+    if len(a) > cap:
+        raise TermLimitExceeded(f"{len(a)} terms exceeds cap {cap}")
 
 
-def mul_dicts(a: dict, b: dict, limit: int) -> dict:
-    """Product of two term dicts; raises TermLimitExceeded above `limit` terms."""
+def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
+    """Add c * a * b into the term dict out."""
+    cap = max_terms()
     if len(a) > len(b):
         a, b = b, a
-    out: dict = {}
+    if c != 1:
+        a = {m: _exact(v * c) for m, v in a.items()} if c else {}
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -111,12 +121,11 @@ def mul_dicts(a: dict, b: dict, limit: int) -> dict:
                 out[m] = s
             else:
                 del out[m]
-        if len(out) > limit:
-            raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
-    return out
+        if len(out) > cap:
+            raise TermLimitExceeded(f"{len(out)} terms exceeds cap {cap}")
 
 
-def chain_rule(terms: dict, route, limit: int) -> None:
+def chain_rule(terms: dict, route) -> None:
     """Add the chain rule of one term dict into caller-owned term dicts.
 
     route(v) lists the (out, sign, lift) triples that the partial df/dv
@@ -124,8 +133,7 @@ def chain_rule(terms: dict, route, limit: int) -> None:
     adds sign * df/dv into the term dict out, times the indeterminate of the
     pair lift = (w, 1) unless lift is None.  Callers build each lift pair
     once and share it, so the output monomials hold one pair object per w.
-    Partials with no route are never formed.  Raises TermLimitExceeded when
-    a dict it fed holds more than `limit` terms.
+    Partials with no route are never formed.
     """
     routes: dict = {}
     for m, c in terms.items():
@@ -158,10 +166,11 @@ def chain_rule(terms: dict, route, limit: int) -> None:
                         out[nm] = s
                     else:
                         del out[nm]
+    cap = max_terms()
     for r in routes.values():
         for out, _, _ in r:
-            if len(out) > limit:
-                raise TermLimitExceeded(f"{len(out)} terms exceeds cap {limit}")
+            if len(out) > cap:
+                raise TermLimitExceeded(f"{len(out)} terms exceeds cap {cap}")
 
 
 def _exact(c):
@@ -207,8 +216,9 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        return Poly(add_dicts(self.terms, other.terms, max_terms()))
+        out = dict(self.terms)
+        add_dicts(out, _coerce(other).terms)
+        return Poly(out)
 
     __radd__ = __add__
 
@@ -216,14 +226,17 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
+        out = dict(self.terms)
+        add_dicts(out, _coerce(other).terms, -1)
+        return Poly(out)
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
-        return Poly(mul_dicts(self.terms, other.terms, max_terms()))
+        out: dict = {}
+        mul_dicts(self.terms, _coerce(other).terms, out)
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -282,23 +295,21 @@ class Poly:
                 names = ", ".join(sorted(indet_str(w) for w in hit))
                 raise CyclicSubstitution(
                     f"value bound to {indet_str(v)} mentions bound {names}")
-        out = Poly.zero()
+        out: dict = {}
         powcache: dict = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
+            term = {tuple(ve for ve in m if ve[0] not in bound): c}
             for v, e in m:
                 rep = bindings.get(v)
-                if rep is None:
-                    term = term * Poly.var(v, e)
-                else:
-                    key = (v, e)
-                    pe = powcache.get(key)
+                if rep is not None:
+                    pe = powcache.get((v, e))
                     if pe is None:
-                        pe = rep ** e
-                        powcache[key] = pe
-                    term = term * pe
-            out = out + term
-        return out
+                        pe = powcache[(v, e)] = (rep ** e).terms
+                    prod: dict = {}
+                    mul_dicts(term, pe, prod)
+                    term = prod
+            add_dicts(out, term)
+        return Poly(out)
 
     def integrate_t(self) -> "Poly":
         """Exact definite integral over t in [0,1]; the result is t-free."""

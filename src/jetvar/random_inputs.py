@@ -58,14 +58,14 @@ def random_vertical_field(ctx: JetContext, rng: random.Random) -> dict:
 
 
 def random_form(ctx: JetContext, degree: int, rng: random.Random,
-                max_terms: int = 3, pool: list | None = None) -> Form:
+                max_summands: int = 3, pool: list | None = None) -> Form:
     """Random form whose generators are drawn from pool (default: x and
     order-0 fields) with random polynomial coefficients."""
     gens = pool or [c for c in ctx.chart.coords
                     if c[0] == 0 or (is_field_jet(c) and not multi_index(c))]
     coeff_pool = _order01_pool(ctx)
     out = Form.zero(ctx.chart, degree)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, max_summands)):
         if degree > len(gens):
             break
         dcs = tuple(sorted(rng.sample(gens, degree)))

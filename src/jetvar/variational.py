@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 from .chern_simons import CSData, cs_form, cs_lagrangian, section_correction
 from .errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
                      SigmaMismatch)
-from .forms import Form, apply_derivation, contract, exterior_d, pullback, wedge
+from .forms import (Form, apply_derivation, contract, exterior_d,
+                    linear_combination, pullback, wedge)
 from .indets import (T, conn, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
 from .jets import (JetContext, contact_form, horizontal_differential,
                    horizontal_projection, prolong, total_derivative)
-from .polynomial import Poly
+from .polynomial import Poly, add_dicts, mul_dicts
 
 __all__ = ["Lagrangian", "Current", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
@@ -82,10 +83,9 @@ class Current:
         return cls(ctx, comps)
 
     def form(self) -> Form:
-        out = Form.zero(self.ctx.chart, self.ctx.n - 1)
-        for lam, p in enumerate(self.components):
-            out = out + self.ctx.omega_lambda(lam, p)
-        return out
+        ctx = self.ctx
+        return linear_combination(ctx.chart, ctx.n - 1, (
+            (ctx.omega_lambda(lam, p), 1) for lam, p in enumerate(self.components)))
 
     def __add__(self, other: "Current") -> "Current":
         return Current(self.ctx, [a + b for a, b in
@@ -104,12 +104,12 @@ def euler_lagrange(L: Lagrangian, ctx: JetContext | None = None) -> dict:
     grad = L.density.gradient()
     out = {}
     for i in ctx.field_coords(0):
-        comp = grad.get(i, Poly.zero())
+        comp = dict(grad[i].terms) if i in grad else {}
         for lam in range(ctx.n):
             dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
-                comp = comp - total_derivative(dldj, lam, ctx)
-        out[i] = comp
+                add_dicts(comp, total_derivative(dldj, lam, ctx).terms, -1)
+        out[i] = Poly(comp)
     return out
 
 
@@ -117,14 +117,16 @@ def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
     ctx = ctx or L.ctx
     grad = L.density.gradient()
-    out = L.form()
-    for i in ctx.field_coords(0):
-        for lam in range(ctx.n):
-            dldj = grad.get(with_extra_deriv(i, lam))
-            if dldj:
-                out = out + wedge(contact_form(i, ctx),
-                                  ctx.omega_lambda(lam, dldj))
-    return out
+
+    def pieces():
+        yield L.form(), 1
+        for i in ctx.field_coords(0):
+            for lam in range(ctx.n):
+                dldj = grad.get(with_extra_deriv(i, lam))
+                if dldj:
+                    yield wedge(contact_form(i, ctx), ctx.omega_lambda(lam, dldj)), 1
+
+    return linear_combination(ctx.chart, ctx.n, pieces())
 
 
 def noether_current(L: Lagrangian, u: dict, ctx: JetContext | None = None) -> Current:
@@ -133,12 +135,12 @@ def noether_current(L: Lagrangian, u: dict, ctx: JetContext | None = None) -> Cu
     grad = L.density.gradient()
     comps = []
     for lam in range(ctx.n):
-        s = Poly.zero()
+        s: dict = {}
         for i, ui in u.items():
             dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
-                s = s + ui * dldj
-        comps.append(s)
+                mul_dicts(ui.terms, dldj.terms, s)
+        comps.append(Poly(s))
     return Current(ctx, comps)
 
 
@@ -153,11 +155,11 @@ def lie_derivative_lagrangian(L: Lagrangian, u: dict,
 
 def _el_term(L: Lagrangian, u: dict, ctx: JetContext) -> Form:
     el = euler_lagrange(L, ctx)
-    s = Poly.zero()
+    s: dict = {}
     for i, ui in u.items():
         if el.get(i):
-            s = s + ui * el[i]
-    return ctx.volume_form(s)
+            mul_dicts(ui.terms, el[i].terms, s)
+    return ctx.volume_form(Poly(s))
 
 
 def first_variational_check(L: Lagrangian, u: dict,

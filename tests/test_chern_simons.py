@@ -6,13 +6,15 @@ from fractions import Fraction as Q
 import pytest
 
 from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
-from jetvar.chern_simons import (CSData, background_curvature,
+from jetvar.chern_simons import (CSData, _first_slot_contraction,
+                                 _interp_curvature, background_curvature,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  cs_lagrangian_direct)
 from jetvar.errors import JetvarError
 from jetvar.forms import exterior_d, lie_derivative_form, wedge
 from jetvar.variational import Lagrangian, euler_lagrange
+import oracles
 
 
 def _model(alg, inv, k, background="symbolic", h=1):
@@ -76,6 +78,21 @@ def test_characteristic_form_at_the_section_vanishes():
     # a 2k-form pulled back to the (2k-1)-dimensional base
     for args in (("su2", "killing", 2), ("u1", "unit", 3)):
         assert characteristic_at_B(_model(*args)).is_zero()
+
+
+@pytest.mark.parametrize("alg,inv,k", [
+    ("u1", "unit", 2), ("su2", "killing", 2), ("u1", "unit", 3),
+    ("u1+su2", "u1su2-cubic", 3)])
+def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
+    # the first-slot sum over ordered r1 against the multiset sum; P(F_B)
+    # vanishes on the base, P(F(t)) of the interpolated curvature does not
+    cs = _model(alg, inv, k)
+    P = characteristic_form(cs)
+    assert not P.is_zero()
+    assert P == oracles.invariant_contraction(cs, canonical_curvature(cs))
+    for curv in (background_curvature(cs), _interp_curvature(cs)):
+        assert (_first_slot_contraction(cs, curv, curv)
+                == oracles.invariant_contraction(cs, curv))
 
 
 @pytest.mark.parametrize("alg,inv,k", [

@@ -44,6 +44,8 @@ GOLDEN_CASES = [
                                            str(SU2_H0)]),
     ("euler_lagrange_su2_k2_h0.txt", ["euler-lagrange", "--config", str(SU2_H0),
                                       "--compare-background"]),
+    ("verify_conservation_u1su2_k3.txt", ["verify-conservation", "--config",
+                                          str(CONFIGS / "u1su2_k3.json")]),
 ]
 
 
@@ -105,7 +107,7 @@ def test_jacobi_violation_exits_1(tmp_path):
         "invariant": "killing", "k": 2}))
     r = run_cli("check-algebra", "--config", str(cfg))
     assert r.returncode == 1
-    assert "[FAIL]" in r.stdout
+    assert r.stdout.startswith("[FAIL] structure constants: ")
 
 
 def test_non_invariant_tensor_fails_transgression(tmp_path):
@@ -179,18 +181,20 @@ def test_dump_writes_full_expressions(tmp_path):
 
 
 def _main_exit(capsys, tmp_path, command, cfg_obj):
-    """Runs cli.main in-process on a config object: (exit code, stderr)."""
+    """Runs cli.main in-process on a config object: (exit code, stderr,
+    stdout)."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_obj))
     code = cli.main([command, "--config", str(cfg)])
-    return code, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    return code, err, out
 
 
 @pytest.mark.parametrize("algebra", ["u1^x", "u1^0", "u1^-1", "su2+u1^0"])
 @pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
 def test_malformed_abelian_power_exits_2(capsys, tmp_path, command, algebra):
-    code, err = _main_exit(capsys, tmp_path, command,
-                           {"algebra": algebra, "invariant": "unit", "k": 2})
+    code, err, _ = _main_exit(capsys, tmp_path, command,
+                              {"algebra": algebra, "invariant": "unit", "k": 2})
     assert code == 2
     assert "config error" in err
 
@@ -200,9 +204,61 @@ def test_malformed_abelian_power_exits_2(capsys, tmp_path, command, algebra):
     ([3, 3], "index out of range"), ([True, True], "indices must be ints")])
 @pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
 def test_bad_invariant_index_exits_2(capsys, tmp_path, command, index, message):
-    # a boolean is a JSON true, not the index 1
-    code, err = _main_exit(capsys, tmp_path, command, {
+    # a boolean is a JSON true, not the index 1; no verdict is printed
+    # before the config is read in full
+    code, err, out = _main_exit(capsys, tmp_path, command, {
         "algebra": "su2", "k": 2,
         "invariant": {"degree": 2, "entries": [[[0, 0], "1"], [index, "1"]]}})
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("row,message", [
+    ([0, 1, 2, "1"], "index out of range 0..1: [0, 1, 2]"),
+    ([-1, 0, 1, "1"], "index out of range"),
+    ([True, 0, 1, "1"], "indices must be ints")])
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+def test_bad_structure_constant_index_exits_2(capsys, tmp_path, command, row,
+                                              message):
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": {"dim": 2, "constants": [row]}, "invariant": "unit", "k": 2})
+    assert code == 2
+    assert f"algebra.constants[0]: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cfg_obj,message", [
+    ({"invariant": {"degree": "2", "entries": []}}, "invariant.degree"),
+    ({"invariant": {"degree": True, "entries": []}}, "invariant.degree"),
+    ({"invariant": {"degree": 0, "entries": []}}, "invariant.degree"),
+    ({"k": True}, "k must be"),
+    ({"algebra": {"dim": True}}, "algebra.dim"),
+])
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+def test_non_integer_config_values_exit_2(capsys, tmp_path, command, cfg_obj,
+                                         message):
+    # a JSON true is not the integer 1; strings are not integers
+    code, err, out = _main_exit(capsys, tmp_path, command,
+                                {"algebra": "su2", "k": 2, **cfg_obj})
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation",
+                                     "first-variational-selftest"])
+def test_unknown_config_key_exits_2(capsys, tmp_path, command):
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": "su2", "invariant": "killing", "k": 2, "backgroud": "zero"})
+    assert code == 2
+    assert "unknown key 'backgroud'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
+                                             "jetbench/configs")
+    for p in (ROOT / d).glob("*.json")))
+def test_shipped_configs_use_known_keys(path):
+    assert set(cli.load_config(str(ROOT / path))) <= cli.CONFIG_KEYS

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
-                          pullback, wedge)
+                          map_generators, pullback, wedge)
 from jetvar.indets import T, bg, conn, gauge, indet_str, with_extra_deriv, x
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly
+import oracles
 
 CTX = JetContext(2, 1, jet_order=2)
 CH = CTX.chart
@@ -48,6 +49,20 @@ def test_duplicate_generator_rejected():
         Form(CH, 2, {(x(0), x(0)): Poly.const(1)})
     with pytest.raises(JetvarError):
         Form(CH, 2, {(x(1), x(0)): Poly.const(1)})
+
+
+def test_form_sums_check_degree_and_chart():
+    dx0 = Form.generator(CH, x(0))
+    dx01 = wedge(dx0, Form.generator(CH, x(1)))
+    with pytest.raises(JetvarError):
+        dx0 + dx01
+    with pytest.raises(JetvarError):
+        dx01 - dx0
+    with pytest.raises(JetvarError):
+        dx0 + Form.zero(JetContext(3, 1, jet_order=2).chart, 1)
+    # a zero form of any degree adds nothing
+    for s in (dx0 + Form.zero(CH, 2), Form.zero(CH, 2) + dx0, dx0 - Form.zero(CH)):
+        assert s == dx0 and s.degree == 1
 
 
 def test_d_squared_is_zero(rng):
@@ -134,6 +149,22 @@ def test_term_cap_stops_exterior_d(monkeypatch):
     assert exterior_d(a).term_count() == 3
     with pytest.raises(TermLimitExceeded):
         exterior_d(f)
+
+
+def test_term_cap_stops_wedge_and_contract(monkeypatch):
+    # (a0 + a1) dx0 ^ (x1 + B) dx1 has four terms on dx0^dx1, and the
+    # contraction of that 2-form by x0 d/dx0 has four on dx1
+    a = Form(CH, 1, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
+    b = Form(CH, 1, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
+    X = {x(0): Poly.var(x(0))}
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "4")
+    ab = wedge(a, b)
+    assert ab.term_count() == 4 and contract(X, ab).term_count() == 4
+    monkeypatch.setenv("JETVAR_MAX_TERMS", "3")
+    with pytest.raises(TermLimitExceeded):
+        wedge(a, b)
+    with pytest.raises(TermLimitExceeded):
+        contract(X, ab)
 
 
 def test_leibniz_rule(rng):
@@ -233,20 +264,28 @@ def _draw_poly(draw, pool, max_terms=3):
 
 
 @st.composite
+def forms(draw, degree=None, gens=CH.coords):
+    """A random form of the given degree (0..3 when None) on generators
+    drawn from gens."""
+    if degree is None:
+        degree = draw(st.integers(0, 3))
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 3))):
+        dcs = tuple(sorted(draw(st.lists(st.sampled_from(gens),
+                                         min_size=degree, max_size=degree,
+                                         unique=True))))
+        terms[dcs] = terms.get(dcs, Poly.zero()) + _draw_poly(draw, PB_POOL)
+    return Form(CH, degree, {d: p for d, p in terms.items() if p})
+
+
+@st.composite
 def pullback_cases(draw):
     """A random form of degree 0..3 and bindings whose values may mention
     their own key, t and unbound coordinates, but no other bound key."""
     keys = draw(st.lists(st.sampled_from(PB_KEYS), max_size=4, unique=True))
     free = [v for v in PB_POOL if v not in keys]
     bindings = {k: _draw_poly(draw, free + [k, T]) for k in keys}
-    degree = draw(st.integers(0, 3))
-    terms: dict = {}
-    for _ in range(draw(st.integers(0, 3))):
-        dcs = tuple(sorted(draw(st.lists(st.sampled_from(CH.coords),
-                                         min_size=degree, max_size=degree,
-                                         unique=True))))
-        terms[dcs] = terms.get(dcs, Poly.zero()) + _draw_poly(draw, PB_POOL)
-    return Form(CH, degree, {d: p for d, p in terms.items() if p}), bindings
+    return draw(forms()), bindings
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,3 +303,41 @@ def test_pullback_of_the_fiber_homotopy_matches_the_wedge_loop_oracle(rng):
     for degree in (0, 1, 2, 3):
         for a in _forms(rng, degree, count=4):
             assert pullback(a, bindings) == _pullback_oracle(a, bindings)
+
+
+# -- in-place sums against the parent's Poly-at-a-time oracles -----------
+
+# few generators, so that keys collide and coefficients cancel
+FEW = [x(0), x(1), conn(0, 0), conn(0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_in_place_form_operations_match_the_poly_at_a_time_oracles(data):
+    a = data.draw(forms(gens=FEW))
+    # b shares keys and monomials with a; c = -1 cancels them
+    c = data.draw(st.sampled_from([Q(-1), Q(1), Q(-2, 3)]))
+    b = oracles.add_forms(data.draw(forms(a.degree, FEW)), a.scale(c))
+    e = data.draw(forms(gens=FEW))
+    assert a + b == oracles.add_forms(a, b)
+    assert a - b == oracles.add_forms(a, b.scale(-1))
+    assert wedge(a, e) == oracles.wedge(a, e)
+    X = {v: _draw_poly(data.draw, PB_POOL) for v in FEW[1:]}
+    assert contract(X, a) == oracles.contract(X, a)
+    imgs = [data.draw(forms(1, FEW)) for _ in range(3)]
+    q = _draw_poly(data.draw, PB_POOL)
+    for coeff in (None, lambda f: f * q):
+        def image(v):
+            return imgs[CH.coords.index(v) % 3]
+        assert (map_generators(a, image, coeff)
+                == oracles.map_generators(a, image, coeff))
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms(gens=FEW))
+def test_aliased_form_operands(a):
+    before = dict(a.terms)
+    assert a + a == oracles.add_forms(a, a) == a.scale(2)
+    assert (a - a).is_zero()
+    assert wedge(a, a) == oracles.wedge(a, a)
+    assert a.terms == before

@@ -240,10 +240,43 @@ term_dicts = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(term_dicts, term_dicts)
 def test_sums_and_products_equal_the_all_fraction_oracle(a, b):
-    for got, want in ((add_dicts(a, b, 10**6), _oracle_add_dicts(a, b)),
-                      (mul_dicts(a, b, 10**6), _oracle_mul_dicts(a, b))):
+    total, product = dict(a), {}
+    add_dicts(total, b)
+    mul_dicts(a, b, product)
+    for got, want in ((total, _oracle_add_dicts(a, b)),
+                      (product, _oracle_mul_dicts(a, b))):
         assert got == want
         assert_stored_form(got)
+
+
+def _oracle_scale(a, c):
+    return {m: Fraction(v) * c for m, v in a.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts, term_dicts,
+       st.one_of(st.sampled_from([1, -1, 0]), coefficients))
+def test_in_place_sums_and_products_equal_the_all_fraction_oracle(a, b, out, c):
+    # c * b added into a, and c * a * b added into a filled dict out
+    a0, b0 = dict(a), dict(b)
+    total, product = dict(a), dict(out)
+    add_dicts(total, b, c)
+    mul_dicts(a, b, product, c)
+    assert (a, b) == (a0, b0)
+    assert total == _oracle_add_dicts(a, _oracle_scale(b, c))
+    assert product == _oracle_add_dicts(out, _oracle_scale(_oracle_mul_dicts(a, b), c))
+    assert_stored_form(total)
+    assert_stored_form(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_aliased_operands(p):
+    before = dict(p.terms)
+    assert (p + p).terms == _oracle_add_dicts(p.terms, p.terms)
+    assert (p - p).terms == {}
+    assert (p * p).terms == _oracle_mul_dicts(p.terms, p.terms)
+    assert p.terms == before
 
 
 def _route_to(outs):
@@ -259,7 +292,7 @@ def _route_to(outs):
 @given(term_dicts)
 def test_chain_rule_and_integration_equal_the_all_fraction_oracle(a):
     got, want = ({}, {}), ({}, {})
-    chain_rule(a, _route_to(got), 10**6)
+    chain_rule(a, _route_to(got))
     _oracle_chain_rule(a, _route_to(want))
     assert got == want
     integral = Poly(a).integrate_t().terms
