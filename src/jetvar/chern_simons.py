@@ -4,18 +4,18 @@ background section, and the resulting Lagrangian on the first jet chart."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
 from .errors import JetvarError
 from .forms import Form, exterior_d, linear_combination, pullback, wedge
-from .indets import T, bg, conn, gauge, x
+from .indets import T, bg, conn, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
 
 __all__ = ["CSData", "canonical_curvature", "characteristic_form",
-           "characteristic_at_B", "background_curvature", "section_correction",
+           "characteristic_at_B", "background_curvature", "homotopy",
            "cs_form", "cs_lagrangian", "cs_lagrangian_direct"]
 
 
@@ -110,26 +110,32 @@ def background_curvature(cs: CSData) -> list:
     return _curvature(cs, [exterior_d(b) for b in B], B)
 
 
-def _first_slot_contraction(cs: CSData, first: list, curv: list) -> Form:
-    """b_{r1..rk} first^{r1} ^ curv^{r2} ^ ... ^ curv^{rk}, summed over ordered
-    tuples: r1 runs over all indices, the even curv slots commute and are
-    enumerated as multisets with multinomial weights."""
+def _slot_contraction(cs: CSData, heads: list, curv: list) -> Form:
+    """b_{r1..rk} heads[0]^{r1} ^ ... ^ heads[j-1]^{rj} ^ curv^{r(j+1)} ^ ...
+    ^ curv^{rk}, summed over ordered tuples: each head is a per-index list of
+    forms whose index runs over all values, the even curv slots commute and
+    are enumerated as multisets with multinomial weights."""
     m = cs.algebra.dim
+    j = len(heads)
 
     def terms():
-        for r1 in range(m):
-            if first[r1].is_zero():
+        for lead in product(range(m), repeat=j):
+            factors = [h[r] for h, r in zip(heads, lead)]
+            if any(f.is_zero() for f in factors):
                 continue
-            for rest in combinations_with_replacement(range(m), cs.k - 1):
-                bval = cs.b.value((r1,) + rest)
+            head = factors[0]
+            for f in factors[1:]:
+                head = wedge(head, f)
+            for rest in combinations_with_replacement(range(m), cs.k - j):
+                bval = cs.b.value(lead + rest)
                 if not bval:
                     continue
-                term = first[r1]
+                term = head
                 for i in rest:
                     term = wedge(term, curv[i])
                 yield term, bval * _multinomial(rest)
 
-    degree = first[0].degree + 2 * (cs.k - 1)
+    degree = sum(h[0].degree for h in heads) + 2 * (cs.k - j)
     return linear_combination(cs.ctx.chart, degree, terms())
 
 
@@ -137,7 +143,7 @@ def characteristic_form(cs: CSData) -> Form:
     """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}; closed and gauge-invariant
     when b is ad-invariant."""
     F = canonical_curvature(cs)
-    return _first_slot_contraction(cs, F, F)
+    return _slot_contraction(cs, [F], F)
 
 
 def characteristic_at_B(cs: CSData) -> Form:
@@ -146,21 +152,6 @@ def characteristic_at_B(cs: CSData) -> Form:
     bindings = {conn(r, mu): cs.bg_poly(r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     return pullback(P, bindings)
-
-
-def section_correction(cs: CSData, params: list | None = None) -> Form:
-    """chi = k b_{r1..rk} xi^{r1} F_B^{r2} ^ ... ^ F_B^{rk}.
-
-    d(chi) equals the restriction of xi_C . P_2k(F) to the background section
-    (Bianchi plus ad-invariance), which is exactly the boundary piece the
-    scaling homotopy cannot see.  Vanishes identically for B = 0."""
-    ch = cs.ctx.chart
-    if cs.background == "zero":
-        return Form.zero(ch, 2 * cs.k - 2)
-    m = cs.algebra.dim
-    xi = [Poly.var(gauge(r)) for r in range(m)] if params is None else params
-    first = [Form.from_poly(ch, p * cs.k) for p in xi]
-    return _first_slot_contraction(cs, first, background_curvature(cs))
 
 
 def _interp_curvature(cs: CSData) -> list:
@@ -174,18 +165,27 @@ def _interp_curvature(cs: CSData) -> list:
     return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
 
 
-def _transgression(cs: CSData, curv: list) -> Form:
-    """k * integral over t in [0,1] of b_{r1..rk} (a-B)^{r1} ^ curv^{r2}(t) ^
-    ... ^ curv^{rk}(t); the result is t-free."""
-    diff = [cs.potential_one_form(r) - cs.background_one_form(r)
-            for r in range(cs.algebra.dim)]
-    integrand = _first_slot_contraction(cs, diff, curv)
-    return integrand.map_coefficients(lambda p: p.integrate_t() * cs.k)
+def homotopy(cs: CSData, heads: list = (), curv: list | None = None) -> Form:
+    """(k-j) * integral over t in [0,1] of b_{r1..rk} heads^{r1} ^ ... ^
+    heads^{rj} ^ (a-B)^{r(j+1)} ^ curv^{r(j+2)}(t) ^ ... ^ curv^{rk}(t).
+
+    With the interpolated curvature F(t) (the default) this is the fiber
+    homotopy H centred at a = B, the pullback along a -> ta + (1-t)B
+    contracted by d/dt and integrated, applied to b(heads, F, ..., F) for
+    heads that do not depend on a.  With no heads it is the transgression
+    form; the result is t-free."""
+    if curv is None:
+        curv = _interp_curvature(cs)
+    # the factor (k-j) goes on the m small one-forms a-B, not on the result
+    diff = [(cs.potential_one_form(r) - cs.background_one_form(r))
+            .scale(cs.k - len(heads)) for r in range(cs.algebra.dim)]
+    integrand = _slot_contraction(cs, [*heads, diff], curv)
+    return integrand.map_coefficients(Poly.integrate_t)
 
 
 def cs_form(cs: CSData) -> Form:
     """S_{2k-1}(B), the transgression form; it lives on the order-0 chart."""
-    return _transgression(cs, _interp_curvature(cs))
+    return homotopy(cs)
 
 
 def cs_lagrangian(cs: CSData) -> Form:
@@ -214,4 +214,4 @@ def _interp_curvature_horizontal(cs: CSData) -> list:
 def cs_lagrangian_direct(cs: CSData) -> Form:
     """Independent construction of the horizontal CS Lagrangian via the
     explicit first-order formula; must agree with cs_lagrangian exactly."""
-    return _transgression(cs, _interp_curvature_horizontal(cs))
+    return homotopy(cs, curv=_interp_curvature_horizontal(cs))

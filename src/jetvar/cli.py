@@ -74,16 +74,20 @@ def config_indices(idx: list, dim: int, where: str) -> tuple:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = sorted(set(cfg) - CONFIG_KEYS)

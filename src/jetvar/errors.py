@@ -25,12 +25,8 @@ class JacobiViolation(JetvarError):
     """Structure constants fail the Jacobi identity."""
 
 
-class NotClosed(JetvarError):
-    """The homotopy operator was handed a form with nonzero exterior derivative."""
-
-
 class NonzeroResidual(JetvarError):
-    """The fiberwise homotopy left a residual that could not be integrated."""
+    """A primitive's exterior derivative differs from the form it should equal."""
 
 
 class SigmaMismatch(JetvarError):

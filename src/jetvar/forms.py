@@ -260,10 +260,11 @@ def lie_derivative_form(X: dict, a: Form) -> Form:
     return contract(X, exterior_d(a)) + exterior_d(contract(X, a))
 
 
-def apply_derivation(X: dict, f: Poly) -> Poly:
-    """The vector field acting on a scalar: sum X^c partial_c f."""
+def apply_derivation(X: dict, grad: dict) -> Poly:
+    """The vector field acting on a scalar f given by its gradient
+    f.gradient(): sum X^c partial_c f."""
     out: dict = {}
-    for c, df in f.gradient().items():
+    for c, df in grad.items():
         comp = X.get(c)
         if comp:
             mul_dicts(comp.terms, df.terms, out)

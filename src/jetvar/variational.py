@@ -1,16 +1,16 @@
 """Euler-Lagrange operator, first variational formula, Noether currents, the
-fiberwise homotopy primitive, and the exact on-shell conservation check."""
+boundary term sigma, and the exact on-shell conservation check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chern_simons import CSData, cs_form, cs_lagrangian, section_correction
-from .errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
-                     SigmaMismatch)
+from .chern_simons import (CSData, _slot_contraction, canonical_curvature,
+                           cs_form, cs_lagrangian, homotopy)
+from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, apply_derivation, contract, exterior_d,
-                    linear_combination, pullback, wedge)
-from .indets import (T, conn, indet_str, is_field_jet, multi_index,
+                    linear_combination, wedge)
+from .indets import (gauge, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
 from .jets import (JetContext, contact_form, horizontal_differential,
                    horizontal_projection, prolong, total_derivative)
@@ -18,7 +18,7 @@ from .polynomial import Poly, add_dicts, mul_dicts
 
 __all__ = ["Lagrangian", "Current", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
-           "first_variational_check", "fiber_homotopy", "sigma_boundary_term",
+           "first_variational_check", "sigma_boundary_term",
            "conservation_check", "invariant_sector"]
 
 
@@ -36,14 +36,19 @@ class VerificationReport:
 
 
 class Lagrangian:
-    """First-order horizontal n-form L = density * d^n x."""
+    """First-order horizontal n-form L = density * d^n x.
+
+    gradient maps each indeterminate of the density to its partial; it is
+    built once and shared by every operator on L."""
 
     def __init__(self, ctx: JetContext, density: Poly):
-        for v in density.indets():
+        grad = density.gradient()
+        for v in grad:
             if is_field_jet(v) and len(multi_index(v)) > 1:
                 raise JetvarError(f"Lagrangian is not first-order: {indet_str(v)}")
         self.ctx = ctx
         self.density = density
+        self.gradient = grad
 
     @classmethod
     def from_horizontal_form(cls, ctx: JetContext, a: Form) -> "Lagrangian":
@@ -101,7 +106,7 @@ def euler_lagrange(L: Lagrangian, ctx: JetContext | None = None) -> dict:
 
     Returns a dict over order-0 field coordinates; values live on J2."""
     ctx = ctx or L.ctx
-    grad = L.density.gradient()
+    grad = L.gradient
     out = {}
     for i in ctx.field_coords(0):
         comp = dict(grad[i].terms) if i in grad else {}
@@ -116,7 +121,7 @@ def euler_lagrange(L: Lagrangian, ctx: JetContext | None = None) -> dict:
 def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
     ctx = ctx or L.ctx
-    grad = L.density.gradient()
+    grad = L.gradient
 
     def pieces():
         yield L.form(), 1
@@ -132,7 +137,7 @@ def poincare_cartan(L: Lagrangian, ctx: JetContext | None = None) -> Form:
 def noether_current(L: Lagrangian, u: dict, ctx: JetContext | None = None) -> Current:
     """J^lam = u^i partial^lam_i(density) for a vertical order-0 field u."""
     ctx = ctx or L.ctx
-    grad = L.density.gradient()
+    grad = L.gradient
     comps = []
     for lam in range(ctx.n):
         s: dict = {}
@@ -149,7 +154,7 @@ def lie_derivative_lagrangian(L: Lagrangian, u: dict,
     """(u^i partial_i + d_lam u^i partial^lam_i) density * omega."""
     ctx = ctx or L.ctx
     ju = prolong(u, ctx, order=1)
-    scalar = apply_derivation(ju, L.density)
+    scalar = apply_derivation(ju, L.gradient)
     return ctx.volume_form(scalar)
 
 
@@ -178,49 +183,38 @@ def first_variational_check(L: Lagrangian, u: dict,
     )
 
 
-# -- homotopy primitive and the boundary term --------------------------
-
-
-def fiber_homotopy(omega: Form, cs: CSData) -> Form:
-    """Primitive psi with d(psi) = omega, via the fiberwise scaling homotopy
-    centered at the background section a = B.
-
-    Raises NotClosed when d(omega) != 0 and NonzeroResidual when the homotopy
-    leaves a boundary piece (omega restricted to the section is nonzero)."""
-    if not exterior_d(omega).is_zero():
-        raise NotClosed("fiber_homotopy needs a closed form")
-    homotopy = {conn(r, mu): cs.interp_poly(r, mu)
-                for r in range(cs.algebra.dim) for mu in range(cs.n)}
-    pulled = pullback(omega, homotopy)
-    psi = contract({T: Poly.const(1)}, pulled).map_coefficients(
-        lambda p: p.integrate_t())
-    residual = omega - exterior_d(psi)
-    if not residual.is_zero():
-        raise NonzeroResidual(
-            f"homotopy residual has {residual.term_count()} terms: {residual}")
-    return psi
+# -- the boundary term --------------------------------------------------
 
 
 def sigma_boundary_term(cs: CSData, xi_C: dict, params: list | None = None,
                         S: Form | None = None,
                         L: Lagrangian | None = None) -> Form:
-    """sigma = h0(psi + xi_C . S(B)) with d(psi) = xi_C . d S(B).
+    """sigma = h0(psi - d eta + xi_C . S(B)), a horizontal primitive of the
+    Lie derivative of the CS Lagrangian along J1 xi_C.
 
-    For a symbolic background the scaling homotopy leaves the section
-    restriction of xi_C . P_2k(F); its explicit primitive chi is added before
-    integrating, so the combined psi is an exact primitive.  Post-verified:
-    d_H sigma equals the Lie derivative of the CS Lagrangian along J1 xi_C.
-    S and its Lagrangian L = h0 S are built here unless the caller has them."""
+    psi = k b(xi, F, ..., F) is the descent primitive of xi_C . dS (Bianchi
+    plus ad-invariance); d psi == xi_C . dS is asserted exactly and raises
+    NonzeroResidual otherwise.  eta = homotopy(cs, [k xi]) is the fiber
+    homotopy H of psi, so psi - d eta is the primitive H(xi_C . dS - d chi)
+    + chi of the homotopy formula dH + Hd = id - s*pi*, chi being the
+    restriction of psi to the background section.  Post-verified: d_H sigma
+    equals the Lie derivative of the CS Lagrangian along J1 xi_C.  S and its
+    Lagrangian L = h0 S are built here unless the caller has them."""
     ctx = cs.ctx
     if S is None:
         S = cs_form(cs)
     if L is None:
         L = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
-    dS = exterior_d(S)
-    omega = contract(xi_C, dS)
-    chi = section_correction(cs, params)
-    psi = fiber_homotopy(omega - exterior_d(chi), cs) + chi
-    sigma = horizontal_projection(psi + contract(xi_C, S), ctx)
+    xi = params if params is not None else [
+        Poly.var(gauge(r)) for r in range(cs.algebra.dim)]
+    head = [Form.from_poly(ctx.chart, p * cs.k) for p in xi]
+    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
+    residual = exterior_d(psi) - contract(xi_C, exterior_d(S))
+    if not residual.is_zero():
+        raise NonzeroResidual(
+            f"descent residual has {residual.term_count()} terms: {residual}")
+    eta = homotopy(cs, [head])
+    sigma = horizontal_projection(psi - exterior_d(eta) + contract(xi_C, S), ctx)
     lie = lie_derivative_lagrangian(L, xi_C, ctx)
     if not (horizontal_differential(sigma, ctx) - lie).is_zero():
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")

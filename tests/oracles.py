@@ -3,15 +3,21 @@
 They use only Poly's public ring operations, so they check the library's
 calculus (gradient, chain rule, total derivatives) from outside.  The form
 oracles below sum Poly coefficients one `+` at a time, key by key, where the
-library sums raw term dicts in place.
+library sums raw term dicts in place.  The last section builds sigma by the
+pullback route of the fiberwise scaling homotopy, against which the
+closed-form descent route of the library is tested.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from jetvar.chern_simons import _multinomial
-from jetvar.errors import JetvarError
+from jetvar import forms
+from jetvar.chern_simons import (_multinomial, _slot_contraction,
+                                 background_curvature, cs_form)
+from jetvar.errors import JetvarError, NonzeroResidual
 from jetvar.forms import Form, _merge_tuples
+from jetvar.indets import T, conn, gauge
+from jetvar.jets import horizontal_projection
 from jetvar.polynomial import Poly
 
 
@@ -135,3 +141,66 @@ def invariant_contraction(cs, factors: list) -> Form:
             term = wedge(term, factors[i])
         out = add_forms(out, term.scale(bval * _multinomial(idx)))
     return out
+
+
+# -- sigma by the pullback route of the fiber homotopy --------------------
+
+
+class NotClosed(JetvarError):
+    """The homotopy operator was handed a form with nonzero exterior derivative."""
+
+
+def homotopy_operator(a: Form, cs) -> Form:
+    """H a, unchecked: the pullback along a -> ta + (1-t)B, contracted by
+    d/dt and integrated over t in [0, 1]."""
+    bindings = {conn(r, mu): cs.interp_poly(r, mu)
+                for r in range(cs.algebra.dim) for mu in range(cs.n)}
+    pulled = forms.pullback(a, bindings)
+    return forms.contract({T: Poly.const(1)}, pulled).map_coefficients(
+        lambda p: p.integrate_t())
+
+
+def fiber_homotopy(omega: Form, cs) -> Form:
+    """Primitive psi with d(psi) = omega, via the fiberwise scaling homotopy
+    centered at the background section a = B.
+
+    Raises NotClosed when d(omega) != 0 and NonzeroResidual when the homotopy
+    leaves a boundary piece (omega restricted to the section is nonzero)."""
+    if not forms.exterior_d(omega).is_zero():
+        raise NotClosed("fiber_homotopy needs a closed form")
+    psi = homotopy_operator(omega, cs)
+    residual = omega - forms.exterior_d(psi)
+    if not residual.is_zero():
+        raise NonzeroResidual(
+            f"homotopy residual has {residual.term_count()} terms: {residual}")
+    return psi
+
+
+def gauge_head(cs, params: list | None = None) -> list:
+    """k xi^r as 0-forms: the head slot of the descent primitive."""
+    xi = [Poly.var(gauge(r)) for r in range(cs.algebra.dim)] \
+        if params is None else params
+    return [Form.from_poly(cs.ctx.chart, p * cs.k) for p in xi]
+
+
+def section_correction(cs, params: list | None = None) -> Form:
+    """chi = k b_{r1..rk} xi^{r1} F_B^{r2} ^ ... ^ F_B^{rk}.
+
+    d(chi) equals the restriction of xi_C . P_2k(F) to the background
+    section (Bianchi plus ad-invariance), the boundary piece the scaling
+    homotopy cannot see.  Vanishes identically for B = 0."""
+    if cs.background == "zero":
+        return Form.zero(cs.ctx.chart, 2 * cs.k - 2)
+    return _slot_contraction(cs, [gauge_head(cs, params)],
+                             background_curvature(cs))
+
+
+def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
+                        S: Form | None = None) -> Form:
+    """h0(fiber_homotopy(xi_C . dS - d chi) + chi + xi_C . S), unverified."""
+    if S is None:
+        S = cs_form(cs)
+    chi = section_correction(cs, params)
+    omega = forms.contract(xi_C, forms.exterior_d(S))
+    psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
+    return horizontal_projection(psi + forms.contract(xi_C, S), cs.ctx)

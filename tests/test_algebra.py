@@ -134,8 +134,8 @@ def test_gauge_generators_close_under_the_section_bracket():
     eta_C = gauge_generator(g, ctx, params=eta)
     bracket_C = gauge_generator(g, ctx, params=section_bracket(xi, eta, g))
     for c in ctx.field_coords(0):
-        direct = apply_derivation(xi_C, eta_C.get(c, Poly.zero())) \
-            - apply_derivation(eta_C, xi_C.get(c, Poly.zero()))
+        direct = apply_derivation(xi_C, eta_C.get(c, Poly.zero()).gradient()) \
+            - apply_derivation(eta_C, xi_C.get(c, Poly.zero()).gradient())
         assert direct == bracket_C.get(c, Poly.zero())
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
-from jetvar.chern_simons import (CSData, _first_slot_contraction,
-                                 _interp_curvature, background_curvature,
+from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
+                                 background_curvature,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  cs_lagrangian_direct)
@@ -91,7 +91,7 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     assert not P.is_zero()
     assert P == oracles.invariant_contraction(cs, canonical_curvature(cs))
     for curv in (background_curvature(cs), _interp_curvature(cs)):
-        assert (_first_slot_contraction(cs, curv, curv)
+        assert (_slot_contraction(cs, [curv], curv)
                 == oracles.invariant_contraction(cs, curv))
 
 

@@ -46,6 +46,9 @@ GOLDEN_CASES = [
                                       "--compare-background"]),
     ("verify_conservation_u1su2_k3.txt", ["verify-conservation", "--config",
                                           str(CONFIGS / "u1su2_k3.json")]),
+    # the 7D frontier case
+    ("verify_conservation_u1_k4.txt", ["verify-conservation", "--config",
+                                       str(SU2_H0.parent / "u1_k4.json")]),
 ]
 
 
@@ -262,3 +265,18 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, command):
     for p in (ROOT / d).glob("*.json")))
 def test_shipped_configs_use_known_keys(path):
     assert set(cli.load_config(str(ROOT / path))) <= cli.CONFIG_KEYS
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'{"algebra": "su2\xff"}', "not UTF-8 text"),
+    (b"[" * 200000, "JSON nested too deeply")], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
+                                           message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code = cli.main([command, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""

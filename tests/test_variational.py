@@ -1,17 +1,21 @@
 """Euler-Lagrange operator (with an independent interpolation oracle), the
-first variational formula, Noether currents, the fiberwise homotopy, the
-boundary term sigma, and the conservation law."""
+first variational formula, Noether currents, the boundary term sigma (with
+the fiberwise homotopy route as its oracle), and the conservation law."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
-from jetvar.chern_simons import (CSData, cs_form, cs_lagrangian,
-                                 section_correction)
-from jetvar.errors import (JetvarError, NonzeroResidual, NotClosed, NotInvariant,
+from jetvar import cli
+from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
+                            gauge_generator)
+from jetvar.chern_simons import (CSData, _slot_contraction, canonical_curvature,
+                                 characteristic_form, cs_form, cs_lagrangian,
+                                 homotopy)
+from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
                            SigmaMismatch)
 from jetvar.forms import Form, contract, exterior_d, wedge
 from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
@@ -21,11 +25,12 @@ from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_density, random_form, \
     random_vertical_field
 from jetvar.variational import (Current, Lagrangian, conservation_check,
-                                euler_lagrange, fiber_homotopy,
-                                first_variational_check, invariant_sector,
-                                lie_derivative_lagrangian, noether_current,
-                                poincare_cartan, sigma_boundary_term)
-from oracles import evaluate
+                                euler_lagrange, first_variational_check,
+                                invariant_sector, lie_derivative_lagrangian,
+                                noether_current, poincare_cartan,
+                                sigma_boundary_term)
+import oracles
+from oracles import NotClosed, evaluate, fiber_homotopy, section_correction
 
 CTX2 = JetContext(2, 1, matter_dim=1, jet_order=2)
 
@@ -189,7 +194,7 @@ def test_variational_triviality_of_horizontal_projections_of_exact_forms():
         assert all(not v for v in el.values()), str(L.density)
 
 
-# -- homotopy primitive -------------------------------------------------
+# -- the fiber homotopy oracle --------------------------------------------
 
 
 def _su2_model(background="symbolic"):
@@ -224,6 +229,89 @@ def test_fiber_homotopy_rejects_forms_alive_on_the_section():
     base_area = wedge(Form.generator(ch, x(0)), Form.generator(ch, x(1)))
     with pytest.raises(NonzeroResidual):
         fiber_homotopy(base_area, cs)
+
+
+# -- sigma: the descent route against the fiber homotopy oracle -----------
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(p.relative_to(ROOT).as_posix()
+                 for d in ("configs", "tests/configs")
+                 for p in (ROOT / d).glob("*.json")
+                 if "algebra" in cli.load_config(str(p)))
+
+
+def _x(i):
+    return Poly.var(x(i))
+
+
+# every symmetric tensor is ad-invariant on an abelian algebra
+U1SQ_MIXED = InvariantTensor(3, {(0, 0, 0): Q(1), (0, 0, 1): Q(2),
+                                 (0, 1, 1): Q(-1), (1, 1, 1): Q(3)})
+U1SQ_CROSS = InvariantTensor(3, {(0, 0, 1): Q(1, 2), (1, 1, 1): Q(-2)})
+
+# name -> (algebra, invariant, k, CSData keywords, explicit gauge parameters)
+VARIANTS = {
+    "u1^2_k3_h2/5": ("u1^2", U1SQ_MIXED, 3, {"h": Q(2, 5)}, None),
+    "u1^2_k3_zero_background": ("u1^2", U1SQ_CROSS, 3,
+                                {"background": "zero"}, None),
+    "su2_zero_params": ("su2", "killing", 2, {}, [Poly.zero()] * 3),
+    "su2_zero_background_h3/7": ("su2", "killing", 2,
+                                 {"background": "zero", "h": Q(3, 7)}, None),
+    "u1su2_k3_zero_background": ("u1+su2", "u1su2-cubic", 3,
+                                 {"background": "zero"}, None),
+    "u1su2_killing": ("u1+su2", "killing", 2, {}, None),
+    "u1_k2_x_params": ("u1", "unit", 2, {}, [_x(0) * _x(1) + _x(2) ** 2]),
+    "su2_k2_x_params": ("su2", "killing", 2, {},
+                        [_x(0), _x(1) * _x(2), Poly.const(3)]),
+    "u1_k3_x_params": ("u1", "unit", 3, {}, [_x(0) * _x(4) - _x(2)]),
+}
+
+
+def _sigma_case(name):
+    """(CSData, explicit gauge parameters or None) of a shipped config path
+    or a VARIANTS name."""
+    if name in VARIANTS:
+        alg, inv, k, kw, params = VARIANTS[name]
+        g = builtin_algebra(alg)
+        b = inv if isinstance(inv, InvariantTensor) else builtin_invariant(inv, g, k)
+        return CSData(g, b, k, **kw), params
+    cfg = cli.load_config(str(ROOT / name))
+    cs, _ = cli.build_model(cfg)
+    return cs, cli.config_gauge_params(cfg, cs)[1]
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
+def test_sigma_matches_the_fiber_homotopy_oracle(name):
+    # d_H sigma cannot see a d-exact change of psi - d eta, so only this
+    # comparison pins eta
+    cs, params = _sigma_case(name)
+    xi_C = gauge_generator(cs.algebra, cs.ctx, params=params)
+    S = cs_form(cs)
+    sigma = sigma_boundary_term(cs, xi_C, params=params, S=S)
+    assert sigma == oracles.sigma_boundary_term(cs, xi_C, params=params, S=S)
+    vacuous = cs.h == 0 or params == [Poly.zero()] * cs.algebra.dim
+    assert sigma.is_zero() == vacuous
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
+def test_homotopy_matches_the_pullback_oracle(name):
+    # the closed form of H on the descent primitive b(k xi, F, ..., F) and
+    # on P(F) = b(F, ..., F), whose H is the transgression form S
+    cs, params = _sigma_case(name)
+    head = oracles.gauge_head(cs, params)
+    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
+    assert homotopy(cs, [head]) == oracles.homotopy_operator(psi, cs)
+    assert cs_form(cs) == oracles.homotopy_operator(characteristic_form(cs), cs)
+
+
+@pytest.mark.parametrize("background", ["symbolic", "zero"])
+def test_sigma_rejects_a_non_invariant_tensor(background):
+    # without ad-invariance psi is no primitive of xi_C . dS
+    g = builtin_algebra("su2")
+    cs = CSData(g, builtin_invariant("unit", g, 2), 2, background=background)
+    assert cs.invariance_residual
+    with pytest.raises(NonzeroResidual, match="descent residual"):
+        sigma_boundary_term(cs, gauge_generator(g, cs.ctx))
 
 
 # -- sigma and the conservation law -------------------------------------
