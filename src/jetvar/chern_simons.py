@@ -9,7 +9,7 @@ from math import factorial
 
 from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
 from .errors import JetvarError
-from .forms import Form, exterior_d, linear_combination, pullback, wedge
+from .forms import Form, exterior_d, linear_combination, wedge
 from .indets import T, bg, conn, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
@@ -147,11 +147,12 @@ def characteristic_form(cs: CSData) -> Form:
 
 
 def characteristic_at_B(cs: CSData) -> Form:
-    """Pull-back of the characteristic form along the background section."""
-    P = characteristic_form(cs)
-    bindings = {conn(r, mu): cs.bg_poly(r, mu)
-                for r in range(cs.algebra.dim) for mu in range(cs.n)}
-    return pullback(P, bindings)
+    """P_2k(F_B), the characteristic form pulled back along the background
+    section.  Pull-back commutes with wedge and d and takes F^r to F_B^r
+    (naturality of characteristic forms), so this is the slot contraction
+    of the background curvature."""
+    FB = background_curvature(cs)
+    return _slot_contraction(cs, [FB], FB)
 
 
 def _interp_curvature(cs: CSData) -> list:
@@ -198,16 +199,11 @@ def _interp_curvature_horizontal(cs: CSData) -> list:
     directly from jet coordinates rather than through h0 (cross-check route)."""
     ch = cs.ctx.chart
     m = cs.algebra.dim
-    linear = []
-    for r in range(m):
-        f = Form.zero(ch, 2)
-        for lam in range(cs.n):
-            for mu in range(cs.n):
-                coeff = cs.interp_poly(r, mu, (lam,))
-                if coeff:
-                    f = f + wedge(Form(ch, 1, {(x(lam),): coeff}),
-                                  Form.generator(ch, x(mu)))
-        linear.append(f)
+    # t a^r_{lam;mu} never cancels, so no coefficient is zero
+    linear = [linear_combination(ch, 2, (
+        (wedge(Form(ch, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))}),
+               Form.generator(ch, x(mu))), 1)
+        for lam in range(cs.n) for mu in range(cs.n))) for r in range(m)]
     return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
 
 

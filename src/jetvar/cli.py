@@ -183,20 +183,14 @@ def config_gauge_params(cfg: dict, cs: CSData) -> tuple:
 
 
 class Dump:
-    def __init__(self, path: str | None):
-        self.path = path
-        self._fh = None
+    """Untruncated expressions, written to the open --dump file if any."""
+
+    def __init__(self, fh):
+        self.fh = fh
 
     def write(self, label: str, text: str):
-        if self.path is None:
-            return
-        if self._fh is None:
-            self._fh = open(self.path, "w")
-        self._fh.write(f"## {label}\n{text}\n")
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
+        if self.fh is not None:
+            self.fh.write(f"## {label}\n{text}\n")
 
 
 def emit(line: str = ""):
@@ -213,7 +207,7 @@ def show_poly(label: str, p: Poly, dump: Dump):
     if len(parts) > TRUNCATE_AT:
         shown = " + ".join(parts[:TRUNCATE_AT])
         emit(f"{label} = {shown} + ... ({len(parts) - TRUNCATE_AT} more terms"
-             f"{'' if dump.path else '; pass --dump for the full expression'})")
+             f"{'' if dump.fh else '; pass --dump for the full expression'})")
     else:
         emit(f"{label} = {text}")
     dump.write(label, text)
@@ -224,7 +218,7 @@ def show_form(label: str, a: Form, dump: Dump):
     n = a.term_count()
     if n > TRUNCATE_AT:
         emit(f"{label}: {n} terms (truncated"
-             f"{'' if dump.path else '; pass --dump for the full expression'})")
+             f"{'' if dump.fh else '; pass --dump for the full expression'})")
         emit("  " + text[:2000])
     else:
         emit(f"{label} = {text}")
@@ -253,7 +247,7 @@ def fails_invariance(cs: CSData) -> bool:
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_check_algebra(args) -> int:
+def cmd_check_algebra(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     k = config_int(cfg.get("k", 2), 2, "k")
     try:
@@ -274,7 +268,7 @@ def cmd_check_algebra(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_transgression(args) -> int:
+def cmd_transgression(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     cs, _ = build_model(cfg)
     t0 = time.perf_counter()
@@ -284,7 +278,6 @@ def cmd_transgression(args) -> int:
     dS = exterior_d(S)
     residual = dS - (P - PB)
     elapsed = time.perf_counter() - t0
-    dump = Dump(args.dump)
     emit(f"characteristic form: {P.term_count()} terms")
     emit(f"characteristic form at the background section: {PB.term_count()} terms")
     emit(f"transgression form: {S.term_count()} terms")
@@ -295,7 +288,6 @@ def cmd_transgression(args) -> int:
     inv_ok = report_line("invariant tensor ad-invariance",
                          not cs.invariance_residual)
     note(f"transgression check: {elapsed:.2f}s")
-    dump.close()
     return 0 if ok and inv_ok else 1
 
 
@@ -304,12 +296,11 @@ def _el_components(cs: CSData) -> dict:
     return euler_lagrange(L, cs.ctx)
 
 
-def cmd_euler_lagrange(args) -> int:
+def cmd_euler_lagrange(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
-    dump = Dump(args.dump)
     t0 = time.perf_counter()
     el = _el_components(cs)
     for i in sorted(el):
@@ -329,16 +320,14 @@ def cmd_euler_lagrange(args) -> int:
         ok = report_line("Euler-Lagrange operator is background-independent",
                          diff_zero, not any(el.values()))
     note(f"euler-lagrange: {time.perf_counter() - t0:.2f}s")
-    dump.close()
     return 0 if ok else 1
 
 
-def cmd_noether(args) -> int:
+def cmd_noether(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
-    dump = Dump(args.dump)
     t0 = time.perf_counter()
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
     xi_C, _ = config_gauge_params(cfg, cs)
@@ -348,7 +337,6 @@ def cmd_noether(args) -> int:
     lie = lie_derivative_lagrangian(L, xi_C, cs.ctx)
     show_form("Lie derivative of the Lagrangian", lie, dump)
     note(f"noether: {time.perf_counter() - t0:.2f}s")
-    dump.close()
     return 0
 
 
@@ -383,12 +371,11 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
     return exact
 
 
-def cmd_verify_conservation(args) -> int:
+def cmd_verify_conservation(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     cs, inv_name = build_model(cfg)
     if fails_invariance(cs):
         return 1
-    dump = Dump(args.dump)
     t0 = time.perf_counter()
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(cs.ctx, horizontal_projection(S, cs.ctx))
@@ -407,11 +394,10 @@ def cmd_verify_conservation(args) -> int:
     if cs.k == 2 and inv_name == "killing" and params is None:
         ok &= _display_diff_3d(cs, modified, dump)
     note(f"verify-conservation: {time.perf_counter() - t0:.2f}s")
-    dump.close()
     return 0 if ok else 1
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, dump: Dump) -> int:
     cfg = load_config(args.config) if args.config else {}
     instances = config_int(cfg.get("selftest_instances", 100), 1,
                            "selftest_instances")
@@ -481,8 +467,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    fh = None
     try:
-        return args.fn(args)
+        if args.dump is not None:
+            try:
+                fh = open(args.dump, "w")
+            except OSError as exc:
+                raise ConfigError(f"cannot write dump {args.dump}: {exc}") from exc
+        return args.fn(args, Dump(fh))
     except TermLimitExceeded as exc:
         note(f"term limit exceeded: {exc}")
         return 3
@@ -492,6 +484,9 @@ def main(argv=None) -> int:
     except JetvarError as exc:
         emit(f"[FAIL] {type(exc).__name__}: {exc}")
         return 1
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 if __name__ == "__main__":

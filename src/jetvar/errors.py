@@ -5,10 +5,6 @@ class JetvarError(Exception):
     pass
 
 
-class CyclicSubstitution(JetvarError):
-    """A substitution binding's value mentions a bound indeterminate."""
-
-
 class JetOrderExceeded(JetvarError):
     """An operation needed a jet coordinate beyond the chart's declared order."""
 

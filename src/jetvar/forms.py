@@ -19,7 +19,7 @@ from .polynomial import Poly, add_dicts, chain_rule, mul_dicts
 
 __all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "map_generators",
-           "pullback", "linear_combination"]
+           "linear_combination"]
 
 
 class Chart:
@@ -271,19 +271,16 @@ def apply_derivation(X: dict, grad: dict) -> Poly:
     return Poly(out)
 
 
-def map_generators(a: Form, image, coeff=None) -> Form:
-    """The algebra map f dc1 ^ ... ^ dcp -> coeff(f) image(c1) ^ ... ^ image(cp).
+def map_generators(a: Form, image) -> Form:
+    """The algebra map f dc1 ^ ... ^ dcp -> f image(c1) ^ ... ^ image(cp).
 
     image(c) is the 1-form that dc maps to, built once per generator per
-    call; coeff maps each coefficient (identity when None).  The images of
-    a generator tuple are wedged together first, so each coefficient is
-    multiplied once per output key.
+    call.  The images of a generator tuple are wedged together first, so
+    each coefficient is multiplied once per output key.
     """
     images: dict = {}
     out: dict = {}
     for dcs, f in a.terms.items():
-        if coeff is not None:
-            f = coeff(f)
         img = None
         for c in dcs:
             ic = images.get(c)
@@ -298,18 +295,3 @@ def map_generators(a: Form, image, coeff=None) -> Form:
             for key, g in img.terms.items():
                 mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
     return _wrap(a.chart, a.degree, out)
-
-
-def pullback(a: Form, bindings: dict) -> Form:
-    """Pull back along the map substituting coordinates by bindings.
-
-    Coefficients get the polynomial substitution; each differential dc
-    becomes the exterior derivative of its binding value, so unbound
-    coordinates pass through.  A binding may mention its own key and other
-    chart coordinates such as t, so the fiber homotopy a -> B + t(a - B) is
-    a pullback too: its da becomes t da + (a - B) dt + (1 - t) dB.
-    """
-    chart = a.chart
-    return map_generators(
-        a, lambda c: exterior_d(Form.from_poly(chart, bindings.get(c, Poly.var(c)))),
-        lambda f: f.substitute(bindings))

@@ -33,7 +33,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import ConfigError, CyclicSubstitution, TermLimitExceeded
+from .errors import ConfigError, TermLimitExceeded
 from .indets import T, indet_str
 
 __all__ = ["Poly", "Q", "max_terms"]
@@ -82,6 +82,8 @@ def mono_mul(ma: tuple, mb: tuple) -> tuple:
 
 def add_dicts(a: dict, b: dict, c=1) -> None:
     """Add c * b into the term dict a."""
+    if type(c) is not int:
+        c = _exact(c)
     if c != 1:
         b = {m: _exact(v * c) for m, v in b.items()} if c else {}
     get = a.get
@@ -107,6 +109,8 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
     cap = max_terms()
     if len(a) > len(b):
         a, b = b, a
+    if type(c) is not int:
+        c = _exact(c)
     if c != 1:
         a = {m: _exact(v * c) for m, v in a.items()} if c else {}
     get = out.get
@@ -205,7 +209,7 @@ class Poly:
         return cls({(): c} if c else {})
 
     @classmethod
-    def var(cls, v: tuple, exp: int = 1, coeff=1) -> "Poly":
+    def var(cls, v: tuple, exp: int = 1, coeff: int | Fraction = 1) -> "Poly":
         c = _as_q(coeff)
         if not c:
             return cls({})
@@ -281,35 +285,6 @@ class Poly:
                     terms = grads[v] = {}
                 terms[rest] = c if e == 1 else _exact(c * e)
         return {v: Poly(terms) for v, terms in grads.items()}
-
-    def substitute(self, bindings: dict) -> "Poly":
-        """Simultaneous one-pass substitution indeterminate -> Poly.
-
-        A binding value may mention its own key (one-shot replacement, e.g.
-        a -> t*a) but not another bound indeterminate.
-        """
-        bound = set(bindings)
-        for v, p in bindings.items():
-            hit = (p.indets() & bound) - {v}
-            if hit:
-                names = ", ".join(sorted(indet_str(w) for w in hit))
-                raise CyclicSubstitution(
-                    f"value bound to {indet_str(v)} mentions bound {names}")
-        out: dict = {}
-        powcache: dict = {}
-        for m, c in self.terms.items():
-            term = {tuple(ve for ve in m if ve[0] not in bound): c}
-            for v, e in m:
-                rep = bindings.get(v)
-                if rep is not None:
-                    pe = powcache.get((v, e))
-                    if pe is None:
-                        pe = powcache[(v, e)] = (rep ** e).terms
-                    prod: dict = {}
-                    mul_dicts(term, pe, prod)
-                    term = prod
-            add_dicts(out, term)
-        return Poly(out)
 
     def integrate_t(self) -> "Poly":
         """Exact definite integral over t in [0,1]; the result is t-free."""

@@ -3,9 +3,11 @@
 They use only Poly's public ring operations, so they check the library's
 calculus (gradient, chain rule, total derivatives) from outside.  The form
 oracles below sum Poly coefficients one `+` at a time, key by key, where the
-library sums raw term dicts in place.  The last section builds sigma by the
-pullback route of the fiberwise scaling homotopy, against which the
-closed-form descent route of the library is tested.
+library sums raw term dicts in place.  The pullback of forms along a
+substitution lives here only: the library builds P(F_B) and the fiber
+homotopy in closed form, and the last section builds sigma by the pullback
+route of the fiberwise scaling homotopy, against which the closed-form
+descent route of the library is tested.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from jetvar.chern_simons import (_multinomial, _slot_contraction,
                                  background_curvature, cs_form)
 from jetvar.errors import JetvarError, NonzeroResidual
 from jetvar.forms import Form, _merge_tuples
-from jetvar.indets import T, conn, gauge
+from jetvar.indets import T, conn, gauge, indet_str
 from jetvar.jets import horizontal_projection
 from jetvar.polynomial import Poly
 
@@ -44,6 +46,36 @@ def evaluate(p: Poly, point: dict) -> Fraction:
             val *= point[v] ** e
         total += val
     return total
+
+
+class CyclicSubstitution(JetvarError):
+    """A substitution binding's value mentions another bound indeterminate."""
+
+
+def substitute(p: Poly, bindings: dict) -> Poly:
+    """Simultaneous substitution indeterminate -> Poly.
+
+    A binding value may mention its own key (one-shot replacement, e.g.
+    a -> t*a) but no other bound indeterminate.
+    """
+    bound = set(bindings)
+    for v, q in bindings.items():
+        hit = (q.indets() & bound) - {v}
+        if hit:
+            names = ", ".join(sorted(indet_str(w) for w in hit))
+            raise CyclicSubstitution(
+                f"value bound to {indet_str(v)} mentions bound {names}")
+    powers: dict = {}
+    out = Poly.zero()
+    for m, c in p.terms.items():
+        term = Poly.const(c)
+        for v, e in m:
+            pe = powers.get((v, e))
+            if pe is None:
+                pe = powers[(v, e)] = bindings.get(v, Poly.var(v)) ** e
+            term = term * pe
+        out = out + term
+    return out
 
 
 # -- forms, summed one Poly at a time ------------------------------------
@@ -104,13 +136,11 @@ def contract(X: dict, a: Form) -> Form:
     return out
 
 
-def map_generators(a: Form, image, coeff=None) -> Form:
-    """f dc1 ^ ... ^ dcp -> coeff(f) image(c1) ^ ... ^ image(cp)."""
+def map_generators(a: Form, image) -> Form:
+    """f dc1 ^ ... ^ dcp -> f image(c1) ^ ... ^ image(cp)."""
     images: dict = {}
     out: dict = {}
     for dcs, f in a.terms.items():
-        if coeff is not None:
-            f = coeff(f)
         img = None
         for c in dcs:
             ic = images.get(c)
@@ -125,6 +155,22 @@ def map_generators(a: Form, image, coeff=None) -> Form:
             for key, g in img.terms.items():
                 _accumulate(out, key, f * g)
     return Form(a.chart, a.degree, out)
+
+
+def pullback(a: Form, bindings: dict) -> Form:
+    """Pull back along the map substituting coordinates by bindings.
+
+    Coefficients get the substitution; each differential dc becomes the
+    exterior derivative of its binding value, so unbound coordinates pass
+    through.  A binding may mention its own key and other chart coordinates
+    such as t, so the fiber homotopy a -> B + t(a - B) is a pullback too:
+    its da becomes t da + (a - B) dt + (1 - t) dB.
+    """
+    chart = a.chart
+    return map_generators(
+        a.map_coefficients(lambda f: substitute(f, bindings)),
+        lambda c: forms.exterior_d(
+            Form.from_poly(chart, bindings.get(c, Poly.var(c)))))
 
 
 def invariant_contraction(cs, factors: list) -> Form:
@@ -155,7 +201,7 @@ def homotopy_operator(a: Form, cs) -> Form:
     d/dt and integrated over t in [0, 1]."""
     bindings = {conn(r, mu): cs.interp_poly(r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
-    pulled = forms.pullback(a, bindings)
+    pulled = pullback(a, bindings)
     return forms.contract({T: Poly.const(1)}, pulled).map_coefficients(
         lambda p: p.integrate_t())
 

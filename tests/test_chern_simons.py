@@ -2,9 +2,11 @@
 construction of the CS Lagrangian."""
 
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from jetvar import cli
 from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
 from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
                                  background_curvature,
@@ -13,8 +15,16 @@ from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
                                  cs_lagrangian_direct)
 from jetvar.errors import JetvarError
 from jetvar.forms import exterior_d, lie_derivative_form, wedge
+from jetvar.indets import conn
 from jetvar.variational import Lagrangian, euler_lagrange
 import oracles
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(p.relative_to(ROOT).as_posix()
+                 for d in ("configs", "tests/configs")
+                 for p in (ROOT / d).glob("*.json")
+                 if "algebra" in cli.load_config(str(p)))
 
 
 def _model(alg, inv, k, background="symbolic", h=1):
@@ -78,6 +88,24 @@ def test_characteristic_form_at_the_section_vanishes():
     # a 2k-form pulled back to the (2k-1)-dimensional base
     for args in (("su2", "killing", 2), ("u1", "unit", 3)):
         assert characteristic_at_B(_model(*args)).is_zero()
+
+
+@pytest.mark.parametrize("background", ["symbolic", "zero"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_characteristic_at_B_matches_the_pullback_oracle(name, background):
+    # P(F_B) is a 2k-form on the (2k-1)-dimensional base, so it is zero on
+    # every config; only the curvature comparison tells the slot contraction
+    # of F_B from the zero form
+    cs, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
+                                 background=background))
+    bindings = {conn(r, mu): cs.bg_poly(r, mu)
+                for r in range(cs.algebra.dim) for mu in range(cs.n)}
+    FB = background_curvature(cs)
+    assert [oracles.pullback(f, bindings)
+            for f in canonical_curvature(cs)] == FB
+    assert any(not f.is_zero() for f in FB) == (background == "symbolic")
+    assert characteristic_at_B(cs) == oracles.pullback(characteristic_form(cs),
+                                                       bindings)
 
 
 @pytest.mark.parametrize("alg,inv,k", [

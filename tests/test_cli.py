@@ -183,6 +183,26 @@ def test_dump_writes_full_expressions(tmp_path):
     assert "## primitive" in text
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", ""],
+                         ids=["missing_directory", "directory"])
+@pytest.mark.parametrize("command", ["verify-conservation", "noether"])
+def test_unwritable_dump_exits_2_before_any_output(capsys, tmp_path, command,
+                                                  target):
+    code = cli.main([command, "--config", str(CONFIGS / "u1_k2.json"),
+                     "--dump", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot write dump "), err
+
+
+def test_dump_is_created_when_nothing_is_dumped(capsys, tmp_path):
+    dump = tmp_path / "dump.txt"
+    code = cli.main(["transgression", "--config", str(CONFIGS / "su2_k2.json"),
+                     "--dump", str(dump)])
+    capsys.readouterr()
+    assert code == 0 and dump.read_text() == ""
+
+
 def _main_exit(capsys, tmp_path, command, cfg_obj):
     """Runs cli.main in-process on a config object: (exit code, stderr,
     stdout)."""
