@@ -13,10 +13,10 @@ from .forms import (Chart, Form, contract, exterior_d, lie_derivative_form,
 from .jets import (JetContext, contact_form, horizontal_differential,
                    horizontal_projection, prolong, total_derivative)
 from .polynomial import Poly, Q
-from .variational import (Current, Lagrangian, VerificationReport,
-                          conservation_check, euler_lagrange,
-                          first_variational_check, invariant_sector,
-                          lie_derivative_lagrangian, noether_current,
-                          poincare_cartan, sigma_boundary_term)
+from .variational import (Lagrangian, VerificationReport, conservation_check,
+                          euler_lagrange, first_variational_check,
+                          invariant_sector, lie_derivative_lagrangian,
+                          noether_current, poincare_cartan,
+                          sigma_boundary_term)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, product
 
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
-from .jets import JetContext
+from .jets import JetContext, total_derivative
 from .polynomial import Poly, Q
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
@@ -136,7 +136,6 @@ def gauge_generator(g: LieAlgebraData, ctx: JetContext,
     by default the symbolic xi family is used.  Derivatives of explicit
     parameters are taken with total derivatives (they depend on x only).
     """
-    from .jets import total_derivative
     if g.dim != ctx.gauge_dim:
         raise JetvarError("algebra dimension does not match the jet context")
     out = {}

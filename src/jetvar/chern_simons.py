@@ -31,7 +31,7 @@ class CSData:
 
     def __init__(self, algebra: LieAlgebraData, invariant: InvariantTensor,
                  k: int, background: str = "symbolic", h=1,
-                 ctx: JetContext | None = None, matter_dim: int = 0):
+                 ctx: JetContext | None = None):
         if k < 2:
             raise JetvarError("CS degree k must be >= 2")
         if invariant.degree != k:
@@ -45,8 +45,7 @@ class CSData:
         self.h = Q(h)
         self.b = invariant.scaled(self.h)
         self.invariance_residual = check_invariant_tensor(algebra, invariant)
-        self.ctx = ctx or JetContext(self.n, algebra.dim, matter_dim=matter_dim,
-                                     jet_order=3)
+        self.ctx = ctx or JetContext(self.n, algebra.dim, jet_order=3)
         if self.ctx.n != self.n or self.ctx.gauge_dim != algebra.dim:
             raise JetvarError("jet context does not match the CS data")
 

@@ -27,12 +27,14 @@ from .indets import indet_str
 from .jets import JetContext, horizontal_differential, horizontal_projection
 from .polynomial import Poly
 from .random_inputs import random_density, random_vertical_field
-from .variational import (Current, Lagrangian, conservation_check,
-                          euler_lagrange, first_variational_check,
-                          lie_derivative_lagrangian, noether_current,
-                          sigma_boundary_term)
+from .variational import (Lagrangian, conservation_check, euler_lagrange,
+                          first_variational_check, lie_derivative_lagrangian,
+                          noether_current, sigma_boundary_term)
 
 TRUNCATE_AT = 40
+# Largest CS degree k: a (2k-1) = 15-dimensional base, well past the k = 4
+# frontier; the jet chart of a much larger k does not fit in memory.
+MAX_K = 8
 CONFIG_KEYS = frozenset({"algebra", "invariant", "k", "background", "h",
                          "jet_order", "gauge_params", "selftest_instances",
                          "dimensions"})
@@ -56,10 +58,12 @@ def parse_rational(v, where: str) -> Fraction:
                       f"got {type(v).__name__}")
 
 
-def config_int(v, least: int, what: str) -> int:
-    """v when it is an int >= least; a JSON true is not the int 1."""
-    if type(v) is not int or v < least:
-        raise ConfigError(f"{what} must be an integer >= {least}")
+def config_int(v, least: int, what: str, most: int | None = None) -> int:
+    """v when it is an int >= least (and <= most when given); a JSON true is
+    not the int 1."""
+    if type(v) is not int or v < least or (most is not None and v > most):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ConfigError(f"{what} must be an integer {bound}")
     return v
 
 
@@ -154,7 +158,7 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
 def build_model(cfg: dict) -> tuple:
     """Returns (CSData, invariant tensor name or None)."""
     g = config_algebra(cfg)
-    k = config_int(cfg.get("k"), 2, "k")
+    k = config_int(cfg.get("k"), 2, "k", MAX_K)
     inv, inv_name = config_invariant(cfg, g, k)
     background = cfg.get("background", "symbolic")
     if background not in ("zero", "symbolic"):
@@ -168,14 +172,13 @@ def build_model(cfg: dict) -> tuple:
         raise ConfigError(str(exc)) from exc
 
 
-def config_gauge_params(cfg: dict, cs: CSData) -> tuple:
-    """Returns (xi_C dict, explicit params list or None)."""
+def config_gauge_params(cfg: dict, cs: CSData) -> list | None:
+    """Explicit gauge parameters, or None for the symbolic xi family."""
     mode = cfg.get("gauge_params", "symbolic")
     if mode == "symbolic":
-        return gauge_generator(cs.algebra, cs.ctx), None
+        return None
     if mode == "zero":
-        params = [Poly.zero() for _ in range(cs.algebra.dim)]
-        return gauge_generator(cs.algebra, cs.ctx, params=params), params
+        return [Poly.zero() for _ in range(cs.algebra.dim)]
     raise ConfigError("gauge_params must be 'symbolic' or 'zero'")
 
 
@@ -202,15 +205,14 @@ def note(line: str):
 
 
 def show_poly(label: str, p: Poly, dump: Dump):
-    text = str(p)
-    parts = text.split(" + ")
-    if len(parts) > TRUNCATE_AT:
-        shown = " + ".join(parts[:TRUNCATE_AT])
-        emit(f"{label} = {shown} + ... ({len(parts) - TRUNCATE_AT} more terms"
-             f"{'' if dump.fh else '; pass --dump for the full expression'})")
+    n = p.term_count()
+    if n > TRUNCATE_AT:
+        emit(f"{label} = {p.render(TRUNCATE_AT)} + ... ({n - TRUNCATE_AT} more "
+             f"terms{'' if dump.fh else '; pass --dump for the full expression'})")
     else:
-        emit(f"{label} = {text}")
-    dump.write(label, text)
+        emit(f"{label} = {p}")
+    if dump.fh:
+        dump.write(label, str(p))
 
 
 def show_form(label: str, a: Form, dump: Dump):
@@ -249,7 +251,7 @@ def fails_invariance(cs: CSData) -> bool:
 
 def cmd_check_algebra(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    k = config_int(cfg.get("k", 2), 2, "k")
+    k = config_int(cfg.get("k", 2), 2, "k", MAX_K)
     try:
         g = config_algebra(cfg)
     except (AntisymmetryViolation, JacobiViolation) as exc:
@@ -293,7 +295,7 @@ def cmd_transgression(args, dump: Dump) -> int:
 
 def _el_components(cs: CSData) -> dict:
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    return euler_lagrange(L, cs.ctx)
+    return euler_lagrange(L)
 
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
@@ -330,11 +332,11 @@ def cmd_noether(args, dump: Dump) -> int:
         return 1
     t0 = time.perf_counter()
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    xi_C, _ = config_gauge_params(cfg, cs)
-    J = noether_current(L, xi_C, cs.ctx)
-    for lam, comp in enumerate(J.components):
+    xi_C = gauge_generator(cs.algebra, cs.ctx, config_gauge_params(cfg, cs))
+    J = noether_current(L, xi_C)
+    for lam, comp in enumerate(cs.ctx.current_components(J)):
         show_poly(f"J^{lam}", comp, dump)
-    lie = lie_derivative_lagrangian(L, xi_C, cs.ctx)
+    lie = lie_derivative_lagrangian(L, xi_C)
     show_form("Lie derivative of the Lagrangian", lie, dump)
     note(f"noether: {time.perf_counter() - t0:.2f}s")
     return 0
@@ -346,11 +348,11 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
     from .reference3d import (current_discrepancy_primitive,
                               modified_current_components_3d)
     ctx = cs.ctx
-    got = Current.from_form(ctx, modified)
+    got = ctx.current_components(modified)
     want = modified_current_components_3d(cs.algebra, cs.h)
     all_match = True
     for lam in range(3):
-        d = got.components[lam] - want[lam]
+        d = got[lam] - want[lam]
         if d:
             all_match = False
             show_poly(f"difference from the displayed current at component {lam}",
@@ -359,7 +361,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
         report_line("modified current matches the displayed 3D formula "
                     "term-by-term", True, not any(want))
         return True
-    diff = (got - Current(ctx, want)).form()
+    diff = modified - ctx.current_form(want)
     prim = current_discrepancy_primitive(cs.algebra, cs.h, ctx)
     exact = (diff - horizontal_differential(prim, ctx)).is_zero()
     report_line("difference from the displayed current is d_H-exact", exact)
@@ -379,17 +381,18 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     t0 = time.perf_counter()
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(cs.ctx, horizontal_projection(S, cs.ctx))
-    xi_C, params = config_gauge_params(cfg, cs)
-    sigma = sigma_boundary_term(cs, xi_C, params=params, S=S, L=L)
-    report, modified = conservation_check(L, xi_C, sigma, cs.ctx)
+    params = config_gauge_params(cfg, cs)
+    sigma = sigma_boundary_term(cs, params, S=S, L=L)
+    xi_C = gauge_generator(cs.algebra, cs.ctx, params)
+    report, modified = conservation_check(L, xi_C, sigma)
     ok = report_line("d_H(J - sigma) + u.(delta L) = 0", report.passed,
                      report.vacuous)
     if not report.passed:
-        emit(f"residual ({report.term_counts['residual']} terms):")
-        emit("  " + report.residual[:2000])
-        dump.write("residual", report.residual)
-    comps = Current.from_form(cs.ctx, modified)
-    for lam, comp in enumerate(comps.components):
+        text = str(report.residual)
+        emit(f"residual ({report.residual.term_count()} terms):")
+        emit("  " + text[:2000])
+        dump.write("residual", text)
+    for lam, comp in enumerate(cs.ctx.current_components(modified)):
         show_poly(f"modified current component {lam}", comp, dump)
     if cs.k == 2 and inv_name == "killing" and params is None:
         ok &= _display_diff_3d(cs, modified, dump)
@@ -415,7 +418,7 @@ def cmd_selftest(args, dump: Dump) -> int:
         ctx = ctxs[n]
         L = Lagrangian(ctx, random_density(ctx, rng))
         u = random_vertical_field(ctx, rng)
-        rep = first_variational_check(L, u, ctx)
+        rep = first_variational_check(L, u)
         per_n[n] += 1
         if not rep.passed:
             failures += 1

@@ -48,10 +48,6 @@ def gauge(r: int, D: tuple = ()) -> tuple:
     return (GAUGE, r, len(D)) + D
 
 
-def kind(v: tuple) -> int:
-    return v[0]
-
-
 def multi_index(v: tuple) -> tuple:
     """Derivative multi-index of a jet coordinate or function symbol."""
     k = v[0]

@@ -1,12 +1,14 @@
 """Jet-bundle operators: total derivatives, horizontal projection and
-differential, contact forms, prolongation of vertical fields."""
+differential, contact forms, first prolongation of vertical fields, and
+currents as horizontal (n-1)-forms."""
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
 from .errors import JetOrderExceeded, JetvarError
-from .forms import Chart, Form, differential, map_generators
+from .forms import (Chart, Form, differential, linear_combination,
+                    map_generators)
 from .indets import (AUX, T, X, conn, indet_str, is_field_jet, matter,
                      multi_index, with_extra_deriv, x)
 from .polynomial import Poly, chain_rule
@@ -60,6 +62,21 @@ class JetContext:
         if lam % 2:
             coeff = -coeff
         return Form(self.chart, self.n - 1, {key: coeff} if coeff else None)
+
+    def current_form(self, components: list) -> Form:
+        """The horizontal (n-1)-form J^lam omega_lam of current components."""
+        return linear_combination(self.chart, self.n - 1, (
+            (self.omega_lambda(lam, p), 1) for lam, p in enumerate(components)))
+
+    def current_components(self, a: Form) -> list:
+        """The components J^lam of a horizontal (n-1)-form J^lam omega_lam."""
+        comps = [Poly.zero()] * self.n
+        for dcs, p in a.terms.items():
+            if any(c[0] != X for c in dcs) or len(dcs) != self.n - 1:
+                raise JetvarError("not a horizontal (n-1)-form")
+            (lam,) = set(range(self.n)) - {c[1] for c in dcs}
+            comps[lam] = p if lam % 2 == 0 else -p
+        return comps
 
 
 def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
@@ -126,34 +143,16 @@ def contact_form(c: tuple, ctx: JetContext) -> Form:
     return Form.generator(ctx.chart, c) - _d_H_coordinate(c, ctx)
 
 
-def prolong(u: dict, ctx: JetContext, order: int = 1) -> dict:
-    """Jet prolongation of a vertical field given on order-0 field coordinates.
-
-    Adds the components d_D u^i on every jet coordinate with 1 <= |D| <= order.
-    """
-    if order > ctx.jet_order:
-        raise JetOrderExceeded(f"prolongation order {order} > chart order")
+def prolong(u: dict, ctx: JetContext) -> dict:
+    """First jet prolongation of a vertical field given on order-0 field
+    coordinates: adds the components d_lam u^i on the first-order jets."""
     for c in u:
         if not is_field_jet(c) or multi_index(c):
             raise JetvarError(f"field is not vertical order-0: {indet_str(c)}")
     out = {c: p for c, p in u.items() if p}
-    for c, p in list(u.items()):
-        level = {(): p}
-        for size in range(1, order + 1):
-            nxt = {}
-            for D, comp in level.items():
-                start = D[-1] if D else 0
-                for lam in range(start, ctx.n):
-                    nxt[D + (lam,)] = total_derivative(comp, lam, ctx)
-            level = nxt
-            for D, comp in level.items():
-                if comp:
-                    out[with_extra_deriv_multi(c, D)] = comp
+    for c, p in u.items():
+        for lam in range(ctx.n):
+            comp = total_derivative(p, lam, ctx)
+            if comp:
+                out[with_extra_deriv(c, lam)] = comp
     return out
-
-
-def with_extra_deriv_multi(c: tuple, D: tuple) -> tuple:
-    v = c
-    for lam in D:
-        v = with_extra_deriv(v, lam)
-    return v

@@ -320,19 +320,24 @@ class Poly:
 
     # -- serialization ---------------------------------------------------
 
-    def __str__(self) -> str:
+    def render(self, limit: int | None = None) -> str:
+        """The text of the first limit terms in serialization order, or of
+        every term when limit is None; str(p) is p.render()."""
         if not self.terms:
             return "0"
         def key(m):
             return (-sum(e for _, e in m), m)
         parts = []
-        for m in sorted(self.terms, key=key):
+        for m in sorted(self.terms, key=key)[:limit]:
             c = self.terms[m]
             frag = [f"{c.numerator}/{c.denominator}"]
             for v, e in m:
                 frag.append(indet_str(v) if e == 1 else f"{indet_str(v)}^{e}")
             parts.append("*".join(frag))
         return " + ".join(parts)
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -170,7 +170,7 @@ def test_euler_lagrange_background_independence_u1_k2():
     for background in ("symbolic", "zero"):
         cs = _model("u1", "unit", 2, background=background)
         L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-        els.append(euler_lagrange(L, cs.ctx))
+        els.append(euler_lagrange(L))
     for i in els[0]:
         assert els[0][i] == els[1][i]
 
@@ -183,7 +183,7 @@ def test_abelian_el_components_are_the_contracted_strength():
     h = Q(3, 2)
     cs = _model("u1", "unit", 2, background="zero", h=h)
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    el = euler_lagrange(L, cs.ctx)
+    el = euler_lagrange(L)
     for mu in range(3):
         expected = Poly.zero()
         for be in range(3):

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jetvar import cli
 
@@ -300,3 +302,77 @@ def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
     assert code == 2
     assert message in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("k", [cli.MAX_K + 1, 10**6, 10**30])
+@pytest.mark.parametrize("command", ["check-algebra", "transgression",
+                                     "verify-conservation"])
+def test_k_above_the_bound_exits_2(capsys, tmp_path, command, k):
+    # a huge k overflowed an index, and k = 10^6 hung building the chart
+    code, err, out = _main_exit(capsys, tmp_path, command,
+                                {"algebra": "u1", "invariant": "unit", "k": k})
+    assert code == 2
+    assert f"k must be an integer in 2..{cli.MAX_K}" in err
+    assert out == ""
+
+
+# -- config fuzz: mutated shipped configs never escape as a traceback ------
+
+# the two large models (5D u1+su2, 7D u1) take seconds per run
+FUZZ_SEEDS = [cli.load_config(str(ROOT / path)) for path in sorted(
+    p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
+                                             "jetbench/configs")
+    for p in (ROOT / d).glob("*.json")
+    if p.name not in ("u1su2_k3.json", "u1_k4.json"))]
+# no shipped config spells out its invariant tensor
+FUZZ_SEEDS.append({"algebra": "u1^2", "k": 2, "invariant": {
+    "degree": 2, "entries": [[[0, 0], "1"], [[0, 1], "1/2"]]}})
+FUZZ_VALUES = [None, True, -1, 0, 1, 2, 3, 1.5, "", "x", "1/0", [], [0], {},
+               "su2", "u1^2", "unit", "zero"]
+# 10^30 only for k: no other key turns it into a long valid run
+FUZZ_K_VALUES = FUZZ_VALUES + [10**30]
+FUZZ_KEYS = sorted(cli.CONFIG_KEYS) + ["backgroud", "order"]
+FUZZ_COMMANDS = [["check-algebra"], ["transgression"], ["noether"],
+                 ["euler-lagrange", "--compare-background"],
+                 ["verify-conservation"], ["first-variational-selftest"]]
+
+
+def _index_lists(cfg: dict) -> list:
+    """algebra.constants rows [r, p, q, value] and invariant.entries index
+    lists; a mutation only ever replaces these whole or edits one index."""
+    out = []
+    alg, inv = cfg.get("algebra"), cfg.get("invariant")
+    if isinstance(alg, dict):
+        out += alg.get("constants", [])
+    if isinstance(inv, dict):
+        out += [row[0] for row in inv.get("entries", [])]
+    return out
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "set", "index"]))
+        if kind == "drop" and cfg:
+            del cfg[draw(st.sampled_from(sorted(cfg)))]
+        elif kind == "set":
+            key = draw(st.sampled_from(FUZZ_KEYS))
+            cfg[key] = draw(st.sampled_from(
+                FUZZ_K_VALUES if key == "k" else FUZZ_VALUES))
+        elif kind == "index" and _index_lists(cfg):
+            idx = draw(st.sampled_from(_index_lists(cfg)))
+            j = draw(st.integers(0, min(len(idx), 3) - 1))
+            idx[j] = draw(st.sampled_from(FUZZ_VALUES))
+    return cfg
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_configs_exit_cleanly(capsys, tmp_path, cfg, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([*command, "--config", str(path)])
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), (command, cfg)

@@ -262,7 +262,7 @@ def test_dH_squared_is_zero(rng):
 
 def test_prolongation_components():
     f = Poly.var(conn(0, 0)) * Poly.var(x(1))
-    j = prolong({conn(0, 0): f}, CTX, order=1)
+    j = prolong({conn(0, 0): f}, CTX)
     assert j[conn(0, 0)] == f
     for lam in range(CTX.n):
         assert j[conn(0, 0, (lam,))] == total_derivative(f, lam, CTX)
@@ -275,7 +275,7 @@ def test_prolongation_is_linear(rng):
     v = random_vertical_field(CTX, rng)
     w = {c: u.get(c, Poly.zero()) + v.get(c, Poly.zero())
          for c in set(u) | set(v)}
-    ju, jv, jw = (prolong(z, CTX, order=1) for z in (u, v, w))
+    ju, jv, jw = (prolong(z, CTX) for z in (u, v, w))
     for c in set(ju) | set(jv) | set(jw):
         assert jw.get(c, Poly.zero()) == \
             ju.get(c, Poly.zero()) + jv.get(c, Poly.zero())
@@ -285,16 +285,48 @@ def test_prolongation_preserves_brackets(rng):
     # J1 of [u, v] equals the bracket of the prolongations, componentwise
     u = random_vertical_field(CTX, rng)
     v = random_vertical_field(CTX, rng)
-    ju = prolong(u, CTX, order=1)
-    jv = prolong(v, CTX, order=1)
+    ju = prolong(u, CTX)
+    jv = prolong(v, CTX)
     w = {}
     for c in CTX.field_coords(0):
         comp = apply_derivation(ju, jv.get(c, Poly.zero()).gradient()) \
             - apply_derivation(jv, ju.get(c, Poly.zero()).gradient())
         if comp:
             w[c] = comp
-    jw = prolong(w, CTX, order=1)
+    jw = prolong(w, CTX)
     for c in CTX.field_coords(0) + CTX.field_coords(1):
         direct = apply_derivation(ju, jv.get(c, Poly.zero()).gradient()) \
             - apply_derivation(jv, ju.get(c, Poly.zero()).gradient())
         assert jw.get(c, Poly.zero()) == direct
+
+
+# -- currents as horizontal (n-1)-forms ----------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_current_components_invert_current_form(rng, n):
+    ctx = JetContext(n, 1, matter_dim=1, jet_order=2)
+    pool = [c for c in ctx.chart.coords if c != T]
+    for _ in range(10):
+        comps = [random_poly(pool, rng) if rng.random() < 0.8 else Poly.zero()
+                 for _ in range(n)]
+        assert ctx.current_components(ctx.current_form(comps)) == comps
+
+
+def test_current_form_follows_the_interior_product_sign():
+    # omega_1 = d/dx^1 | dx^0 ^ dx^1 = -dx^0 on a 2D base
+    ctx = JetContext(2, 1, jet_order=2)
+    p = Poly.var(conn(0, 0))
+    assert ctx.current_form([Poly.zero(), p]) == Form(ctx.chart, 1, {(x(0),): -p})
+    assert ctx.current_form([p, Poly.zero()]) == Form(ctx.chart, 1, {(x(1),): p})
+
+
+def test_current_components_reject_other_forms():
+    ctx = JetContext(3, 1, jet_order=2)
+    p = Poly.var(conn(0, 0))
+    with_da = Form(ctx.chart, 2, {(x(0), conn(0, 1)): p})
+    with pytest.raises(JetvarError, match="not a horizontal"):
+        ctx.current_components(with_da)
+    low_degree = Form(ctx.chart, 1, {(x(0),): p})
+    with pytest.raises(JetvarError, match="not a horizontal"):
+        ctx.current_components(low_degree)
