@@ -1,5 +1,5 @@
 """Canonical curvature, characteristic forms, the transgression form with a
-background section, and the resulting Lagrangian on the first jet chart."""
+background section, and the resulting first-order Lagrangian."""
 
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ class CSData:
         self.h = Q(h)
         self.b = invariant.scaled(self.h)
         self.invariance_residual = check_invariant_tensor(algebra, invariant)
-        self.ctx = ctx or JetContext(self.n, algebra.dim, jet_order=3)
+        self.ctx = ctx or JetContext(self.n, algebra.dim)
         if self.ctx.n != self.n or self.ctx.gauge_dim != algebra.dim:
             raise JetvarError("jet context does not match the CS data")
 
@@ -56,9 +56,8 @@ class CSData:
         return Poly.var(bg(r, mu, D))
 
     def potential_one_form(self, r: int) -> Form:
-        ch = self.ctx.chart
         terms = {(x(mu),): Poly.var(conn(r, mu)) for mu in range(self.n)}
-        return Form(ch, 1, terms)
+        return Form(self.ctx, 1, terms)
 
     def background_one_form(self, r: int) -> Form:
         return self._one_form(r, self.bg_poly)
@@ -78,7 +77,7 @@ class CSData:
             p = coeff(r, mu)
             if p:
                 terms[(x(mu),)] = p
-        return Form(self.ctx.chart, 1, terms)
+        return Form(self.ctx, 1, terms)
 
 
 def _curvature(cs: CSData, linear: list, ones: list) -> list:
@@ -86,7 +85,7 @@ def _curvature(cs: CSData, linear: list, ones: list) -> list:
     pairs = [[(f, 1)] for f in linear]
     for (r, p, q), cval in cs.algebra.c.items():
         pairs[r].append((wedge(ones[p], ones[q]), cval / 2))
-    return [linear_combination(cs.ctx.chart, 2, rows) for rows in pairs]
+    return [linear_combination(cs.ctx, 2, rows) for rows in pairs]
 
 
 def _multinomial(idx: tuple) -> int:
@@ -135,7 +134,7 @@ def _slot_contraction(cs: CSData, heads: list, curv: list) -> Form:
                 yield term, bval * _multinomial(rest)
 
     degree = sum(h[0].degree for h in heads) + 2 * (cs.k - j)
-    return linear_combination(cs.ctx.chart, degree, terms())
+    return linear_combination(cs.ctx, degree, terms())
 
 
 def characteristic_form(cs: CSData) -> Form:
@@ -184,7 +183,7 @@ def homotopy(cs: CSData, heads: list = (), curv: list | None = None) -> Form:
 
 
 def cs_form(cs: CSData) -> Form:
-    """S_{2k-1}(B), the transgression form; it lives on the order-0 chart."""
+    """S_{2k-1}(B), the transgression form, in order-0 jet coordinates."""
     return homotopy(cs)
 
 
@@ -196,12 +195,12 @@ def cs_lagrangian(cs: CSData) -> Form:
 def _interp_curvature_horizontal(cs: CSData) -> list:
     """The displayed first-order coefficients: t a^r_{lam;mu} + (1-t) dB, built
     directly from jet coordinates rather than through h0 (cross-check route)."""
-    ch = cs.ctx.chart
+    ctx = cs.ctx
     m = cs.algebra.dim
     # t a^r_{lam;mu} never cancels, so no coefficient is zero
-    linear = [linear_combination(ch, 2, (
-        (wedge(Form(ch, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))}),
-               Form.generator(ch, x(mu))), 1)
+    linear = [linear_combination(ctx, 2, (
+        (wedge(Form(ctx, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))}),
+               Form.generator(ctx, x(mu))), 1)
         for lam in range(cs.n) for mu in range(cs.n))) for r in range(m)]
     return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
 

@@ -33,11 +33,15 @@ from .variational import (Lagrangian, conservation_check, euler_lagrange,
 
 TRUNCATE_AT = 40
 # Largest CS degree k: a (2k-1) = 15-dimensional base, well past the k = 4
-# frontier; the jet chart of a much larger k does not fit in memory.
+# frontier.  The transgression form grows fast with k (u1: 9,520 terms at
+# k = 4, 263,340 at k = 5), so a larger k only hangs, and a huge one
+# overflows building the degree-k invariant tensor.
 MAX_K = 8
+# Largest base dimension, that of k = MAX_K; the self-test's coordinate pools
+# grow quadratically with it.
+MAX_N = 2 * MAX_K - 1
 CONFIG_KEYS = frozenset({"algebra", "invariant", "k", "background", "h",
-                         "jet_order", "gauge_params", "selftest_instances",
-                         "dimensions"})
+                         "gauge_params", "selftest_instances", "dimensions"})
 
 
 # -- config ------------------------------------------------------------
@@ -156,7 +160,8 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
 
 
 def build_model(cfg: dict) -> tuple:
-    """Returns (CSData, invariant tensor name or None)."""
+    """Returns (CSData, invariant tensor name or None, gauge parameters):
+    the parameters are None for the symbolic xi family, or explicit Polys."""
     g = config_algebra(cfg)
     k = config_int(cfg.get("k"), 2, "k", MAX_K)
     inv, inv_name = config_invariant(cfg, g, k)
@@ -164,22 +169,15 @@ def build_model(cfg: dict) -> tuple:
     if background not in ("zero", "symbolic"):
         raise ConfigError("background must be 'zero' or 'symbolic'")
     h = parse_rational(cfg.get("h", 1), "h")
-    jet_order = config_int(cfg.get("jet_order", 3), 2, "jet_order")
-    ctx = JetContext(2 * k - 1, g.dim, jet_order=jet_order)
+    mode = cfg.get("gauge_params", "symbolic")
+    if mode not in ("symbolic", "zero"):
+        raise ConfigError("gauge_params must be 'symbolic' or 'zero'")
+    params = None if mode == "symbolic" else [Poly.zero() for _ in range(g.dim)]
     try:
-        return CSData(g, inv, k, background=background, h=h, ctx=ctx), inv_name
+        cs = CSData(g, inv, k, background=background, h=h)
     except JetvarError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_gauge_params(cfg: dict, cs: CSData) -> list | None:
-    """Explicit gauge parameters, or None for the symbolic xi family."""
-    mode = cfg.get("gauge_params", "symbolic")
-    if mode == "symbolic":
-        return None
-    if mode == "zero":
-        return [Poly.zero() for _ in range(cs.algebra.dim)]
-    raise ConfigError("gauge_params must be 'symbolic' or 'zero'")
+    return cs, inv_name, params
 
 
 # -- output helpers ----------------------------------------------------
@@ -272,7 +270,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
 
 def cmd_transgression(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _ = build_model(cfg)
+    cs, _, _ = build_model(cfg)
     t0 = time.perf_counter()
     P = characteristic_form(cs)
     PB = characteristic_at_B(cs)
@@ -300,7 +298,7 @@ def _el_components(cs: CSData) -> dict:
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _ = build_model(cfg)
+    cs, _, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
@@ -311,7 +309,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
     if args.compare_background:
         cfg0 = dict(cfg)
         cfg0["background"] = "zero"
-        cs0, _ = build_model(cfg0)
+        cs0, _, _ = build_model(cfg0)
         el0 = _el_components(cs0)
         diff_zero = True
         for i in sorted(el):
@@ -327,12 +325,12 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
 
 def cmd_noether(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _ = build_model(cfg)
+    cs, _, params = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
     L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    xi_C = gauge_generator(cs.algebra, cs.ctx, config_gauge_params(cfg, cs))
+    xi_C = gauge_generator(cs.algebra, cs.ctx, params)
     J = noether_current(L, xi_C)
     for lam, comp in enumerate(cs.ctx.current_components(J)):
         show_poly(f"J^{lam}", comp, dump)
@@ -375,13 +373,12 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
 
 def cmd_verify_conservation(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, inv_name = build_model(cfg)
+    cs, inv_name, params = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(cs.ctx, horizontal_projection(S, cs.ctx))
-    params = config_gauge_params(cfg, cs)
     sigma = sigma_boundary_term(cs, params, S=S, L=L)
     xi_C = gauge_generator(cs.algebra, cs.ctx, params)
     report, modified = conservation_check(L, xi_C, sigma)
@@ -406,13 +403,14 @@ def cmd_selftest(args, dump: Dump) -> int:
                            "selftest_instances")
     dims = cfg.get("dimensions", [1, 2, 3])
     if not (isinstance(dims, list) and dims
-            and all(type(d) is int and d >= 1 for d in dims)):
-        raise ConfigError("dimensions must be a nonempty array of positive ints")
+            and all(type(d) is int and 1 <= d <= MAX_N for d in dims)):
+        raise ConfigError(
+            f"dimensions must be a nonempty array of integers in 1..{MAX_N}")
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
     failures = 0
     per_n = {n: 0 for n in dims}
-    ctxs = {n: JetContext(n, 2, matter_dim=1, jet_order=2) for n in dims}
+    ctxs = {n: JetContext(n, 2, matter_dim=1) for n in dims}
     for i in range(instances):
         n = dims[i % len(dims)]
         ctx = ctxs[n]

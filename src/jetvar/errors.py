@@ -5,10 +5,6 @@ class JetvarError(Exception):
     pass
 
 
-class JetOrderExceeded(JetvarError):
-    """An operation needed a jet coordinate beyond the chart's declared order."""
-
-
 class TermLimitExceeded(JetvarError):
     """Term expansion grew past the JETVAR_MAX_TERMS cap."""
 

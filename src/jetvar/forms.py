@@ -1,10 +1,11 @@
-"""Graded exterior algebra with Poly coefficients on a declared chart.
+"""Graded exterior algebra with Poly coefficients on a jet context.
 
-A chart fixes the ordered list of coordinates whose differentials exist as
-generators.  Function symbols (B, xi families) are deliberately NOT chart
-coordinates: they have no differentials of their own, and the exterior
-derivative turns their variation into dx terms via the formal x-derivative
-rule s -> s_{D+lam} dx^lam.  Any other indeterminate off the chart has no
+A form lives on a JetContext, and its generators are the differentials of
+the context's coordinates: `c in ctx` is the coordinate rule.  Function
+symbols (B, xi families) are deliberately NOT coordinates: they have no
+differentials of their own, and the exterior derivative turns their
+variation into dx terms via the formal x-derivative rule
+s -> s_{D+lam} dx^lam.  Any other indeterminate outside the rule has no
 differential, and d raises rather than drop it.
 
 Form terms are keyed by strictly increasing tuples of coordinate
@@ -17,29 +18,9 @@ from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import Poly, add_dicts, chain_rule, mul_dicts
 
-__all__ = ["Chart", "Form", "wedge", "exterior_d", "contract",
+__all__ = ["Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "map_generators",
            "linear_combination"]
-
-
-class Chart:
-    """Ordered coordinate list plus base dimension."""
-
-    __slots__ = ("coords", "n", "coord_set")
-
-    def __init__(self, coords, n: int):
-        coords = tuple(sorted(coords))
-        if len(set(coords)) != len(coords):
-            raise JetvarError("duplicate chart coordinates")
-        self.coords = coords
-        self.coord_set = frozenset(coords)
-        self.n = n
-
-    def __eq__(self, other):
-        return isinstance(other, Chart) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -69,10 +50,13 @@ def _merge_tuples(ta: tuple, tb: tuple):
 
 
 class Form:
-    __slots__ = ("chart", "degree", "terms")
+    """A sum of Poly coefficients times wedges of coordinate differentials,
+    on the JetContext ctx; two forms combine only on equal contexts."""
 
-    def __init__(self, chart: Chart, degree: int, terms: dict | None = None):
-        self.chart = chart
+    __slots__ = ("ctx", "degree", "terms")
+
+    def __init__(self, ctx, degree: int, terms: dict | None = None):
+        self.ctx = ctx
         self.degree = degree
         if terms:
             for dcs in terms:
@@ -82,19 +66,19 @@ class Form:
         self.terms = terms or {}
 
     @classmethod
-    def zero(cls, chart: Chart, degree: int = 0) -> "Form":
-        return cls(chart, degree)
+    def zero(cls, ctx, degree: int = 0) -> "Form":
+        return cls(ctx, degree)
 
     @classmethod
-    def from_poly(cls, chart: Chart, p: Poly) -> "Form":
-        return cls(chart, 0, {(): p} if p else {})
+    def from_poly(cls, ctx, p: Poly) -> "Form":
+        return cls(ctx, 0, {(): p} if p else {})
 
     @classmethod
-    def generator(cls, chart: Chart, c: tuple) -> "Form":
-        """The 1-form dc for a chart coordinate c."""
-        if c not in chart.coord_set:
-            raise JetvarError(f"{indet_str(c)} is not a chart coordinate")
-        return cls(chart, 1, {(c,): Poly.const(1)})
+    def generator(cls, ctx, c: tuple) -> "Form":
+        """The 1-form dc for a coordinate c of ctx."""
+        if c not in ctx:
+            raise JetvarError(f"{indet_str(c)} is not a jet coordinate")
+        return cls(ctx, 1, {(c,): Poly.const(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -103,16 +87,16 @@ class Form:
         return sum(p.term_count() for p in self.terms.values())
 
     def _check(self, other: "Form"):
-        if self.chart != other.chart:
-            raise JetvarError("forms live on different charts")
+        if self.ctx != other.ctx:
+            raise JetvarError("forms live on different jet contexts")
 
     def __add__(self, other: "Form") -> "Form":
         degree = self.degree if self.terms else other.degree
-        return linear_combination(self.chart, degree, ((self, 1), (other, 1)))
+        return linear_combination(self.ctx, degree, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "Form") -> "Form":
         degree = self.degree if self.terms else other.degree
-        return linear_combination(self.chart, degree, ((self, 1), (other, -1)))
+        return linear_combination(self.ctx, degree, ((self, 1), (other, -1)))
 
     def scale(self, c) -> "Form":
         out = {}
@@ -120,10 +104,10 @@ class Form:
             q = p * c
             if q:
                 out[d] = q
-        return Form(self.chart, self.degree, out)
+        return Form(self.ctx, self.degree, out)
 
     def __eq__(self, other):
-        return (isinstance(other, Form) and self.chart == other.chart
+        return (isinstance(other, Form) and self.ctx == other.ctx
                 and self.terms == other.terms)
 
     __hash__ = None  # mutable terms dict; identity hashing would mislead
@@ -137,7 +121,7 @@ class Form:
             q = fn(p)
             if q:
                 out[d] = q
-        return Form(self.chart, self.degree, out)
+        return Form(self.ctx, self.degree, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -156,26 +140,26 @@ class Form:
         return f"Form(deg={self.degree}, {self})"
 
 
-def _wrap(chart: Chart, degree: int, raw: dict) -> Form:
+def _wrap(ctx, degree: int, raw: dict) -> Form:
     """The form whose coefficients are the raw term dicts raw[key]; empty
     dicts are dropped."""
-    return Form(chart, degree, {key: Poly(t) for key, t in raw.items() if t})
+    return Form(ctx, degree, {key: Poly(t) for key, t in raw.items() if t})
 
 
-def linear_combination(chart: Chart, degree: int, pairs) -> Form:
+def linear_combination(ctx, degree: int, pairs) -> Form:
     """The sum of c * a over the (a, c) pairs, c rational, as a form of the
     given degree (a zero a may have any degree), built in one term dict per
     generator tuple.  pairs may be a generator: each a is then dropped once
     it is summed."""
     out: dict = {}
     for a, c in pairs:
-        if a.chart != chart:
-            raise JetvarError("forms live on different charts")
+        if a.ctx != ctx:
+            raise JetvarError("forms live on different jet contexts")
         if a.terms and a.degree != degree:
             raise JetvarError("degree mismatch in form addition")
         for dcs, p in a.terms.items():
             add_dicts(out.setdefault(dcs, {}), p.terms, c)
-    return _wrap(chart, degree, out)
+    return _wrap(ctx, degree, out)
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -188,13 +172,13 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             dcs, sign = merged
             mul_dicts(fa.terms, fb.terms, out.setdefault(dcs, {}), sign)
-    return _wrap(a.chart, a.degree + b.degree, out)
+    return _wrap(a.ctx, a.degree + b.degree, out)
 
 
 def differential(a: Form, image) -> Form:
     """d(f dcs) = df ^ dcs for the derivation with dv = image(v).
 
-    image(v) lists (c, lift) pairs meaning dv = sum lift dc over chart
+    image(v) lists (c, lift) pairs meaning dv = sum lift dc over coordinate
     generators c, where lift is None for 1 or a shared (w, 1) pair for the
     indeterminate w; it is called once per indeterminate per call.  Each
     coefficient is walked once by the chain-rule kernel, and a partial whose
@@ -221,21 +205,21 @@ def differential(a: Form, image) -> Form:
             return r
 
         chain_rule(f.terms, route)
-    return _wrap(a.chart, a.degree + 1, out)
+    return _wrap(a.ctx, a.degree + 1, out)
 
 
 def exterior_d(a: Form) -> Form:
-    """d by the chain rule: a chart coordinate v gives dv, a function symbol
-    s gives s_{D+lam} dx^lam; any other indeterminate raises."""
-    chart = a.chart
+    """d by the chain rule: a coordinate v gives dv, a function symbol s
+    gives s_{D+lam} dx^lam; any other indeterminate raises."""
+    ctx = a.ctx
 
     def image(v):
-        if v in chart.coord_set:
+        if v in ctx:
             return ((v, None),)
         if v[0] in (BG, GAUGE):
             return tuple((x(lam), (with_extra_deriv(v, lam), 1))
-                         for lam in range(chart.n))
-        raise JetvarError(f"d{indet_str(v)} is not a chart differential")
+                         for lam in range(ctx.n))
+        raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 
     return differential(a, image)
 
@@ -243,7 +227,7 @@ def exterior_d(a: Form) -> Form:
 def contract(X: dict, a: Form) -> Form:
     """Interior product with the vector field of components X: coord -> Poly."""
     if a.degree == 0:
-        return Form.zero(a.chart, 0)
+        return Form.zero(a.ctx, 0)
     out: dict = {}
     for dcs, f in a.terms.items():
         for j, c in enumerate(dcs):
@@ -252,7 +236,7 @@ def contract(X: dict, a: Form) -> Form:
                 continue
             key = dcs[:j] + dcs[j + 1:]
             mul_dicts(comp.terms, f.terms, out.setdefault(key, {}), -1 if j & 1 else 1)
-    return _wrap(a.chart, a.degree - 1, out)
+    return _wrap(a.ctx, a.degree - 1, out)
 
 
 def lie_derivative_form(X: dict, a: Form) -> Form:
@@ -294,4 +278,4 @@ def map_generators(a: Form, image) -> Form:
         else:
             for key, g in img.terms.items():
                 mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
-    return _wrap(a.chart, a.degree, out)
+    return _wrap(a.ctx, a.degree, out)

@@ -1,7 +1,7 @@
 """Indexed indeterminates.
 
 An indeterminate is a plain tuple of small ints whose natural tuple order
-IS the canonical total order used everywhere (monomial sorting, chart
+IS the canonical total order used everywhere (monomial sorting, coordinate
 ordering, serialization).  The first entry is a kind rank:
 
     0  x[lam]              base coordinate x^lam

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import JetOrderExceeded, JetvarError
-from .forms import (Chart, Form, differential, linear_combination,
-                    map_generators)
-from .indets import (AUX, T, X, conn, indet_str, is_field_jet, matter,
-                     multi_index, with_extra_deriv, x)
+from .errors import JetvarError
+from .forms import Form, differential, linear_combination, map_generators
+from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
+                     matter, multi_index, with_extra_deriv, x)
 from .polynomial import Poly, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "horizontal_projection",
@@ -18,42 +17,57 @@ __all__ = ["JetContext", "total_derivative", "horizontal_projection",
 
 
 class JetContext:
-    """Base dimension, field content, jet order, and the generated chart.
+    """Base dimension and field content of the infinite jet bundle J^inf.
 
     The connection block contributes a^r_mu for r < gauge_dim, mu < n; the
-    optional matter block contributes z^A for A < matter_dim.  All jet
-    coordinates with |D| <= jet_order are chart coordinates, as is the
-    auxiliary scalar t (so the transgression homotopy has a dt generator).
+    optional matter block contributes z^A for A < matter_dim.  Coordinates
+    follow a rule, not a list: x^lam for lam < n, the auxiliary scalar t (so
+    the transgression homotopy has a dt generator), and every jet
+    a^r_{D;mu}, z^A_D whose indices are in range, at any order |D|.
+    Contexts with the same (n, gauge_dim, matter_dim) are equal.
     """
 
-    def __init__(self, n: int, gauge_dim: int, matter_dim: int = 0,
-                 jet_order: int = 3):
-        if jet_order < 1:
-            raise JetvarError("jet order must be >= 1")
+    def __init__(self, n: int, gauge_dim: int, matter_dim: int = 0):
         self.n = n
         self.gauge_dim = gauge_dim
         self.matter_dim = matter_dim
-        self.jet_order = jet_order
-        coords = [x(lam) for lam in range(n)]
-        coords.append(T)
-        for size in range(jet_order + 1):
-            for D in combinations_with_replacement(range(n), size):
-                for r in range(gauge_dim):
-                    for mu in range(n):
-                        coords.append(conn(r, mu, D))
-                for A in range(matter_dim):
-                    coords.append(matter(A, D))
-        self.chart = Chart(coords, n)
+
+    def _key(self) -> tuple:
+        return (self.n, self.gauge_dim, self.matter_dim)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, JetContext)
+                                 and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __contains__(self, c: tuple) -> bool:
+        """The coordinate rule."""
+        kind = c[0]
+        if kind == X:
+            return 0 <= c[1] < self.n
+        if kind == AUX:
+            return True
+        if kind == CONN:
+            fiber = 0 <= c[1] < self.gauge_dim and 0 <= c[2] < self.n
+        elif kind == MATTER:
+            fiber = 0 <= c[1] < self.matter_dim
+        else:
+            return False
+        return fiber and all(0 <= d < self.n for d in multi_index(c))
 
     def field_coords(self, order: int = 0) -> list:
-        """Field coordinates of exactly the given jet order, chart order."""
-        return [c for c in self.chart.coords
-                if is_field_jet(c) and len(multi_index(c)) == order]
+        """Field coordinates of exactly the given jet order, sorted."""
+        Ds = list(combinations_with_replacement(range(self.n), order))
+        return ([conn(r, mu, D) for r in range(self.gauge_dim)
+                 for mu in range(self.n) for D in Ds]
+                + [matter(A, D) for A in range(self.matter_dim) for D in Ds])
 
     def volume_form(self, coeff: Poly) -> Form:
         """coeff * omega, omega = d^n x."""
         key = tuple(x(lam) for lam in range(self.n))
-        return Form(self.chart, self.n, {key: coeff} if coeff else None)
+        return Form(self, self.n, {key: coeff} if coeff else None)
 
     def omega_lambda(self, lam: int, coeff: Poly) -> Form:
         """coeff * omega_lam, omega_lam = d/dx^lam | omega (interior product
@@ -61,11 +75,11 @@ class JetContext:
         key = tuple(x(nu) for nu in range(self.n) if nu != lam)
         if lam % 2:
             coeff = -coeff
-        return Form(self.chart, self.n - 1, {key: coeff} if coeff else None)
+        return Form(self, self.n - 1, {key: coeff} if coeff else None)
 
     def current_form(self, components: list) -> Form:
         """The horizontal (n-1)-form J^lam omega_lam of current components."""
-        return linear_combination(self.chart, self.n - 1, (
+        return linear_combination(self, self.n - 1, (
             (self.omega_lambda(lam, p), 1) for lam, p in enumerate(components)))
 
     def current_components(self, a: Form) -> list:
@@ -87,9 +101,6 @@ def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
         return ((v, None),)
     if k == AUX:
         return ()
-    if is_field_jet(v) and len(multi_index(v)) >= ctx.jet_order:
-        raise JetOrderExceeded(
-            f"total derivative of expression containing top-order {indet_str(v)}")
     return tuple((x(lam), (with_extra_deriv(v, lam), 1)) for lam in range(ctx.n))
 
 
@@ -121,8 +132,8 @@ def horizontal_differential(a: Form, ctx: JetContext) -> Form:
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
-    """d_H c as a 1-form; raises JetOrderExceeded for a top-order jet."""
-    return horizontal_differential(Form.from_poly(ctx.chart, Poly.var(c)), ctx)
+    """d_H c as a 1-form."""
+    return horizontal_differential(Form.from_poly(ctx, Poly.var(c)), ctx)
 
 
 def horizontal_projection(a: Form, ctx: JetContext) -> Form:
@@ -137,10 +148,10 @@ def horizontal_projection(a: Form, ctx: JetContext) -> Form:
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:
-    """theta^c = dc - d_H c for a fiber coordinate below top order."""
+    """theta^c = dc - d_H c for a fiber coordinate c."""
     if not is_field_jet(c):
         raise JetvarError(f"{indet_str(c)} is not a field coordinate")
-    return Form.generator(ctx.chart, c) - _d_H_coordinate(c, ctx)
+    return Form.generator(ctx, c) - _d_H_coordinate(c, ctx)
 
 
 def prolong(u: dict, ctx: JetContext) -> dict:

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from .forms import Form
-from .indets import is_field_jet, multi_index
+from .indets import x
 from .jets import JetContext
 from .polynomial import Poly
 
@@ -34,21 +34,20 @@ def random_poly(pool: list, rng: random.Random, max_monomials: int = 3,
     return out
 
 
-def _order01_pool(ctx: JetContext) -> list:
-    pool = [c for c in ctx.chart.coords
-            if c[0] == 0 or (is_field_jet(c) and len(multi_index(c)) <= 1)]
-    return pool
+def _pool(ctx: JetContext, top_order: int) -> list:
+    """x^lam and the field jets of order <= top_order, sorted."""
+    return sorted([x(lam) for lam in range(ctx.n)]
+                  + [c for k in range(top_order + 1) for c in ctx.field_coords(k)])
 
 
 def random_density(ctx: JetContext, rng: random.Random) -> Poly:
     """A first-order polynomial Lagrangian density."""
-    return random_poly(_order01_pool(ctx), rng, max_monomials=4)
+    return random_poly(_pool(ctx, 1), rng, max_monomials=4)
 
 
 def random_vertical_field(ctx: JetContext, rng: random.Random) -> dict:
     """Components u^i(x, fields) on the order-0 field coordinates."""
-    pool = [c for c in ctx.chart.coords
-            if c[0] == 0 or (is_field_jet(c) and not multi_index(c))]
+    pool = _pool(ctx, 0)
     out = {}
     for i in ctx.field_coords(0):
         if rng.random() < 0.25:
@@ -61,14 +60,13 @@ def random_form(ctx: JetContext, degree: int, rng: random.Random,
                 max_summands: int = 3, pool: list | None = None) -> Form:
     """Random form whose generators are drawn from pool (default: x and
     order-0 fields) with random polynomial coefficients."""
-    gens = pool or [c for c in ctx.chart.coords
-                    if c[0] == 0 or (is_field_jet(c) and not multi_index(c))]
-    coeff_pool = _order01_pool(ctx)
-    out = Form.zero(ctx.chart, degree)
+    gens = pool or _pool(ctx, 0)
+    coeff_pool = _pool(ctx, 1)
+    out = Form.zero(ctx, degree)
     for _ in range(rng.randint(1, max_summands)):
         if degree > len(gens):
             break
         dcs = tuple(sorted(rng.sample(gens, degree)))
         p = random_poly(coeff_pool, rng, max_monomials=2)
-        out = out + Form(ctx.chart, degree, {dcs: p} if p else {})
+        out = out + Form(ctx, degree, {dcs: p} if p else {})
     return out

@@ -184,4 +184,4 @@ def current_discrepancy_primitive(g: LieAlgebraData, h: Fraction,
                     s = s - 2 * h * kappa[m][n_] * _XI(m) * _B(n_, ga)
         if s:
             terms[(x(ga),)] = s
-    return Form(ctx.chart, 1, terms)
+    return Form(ctx, 1, terms)

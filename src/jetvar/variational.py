@@ -96,7 +96,7 @@ def poincare_cartan(L: Lagrangian) -> Form:
                 if dldj:
                     yield wedge(contact_form(i, ctx), ctx.omega_lambda(lam, dldj)), 1
 
-    return linear_combination(ctx.chart, ctx.n, pieces())
+    return linear_combination(ctx, ctx.n, pieces())
 
 
 def noether_current(L: Lagrangian, u: dict) -> Form:
@@ -164,7 +164,7 @@ def sigma_boundary_term(cs: CSData, params: list | None = None,
     xi_C = gauge_generator(cs.algebra, ctx, params)
     xi = params if params is not None else [
         Poly.var(gauge(r)) for r in range(cs.algebra.dim)]
-    head = [Form.from_poly(ctx.chart, p * cs.k) for p in xi]
+    head = [Form.from_poly(ctx, p * cs.k) for p in xi]
     psi = _slot_contraction(cs, [head], canonical_curvature(cs))
     residual = exterior_d(psi) - contract(xi_C, exterior_d(S))
     if not residual.is_zero():

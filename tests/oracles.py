@@ -18,7 +18,7 @@ from jetvar.chern_simons import (_multinomial, _slot_contraction,
                                  background_curvature, cs_form)
 from jetvar.errors import JetvarError, NonzeroResidual
 from jetvar.forms import Form, _merge_tuples
-from jetvar.indets import T, conn, gauge, indet_str
+from jetvar.indets import T, conn, gauge, indet_str, matter, x
 from jetvar.jets import horizontal_projection
 from jetvar.polynomial import Poly
 
@@ -78,6 +78,24 @@ def substitute(p: Poly, bindings: dict) -> Poly:
     return out
 
 
+# -- the jet chart, enumerated --------------------------------------------
+
+
+def jet_chart(ctx, max_order: int) -> list:
+    """Every coordinate of ctx with jet order <= max_order, listed one by
+    one and sorted: x^lam, t, then each a^r_{D;mu} and z^A_D."""
+    coords = [x(lam) for lam in range(ctx.n)]
+    coords.append(T)
+    for size in range(max_order + 1):
+        for D in combinations_with_replacement(range(ctx.n), size):
+            for r in range(ctx.gauge_dim):
+                for mu in range(ctx.n):
+                    coords.append(conn(r, mu, D))
+            for A in range(ctx.matter_dim):
+                coords.append(matter(A, D))
+    return sorted(coords)
+
+
 # -- forms, summed one Poly at a time ------------------------------------
 
 
@@ -103,7 +121,7 @@ def add_forms(a: Form, b: Form) -> Form:
     out = dict(a.terms)
     for dcs, p in b.terms.items():
         _accumulate(out, dcs, p)
-    return Form(a.chart, a.degree, out)
+    return Form(a.ctx, a.degree, out)
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -116,14 +134,14 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             dcs, sign = merged
             _accumulate(out, dcs, fa * fb if sign > 0 else -(fa * fb))
-    return Form(a.chart, a.degree + b.degree, out)
+    return Form(a.ctx, a.degree + b.degree, out)
 
 
 def contract(X: dict, a: Form) -> Form:
     """Interior product with the vector field of components X: coord -> Poly."""
     if a.degree == 0:
-        return Form.zero(a.chart, 0)
-    out = Form.zero(a.chart, a.degree - 1)
+        return Form.zero(a.ctx, 0)
+    out = Form.zero(a.ctx, a.degree - 1)
     for dcs, f in a.terms.items():
         for j, c in enumerate(dcs):
             comp = X.get(c)
@@ -154,7 +172,7 @@ def map_generators(a: Form, image) -> Form:
         else:
             for key, g in img.terms.items():
                 _accumulate(out, key, f * g)
-    return Form(a.chart, a.degree, out)
+    return Form(a.ctx, a.degree, out)
 
 
 def pullback(a: Form, bindings: dict) -> Form:
@@ -162,22 +180,21 @@ def pullback(a: Form, bindings: dict) -> Form:
 
     Coefficients get the substitution; each differential dc becomes the
     exterior derivative of its binding value, so unbound coordinates pass
-    through.  A binding may mention its own key and other chart coordinates
+    through.  A binding may mention its own key and other coordinates
     such as t, so the fiber homotopy a -> B + t(a - B) is a pullback too:
     its da becomes t da + (a - B) dt + (1 - t) dB.
     """
-    chart = a.chart
     return map_generators(
         a.map_coefficients(lambda f: substitute(f, bindings)),
         lambda c: forms.exterior_d(
-            Form.from_poly(chart, bindings.get(c, Poly.var(c)))))
+            Form.from_poly(a.ctx, bindings.get(c, Poly.var(c)))))
 
 
 def invariant_contraction(cs, factors: list) -> Form:
     """b_{r1..rk} factors^{r1} ^ ... ^ factors^{rk} summed over ordered index
     tuples, with multiset enumeration and multinomial weights (all factors
     are even)."""
-    out = Form.zero(cs.ctx.chart, 2 * cs.k)
+    out = Form.zero(cs.ctx, 2 * cs.k)
     for idx in combinations_with_replacement(range(cs.algebra.dim), cs.k):
         bval = cs.b.value(idx)
         if not bval:
@@ -226,7 +243,7 @@ def gauge_head(cs, params: list | None = None) -> list:
     """k xi^r as 0-forms: the head slot of the descent primitive."""
     xi = [Poly.var(gauge(r)) for r in range(cs.algebra.dim)] \
         if params is None else params
-    return [Form.from_poly(cs.ctx.chart, p * cs.k) for p in xi]
+    return [Form.from_poly(cs.ctx, p * cs.k) for p in xi]
 
 
 def section_correction(cs, params: list | None = None) -> Form:
@@ -236,7 +253,7 @@ def section_correction(cs, params: list | None = None) -> Form:
     section (Bianchi plus ad-invariance), the boundary piece the scaling
     homotopy cannot see.  Vanishes identically for B = 0."""
     if cs.background == "zero":
-        return Form.zero(cs.ctx.chart, 2 * cs.k - 2)
+        return Form.zero(cs.ctx, 2 * cs.k - 2)
     return _slot_contraction(cs, [gauge_head(cs, params)],
                              background_curvature(cs))
 

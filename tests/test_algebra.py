@@ -103,7 +103,7 @@ def test_cubic_tensor_on_u1su2_is_invariant():
 
 def test_gauge_generator_components():
     g = builtin_algebra("su2")
-    ctx = JetContext(3, 3, jet_order=2)
+    ctx = JetContext(3, 3)
     xi_C = gauge_generator(g, ctx)
     comp = xi_C[conn(0, 1)]
     expected = Poly.var(gauge(0, (1,))) \
@@ -114,7 +114,7 @@ def test_gauge_generator_components():
 
 def test_gauge_generator_with_explicit_params():
     g = builtin_algebra("u1")
-    ctx = JetContext(3, 1, jet_order=2)
+    ctx = JetContext(3, 1)
     from jetvar.indets import x
     params = [Poly.var(x(0)) * Poly.var(x(2))]
     xi_C = gauge_generator(g, ctx, params=params)
@@ -126,7 +126,7 @@ def test_gauge_generator_with_explicit_params():
 def test_gauge_generators_close_under_the_section_bracket():
     # [xi_C, eta_C] = ([xi,eta])_C on x-dependent parameters
     g = builtin_algebra("su2")
-    ctx = JetContext(3, 3, jet_order=2)
+    ctx = JetContext(3, 3)
     from jetvar.indets import x
     xi = [Poly.var(x(0)), Poly.var(x(1), 2), Poly.const(Q(1, 2))]
     eta = [Poly.var(x(2)), Poly.const(1), Poly.var(x(0)) * Poly.var(x(1))]

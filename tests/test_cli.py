@@ -281,6 +281,36 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, command):
     assert out == ""
 
 
+def test_jet_order_is_an_unknown_key(capsys, tmp_path):
+    # the jet chart is J^inf; a large jet order once hung building a chart
+    code, err, out = _main_exit(capsys, tmp_path, "verify-conservation", {
+        "algebra": "u1+su2", "invariant": "u1su2-cubic", "k": 3,
+        "jet_order": 40})
+    assert code == 2
+    assert "unknown key 'jet_order'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["transgression", "euler-lagrange",
+                                     "noether", "verify-conservation"])
+def test_bad_gauge_params_exit_2(capsys, tmp_path, command):
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": "u1", "invariant": "unit", "k": 2, "gauge_params": "bogus"})
+    assert code == 2
+    assert "gauge_params must be" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", [cli.MAX_N + 1, 10**30])
+def test_dimension_above_the_bound_exits_2(capsys, tmp_path, n):
+    # the self-test's coordinate pools grow quadratically with n
+    code, err, out = _main_exit(capsys, tmp_path, "first-variational-selftest",
+                                {"selftest_instances": 1, "dimensions": [n]})
+    assert code == 2
+    assert f"integers in 1..{cli.MAX_N}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("path", sorted(
     p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
                                              "jetbench/configs")
@@ -308,7 +338,7 @@ def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
 @pytest.mark.parametrize("command", ["check-algebra", "transgression",
                                      "verify-conservation"])
 def test_k_above_the_bound_exits_2(capsys, tmp_path, command, k):
-    # a huge k overflowed an index, and k = 10^6 hung building the chart
+    # a huge k overflowed an index, and k = 10^6 hung
     code, err, out = _main_exit(capsys, tmp_path, command,
                                 {"algebra": "u1", "invariant": "unit", "k": k})
     assert code == 2
@@ -331,7 +361,7 @@ FUZZ_VALUES = [None, True, -1, 0, 1, 2, 3, 1.5, "", "x", "1/0", [], [0], {},
                "su2", "u1^2", "unit", "zero"]
 # 10^30 only for k: no other key turns it into a long valid run
 FUZZ_K_VALUES = FUZZ_VALUES + [10**30]
-FUZZ_KEYS = sorted(cli.CONFIG_KEYS) + ["backgroud", "order"]
+FUZZ_KEYS = sorted(cli.CONFIG_KEYS) + ["backgroud", "order", "jet_order"]
 FUZZ_COMMANDS = [["check-algebra"], ["transgression"], ["noether"],
                  ["euler-lagrange", "--compare-background"],
                  ["verify-conservation"], ["first-variational-selftest"]]

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
                           map_generators, wedge)
-from jetvar.indets import T, bg, conn, gauge, indet_str, with_extra_deriv, x
+from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
+                           with_extra_deriv, x)
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly
 import oracles
 from oracles import pullback
 
-CTX = JetContext(2, 1, jet_order=2)
-CH = CTX.chart
+CTX = JetContext(2, 1)
+COORDS = oracles.jet_chart(CTX, 2)
 
 
 def _forms(rng, degree, count=6):
@@ -47,22 +48,24 @@ def test_one_form_squares_to_zero(rng):
 
 def test_duplicate_generator_rejected():
     with pytest.raises(JetvarError):
-        Form(CH, 2, {(x(0), x(0)): Poly.const(1)})
+        Form(CTX, 2, {(x(0), x(0)): Poly.const(1)})
     with pytest.raises(JetvarError):
-        Form(CH, 2, {(x(1), x(0)): Poly.const(1)})
+        Form(CTX, 2, {(x(1), x(0)): Poly.const(1)})
 
 
 def test_form_sums_check_degree_and_chart():
-    dx0 = Form.generator(CH, x(0))
-    dx01 = wedge(dx0, Form.generator(CH, x(1)))
+    dx0 = Form.generator(CTX, x(0))
+    dx01 = wedge(dx0, Form.generator(CTX, x(1)))
     with pytest.raises(JetvarError):
         dx0 + dx01
     with pytest.raises(JetvarError):
         dx01 - dx0
     with pytest.raises(JetvarError):
-        dx0 + Form.zero(JetContext(3, 1, jet_order=2).chart, 1)
+        dx0 + Form.zero(JetContext(3, 1), 1)
+    # contexts with the same dimensions are the same context
+    assert dx0 + Form.zero(JetContext(2, 1), 1) == dx0
     # a zero form of any degree adds nothing
-    for s in (dx0 + Form.zero(CH, 2), Form.zero(CH, 2) + dx0, dx0 - Form.zero(CH)):
+    for s in (dx0 + Form.zero(CTX, 2), Form.zero(CTX, 2) + dx0, dx0 - Form.zero(CTX)):
         assert s == dx0 and s.degree == 1
 
 
@@ -73,46 +76,49 @@ def test_d_squared_is_zero(rng):
 
 
 def test_d_squared_is_zero_with_function_symbols():
-    # B and xi are not chart coordinates: d sends them to dx terms
+    # B and xi are not coordinates: d sends them to dx terms
     f = Poly.var(bg(0, 0)) * Poly.var(gauge(0)) + Poly.var(bg(0, 1), 2)
-    a = Form.from_poly(CH, f)
+    a = Form.from_poly(CTX, f)
     assert exterior_d(exterior_d(a)).is_zero()
-    b = wedge(exterior_d(a), Form.generator(CH, conn(0, 0)))
+    b = wedge(exterior_d(a), Form.generator(CTX, conn(0, 0)))
     assert exterior_d(exterior_d(b)).is_zero()
 
 
-@pytest.mark.parametrize("v", [conn(0, 0, (0, 0, 0)), x(5)])
+# CTX has n = 2, one gauge index and no matter
+@pytest.mark.parametrize("v", [x(2), conn(1, 0), conn(0, 0, (2,)), matter(0)])
 def test_d_of_an_off_chart_coordinate_raises(v):
     # a dropped differential could make a residual vacuously zero
-    assert v not in CH.coord_set
+    assert v not in CTX
     with pytest.raises(JetvarError, match=re.escape(indet_str(v))):
-        exterior_d(Form.from_poly(CH, Poly.var(v)))
+        Form.generator(CTX, v)
+    with pytest.raises(JetvarError, match=re.escape(indet_str(v))):
+        exterior_d(Form.from_poly(CTX, Poly.var(v)))
 
 
 def _d_coefficient_oracle(f: Poly) -> Form:
-    """The gradient route: (df/dv) dv for a chart coordinate v, and
+    """The gradient route: (df/dv) dv for a coordinate v, and
     (df/ds) * s_{D+lam} dx^lam, built as a Poly product, for a symbol s."""
-    out = Form.zero(CH, 1)
+    out = Form.zero(CTX, 1)
     for v, g in f.gradient().items():
-        if v in CH.coord_set:
-            out = out + Form(CH, 1, {(v,): g})
+        if v in CTX:
+            out = out + Form(CTX, 1, {(v,): g})
         else:
-            for lam in range(CH.n):
-                out = out + Form(CH, 1, {(x(lam),): g * Poly.var(
+            for lam in range(CTX.n):
+                out = out + Form(CTX, 1, {(x(lam),): g * Poly.var(
                     with_extra_deriv(v, lam))})
     return out
 
 
 def _exterior_d_oracle(a: Form) -> Form:
-    out = Form.zero(CH, a.degree + 1)
+    out = Form.zero(CTX, a.degree + 1)
     for dcs, f in a.terms.items():
         out = out + wedge(_d_coefficient_oracle(f),
-                          Form(CH, len(dcs), {dcs: Poly.const(1)}))
+                          Form(CTX, len(dcs), {dcs: Poly.const(1)}))
     return out
 
 
 # gauge(0, (0,)) is also the x^0-derivative of gauge(0)
-D_POOL = list(CH.coords) + [bg(0, 0), bg(0, 1, (0, 1)), gauge(0),
+D_POOL = list(COORDS) + [bg(0, 0), bg(0, 1, (0, 1)), gauge(0),
                             gauge(0, (0,)), gauge(0, (1, 1, 1))]
 
 
@@ -128,9 +134,9 @@ def d_forms(draw):
                 term = term * Poly.var(draw(st.sampled_from(D_POOL)),
                                        draw(st.integers(1, 3)))
             p = p + term
-        dcs = (draw(st.sampled_from(CH.coords)),) if degree else ()
+        dcs = (draw(st.sampled_from(COORDS)),) if degree else ()
         terms[dcs] = terms.get(dcs, Poly.zero()) + p
-    return Form(CH, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX, degree, {d: p for d, p in terms.items() if p})
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,9 +149,9 @@ def test_term_cap_stops_exterior_d(monkeypatch):
     # exterior_d makes no Poly sum or product, so the chain rule itself must
     # hold the cap: d(x0 a0 a1) has three one-term coefficients and passes,
     # d(x1 B) = B dx1 + x1 B_{;0} dx0 + x1 B_{;1} dx1 has two terms on dx1
-    a = Form.from_poly(CH, Poly.var(x(0)) * Poly.var(conn(0, 0))
+    a = Form.from_poly(CTX, Poly.var(x(0)) * Poly.var(conn(0, 0))
                        * Poly.var(conn(0, 1)))
-    f = Form.from_poly(CH, Poly.var(x(1)) * Poly.var(bg(0, 0)))
+    f = Form.from_poly(CTX, Poly.var(x(1)) * Poly.var(bg(0, 0)))
     monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
     assert exterior_d(a).term_count() == 3
     with pytest.raises(TermLimitExceeded):
@@ -155,8 +161,8 @@ def test_term_cap_stops_exterior_d(monkeypatch):
 def test_term_cap_stops_wedge_and_contract(monkeypatch):
     # (a0 + a1) dx0 ^ (x1 + B) dx1 has four terms on dx0^dx1, and the
     # contraction of that 2-form by x0 d/dx0 has four on dx1
-    a = Form(CH, 1, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
-    b = Form(CH, 1, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
+    a = Form(CTX, 1, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
+    b = Form(CTX, 1, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
     X = {x(0): Poly.var(x(0))}
     monkeypatch.setenv("JETVAR_MAX_TERMS", "4")
     ab = wedge(a, b)
@@ -178,7 +184,7 @@ def test_leibniz_rule(rng):
 
 
 def _vector(rng):
-    pool = [c for c in CH.coords]
+    pool = list(COORDS)
     return {c: random_poly(pool, rng, max_monomials=2) for c in
             rng.sample(pool, 3)}
 
@@ -237,12 +243,12 @@ def test_pullback_commutes_with_d(rng):
 def _pullback_oracle(a: Form, bindings: dict) -> Form:
     """The wedge loop: the substituted coefficient as a 0-form, wedged in
     turn with the image of each generator."""
-    out = Form.zero(CH, a.degree)
+    out = Form.zero(CTX, a.degree)
     for dcs, f in a.terms.items():
-        acc = Form.from_poly(CH, oracles.substitute(f, bindings))
+        acc = Form.from_poly(CTX, oracles.substitute(f, bindings))
         for c in dcs:
-            img = (exterior_d(Form.from_poly(CH, bindings[c]))
-                   if c in bindings else Form.generator(CH, c))
+            img = (exterior_d(Form.from_poly(CTX, bindings[c]))
+                   if c in bindings else Form.generator(CTX, c))
             acc = wedge(acc, img)
         out = out + acc
     return out
@@ -265,7 +271,7 @@ def _draw_poly(draw, pool, max_terms=3):
 
 
 @st.composite
-def forms(draw, degree=None, gens=CH.coords):
+def forms(draw, degree=None, gens=COORDS):
     """A random form of the given degree (0..3 when None) on generators
     drawn from gens."""
     if degree is None:
@@ -276,7 +282,7 @@ def forms(draw, degree=None, gens=CH.coords):
                                          min_size=degree, max_size=degree,
                                          unique=True))))
         terms[dcs] = terms.get(dcs, Poly.zero()) + _draw_poly(draw, PB_POOL)
-    return Form(CH, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX, degree, {d: p for d, p in terms.items() if p})
 
 
 @st.composite
@@ -328,7 +334,7 @@ def test_in_place_form_operations_match_the_poly_at_a_time_oracles(data):
     imgs = [data.draw(forms(1, FEW)) for _ in range(3)]
 
     def image(v):
-        return imgs[CH.coords.index(v) % 3]
+        return imgs[COORDS.index(v) % 3]
     assert map_generators(a, image) == oracles.map_generators(a, image)
 
 

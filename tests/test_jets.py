@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar.errors import JetOrderExceeded, JetvarError, TermLimitExceeded
+from jetvar.errors import JetvarError, TermLimitExceeded
 from jetvar.forms import Form, apply_derivation, exterior_d, wedge
 from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
                            matter, multi_index, with_extra_deriv, x)
@@ -13,15 +13,25 @@ from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_projection, prolong, total_derivative)
 from jetvar.polynomial import Poly
 from jetvar.random_inputs import random_form, random_poly, random_vertical_field
-from oracles import partial
+from oracles import jet_chart, partial
 
-CTX = JetContext(2, 1, matter_dim=1, jet_order=3)
+CTX = JetContext(2, 1, matter_dim=1)
 
 
 def _densities(rng, count=8):
-    pool = [c for c in CTX.chart.coords
+    pool = [c for c in jet_chart(CTX, 3)
             if c[0] == 0 or (c != T and len(multi_index(c)) <= 1)]
     return [random_poly(pool, rng, max_monomials=3) for _ in range(count)]
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 1), (3, 3, 0), (5, 4, 0)])
+def test_field_coords_match_the_enumerated_chart(dims):
+    ctx = JetContext(*dims)
+    chart = jet_chart(ctx, 3)
+    for k in range(4):
+        assert ctx.field_coords(k) == [
+            c for c in chart if is_field_jet(c) and len(multi_index(c)) == k]
+    assert all(c in ctx for c in chart)
 
 
 def test_total_derivative_examples():
@@ -50,7 +60,6 @@ def _total_derivative_oracle(f: Poly, lam: int) -> Poly:
     return out
 
 
-# Below the chart's top jet order, so d_lam never leaves the chart.
 ORACLE_POOL = [x(0), x(1), T, conn(0, 0), conn(0, 1, (0,)), conn(0, 0, (0, 1)),
                matter(0), matter(0, (1, 1)), bg(0, 0), bg(0, 1, (0, 0, 1)),
                gauge(0), gauge(0, (1,))]
@@ -74,7 +83,7 @@ def test_total_derivative_matches_the_per_indeterminate_oracle(f, lam):
     assert total_derivative(f, lam, CTX) == _total_derivative_oracle(f, lam)
 
 
-CTX3 = JetContext(3, 1, matter_dim=1, jet_order=2)
+CTX3 = JetContext(3, 1, matter_dim=1)
 H_POOL = [x(0), x(1), x(2), T, conn(0, 0), conn(0, 2, (1,)), matter(0),
           matter(0, (0,)), bg(0, 1), bg(0, 0, (2, 2)), gauge(0), gauge(0, (0,))]
 
@@ -82,13 +91,13 @@ H_POOL = [x(0), x(1), x(2), T, conn(0, 0), conn(0, 2, (1,)), matter(0),
 def _horizontal_differential_oracle(a: Form) -> Form:
     """Every direction: dx^lam wedge d_lam of each coefficient, the wedge
     dropping the lam already present."""
-    out = Form.zero(CTX3.chart, a.degree + 1)
+    out = Form.zero(CTX3, a.degree + 1)
     for dcs, f in a.terms.items():
         for lam in range(CTX3.n):
             g = total_derivative(f, lam, CTX3)
             if g:
-                out = out + wedge(Form(CTX3.chart, 1, {(x(lam),): g}),
-                                  Form(CTX3.chart, len(dcs), {dcs: Poly.const(1)}))
+                out = out + wedge(Form(CTX3, 1, {(x(lam),): g}),
+                                  Form(CTX3, len(dcs), {dcs: Poly.const(1)}))
     return out
 
 
@@ -107,7 +116,7 @@ def horizontal_forms(draw, degree):
                              max_size=degree, unique=True))
         dcs = tuple(x(lam) for lam in sorted(lams))
         terms[dcs] = terms.get(dcs, Poly.zero()) + p
-    return Form(CTX3.chart, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX3, degree, {d: p for d, p in terms.items() if p})
 
 
 @pytest.mark.parametrize("degree", range(CTX3.n))
@@ -130,9 +139,9 @@ def test_term_cap_stops_total_derivative(monkeypatch):
 
 def test_term_cap_stops_horizontal_differential(monkeypatch):
     # d_H (a0 a1 dx1) = d_0(a0 a1) dx0^dx1, two terms
-    a = Form(CTX.chart, 1, {(x(1),): Poly.var(conn(0, 0)) * Poly.var(conn(0, 1))})
+    a = Form(CTX, 1, {(x(1),): Poly.var(conn(0, 0)) * Poly.var(conn(0, 1))})
     # h0 ((a0 + a1) da0) = (a0 + a1)(a0_{;0} dx0 + a0_{;1} dx1), four terms
-    b = Form(CTX.chart, 1, {(conn(0, 0),): Poly.var(conn(0, 0))
+    b = Form(CTX, 1, {(conn(0, 0),): Poly.var(conn(0, 0))
                             + Poly.var(conn(0, 1))})
     monkeypatch.setenv("JETVAR_MAX_TERMS", "2")
     assert horizontal_differential(a, CTX).term_count() == 2
@@ -146,11 +155,9 @@ def test_term_cap_stops_horizontal_differential(monkeypatch):
 
 def _fiber_replacement_oracle(c: tuple) -> Form:
     """h0 image of dc: c_{D+lam} dx^lam summed over lam."""
-    if len(multi_index(c)) >= CTX.jet_order:
-        raise JetOrderExceeded(f"h0 needs a jet above {c}")
-    out = Form.zero(CTX.chart, 1)
+    out = Form.zero(CTX, 1)
     for lam in range(CTX.n):
-        out = out + Form(CTX.chart, 1,
+        out = out + Form(CTX, 1,
                          {(x(lam),): Poly.var(with_extra_deriv(c, lam))})
     return out
 
@@ -158,14 +165,14 @@ def _fiber_replacement_oracle(c: tuple) -> Form:
 def _horizontal_projection_oracle(a: Form) -> Form:
     """The wedge loop: the coefficient as a 0-form, wedged in turn with dx^lam
     for dx^lam and with the fiber replacement for a field jet."""
-    out = Form.zero(CTX.chart, a.degree)
+    out = Form.zero(CTX, a.degree)
     for dcs, f in a.terms.items():
-        acc = Form.from_poly(CTX.chart, f)
+        acc = Form.from_poly(CTX, f)
         for c in dcs:
             if acc.is_zero():
                 break
             if c[0] == X:
-                acc = wedge(acc, Form.generator(CTX.chart, c))
+                acc = wedge(acc, Form.generator(CTX, c))
             elif is_field_jet(c):
                 acc = wedge(acc, _fiber_replacement_oracle(c))
             else:
@@ -182,8 +189,8 @@ def _outcome(fn, a):
         return type(exc)
 
 
-# t and the top-order conn(0, 0, (0, 0, 0)) have no h0 image
-H0_GENERATORS = [c for c in CTX.chart.coords
+# t has no h0 image
+H0_GENERATORS = [c for c in jet_chart(CTX, 3)
                  if not is_field_jet(c) or len(multi_index(c)) < 2] + [
     conn(0, 1, (0, 1)), matter(0, (1, 1)), conn(0, 0, (0, 0, 0))]
 
@@ -197,7 +204,7 @@ def projection_forms(draw):
                                          min_size=degree, max_size=degree,
                                          unique=True))))
         terms[dcs] = terms.get(dcs, Poly.zero()) + draw(jet_polys())
-    return Form(CTX.chart, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX, degree, {d: p for d, p in terms.items() if p})
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,10 +228,13 @@ def test_total_derivatives_commute(rng):
         assert d01 == d10
 
 
-def test_total_derivative_respects_the_jet_order():
-    top = Poly.var(conn(0, 0, (0, 0, 0)))
-    with pytest.raises(JetOrderExceeded):
-        total_derivative(top, 0, CTX)
+def test_total_derivative_of_a_third_order_jet_gives_fourth_order_jets():
+    # J^inf has no top order
+    for c in CTX.field_coords(3):
+        for lam in range(CTX.n):
+            d = total_derivative(Poly.var(c), lam, CTX)
+            assert d == Poly.var(with_extra_deriv(c, lam))
+            assert with_extra_deriv(c, lam) in CTX.field_coords(4)
 
 
 def test_horizontal_projection_kills_contact_forms():
@@ -234,12 +244,12 @@ def test_horizontal_projection_kills_contact_forms():
 
 
 def test_horizontal_projection_is_identity_on_dx():
-    a = Form.generator(CTX.chart, x(1))
+    a = Form.generator(CTX, x(1))
     assert (horizontal_projection(a, CTX) - a).is_zero()
 
 
 def test_horizontal_projection_rejects_dt():
-    a = Form.generator(CTX.chart, T)
+    a = Form.generator(CTX, T)
     with pytest.raises(JetvarError):
         horizontal_projection(a, CTX)
 
@@ -305,8 +315,8 @@ def test_prolongation_preserves_brackets(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_current_components_invert_current_form(rng, n):
-    ctx = JetContext(n, 1, matter_dim=1, jet_order=2)
-    pool = [c for c in ctx.chart.coords if c != T]
+    ctx = JetContext(n, 1, matter_dim=1)
+    pool = [c for c in jet_chart(ctx, 2) if c != T]
     for _ in range(10):
         comps = [random_poly(pool, rng) if rng.random() < 0.8 else Poly.zero()
                  for _ in range(n)]
@@ -315,18 +325,18 @@ def test_current_components_invert_current_form(rng, n):
 
 def test_current_form_follows_the_interior_product_sign():
     # omega_1 = d/dx^1 | dx^0 ^ dx^1 = -dx^0 on a 2D base
-    ctx = JetContext(2, 1, jet_order=2)
+    ctx = JetContext(2, 1)
     p = Poly.var(conn(0, 0))
-    assert ctx.current_form([Poly.zero(), p]) == Form(ctx.chart, 1, {(x(0),): -p})
-    assert ctx.current_form([p, Poly.zero()]) == Form(ctx.chart, 1, {(x(1),): p})
+    assert ctx.current_form([Poly.zero(), p]) == Form(ctx, 1, {(x(0),): -p})
+    assert ctx.current_form([p, Poly.zero()]) == Form(ctx, 1, {(x(1),): p})
 
 
 def test_current_components_reject_other_forms():
-    ctx = JetContext(3, 1, jet_order=2)
+    ctx = JetContext(3, 1)
     p = Poly.var(conn(0, 0))
-    with_da = Form(ctx.chart, 2, {(x(0), conn(0, 1)): p})
+    with_da = Form(ctx, 2, {(x(0), conn(0, 1)): p})
     with pytest.raises(JetvarError, match="not a horizontal"):
         ctx.current_components(with_da)
-    low_degree = Form(ctx.chart, 1, {(x(0),): p})
+    low_degree = Form(ctx, 1, {(x(0),): p})
     with pytest.raises(JetvarError, match="not a horizontal"):
         ctx.current_components(low_degree)

@@ -32,7 +32,7 @@ from jetvar.variational import (Lagrangian, conservation_check,
 import oracles
 from oracles import NotClosed, evaluate, fiber_homotopy, section_correction
 
-CTX2 = JetContext(2, 1, matter_dim=1, jet_order=2)
+CTX2 = JetContext(2, 1, matter_dim=1)
 
 
 # -- independent Euler-Lagrange oracle ---------------------------------
@@ -151,7 +151,7 @@ def test_noether_current_example():
 
 def test_first_variational_formula_on_random_instances():
     rng = random.Random(13)
-    ctxs = [JetContext(n, 2, matter_dim=1, jet_order=2) for n in (1, 2, 3)]
+    ctxs = [JetContext(n, 2, matter_dim=1) for n in (1, 2, 3)]
     for trial in range(30):
         ctx = ctxs[trial % 3]
         L = Lagrangian(ctx, random_density(ctx, rng))
@@ -179,14 +179,12 @@ def test_first_variational_detects_a_broken_boundary_term():
 def test_variational_triviality_of_horizontal_projections_of_exact_forms():
     # delta(h0(d eta)) = 0: exact n-forms have empty field equations
     rng = random.Random(15)
-    from jetvar.indets import is_field_jet, multi_index
     from jetvar.random_inputs import random_poly
-    pool0 = [c for c in CTX2.chart.coords
-             if c[0] == 0 or (is_field_jet(c) and not multi_index(c))]
+    pool0 = [x(lam) for lam in range(CTX2.n)] + CTX2.field_coords(0)
     for _ in range(6):
         # order-0 coefficients keep h0(d eta) first-order
         gens = tuple(sorted(rng.sample(pool0, CTX2.n - 1)))
-        eta = Form(CTX2.chart, CTX2.n - 1,
+        eta = Form(CTX2, CTX2.n - 1,
                    {gens: random_poly(pool0, rng, max_monomials=3)})
         L = Lagrangian.from_horizontal_form(
             CTX2, horizontal_projection(exterior_d(eta), CTX2))
@@ -205,10 +203,10 @@ def _su2_model(background="symbolic"):
 
 def test_fiber_homotopy_recovers_a_primitive():
     cs = _su2_model("zero")
-    ch = cs.ctx.chart
-    alpha = wedge(Form(ch, 0, {(): Poly.var(conn(0, 0))}),
-                  wedge(Form.generator(ch, conn(1, 1)),
-                        Form.generator(ch, x(2))))
+    ctx = cs.ctx
+    alpha = wedge(Form(ctx, 0, {(): Poly.var(conn(0, 0))}),
+                  wedge(Form.generator(ctx, conn(1, 1)),
+                        Form.generator(ctx, x(2))))
     omega = exterior_d(alpha)
     psi = fiber_homotopy(omega, cs)
     assert (exterior_d(psi) - omega).is_zero()
@@ -216,17 +214,17 @@ def test_fiber_homotopy_recovers_a_primitive():
 
 def test_fiber_homotopy_rejects_non_closed_forms():
     cs = _su2_model("zero")
-    ch = cs.ctx.chart
-    not_closed = wedge(Form(ch, 0, {(): Poly.var(conn(0, 0))}),
-                       Form.generator(ch, conn(1, 1)))
+    ctx = cs.ctx
+    not_closed = wedge(Form(ctx, 0, {(): Poly.var(conn(0, 0))}),
+                       Form.generator(ctx, conn(1, 1)))
     with pytest.raises(NotClosed):
         fiber_homotopy(not_closed, cs)
 
 
 def test_fiber_homotopy_rejects_forms_alive_on_the_section():
     cs = _su2_model("zero")
-    ch = cs.ctx.chart
-    base_area = wedge(Form.generator(ch, x(0)), Form.generator(ch, x(1)))
+    ctx = cs.ctx
+    base_area = wedge(Form.generator(ctx, x(0)), Form.generator(ctx, x(1)))
     with pytest.raises(NonzeroResidual):
         fiber_homotopy(base_area, cs)
 
@@ -275,9 +273,8 @@ def _sigma_case(name):
         g = builtin_algebra(alg)
         b = inv if isinstance(inv, InvariantTensor) else builtin_invariant(inv, g, k)
         return CSData(g, b, k, **kw), params
-    cfg = cli.load_config(str(ROOT / name))
-    cs, _ = cli.build_model(cfg)
-    return cs, cli.config_gauge_params(cfg, cs)
+    cs, _, params = cli.build_model(cli.load_config(str(ROOT / name)))
+    return cs, params
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
@@ -428,17 +425,17 @@ def su2_law():
 
 def test_conservation_fails_for_sigma_plus_a_non_exact_form(su2_law):
     cs, xi_C, sigma, L = su2_law
-    ch = cs.ctx.chart
+    ctx = cs.ctx
     # d_H eta = (a^0_{0;0} - a^1_{1;1} + a^2_{2;2}) d^3x, one term from each
     # direction, so d_H eta != 0 and eta is not d_H-exact
-    eta = Form(ch, 2, {(x(1), x(2)): Poly.var(conn(0, 0)),
+    eta = Form(ctx, 2, {(x(1), x(2)): Poly.var(conn(0, 0)),
                        (x(0), x(2)): Poly.var(conn(1, 1)),
                        (x(0), x(1)): Poly.var(conn(2, 2))})
     report, _ = conservation_check(L, xi_C, sigma + eta)
     assert not report.passed
     d_eta = Poly.var(conn(0, 0, (0,))) - Poly.var(conn(1, 1, (1,))) \
         + Poly.var(conn(2, 2, (2,)))
-    assert report.residual == Form(ch, 3, {(x(0), x(1), x(2)): -d_eta})
+    assert report.residual == Form(ctx, 3, {(x(0), x(1), x(2)): -d_eta})
 
 
 @pytest.mark.parametrize("lam", range(3))
@@ -464,7 +461,7 @@ def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
 
 def _matter_model():
     g = builtin_algebra("su2")
-    ctx = JetContext(3, 3, matter_dim=3, jet_order=3)
+    ctx = JetContext(3, 3, matter_dim=3)
     cs = CSData(g, builtin_invariant("killing", g, 2), 2, ctx=ctx)
     return g, ctx, cs
 
