@@ -40,8 +40,9 @@ MAX_K = 8
 # Largest base dimension, that of k = MAX_K; the self-test's coordinate pools
 # grow quadratically with it.
 MAX_N = 2 * MAX_K - 1
-CONFIG_KEYS = frozenset({"algebra", "invariant", "k", "background", "h",
-                         "gauge_params", "selftest_instances", "dimensions"})
+SELFTEST_KEYS = frozenset({"selftest_instances", "dimensions"})
+CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h",
+                               "gauge_params"}
 
 
 # -- config ------------------------------------------------------------
@@ -159,12 +160,8 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
     raise ConfigError("invariant must be a name or an object")
 
 
-def build_model(cfg: dict) -> tuple:
-    """Returns (CSData, invariant tensor name or None, gauge parameters):
-    the parameters are None for the symbolic xi family, or explicit Polys."""
-    g = config_algebra(cfg)
-    k = config_int(cfg.get("k"), 2, "k", MAX_K)
-    inv, inv_name = config_invariant(cfg, g, k)
+def config_options(cfg: dict) -> tuple:
+    """(background, h, gauge_params) of a model config, each validated."""
     background = cfg.get("background", "symbolic")
     if background not in ("zero", "symbolic"):
         raise ConfigError("background must be 'zero' or 'symbolic'")
@@ -172,6 +169,16 @@ def build_model(cfg: dict) -> tuple:
     mode = cfg.get("gauge_params", "symbolic")
     if mode not in ("symbolic", "zero"):
         raise ConfigError("gauge_params must be 'symbolic' or 'zero'")
+    return background, h, mode
+
+
+def build_model(cfg: dict) -> tuple:
+    """Returns (CSData, invariant tensor name or None, gauge parameters):
+    the parameters are None for the symbolic xi family, or explicit Polys."""
+    g = config_algebra(cfg)
+    k = config_int(cfg.get("k"), 2, "k", MAX_K)
+    inv, inv_name = config_invariant(cfg, g, k)
+    background, h, mode = config_options(cfg)
     params = None if mode == "symbolic" else [Poly.zero() for _ in range(g.dim)]
     try:
         cs = CSData(g, inv, k, background=background, h=h)
@@ -250,6 +257,7 @@ def fails_invariance(cs: CSData) -> bool:
 def cmd_check_algebra(args, dump: Dump) -> int:
     cfg = load_config(args.config)
     k = config_int(cfg.get("k", 2), 2, "k", MAX_K)
+    config_options(cfg)
     try:
         g = config_algebra(cfg)
     except (AntisymmetryViolation, JacobiViolation) as exc:
@@ -399,6 +407,10 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
 
 def cmd_selftest(args, dump: Dump) -> int:
     cfg = load_config(args.config) if args.config else {}
+    model = sorted(set(cfg) - SELFTEST_KEYS)
+    if model:
+        raise ConfigError("first-variational-selftest takes no model key: "
+                          + ", ".join(map(repr, model)))
     instances = config_int(cfg.get("selftest_instances", 100), 1,
                            "selftest_instances")
     dims = cfg.get("dimensions", [1, 2, 3])

@@ -142,8 +142,9 @@ class Form:
 
 def _wrap(ctx, degree: int, raw: dict) -> Form:
     """The form whose coefficients are the raw term dicts raw[key]; empty
-    dicts are dropped."""
-    return Form(ctx, degree, {key: Poly(t) for key, t in raw.items() if t})
+    dicts are dropped.  Each coefficient holds a copy sized to its terms, so
+    the hash-table slack a dict keeps after sums that cancel is freed."""
+    return Form(ctx, degree, {key: Poly(dict(t)) for key, t in raw.items() if t})
 
 
 def linear_combination(ctx, degree: int, pairs) -> Form:
@@ -179,10 +180,10 @@ def differential(a: Form, image) -> Form:
     """d(f dcs) = df ^ dcs for the derivation with dv = image(v).
 
     image(v) lists (c, lift) pairs meaning dv = sum lift dc over coordinate
-    generators c, where lift is None for 1 or a shared (w, 1) pair for the
-    indeterminate w; it is called once per indeterminate per call.  Each
-    coefficient is walked once by the chain-rule kernel, and a partial whose
-    dc already occurs in dcs is never formed.
+    generators c, where lift is None for 1 or the indeterminate w; it is
+    called once per indeterminate per call.  Each coefficient is walked once
+    by the chain-rule kernel, and a partial whose dc already occurs in dcs
+    is never formed.
     """
     images: dict = {}
     out: dict = {}
@@ -217,7 +218,7 @@ def exterior_d(a: Form) -> Form:
         if v in ctx:
             return ((v, None),)
         if v[0] in (BG, GAUGE):
-            return tuple((x(lam), (with_extra_deriv(v, lam), 1))
+            return tuple((x(lam), with_extra_deriv(v, lam))
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 

@@ -101,7 +101,7 @@ def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
         return ((v, None),)
     if k == AUX:
         return ()
-    return tuple((x(lam), (with_extra_deriv(v, lam), 1)) for lam in range(ctx.n))
+    return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(ctx.n))
 
 
 def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:

@@ -5,19 +5,27 @@ coefficients.  A coefficient is stored as an int when it is integral and as
 a Fraction only when its denominator exceeds 1; no float is ever stored.
 Each operation puts a coefficient in that form where it forms it (_exact(),
 so (1/2)*2 is stored as the int 1).  Equal int and Fraction values compare
-and hash equal.  A monomial is a tuple of (indeterminate, exponent) pairs
-sorted by the indeterminate's natural tuple order (see indets.py).
-Canonical form is therefore unique by construction: equal expressions have
-equal dicts.
+and hash equal.
+
+A monomial is the sorted tuple of the small int ids of its factors, each id
+repeated once per power: x^2 y is (i, i, j) for the ids i of x and j of y.
+Ids come from one process-wide intern table; an indeterminate gets the next
+id on first use and keeps it for the life of the process, and t is interned
+first, so id 0 is t.  Canonical form is therefore unique by construction:
+equal expressions have equal dicts.  Id order is intern order, not the
+natural tuple order of indets.py, so only decode_monomial() turns a monomial
+back into (indeterminate, exponent) pairs in that order, and encode_terms()
+builds raw term dicts from such pairs.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
-tuple comparison of the monomials themselves.  The exact text format is
-frozen by golden tests.
+tuple comparison of the decoded pairs.  It does not depend on intern order;
+the exact text format is frozen by golden tests.
 
-The term-expansion kernel (mono_mul, add_dicts, mul_dicts, chain_rule) works
-on those raw dicts directly; zero coefficients are never stored.  A sum or
-product of two ints is an int, so only a value that came out as a Fraction
-goes through _exact().
+The term-expansion kernel (add_dicts, mul_dicts, chain_rule) works on those
+raw dicts directly; zero coefficients are never stored.  A product of
+monomials is one sort of their concatenation, so no exponent is ever added
+field by field.  A sum or product of two ints is an int, so only a value
+that came out as a Fraction goes through _exact().
 
 The kernel sums in place: add_dicts, mul_dicts and chain_rule add their
 result into a term dict the caller owns and passes in, so a long sum is built
@@ -40,6 +48,34 @@ __all__ = ["Poly", "Q", "max_terms"]
 
 Q = Fraction
 
+_IDS: dict = {}      # indeterminate -> id
+_INDETS: list = []   # id -> indeterminate
+
+
+def _intern(v: tuple) -> int:
+    """The id of indeterminate v, assigned on its first use."""
+    i = _IDS.get(v)
+    if i is None:
+        i = _IDS[v] = len(_INDETS)
+        _INDETS.append(v)
+    return i
+
+
+_T = _intern(T)   # 0: the run of t ids leads every monomial that has one
+
+
+def decode_monomial(m: tuple) -> tuple:
+    """The (indeterminate, exponent) pairs of monomial m, sorted by
+    indeterminate."""
+    return tuple(sorted([(_INDETS[i], m.count(i)) for i in set(m)]))
+
+
+def encode_terms(terms: dict) -> dict:
+    """The raw term dict of terms, keyed by tuples of (indeterminate,
+    exponent) pairs with distinct indeterminates."""
+    return {(*sorted(i for v, e in pairs for i in (_intern(v),) * e),): c
+            for pairs, c in terms.items()}
+
 
 def max_terms() -> int:
     """Current monomial-count cap (env JETVAR_MAX_TERMS, default 10^7)."""
@@ -51,33 +87,6 @@ def max_terms() -> int:
     except ValueError:
         pass
     raise ConfigError(f"JETVAR_MAX_TERMS must be a positive integer, got {raw!r}")
-
-
-def mono_mul(ma: tuple, mb: tuple) -> tuple:
-    """Merge two sorted monomials, adding exponents."""
-    if not ma:
-        return mb
-    if not mb:
-        return ma
-    out = []
-    i = j = 0
-    na, nb = len(ma), len(mb)
-    while i < na and j < nb:
-        va, ea = ma[i]
-        vb, eb = mb[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(ma[i])
-            i += 1
-        else:
-            out.append(mb[j])
-            j += 1
-    out.extend(ma[i:])
-    out.extend(mb[j:])
-    return tuple(out)
 
 
 def add_dicts(a: dict, b: dict, c=1) -> None:
@@ -116,7 +125,7 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+            m = (*sorted(ma + mb),)
             s = get(m)
             s = ca * cb if s is None else s + ca * cb
             if type(s) is not int:
@@ -134,30 +143,31 @@ def chain_rule(terms: dict, route) -> None:
 
     route(v) lists the (out, sign, lift) triples that the partial df/dv
     feeds; it is called once per indeterminate v of the terms.  Each triple
-    adds sign * df/dv into the term dict out, times the indeterminate of the
-    pair lift = (w, 1) unless lift is None.  Callers build each lift pair
-    once and share it, so the output monomials hold one pair object per w.
-    Partials with no route are never formed.
+    adds sign * df/dv into the term dict out, times the indeterminate lift
+    unless lift is None.  Partials with no route are never formed.
     """
     routes: dict = {}
     for m, c in terms.items():
-        for i, (v, e) in enumerate(m):
+        prev = None
+        for i, v in enumerate(m):
+            if v == prev:
+                continue
+            prev = v
             r = routes.get(v)
             if r is None:
-                r = routes[v] = route(v)
+                r = routes[v] = [(out, sign, None if lift is None else _intern(lift))
+                                 for out, sign, lift in route(_INDETS[v])]
             if not r:
                 continue
-            rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+            rest = m[:i] + m[i + 1:]
+            e = m.count(v)
             ce = c if e == 1 else _exact(c * e)
-            for out, sign, lift in r:
-                if lift is None:
+            for out, sign, w in r:
+                if w is None:
                     nm = rest
                 else:
-                    j = bisect_left(rest, lift)
-                    if j < len(rest) and rest[j][0] == lift[0]:
-                        nm = rest[:j] + ((lift[0], rest[j][1] + 1),) + rest[j + 1:]
-                    else:
-                        nm = rest[:j] + (lift,) + rest[j:]
+                    j = bisect_left(rest, w)
+                    nm = rest[:j] + (w,) + rest[j:]
                 val = ce if sign > 0 else -ce
                 s = out.get(nm)
                 if s is None:
@@ -210,12 +220,10 @@ class Poly:
 
     @classmethod
     def var(cls, v: tuple, exp: int = 1, coeff: int | Fraction = 1) -> "Poly":
+        if exp < 0:
+            raise ValueError("negative exponent")
         c = _as_q(coeff)
-        if not c:
-            return cls({})
-        if exp == 0:
-            return cls({(): c})
-        return cls({((v, exp),): c})
+        return cls({(_intern(v),) * exp: c} if c else {})
 
     # -- ring operations ----------------------------------------------
 
@@ -278,25 +286,24 @@ class Poly:
         """
         grads: dict = {}
         for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+            prev = None
+            for i, v in enumerate(m):
+                if v == prev:
+                    continue
+                prev = v
                 terms = grads.get(v)
                 if terms is None:
                     terms = grads[v] = {}
-                terms[rest] = c if e == 1 else _exact(c * e)
-        return {v: Poly(terms) for v, terms in grads.items()}
+                e = m.count(v)
+                terms[m[:i] + m[i + 1:]] = c if e == 1 else _exact(c * e)
+        return {_INDETS[v]: Poly(terms) for v, terms in grads.items()}
 
     def integrate_t(self) -> "Poly":
         """Exact definite integral over t in [0,1]; the result is t-free."""
         out: dict = {}
         for m, c in self.terms.items():
-            e = 0
-            nm = m
-            for i, (w, k) in enumerate(m):
-                if w == T:
-                    e = k
-                    nm = m[:i] + m[i + 1:]
-                    break
+            e = m.count(_T)
+            nm = m[e:]
             nc = out.get(nm, 0) + (Fraction(c, e + 1) if e else c)
             if type(nc) is not int:
                 nc = _exact(nc)
@@ -309,11 +316,7 @@ class Poly:
     # -- queries -------------------------------------------------------
 
     def indets(self) -> set:
-        vs: set = set()
-        for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        return {_INDETS[i] for m in self.terms for i in m}
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -325,13 +328,21 @@ class Poly:
         every term when limit is None; str(p) is p.render()."""
         if not self.terms:
             return "0"
+        # Sort on ints, not decoded pairs: with the ids ranked in
+        # indeterminate order, rank * k + exponent (every exponent < k)
+        # orders as the pair (indeterminate, exponent) does.
+        k = 1 + max(map(len, self.terms))
+        ids = sorted({i for m in self.terms for i in m}, key=_INDETS.__getitem__)
+        rank = {i: r * k for r, i in enumerate(ids)}
+
         def key(m):
-            return (-sum(e for _, e in m), m)
+            return (-len(m), sorted([rank[i] + m.count(i) for i in set(m)]))
+
         parts = []
         for m in sorted(self.terms, key=key)[:limit]:
             c = self.terms[m]
             frag = [f"{c.numerator}/{c.denominator}"]
-            for v, e in m:
+            for v, e in decode_monomial(m):
                 frag.append(indet_str(v) if e == 1 else f"{indet_str(v)}^{e}")
             parts.append("*".join(frag))
         return " + ".join(parts)

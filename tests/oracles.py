@@ -1,7 +1,10 @@
 """Test-only oracles on Poly, written as free functions over its term dicts.
 
-They use only Poly's public ring operations, so they check the library's
-calculus (gradient, chain rule, total derivatives) from outside.  The form
+They read a monomial only through decode_monomial and otherwise use only
+Poly's public ring operations, so they check the library's calculus
+(gradient, chain rule, total derivatives) from outside.  The term kernel
+keyed by (indeterminate, exponent) pair tuples, which the multiset-id kernel
+of polynomial.py replaced, is kept here as the oracle of that kernel.  The form
 oracles below sum Poly coefficients one `+` at a time, key by key, where the
 library sums raw term dicts in place.  The pullback of forms along a
 substitution lives here only: the library builds P(F_B) and the fiber
@@ -10,6 +13,7 @@ route of the fiberwise scaling homotopy, against which the closed-form
 descent route of the library is tested.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -20,17 +24,18 @@ from jetvar.errors import JetvarError, NonzeroResidual
 from jetvar.forms import Form, _merge_tuples
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
 from jetvar.jets import horizontal_projection
-from jetvar.polynomial import Poly
+from jetvar.polynomial import Poly, _exact, decode_monomial
 
 
 def partial(p: Poly, v: tuple) -> Poly:
     """Formal partial derivative d/dv; every other indeterminate is a constant."""
     out = Poly.zero()
     for m, c in p.terms.items():
-        for i, (w, e) in enumerate(m):
+        pairs = decode_monomial(m)
+        for i, (w, e) in enumerate(pairs):
             if w == v:
                 term = Poly.const(c * e)
-                for u, k in m[:i] + ((w, e - 1),) + m[i + 1:]:
+                for u, k in pairs[:i] + ((w, e - 1),) + pairs[i + 1:]:
                     term = term * Poly.var(u, k)
                 out = out + term
     return out
@@ -42,7 +47,7 @@ def evaluate(p: Poly, point: dict) -> Fraction:
     total = Fraction(0)
     for m, c in p.terms.items():
         val = c
-        for v, e in m:
+        for v, e in decode_monomial(m):
             val *= point[v] ** e
         total += val
     return total
@@ -69,12 +74,125 @@ def substitute(p: Poly, bindings: dict) -> Poly:
     out = Poly.zero()
     for m, c in p.terms.items():
         term = Poly.const(c)
-        for v, e in m:
+        for v, e in decode_monomial(m):
             pe = powers.get((v, e))
             if pe is None:
                 pe = powers[(v, e)] = bindings.get(v, Poly.var(v)) ** e
             term = term * pe
         out = out + term
+    return out
+
+
+# -- the pair-tuple term kernel -------------------------------------------
+#
+# A monomial is a tuple of (indeterminate, exponent) pairs sorted by the
+# natural tuple order of the indeterminates.  decode_pairs() turns a term
+# dict of the library into this form.
+
+
+def render(p: Poly) -> str:
+    """The text of p, its terms sorted by decreasing degree, then by their
+    decoded pairs."""
+    rows = sorted(((-len(m), decode_monomial(m)), c) for m, c in p.terms.items())
+    return " + ".join(
+        "*".join([f"{c.numerator}/{c.denominator}"]
+                 + [indet_str(v) if e == 1 else f"{indet_str(v)}^{e}"
+                    for v, e in pairs])
+        for (_, pairs), c in rows) or "0"
+
+
+def decode_pairs(terms: dict) -> dict:
+    """A raw term dict of the library, keyed by pair tuples."""
+    return {decode_monomial(m): c for m, c in terms.items()}
+
+
+def mono_mul(ma: tuple, mb: tuple) -> tuple:
+    """Merge two sorted monomials, adding exponents."""
+    if not ma:
+        return mb
+    if not mb:
+        return ma
+    out = []
+    i = j = 0
+    na, nb = len(ma), len(mb)
+    while i < na and j < nb:
+        va, ea = ma[i]
+        vb, eb = mb[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(ma[i])
+            i += 1
+        else:
+            out.append(mb[j])
+            j += 1
+    out.extend(ma[i:])
+    out.extend(mb[j:])
+    return tuple(out)
+
+
+def _add_term(out: dict, m: tuple, v):
+    """out[m] += v, dropping the key when the sum is zero."""
+    s = out.get(m)
+    s = v if s is None else _exact(s + v)
+    if s:
+        out[m] = s
+    else:
+        del out[m]
+
+
+def add_dicts(a: dict, b: dict, c=1) -> None:
+    """Add c * b into the term dict a."""
+    if c:
+        for m, v in b.items():
+            _add_term(a, m, _exact(v * c))
+
+
+def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
+    """Add c * a * b into the term dict out."""
+    if c:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                _add_term(out, mono_mul(ma, mb), _exact(ca * cb * c))
+
+
+def chain_rule(terms: dict, route) -> None:
+    """Add the chain rule of one term dict into caller-owned term dicts:
+    route(v) lists (out, sign, lift) triples, and each adds sign * df/dv
+    into out, times the indeterminate lift unless lift is None."""
+    for m, c in terms.items():
+        for i, (v, e) in enumerate(m):
+            rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+            for out, sign, lift in route(v):
+                nm = rest
+                if lift is not None:
+                    j = bisect_left(rest, (lift, 1))
+                    if j < len(rest) and rest[j][0] == lift:
+                        nm = rest[:j] + ((lift, rest[j][1] + 1),) + rest[j + 1:]
+                    else:
+                        nm = rest[:j] + ((lift, 1),) + rest[j:]
+                _add_term(out, nm, _exact(sign * c * e))
+
+
+def gradient(terms: dict) -> dict:
+    """Every partial derivative of a term dict: v -> term dict of d/dv."""
+    grads: dict = {}
+    for m, c in terms.items():
+        for i, (v, e) in enumerate(m):
+            rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
+            grads.setdefault(v, {})[rest] = _exact(c * e)
+    return grads
+
+
+def integrate_t(terms: dict) -> dict:
+    """The term dict of the integral over t in [0, 1]."""
+    out: dict = {}
+    for m, c in terms.items():
+        e = dict(m).get(T, 0)
+        nm = tuple(p for p in m if p[0] != T)
+        _add_term(out, nm, _exact(Fraction(c, e + 1)))
     return out
 
 

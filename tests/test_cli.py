@@ -62,6 +62,37 @@ def test_stdout_matches_golden_file(golden, args):
     assert r.stdout == (GOLDEN / golden).read_text()
 
 
+# Interns the indeterminates listed in argv[1] in reverse sorted order before
+# the run, so monomial ids sort opposite to the indeterminates they stand for.
+REVERSED_INTERN = """\
+import json, sys
+from jetvar import cli, polynomial
+indets = sorted(map(tuple, json.loads(sys.argv[1])), reverse=True)
+for v in indets:
+    polynomial.Poly.var(v)
+assert [polynomial._IDS[v] for v in indets] == sorted(polynomial._IDS[v] for v in indets)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+LIST_INDETS = """\
+import contextlib, io, json, sys
+from jetvar import cli, polynomial
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(json.dumps(polynomial._INDETS))
+"""
+
+
+def test_stdout_does_not_depend_on_intern_order():
+    args = ["verify-conservation", "--config", str(CONFIGS / "su2_k2.json")]
+    listed = subprocess.run([sys.executable, "-c", LIST_INDETS, *args],
+                            capture_output=True, text=True, cwd=ROOT, check=True)
+    assert len(json.loads(listed.stdout)) > 100
+    r = subprocess.run([sys.executable, "-c", REVERSED_INTERN, listed.stdout, *args],
+                       capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "verify_conservation_su2_k2.txt").read_text()
+
+
 def test_selftest_is_deterministic_for_a_seed():
     args = ["first-variational-selftest", "--seed", "42", "--config",
             str(CONFIGS / "selftest.json")]
@@ -278,6 +309,35 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, command):
         "algebra": "su2", "invariant": "killing", "k": 2, "backgroud": "zero"})
     assert code == 2
     assert "unknown key 'backgroud'" in err
+    assert out == ""
+
+
+def test_selftest_rejects_model_keys(capsys, tmp_path):
+    # a known key the self-test would ignore is an error too
+    code, err, out = _main_exit(capsys, tmp_path, "first-variational-selftest",
+                                {"selftest_instances": 3, "k": "x",
+                                 "algebra": "nope"})
+    assert code == 2
+    assert "takes no model key: 'algebra', 'k'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cfg_obj,message", [
+    ({"gauge_params": "bogus"}, "gauge_params must be"),
+    ({"background": "none"}, "background must be"),
+    ({"h": 0.5}, "h: rationals must be"),
+    ({"h": "1/0"}, "h: bad rational")])
+@pytest.mark.parametrize("algebra", [
+    "su2", {"dim": 3, "constants": [[0, 1, 2, "1"], [1, 0, 1, "1"]]}],
+    ids=["su2", "jacobi-violation"])
+def test_check_algebra_validates_model_options(capsys, tmp_path, cfg_obj, message,
+                                               algebra):
+    # parsed as build_model parses them, before any verdict: even the
+    # structure-constant FAIL of a Jacobi violation is not printed
+    code, err, out = _main_exit(capsys, tmp_path, "check-algebra", {
+        "algebra": algebra, "invariant": "killing", "k": 2, **cfg_obj})
+    assert code == 2
+    assert message in err
     assert out == ""
 
 

@@ -1,5 +1,7 @@
 """Ring axioms, calculus rules, and the frozen text format of Poly."""
 
+import functools
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 from jetvar.errors import TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
-from jetvar.polynomial import Poly, Q, add_dicts, chain_rule, mul_dicts
-from oracles import CyclicSubstitution, evaluate, partial, substitute
+from jetvar.polynomial import (Poly, Q, add_dicts, chain_rule, encode_terms,
+                               mul_dicts)
+import oracles
+from oracles import (CyclicSubstitution, decode_pairs, evaluate, partial,
+                     substitute)
 
 X0, X1 = x(0), x(1)
 A00 = conn(0, 0)
@@ -85,6 +90,12 @@ def test_partial_examples():
     assert partial(p, A00) == 2 * Poly.var(A00) * Poly.var(X0)
     assert partial(p, X0) == Poly.var(A00, 2) + 3 * Poly.var(X0, 2)
     assert partial(p, A01) == Poly.zero()
+
+
+def test_negative_exponent_is_rejected():
+    # an exponent is a count of repeated ids, so -1 would read as 0
+    with pytest.raises(ValueError):
+        Poly.var(A00, -1)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -198,7 +209,7 @@ def _oracle_chain_rule(terms, route):
             for out, sign, lift in route(v):
                 nm = dict(rest)
                 if lift is not None:
-                    nm[lift[0]] = nm.get(lift[0], 0) + 1
+                    nm[lift] = nm.get(lift, 0) + 1
                 nm = tuple(sorted(nm.items()))
                 s = out.get(nm, 0) + sign * Fraction(c) * e
                 if s:
@@ -240,12 +251,12 @@ term_dicts = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(term_dicts, term_dicts)
 def test_sums_and_products_equal_the_all_fraction_oracle(a, b):
-    total, product = dict(a), {}
-    add_dicts(total, b)
-    mul_dicts(a, b, product)
+    total, product = encode_terms(a), {}
+    add_dicts(total, encode_terms(b))
+    mul_dicts(encode_terms(a), encode_terms(b), product)
     for got, want in ((total, _oracle_add_dicts(a, b)),
                       (product, _oracle_mul_dicts(a, b))):
-        assert got == want
+        assert decode_pairs(got) == want
         assert_stored_form(got)
 
 
@@ -259,13 +270,14 @@ def _oracle_scale(a, c):
 def test_in_place_sums_and_products_equal_the_all_fraction_oracle(a, b, out, c):
     # c * b added into a, and c * a * b added into a filled dict out; an
     # integral Fraction c must still leave every coefficient in stored form
-    a0, b0 = dict(a), dict(b)
-    total, product = dict(a), dict(out)
-    add_dicts(total, b, c)
-    mul_dicts(a, b, product, c)
-    assert (a, b) == (a0, b0)
-    assert total == _oracle_add_dicts(a, _oracle_scale(b, c))
-    assert product == _oracle_add_dicts(out, _oracle_scale(_oracle_mul_dicts(a, b), c))
+    ea, eb = encode_terms(a), encode_terms(b)
+    total, product = dict(ea), encode_terms(out)
+    add_dicts(total, eb, c)
+    mul_dicts(ea, eb, product, c)
+    assert (ea, eb) == (encode_terms(a), encode_terms(b))
+    assert decode_pairs(total) == _oracle_add_dicts(a, _oracle_scale(b, c))
+    assert decode_pairs(product) == _oracle_add_dicts(
+        out, _oracle_scale(_oracle_mul_dicts(a, b), c))
     assert_stored_form(total)
     assert_stored_form(product)
 
@@ -274,9 +286,10 @@ def test_in_place_sums_and_products_equal_the_all_fraction_oracle(a, b, out, c):
 @given(polys())
 def test_aliased_operands(p):
     before = dict(p.terms)
-    assert (p + p).terms == _oracle_add_dicts(p.terms, p.terms)
+    pairs = decode_pairs(p.terms)
+    assert decode_pairs((p + p).terms) == _oracle_add_dicts(pairs, pairs)
     assert (p - p).terms == {}
-    assert (p * p).terms == _oracle_mul_dicts(p.terms, p.terms)
+    assert decode_pairs((p * p).terms) == _oracle_mul_dicts(pairs, pairs)
     assert p.terms == before
 
 
@@ -284,8 +297,8 @@ def _route_to(outs):
     # every indeterminate feeds a fixed mix of signs, lifts and no route
     def route(v):
         i = POOL.index(v)
-        return [(outs[0], 1, None), (outs[1], -1, (X1, 1)),
-                (outs[1], 1, (A00, 1))][i % 4:]
+        return [(outs[0], 1, None), (outs[1], -1, X1),
+                (outs[1], 1, A00)][i % 4:]
     return route
 
 
@@ -293,12 +306,13 @@ def _route_to(outs):
 @given(term_dicts)
 def test_chain_rule_and_integration_equal_the_all_fraction_oracle(a):
     got, want = ({}, {}), ({}, {})
-    chain_rule(a, _route_to(got))
+    chain_rule(encode_terms(a), _route_to(got))
     _oracle_chain_rule(a, _route_to(want))
-    assert got == want
-    integral = Poly(a).integrate_t().terms
-    assert integral == _oracle_integrate_t(a)
-    for terms in (*got, integral, *(p.terms for p in Poly(a).gradient().values())):
+    assert tuple(map(decode_pairs, got)) == want
+    p = Poly(encode_terms(a))
+    integral = p.integrate_t().terms
+    assert decode_pairs(integral) == _oracle_integrate_t(a)
+    for terms in (*got, integral, *(q.terms for q in p.gradient().values())):
         assert_stored_form(terms)
 
 
@@ -329,3 +343,54 @@ def test_integrate_t_promotes_to_fraction_only_for_a_fraction():
     assert half == {(): Fraction(1, 2)} and type(half[()]) is Fraction
     one = (Poly.var(T) * 2).integrate_t().terms
     assert one == {(): 1} and type(one[()]) is int
+
+
+# -- the multiset-id kernel against the pair-tuple kernel it replaced -------
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts, term_dicts,
+       st.one_of(st.sampled_from([1, -1, 0]), coefficients))
+def test_kernel_equals_the_pair_tuple_kernel(a, b, out, c):
+    total, want_total = encode_terms(a), dict(a)
+    add_dicts(total, encode_terms(b), c)
+    oracles.add_dicts(want_total, b, c)
+    product, want_product = encode_terms(out), dict(out)
+    mul_dicts(encode_terms(a), encode_terms(b), product, c)
+    oracles.mul_dicts(a, b, want_product, c)
+    got, want = ({}, {}), ({}, {})
+    chain_rule(encode_terms(a), _route_to(got))
+    oracles.chain_rule(a, _route_to(want))
+    p = Poly(encode_terms(a))
+    assert decode_pairs(total) == want_total
+    assert decode_pairs(product) == want_product
+    assert tuple(map(decode_pairs, got)) == want
+    assert {v: decode_pairs(q.terms) for v, q in p.gradient().items()} \
+        == oracles.gradient(a)
+    assert decode_pairs(p.integrate_t().terms) == oracles.integrate_t(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys(), min_size=1, max_size=4).flatmap(
+    lambda fs: st.tuples(st.just(fs), st.permutations(fs))))
+def test_product_does_not_depend_on_factor_order(factors):
+    one, two = (functools.reduce(operator.mul, fs) for fs in factors)
+    assert one.terms == two.terms
+    assert str(one) == str(two)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.integers(1, 4))
+def test_text_equals_the_decoded_pairs_oracle(p, limit):
+    text = oracles.render(p)
+    assert str(p) == text
+    assert p.render(limit) == " + ".join(text.split(" + ")[:limit])
+
+
+def test_text_order_does_not_depend_on_intern_order():
+    # x[1002] is interned first, so ids sort opposite to the indeterminates
+    x2, x1, x0 = (Poly.var(x(1000 + i)) for i in (2, 1, 0))
+    ((i2,),), ((i0,),) = x2.terms, x0.terms
+    assert i2 < i0
+    p = x2 ** 2 + x0 * x1 + x2
+    assert str(p) == "1/1*x[1000]*x[1001] + 1/1*x[1002]^2 + 1/1*x[1002]"
