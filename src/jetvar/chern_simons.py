@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
 from .errors import JetvarError
-from .forms import Form, exterior_d, linear_combination, wedge
+from .forms import Form, _wrap, add_into, exterior_d, wedge, wedge_into
 from .indets import T, bg, conn, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
@@ -82,10 +82,10 @@ class CSData:
 
 def _curvature(cs: CSData, linear: list, ones: list) -> list:
     """F^r = linear^r + 1/2 c^r_pq X^p ^ X^q for the 1-forms X = ones."""
-    pairs = [[(f, 1)] for f in linear]
+    accs = [add_into({}, f) for f in linear]
     for (r, p, q), cval in cs.algebra.c.items():
-        pairs[r].append((wedge(ones[p], ones[q]), cval / 2))
-    return [linear_combination(cs.ctx, 2, rows) for rows in pairs]
+        wedge_into(accs[r], ones[p], ones[q], cval / 2)
+    return [_wrap(cs.ctx, 2, acc) for acc in accs]
 
 
 def _multinomial(idx: tuple) -> int:
@@ -108,33 +108,45 @@ def background_curvature(cs: CSData) -> list:
     return _curvature(cs, [exterior_d(b) for b in B], B)
 
 
+def _slot_sum(cs: CSData, heads: list, curv: list) -> tuple:
+    """(acc, den, degree): den times the slot contraction below, as an
+    accumulator (see forms), and its degree.  den is the least common
+    denominator of the values of b, so that every weight is an int and the
+    kernel multiplies ints only.  The last curvature factor of each term is
+    wedged straight into acc."""
+    m = cs.algebra.dim
+    j = len(heads)
+    den = lcm(*(v.denominator for v in cs.b.entries.values()))
+    acc: dict = {}
+    for lead in product(range(m), repeat=j):
+        factors = [h[r] for h, r in zip(heads, lead)]
+        if any(f.is_zero() for f in factors):
+            continue
+        head = factors[0]
+        for f in factors[1:]:
+            head = wedge(head, f)
+        for rest in combinations_with_replacement(range(m), cs.k - j):
+            bval = cs.b.value(lead + rest)
+            if not bval:
+                continue
+            weight = (bval * den).numerator * _multinomial(rest)
+            if not rest:
+                add_into(acc, head, weight)
+                continue
+            term = head
+            for i in rest[:-1]:
+                term = wedge(term, curv[i])
+            wedge_into(acc, term, curv[rest[-1]], weight)
+    return acc, den, sum(h[0].degree for h in heads) + 2 * (cs.k - j)
+
+
 def _slot_contraction(cs: CSData, heads: list, curv: list) -> Form:
     """b_{r1..rk} heads[0]^{r1} ^ ... ^ heads[j-1]^{rj} ^ curv^{r(j+1)} ^ ...
     ^ curv^{rk}, summed over ordered tuples: each head is a per-index list of
     forms whose index runs over all values, the even curv slots commute and
     are enumerated as multisets with multinomial weights."""
-    m = cs.algebra.dim
-    j = len(heads)
-
-    def terms():
-        for lead in product(range(m), repeat=j):
-            factors = [h[r] for h, r in zip(heads, lead)]
-            if any(f.is_zero() for f in factors):
-                continue
-            head = factors[0]
-            for f in factors[1:]:
-                head = wedge(head, f)
-            for rest in combinations_with_replacement(range(m), cs.k - j):
-                bval = cs.b.value(lead + rest)
-                if not bval:
-                    continue
-                term = head
-                for i in rest:
-                    term = wedge(term, curv[i])
-                yield term, bval * _multinomial(rest)
-
-    degree = sum(h[0].degree for h in heads) + 2 * (cs.k - j)
-    return linear_combination(cs.ctx, degree, terms())
+    acc, den, degree = _slot_sum(cs, heads, curv)
+    return _wrap(cs.ctx, degree, acc, den)
 
 
 def characteristic_form(cs: CSData) -> Form:
@@ -178,8 +190,11 @@ def homotopy(cs: CSData, heads: list = (), curv: list | None = None) -> Form:
     # the factor (k-j) goes on the m small one-forms a-B, not on the result
     diff = [(cs.potential_one_form(r) - cs.background_one_form(r))
             .scale(cs.k - len(heads)) for r in range(cs.algebra.dim)]
-    integrand = _slot_contraction(cs, [*heads, diff], curv)
-    return integrand.map_coefficients(Poly.integrate_t)
+    # integrate den times the integrand, whose coefficients are ints when
+    # those of the forms are, then divide by den once per output term
+    acc, den, degree = _slot_sum(cs, [*heads, diff], curv)
+    return _wrap(cs.ctx, degree,
+                 {key: Poly(t).integrate_t().terms for key, t in acc.items()}, den)
 
 
 def cs_form(cs: CSData) -> Form:
@@ -198,10 +213,14 @@ def _interp_curvature_horizontal(cs: CSData) -> list:
     ctx = cs.ctx
     m = cs.algebra.dim
     # t a^r_{lam;mu} never cancels, so no coefficient is zero
-    linear = [linear_combination(ctx, 2, (
-        (wedge(Form(ctx, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))}),
-               Form.generator(ctx, x(mu))), 1)
-        for lam in range(cs.n) for mu in range(cs.n))) for r in range(m)]
+    linear = []
+    for r in range(m):
+        acc: dict = {}
+        for lam in range(cs.n):
+            for mu in range(cs.n):
+                coeff = Form(ctx, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))})
+                wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
+        linear.append(_wrap(ctx, 2, acc))
     return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
 
 

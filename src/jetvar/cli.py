@@ -3,7 +3,8 @@
 stdout carries only the verification text (byte-deterministic for a fixed
 config and seed); timings and diagnostics go to stderr.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 configuration or usage error,
-3 term-expansion cap exceeded (env JETVAR_MAX_TERMS).
+3 term-expansion cap exceeded (env JETVAR_MAX_TERMS, read once per run
+before the subcommand; a malformed cap exits 2).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .chern_simons import (CSData, characteristic_at_B, characteristic_form,
                            cs_form, cs_lagrangian)
 from .errors import (AntisymmetryViolation, ConfigError, JacobiViolation,
                      JetvarError, TermLimitExceeded)
-from .forms import Form, exterior_d
+from .forms import Form, _wrap, add_into, exterior_d_into, is_empty
 from .indets import indet_str
-from .jets import JetContext, horizontal_differential, horizontal_projection
-from .polynomial import Poly
+from .jets import (JetContext, horizontal_differential_into,
+                   horizontal_projection)
+from .polynomial import Poly, max_terms, set_max_terms
 from .random_inputs import random_density, random_vertical_field
 from .variational import (Lagrangian, conservation_check, euler_lagrange,
                           first_variational_check, lie_derivative_lagrangian,
@@ -283,14 +285,15 @@ def cmd_transgression(args, dump: Dump) -> int:
     P = characteristic_form(cs)
     PB = characteristic_at_B(cs)
     S = cs_form(cs)
-    dS = exterior_d(S)
-    residual = dS - (P - PB)
+    # dS - (P - PB), in one accumulator
+    acc = add_into(add_into(exterior_d_into({}, S), P, -1), PB)
+    residual = _wrap(cs.ctx, S.degree + 1, acc)
     elapsed = time.perf_counter() - t0
     emit(f"characteristic form: {P.term_count()} terms")
     emit(f"characteristic form at the background section: {PB.term_count()} terms")
     emit(f"transgression form: {S.term_count()} terms")
     ok = report_line("d(transgression form) = P(F) - P(F_B)", residual.is_zero(),
-                     dS.is_zero() and P.is_zero() and PB.is_zero())
+                     P.is_zero() and PB.is_zero())
     if not residual.is_zero():
         show_form("residual", residual, dump)
     inv_ok = report_line("invariant tensor ad-invariance",
@@ -367,9 +370,10 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
         report_line("modified current matches the displayed 3D formula "
                     "term-by-term", True, not any(want))
         return True
-    diff = modified - ctx.current_form(want)
     prim = current_discrepancy_primitive(cs.algebra, cs.h, ctx)
-    exact = (diff - horizontal_differential(prim, ctx)).is_zero()
+    # modified - want - d_H prim, in one accumulator
+    acc = add_into(add_into({}, modified), ctx.current_form(want), -1)
+    exact = is_empty(horizontal_differential_into(acc, prim, ctx, -1))
     report_line("difference from the displayed current is d_H-exact", exact)
     if exact:
         emit("closed-form difference: d_H of")
@@ -482,6 +486,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     fh = None
     try:
+        set_max_terms(max_terms())
         if args.dump is not None:
             try:
                 fh = open(args.dump, "w")

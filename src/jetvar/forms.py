@@ -10,17 +10,25 @@ differential, and d raises rather than drop it.
 
 Form terms are keyed by strictly increasing tuples of coordinate
 indeterminates; antisymmetry is normalized away at construction time.
+
+Every operator has one core that adds c * op(...) into an accumulator the
+caller owns: a dict from generator tuples to raw term dicts (add_into,
+wedge_into, differential_into, exterior_d_into, contract_into; for scalars,
+apply_derivation_into adds into one term dict).  A sum of operator results
+is built in one accumulator and turned into a Form once, by _wrap; each
+returning operator is that core added into an empty accumulator.
 """
 
 from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly, add_dicts, chain_rule, mul_dicts
+from .polynomial import Poly, add_dicts, chain_rule, div_dict, mul_dicts
 
 __all__ = ["Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "map_generators",
-           "linear_combination"]
+           "linear_combination", "add_into", "wedge_into", "differential_into",
+           "exterior_d_into", "contract_into", "apply_derivation_into"]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -140,78 +148,99 @@ class Form:
         return f"Form(deg={self.degree}, {self})"
 
 
-def _wrap(ctx, degree: int, raw: dict) -> Form:
-    """The form whose coefficients are the raw term dicts raw[key]; empty
-    dicts are dropped.  Each coefficient holds a copy sized to its terms, so
-    the hash-table slack a dict keeps after sums that cancel is freed."""
+def _wrap(ctx, degree: int, raw: dict, den: int = 1) -> Form:
+    """The form whose coefficients are the raw term dicts raw[key] divided
+    by the int den; empty dicts are dropped.  Each coefficient holds a copy
+    sized to its terms, so the hash-table slack a dict keeps after sums that
+    cancel is freed."""
+    if den != 1:
+        return Form(ctx, degree, {key: Poly(div_dict(t, den))
+                                  for key, t in raw.items() if t})
     return Form(ctx, degree, {key: Poly(dict(t)) for key, t in raw.items() if t})
+
+
+def is_empty(acc: dict) -> bool:
+    """Whether the accumulator acc holds no term."""
+    return not any(acc.values())
+
+
+def add_into(acc: dict, a: Form, c=1) -> dict:
+    """Add c * a into the accumulator acc; returns acc."""
+    for dcs, p in a.terms.items():
+        add_dicts(acc.setdefault(dcs, {}), p.terms, c)
+    return acc
 
 
 def linear_combination(ctx, degree: int, pairs) -> Form:
     """The sum of c * a over the (a, c) pairs, c rational, as a form of the
-    given degree (a zero a may have any degree), built in one term dict per
-    generator tuple.  pairs may be a generator: each a is then dropped once
-    it is summed."""
-    out: dict = {}
+    given degree (a zero a may have any degree), built in one accumulator.
+    pairs may be a generator: each a is then dropped once it is summed."""
+    acc: dict = {}
     for a, c in pairs:
         if a.ctx != ctx:
             raise JetvarError("forms live on different jet contexts")
         if a.terms and a.degree != degree:
             raise JetvarError("degree mismatch in form addition")
-        for dcs, p in a.terms.items():
-            add_dicts(out.setdefault(dcs, {}), p.terms, c)
-    return _wrap(ctx, degree, out)
+        add_into(acc, a, c)
+    return _wrap(ctx, degree, acc)
 
 
-def wedge(a: Form, b: Form) -> Form:
+def wedge_into(acc: dict, a: Form, b: Form, c=1) -> dict:
+    """Add c * (a ^ b) into the accumulator acc; returns acc."""
     a._check(b)
-    out: dict = {}
     for ta, fa in a.terms.items():
         for tb, fb in b.terms.items():
             merged = _merge_tuples(ta, tb)
             if merged is None:
                 continue
             dcs, sign = merged
-            mul_dicts(fa.terms, fb.terms, out.setdefault(dcs, {}), sign)
-    return _wrap(a.ctx, a.degree + b.degree, out)
+            mul_dicts(fa.terms, fb.terms, acc.setdefault(dcs, {}),
+                      c if sign > 0 else -c)
+    return acc
 
 
-def differential(a: Form, image) -> Form:
-    """d(f dcs) = df ^ dcs for the derivation with dv = image(v).
+def wedge(a: Form, b: Form) -> Form:
+    return _wrap(a.ctx, a.degree + b.degree, wedge_into({}, a, b))
 
-    image(v) lists (c, lift) pairs meaning dv = sum lift dc over coordinate
-    generators c, where lift is None for 1 or the indeterminate w; it is
+
+def differential_into(acc: dict, a: Form, image, c=1) -> dict:
+    """Add c * d(a) into the accumulator acc for the derivation d with
+    d(f dcs) = df ^ dcs and dv = image(v); returns acc.
+
+    image(v) lists (g, lift) pairs meaning dv = sum lift dg over coordinate
+    generators g, where lift is None for 1 or the indeterminate w; it is
     called once per indeterminate per call.  Each coefficient is walked once
     by the chain-rule kernel, and a partial whose dc already occurs in dcs
     is never formed.
     """
     images: dict = {}
-    out: dict = {}
     for dcs, f in a.terms.items():
-        slots: dict = {}  # c -> (terms of dc ^ dcs, sign), or () when it is 0
+        slots: dict = {}  # g -> (terms of dg ^ dcs, weight), or () when it is 0
 
         def route(v):
             img = images.get(v)
             if img is None:
                 img = images[v] = image(v)
             r = []
-            for c, lift in img:
-                slot = slots.get(c)
+            for g, lift in img:
+                slot = slots.get(g)
                 if slot is None:
-                    merged = _merge_tuples((c,), dcs)
-                    slot = slots[c] = () if merged is None else (
-                        out.setdefault(merged[0], {}), merged[1])
+                    merged = _merge_tuples((g,), dcs)
+                    slot = slots[g] = () if merged is None else (
+                        acc.setdefault(merged[0], {}),
+                        c if merged[1] > 0 else -c)
                 if slot:
                     r.append((slot[0], slot[1], lift))
             return r
 
         chain_rule(f.terms, route)
-    return _wrap(a.ctx, a.degree + 1, out)
+    return acc
 
 
-def exterior_d(a: Form) -> Form:
-    """d by the chain rule: a coordinate v gives dv, a function symbol s
-    gives s_{D+lam} dx^lam; any other indeterminate raises."""
+def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
+    """Add c * da into the accumulator acc; returns acc.  d is the chain
+    rule: a coordinate v gives dv, a function symbol s gives
+    s_{D+lam} dx^lam; any other indeterminate raises."""
     ctx = a.ctx
 
     def image(v):
@@ -222,38 +251,50 @@ def exterior_d(a: Form) -> Form:
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 
-    return differential(a, image)
+    return differential_into(acc, a, image, c)
 
 
-def contract(X: dict, a: Form) -> Form:
-    """Interior product with the vector field of components X: coord -> Poly."""
-    if a.degree == 0:
-        return Form.zero(a.ctx, 0)
-    out: dict = {}
+def exterior_d(a: Form) -> Form:
+    return _wrap(a.ctx, a.degree + 1, exterior_d_into({}, a))
+
+
+def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
+    """Add c * (X . a) into the accumulator acc, for the interior product
+    with the vector field of components X: coord -> Poly; returns acc."""
     for dcs, f in a.terms.items():
-        for j, c in enumerate(dcs):
-            comp = X.get(c)
+        for j, g in enumerate(dcs):
+            comp = X.get(g)
             if not comp:
                 continue
             key = dcs[:j] + dcs[j + 1:]
-            mul_dicts(comp.terms, f.terms, out.setdefault(key, {}), -1 if j & 1 else 1)
-    return _wrap(a.ctx, a.degree - 1, out)
+            mul_dicts(comp.terms, f.terms, acc.setdefault(key, {}),
+                      -c if j & 1 else c)
+    return acc
+
+
+def contract(X: dict, a: Form) -> Form:
+    return _wrap(a.ctx, max(a.degree - 1, 0), contract_into({}, X, a))
 
 
 def lie_derivative_form(X: dict, a: Form) -> Form:
     """Cartan formula: L_X = X . d + d . X ."""
-    return contract(X, exterior_d(a)) + exterior_d(contract(X, a))
+    acc = contract_into({}, X, exterior_d(a))
+    return _wrap(a.ctx, a.degree, exterior_d_into(acc, contract(X, a)))
+
+
+def apply_derivation_into(out: dict, X: dict, grad: dict, c=1) -> dict:
+    """Add c * X(f) into the term dict out, for the vector field X acting on
+    a scalar f given by its gradient f.gradient(): sum X^g partial_g f;
+    returns out."""
+    for g, df in grad.items():
+        comp = X.get(g)
+        if comp:
+            mul_dicts(comp.terms, df.terms, out, c)
+    return out
 
 
 def apply_derivation(X: dict, grad: dict) -> Poly:
-    """The vector field acting on a scalar f given by its gradient
-    f.gradient(): sum X^c partial_c f."""
-    out: dict = {}
-    for c, df in grad.items():
-        comp = X.get(c)
-        if comp:
-            mul_dicts(comp.terms, df.terms, out)
-    return Poly(out)
+    return Poly(apply_derivation_into({}, X, grad))
 
 
 def map_generators(a: Form, image) -> Form:

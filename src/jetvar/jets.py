@@ -7,13 +7,15 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import JetvarError
-from .forms import Form, differential, linear_combination, map_generators
+from .forms import (Form, _wrap, differential_into, linear_combination,
+                    map_generators)
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
 from .polynomial import Poly, chain_rule
 
-__all__ = ["JetContext", "total_derivative", "horizontal_projection",
-           "horizontal_differential", "contact_form", "prolong"]
+__all__ = ["JetContext", "total_derivative", "total_derivative_into",
+           "horizontal_projection", "horizontal_differential",
+           "horizontal_differential_into", "contact_form", "prolong"]
 
 
 class JetContext:
@@ -64,18 +66,24 @@ class JetContext:
                  for mu in range(self.n) for D in Ds]
                 + [matter(A, D) for A in range(self.matter_dim) for D in Ds])
 
+    def volume_key(self) -> tuple:
+        """The generator tuple of omega = d^n x."""
+        return tuple(x(lam) for lam in range(self.n))
+
+    def omega_key(self, lam: int) -> tuple:
+        """The generator tuple of omega_lam = (-1)^lam times it."""
+        return tuple(x(nu) for nu in range(self.n) if nu != lam)
+
     def volume_form(self, coeff: Poly) -> Form:
         """coeff * omega, omega = d^n x."""
-        key = tuple(x(lam) for lam in range(self.n))
-        return Form(self, self.n, {key: coeff} if coeff else None)
+        return Form(self, self.n, {self.volume_key(): coeff} if coeff else None)
 
     def omega_lambda(self, lam: int, coeff: Poly) -> Form:
         """coeff * omega_lam, omega_lam = d/dx^lam | omega (interior product
         with the volume)."""
-        key = tuple(x(nu) for nu in range(self.n) if nu != lam)
         if lam % 2:
             coeff = -coeff
-        return Form(self, self.n - 1, {key: coeff} if coeff else None)
+        return Form(self, self.n - 1, {self.omega_key(lam): coeff} if coeff else None)
 
     def current_form(self, components: list) -> Form:
         """The horizontal (n-1)-form J^lam omega_lam of current components."""
@@ -104,17 +112,22 @@ def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
     return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(ctx.n))
 
 
-def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
-    """d_lam f by the chain rule: the partial in x^lam, plus (df/dv) v_{D+lam}
-    for every field jet and function symbol v; other x and t are constants."""
-    out: dict = {}
+def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
+                          c=1) -> dict:
+    """Add c * d_lam f into the term dict out; returns out.  d_lam f is the
+    chain rule: the partial in x^lam, plus (df/dv) v_{D+lam} for every field
+    jet and function symbol v; other x and t are constants."""
     dx = x(lam)
 
     def route(v):
-        return [(out, 1, lift) for c, lift in _horizontal_image(v, ctx) if c == dx]
+        return [(out, c, lift) for g, lift in _horizontal_image(v, ctx) if g == dx]
 
     chain_rule(f.terms, route)
-    return Poly(out)
+    return out
+
+
+def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
+    return Poly(total_derivative_into({}, f, lam, ctx))
 
 
 def _require_horizontal(a: Form):
@@ -124,11 +137,17 @@ def _require_horizontal(a: Form):
                 raise JetvarError(f"form is not horizontal: d{indet_str(c)}")
 
 
-def horizontal_differential(a: Form, ctx: JetContext) -> Form:
-    """d_H = dx^lam wedge d_lam on horizontal forms; d_lam of a coefficient
-    is formed only for the lam whose dx^lam the wedge keeps."""
+def horizontal_differential_into(acc: dict, a: Form, ctx: JetContext,
+                                 c=1) -> dict:
+    """Add c * d_H a into the accumulator acc (see forms); returns acc.
+    d_H = dx^lam wedge d_lam on horizontal forms; d_lam of a coefficient is
+    formed only for the lam whose dx^lam the wedge keeps."""
     _require_horizontal(a)
-    return differential(a, lambda v: _horizontal_image(v, ctx))
+    return differential_into(acc, a, lambda v: _horizontal_image(v, ctx), c)
+
+
+def horizontal_differential(a: Form, ctx: JetContext) -> Form:
+    return _wrap(a.ctx, a.degree + 1, horizontal_differential_into({}, a, ctx))
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:

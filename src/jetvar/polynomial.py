@@ -21,8 +21,8 @@ Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the decoded pairs.  It does not depend on intern order;
 the exact text format is frozen by golden tests.
 
-The term-expansion kernel (add_dicts, mul_dicts, chain_rule) works on those
-raw dicts directly; zero coefficients are never stored.  A product of
+The term-expansion kernel (add_dicts, mul_dicts, chain_rule, div_dict) works
+on those raw dicts directly; zero coefficients are never stored.  A product of
 monomials is one sort of their concatenation, so no exponent is ever added
 field by field.  A sum or product of two ints is an int, so only a value
 that came out as a Fraction goes through _exact().
@@ -30,21 +30,25 @@ that came out as a Fraction goes through _exact().
 The kernel sums in place: add_dicts, mul_dicts and chain_rule add their
 result into a term dict the caller owns and passes in, so a long sum is built
 in one dict rather than copied on each step; the dict added into must not be
-one of the inputs.  Only these three functions read the term cap
-(max_terms()), and each raises TermLimitExceeded when a dict it added into
-holds more terms than the cap.
+one of the inputs.  Only these three functions read the term cap, and each
+raises TermLimitExceeded when a dict it added into holds more terms than the
+cap.  The cap is one module-level int that set_max_terms() alone writes;
+max_terms() parses the environment's cap (JETVAR_MAX_TERMS), once per run.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from heapq import nsmallest
+from math import lcm
 
 from .errors import ConfigError, TermLimitExceeded
 from .indets import T, indet_str
 
-__all__ = ["Poly", "Q", "max_terms"]
+__all__ = ["Poly", "Q", "max_terms", "set_max_terms"]
 
 Q = Fraction
 
@@ -77,9 +81,14 @@ def encode_terms(terms: dict) -> dict:
             for pairs, c in terms.items()}
 
 
+DEFAULT_MAX_TERMS = 10_000_000
+_cap = DEFAULT_MAX_TERMS   # the kernel's term cap; set_max_terms() writes it
+
+
 def max_terms() -> int:
-    """Current monomial-count cap (env JETVAR_MAX_TERMS, default 10^7)."""
-    raw = os.environ.get("JETVAR_MAX_TERMS", "10000000")
+    """The monomial-count cap the environment asks for: JETVAR_MAX_TERMS,
+    default 10^7.  Raises ConfigError unless it is a positive integer."""
+    raw = os.environ.get("JETVAR_MAX_TERMS", str(DEFAULT_MAX_TERMS))
     try:
         cap = int(raw)
         if cap >= 1:
@@ -89,12 +98,19 @@ def max_terms() -> int:
     raise ConfigError(f"JETVAR_MAX_TERMS must be a positive integer, got {raw!r}")
 
 
+def set_max_terms(cap: int) -> int:
+    """Make cap the kernel's term cap; returns the cap it replaces."""
+    global _cap
+    old, _cap = _cap, cap
+    return old
+
+
 def add_dicts(a: dict, b: dict, c=1) -> None:
     """Add c * b into the term dict a."""
     if type(c) is not int:
         c = _exact(c)
     if c != 1:
-        b = {m: _exact(v * c) for m, v in b.items()} if c else {}
+        b = _scaled(b, c)
     get = a.get
     for m, v in b.items():
         s = get(m)
@@ -108,20 +124,19 @@ def add_dicts(a: dict, b: dict, c=1) -> None:
                 a[m] = s
             else:
                 del a[m]
-    cap = max_terms()
-    if len(a) > cap:
-        raise TermLimitExceeded(f"{len(a)} terms exceeds cap {cap}")
+    if len(a) > _cap:
+        raise TermLimitExceeded(f"{len(a)} terms exceeds cap {_cap}")
 
 
 def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
     """Add c * a * b into the term dict out."""
-    cap = max_terms()
+    cap = _cap
     if len(a) > len(b):
         a, b = b, a
     if type(c) is not int:
         c = _exact(c)
     if c != 1:
-        a = {m: _exact(v * c) for m, v in a.items()} if c else {}
+        a = _scaled(a, c)
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -141,10 +156,11 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
 def chain_rule(terms: dict, route) -> None:
     """Add the chain rule of one term dict into caller-owned term dicts.
 
-    route(v) lists the (out, sign, lift) triples that the partial df/dv
-    feeds; it is called once per indeterminate v of the terms.  Each triple
-    adds sign * df/dv into the term dict out, times the indeterminate lift
-    unless lift is None.  Partials with no route are never formed.
+    route(v) lists the (out, w, lift) triples that the partial df/dv feeds;
+    it is called once per indeterminate v of the terms.  Each triple adds
+    w * df/dv into the term dict out for the rational weight w, times the
+    indeterminate lift unless lift is None.  Partials with no route are never
+    formed.
     """
     routes: dict = {}
     for m, c in terms.items():
@@ -155,20 +171,25 @@ def chain_rule(terms: dict, route) -> None:
             prev = v
             r = routes.get(v)
             if r is None:
-                r = routes[v] = [(out, sign, None if lift is None else _intern(lift))
-                                 for out, sign, lift in route(_INDETS[v])]
+                r = routes[v] = [(out, w, None if lift is None else _intern(lift))
+                                 for out, w, lift in route(_INDETS[v])]
             if not r:
                 continue
             rest = m[:i] + m[i + 1:]
             e = m.count(v)
             ce = c if e == 1 else _exact(c * e)
-            for out, sign, w in r:
-                if w is None:
+            for out, w, lift in r:
+                if lift is None:
                     nm = rest
                 else:
-                    j = bisect_left(rest, w)
-                    nm = rest[:j] + (w,) + rest[j:]
-                val = ce if sign > 0 else -ce
+                    j = bisect_left(rest, lift)
+                    nm = rest[:j] + (lift,) + rest[j:]
+                if w == 1:
+                    val = ce
+                elif w == -1:
+                    val = -ce
+                else:
+                    val = _exact(ce * w)
                 s = out.get(nm)
                 if s is None:
                     out[nm] = val
@@ -180,11 +201,31 @@ def chain_rule(terms: dict, route) -> None:
                         out[nm] = s
                     else:
                         del out[nm]
-    cap = max_terms()
     for r in routes.values():
         for out, _, _ in r:
-            if len(out) > cap:
-                raise TermLimitExceeded(f"{len(out)} terms exceeds cap {cap}")
+            if len(out) > _cap:
+                raise TermLimitExceeded(f"{len(out)} terms exceeds cap {_cap}")
+
+
+def _scaled(terms: dict, c) -> dict:
+    """The term dict c * terms for a stored-form c other than 1; negation
+    needs no gcd, so c = -1 is a plain sign flip."""
+    if c == -1:
+        return {m: -v for m, v in terms.items()}
+    return {m: _exact(v * c) for m, v in terms.items()} if c else {}
+
+
+def div_dict(terms: dict, den: int) -> dict:
+    """The term dict terms / den for an int den >= 1; zero values of terms
+    are dropped.  An int value stays an int when den divides it."""
+    out = {}
+    for m, s in terms.items():
+        if s:
+            if type(s) is int:
+                out[m] = Fraction(s, den) if s % den else s // den
+            else:
+                out[m] = _exact(s / den)
+    return out
 
 
 def _exact(c):
@@ -299,19 +340,24 @@ class Poly:
         return {_INDETS[v]: Poly(terms) for v, terms in grads.items()}
 
     def integrate_t(self) -> "Poly":
-        """Exact definite integral over t in [0,1]; the result is t-free."""
-        out: dict = {}
-        for m, c in self.terms.items():
+        """Exact definite integral over t in [0,1]; the result is t-free.
+
+        t^e integrates to 1/(e+1), so each term adds the numerator
+        c * N/(e+1) over the common denominator N = lcm(1, ..., e_max + 1):
+        an int for an int c.  Each output term is divided by N once."""
+        terms = self.terms
+        if not terms:
+            return Poly()
+        top = 1 + max(m.count(_T) for m in terms)
+        den = lcm(*range(1, top + 1))
+        weight = [den // (e + 1) for e in range(top)]
+        sums: dict = {}
+        get = sums.get
+        for m, c in terms.items():
             e = m.count(_T)
             nm = m[e:]
-            nc = out.get(nm, 0) + (Fraction(c, e + 1) if e else c)
-            if type(nc) is not int:
-                nc = _exact(nc)
-            if nc:
-                out[nm] = nc
-            elif nm in out:
-                del out[nm]
-        return Poly(out)
+            sums[nm] = get(nm, 0) + c * weight[e]
+        return Poly(div_dict(sums, den))
 
     # -- queries -------------------------------------------------------
 
@@ -328,18 +374,32 @@ class Poly:
         every term when limit is None; str(p) is p.render()."""
         if not self.terms:
             return "0"
+        shown = list(self.terms)
+        if limit is not None and limit < len(shown):
+            # the first limit terms lie in the highest-degree buckets that
+            # together hold limit terms; only those are ranked
+            held = 0
+            for least, n in sorted(Counter(map(len, shown)).items(), reverse=True):
+                held += n
+                if held >= limit:
+                    break
+            shown = [m for m in shown if len(m) >= least]
         # Sort on ints, not decoded pairs: with the ids ranked in
         # indeterminate order, rank * k + exponent (every exponent < k)
         # orders as the pair (indeterminate, exponent) does.
-        k = 1 + max(map(len, self.terms))
-        ids = sorted({i for m in self.terms for i in m}, key=_INDETS.__getitem__)
+        k = 1 + max(map(len, shown))
+        ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
         rank = {i: r * k for r, i in enumerate(ids)}
 
         def key(m):
             return (-len(m), sorted([rank[i] + m.count(i) for i in set(m)]))
 
+        if limit is None or limit >= len(shown):
+            shown.sort(key=key)
+        else:
+            shown = nsmallest(limit, shown, key=key)
         parts = []
-        for m in sorted(self.terms, key=key)[:limit]:
+        for m in shown[:limit]:
             c = self.terms[m]
             frag = [f"{c.numerator}/{c.denominator}"]
             for v, e in decode_monomial(m):

@@ -12,13 +12,14 @@ from .algebra import gauge_generator
 from .chern_simons import (CSData, _slot_contraction, canonical_curvature,
                            cs_form, cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
-from .forms import (Form, apply_derivation, contract, exterior_d,
-                    linear_combination, wedge)
+from .forms import (Form, _wrap, add_into, apply_derivation,
+                    apply_derivation_into, contract_into, exterior_d,
+                    exterior_d_into, is_empty, wedge_into)
 from .indets import (gauge, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
-from .jets import (JetContext, contact_form, horizontal_differential,
-                   horizontal_projection, prolong, total_derivative)
-from .polynomial import Poly, add_dicts, mul_dicts
+from .jets import (JetContext, contact_form, horizontal_differential_into,
+                   horizontal_projection, prolong, total_derivative_into)
+from .polynomial import Poly, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
@@ -78,7 +79,7 @@ def euler_lagrange(L: Lagrangian) -> dict:
         for lam in range(ctx.n):
             dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
-                add_dicts(comp, total_derivative(dldj, lam, ctx).terms, -1)
+                total_derivative_into(comp, dldj, lam, ctx, -1)
         out[i] = Poly(comp)
     return out
 
@@ -87,32 +88,33 @@ def poincare_cartan(L: Lagrangian) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
     ctx = L.ctx
     grad = L.gradient
+    acc = add_into({}, L.form())
+    for i in ctx.field_coords(0):
+        for lam in range(ctx.n):
+            dldj = grad.get(with_extra_deriv(i, lam))
+            if dldj:
+                wedge_into(acc, contact_form(i, ctx), ctx.omega_lambda(lam, dldj))
+    return _wrap(ctx, ctx.n, acc)
 
-    def pieces():
-        yield L.form(), 1
-        for i in ctx.field_coords(0):
-            for lam in range(ctx.n):
-                dldj = grad.get(with_extra_deriv(i, lam))
-                if dldj:
-                    yield wedge(contact_form(i, ctx), ctx.omega_lambda(lam, dldj)), 1
 
-    return linear_combination(ctx, ctx.n, pieces())
+def _noether_into(acc: dict, L: Lagrangian, u: dict, c=1) -> dict:
+    """Add c * J_u (see noether_current) into the accumulator acc."""
+    ctx = L.ctx
+    grad = L.gradient
+    for lam in range(ctx.n):
+        s = acc.setdefault(ctx.omega_key(lam), {})
+        w = -c if lam % 2 else c
+        for i, ui in u.items():
+            dldj = grad.get(with_extra_deriv(i, lam))
+            if dldj:
+                mul_dicts(ui.terms, dldj.terms, s, w)
+    return acc
 
 
 def noether_current(L: Lagrangian, u: dict) -> Form:
     """J = J^lam omega_lam, J^lam = u^i partial^lam_i(density), for a
     vertical order-0 field u."""
-    ctx = L.ctx
-    grad = L.gradient
-    comps = []
-    for lam in range(ctx.n):
-        s: dict = {}
-        for i, ui in u.items():
-            dldj = grad.get(with_extra_deriv(i, lam))
-            if dldj:
-                mul_dicts(ui.terms, dldj.terms, s)
-        comps.append(Poly(s))
-    return ctx.current_form(comps)
+    return _wrap(L.ctx, L.ctx.n - 1, _noether_into({}, L, u))
 
 
 def lie_derivative_lagrangian(L: Lagrangian, u: dict) -> Form:
@@ -121,20 +123,24 @@ def lie_derivative_lagrangian(L: Lagrangian, u: dict) -> Form:
     return L.ctx.volume_form(scalar)
 
 
-def _el_term(L: Lagrangian, u: dict) -> Form:
+def _el_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
+    """Add c * u^i delta_i(density), the coefficient of omega in
+    u . delta L, into the term dict out."""
     el = euler_lagrange(L)
-    s: dict = {}
     for i, ui in u.items():
         if el.get(i):
-            mul_dicts(ui.terms, el[i].terms, s)
-    return L.ctx.volume_form(Poly(s))
+            mul_dicts(ui.terms, el[i].terms, out, c)
+    return out
 
 
 def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
     """Residual of L_{J1u}L - u.deltaL - d_H(J_u); passes iff exactly zero."""
-    bdry = horizontal_differential(noether_current(L, u), L.ctx)
-    return VerificationReport(
-        lie_derivative_lagrangian(L, u) - _el_term(L, u) - bdry)
+    ctx = L.ctx
+    vol = apply_derivation_into({}, prolong(u, ctx), L.gradient)
+    _el_into(vol, L, u, -1)
+    acc = {ctx.volume_key(): vol}
+    horizontal_differential_into(acc, noether_current(L, u), ctx, -1)
+    return VerificationReport(_wrap(ctx, ctx.n, acc))
 
 
 # -- the boundary term --------------------------------------------------
@@ -166,14 +172,20 @@ def sigma_boundary_term(cs: CSData, params: list | None = None,
         Poly.var(gauge(r)) for r in range(cs.algebra.dim)]
     head = [Form.from_poly(ctx, p * cs.k) for p in xi]
     psi = _slot_contraction(cs, [head], canonical_curvature(cs))
-    residual = exterior_d(psi) - contract(xi_C, exterior_d(S))
-    if not residual.is_zero():
+    residual = contract_into(exterior_d_into({}, psi), xi_C, exterior_d(S), -1)
+    if not is_empty(residual):
+        residual = _wrap(ctx, psi.degree + 1, residual)
         raise NonzeroResidual(
             f"descent residual has {residual.term_count()} terms: {residual}")
     eta = homotopy(cs, [head])
-    sigma = horizontal_projection(psi - exterior_d(eta) + contract(xi_C, S), ctx)
-    if not (horizontal_differential(sigma, ctx)
-            - lie_derivative_lagrangian(L, xi_C)).is_zero():
+    acc = exterior_d_into(add_into({}, psi), eta, -1)
+    contract_into(acc, xi_C, S)
+    sigma = horizontal_projection(_wrap(ctx, psi.degree, acc), ctx)
+    # d_H sigma - L_{J1 xi_C} L, in one accumulator
+    check = horizontal_differential_into({}, sigma, ctx)
+    apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
+                          prolong(xi_C, ctx), L.gradient, -1)
+    if not is_empty(check):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     return sigma
 
@@ -182,13 +194,18 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     """Strong rendering of the weak conservation law:
     d_H(J_u - sigma) + u^i delta_i(density) omega = 0 exactly.
 
-    Returns (report, modified current form J - sigma)."""
-    modified = noether_current(L_total, u) - sigma
-    boundary = horizontal_differential(modified, L_total.ctx)
-    el = _el_term(L_total, u)
-    report = VerificationReport(boundary + el,
-                                boundary.is_zero() and el.is_zero())
-    return report, modified
+    The report is vacuous when both d_H(J_u - sigma) and the Euler-Lagrange
+    term are zero.  Returns (report, modified current form J - sigma)."""
+    ctx = L_total.ctx
+    if sigma.ctx != ctx:
+        raise JetvarError("forms live on different jet contexts")
+    modified = _wrap(ctx, ctx.n - 1,
+                     add_into(_noether_into({}, L_total, u), sigma, -1))
+    acc = horizontal_differential_into({}, modified, ctx)
+    boundary_zero = is_empty(acc)
+    _el_into(acc.setdefault(ctx.volume_key(), {}), L_total, u)
+    residual = _wrap(ctx, ctx.n, acc)
+    return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
 
 
 def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,

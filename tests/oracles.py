@@ -160,12 +160,13 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
 
 def chain_rule(terms: dict, route) -> None:
     """Add the chain rule of one term dict into caller-owned term dicts:
-    route(v) lists (out, sign, lift) triples, and each adds sign * df/dv
-    into out, times the indeterminate lift unless lift is None."""
+    route(v) lists (out, w, lift) triples, and each adds w * df/dv into
+    out for the rational weight w, times the indeterminate lift unless lift
+    is None."""
     for m, c in terms.items():
         for i, (v, e) in enumerate(m):
             rest = m[:i] + m[i + 1:] if e == 1 else m[:i] + ((v, e - 1),) + m[i + 1:]
-            for out, sign, lift in route(v):
+            for out, w, lift in route(v):
                 nm = rest
                 if lift is not None:
                     j = bisect_left(rest, (lift, 1))
@@ -173,7 +174,7 @@ def chain_rule(terms: dict, route) -> None:
                         nm = rest[:j] + ((lift, rest[j][1] + 1),) + rest[j + 1:]
                     else:
                         nm = rest[:j] + ((lift, 1),) + rest[j:]
-                _add_term(out, nm, _exact(sign * c * e))
+                _add_term(out, nm, _exact(w * c * e))
 
 
 def gradient(terms: dict) -> dict:

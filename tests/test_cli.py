@@ -119,6 +119,33 @@ def test_malformed_term_cap_exits_2(cap):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-algebra", "--config", str(CONFIGS / "su2_k2.json")],
+    ["transgression", "--config", str(CONFIGS / "su2_k2.json")],
+    ["euler-lagrange", "--config", str(CONFIGS / "u1_k2.json")],
+    ["noether", "--config", str(CONFIGS / "u1_k2.json")],
+    ["verify-conservation", "--config", str(CONFIGS / "u1_k2.json")],
+    ["first-variational-selftest", "--config", str(CONFIGS / "selftest.json")],
+], ids=lambda argv: argv[0])
+def test_malformed_term_cap_exits_2_before_any_verdict(argv):
+    # the cap is read once, before the subcommand, even by one that never
+    # reaches the term kernel
+    r = run_cli(*argv, env_extra={"JETVAR_MAX_TERMS": "abc"})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "JETVAR_MAX_TERMS must be a positive integer" in r.stderr
+
+
+def test_transgression_is_not_vacuous_when_nonzero_sides_cancel(capsys):
+    # dS and P(F) - P(F_B) are both nonzero; their difference is zero
+    assert cli.main(["transgression", "--config",
+                     str(CONFIGS / "su2_k2.json")]) == 0
+    out = capsys.readouterr().out
+    assert "characteristic form: 0 terms" not in out
+    assert "transgression form: 0 terms" not in out
+    assert "[PASS] d(transgression form) = P(F) - P(F_B)\n" in out
+
+
 def test_missing_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algebra": "su2"}))

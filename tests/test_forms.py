@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
-from jetvar.forms import (Form, contract, exterior_d, lie_derivative_form,
-                          map_generators, wedge)
+from jetvar.forms import (Form, _wrap, add_into, apply_derivation,
+                          apply_derivation_into, contract, contract_into,
+                          exterior_d, exterior_d_into, lie_derivative_form,
+                          linear_combination, map_generators, wedge,
+                          wedge_into)
 from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
                            with_extra_deriv, x)
 from jetvar.jets import JetContext
@@ -145,29 +148,29 @@ def test_exterior_d_matches_the_gradient_oracle(a):
     assert exterior_d(a) == _exterior_d_oracle(a)
 
 
-def test_term_cap_stops_exterior_d(monkeypatch):
+def test_term_cap_stops_exterior_d(term_cap):
     # exterior_d makes no Poly sum or product, so the chain rule itself must
     # hold the cap: d(x0 a0 a1) has three one-term coefficients and passes,
     # d(x1 B) = B dx1 + x1 B_{;0} dx0 + x1 B_{;1} dx1 has two terms on dx1
     a = Form.from_poly(CTX, Poly.var(x(0)) * Poly.var(conn(0, 0))
                        * Poly.var(conn(0, 1)))
     f = Form.from_poly(CTX, Poly.var(x(1)) * Poly.var(bg(0, 0)))
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
+    term_cap(1)
     assert exterior_d(a).term_count() == 3
     with pytest.raises(TermLimitExceeded):
         exterior_d(f)
 
 
-def test_term_cap_stops_wedge_and_contract(monkeypatch):
+def test_term_cap_stops_wedge_and_contract(term_cap):
     # (a0 + a1) dx0 ^ (x1 + B) dx1 has four terms on dx0^dx1, and the
     # contraction of that 2-form by x0 d/dx0 has four on dx1
     a = Form(CTX, 1, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
     b = Form(CTX, 1, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
     X = {x(0): Poly.var(x(0))}
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "4")
+    term_cap(4)
     ab = wedge(a, b)
     assert ab.term_count() == 4 and contract(X, ab).term_count() == 4
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "3")
+    term_cap(3)
     with pytest.raises(TermLimitExceeded):
         wedge(a, b)
     with pytest.raises(TermLimitExceeded):
@@ -346,3 +349,58 @@ def test_aliased_form_operands(a):
     assert (a - a).is_zero()
     assert wedge(a, a) == oracles.wedge(a, a)
     assert a.terms == before
+
+
+# -- the accumulating cores against their returning wrappers --------------
+
+WEIGHTS = [1, -1, Q(3, 2)]
+
+
+def _seed(data, result, c):
+    """A non-empty accumulator of the degree of result: a random form, less
+    c * result half the time, so that adding c * result cancels terms."""
+    seed = data.draw(forms(result.degree, FEW))
+    if data.draw(st.booleans()):
+        seed = seed - result.scale(c)
+    return seed + Form(CTX, result.degree,
+                       {tuple(FEW[:result.degree]): Poly.var(T)})
+
+
+def _assert_core_adds(data, core, result):
+    """core(acc, c) adds c * result into a non-empty accumulator acc: the
+    sum equals seed + c * result built by linear_combination."""
+    c = data.draw(st.sampled_from(WEIGHTS))
+    seed = _seed(data, result, c)
+    acc = add_into({}, seed)
+    core(acc, c)
+    assert _wrap(CTX, result.degree, acc) == linear_combination(
+        CTX, result.degree, ((seed, 1), (result, c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_form_cores_add_into_a_filled_accumulator(data):
+    a = data.draw(forms(gens=FEW))
+    e = data.draw(forms(data.draw(st.integers(0, 4 - a.degree)), FEW))
+    X = {v: _draw_poly(data.draw, PB_POOL) for v in FEW[1:]}
+    _assert_core_adds(data, lambda acc, c: add_into(acc, a, c), a)
+    _assert_core_adds(data, lambda acc, c: wedge_into(acc, a, e, c), wedge(a, e))
+    _assert_core_adds(data, lambda acc, c: exterior_d_into(acc, a, c),
+                      exterior_d(a))
+    _assert_core_adds(data, lambda acc, c: contract_into(acc, X, a, c),
+                      contract(X, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_derivation_core_adds_into_a_filled_term_dict(data):
+    f = _draw_poly(data.draw, PB_POOL)
+    X = {v: _draw_poly(data.draw, PB_POOL) for v in PB_POOL[::2]}
+    c = data.draw(st.sampled_from(WEIGHTS))
+    result = apply_derivation(X, f.gradient())
+    seed = _draw_poly(data.draw, PB_POOL)
+    if data.draw(st.booleans()):
+        seed = seed - result * c
+    seed = seed + Poly.var(T)
+    out = apply_derivation_into(dict(seed.terms), X, f.gradient(), c)
+    assert Poly(out) == seed + result * c

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvar.errors import JetvarError, TermLimitExceeded
-from jetvar.forms import Form, apply_derivation, exterior_d, wedge
+from jetvar.forms import (Form, _wrap, add_into, apply_derivation, exterior_d,
+                          linear_combination, wedge)
 from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
                            matter, multi_index, with_extra_deriv, x)
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
-                         horizontal_projection, prolong, total_derivative)
-from jetvar.polynomial import Poly
+                         horizontal_differential_into, horizontal_projection,
+                         prolong, total_derivative, total_derivative_into)
+from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_form, random_poly, random_vertical_field
 from oracles import jet_chart, partial
 
@@ -127,26 +129,61 @@ def test_horizontal_differential_matches_the_all_directions_oracle(degree, data)
     assert horizontal_differential(a, CTX3) == _horizontal_differential_oracle(a)
 
 
-def test_term_cap_stops_total_derivative(monkeypatch):
+WEIGHTS = [1, -1, Q(3, 2)]
+
+
+@pytest.mark.parametrize("degree", range(CTX3.n))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_horizontal_differential_core_adds_into_a_filled_accumulator(degree, data):
+    # seed + c * d_H a, with seed sharing terms with -c * d_H a half the time
+    a = data.draw(horizontal_forms(degree))
+    c = data.draw(st.sampled_from(WEIGHTS))
+    result = horizontal_differential(a, CTX3)
+    seed = data.draw(horizontal_forms(degree + 1))
+    if data.draw(st.booleans()):
+        seed = seed - result.scale(c)
+    seed = seed + Form(CTX3, degree + 1,
+                       {tuple(x(lam) for lam in range(degree + 1)): Poly.var(T)})
+    acc = horizontal_differential_into(add_into({}, seed), a, CTX3, c)
+    assert _wrap(CTX3, degree + 1, acc) == linear_combination(
+        CTX3, degree + 1, ((seed, 1), (result, c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_total_derivative_core_adds_into_a_filled_term_dict(data):
+    f = data.draw(horizontal_forms(0)).coefficient(())
+    lam = data.draw(st.integers(0, CTX3.n - 1))
+    c = data.draw(st.sampled_from(WEIGHTS))
+    result = total_derivative(f, lam, CTX3)
+    seed = Poly.var(T) + Poly.var(matter(0)) * Poly.var(x(lam))
+    if data.draw(st.booleans()):
+        seed = seed - result * c
+    out = total_derivative_into(dict(seed.terms), f, lam, CTX3, c)
+    assert Poly(out) == seed + result * c
+
+
+def test_term_cap_stops_total_derivative(term_cap):
     # d_0 of a product of three and of four indeterminates
     f = Poly.var(conn(0, 0)) * Poly.var(conn(0, 1)) * Poly.var(x(0))
     g = f * Poly.var(matter(0))
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "3")
+    term_cap(3)
     assert total_derivative(f, 0, CTX).term_count() == 3
     with pytest.raises(TermLimitExceeded):
         total_derivative(g, 0, CTX)
 
 
-def test_term_cap_stops_horizontal_differential(monkeypatch):
+def test_term_cap_stops_horizontal_differential(term_cap):
     # d_H (a0 a1 dx1) = d_0(a0 a1) dx0^dx1, two terms
     a = Form(CTX, 1, {(x(1),): Poly.var(conn(0, 0)) * Poly.var(conn(0, 1))})
     # h0 ((a0 + a1) da0) = (a0 + a1)(a0_{;0} dx0 + a0_{;1} dx1), four terms
     b = Form(CTX, 1, {(conn(0, 0),): Poly.var(conn(0, 0))
                             + Poly.var(conn(0, 1))})
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "2")
+    term_cap(2)
     assert horizontal_differential(a, CTX).term_count() == 2
     assert horizontal_projection(b, CTX).term_count() == 4
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "1")
+    term_cap(1)
     with pytest.raises(TermLimitExceeded):
         horizontal_differential(a, CTX)
     with pytest.raises(TermLimitExceeded):

@@ -2,6 +2,7 @@
 
 import functools
 import operator
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -147,10 +148,10 @@ def test_evaluate_is_a_ring_homomorphism(a, b):
     assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
 
 
-def test_term_cap_stops_products_and_sums(monkeypatch):
+def test_term_cap_stops_products_and_sums(term_cap):
     a = Poly.var(A00) + Poly.var(A01) + Poly.var(X0)
     b = Poly.var(X1) + Poly.var(B00) + Poly.var(XI)
-    monkeypatch.setenv("JETVAR_MAX_TERMS", "5")
+    term_cap(5)
     with pytest.raises(TermLimitExceeded):
         a * b    # 9 terms
     with pytest.raises(TermLimitExceeded):
@@ -206,12 +207,12 @@ def _oracle_chain_rule(terms, route):
             rest = dict(m[:i] + m[i + 1:])
             if e > 1:
                 rest[v] = e - 1
-            for out, sign, lift in route(v):
+            for out, w, lift in route(v):
                 nm = dict(rest)
                 if lift is not None:
                     nm[lift] = nm.get(lift, 0) + 1
                 nm = tuple(sorted(nm.items()))
-                s = out.get(nm, 0) + sign * Fraction(c) * e
+                s = out.get(nm, 0) + w * Fraction(c) * e
                 if s:
                     out[nm] = s
                 else:
@@ -294,11 +295,11 @@ def test_aliased_operands(p):
 
 
 def _route_to(outs):
-    # every indeterminate feeds a fixed mix of signs, lifts and no route
+    # every indeterminate feeds a fixed mix of weights, lifts and no route
     def route(v):
         i = POOL.index(v)
-        return [(outs[0], 1, None), (outs[1], -1, X1),
-                (outs[1], 1, A00)][i % 4:]
+        return [(outs[0], 1, None), (outs[1], -1, X1), (outs[0], Q(3, 2), X0),
+                (outs[1], 1, A00)][i % 5:]
     return route
 
 
@@ -336,6 +337,34 @@ def test_integral_values_are_stored_as_int():
                     (a.gradient()[A00], 1)]:
         (c,) = p.terms.values()
         assert c == want and type(c) is int
+
+
+def _t_term(e, *pairs):
+    """The pair-tuple monomial t^e times pairs, sorted by indeterminate."""
+    return tuple(sorted(((T, e),) * bool(e) + pairs))
+
+
+@pytest.mark.parametrize("terms", [
+    # t^0 ... t^6 on one monomial: 1 + 1/2 + ... + 1/7 = 363/140
+    {_t_term(e, (A00, 1)): 1 for e in range(7)},
+    # t^e x0^e with coefficient e + 1 integrates to x0^e exactly
+    {_t_term(e, (X0, e) if e else (A01, 1)): e + 1 for e in range(7)},
+    # Fraction inputs, two of them summing to the int 3/4 + 1/4 = 1
+    {_t_term(2, (A00, 2)): Q(3, 4), _t_term(5, (X0, 1)): Q(-2, 3),
+     _t_term(1, (XI, 1)): Q(3, 2), _t_term(0, (XI, 1)): Q(1, 4)},
+    # a non-integral result: t^6 -> 1/7
+    {_t_term(6): 1, _t_term(3, (B00, 1)): -5},
+    # terms that cancel to 0, with ints and with Fractions, next to a survivor
+    {_t_term(1, (A00, 1)): 2, _t_term(0, (A00, 1)): -1,
+     _t_term(2, (X1, 1)): Q(3, 2), _t_term(0, (X1, 1)): Q(-1, 2),
+     _t_term(4, (X0, 1)): 5, _t_term(0, (X0, 1)): -1, _t_term(3, (X0, 1)): 1},
+    # everything cancels
+    {_t_term(3, (XI, 2)): 4, _t_term(0, (XI, 2)): -1},
+])
+def test_integrate_t_equals_the_pair_tuple_oracle(terms):
+    got = Poly(encode_terms(terms)).integrate_t().terms
+    assert decode_pairs(got) == oracles.integrate_t(terms)
+    assert_stored_form(got)
 
 
 def test_integrate_t_promotes_to_fraction_only_for_a_fraction():
@@ -384,7 +413,16 @@ def test_product_does_not_depend_on_factor_order(factors):
 def test_text_equals_the_decoded_pairs_oracle(p, limit):
     text = oracles.render(p)
     assert str(p) == text
-    assert p.render(limit) == " + ".join(text.split(" + ")[:limit])
+    parts = text.split(" + ")
+    # render(limit) ranks only the highest-degree buckets that hold limit
+    # terms: also try limits below, at and just past each bucket boundary
+    limits = {limit}
+    held = 0
+    for _, n in sorted(Counter(map(len, p.terms)).items(), reverse=True):
+        held += n
+        limits |= {held - 1, held, held + 1}
+    for lim in sorted(limits - {0}):
+        assert p.render(lim) == " + ".join(parts[:lim])
 
 
 def test_text_order_does_not_depend_on_intern_order():

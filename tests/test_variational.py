@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from jetvar import cli
+from jetvar import cli, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
                             gauge_generator)
 from jetvar.chern_simons import (CSData, _slot_contraction, canonical_curvature,
@@ -454,6 +454,43 @@ def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
     # d_H(-2 J^lam omega_lam) = -2 d_lam J^lam d^3x is all that is left
     left = ctx.volume_form(total_derivative(J_lam, lam, ctx) * -2)
     assert report.residual == left
+
+
+def test_conservation_is_not_vacuous_when_nonzero_sides_cancel(su2_law):
+    # d_H(J - sigma) and u . delta L are both nonzero and cancel exactly
+    cs, xi_C, sigma, L = su2_law
+    report, modified = conservation_check(L, xi_C, sigma)
+    boundary = horizontal_differential(modified, cs.ctx)
+    el = euler_lagrange(L)
+    u_el = cs.ctx.volume_form(sum((xi_C[i] * el[i] for i in el), Poly.zero()))
+    assert not boundary.is_zero() and not u_el.is_zero()
+    assert boundary == u_el.scale(-1)
+    assert report.passed and not report.vacuous
+
+
+def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
+    # sigma with one coefficient of one term off by 1 must fail d_H sigma =
+    # L_xi L; the term is a longest monomial, so its total derivative is
+    # nonzero and d_H sees the change
+    cs, _, sigma, L = su2_law
+    S = cs_form(cs)
+    h0 = variational.horizontal_projection
+
+    def off_by_one(a, ctx):
+        out = h0(a, ctx)
+        key = min(out.terms)
+        terms = dict(out.terms[key].terms)
+        m = max(terms, key=len)
+        assert m
+        terms[m] += 1
+        if not terms[m]:
+            del terms[m]
+        return Form(ctx, out.degree, {**out.terms, key: Poly(terms)})
+
+    assert sigma_boundary_term(cs, S=S, L=L) == sigma
+    monkeypatch.setattr(variational, "horizontal_projection", off_by_one)
+    with pytest.raises(SigmaMismatch):
+        sigma_boundary_term(cs, S=S, L=L)
 
 
 # -- gauge-invariant sector ---------------------------------------------
