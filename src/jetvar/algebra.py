@@ -6,8 +6,9 @@ Jacobi, and ad-invariance are verified at load time, never assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from math import factorial
 
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
@@ -40,16 +41,39 @@ class LieAlgebraData:
             if v != -self.bracket_const(r, q, p):
                 raise AntisymmetryViolation(
                     f"c^{r}_{{{p}{q}}} != -c^{r}_{{{q}{p}}}")
-        m = self.dim
-        for p, q, s in combinations_with_replacement(range(m), 3):
-            for r in range(m):
-                acc = Q(0)
-                for u in range(m):
-                    acc += self.bracket_const(u, p, q) * self.bracket_const(r, u, s)
-                    acc += self.bracket_const(u, q, s) * self.bracket_const(r, u, p)
-                    acc += self.bracket_const(u, s, p) * self.bracket_const(r, u, q)
-                if acc:
-                    raise JacobiViolation(f"Jacobi fails at (p,q,s,r)=({p},{q},{s},{r})")
+        # T[(a, b, d, r)] = c^u_ab c^r_ud summed over u, from the pairs of
+        # nonzero constants that share u.  Jacobi at (p, q, s, r) is
+        # T(p,q,s,r) + T(q,s,p,r) + T(s,p,q,r), so only sorted triples
+        # {a, b, d} of nonzero T entries can fail; the first failure in
+        # (p, q, s, r) order is reported.
+        upper = _by_upper(self.c)
+        T: dict = {}
+        for (r, u, d), w in self.c.items():
+            for a, b, v in upper.get(u, ()):
+                key = (a, b, d, r)
+                T[key] = T.get(key, 0) + v * w
+        for key in sorted({(*sorted(key[:3]), key[3])
+                           for key, v in T.items() if v}):
+            p, q, s, r = key
+            if T.get((p, q, s, r), 0) + T.get((q, s, p, r), 0) \
+                    + T.get((s, p, q, r), 0):
+                raise JacobiViolation(f"Jacobi fails at (p,q,s,r)=({p},{q},{s},{r})")
+
+
+def _by_upper(c: dict) -> dict:
+    """r -> the (p, q, c^r_pq) of the nonzero constants c^r_pq."""
+    out: dict = {}
+    for (r, p, q), v in c.items():
+        out.setdefault(r, []).append((p, q, v))
+    return out
+
+
+def _multinomial(idx: tuple) -> int:
+    """Number of distinct orderings of the multiset idx."""
+    mult = factorial(len(idx))
+    for c in Counter(idx).values():
+        mult //= factorial(c)
+    return mult
 
 
 class InvariantTensor:
@@ -92,16 +116,16 @@ def load_lie_algebra(dim: int, constants) -> LieAlgebraData:
 
 
 def killing_form(g: LieAlgebraData):
-    """kappa_mn = c^p_mq c^q_np as a dense list of Fraction rows."""
+    """kappa_mn = c^p_mq c^q_np as a dense list of Fraction rows, summed over
+    the pairs of nonzero constants c^p_mq, c^q_np."""
     m = g.dim
     out = [[Q(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            s = Q(0)
-            for p in range(m):
-                for q in range(m):
-                    s += g.bracket_const(p, i, q) * g.bracket_const(q, j, p)
-            out[i][j] = s
+    upper = _by_upper(g.c)
+    for (p, i, q), v in g.c.items():
+        row = out[i]
+        for j, p2, w in upper.get(q, ()):
+            if p2 == p:
+                row[j] += v * w
     return out
 
 
@@ -109,22 +133,26 @@ def check_invariant_tensor(g: LieAlgebraData, b: InvariantTensor):
     """Ad-invariance residual, fully symmetrized over the free slots.
 
     Returns a dict of nonzero residual entries keyed by (p, sorted free
-    indices); empty means the tensor is invariant.
+    indices); empty means the tensor is invariant.  The entry at (p, e) sums
+    c^r1_{p t0} b(r1, t1, ..., t_{k-1}) over the orderings t of e; it is
+    walked from the nonzero entries of b and constants c^r1_ps: an entry
+    with slot value r1 and other indices R gives every ordering of R, so
+    its product is weighted by their number.
     """
-    m = g.dim
-    k = b.degree
+    upper = _by_upper(g.c)
     residual: dict = {}
-    for p in range(m):
-        for tail in product(range(m), repeat=k):
-            # tail[0] plays the bracketed slot, tail[1:] fill the rest.
-            s = Q(0)
-            for r1 in range(m):
-                cval = g.bracket_const(r1, p, tail[0])
-                if cval:
-                    s += cval * b.value((r1,) + tail[1:])
-            if s:
-                key = (p, tuple(sorted(tail)))
-                residual[key] = residual.get(key, Q(0)) + s
+    for idx, bval in b.entries.items():
+        for i, r1 in enumerate(idx):
+            if i and idx[i - 1] == r1:
+                continue  # one slot value per distinct index
+            consts = upper.get(r1)
+            if not consts:
+                continue
+            rest = idx[:i] + idx[i + 1:]
+            weight = bval * _multinomial(rest)
+            for p, s, cval in consts:
+                key = (p, tuple(sorted(rest + (s,))))
+                residual[key] = residual.get(key, Q(0)) + cval * weight
     return {k2: v for k2, v in residual.items() if v}
 
 

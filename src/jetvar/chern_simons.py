@@ -3,11 +3,11 @@ background section, and the resulting first-order Lagrangian."""
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import factorial, lcm
+from math import lcm
 
-from .algebra import InvariantTensor, LieAlgebraData, check_invariant_tensor
+from .algebra import (InvariantTensor, LieAlgebraData, _multinomial,
+                      check_invariant_tensor)
 from .errors import JetvarError
 from .forms import Form, _wrap, add_into, exterior_d, wedge, wedge_into
 from .indets import T, bg, conn, x
@@ -86,14 +86,6 @@ def _curvature(cs: CSData, linear: list, ones: list) -> list:
     for (r, p, q), cval in cs.algebra.c.items():
         wedge_into(accs[r], ones[p], ones[q], cval / 2)
     return [_wrap(cs.ctx, 2, acc) for acc in accs]
-
-
-def _multinomial(idx: tuple) -> int:
-    """Number of distinct orderings of the multiset idx."""
-    mult = factorial(len(idx))
-    for c in Counter(idx).values():
-        mult //= factorial(c)
-    return mult
 
 
 def canonical_curvature(cs: CSData) -> list:

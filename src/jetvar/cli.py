@@ -10,6 +10,7 @@ before the subcommand; a malformed cap exits 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -448,7 +449,10 @@ def cmd_selftest(args, dump: Dump) -> int:
 # -- entry point -------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: parsing
+    fills a fresh namespace and leaves the parser unchanged."""
     p = argparse.ArgumentParser(
         prog="jetvar",
         description="Exact verification of Chern-Simons conservation laws")

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly, add_dicts, chain_rule, div_dict, mul_dicts
+from .polynomial import (Poly, _memoized, add_dicts, chain_rule, div_dict,
+                         mul_dicts)
 
 __all__ = ["Form", "wedge", "exterior_d", "contract",
            "lie_derivative_form", "apply_derivation", "map_generators",
@@ -209,20 +210,17 @@ def differential_into(acc: dict, a: Form, image, c=1) -> dict:
 
     image(v) lists (g, lift) pairs meaning dv = sum lift dg over coordinate
     generators g, where lift is None for 1 or the indeterminate w; it is
-    called once per indeterminate per call.  Each coefficient is walked once
-    by the chain-rule kernel, and a partial whose dc already occurs in dcs
-    is never formed.
+    called once per indeterminate per coefficient, so it should be
+    memoized (d and d_H are, for the process).  Each coefficient is walked
+    once by the chain-rule kernel, and a partial whose dc already occurs in
+    dcs is never formed.
     """
-    images: dict = {}
     for dcs, f in a.terms.items():
         slots: dict = {}  # g -> (terms of dg ^ dcs, weight), or () when it is 0
 
         def route(v):
-            img = images.get(v)
-            if img is None:
-                img = images[v] = image(v)
             r = []
-            for g, lift in img:
+            for g, lift in image(v):
                 slot = slots.get(g)
                 if slot is None:
                     merged = _merge_tuples((g,), dcs)
@@ -240,7 +238,8 @@ def differential_into(acc: dict, a: Form, image, c=1) -> dict:
 def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
     """Add c * da into the accumulator acc; returns acc.  d is the chain
     rule: a coordinate v gives dv, a function symbol s gives
-    s_{D+lam} dx^lam; any other indeterminate raises."""
+    s_{D+lam} dx^lam; any other indeterminate raises.  The image of each
+    indeterminate is built once per process and context key."""
     ctx = a.ctx
 
     def image(v):
@@ -251,7 +250,7 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 
-    return differential_into(acc, a, image, c)
+    return differential_into(acc, a, _memoized(("d",) + ctx._key(), image), c)
 
 
 def exterior_d(a: Form) -> Form:

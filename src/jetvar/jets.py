@@ -11,7 +11,7 @@ from .forms import (Form, _wrap, differential_into, linear_combination,
                     map_generators)
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly, chain_rule
+from .polynomial import Poly, _memoized, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "total_derivative_into",
            "horizontal_projection", "horizontal_differential",
@@ -101,15 +101,21 @@ class JetContext:
         return comps
 
 
-def _horizontal_image(v: tuple, ctx: JetContext) -> tuple:
-    """d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed over lam for a
-    field jet or function symbol, dx^lam for x^lam, nothing for t."""
-    k = v[0]
-    if k == X:
-        return ((v, None),)
-    if k == AUX:
-        return ()
-    return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(ctx.n))
+def _horizontal_image(ctx: JetContext):
+    """The map v -> d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed
+    over lam for a field jet or function symbol, dx^lam for x^lam, nothing
+    for t; each image is built once per process and context key."""
+    n = ctx.n
+
+    def image(v):
+        k = v[0]
+        if k == X:
+            return ((v, None),)
+        if k == AUX:
+            return ()
+        return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(n))
+
+    return _memoized(("d_H",) + ctx._key(), image)
 
 
 def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
@@ -118,9 +124,10 @@ def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
     chain rule: the partial in x^lam, plus (df/dv) v_{D+lam} for every field
     jet and function symbol v; other x and t are constants."""
     dx = x(lam)
+    image = _horizontal_image(ctx)
 
     def route(v):
-        return [(out, c, lift) for g, lift in _horizontal_image(v, ctx) if g == dx]
+        return [(out, c, lift) for g, lift in image(v) if g == dx]
 
     chain_rule(f.terms, route)
     return out
@@ -143,7 +150,7 @@ def horizontal_differential_into(acc: dict, a: Form, ctx: JetContext,
     d_H = dx^lam wedge d_lam on horizontal forms; d_lam of a coefficient is
     formed only for the lam whose dx^lam the wedge keeps."""
     _require_horizontal(a)
-    return differential_into(acc, a, lambda v: _horizontal_image(v, ctx), c)
+    return differential_into(acc, a, _horizontal_image(ctx), c)
 
 
 def horizontal_differential(a: Form, ctx: JetContext) -> Form:

@@ -10,17 +10,19 @@ library sums raw term dicts in place.  The pullback of forms along a
 substitution lives here only: the library builds P(F_B) and the fiber
 homotopy in closed form, and the last section builds sigma by the pullback
 route of the fiberwise scaling homotopy, against which the closed-form
-descent route of the library is tested.
+descent route of the library is tested.  The dense algebra checks at the end loop
+over every index, where the library sums over nonzero constants only.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from jetvar import forms
 from jetvar.chern_simons import (_multinomial, _slot_contraction,
                                  background_curvature, cs_form)
-from jetvar.errors import JetvarError, NonzeroResidual
+from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
+                           NonzeroResidual)
 from jetvar.forms import Form, _merge_tuples
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
 from jetvar.jets import horizontal_projection
@@ -386,3 +388,65 @@ def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
     omega = forms.contract(xi_C, forms.exterior_d(S))
     psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
     return horizontal_projection(psi + forms.contract(xi_C, S), cs.ctx)
+
+
+# -- dense algebra checks ---------------------------------------------------
+
+
+def validate_algebra(dim: int, c: dict) -> None:
+    """LieAlgebraData's load-time checks by the dense loops: raises as
+    LieAlgebraData(dim, c) does, naming the first failing (p, q, s, r) with
+    p <= q <= s in lexicographic order."""
+    c = {k: v for k, v in c.items() if v}
+
+    def const(r, p, q):
+        return c.get((r, p, q), Fraction(0))
+
+    for (r, p, q), v in c.items():
+        if not all(0 <= i < dim for i in (r, p, q)):
+            raise JetvarError(f"structure constant index out of range: {(r, p, q)}")
+        if v != -const(r, q, p):
+            raise AntisymmetryViolation(
+                f"c^{r}_{{{p}{q}}} != -c^{r}_{{{q}{p}}}")
+    for p, q, s in combinations_with_replacement(range(dim), 3):
+        for r in range(dim):
+            acc = Fraction(0)
+            for u in range(dim):
+                acc += const(u, p, q) * const(r, u, s)
+                acc += const(u, q, s) * const(r, u, p)
+                acc += const(u, s, p) * const(r, u, q)
+            if acc:
+                raise JacobiViolation(f"Jacobi fails at (p,q,s,r)=({p},{q},{s},{r})")
+
+
+def killing_form(g) -> list:
+    """kappa_mn = c^p_mq c^q_np as dense Fraction rows, over every p, q."""
+    m = g.dim
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            s = Fraction(0)
+            for p in range(m):
+                for q in range(m):
+                    s += g.bracket_const(p, i, q) * g.bracket_const(q, j, p)
+            out[i][j] = s
+    return out
+
+
+def check_invariant_tensor(g, b) -> dict:
+    """The ad-invariance residual over every p and ordered tail: the entry
+    at (p, sorted tail) sums c^r1_{p tail[0]} b(r1, tail[1:]) over r1 and
+    the tails with that sorted form."""
+    m = g.dim
+    residual: dict = {}
+    for p in range(m):
+        for tail in product(range(m), repeat=b.degree):
+            s = Fraction(0)
+            for r1 in range(m):
+                cval = g.bracket_const(r1, p, tail[0])
+                if cval:
+                    s += cval * b.value((r1,) + tail[1:])
+            if s:
+                key = (p, tuple(sorted(tail)))
+                residual[key] = residual.get(key, Fraction(0)) + s
+    return {key: v for key, v in residual.items() if v}

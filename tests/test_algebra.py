@@ -1,12 +1,17 @@
 """Lie-algebra data validation, Killing forms, invariant tensors, gauge
-generators, and the section bracket."""
+generators, and the section bracket.  The sparse algebra checks are tested
+against the dense loops of the test oracles."""
 
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
+import oracles
+from jetvar.algebra import (_EPS3, InvariantTensor, LieAlgebraData,
+                            _multinomial, builtin_algebra, builtin_invariant,
                             check_invariant_tensor, direct_sum, gauge_generator,
                             killing_form, load_lie_algebra, section_bracket)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError)
@@ -147,3 +152,98 @@ def test_section_bracket_is_antisymmetric():
     rhs = section_bracket(eta, xi, g)
     for a, b in zip(lhs, rhs):
         assert a == -b
+
+
+def test_large_abelian_algebra_checks_in_sparse_time():
+    # the dense Jacobi loop gave no verdict on u1^40 within 60 s
+    g = builtin_algebra("u1^40")
+    assert (g.dim, g.c) == (40, {})
+    assert check_invariant_tensor(g, builtin_invariant("unit", g, 2)) == {}
+    assert killing_form(g) == [[0] * 40 for _ in range(40)]
+
+
+# -- sparse checks against the dense oracles ----------------------------------
+
+RATIONALS = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2), Q(3)])
+
+
+@st.composite
+def algebra_cases(draw):
+    """(dim, constants, u1 indices, whether a constant was perturbed):
+    u1^m plus an optional rescaled su2 under a random relabeling of the
+    basis, possibly with one perturbed constant that breaks antisymmetry or
+    Jacobi."""
+    m = draw(st.integers(0, 3))
+    has_su2 = m == 0 or draw(st.booleans())
+    dim = m + 3 * has_su2
+    perm = draw(st.permutations(range(dim)))
+    c = {}
+    if has_su2:
+        # e_i -> lam_i e_i rescales c^r_pq by lam_p lam_q / lam_r
+        lam = [draw(RATIONALS) for _ in range(3)]
+        for (r, p, q), v in _EPS3.items():
+            c[(perm[m + r], perm[m + p], perm[m + q])] = lam[p] * lam[q] / lam[r] * v
+    index = st.integers(0, dim - 1)
+    kind = draw(st.sampled_from(["valid", "antisymmetry", "jacobi"]))
+    if kind == "antisymmetry":
+        c[(draw(index), draw(index), draw(index))] = draw(RATIONALS)
+    elif kind == "jacobi":
+        r, p, q = draw(index), draw(index), draw(index)
+        v = draw(RATIONALS)
+        c[(r, p, q)] = v
+        c[(r, q, p)] = -v if p != q else 0
+    return dim, c, [perm[i] for i in range(m)], kind != "valid"
+
+
+def _outcome(check, *args):
+    """The value of check(*args), or the type and message it raised."""
+    try:
+        return check(*args)
+    except JetvarError as exc:
+        return type(exc), str(exc)
+
+
+def _invariant_tensor(draw, g, u1, k) -> InvariantTensor:
+    """A random degree-k invariant tensor: the polarization of a sum of
+    products of u1 coordinates, times the Killing quadratic form when su2 is
+    present.  The entry at a sorted index tuple e is the coefficient of x^e
+    divided by the number of orderings of e."""
+    kappa = killing_form(g)
+    quadratic = {(i, j): kappa[i][j] * (1 if i == j else 2)
+                 for i in range(g.dim) for j in range(i, g.dim) if kappa[i][j]}
+    poly: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        coef = draw(RATIONALS)
+        j = draw(st.integers(0, k // 2)) if quadratic else 0
+        if not u1 and k != 2 * j:
+            continue
+        us = tuple(draw(st.sampled_from(u1)) for _ in range(k - 2 * j))
+        for ij, qv in (quadratic.items() if j else [((), 1)]):
+            key = tuple(sorted(ij + us))
+            poly[key] = poly.get(key, 0) + coef * qv
+    return InvariantTensor(k, {e: v / _multinomial(e) for e, v in poly.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=algebra_cases(), data=st.data())
+def test_sparse_checks_match_the_dense_oracles(case, data):
+    dim, c, u1, perturbed = case
+    want = _outcome(oracles.validate_algebra, dim, dict(c))
+    got = _outcome(LieAlgebraData, dim, dict(c))
+    if want is not None:
+        assert got == want
+        return
+    g = got
+    assert killing_form(g) == oracles.killing_form(g)
+    k = data.draw(st.integers(1, 3))
+    entries = {}
+    if not perturbed:  # a perturbation may leave another valid algebra
+        b = _invariant_tensor(data.draw, g, u1, k)
+        assert oracles.check_invariant_tensor(g, b) == {}
+        assert check_invariant_tensor(g, b) == {}
+        entries = dict(b.entries)
+    for _ in range(data.draw(st.integers(1, 2))):
+        idx = tuple(sorted(data.draw(st.integers(0, dim - 1)) for _ in range(k)))
+        entries[idx] = entries.get(idx, 0) + data.draw(RATIONALS)
+    b = InvariantTensor(k, entries)
+    assert check_invariant_tensor(g, b) == oracles.check_invariant_tensor(g, b)

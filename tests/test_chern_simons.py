@@ -21,10 +21,14 @@ import oracles
 
 
 ROOT = Path(__file__).resolve().parent.parent
+# the model configs that pass; the two known negatives are checked by their
+# golden check-algebra output in test_cli
+NEGATIVES = ("jacobi_violation.json", "su2_unit.json")
 SHIPPED = sorted(p.relative_to(ROOT).as_posix()
                  for d in ("configs", "tests/configs")
                  for p in (ROOT / d).glob("*.json")
-                 if "algebra" in cli.load_config(str(p)))
+                 if "algebra" in cli.load_config(str(p))
+                 and p.name not in NEGATIVES)
 
 
 def _model(alg, inv, k, background="symbolic", h=1):

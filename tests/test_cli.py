@@ -3,6 +3,7 @@ errors, and the term cap."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ from jetvar import cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ROOT / "configs"
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 # h = 0 scales every CS object to zero, so each identity holds vacuously
-SU2_H0 = Path(__file__).resolve().parent / "configs" / "su2_k2_h0.json"
+SU2_H0 = TEST_CONFIGS / "su2_k2_h0.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -30,35 +32,44 @@ def run_cli(*args, env_extra=None):
 
 GOLDEN_CASES = [
     ("check_algebra_su2.txt", ["check-algebra", "--config",
-                               str(CONFIGS / "su2_k2.json")]),
+                               str(CONFIGS / "su2_k2.json")], 0),
     ("transgression_su2_k2.txt", ["transgression", "--config",
-                                  str(CONFIGS / "su2_k2.json")]),
+                                  str(CONFIGS / "su2_k2.json")], 0),
     ("euler_lagrange_u1_k2.txt", ["euler-lagrange", "--config",
                                   str(CONFIGS / "u1_k2.json"),
-                                  "--compare-background"]),
-    ("noether_u1_k2.txt", ["noether", "--config", str(CONFIGS / "u1_k2.json")]),
+                                  "--compare-background"], 0),
+    ("noether_u1_k2.txt", ["noether", "--config", str(CONFIGS / "u1_k2.json")],
+     0),
     ("verify_conservation_u1_k2.txt", ["verify-conservation", "--config",
-                                       str(CONFIGS / "u1_k2.json")]),
+                                       str(CONFIGS / "u1_k2.json")], 0),
     ("verify_conservation_su2_k2.txt", ["verify-conservation", "--config",
-                                        str(CONFIGS / "su2_k2.json")]),
-    ("transgression_su2_k2_h0.txt", ["transgression", "--config", str(SU2_H0)]),
+                                        str(CONFIGS / "su2_k2.json")], 0),
+    ("transgression_su2_k2_h0.txt", ["transgression", "--config", str(SU2_H0)],
+     0),
     ("verify_conservation_su2_k2_h0.txt", ["verify-conservation", "--config",
-                                           str(SU2_H0)]),
+                                           str(SU2_H0)], 0),
     ("euler_lagrange_su2_k2_h0.txt", ["euler-lagrange", "--config", str(SU2_H0),
-                                      "--compare-background"]),
+                                      "--compare-background"], 0),
     ("verify_conservation_u1su2_k3.txt", ["verify-conservation", "--config",
-                                          str(CONFIGS / "u1su2_k3.json")]),
+                                          str(CONFIGS / "u1su2_k3.json")], 0),
     # the 7D frontier case
     ("verify_conservation_u1_k4.txt", ["verify-conservation", "--config",
-                                       str(SU2_H0.parent / "u1_k4.json")]),
+                                       str(TEST_CONFIGS / "u1_k4.json")], 0),
+    # the two algebra negatives: the first failing Jacobi index, and the
+    # residual entries of a non-invariant tensor
+    ("check_algebra_jacobi_violation.txt", [
+        "check-algebra", "--config", str(TEST_CONFIGS / "jacobi_violation.json")],
+     1),
+    ("check_algebra_su2_unit.txt", ["check-algebra", "--config",
+                                    str(TEST_CONFIGS / "su2_unit.json")], 1),
 ]
 
 
-@pytest.mark.parametrize("golden,args", GOLDEN_CASES,
-                         ids=[g for g, _ in GOLDEN_CASES])
-def test_stdout_matches_golden_file(golden, args):
+@pytest.mark.parametrize("golden,args,code", GOLDEN_CASES,
+                         ids=[g for g, _, _ in GOLDEN_CASES])
+def test_stdout_matches_golden_file(golden, args, code):
     r = run_cli(*args)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == code, r.stderr
     assert r.stdout == (GOLDEN / golden).read_text()
 
 
@@ -431,6 +442,69 @@ def test_k_above_the_bound_exits_2(capsys, tmp_path, command, k):
     assert code == 2
     assert f"k must be an integer in 2..{cli.MAX_K}" in err
     assert out == ""
+
+
+def test_large_abelian_algebra_checks_quickly(capsys, tmp_path):
+    # the dense Jacobi loop gave no verdict on u1^40 within 60 s
+    code, err, out = _main_exit(capsys, tmp_path, "check-algebra",
+                                {"algebra": "u1^40", "invariant": "unit", "k": 2})
+    assert code == 0, err
+    assert out == ("algebra: dim 40, 0 nonzero structure constants\n"
+                   "[PASS] antisymmetry c^r_pq = -c^r_qp\n"
+                   "[PASS] Jacobi identity\n"
+                   "[PASS] invariant tensor ad-invariance (degree 2)\n")
+
+
+# -- one parser per process: no flag or default leaks between calls ---------
+
+
+def _cli_3d_requests() -> list:
+    """Five model subcommands on u1_k2, su2_k2 and u1_k3, plus the known
+    negatives on su2 with the unit tensor and on a Jacobi violation."""
+    flags = {"check-algebra": [], "transgression": [],
+             "euler-lagrange": ["--compare-background"], "noether": [],
+             "verify-conservation": []}
+    reqs = [[cmd, "--config", str(CONFIGS / f"{model}.json"), *extra]
+            for model in ("u1_k2", "su2_k2", "u1_k3")
+            for cmd, extra in flags.items()]
+    reqs += [[cmd, "--config", str(TEST_CONFIGS / f"{name}.json")]
+             for cmd, name in [("check-algebra", "su2_unit"),
+                               ("transgression", "su2_unit"),
+                               ("verify-conservation", "su2_unit"),
+                               ("check-algebra", "jacobi_violation"),
+                               ("transgression", "jacobi_violation")]]
+    return reqs
+
+
+def test_repeated_in_process_calls_match_fresh_interpreters(capsys, tmp_path):
+    reqs = _cli_3d_requests()
+    first, second = list(reqs), list(reqs)
+    random.Random(1).shuffle(first)
+    random.Random(2).shuffle(second)
+    u1_k2 = ["--config", str(CONFIGS / "u1_k2.json")]
+    u1_k3 = ["--config", str(CONFIGS / "u1_k3.json")]
+    usage_error = ["verify-conservation", "--seed", "7"]  # no --config
+    sequence = (first + [usage_error] + second
+                + [["euler-lagrange", *u1_k2, "--compare-background"],
+                   ["euler-lagrange", *u1_k2],
+                   ["noether", *u1_k3, "--dump", str(tmp_path / "dump.txt")],
+                   ["noether", *u1_k3]])
+    fresh: dict = {}
+    for argv in sequence:
+        key = tuple(argv)
+        if key not in fresh:
+            r = run_cli(*argv)
+            fresh[key] = (r.returncode, r.stdout)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == fresh[key], argv
+    assert fresh[tuple(usage_error)][0] == 2
+    assert cli._parser() is cli._parser()
+    # the flags do change the output, so a leak would have shown
+    assert len({fresh[tuple(argv)] for argv in sequence[-4:-2]}) == 2
+    assert len({fresh[tuple(argv)] for argv in sequence[-2:]}) == 2
 
 
 # -- config fuzz: mutated shipped configs never escape as a traceback ------

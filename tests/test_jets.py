@@ -274,6 +274,24 @@ def test_total_derivative_of_a_third_order_jet_gives_fourth_order_jets():
             assert with_extra_deriv(c, lam) in CTX.field_coords(4)
 
 
+@pytest.mark.parametrize("sizes", [(3, 5, 3), (5, 3, 5)])
+def test_memoized_images_follow_the_base_dimension(sizes):
+    # d and d_H images are memoized per process and context key; the same
+    # indeterminate on contexts of other dimensions gets only in-range lifts
+    for n in sizes:
+        ctx = JetContext(n, 1)
+        lam = range(n)
+        a = conn(0, 0, (1,))
+        assert [total_derivative(Poly.var(a), mu, ctx) for mu in lam] \
+            == [Poly.var(with_extra_deriv(a, mu)) for mu in lam]
+        for v in (a, bg(0, 1)):
+            f = Form.from_poly(ctx, Poly.var(v))
+            lifts = {(x(mu),): Poly.var(with_extra_deriv(v, mu)) for mu in lam}
+            assert horizontal_differential(f, ctx).terms == lifts
+            d_lifts = {(v,): Poly.const(1)} if v in ctx else lifts
+            assert exterior_d(f).terms == d_lifts
+
+
 def test_horizontal_projection_kills_contact_forms():
     for c in CTX.field_coords(0) + CTX.field_coords(1):
         theta = contact_form(c, CTX)

@@ -232,10 +232,14 @@ def test_fiber_homotopy_rejects_forms_alive_on_the_section():
 # -- sigma: the descent route against the fiber homotopy oracle -----------
 
 ROOT = Path(__file__).resolve().parent.parent
+# the model configs that pass; the two known negatives are checked by their
+# golden check-algebra output in test_cli
+NEGATIVES = ("jacobi_violation.json", "su2_unit.json")
 SHIPPED = sorted(p.relative_to(ROOT).as_posix()
                  for d in ("configs", "tests/configs")
                  for p in (ROOT / d).glob("*.json")
-                 if "algebra" in cli.load_config(str(p)))
+                 if "algebra" in cli.load_config(str(p))
+                 and p.name not in NEGATIVES)
 
 
 def _x(i):
