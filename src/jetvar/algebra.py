@@ -7,13 +7,12 @@ Jacobi, and ad-invariance are verified at load time, never assumed.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
 from .jets import JetContext, total_derivative
-from .polynomial import Poly, Q
+from .polynomial import Poly, Q, mul_dicts
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
            "killing_form", "check_invariant_tensor", "gauge_generator",
@@ -31,14 +30,11 @@ class LieAlgebraData:
         self.c = {k: v for k, v in c.items() if v}
         self._validate()
 
-    def bracket_const(self, r: int, p: int, q: int) -> Fraction:
-        return self.c.get((r, p, q), Q(0))
-
     def _validate(self):
         for (r, p, q), v in self.c.items():
             if not all(0 <= i < self.dim for i in (r, p, q)):
                 raise JetvarError(f"structure constant index out of range: {(r, p, q)}")
-            if v != -self.bracket_const(r, q, p):
+            if v != -self.c.get((r, q, p), 0):
                 raise AntisymmetryViolation(
                     f"c^{r}_{{{p}{q}}} != -c^{r}_{{{q}{p}}}")
         # T[(a, b, d, r)] = c^u_ab c^r_ud summed over u, from the pairs of
@@ -91,9 +87,6 @@ class InvariantTensor:
             if v:
                 self.entries[key] = v
 
-    def value(self, idx: tuple) -> Fraction:
-        return self.entries.get(tuple(sorted(idx)), Q(0))
-
     def scaled(self, c) -> "InvariantTensor":
         return InvariantTensor(self.degree,
                                {k: v * c for k, v in self.entries.items()})
@@ -115,18 +108,17 @@ def load_lie_algebra(dim: int, constants) -> LieAlgebraData:
     return LieAlgebraData(dim, c)
 
 
-def killing_form(g: LieAlgebraData):
-    """kappa_mn = c^p_mq c^q_np as a dense list of Fraction rows, summed over
-    the pairs of nonzero constants c^p_mq, c^q_np."""
-    m = g.dim
-    out = [[Q(0)] * m for _ in range(m)]
+def killing_form(g: LieAlgebraData) -> dict:
+    """kappa_mn = c^p_mq c^q_np as the dict {(m, n): value} of its nonzero
+    entries in sorted order, summed over the pairs of nonzero constants
+    c^p_mq, c^q_np."""
+    out: dict = {}
     upper = _by_upper(g.c)
     for (p, i, q), v in g.c.items():
-        row = out[i]
         for j, p2, w in upper.get(q, ()):
             if p2 == p:
-                row[j] += v * w
-    return out
+                out[(i, j)] = out.get((i, j), 0) + v * w
+    return {key: out[key] for key in sorted(out) if out[key]}
 
 
 def check_invariant_tensor(g: LieAlgebraData, b: InvariantTensor):
@@ -158,7 +150,7 @@ def check_invariant_tensor(g: LieAlgebraData, b: InvariantTensor):
 
 def gauge_generator(g: LieAlgebraData, ctx: JetContext,
                     params: list | None = None) -> dict:
-    """Vertical field xi_C on C: component d_mu xi^r + c^r_pq a^p_mu xi^q.
+    """Vertical field xi_C on C: component d_mu xi^r + [a_mu, xi]^r.
 
     params, when given, are explicit per-index gauge parameters (Poly in x);
     by default the symbolic xi family is used.  Derivatives of explicit
@@ -166,6 +158,9 @@ def gauge_generator(g: LieAlgebraData, ctx: JetContext,
     """
     if g.dim != ctx.gauge_dim:
         raise JetvarError("algebra dimension does not match the jet context")
+    xi = [Poly.var(gauge(q)) for q in range(g.dim)] if params is None else params
+    ad = [section_bracket([Poly.var(conn(p, mu)) for p in range(g.dim)], xi, g)
+          for mu in range(ctx.n)]
     out = {}
     for r in range(g.dim):
         for mu in range(ctx.n):
@@ -173,29 +168,19 @@ def gauge_generator(g: LieAlgebraData, ctx: JetContext,
                 comp = Poly.var(gauge(r, (mu,)))
             else:
                 comp = total_derivative(params[r], mu, ctx)
-            for p in range(g.dim):
-                for q in range(g.dim):
-                    cval = g.bracket_const(r, p, q)
-                    if cval:
-                        xi_q = Poly.var(gauge(q)) if params is None else params[q]
-                        comp = comp + cval * Poly.var(conn(p, mu)) * xi_q
+            comp = comp + ad[mu][r]
             if comp:
                 out[conn(r, mu)] = comp
     return out
 
 
 def section_bracket(xi: list, eta: list, g: LieAlgebraData) -> list:
-    """[xi, eta]^r = c^r_pq xi^p eta^q, componentwise on V_GP sections."""
-    out = []
-    for r in range(g.dim):
-        s = Poly.zero()
-        for p in range(g.dim):
-            for q in range(g.dim):
-                cval = g.bracket_const(r, p, q)
-                if cval:
-                    s = s + cval * xi[p] * eta[q]
-        out.append(s)
-    return out
+    """[xi, eta]^r = c^r_pq xi^p eta^q, componentwise on V_GP sections,
+    summed over the nonzero constants only."""
+    out = [{} for _ in range(g.dim)]
+    for (r, p, q), cval in g.c.items():
+        mul_dicts(xi[p].terms, eta[q].terms, out[r], cval)
+    return [Poly(terms) for terms in out]
 
 
 # -- shipped algebras and tensors -------------------------------------
@@ -240,21 +225,17 @@ def builtin_invariant(name: str, g: LieAlgebraData, k: int) -> InvariantTensor:
     if name == "killing":
         if k != 2:
             raise JetvarError("killing tensor has degree 2")
-        kappa = killing_form(g)
-        entries = {(i, j): kappa[i][j] for i in range(g.dim) for j in range(i, g.dim)
-                   if kappa[i][j]}
-        return InvariantTensor(2, entries)
+        return InvariantTensor(2, {(i, j): v for (i, j), v in killing_form(g).items()
+                                   if i <= j})
     if name == "unit":
         return InvariantTensor(k, {(0,) * k: Q(1)})
     if name == "u1su2-cubic":
         if k != 3 or g.dim != 4:
             raise JetvarError("u1su2-cubic needs degree 3 on the 4-dim u1+su2")
-        kappa = killing_form(g)
         entries: dict = {(0, 0, 0): Q(1)}
-        for i in range(g.dim):
-            for j in range(i, g.dim):
-                if kappa[i][j]:
-                    key = tuple(sorted((0, i, j)))
-                    entries[key] = entries.get(key, Q(0)) + kappa[i][j]
+        for (i, j), v in killing_form(g).items():
+            if i <= j:
+                key = tuple(sorted((0, i, j)))
+                entries[key] = entries.get(key, Q(0)) + v
         return InvariantTensor(3, entries)
     raise JetvarError(f"unknown invariant tensor {name!r}")

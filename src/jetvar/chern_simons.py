@@ -3,7 +3,7 @@ background section, and the resulting first-order Lagrangian."""
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import permutations
 from math import lcm
 
 from .algebra import (InvariantTensor, LieAlgebraData, _multinomial,
@@ -104,24 +104,31 @@ def _slot_sum(cs: CSData, heads: list, curv: list) -> tuple:
     """(acc, den, degree): den times the slot contraction below, as an
     accumulator (see forms), and its degree.  den is the least common
     denominator of the values of b, so that every weight is an int and the
-    kernel multiplies ints only.  The last curvature factor of each term is
+    kernel multiplies ints only.  Only the nonzero entries of b are walked:
+    each distinct ordering of j of an entry's indices is a lead, and the
+    remaining indices are the multiset of curvature slots.  The head of
+    each lead is wedged once; the last curvature factor of each term is
     wedged straight into acc."""
-    m = cs.algebra.dim
     j = len(heads)
     den = lcm(*(v.denominator for v in cs.b.entries.values()))
+    by_lead: dict = {}
+    for idx, bval in cs.b.entries.items():
+        weight = (bval * den).numerator
+        for lead in set(permutations(idx, j)):
+            rest = list(idx)
+            for r in lead:
+                rest.remove(r)
+            rest = tuple(rest)
+            by_lead.setdefault(lead, []).append((rest, weight * _multinomial(rest)))
     acc: dict = {}
-    for lead in product(range(m), repeat=j):
+    for lead in sorted(by_lead):
         factors = [h[r] for h, r in zip(heads, lead)]
         if any(f.is_zero() for f in factors):
             continue
         head = factors[0]
         for f in factors[1:]:
             head = wedge(head, f)
-        for rest in combinations_with_replacement(range(m), cs.k - j):
-            bval = cs.b.value(lead + rest)
-            if not bval:
-                continue
-            weight = (bval * den).numerator * _multinomial(rest)
+        for rest, weight in sorted(by_lead[lead]):
             if not rest:
                 add_into(acc, head, weight)
                 continue

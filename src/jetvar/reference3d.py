@@ -9,9 +9,9 @@ Killing form of the algebra; D_beta xi^m = d_beta xi^m + c^m_pq a^p_beta xi^q.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
-from .algebra import LieAlgebraData, killing_form
+from .algebra import _EPS3, LieAlgebraData, killing_form, section_bracket
 from .forms import Form
 from .indets import bg, conn, gauge, x
 from .jets import JetContext, total_derivative
@@ -21,12 +21,9 @@ __all__ = ["levi_civita", "cs_density_3d", "lie_derivative_density_3d",
            "noether_components_3d", "modified_current_components_3d",
            "current_discrepancy_primitive"]
 
-_EPS = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
-        for p in permutations(range(3))}
-
 
 def levi_civita(a: int, b: int, c: int) -> int:
-    return _EPS.get((a, b, c), 0)
+    return _EPS3.get((a, b, c), 0)
 
 
 def _A(r, mu, D=()):
@@ -41,25 +38,19 @@ def _XI(r, D=()):
     return Poly.var(gauge(r, D))
 
 
-def _strength(g: LieAlgebraData, lam: int, mu: int, r: int, field) -> Poly:
-    """F^r_{lam mu} = d_lam f_mu - d_mu f_lam + c^r_pq f^p_lam f^q_mu."""
-    f = field(r, mu, (lam,)) - field(r, lam, (mu,))
-    for p in range(g.dim):
-        for q in range(g.dim):
-            cval = g.bracket_const(r, p, q)
-            if cval:
-                f = f + cval * field(p, lam) * field(q, mu)
-    return f
+def _cs_inner(g: LieAlgebraData, be: int, ga: int, field) -> list:
+    """F^n_{be ga} - 1/3 c^n_pq f^p_be f^q_ga for every n, where
+    F^n_{be ga} = d_be f_ga - d_ga f_be + c^n_pq f^p_be f^q_ga."""
+    quad = section_bracket([field(p, be) for p in range(g.dim)],
+                           [field(q, ga) for q in range(g.dim)], g)
+    return [field(n, ga, (be,)) - field(n, be, (ga,)) + quad[n] - Q(1, 3) * quad[n]
+            for n in range(g.dim)]
 
 
-def _covariant_xi(g: LieAlgebraData, m: int, beta: int) -> Poly:
-    s = _XI(m, (beta,))
-    for p in range(g.dim):
-        for q in range(g.dim):
-            cval = g.bracket_const(m, p, q)
-            if cval:
-                s = s + cval * _A(p, beta) * _XI(q)
-    return s
+def _xi_bracket(g: LieAlgebraData, beta: int) -> list:
+    """c^m_pq a^p_beta xi^q for every m."""
+    return section_bracket([_A(p, beta) for p in range(g.dim)],
+                           [_XI(q) for q in range(g.dim)], g)
 
 
 def cs_density_3d(g: LieAlgebraData, h: Fraction, ctx: JetContext,
@@ -68,32 +59,18 @@ def cs_density_3d(g: LieAlgebraData, h: Fraction, ctx: JetContext,
     and the total-derivative cross group."""
     kappa = killing_form(g)
     dens = Poly.zero()
-    for m in range(g.dim):
-        for n_ in range(g.dim):
-            kv = kappa[m][n_]
-            if not kv:
-                continue
-            for al, be, ga in product(range(3), repeat=3):
-                e = levi_civita(al, be, ga)
-                if not e:
-                    continue
-                inner = _strength(g, be, ga, n_, _A)
-                for p in range(g.dim):
-                    for q in range(g.dim):
-                        cval = g.bracket_const(n_, p, q)
-                        if cval:
-                            inner = inner - Q(1, 3) * cval * _A(p, be) * _A(q, ga)
-                dens = dens + Q(h, 2) * kv * e * _A(m, al) * inner
-                if symbolic_bg:
-                    inner2 = _strength(g, be, ga, n_, _B)
-                    for p in range(g.dim):
-                        for q in range(g.dim):
-                            cval = g.bracket_const(n_, p, q)
-                            if cval:
-                                inner2 = inner2 - Q(1, 3) * cval * _B(p, be) * _B(q, ga)
-                    dens = dens - Q(h, 2) * kv * e * _B(m, al) * inner2
-                    dens = dens - total_derivative(
-                        h * kv * e * _A(m, be) * _B(n_, ga), al, ctx)
+    for al, be, ga in product(range(3), repeat=3):
+        e = levi_civita(al, be, ga)
+        if not e:
+            continue
+        inner = _cs_inner(g, be, ga, _A)
+        inner2 = _cs_inner(g, be, ga, _B) if symbolic_bg else None
+        for (m, n_), kv in kappa.items():
+            dens = dens + Q(h, 2) * kv * e * _A(m, al) * inner[n_]
+            if symbolic_bg:
+                dens = dens - Q(h, 2) * kv * e * _B(m, al) * inner2[n_]
+                dens = dens - total_derivative(
+                    h * kv * e * _A(m, be) * _B(n_, ga), al, ctx)
     return dens
 
 
@@ -101,20 +78,17 @@ def lie_derivative_density_3d(g: LieAlgebraData, h: Fraction,
                               ctx: JetContext, symbolic_bg: bool) -> Poly:
     """-d_al(h kappa eps (d_be xi^m a^n_ga + D_be xi^m B^n_ga))."""
     kappa = killing_form(g)
+    quad = [_xi_bracket(g, be) for be in range(3)]
     dens = Poly.zero()
-    for m in range(g.dim):
-        for n_ in range(g.dim):
-            kv = kappa[m][n_]
-            if not kv:
-                continue
-            for al, be, ga in product(range(3), repeat=3):
-                e = levi_civita(al, be, ga)
-                if not e:
-                    continue
-                inner = _XI(m, (be,)) * _A(n_, ga)
-                if symbolic_bg:
-                    inner = inner + _covariant_xi(g, m, be) * _B(n_, ga)
-                dens = dens - total_derivative(h * kv * e * inner, al, ctx)
+    for al, be, ga in product(range(3), repeat=3):
+        e = levi_civita(al, be, ga)
+        if not e:
+            continue
+        for (m, n_), kv in kappa.items():
+            inner = _XI(m, (be,)) * _A(n_, ga)
+            if symbolic_bg:
+                inner = inner + (_XI(m, (be,)) + quad[be][m]) * _B(n_, ga)
+            dens = dens - total_derivative(h * kv * e * inner, al, ctx)
     return dens
 
 
@@ -122,20 +96,17 @@ def noether_components_3d(g: LieAlgebraData, h: Fraction,
                           symbolic_bg: bool) -> list:
     """J^al = h kappa eps D_be xi^m (a^n_ga - B^n_ga)."""
     kappa = killing_form(g)
+    quad = [_xi_bracket(g, be) for be in range(3)]
     out = []
     for al in range(3):
         s = Poly.zero()
-        for m in range(g.dim):
-            for n_ in range(g.dim):
-                kv = kappa[m][n_]
-                if not kv:
+        for (m, n_), kv in kappa.items():
+            for be, ga in product(range(3), repeat=2):
+                e = levi_civita(al, be, ga)
+                if not e:
                     continue
-                for be, ga in product(range(3), repeat=2):
-                    e = levi_civita(al, be, ga)
-                    if not e:
-                        continue
-                    tail = _A(n_, ga) - _B(n_, ga) if symbolic_bg else _A(n_, ga)
-                    s = s + h * kv * e * _covariant_xi(g, m, be) * tail
+                tail = _A(n_, ga) - _B(n_, ga) if symbolic_bg else _A(n_, ga)
+                s = s + h * kv * e * (_XI(m, (be,)) + quad[be][m]) * tail
         out.append(s)
     return out
 
@@ -144,25 +115,17 @@ def modified_current_components_3d(g: LieAlgebraData, h: Fraction) -> list:
     """The displayed conserved current:
     h kappa eps (2 d_be xi^m a^n_ga + c^m_pq a^p_be a^n_ga xi^q)."""
     kappa = killing_form(g)
+    quad = [_xi_bracket(g, be) for be in range(3)]
     out = []
     for al in range(3):
         s = Poly.zero()
-        for m in range(g.dim):
-            for n_ in range(g.dim):
-                kv = kappa[m][n_]
-                if not kv:
+        for (m, n_), kv in kappa.items():
+            for be, ga in product(range(3), repeat=2):
+                e = levi_civita(al, be, ga)
+                if not e:
                     continue
-                for be, ga in product(range(3), repeat=2):
-                    e = levi_civita(al, be, ga)
-                    if not e:
-                        continue
-                    inner = 2 * _XI(m, (be,)) * _A(n_, ga)
-                    for p in range(g.dim):
-                        for q in range(g.dim):
-                            cval = g.bracket_const(m, p, q)
-                            if cval:
-                                inner = inner + cval * _A(p, be) * _A(n_, ga) * _XI(q)
-                    s = s + h * kv * e * inner
+                inner = 2 * _XI(m, (be,)) * _A(n_, ga) + quad[be][m] * _A(n_, ga)
+                s = s + h * kv * e * inner
         out.append(s)
     return out
 
@@ -178,10 +141,8 @@ def current_discrepancy_primitive(g: LieAlgebraData, h: Fraction,
     terms = {}
     for ga in range(3):
         s = Poly.zero()
-        for m in range(g.dim):
-            for n_ in range(g.dim):
-                if kappa[m][n_]:
-                    s = s - 2 * h * kappa[m][n_] * _XI(m) * _B(n_, ga)
+        for (m, n_), kv in kappa.items():
+            s = s - 2 * h * kv * _XI(m) * _B(n_, ga)
         if s:
             terms[(x(ga),)] = s
     return Form(ctx, 1, terms)

@@ -10,22 +10,24 @@ library sums raw term dicts in place.  The pullback of forms along a
 substitution lives here only: the library builds P(F_B) and the fiber
 homotopy in closed form, and the last section builds sigma by the pullback
 route of the fiberwise scaling homotopy, against which the closed-form
-descent route of the library is tested.  The dense algebra checks at the end loop
-over every index, where the library sums over nonzero constants only.
+descent route of the library is tested.  The dense algebra loops at the end
+run over every index, where the library sums over nonzero structure
+constants and nonzero tensor entries only.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 from jetvar import forms
 from jetvar.chern_simons import (_multinomial, _slot_contraction,
                                  background_curvature, cs_form)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual)
-from jetvar.forms import Form, _merge_tuples
+from jetvar.forms import Form, _merge_tuples, add_into, wedge_into
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
-from jetvar.jets import horizontal_projection
+from jetvar.jets import horizontal_projection, total_derivative
 from jetvar.polynomial import Poly, _exact, decode_monomial
 
 
@@ -317,7 +319,7 @@ def invariant_contraction(cs, factors: list) -> Form:
     are even)."""
     out = Form.zero(cs.ctx, 2 * cs.k)
     for idx in combinations_with_replacement(range(cs.algebra.dim), cs.k):
-        bval = cs.b.value(idx)
+        bval = tensor_value(cs.b, idx)
         if not bval:
             continue
         term = factors[idx[0]]
@@ -390,7 +392,17 @@ def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
     return horizontal_projection(psi + forms.contract(xi_C, S), cs.ctx)
 
 
-# -- dense algebra checks ---------------------------------------------------
+# -- dense algebra loops ----------------------------------------------------
+
+
+def bracket_const(g, r: int, p: int, q: int) -> Fraction:
+    """c^r_pq, zero when not stored."""
+    return g.c.get((r, p, q), Fraction(0))
+
+
+def tensor_value(b, idx: tuple) -> Fraction:
+    """b at any ordering of idx, zero when not stored."""
+    return b.entries.get(tuple(sorted(idx)), Fraction(0))
 
 
 def validate_algebra(dim: int, c: dict) -> None:
@@ -419,17 +431,16 @@ def validate_algebra(dim: int, c: dict) -> None:
                 raise JacobiViolation(f"Jacobi fails at (p,q,s,r)=({p},{q},{s},{r})")
 
 
-def killing_form(g) -> list:
-    """kappa_mn = c^p_mq c^q_np as dense Fraction rows, over every p, q."""
-    m = g.dim
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            s = Fraction(0)
-            for p in range(m):
-                for q in range(m):
-                    s += g.bracket_const(p, i, q) * g.bracket_const(q, j, p)
-            out[i][j] = s
+def killing_form(g) -> dict:
+    """kappa_mn = c^p_mq c^q_np summed over every p, q: the dict of its
+    nonzero entries, in sorted order."""
+    out = {}
+    for i, j in product(range(g.dim), repeat=2):
+        s = Fraction(0)
+        for p, q in product(range(g.dim), repeat=2):
+            s += bracket_const(g, p, i, q) * bracket_const(g, q, j, p)
+        if s:
+            out[(i, j)] = s
     return out
 
 
@@ -443,10 +454,72 @@ def check_invariant_tensor(g, b) -> dict:
         for tail in product(range(m), repeat=b.degree):
             s = Fraction(0)
             for r1 in range(m):
-                cval = g.bracket_const(r1, p, tail[0])
+                cval = bracket_const(g, r1, p, tail[0])
                 if cval:
-                    s += cval * b.value((r1,) + tail[1:])
+                    s += cval * tensor_value(b, (r1,) + tail[1:])
             if s:
                 key = (p, tuple(sorted(tail)))
                 residual[key] = residual.get(key, Fraction(0)) + s
     return {key: v for key, v in residual.items() if v}
+
+
+def section_bracket(xi: list, eta: list, g) -> list:
+    """[xi, eta]^r = c^r_pq xi^p eta^q, over every r, p, q."""
+    out = []
+    for r in range(g.dim):
+        s = Poly.zero()
+        for p, q in product(range(g.dim), repeat=2):
+            cval = bracket_const(g, r, p, q)
+            if cval:
+                s = s + cval * xi[p] * eta[q]
+        out.append(s)
+    return out
+
+
+def gauge_generator(g, ctx, params: list | None = None) -> dict:
+    """xi_C: component d_mu xi^r + c^r_pq a^p_mu xi^q, over every p, q."""
+    out = {}
+    for r in range(g.dim):
+        for mu in range(ctx.n):
+            if params is None:
+                comp = Poly.var(gauge(r, (mu,)))
+            else:
+                comp = total_derivative(params[r], mu, ctx)
+            for p, q in product(range(g.dim), repeat=2):
+                cval = bracket_const(g, r, p, q)
+                if cval:
+                    xi_q = Poly.var(gauge(q)) if params is None else params[q]
+                    comp = comp + cval * Poly.var(conn(p, mu)) * xi_q
+            if comp:
+                out[conn(r, mu)] = comp
+    return out
+
+
+def slot_sum(cs, heads: list, curv: list) -> tuple:
+    """chern_simons._slot_sum over every ordered lead of j = len(heads)
+    indices and every multiset of the k - j curvature slots, looking b up
+    at each index tuple."""
+    m = cs.algebra.dim
+    j = len(heads)
+    den = lcm(*(v.denominator for v in cs.b.entries.values()))
+    acc: dict = {}
+    for lead in product(range(m), repeat=j):
+        factors = [h[r] for h, r in zip(heads, lead)]
+        if any(f.is_zero() for f in factors):
+            continue
+        head = factors[0]
+        for f in factors[1:]:
+            head = wedge(head, f)
+        for rest in combinations_with_replacement(range(m), cs.k - j):
+            bval = tensor_value(cs.b, lead + rest)
+            if not bval:
+                continue
+            weight = (bval * den).numerator * _multinomial(rest)
+            if not rest:
+                add_into(acc, head, weight)
+                continue
+            term = head
+            for i in rest[:-1]:
+                term = wedge(term, curv[i])
+            wedge_into(acc, term, curv[rest[-1]], weight)
+    return acc, den, sum(h[0].degree for h in heads) + 2 * (cs.k - j)

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -16,7 +16,7 @@ from jetvar.algebra import (_EPS3, InvariantTensor, LieAlgebraData,
                             killing_form, load_lie_algebra, section_bracket)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError)
 from jetvar.forms import apply_derivation
-from jetvar.indets import conn, gauge
+from jetvar.indets import conn, gauge, x
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly
 
@@ -25,8 +25,8 @@ def test_su2_loads_and_so3_is_an_alias():
     g = builtin_algebra("su2")
     assert g.dim == 3
     assert builtin_algebra("so3").c == g.c
-    assert g.bracket_const(2, 0, 1) == 1
-    assert g.bracket_const(2, 1, 0) == -1
+    assert oracles.bracket_const(g, 2, 0, 1) == 1
+    assert oracles.bracket_const(g, 2, 1, 0) == -1
 
 
 def test_abelian_families():
@@ -39,9 +39,9 @@ def test_direct_sum_blocks():
     g = builtin_algebra("u1+su2")
     assert g.dim == 4
     # su2 block shifted by one, no cross terms
-    assert g.bracket_const(3, 1, 2) == 1
+    assert oracles.bracket_const(g, 3, 1, 2) == 1
     for r, p in product(range(4), repeat=2):
-        assert g.bracket_const(r, 0, p) == 0
+        assert oracles.bracket_const(g, r, 0, p) == 0
 
 
 def test_unknown_algebra_rejected():
@@ -67,15 +67,12 @@ def test_rescaled_epsilon_still_satisfies_jacobi():
 
 
 def test_killing_form_su2():
-    kappa = killing_form(builtin_algebra("su2"))
-    for i in range(3):
-        for j in range(3):
-            assert kappa[i][j] == (Q(-2) if i == j else Q(0))
+    assert killing_form(builtin_algebra("su2")) == {
+        (0, 0): Q(-2), (1, 1): Q(-2), (2, 2): Q(-2)}
 
 
 def test_killing_form_abelian_is_zero():
-    kappa = killing_form(builtin_algebra("u1^2"))
-    assert all(v == 0 for row in kappa for v in row)
+    assert killing_form(builtin_algebra("u1^2")) == {}
 
 
 def test_killing_tensor_is_invariant():
@@ -100,9 +97,9 @@ def test_cubic_tensor_on_u1su2_is_invariant():
     g = builtin_algebra("u1+su2")
     b = builtin_invariant("u1su2-cubic", g, 3)
     assert b.degree == 3
-    assert b.value((0, 0, 0)) == 1
-    assert b.value((0, 1, 1)) == -2
-    assert b.value((1, 0, 1)) == -2  # symmetric access
+    assert oracles.tensor_value(b, (0, 0, 0)) == 1
+    assert oracles.tensor_value(b, (0, 1, 1)) == -2
+    assert oracles.tensor_value(b, (1, 0, 1)) == -2  # symmetric access
     assert check_invariant_tensor(g, b) == {}
 
 
@@ -120,7 +117,6 @@ def test_gauge_generator_components():
 def test_gauge_generator_with_explicit_params():
     g = builtin_algebra("u1")
     ctx = JetContext(3, 1)
-    from jetvar.indets import x
     params = [Poly.var(x(0)) * Poly.var(x(2))]
     xi_C = gauge_generator(g, ctx, params=params)
     assert xi_C[conn(0, 0)] == Poly.var(x(2))
@@ -132,7 +128,6 @@ def test_gauge_generators_close_under_the_section_bracket():
     # [xi_C, eta_C] = ([xi,eta])_C on x-dependent parameters
     g = builtin_algebra("su2")
     ctx = JetContext(3, 3)
-    from jetvar.indets import x
     xi = [Poly.var(x(0)), Poly.var(x(1), 2), Poly.const(Q(1, 2))]
     eta = [Poly.var(x(2)), Poly.const(1), Poly.var(x(0)) * Poly.var(x(1))]
     xi_C = gauge_generator(g, ctx, params=xi)
@@ -159,7 +154,14 @@ def test_large_abelian_algebra_checks_in_sparse_time():
     g = builtin_algebra("u1^40")
     assert (g.dim, g.c) == (40, {})
     assert check_invariant_tensor(g, builtin_invariant("unit", g, 2)) == {}
-    assert killing_form(g) == [[0] * 40 for _ in range(40)]
+    assert killing_form(g) == {}
+
+
+def test_gauge_generator_on_a_large_abelian_algebra():
+    # the dense (p, q) loop made dim^3 n constant lookups per call
+    g = builtin_algebra("u1^40")
+    assert gauge_generator(g, JetContext(3, 40)) == {
+        conn(r, mu): Poly.var(gauge(r, (mu,))) for r in range(40) for mu in range(3)}
 
 
 # -- sparse checks against the dense oracles ----------------------------------
@@ -208,9 +210,8 @@ def _invariant_tensor(draw, g, u1, k) -> InvariantTensor:
     products of u1 coordinates, times the Killing quadratic form when su2 is
     present.  The entry at a sorted index tuple e is the coefficient of x^e
     divided by the number of orderings of e."""
-    kappa = killing_form(g)
-    quadratic = {(i, j): kappa[i][j] * (1 if i == j else 2)
-                 for i in range(g.dim) for j in range(i, g.dim) if kappa[i][j]}
+    quadratic = {(i, j): v * (1 if i == j else 2)
+                 for (i, j), v in killing_form(g).items() if i <= j}
     poly: dict = {}
     for _ in range(draw(st.integers(1, 3))):
         coef = draw(RATIONALS)
@@ -247,3 +248,23 @@ def test_sparse_checks_match_the_dense_oracles(case, data):
         entries[idx] = entries.get(idx, 0) + data.draw(RATIONALS)
     b = InvariantTensor(k, entries)
     assert check_invariant_tensor(g, b) == oracles.check_invariant_tensor(g, b)
+
+
+PARAMS = st.sampled_from([
+    Poly.zero(), Poly.const(Q(1, 2)), Poly.var(x(0)), Poly.var(x(2), 2),
+    Poly.var(x(1)) * Poly.var(x(2)) - Poly.const(3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=algebra_cases(), data=st.data())
+def test_bracket_and_gauge_generator_match_the_dense_oracles(case, data):
+    dim, c, _, _ = case
+    g = _outcome(LieAlgebraData, dim, dict(c))
+    assume(isinstance(g, LieAlgebraData))
+    ctx = JetContext(3, dim)
+    xi = [data.draw(PARAMS) for _ in range(dim)]
+    eta = [data.draw(PARAMS) for _ in range(dim)]
+    assert section_bracket(xi, eta, g) == oracles.section_bracket(xi, eta, g)
+    assert gauge_generator(g, ctx) == oracles.gauge_generator(g, ctx)
+    assert (gauge_generator(g, ctx, params=xi)
+            == oracles.gauge_generator(g, ctx, params=xi))

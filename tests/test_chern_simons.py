@@ -5,19 +5,26 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvar import cli
-from jetvar.algebra import builtin_algebra, builtin_invariant, gauge_generator
+from jetvar.algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
+                            builtin_invariant, gauge_generator)
 from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
+                                 _slot_sum,
                                  background_curvature,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  cs_lagrangian_direct)
 from jetvar.errors import JetvarError
-from jetvar.forms import exterior_d, lie_derivative_form, wedge
-from jetvar.indets import conn
+from jetvar.forms import Form, _wrap, exterior_d, lie_derivative_form, wedge
+from jetvar.indets import conn, x
+from jetvar.polynomial import Poly
+from jetvar.random_inputs import random_form
 from jetvar.variational import Lagrangian, euler_lagrange
 import oracles
+from test_algebra import RATIONALS, _invariant_tensor, algebra_cases
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,7 +62,7 @@ def test_bianchi_identity_for_the_canonical_curvature():
         rhs = None
         for p in range(3):
             for q in range(3):
-                cval = cs.algebra.bracket_const(r, p, q)
+                cval = oracles.bracket_const(cs.algebra, r, p, q)
                 if cval:
                     term = wedge(F[p], cs.potential_one_form(q)).scale(cval)
                     rhs = term if rhs is None else rhs + term
@@ -69,7 +76,7 @@ def test_bianchi_identity_for_the_background_curvature():
         rhs = None
         for p in range(3):
             for q in range(3):
-                cval = cs.algebra.bracket_const(r, p, q)
+                cval = oracles.bracket_const(cs.algebra, r, p, q)
                 if cval:
                     term = wedge(FB[p], cs.background_one_form(q)).scale(cval)
                     rhs = term if rhs is None else rhs + term
@@ -125,6 +132,57 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     for curv in (background_curvature(cs), _interp_curvature(cs)):
         assert (_slot_contraction(cs, [curv], curv)
                 == oracles.invariant_contraction(cs, curv))
+
+
+# -- the sparse slot sum against the dense oracle ------------------------------
+
+PARAMS = [Poly.zero(), Poly.const(Q(1, 2)), Poly.var(x(0)),
+          Poly.var(x(1)) * Poly.var(x(2)) - Poly.const(3)]
+
+
+def _random_head(draw, cs, rng) -> list:
+    """A per-index list of forms of one degree, some of them zero: k xi for
+    symbolic or explicit gauge parameters, or random forms of degree <= 2."""
+    m = cs.algebra.dim
+    kind = draw(st.sampled_from(["symbolic", "params", "forms"]))
+    if kind == "symbolic":
+        return oracles.gauge_head(cs)
+    if kind == "params":
+        return oracles.gauge_head(
+            cs, [draw(st.sampled_from(PARAMS)) for _ in range(m)])
+    degree = draw(st.integers(0, 2))
+    return [random_form(cs.ctx, degree, rng) if draw(st.booleans())
+            else Form.zero(cs.ctx, degree) for _ in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
+def test_slot_sum_matches_the_dense_oracle(case, data):
+    # j heads before the last one, which plays the a - B slot of homotopy;
+    # invariant and non-invariant tensors with repeated indices, so a lead
+    # counted once per ordering of equal indices or a weight taken on the
+    # whole entry shows
+    dim, c, u1, _ = case
+    g = LieAlgebraData(dim, c)
+    k = data.draw(st.integers(2, 3))
+    if data.draw(st.booleans()):
+        b = _invariant_tensor(data.draw, g, u1, k)
+    else:
+        b = InvariantTensor(k, {
+            tuple(sorted(data.draw(st.integers(0, dim - 1)) for _ in range(k))):
+            data.draw(RATIONALS) for _ in range(data.draw(st.integers(1, 3)))})
+    cs = CSData(g, b, k, h=data.draw(RATIONALS))
+    rng = data.draw(st.randoms(use_true_random=False))
+    j = data.draw(st.integers(0, min(2, k - 1)))
+    heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
+    if data.draw(st.booleans()):
+        curv = canonical_curvature(cs)
+    else:
+        curv = [random_form(cs.ctx, 2, rng) for _ in range(dim)]
+    acc, den, degree = _slot_sum(cs, heads, curv)
+    want, want_den, want_degree = oracles.slot_sum(cs, heads, curv)
+    assert (den, degree) == (want_den, want_degree)
+    assert _wrap(cs.ctx, degree, acc, den) == _wrap(cs.ctx, degree, want, den)
 
 
 @pytest.mark.parametrize("alg,inv,k", [

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -455,6 +457,17 @@ def test_large_abelian_algebra_checks_quickly(capsys, tmp_path):
                    "[PASS] invariant tensor ad-invariance (degree 2)\n")
 
 
+@pytest.mark.parametrize("command", ["verify-conservation", "noether"])
+def test_large_abelian_model_runs_quickly(capsys, command):
+    # the dense gauge generator gave no verdict on u1^300 within 60 s
+    code = cli.main([command, "--config",
+                     str(TEST_CONFIGS / "u1pow300_unit_k2.json")])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    if command == "verify-conservation":
+        assert out.startswith("[PASS] d_H(J - sigma) + u.(delta L) = 0\n")
+
+
 # -- one parser per process: no flag or default leaks between calls ---------
 
 
@@ -567,3 +580,70 @@ def test_mutated_configs_exit_cleanly(capsys, tmp_path, cfg, command):
     code = cli.main([*command, "--config", str(path)])
     capsys.readouterr()
     assert code in (0, 1, 2, 3), (command, cfg)
+
+
+# -- small valid models: transgression and conservation pass non-vacuously --
+
+COEFFS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"])
+NONZERO = st.sampled_from(["1", "-1", "2/3", "-5/2", "3"])
+
+
+@st.composite
+def small_models(draw):
+    """(config, u1 indices, su2 indices): a direct sum of u1^m and at most
+    one su2 of dimension <= 5 at k = 2, or u1^m with m <= 2 at k = 3, a
+    nonzero rational h, and a nonzero tensor from the invariant span: a
+    symmetric tensor on the u1 indices plus a nonzero multiple of the
+    identity on su2 (the Killing form is -2 times it)."""
+    k = draw(st.sampled_from([2, 3]))
+    has_su2 = k == 2 and draw(st.booleans())
+    m = draw(st.integers(0 if has_su2 else 1, 2 if has_su2 or k == 3 else 5))
+    parts = [f"u1^{m}"] * (m > 0) + ["su2"] * has_su2
+    if draw(st.booleans()):
+        parts.reverse()
+    start = 3 if parts[0] == "su2" and m else 0
+    u1 = list(range(start, start + m))
+    su2 = [i for i in range(m + 3 * has_su2) if i not in u1]
+    rows = [[list(idx), draw(NONZERO if i == 0 and not su2 else COEFFS)]
+            for i, idx in enumerate(combinations_with_replacement(u1, k))]
+    if su2:
+        c = draw(NONZERO)
+        rows += [[[s, s], c] for s in su2]
+    cfg = {"algebra": "+".join(parts), "k": k, "h": draw(NONZERO),
+           "invariant": {"degree": k, "entries": [r for r in rows if r[1] != "0"]}}
+    return cfg, u1, su2
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=small_models())
+def test_small_valid_models_pass_non_vacuously(capsys, tmp_path, model):
+    cfg, _, _ = model
+    code, err, out = _main_exit(capsys, tmp_path, "transgression", cfg)
+    assert code == 0, (cfg, err, out)
+    assert "[PASS] d(transgression form) = P(F) - P(F_B)\n" in out
+    assert "[PASS] invariant tensor ad-invariance\n" in out
+    code, err, out = _main_exit(capsys, tmp_path, "verify-conservation", cfg)
+    assert code == 0, (cfg, err, out)
+    assert out.startswith("[PASS] d_H(J - sigma) + u.(delta L) = 0\n")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=small_models().filter(lambda model: model[2]), data=st.data())
+def test_perturbed_tensors_fail_by_name(capsys, tmp_path, model, data):
+    # off the invariant span: one su2 diagonal entry moved, or an entry
+    # coupling u1 to su2
+    cfg, u1, su2 = model
+    rows = cfg["invariant"]["entries"]
+    s = data.draw(st.sampled_from(su2))
+    delta = Fraction(data.draw(NONZERO))
+    if u1 and data.draw(st.booleans()):
+        rows.append([sorted([data.draw(st.sampled_from(u1)), s]), str(delta)])
+    else:
+        row = next(r for r in rows if r[0] == [s, s])
+        row[1] = str(Fraction(row[1]) + delta)
+    for command in ("transgression", "verify-conservation"):
+        code, err, out = _main_exit(capsys, tmp_path, command, cfg)
+        assert code == 1, (command, cfg, err, out)
+        assert "[FAIL] invariant tensor ad-invariance\n" in out

@@ -512,17 +512,15 @@ def _yang_mills_density(g, ctx, kappa):
         f = Poly.var(conn(m, be, (al,))) - Poly.var(conn(m, al, (be,)))
         for p in range(g.dim):
             for q in range(g.dim):
-                cval = g.bracket_const(m, p, q)
+                cval = oracles.bracket_const(g, m, p, q)
                 if cval:
                     f = f + cval * Poly.var(conn(p, al)) * Poly.var(conn(q, be))
         return f
 
     dens = Poly.zero()
-    for m, n_ in product(range(g.dim), repeat=2):
-        if not kappa[m][n_]:
-            continue
+    for (m, n_), kv in kappa.items():
         for al, be in product(range(ctx.n), repeat=2):
-            dens = dens + kappa[m][n_] * strength(m, al, be) * strength(n_, al, be)
+            dens = dens + kv * strength(m, al, be) * strength(n_, al, be)
     return dens
 
 
@@ -532,7 +530,7 @@ def _adjoint_variation(g):
         comp = Poly.zero()
         for p in range(g.dim):
             for q in range(g.dim):
-                cval = g.bracket_const(m, p, q)
+                cval = oracles.bracket_const(g, m, p, q)
                 if cval:
                     comp = comp + cval * Poly.var(matter(p)) * Poly.var(gauge(q))
         out[matter(m)] = comp
@@ -543,8 +541,8 @@ def test_invariant_sector_conserves_the_combined_current():
     from jetvar.algebra import killing_form
     g, ctx, cs = _matter_model()
     kappa = killing_form(g)
-    mass = sum((kappa[m][n_] * Poly.var(matter(m)) * Poly.var(matter(n_))
-                for m in range(3) for n_ in range(3) if kappa[m][n_]),
+    mass = sum((kv * Poly.var(matter(m)) * Poly.var(matter(n_))
+                for (m, n_), kv in kappa.items()),
                Poly.zero())
     L_inv = Lagrangian(ctx, _yang_mills_density(g, ctx, kappa) + mass)
     xi_C = gauge_generator(g, ctx)
