@@ -44,10 +44,24 @@ class CSData:
         self.background = background
         self.h = Q(h)
         self.b = invariant.scaled(self.h)
+        # the least common denominator of the values of b
+        self.den = lcm(*(v.denominator for v in self.b.entries.values()))
         self.invariance_residual = check_invariant_tensor(algebra, invariant)
         self.ctx = ctx or JetContext(self.n, algebra.dim)
         if self.ctx.n != self.n or self.ctx.gauge_dim != algebra.dim:
             raise JetvarError("jet context does not match the CS data")
+        # the algebra indices that occur in b: a slot contraction reads the
+        # per-index forms at these indices only, so only these are built
+        self.indices = sorted({i for idx in self.b.entries for i in idx})
+        self._shared: dict = {}
+
+    def _memo(self, key, build):
+        """build(), computed on the first call with key and then kept: model
+        data that every call on this CSData shares."""
+        value = self._shared.get(key)
+        if value is None:
+            value = self._shared[key] = build()
+        return value
 
     # background coefficient: B^r_mu symbol, or 0 for the zero section
     def bg_poly(self, r: int, mu: int, D: tuple = ()) -> Poly:
@@ -80,70 +94,99 @@ class CSData:
         return Form(self.ctx, 1, terms)
 
 
-def _curvature(cs: CSData, linear: list, ones: list) -> list:
-    """F^r = linear^r + 1/2 c^r_pq X^p ^ X^q for the 1-forms X = ones."""
-    accs = [add_into({}, f) for f in linear]
+def _curvature(cs: CSData, linear, one) -> dict:
+    """r -> F^r = linear(r) + 1/2 c^r_pq X^p ^ X^q for the 1-forms X^p =
+    one(p), at each index r of b.  c is antisymmetric (validated at load)
+    and so is the wedge of 1-forms, so the sum runs over p < q with weight
+    c^r_pq; each X^p is built once, and only when some F^r reads it."""
+    ones: dict = {}
+    accs = {r: add_into({}, linear(r)) for r in cs.indices}
     for (r, p, q), cval in cs.algebra.c.items():
-        wedge_into(accs[r], ones[p], ones[q], cval / 2)
-    return [_wrap(cs.ctx, 2, acc) for acc in accs]
+        if p < q and r in accs:
+            for i in (p, q):
+                if i not in ones:
+                    ones[i] = one(i)
+            wedge_into(accs[r], ones[p], ones[q], cval)
+    return {r: _wrap(cs.ctx, 2, acc) for r, acc in accs.items()}
 
 
-def canonical_curvature(cs: CSData) -> list:
-    """F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu."""
-    A = [cs.potential_one_form(r) for r in range(cs.algebra.dim)]
-    return _curvature(cs, [exterior_d(a) for a in A], A)
+def canonical_curvature(cs: CSData) -> dict:
+    """r -> F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu,
+    at each index r of b."""
+    return _curvature(cs, lambda r: exterior_d(cs.potential_one_form(r)),
+                      cs.potential_one_form)
 
 
-def background_curvature(cs: CSData) -> list:
-    """F_B^r as a 2-form on X: dB^r + 1/2 c^r_pq B^p B^q."""
-    B = [cs.background_one_form(r) for r in range(cs.algebra.dim)]
-    return _curvature(cs, [exterior_d(b) for b in B], B)
+def background_curvature(cs: CSData) -> dict:
+    """r -> F_B^r as a 2-form on X: dB^r + 1/2 c^r_pq B^p B^q, at each index
+    r of b."""
+    return _curvature(cs, lambda r: exterior_d(cs.background_one_form(r)),
+                      cs.background_one_form)
 
 
-def _slot_sum(cs: CSData, heads: list, curv: list) -> tuple:
+def _leads(cs: CSData, j: int) -> dict:
+    """The nonzero entries of b indexed by lead, built once per CSData and j:
+    r -> the sorted (lead, [(rest, weight), ...]) pairs whose lead starts
+    with r.  Each distinct ordering of j of an entry's indices is a lead,
+    the remaining indices are the multiset of curvature slots, and weight is
+    cs.den times the entry times the multinomial count of rest: an int."""
+    def build():
+        by_lead: dict = {}
+        for idx, bval in cs.b.entries.items():
+            weight = (bval * cs.den).numerator
+            for lead in set(permutations(idx, j)):
+                rest = list(idx)
+                for r in lead:
+                    rest.remove(r)
+                rest = tuple(rest)
+                by_lead.setdefault(lead, []).append(
+                    (rest, weight * _multinomial(rest)))
+        index: dict = {}
+        for lead in sorted(by_lead):
+            index.setdefault(lead[0], []).append((lead, sorted(by_lead[lead])))
+        return index
+
+    return cs._memo(("leads", j), build)
+
+
+def _slot_sum(cs: CSData, heads: list, curv: dict) -> tuple:
     """(acc, den, degree): den times the slot contraction below, as an
-    accumulator (see forms), and its degree.  den is the least common
-    denominator of the values of b, so that every weight is an int and the
-    kernel multiplies ints only.  Only the nonzero entries of b are walked:
-    each distinct ordering of j of an entry's indices is a lead, and the
-    remaining indices are the multiset of curvature slots.  The head of
-    each lead is wedged once; the last curvature factor of each term is
-    wedged straight into acc."""
-    j = len(heads)
-    den = lcm(*(v.denominator for v in cs.b.entries.values()))
-    by_lead: dict = {}
-    for idx, bval in cs.b.entries.items():
-        weight = (bval * den).numerator
-        for lead in set(permutations(idx, j)):
-            rest = list(idx)
-            for r in lead:
-                rest.remove(r)
-            rest = tuple(rest)
-            by_lead.setdefault(lead, []).append((rest, weight * _multinomial(rest)))
+    accumulator (see forms), and its degree.  den = cs.den, so that every
+    weight is an int and the kernel multiplies ints only.  Only the leads
+    of the nonzero entries of b whose first index heads[0] holds are walked,
+    so a sparse first head costs only its own leads.  The head of each lead
+    is wedged once; the last curvature factor of each term is wedged
+    straight into acc."""
+    index = _leads(cs, len(heads))
     acc: dict = {}
-    for lead in sorted(by_lead):
-        factors = [h[r] for h, r in zip(heads, lead)]
-        if any(f.is_zero() for f in factors):
-            continue
-        head = factors[0]
-        for f in factors[1:]:
-            head = wedge(head, f)
-        for rest, weight in sorted(by_lead[lead]):
-            if not rest:
-                add_into(acc, head, weight)
+    for first in sorted(index.keys() & heads[0].keys()):
+        for lead, rests in index[first]:
+            factors = [h.get(r) for h, r in zip(heads, lead)]
+            if any(f is None or f.is_zero() for f in factors):
                 continue
-            term = head
-            for i in rest[:-1]:
-                term = wedge(term, curv[i])
-            wedge_into(acc, term, curv[rest[-1]], weight)
-    return acc, den, sum(h[0].degree for h in heads) + 2 * (cs.k - j)
+            head = factors[0]
+            for f in factors[1:]:
+                head = wedge(head, f)
+            for rest, weight in rests:
+                if not rest:
+                    add_into(acc, head, weight)
+                    continue
+                term = head
+                for i in rest[:-1]:
+                    term = wedge(term, curv[i])
+                wedge_into(acc, term, curv[rest[-1]], weight)
+    # the forms of one head share a degree; an empty head adds nothing, and
+    # counts as degree 0
+    degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
+    return acc, cs.den, degree + 2 * (cs.k - len(heads))
 
 
-def _slot_contraction(cs: CSData, heads: list, curv: list) -> Form:
+def _slot_contraction(cs: CSData, heads: list, curv: dict) -> Form:
     """b_{r1..rk} heads[0]^{r1} ^ ... ^ heads[j-1]^{rj} ^ curv^{r(j+1)} ^ ...
-    ^ curv^{rk}, summed over ordered tuples: each head is a per-index list of
-    forms whose index runs over all values, the even curv slots commute and
-    are enumerated as multisets with multinomial weights."""
+    ^ curv^{rk}, summed over ordered tuples: each head and curv map an
+    algebra index to a form, an index a head lacks adds nothing, and curv
+    holds every index of b.  The even curv slots commute and are enumerated
+    as multisets with multinomial weights."""
     acc, den, degree = _slot_sum(cs, heads, curv)
     return _wrap(cs.ctx, degree, acc, den)
 
@@ -164,18 +207,31 @@ def characteristic_at_B(cs: CSData) -> Form:
     return _slot_contraction(cs, [FB], FB)
 
 
-def _interp_curvature(cs: CSData) -> list:
-    """F^r(t,B) = d(ta + (1-t)B) ^ dx (t held constant) + 1/2 c (ta+(1-t)B)^2."""
-    t = Poly.var(T)
-    one_minus_t = Poly.const(1) - t
-    m = cs.algebra.dim
-    linear = [exterior_d(cs.potential_one_form(r)).scale(t)
-              + exterior_d(cs.background_one_form(r)).scale(one_minus_t)
-              for r in range(m)]
-    return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
+def _interp_curvature(cs: CSData) -> dict:
+    """F^r(t,B) = d(ta + (1-t)B) ^ dx (t held constant) + 1/2 c (ta+(1-t)B)^2,
+    built once per CSData."""
+    def build():
+        t = Poly.var(T)
+        one_minus_t = Poly.const(1) - t
+
+        def linear(r):
+            return (exterior_d(cs.potential_one_form(r)).scale(t)
+                    + exterior_d(cs.background_one_form(r)).scale(one_minus_t))
+
+        return _curvature(cs, linear, cs.interp_one_form)
+
+    return cs._memo(("F_t",), build)
 
 
-def homotopy(cs: CSData, heads: list = (), curv: list | None = None) -> Form:
+def _a_minus_B(cs: CSData, j: int) -> dict:
+    """r -> (k - j)(a^r - B^r), the last slot of homotopy after j heads, at
+    each index r of b; built once per CSData and j."""
+    return cs._memo(("a-B", j), lambda: {
+        r: (cs.potential_one_form(r) - cs.background_one_form(r)).scale(cs.k - j)
+        for r in cs.indices})
+
+
+def homotopy(cs: CSData, heads: list = (), curv: dict | None = None) -> Form:
     """(k-j) * integral over t in [0,1] of b_{r1..rk} heads^{r1} ^ ... ^
     heads^{rj} ^ (a-B)^{r(j+1)} ^ curv^{r(j+2)}(t) ^ ... ^ curv^{rk}(t).
 
@@ -186,12 +242,10 @@ def homotopy(cs: CSData, heads: list = (), curv: list | None = None) -> Form:
     form; the result is t-free."""
     if curv is None:
         curv = _interp_curvature(cs)
-    # the factor (k-j) goes on the m small one-forms a-B, not on the result
-    diff = [(cs.potential_one_form(r) - cs.background_one_form(r))
-            .scale(cs.k - len(heads)) for r in range(cs.algebra.dim)]
+    # the factor (k-j) goes on the small one-forms a-B, not on the result;
     # integrate den times the integrand, whose coefficients are ints when
     # those of the forms are, then divide by den once per output term
-    acc, den, degree = _slot_sum(cs, [*heads, diff], curv)
+    acc, den, degree = _slot_sum(cs, [*heads, _a_minus_B(cs, len(heads))], curv)
     return _wrap(cs.ctx, degree,
                  {key: Poly(t).integrate_t().terms for key, t in acc.items()}, den)
 
@@ -206,21 +260,21 @@ def cs_lagrangian(cs: CSData) -> Form:
     return horizontal_projection(cs_form(cs), cs.ctx)
 
 
-def _interp_curvature_horizontal(cs: CSData) -> list:
+def _interp_curvature_horizontal(cs: CSData) -> dict:
     """The displayed first-order coefficients: t a^r_{lam;mu} + (1-t) dB, built
     directly from jet coordinates rather than through h0 (cross-check route)."""
     ctx = cs.ctx
-    m = cs.algebra.dim
+
     # t a^r_{lam;mu} never cancels, so no coefficient is zero
-    linear = []
-    for r in range(m):
+    def linear(r):
         acc: dict = {}
         for lam in range(cs.n):
             for mu in range(cs.n):
                 coeff = Form(ctx, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))})
                 wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
-        linear.append(_wrap(ctx, 2, acc))
-    return _curvature(cs, linear, [cs.interp_one_form(r) for r in range(m)])
+        return _wrap(ctx, 2, acc)
+
+    return _curvature(cs, linear, cs.interp_one_form)
 
 
 def cs_lagrangian_direct(cs: CSData) -> Form:

@@ -299,24 +299,17 @@ def apply_derivation(X: dict, grad: dict) -> Poly:
 def map_generators(a: Form, image) -> Form:
     """The algebra map f dc1 ^ ... ^ dcp -> f image(c1) ^ ... ^ image(cp).
 
-    image(c) is the 1-form that dc maps to, built once per generator per
-    call.  The images of a generator tuple are wedged together first, so
-    each coefficient is multiplied once per output key.
+    image(dcs) is the form that the generator tuple dcs maps to: the wedge
+    of the images of its generators (the 0-form 1 for the empty tuple),
+    which the caller builds and may memoize.  Each coefficient is multiplied
+    once per output key; by a constant image coefficient it is only added.
     """
-    images: dict = {}
     out: dict = {}
     for dcs, f in a.terms.items():
-        img = None
-        for c in dcs:
-            ic = images.get(c)
-            if ic is None:
-                ic = images[c] = image(c)
-            img = ic if img is None else wedge(img, ic)
-            if img.is_zero():
-                break
-        if img is None:
-            add_dicts(out.setdefault(dcs, {}), f.terms)
-        else:
-            for key, g in img.terms.items():
+        for key, g in image(dcs).terms.items():
+            c = g.terms.get(()) if len(g.terms) == 1 else None
+            if c is None:
                 mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
+            else:
+                add_dicts(out.setdefault(key, {}), f.terms, c)
     return _wrap(a.ctx, a.degree, out)

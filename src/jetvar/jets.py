@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 
 from .errors import JetvarError
 from .forms import (Form, _wrap, differential_into, linear_combination,
-                    map_generators)
+                    map_generators, wedge)
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
 from .polynomial import Poly, _memoized, chain_rule
@@ -164,13 +164,20 @@ def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
 
 def horizontal_projection(a: Form, ctx: JetContext) -> Form:
     """h0: each dc becomes d_H c, coefficients unchanged.  d_H t is 0, but
-    h0 is undefined on dt and raises there."""
-    def image(c):
-        if c[0] == AUX:
-            raise JetvarError(f"h0 undefined on d{indet_str(c)}")
-        return _d_H_coordinate(c, ctx)
+    h0 is undefined on dt and raises there.  The image of each generator
+    tuple, the wedge of the d_H of its coordinates, is built once per
+    process and context key."""
+    def image(dcs):
+        img = Form.from_poly(ctx, Poly.const(1))
+        for c in dcs:
+            if c[0] == AUX:
+                raise JetvarError(f"h0 undefined on d{indet_str(c)}")
+            img = wedge(img, _d_H_coordinate(c, ctx))
+            if img.is_zero():
+                break
+        return img
 
-    return map_generators(a, image)
+    return map_generators(a, _memoized(("h0",) + ctx._key(), image))
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:

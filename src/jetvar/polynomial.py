@@ -16,8 +16,8 @@ equal expressions have equal dicts.  Id order is intern order, not the
 natural tuple order of indets.py, so only decode_monomial() turns a monomial
 back into (indeterminate, exponent) pairs in that order, and encode_terms()
 builds raw term dicts from such pairs.  Beside the intern table sits the
-process-wide memo of the images of indeterminates under d and d_H
-(_memoized), which forms.py and jets.py fill.
+process-wide memo of the images of indeterminates under d and d_H, and of
+generator tuples under h0 (_memoized), which forms.py and jets.py fill.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the decoded pairs.  It does not depend on intern order;
@@ -69,10 +69,11 @@ def _intern(v: tuple) -> int:
 
 _T = _intern(T)   # 0: the run of t ids leads every monomial that has one
 
-# The images of indeterminates under the derivations d and d_H (forms.py,
-# jets.py), kept like their ids for the life of the process: (derivation,
-# n, gauge_dim, matter_dim) -> {indeterminate: image}.  Jet contexts with
-# equal (n, gauge_dim, matter_dim) are equal, so one image serves them all.
+# The images of indeterminates under the derivations d and d_H, and of
+# generator tuples under h0 (forms.py, jets.py), kept like the ids for the
+# life of the process: (map, n, gauge_dim, matter_dim) -> {argument: image}.
+# Jet contexts with equal (n, gauge_dim, matter_dim) are equal, so one image
+# serves them all.
 _IMAGES: dict = {}
 
 
@@ -228,6 +229,25 @@ def chain_rule(terms: dict, route) -> None:
         for out, _, _ in r:
             if len(out) > _cap:
                 raise TermLimitExceeded(f"{len(out)} terms exceeds cap {_cap}")
+
+
+def split_terms(terms: dict, label) -> dict:
+    """The term dict terms split by a label of its monomials: label(v) is a
+    key or None for an indeterminate v, called once per indeterminate, and
+    a monomial goes to the key of its first factor whose label is not None,
+    or to None when it has none.  Returns key -> term dict."""
+    labels: dict = {}
+    out: dict = {}
+    for m, c in terms.items():
+        key = None
+        for i in m:
+            if i not in labels:
+                labels[i] = label(_INDETS[i])
+            key = labels[i]
+            if key is not None:
+                break
+        out.setdefault(key, {})[m] = c
+    return out
 
 
 def _scaled(terms: dict, c) -> dict:

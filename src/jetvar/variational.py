@@ -15,16 +15,17 @@ from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, apply_derivation,
                     apply_derivation_into, contract_into, exterior_d,
                     exterior_d_into, is_empty, wedge_into)
-from .indets import (gauge, indet_str, is_field_jet, multi_index,
+from .indets import (GAUGE, gauge, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
 from .jets import (JetContext, contact_form, horizontal_differential_into,
                    horizontal_projection, prolong, total_derivative_into)
-from .polynomial import Poly, mul_dicts
+from .polynomial import Poly, mul_dicts, split_terms
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
            "first_variational_check", "sigma_boundary_term",
-           "conservation_check", "invariant_sector"]
+           "conservation_check", "gauge_components", "verify_conservation",
+           "invariant_sector"]
 
 
 @dataclass
@@ -51,6 +52,7 @@ class Lagrangian:
         self.ctx = ctx
         self.density = density
         self.gradient = grad
+        self._el = None   # euler_lagrange(self), built by _el_into
 
     @classmethod
     def from_horizontal_form(cls, ctx: JetContext, a: Form) -> "Lagrangian":
@@ -125,8 +127,11 @@ def lie_derivative_lagrangian(L: Lagrangian, u: dict) -> Form:
 
 def _el_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
     """Add c * u^i delta_i(density), the coefficient of omega in
-    u . delta L, into the term dict out."""
-    el = euler_lagrange(L)
+    u . delta L, into the term dict out.  The Euler-Lagrange components
+    are built on the first call and held by L."""
+    if L._el is None:
+        L._el = euler_lagrange(L)
+    el = L._el
     for i, ui in u.items():
         if el.get(i):
             mul_dicts(ui.terms, el[i].terms, out, c)
@@ -143,7 +148,81 @@ def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
     return VerificationReport(_wrap(ctx, ctx.n, acc))
 
 
-# -- the boundary term --------------------------------------------------
+# -- the boundary term, one gauge component at a time ---------------------
+
+
+class _Model:
+    """The data of one CS model that every gauge component shares, built
+    once: S, its Lagrangian L = h0 S (unless the caller has them), dS and
+    the canonical curvature F."""
+
+    def __init__(self, cs: CSData, S: Form | None = None,
+                 L: Lagrangian | None = None):
+        self.cs = cs
+        self.S = cs_form(cs) if S is None else S
+        self.L = L if L is not None else Lagrangian.from_horizontal_form(
+            cs.ctx, horizontal_projection(self.S, cs.ctx))
+        self.dS = exterior_d(self.S)
+        self.F = canonical_curvature(cs)
+
+
+def _xi_index(v: tuple):
+    """r for a gauge parameter symbol xi^r_D, None for any other
+    indeterminate."""
+    return v[1] if v[0] == GAUGE else None
+
+
+def _components(cs: CSData, params: list | None) -> list:
+    """The gauge components as (name, head, xi_C) triples: head maps an
+    algebra index to the 0-form k xi^r of the descent primitive's head slot,
+    and xi_C is the gauge generator of those parameters.
+
+    For the symbolic xi family there is one component per index r, with
+    params = xi^r e_r.  xi_C is built once and split by the index of the
+    one factor xi^r_D that each of its monomials holds, so every component
+    costs its own support only.  Explicit parameters are one component."""
+    ctx, g = cs.ctx, cs.algebra
+    if params is not None:
+        head = {r: Form.from_poly(ctx, p * cs.k)
+                for r, p in enumerate(params) if p}
+        return [("explicit gauge parameters", head,
+                 gauge_generator(g, ctx, params))]
+    parts: dict = {}
+    for c, p in gauge_generator(g, ctx).items():
+        for r, terms in split_terms(p.terms, _xi_index).items():
+            parts.setdefault(r, {})[c] = Poly(terms)
+    return [(f"gauge component {r}",
+             {r: Form.from_poly(ctx, Poly.var(gauge(r), coeff=cs.k))}, parts[r])
+            for r in range(g.dim)]
+
+
+def _component_sigma(model: _Model, name: str, head: dict, xi_C: dict) -> Form:
+    """sigma of one gauge component, post-verified (see sigma_boundary_term);
+    a failed check names the component.  psi, eta and the sum are released
+    before the post-check."""
+    cs, ctx = model.cs, model.cs.ctx
+    psi = _slot_contraction(cs, [head], model.F)
+    residual = contract_into(exterior_d_into({}, psi), xi_C, model.dS, -1)
+    if not is_empty(residual):
+        residual = _wrap(ctx, psi.degree + 1, residual)
+        raise NonzeroResidual(f"{name}: descent residual has "
+                              f"{residual.term_count()} terms: {residual}")
+    eta = homotopy(cs, [head])
+    acc = exterior_d_into(add_into({}, psi), eta, -1)
+    degree = psi.degree
+    del psi, eta, residual
+    contract_into(acc, xi_C, model.S)
+    sigma = _wrap(ctx, degree, acc)
+    del acc
+    sigma = horizontal_projection(sigma, ctx)
+    # d_H sigma - L_{J1 xi_C} L, in one accumulator
+    check = horizontal_differential_into({}, sigma, ctx)
+    apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
+                          prolong(xi_C, ctx), model.L.gradient, -1)
+    if not is_empty(check):
+        raise SigmaMismatch(
+            f"{name}: d_H sigma != Lie derivative of the CS Lagrangian")
+    return sigma
 
 
 def sigma_boundary_term(cs: CSData, params: list | None = None,
@@ -160,34 +239,17 @@ def sigma_boundary_term(cs: CSData, params: list | None = None,
     so psi - d eta is the primitive H(xi_C . dS - d chi) + chi of the
     homotopy formula dH + Hd = id - s*pi*, chi being the restriction of psi
     to the background section.  Post-verified: d_H sigma equals the Lie
-    derivative of the CS Lagrangian along J1 xi_C.  S and its Lagrangian
-    L = h0 S are built here unless the caller has them."""
-    ctx = cs.ctx
-    if S is None:
-        S = cs_form(cs)
-    if L is None:
-        L = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
-    xi_C = gauge_generator(cs.algebra, ctx, params)
-    xi = params if params is not None else [
-        Poly.var(gauge(r)) for r in range(cs.algebra.dim)]
-    head = [Form.from_poly(ctx, p * cs.k) for p in xi]
-    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
-    residual = contract_into(exterior_d_into({}, psi), xi_C, exterior_d(S), -1)
-    if not is_empty(residual):
-        residual = _wrap(ctx, psi.degree + 1, residual)
-        raise NonzeroResidual(
-            f"descent residual has {residual.term_count()} terms: {residual}")
-    eta = homotopy(cs, [head])
-    acc = exterior_d_into(add_into({}, psi), eta, -1)
-    contract_into(acc, xi_C, S)
-    sigma = horizontal_projection(_wrap(ctx, psi.degree, acc), ctx)
-    # d_H sigma - L_{J1 xi_C} L, in one accumulator
-    check = horizontal_differential_into({}, sigma, ctx)
-    apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
-                          prolong(xi_C, ctx), L.gradient, -1)
-    if not is_empty(check):
-        raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
-    return sigma
+    derivative of the CS Lagrangian along J1 xi_C, else SigmaMismatch.  S
+    and its Lagrangian L = h0 S are built here unless the caller has them.
+
+    Everything here is linear in the gauge parameters, so sigma and both
+    checks are run one gauge component at a time (see gauge_components)
+    and the components' sigmas are summed."""
+    model = _Model(cs, S, L)
+    acc: dict = {}
+    for part in _components(cs, params):
+        add_into(acc, _component_sigma(model, *part))
+    return _wrap(cs.ctx, cs.n - 1, acc)
 
 
 def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
@@ -206,6 +268,48 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     _el_into(acc.setdefault(ctx.volume_key(), {}), L_total, u)
     residual = _wrap(ctx, ctx.n, acc)
     return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
+
+
+def gauge_components(cs: CSData, params: list | None = None):
+    """Yields (sigma, report, modified) for each gauge component in turn:
+    its sigma (see sigma_boundary_term) and its conservation_check along
+    its part of xi_C, with the Lagrangian L = h0 S.
+
+    Every monomial of xi_C, sigma, J, J - sigma and each residual of the
+    symbolic family holds exactly one factor xi^r_D, so each splits by r
+    into parts that share no monomial: the component r runs with
+    params = xi^r e_r and checks the part r of the same residuals.
+    Explicit parameters are one component.  S, L and its Euler-Lagrange
+    components, dS and F are built once and shared."""
+    model = _Model(cs)
+    for name, head, xi_C in _components(cs, params):
+        sigma = _component_sigma(model, name, head, xi_C)
+        report, modified = conservation_check(model.L, xi_C, sigma)
+        yield sigma, report, modified
+        del sigma, report, modified
+
+
+def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
+    """The conservation law of the CS model cs along xi_C, checked one
+    gauge component at a time (see gauge_components).
+
+    Returns (report, modified, sizes): the components' residuals and
+    modified currents J - sigma added into one form each (they share no
+    monomial, so nothing cancels), a report that is vacuous iff every
+    component's is, and the term count of each component's sigma."""
+    ctx = cs.ctx
+    residual: dict = {}
+    current: dict = {}
+    vacuous = True
+    sizes = []
+    for sigma, report, modified in gauge_components(cs, params):
+        sizes.append(sigma.term_count())
+        vacuous = vacuous and report.vacuous
+        add_into(residual, report.residual)
+        add_into(current, modified)
+        del sigma, report, modified
+    return (VerificationReport(_wrap(ctx, ctx.n, residual), vacuous),
+            _wrap(ctx, ctx.n - 1, current), sizes)
 
 
 def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,

@@ -10,9 +10,12 @@ library sums raw term dicts in place.  The pullback of forms along a
 substitution lives here only: the library builds P(F_B) and the fiber
 homotopy in closed form, and the last section builds sigma by the pullback
 route of the fiberwise scaling homotopy, against which the closed-form
-descent route of the library is tested.  The dense algebra loops at the end
-run over every index, where the library sums over nonzero structure
-constants and nonzero tensor entries only.
+descent route of the library is tested.  The section after it runs sigma
+and the conservation law on the whole gauge generator at once, where the
+library runs them one gauge component at a time.  The dense algebra loops
+at the end run over every index, where the library sums over nonzero
+structure constants and nonzero tensor entries only and builds per-index
+forms only at the indices of the invariant tensor.
 """
 
 from bisect import bisect_left
@@ -20,15 +23,18 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from jetvar import forms
+from jetvar import algebra, forms
 from jetvar.chern_simons import (_multinomial, _slot_contraction,
-                                 background_curvature, cs_form)
+                                 background_curvature, canonical_curvature,
+                                 cs_form, homotopy)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
-                           NonzeroResidual)
+                           NonzeroResidual, SigmaMismatch)
 from jetvar.forms import Form, _merge_tuples, add_into, wedge_into
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
-from jetvar.jets import horizontal_projection, total_derivative
+from jetvar.jets import (horizontal_differential, horizontal_projection,
+                         prolong, total_derivative)
 from jetvar.polynomial import Poly, _exact, decode_monomial
+from jetvar.variational import Lagrangian, conservation_check
 
 
 def partial(p: Poly, v: tuple) -> Poly:
@@ -362,11 +368,12 @@ def fiber_homotopy(omega: Form, cs) -> Form:
     return psi
 
 
-def gauge_head(cs, params: list | None = None) -> list:
-    """k xi^r as 0-forms: the head slot of the descent primitive."""
+def gauge_head(cs, params: list | None = None) -> dict:
+    """r -> k xi^r as a 0-form, at every index: the head slot of the descent
+    primitive."""
     xi = [Poly.var(gauge(r)) for r in range(cs.algebra.dim)] \
         if params is None else params
-    return [Form.from_poly(cs.ctx, p * cs.k) for p in xi]
+    return {r: Form.from_poly(cs.ctx, p * cs.k) for r, p in enumerate(xi)}
 
 
 def section_correction(cs, params: list | None = None) -> Form:
@@ -390,6 +397,34 @@ def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
     omega = forms.contract(xi_C, forms.exterior_d(S))
     psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
     return horizontal_projection(psi + forms.contract(xi_C, S), cs.ctx)
+
+
+# -- sigma and the conservation law in one shot ----------------------------
+
+
+def one_shot_conservation(cs, params: list | None = None) -> tuple:
+    """(sigma, report, modified) of the whole gauge generator at once, by
+    the descent route with its checks: d psi = xi_C . dS (NonzeroResidual
+    otherwise), the post-check d_H sigma = L_{J1 xi_C} L (SigmaMismatch
+    otherwise), and conservation_check along the whole xi_C."""
+    ctx = cs.ctx
+    S = cs_form(cs)
+    L = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
+    xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
+    head = gauge_head(cs, params)
+    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
+    residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
+    if not residual.is_zero():
+        raise NonzeroResidual(f"descent residual has "
+                              f"{residual.term_count()} terms: {residual}")
+    sigma = horizontal_projection(
+        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S),
+        ctx)
+    lie = forms.apply_derivation(prolong(xi_C, ctx), L.gradient)
+    if horizontal_differential(sigma, ctx) != ctx.volume_form(lie):
+        raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
+    report, modified = conservation_check(L, xi_C, sigma)
+    return sigma, report, modified
 
 
 # -- dense algebra loops ----------------------------------------------------
@@ -495,17 +530,17 @@ def gauge_generator(g, ctx, params: list | None = None) -> dict:
     return out
 
 
-def slot_sum(cs, heads: list, curv: list) -> tuple:
+def slot_sum(cs, heads: list, curv: dict) -> tuple:
     """chern_simons._slot_sum over every ordered lead of j = len(heads)
     indices and every multiset of the k - j curvature slots, looking b up
-    at each index tuple."""
+    at each index tuple; an index that a head lacks adds nothing."""
     m = cs.algebra.dim
     j = len(heads)
     den = lcm(*(v.denominator for v in cs.b.entries.values()))
     acc: dict = {}
     for lead in product(range(m), repeat=j):
-        factors = [h[r] for h, r in zip(heads, lead)]
-        if any(f.is_zero() for f in factors):
+        factors = [h.get(r) for h, r in zip(heads, lead)]
+        if any(f is None or f.is_zero() for f in factors):
             continue
         head = factors[0]
         for f in factors[1:]:
@@ -522,4 +557,14 @@ def slot_sum(cs, heads: list, curv: list) -> tuple:
             for i in rest[:-1]:
                 term = wedge(term, curv[i])
             wedge_into(acc, term, curv[rest[-1]], weight)
-    return acc, den, sum(h[0].degree for h in heads) + 2 * (cs.k - j)
+    degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
+    return acc, den, degree + 2 * (cs.k - j)
+
+
+def curvature(cs, linear: list, ones: list) -> list:
+    """F^r = linear^r + 1/2 c^r_pq X^p ^ X^q for the 1-forms X = ones, at
+    every index r, summed over every ordered pair (p, q) with weight c/2."""
+    accs = [add_into({}, f) for f in linear]
+    for (r, p, q), cval in cs.algebra.c.items():
+        wedge_into(accs[r], ones[p], ones[q], cval / 2)
+    return [forms._wrap(cs.ctx, 2, acc) for acc in accs]

@@ -19,7 +19,7 @@ from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
                                  cs_lagrangian_direct)
 from jetvar.errors import JetvarError
 from jetvar.forms import Form, _wrap, exterior_d, lie_derivative_form, wedge
-from jetvar.indets import conn, x
+from jetvar.indets import T, conn, x
 from jetvar.polynomial import Poly
 from jetvar.random_inputs import random_form
 from jetvar.variational import Lagrangian, euler_lagrange
@@ -112,9 +112,11 @@ def test_characteristic_at_B_matches_the_pullback_oracle(name, background):
     bindings = {conn(r, mu): cs.bg_poly(r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     FB = background_curvature(cs)
-    assert [oracles.pullback(f, bindings)
-            for f in canonical_curvature(cs)] == FB
-    assert any(not f.is_zero() for f in FB) == (background == "symbolic")
+    assert {r: oracles.pullback(f, bindings)
+            for r, f in canonical_curvature(cs).items()} == FB
+    # h = 0 leaves b without entries, so no curvature is built
+    assert any(not f.is_zero() for f in FB.values()) == (
+        background == "symbolic" and bool(cs.indices))
     assert characteristic_at_B(cs) == oracles.pullback(characteristic_form(cs),
                                                        bindings)
 
@@ -134,25 +136,59 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
                 == oracles.invariant_contraction(cs, curv))
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
+def test_curvatures_match_the_ordered_pair_oracle(case, data):
+    # the sum over p < q with weight c against the sum over ordered pairs
+    # with weight c/2, at the indices of b, for F, F_B and F(t); b need not
+    # be invariant, and rescaled su2 constants are not all integral
+    dim, c, _, _ = case
+    g = LieAlgebraData(dim, c)
+    k = data.draw(st.integers(2, 3))
+    b = InvariantTensor(k, {
+        tuple(sorted(data.draw(st.integers(0, dim - 1)) for _ in range(k))):
+        data.draw(RATIONALS) for _ in range(data.draw(st.integers(1, 3)))})
+    cs = CSData(g, b, k, background=data.draw(st.sampled_from(
+        ["symbolic", "zero"])))
+    A = [cs.potential_one_form(r) for r in range(dim)]
+    B = [cs.background_one_form(r) for r in range(dim)]
+    t = Poly.var(T)
+    linear_t = [exterior_d(a).scale(t) + exterior_d(bg).scale(1 - t)
+                for a, bg in zip(A, B)]
+    interp = [cs.interp_one_form(r) for r in range(dim)]
+    for got, want in (
+            (canonical_curvature(cs),
+             oracles.curvature(cs, [exterior_d(a) for a in A], A)),
+            (background_curvature(cs),
+             oracles.curvature(cs, [exterior_d(bg) for bg in B], B)),
+            (_interp_curvature(cs), oracles.curvature(cs, linear_t, interp))):
+        assert got == {r: want[r] for r in cs.indices}
+    assert cs.indices == sorted({i for idx in cs.b.entries for i in idx})
+
+
 # -- the sparse slot sum against the dense oracle ------------------------------
 
 PARAMS = [Poly.zero(), Poly.const(Q(1, 2)), Poly.var(x(0)),
           Poly.var(x(1)) * Poly.var(x(2)) - Poly.const(3)]
 
 
-def _random_head(draw, cs, rng) -> list:
-    """A per-index list of forms of one degree, some of them zero: k xi for
-    symbolic or explicit gauge parameters, or random forms of degree <= 2."""
+def _random_head(draw, cs, rng) -> dict:
+    """A map from algebra indices to forms of one degree, some of them zero
+    and some indices left out: k xi for symbolic or explicit gauge
+    parameters, or random forms of degree <= 2."""
     m = cs.algebra.dim
     kind = draw(st.sampled_from(["symbolic", "params", "forms"]))
     if kind == "symbolic":
-        return oracles.gauge_head(cs)
-    if kind == "params":
-        return oracles.gauge_head(
+        head = oracles.gauge_head(cs)
+    elif kind == "params":
+        head = oracles.gauge_head(
             cs, [draw(st.sampled_from(PARAMS)) for _ in range(m)])
-    degree = draw(st.integers(0, 2))
-    return [random_form(cs.ctx, degree, rng) if draw(st.booleans())
-            else Form.zero(cs.ctx, degree) for _ in range(m)]
+    else:
+        degree = draw(st.integers(0, 2))
+        head = {r: random_form(cs.ctx, degree, rng) if draw(st.booleans())
+                else Form.zero(cs.ctx, degree) for r in range(m)}
+    left_out = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    return {r: f for r, f in head.items() if r not in left_out}
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,7 +214,7 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
     if data.draw(st.booleans()):
         curv = canonical_curvature(cs)
     else:
-        curv = [random_form(cs.ctx, 2, rng) for _ in range(dim)]
+        curv = {r: random_form(cs.ctx, 2, rng) for r in range(dim)}
     acc, den, degree = _slot_sum(cs, heads, curv)
     want, want_den, want_degree = oracles.slot_sum(cs, heads, curv)
     assert (den, degree) == (want_den, want_degree)

@@ -4,6 +4,7 @@ errors, and the term cap."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -468,6 +469,32 @@ def test_large_abelian_model_runs_quickly(capsys, command):
         assert out.startswith("[PASS] d_H(J - sigma) + u.(delta L) = 0\n")
 
 
+def test_algebra_of_dimension_3000_runs_quickly(capsys):
+    # per-index forms are built at the indices of the tensor only, and each
+    # of the 3000 gauge components costs its own support only
+    code = cli.main(["verify-conservation", "--config",
+                     str(TEST_CONFIGS / "dim3000_unit_k2.json")])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.startswith("[PASS] d_H(J - sigma) + u.(delta L) = 0\n")
+    assert ", 3000 gauge components, largest sigma 18 terms," in err
+
+
+def test_verify_conservation_notes_components_and_memory(capsys):
+    # the stderr note; stdout is the golden file, unchanged
+    code = cli.main(["verify-conservation", "--config",
+                     str(CONFIGS / "su2_k2.json")])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == (GOLDEN / "verify_conservation_su2_k2.txt").read_text()
+    assert re.fullmatch(r"verify-conservation: \d+\.\d\ds, 3 gauge components, "
+                        r"largest sigma 30 terms, peak RSS \d+\.\d MB\n", err), err
+    code = cli.main(["verify-conservation", "--config",
+                     str(CONFIGS / "u1_k2.json")])
+    err = capsys.readouterr().err
+    assert ", 1 gauge component, largest sigma 18 terms, " in err
+
+
 # -- one parser per process: no flag or default leaks between calls ---------
 
 
@@ -522,12 +549,13 @@ def test_repeated_in_process_calls_match_fresh_interpreters(capsys, tmp_path):
 
 # -- config fuzz: mutated shipped configs never escape as a traceback ------
 
-# the two large models (5D u1+su2, 7D u1) take seconds per run
+# the three large models (5D u1+su2, 7D u1, an abelian algebra of dimension
+# 3000) take about a second or more per run
 FUZZ_SEEDS = [cli.load_config(str(ROOT / path)) for path in sorted(
     p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
                                              "jetbench/configs")
     for p in (ROOT / d).glob("*.json")
-    if p.name not in ("u1su2_k3.json", "u1_k4.json"))]
+    if p.name not in ("u1su2_k3.json", "u1_k4.json", "dim3000_unit_k2.json"))]
 # no shipped config spells out its invariant tensor
 FUZZ_SEEDS.append({"algebra": "u1^2", "k": 2, "invariant": {
     "degree": 2, "entries": [[[0, 0], "1"], [[0, 1], "1/2"]]}})

@@ -340,7 +340,13 @@ def test_in_place_form_operations_match_the_poly_at_a_time_oracles(data):
 
     def image(v):
         return imgs[COORDS.index(v) % 3]
-    assert map_generators(a, image) == oracles.map_generators(a, image)
+
+    def tuple_image(dcs):
+        img = Form.from_poly(a.ctx, Poly.const(1))
+        for c in dcs:
+            img = oracles.wedge(img, image(c))
+        return img
+    assert map_generators(a, tuple_image) == oracles.map_generators(a, image)
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,9 +26,10 @@ from jetvar.random_inputs import random_density, random_form, \
     random_vertical_field
 from jetvar.variational import (Lagrangian, conservation_check,
                                 euler_lagrange, first_variational_check,
-                                invariant_sector, lie_derivative_lagrangian,
-                                noether_current, poincare_cartan,
-                                sigma_boundary_term)
+                                gauge_components, invariant_sector,
+                                lie_derivative_lagrangian, noether_current,
+                                poincare_cartan, sigma_boundary_term,
+                                verify_conservation)
 import oracles
 from oracles import NotClosed, evaluate, fiber_homotopy, section_correction
 
@@ -294,6 +295,39 @@ def test_sigma_matches_the_fiber_homotopy_oracle(name):
     assert sigma.is_zero() == vacuous
 
 
+def _disjoint_union(parts) -> dict:
+    """The term dicts of the forms parts merged key by key, asserting that
+    no two of them share a monomial under one key."""
+    out: dict = {}
+    for a in parts:
+        for key, p in a.terms.items():
+            terms = out.setdefault(key, {})
+            assert terms.keys().isdisjoint(p.terms), key
+            terms.update(p.terms)
+    return out
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
+def test_gauge_components_match_the_one_shot_oracle(name):
+    # the symbolic family runs one component per algebra index, explicit
+    # parameters run once; the components' sigma, J - sigma and residuals
+    # share no monomial, and their union is the one-shot result
+    cs, params = _sigma_case(name)
+    sigma, report, modified = oracles.one_shot_conservation(cs, params)
+    sigmas, reports, currents = zip(*gauge_components(cs, params))
+    assert len(sigmas) == (cs.algebra.dim if params is None else 1)
+    for got, want in ((sigmas, sigma), (currents, modified),
+                      ([r.residual for r in reports], report.residual)):
+        assert _disjoint_union(got) == {key: p.terms
+                                        for key, p in want.terms.items()}
+    assert all(r.vacuous for r in reports) == report.vacuous
+    merged_report, merged, sizes = verify_conservation(cs, params)
+    assert merged == modified
+    assert merged_report.residual == report.residual
+    assert merged_report.vacuous == report.vacuous
+    assert sizes == [s.term_count() for s in sigmas]
+
+
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
 def test_homotopy_matches_the_pullback_oracle(name):
     # the closed form of H on the descent primitive b(k xi, F, ..., F) and
@@ -311,7 +345,8 @@ def test_sigma_rejects_a_non_invariant_tensor(background):
     g = builtin_algebra("su2")
     cs = CSData(g, builtin_invariant("unit", g, 2), 2, background=background)
     assert cs.invariance_residual
-    with pytest.raises(NonzeroResidual, match="descent residual"):
+    with pytest.raises(NonzeroResidual,
+                       match=r"^gauge component \d: descent residual"):
         sigma_boundary_term(cs)
 
 
@@ -377,8 +412,9 @@ def test_sigma_post_check_uses_the_given_lagrangian():
         cs.ctx, horizontal_projection(S, cs.ctx))
     assert sigma_boundary_term(cs, S=S, L=L) == \
         sigma_boundary_term(cs, S=S)
-    # the post-check compares d_H sigma with the Lie derivative of this L
-    with pytest.raises(SigmaMismatch):
+    # the post-check compares d_H sigma with the Lie derivative of this L;
+    # the first component fails it
+    with pytest.raises(SigmaMismatch, match="^gauge component 0: "):
         sigma_boundary_term(cs, S=S, L=L + L)
 
 
