@@ -9,14 +9,15 @@ from math import lcm
 from .algebra import (InvariantTensor, LieAlgebraData, _multinomial,
                       check_invariant_tensor)
 from .errors import JetvarError
-from .forms import Form, _wrap, add_into, exterior_d, wedge, wedge_into
-from .indets import T, bg, conn, x
+from .forms import (Form, _wrap, add_into, exterior_d, linear_combination,
+                    wedge, wedge_into)
+from .indets import bg, conn, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q
 
 __all__ = ["CSData", "canonical_curvature", "characteristic_form",
            "characteristic_at_B", "background_curvature", "homotopy",
-           "cs_form", "cs_lagrangian", "cs_lagrangian_direct"]
+           "cs_form", "cs_lagrangian"]
 
 
 class CSData:
@@ -76,14 +77,9 @@ class CSData:
     def background_one_form(self, r: int) -> Form:
         return self._one_form(r, self.bg_poly)
 
-    def interp_poly(self, r: int, mu: int, D: tuple = ()) -> Poly:
-        """t a^r_{D;mu} + (1-t) B^r_{D;mu}: the homotopy from B to a."""
-        t = Poly.var(T)
-        return (t * Poly.var(conn(r, mu, D))
-                + (Poly.const(1) - t) * self.bg_poly(r, mu, D))
-
-    def interp_one_form(self, r: int) -> Form:
-        return self._one_form(r, self.interp_poly)
+    def difference_one_form(self, r: int) -> Form:
+        """D^r = a^r - B^r, the direction of the homotopy B + tD from B to a."""
+        return self.potential_one_form(r) - self.background_one_form(r)
 
     def _one_form(self, r: int, coeff) -> Form:
         terms = {}
@@ -129,7 +125,7 @@ def _leads(cs: CSData, j: int) -> dict:
     r -> the sorted (lead, [(rest, weight), ...]) pairs whose lead starts
     with r.  Each distinct ordering of j of an entry's indices is a lead,
     the remaining indices are the multiset of curvature slots, and weight is
-    cs.den times the entry times the multinomial count of rest: an int."""
+    cs.den times the entry: an int."""
     def build():
         by_lead: dict = {}
         for idx, bval in cs.b.entries.items():
@@ -138,9 +134,7 @@ def _leads(cs: CSData, j: int) -> dict:
                 rest = list(idx)
                 for r in lead:
                     rest.remove(r)
-                rest = tuple(rest)
-                by_lead.setdefault(lead, []).append(
-                    (rest, weight * _multinomial(rest)))
+                by_lead.setdefault(lead, []).append((tuple(rest), weight))
         index: dict = {}
         for lead in sorted(by_lead):
             index.setdefault(lead[0], []).append((lead, sorted(by_lead[lead])))
@@ -149,16 +143,46 @@ def _leads(cs: CSData, j: int) -> dict:
     return cs._memo(("leads", j), build)
 
 
-def _slot_sum(cs: CSData, heads: list, curv: dict) -> tuple:
+def _slot_sum(cs: CSData, heads: list, *pieces: dict) -> tuple:
     """(acc, den, degree): den times the slot contraction below, as an
-    accumulator (see forms), and its degree.  den = cs.den, so that every
-    weight is an int and the kernel multiplies ints only.  Only the leads
-    of the nonzero entries of b whose first index heads[0] holds are walked,
-    so a sparse first head costs only its own leads.  The head of each lead
-    is wedged once; the last curvature factor of each term is wedged
-    straight into acc."""
+    accumulator (see forms), and its degree, for the curvature
+    F(t) = sum_s t^s pieces[s] integrated over t in [0, 1]; one piece is a
+    curvature that does not depend on t.
+
+    Each curvature slot picks a piece s, and the picks fix the power p of
+    t.  In a run of equal curvature indices the 2-forms commute, so there
+    the picks are taken in nondecreasing order and counted by the
+    multinomial of the (index, pick) pairs.  Each product is added with the
+    int weight N/(p+1), N = lcm(1, ..., P+1) for the highest power P, and
+    den = N * cs.den, so that every weight is an int and the kernel
+    multiplies ints only.  Only the leads of the nonzero entries of b whose
+    first index heads[0] holds are walked, so a sparse first head costs
+    only its own leads.  The head of each lead is wedged once, a wedge
+    prefix is shared by the picks that extend it, and the last curvature
+    factor of each term is wedged straight into acc."""
     index = _leads(cs, len(heads))
+    top = (len(pieces) - 1) * (cs.k - len(heads))
+    N = lcm(*range(1, top + 2))
     acc: dict = {}
+
+    def walk(term: Form, rest: tuple, picks: tuple, weight: int):
+        # wedge the curvature slot len(picks) of rest, and those after it
+        i = rest[len(picks)]
+        least = picks[-1] if picks and rest[len(picks) - 1] == i else 0
+        last = len(picks) + 1 == len(rest)
+        for s in range(least, len(pieces)):
+            f = pieces[s][i]
+            if f.is_zero():
+                continue
+            if last:
+                count = _multinomial(tuple(zip(rest, picks + (s,))))
+                wedge_into(acc, term, f,
+                           weight * count * (N // (sum(picks) + s + 1)))
+            else:
+                prefix = wedge(term, f)
+                if not prefix.is_zero():
+                    walk(prefix, rest, picks + (s,), weight)
+
     for first in sorted(index.keys() & heads[0].keys()):
         for lead, rests in index[first]:
             factors = [h.get(r) for h, r in zip(heads, lead)]
@@ -168,26 +192,24 @@ def _slot_sum(cs: CSData, heads: list, curv: dict) -> tuple:
             for f in factors[1:]:
                 head = wedge(head, f)
             for rest, weight in rests:
-                if not rest:
+                if rest:
+                    walk(head, rest, (), weight)
+                else:
                     add_into(acc, head, weight)
-                    continue
-                term = head
-                for i in rest[:-1]:
-                    term = wedge(term, curv[i])
-                wedge_into(acc, term, curv[rest[-1]], weight)
     # the forms of one head share a degree; an empty head adds nothing, and
     # counts as degree 0
     degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
-    return acc, cs.den, degree + 2 * (cs.k - len(heads))
+    return acc, N * cs.den, degree + 2 * (cs.k - len(heads))
 
 
-def _slot_contraction(cs: CSData, heads: list, curv: dict) -> Form:
-    """b_{r1..rk} heads[0]^{r1} ^ ... ^ heads[j-1]^{rj} ^ curv^{r(j+1)} ^ ...
-    ^ curv^{rk}, summed over ordered tuples: each head and curv map an
-    algebra index to a form, an index a head lacks adds nothing, and curv
-    holds every index of b.  The even curv slots commute and are enumerated
-    as multisets with multinomial weights."""
-    acc, den, degree = _slot_sum(cs, heads, curv)
+def _slot_contraction(cs: CSData, heads: list, *pieces: dict) -> Form:
+    """The integral over t in [0, 1] of b_{r1..rk} heads[0]^{r1} ^ ... ^
+    heads[j-1]^{rj} ^ F^{r(j+1)}(t) ^ ... ^ F^{rk}(t), summed over ordered
+    tuples, for F(t) = sum_s t^s pieces[s]: each head and piece map an
+    algebra index to a form, an index a head lacks adds nothing, and each
+    piece holds every index of b.  The even curvature slots commute and are
+    enumerated as multisets with multinomial weights (see _slot_sum)."""
+    acc, den, degree = _slot_sum(cs, heads, *pieces)
     return _wrap(cs.ctx, degree, acc, den)
 
 
@@ -207,18 +229,21 @@ def characteristic_at_B(cs: CSData) -> Form:
     return _slot_contraction(cs, [FB], FB)
 
 
-def _interp_curvature(cs: CSData) -> dict:
-    """F^r(t,B) = d(ta + (1-t)B) ^ dx (t held constant) + 1/2 c (ta+(1-t)B)^2,
-    built once per CSData."""
+def _t_pieces(cs: CSData) -> tuple:
+    """(F_B, nabla_B D, H), built once per CSData: with D = a - B, the
+    curvature of B + tD is F(t) = F_B + t nabla_B D + t^2 H, where
+    nabla_B D = dD + sum_{p<q} c^r_pq (B^p ^ D^q + D^p ^ B^q) and
+    H = sum_{p<q} c^r_pq D^p ^ D^q, each r -> 2-form at the indices of b.
+    At t = 1 it is the canonical curvature F, so nabla_B D = F - F_B - H."""
     def build():
-        t = Poly.var(T)
-        one_minus_t = Poly.const(1) - t
-
-        def linear(r):
-            return (exterior_d(cs.potential_one_form(r)).scale(t)
-                    + exterior_d(cs.background_one_form(r)).scale(one_minus_t))
-
-        return _curvature(cs, linear, cs.interp_one_form)
+        FB = background_curvature(cs)
+        F = canonical_curvature(cs)
+        H = _curvature(cs, lambda r: Form.zero(cs.ctx, 2),
+                       cs.difference_one_form)
+        nabla = {r: linear_combination(cs.ctx, 2, ((F[r], 1), (FB[r], -1),
+                                                   (H[r], -1)))
+                 for r in cs.indices}
+        return FB, nabla, H
 
     return cs._memo(("F_t",), build)
 
@@ -227,27 +252,24 @@ def _a_minus_B(cs: CSData, j: int) -> dict:
     """r -> (k - j)(a^r - B^r), the last slot of homotopy after j heads, at
     each index r of b; built once per CSData and j."""
     return cs._memo(("a-B", j), lambda: {
-        r: (cs.potential_one_form(r) - cs.background_one_form(r)).scale(cs.k - j)
-        for r in cs.indices})
+        r: cs.difference_one_form(r).scale(cs.k - j) for r in cs.indices})
 
 
-def homotopy(cs: CSData, heads: list = (), curv: dict | None = None) -> Form:
+def homotopy(cs: CSData, heads: list = ()) -> Form:
     """(k-j) * integral over t in [0,1] of b_{r1..rk} heads^{r1} ^ ... ^
-    heads^{rj} ^ (a-B)^{r(j+1)} ^ curv^{r(j+2)}(t) ^ ... ^ curv^{rk}(t).
+    heads^{rj} ^ (a-B)^{r(j+1)} ^ F^{r(j+2)}(t) ^ ... ^ F^{rk}(t), with F(t)
+    the curvature of ta + (1-t)B.
 
-    With the interpolated curvature F(t) (the default) this is the fiber
-    homotopy H centred at a = B, the pullback along a -> ta + (1-t)B
-    contracted by d/dt and integrated, applied to b(heads, F, ..., F) for
-    heads that do not depend on a.  With no heads it is the transgression
-    form; the result is t-free."""
-    if curv is None:
-        curv = _interp_curvature(cs)
-    # the factor (k-j) goes on the small one-forms a-B, not on the result;
-    # integrate den times the integrand, whose coefficients are ints when
-    # those of the forms are, then divide by den once per output term
-    acc, den, degree = _slot_sum(cs, [*heads, _a_minus_B(cs, len(heads))], curv)
-    return _wrap(cs.ctx, degree,
-                 {key: Poly(t).integrate_t().terms for key, t in acc.items()}, den)
+    This is the fiber homotopy H centred at a = B, the pullback along
+    a -> ta + (1-t)B contracted by d/dt and integrated, applied to
+    b(heads, F, ..., F) for heads that do not depend on a.  With no heads
+    it is the transgression form.  The integral is taken in closed form:
+    F(t) = F_B + t nabla_B D + t^2 H (see _t_pieces), so each choice of
+    pieces fixes the power of t (the homotopy formula of Chern & Simons,
+    "Characteristic forms and geometric invariants", 1974)."""
+    # the factor (k-j) goes on the small one-forms a-B, not on the result
+    return _slot_contraction(cs, [*heads, _a_minus_B(cs, len(heads))],
+                             *_t_pieces(cs))
 
 
 def cs_form(cs: CSData) -> Form:
@@ -258,26 +280,3 @@ def cs_form(cs: CSData) -> Form:
 def cs_lagrangian(cs: CSData) -> Form:
     """Horizontal projection of the CS form: the Lagrangian density form on J1."""
     return horizontal_projection(cs_form(cs), cs.ctx)
-
-
-def _interp_curvature_horizontal(cs: CSData) -> dict:
-    """The displayed first-order coefficients: t a^r_{lam;mu} + (1-t) dB, built
-    directly from jet coordinates rather than through h0 (cross-check route)."""
-    ctx = cs.ctx
-
-    # t a^r_{lam;mu} never cancels, so no coefficient is zero
-    def linear(r):
-        acc: dict = {}
-        for lam in range(cs.n):
-            for mu in range(cs.n):
-                coeff = Form(ctx, 1, {(x(lam),): cs.interp_poly(r, mu, (lam,))})
-                wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
-        return _wrap(ctx, 2, acc)
-
-    return _curvature(cs, linear, cs.interp_one_form)
-
-
-def cs_lagrangian_direct(cs: CSData) -> Form:
-    """Independent construction of the horizontal CS Lagrangian via the
-    explicit first-order formula; must agree with cs_lagrangian exactly."""
-    return homotopy(cs, curv=_interp_curvature_horizontal(cs))

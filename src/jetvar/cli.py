@@ -35,6 +35,8 @@ from .variational import (Lagrangian, euler_lagrange, first_variational_check,
                           verify_conservation)
 
 TRUNCATE_AT = 40
+# characters of a truncated form that are printed
+PREVIEW_CHARS = 2000
 # Largest CS degree k: a (2k-1) = 15-dimensional base, well past the k = 4
 # frontier.  The transgression form grows fast with k (u1: 9,520 terms at
 # k = 4, 263,340 at k = 5), so a larger k only hangs, and a huge one
@@ -224,12 +226,13 @@ def show_poly(label: str, p: Poly, dump: Dump):
 
 
 def show_form(label: str, a: Form, dump: Dump):
-    text = str(a)
     n = a.term_count()
+    # without --dump a truncated form is rendered only as far as it is printed
+    text = a.render(PREVIEW_CHARS) if n > TRUNCATE_AT and not dump.fh else str(a)
     if n > TRUNCATE_AT:
         emit(f"{label}: {n} terms (truncated"
              f"{'' if dump.fh else '; pass --dump for the full expression'})")
-        emit("  " + text[:2000])
+        emit("  " + text[:PREVIEW_CHARS])
     else:
         emit(f"{label} = {text}")
     dump.write(label, text)
@@ -400,9 +403,10 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     ok = report_line("d_H(J - sigma) + u.(delta L) = 0", report.passed,
                      report.vacuous)
     if not report.passed:
-        text = str(report.residual)
-        emit(f"residual ({report.residual.term_count()} terms):")
-        emit("  " + text[:2000])
+        residual = report.residual
+        text = str(residual) if dump.fh else residual.render(PREVIEW_CHARS)
+        emit(f"residual ({residual.term_count()} terms):")
+        emit("  " + text[:PREVIEW_CHARS])
         dump.write("residual", text)
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
         show_poly(f"modified current component {lam}", comp, dump)

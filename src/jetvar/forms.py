@@ -132,18 +132,27 @@ class Form:
                 out[d] = q
         return Form(self.ctx, self.degree, out)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+    def render(self, width: int | None = None) -> str:
+        """str(self); with width, its first width characters, of which only
+        the terms that reach into them are rendered."""
         parts = []
+        size = -3   # the length of " + ".join(parts)
         for dcs in sorted(self.terms):
-            p = self.terms[dcs]
+            # the text of p starts after a separator and "("
+            p = self.terms[dcs].render(
+                width=None if width is None else width - size - 4)
             if dcs:
                 gens = "∧".join("d" + indet_str(c) for c in dcs)
                 parts.append(f"({p}) {gens}")
             else:
                 parts.append(f"({p})")
-        return " + ".join(parts)
+            size += len(parts[-1]) + 3
+            if width is not None and size >= width:
+                break
+        return (" + ".join(parts) or "0")[:width]
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self):
         return f"Form(deg={self.degree}, {self})"

@@ -45,7 +45,6 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from heapq import nsmallest
-from math import lcm
 
 from .errors import ConfigError, TermLimitExceeded
 from .indets import T, indet_str
@@ -362,13 +361,16 @@ class Poly:
 
     # -- calculus ------------------------------------------------------
 
-    def gradient(self) -> dict:
+    def gradient(self, keep=None) -> dict:
         """Every partial derivative in one walk over the monomials: v -> d/dv.
 
-        Keys are exactly self.indets().  Dividing distinct monomials by the
-        same v keeps them distinct, so no partial sums terms or is zero.
+        Keys are exactly self.indets(), or those v for which keep(v) is
+        true when keep is given; keep is called once per indeterminate, and
+        the partials it rejects are never formed.  Dividing distinct
+        monomials by the same v keeps them distinct, so no partial sums
+        terms or is zero.
         """
-        grads: dict = {}
+        grads: dict = {}   # id -> term dict of its partial, False if rejected
         for m, c in self.terms.items():
             prev = None
             for i, v in enumerate(m):
@@ -377,30 +379,14 @@ class Poly:
                 prev = v
                 terms = grads.get(v)
                 if terms is None:
-                    terms = grads[v] = {}
+                    terms = grads[v] = (
+                        {} if keep is None or keep(_INDETS[v]) else False)
+                if terms is False:
+                    continue
                 e = m.count(v)
                 terms[m[:i] + m[i + 1:]] = c if e == 1 else _exact(c * e)
-        return {_INDETS[v]: Poly(terms) for v, terms in grads.items()}
-
-    def integrate_t(self) -> "Poly":
-        """Exact definite integral over t in [0,1]; the result is t-free.
-
-        t^e integrates to 1/(e+1), so each term adds the numerator
-        c * N/(e+1) over the common denominator N = lcm(1, ..., e_max + 1):
-        an int for an int c.  Each output term is divided by N once."""
-        terms = self.terms
-        if not terms:
-            return Poly()
-        top = 1 + max(m.count(_T) for m in terms)
-        den = lcm(*range(1, top + 1))
-        weight = [den // (e + 1) for e in range(top)]
-        sums: dict = {}
-        get = sums.get
-        for m, c in terms.items():
-            e = m.count(_T)
-            nm = m[e:]
-            sums[nm] = get(nm, 0) + c * weight[e]
-        return Poly(div_dict(sums, den))
+        return {_INDETS[v]: Poly(terms) for v, terms in grads.items()
+                if terms is not False}
 
     # -- queries -------------------------------------------------------
 
@@ -412,9 +398,12 @@ class Poly:
 
     # -- serialization ---------------------------------------------------
 
-    def render(self, limit: int | None = None) -> str:
+    def render(self, limit: int | None = None, width: int | None = None) -> str:
         """The text of the first limit terms in serialization order, or of
-        every term when limit is None; str(p) is p.render()."""
+        every term when limit is None; str(p) is p.render().  With width,
+        terms stop once the text reaches width characters: the text is then
+        a prefix of the full one, at least width long unless it is all of
+        it."""
         if not self.terms:
             return "0"
         shown = list(self.terms)
@@ -442,12 +431,16 @@ class Poly:
         else:
             shown = nsmallest(limit, shown, key=key)
         parts = []
+        size = -3   # the length of " + ".join(parts)
         for m in shown[:limit]:
             c = self.terms[m]
             frag = [f"{c.numerator}/{c.denominator}"]
             for v, e in decode_monomial(m):
                 frag.append(indet_str(v) if e == 1 else f"{indet_str(v)}^{e}")
             parts.append("*".join(frag))
+            size += len(parts[-1]) + 3
+            if width is not None and size >= width:
+                break
         return " + ".join(parts)
 
     def __str__(self) -> str:

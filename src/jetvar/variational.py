@@ -41,13 +41,15 @@ class VerificationReport:
 class Lagrangian:
     """First-order horizontal n-form L = density * d^n x.
 
-    gradient maps each indeterminate of the density to its partial; it is
-    built once and shared by every operator on L."""
+    gradient maps each field-jet indeterminate of the density to its
+    partial, the only partials that the Euler-Lagrange operator, Noether
+    currents and Lie derivatives read; it is built once and shared by every
+    operator on L."""
 
     def __init__(self, ctx: JetContext, density: Poly):
-        grad = density.gradient()
+        grad = density.gradient(is_field_jet)
         for v in grad:
-            if is_field_jet(v) and len(multi_index(v)) > 1:
+            if len(multi_index(v)) > 1:
                 raise JetvarError(f"Lagrangian is not first-order: {indet_str(v)}")
         self.ctx = ctx
         self.density = density

@@ -4,8 +4,10 @@ They read a monomial only through decode_monomial and otherwise use only
 Poly's public ring operations, so they check the library's calculus
 (gradient, chain rule, total derivatives) from outside.  The term kernel
 keyed by (indeterminate, exponent) pair tuples, which the multiset-id kernel
-of polynomial.py replaced, is kept here as the oracle of that kernel.  The form
-oracles below sum Poly coefficients one `+` at a time, key by key, where the
+of polynomial.py replaced, is kept here as the oracle of that kernel, and so
+is the t-integrand route of the fiber homotopy (the interpolated curvature
+as one t-polynomial, each coefficient integrated term by term), the oracle
+of the library's closed-form t-integral.  The form oracles below sum Poly coefficients one `+` at a time, key by key, where the
 library sums raw term dicts in place.  The pullback of forms along a
 substitution lives here only: the library builds P(F_B) and the fiber
 homotopy in closed form, and the last section builds sigma by the pullback
@@ -24,16 +26,17 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from jetvar import algebra, forms
-from jetvar.chern_simons import (_multinomial, _slot_contraction,
-                                 background_curvature, canonical_curvature,
-                                 cs_form, homotopy)
+from jetvar.chern_simons import (_a_minus_B, _curvature, _multinomial,
+                                 _slot_contraction, background_curvature,
+                                 canonical_curvature, cs_form, homotopy)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual, SigmaMismatch)
-from jetvar.forms import Form, _merge_tuples, add_into, wedge_into
+from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
+                          wedge_into)
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
 from jetvar.jets import (horizontal_differential, horizontal_projection,
                          prolong, total_derivative)
-from jetvar.polynomial import Poly, _exact, decode_monomial
+from jetvar.polynomial import _T, Poly, _exact, decode_monomial, div_dict
 from jetvar.variational import Lagrangian, conservation_check
 
 
@@ -207,6 +210,100 @@ def integrate_t(terms: dict) -> dict:
     return out
 
 
+# -- the t-integrand route of the fiber homotopy ----------------------------
+#
+# The library integrates over t in closed form, one piece of F(t) per
+# curvature slot.  Here F(t) is built as one t-polynomial curvature, the
+# slot sum runs over the t-polynomial integrand, and each coefficient is
+# then integrated term by term.
+
+
+def t_integral(p: Poly) -> Poly:
+    """Exact definite integral over t in [0,1]; the result is t-free.
+
+    t^e integrates to 1/(e+1), so each term adds the numerator
+    c * N/(e+1) over the common denominator N = lcm(1, ..., e_max + 1):
+    an int for an int c.  Each output term is divided by N once."""
+    terms = p.terms
+    if not terms:
+        return Poly()
+    top = 1 + max(m.count(_T) for m in terms)
+    den = lcm(*range(1, top + 1))
+    weight = [den // (e + 1) for e in range(top)]
+    sums: dict = {}
+    get = sums.get
+    for m, c in terms.items():
+        e = m.count(_T)
+        nm = m[e:]
+        sums[nm] = get(nm, 0) + c * weight[e]
+    return Poly(div_dict(sums, den))
+
+
+def interp_poly(cs, r: int, mu: int, D: tuple = ()) -> Poly:
+    """t a^r_{D;mu} + (1-t) B^r_{D;mu}: the homotopy from B to a."""
+    t = Poly.var(T)
+    return (t * Poly.var(conn(r, mu, D))
+            + (Poly.const(1) - t) * cs.bg_poly(r, mu, D))
+
+
+def interp_one_form(cs, r: int) -> Form:
+    return cs._one_form(r, lambda r, mu: interp_poly(cs, r, mu))
+
+
+def interp_curvature(cs) -> dict:
+    """F^r(t,B) = d(ta + (1-t)B) ^ dx (t held constant) + 1/2 c (ta+(1-t)B)^2,
+    at each index r of b."""
+    t = Poly.var(T)
+    one_minus_t = Poly.const(1) - t
+
+    def linear(r):
+        return (exterior_d(cs.potential_one_form(r)).scale(t)
+                + exterior_d(cs.background_one_form(r)).scale(one_minus_t))
+
+    return _curvature(cs, linear, lambda r: interp_one_form(cs, r))
+
+
+def t_integrand_contraction(cs, heads: list, curv: dict) -> Form:
+    """chern_simons._slot_contraction by the t-integrand: the dense slot sum
+    of heads and the t-polynomial curvature curv, each coefficient then
+    integrated over t in [0, 1]."""
+    acc, den, degree = slot_sum(cs, heads, curv)
+    return _wrap(cs.ctx, degree,
+                 {key: t_integral(Poly(t)).terms for key, t in acc.items()}, den)
+
+
+def t_integrand_homotopy(cs, heads: list = (), curv: dict | None = None) -> Form:
+    """chern_simons.homotopy by the t-integrand: the slot contraction of
+    heads, (k-j)(a-B) and curv, the interpolated curvature F(t) by
+    default."""
+    return t_integrand_contraction(
+        cs, [*heads, _a_minus_B(cs, len(heads))],
+        interp_curvature(cs) if curv is None else curv)
+
+
+def interp_curvature_horizontal(cs) -> dict:
+    """The displayed first-order coefficients: t a^r_{lam;mu} + (1-t) dB, built
+    directly from jet coordinates rather than through h0 (cross-check route)."""
+    ctx = cs.ctx
+
+    # t a^r_{lam;mu} never cancels, so no coefficient is zero
+    def linear(r):
+        acc: dict = {}
+        for lam in range(cs.n):
+            for mu in range(cs.n):
+                coeff = Form(ctx, 1, {(x(lam),): interp_poly(cs, r, mu, (lam,))})
+                wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
+        return _wrap(ctx, 2, acc)
+
+    return _curvature(cs, linear, lambda r: interp_one_form(cs, r))
+
+
+def cs_lagrangian_direct(cs) -> Form:
+    """Independent construction of the horizontal CS Lagrangian via the
+    explicit first-order formula; must agree with cs_lagrangian exactly."""
+    return t_integrand_homotopy(cs, curv=interp_curvature_horizontal(cs))
+
+
 # -- the jet chart, enumerated --------------------------------------------
 
 
@@ -345,11 +442,11 @@ class NotClosed(JetvarError):
 def homotopy_operator(a: Form, cs) -> Form:
     """H a, unchecked: the pullback along a -> ta + (1-t)B, contracted by
     d/dt and integrated over t in [0, 1]."""
-    bindings = {conn(r, mu): cs.interp_poly(r, mu)
+    bindings = {conn(r, mu): interp_poly(cs, r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     pulled = pullback(a, bindings)
     return forms.contract({T: Poly.const(1)}, pulled).map_coefficients(
-        lambda p: p.integrate_t())
+        t_integral)
 
 
 def fiber_homotopy(omega: Form, cs) -> Form:

@@ -4,6 +4,7 @@ against the dense loops of the test oracles."""
 
 from fractions import Fraction as Q
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -207,9 +208,9 @@ def _outcome(check, *args):
 
 def _invariant_tensor(draw, g, u1, k) -> InvariantTensor:
     """A random degree-k invariant tensor: the polarization of a sum of
-    products of u1 coordinates, times the Killing quadratic form when su2 is
-    present.  The entry at a sorted index tuple e is the coefficient of x^e
-    divided by the number of orderings of e."""
+    products of u1 coordinates, times a power of the Killing quadratic form
+    when su2 is present.  The entry at a sorted index tuple e is the
+    coefficient of x^e divided by the number of orderings of e."""
     quadratic = {(i, j): v * (1 if i == j else 2)
                  for (i, j), v in killing_form(g).items() if i <= j}
     poly: dict = {}
@@ -219,8 +220,9 @@ def _invariant_tensor(draw, g, u1, k) -> InvariantTensor:
         if not u1 and k != 2 * j:
             continue
         us = tuple(draw(st.sampled_from(u1)) for _ in range(k - 2 * j))
-        for ij, qv in (quadratic.items() if j else [((), 1)]):
-            key = tuple(sorted(ij + us))
+        for factors in product(quadratic.items(), repeat=j):
+            key = tuple(sorted(sum((ij for ij, _ in factors), us)))
+            qv = prod(v for _, v in factors)
             poly[key] = poly.get(key, 0) + coef * qv
     return InvariantTensor(k, {e: v / _multinomial(e) for e, v in poly.items()})
 

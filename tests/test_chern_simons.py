@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from jetvar import cli
 from jetvar.algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                             builtin_invariant, gauge_generator)
-from jetvar.chern_simons import (CSData, _interp_curvature, _slot_contraction,
-                                 _slot_sum,
-                                 background_curvature,
+from jetvar.chern_simons import (CSData, _slot_contraction, _slot_sum,
+                                 _t_pieces, background_curvature,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
-                                 cs_lagrangian_direct)
+                                 homotopy)
 from jetvar.errors import JetvarError
 from jetvar.forms import Form, _wrap, exterior_d, lie_derivative_form, wedge
 from jetvar.indets import T, conn, x
@@ -131,7 +130,7 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     P = characteristic_form(cs)
     assert not P.is_zero()
     assert P == oracles.invariant_contraction(cs, canonical_curvature(cs))
-    for curv in (background_curvature(cs), _interp_curvature(cs)):
+    for curv in (background_curvature(cs), oracles.interp_curvature(cs)):
         assert (_slot_contraction(cs, [curv], curv)
                 == oracles.invariant_contraction(cs, curv))
 
@@ -140,8 +139,9 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
 @given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
 def test_curvatures_match_the_ordered_pair_oracle(case, data):
     # the sum over p < q with weight c against the sum over ordered pairs
-    # with weight c/2, at the indices of b, for F, F_B and F(t); b need not
-    # be invariant, and rescaled su2 constants are not all integral
+    # with weight c/2, at the indices of b, for F, F_B and F(t), the last
+    # as the sum of its pieces F_B + t nabla_B D + t^2 H; b need not be
+    # invariant, and rescaled su2 constants are not all integral
     dim, c, _, _ = case
     g = LieAlgebraData(dim, c)
     k = data.draw(st.integers(2, 3))
@@ -155,13 +155,17 @@ def test_curvatures_match_the_ordered_pair_oracle(case, data):
     t = Poly.var(T)
     linear_t = [exterior_d(a).scale(t) + exterior_d(bg).scale(1 - t)
                 for a, bg in zip(A, B)]
-    interp = [cs.interp_one_form(r) for r in range(dim)]
+    interp = [oracles.interp_one_form(cs, r) for r in range(dim)]
+    FB, nabla, H = _t_pieces(cs)
+    assert FB == background_curvature(cs)
     for got, want in (
             (canonical_curvature(cs),
              oracles.curvature(cs, [exterior_d(a) for a in A], A)),
             (background_curvature(cs),
              oracles.curvature(cs, [exterior_d(bg) for bg in B], B)),
-            (_interp_curvature(cs), oracles.curvature(cs, linear_t, interp))):
+            ({r: FB[r] + nabla[r].scale(t) + H[r].scale(t * t)
+              for r in cs.indices},
+             oracles.curvature(cs, linear_t, interp))):
         assert got == {r: want[r] for r in cs.indices}
     assert cs.indices == sorted({i for idx in cs.b.entries for i in idx})
 
@@ -191,6 +195,16 @@ def _random_head(draw, cs, rng) -> dict:
     return {r: f for r, f in head.items() if r not in left_out}
 
 
+def _tensor(draw, g, u1, k) -> InvariantTensor:
+    """An invariant tensor of degree k, or a random one with rational
+    entries that need not be invariant."""
+    if draw(st.booleans()):
+        return _invariant_tensor(draw, g, u1, k)
+    return InvariantTensor(k, {
+        tuple(sorted(draw(st.integers(0, g.dim - 1)) for _ in range(k))):
+        draw(RATIONALS) for _ in range(draw(st.integers(1, 3)))})
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
 def test_slot_sum_matches_the_dense_oracle(case, data):
@@ -201,13 +215,7 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)
     k = data.draw(st.integers(2, 3))
-    if data.draw(st.booleans()):
-        b = _invariant_tensor(data.draw, g, u1, k)
-    else:
-        b = InvariantTensor(k, {
-            tuple(sorted(data.draw(st.integers(0, dim - 1)) for _ in range(k))):
-            data.draw(RATIONALS) for _ in range(data.draw(st.integers(1, 3)))})
-    cs = CSData(g, b, k, h=data.draw(RATIONALS))
+    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS))
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
@@ -219,6 +227,50 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
     want, want_den, want_degree = oracles.slot_sum(cs, heads, curv)
     assert (den, degree) == (want_den, want_degree)
     assert _wrap(cs.ctx, degree, acc, den) == _wrap(cs.ctx, degree, want, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
+def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
+    # one to three t-pieces of random 2-forms per index against the dense
+    # slot sum of their t-polynomial sum, integrated term by term: up to
+    # three curvature slots, so runs of equal indices with mixed picks and
+    # every power of t up to 6 occur
+    dim, c, u1, _ = case
+    g = LieAlgebraData(dim, c)
+    k = data.draw(st.integers(2, 4))
+    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS))
+    rng = data.draw(st.randoms(use_true_random=False))
+    j = data.draw(st.integers(0, min(2, k - 1)))
+    heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
+    pieces = [{r: random_form(cs.ctx, 2, rng) if data.draw(st.booleans())
+               else Form.zero(cs.ctx, 2) for r in range(dim)}
+              for _ in range(data.draw(st.integers(1, 3)))]
+    t = Poly.var(T)
+    curv = {}
+    for r in range(dim):
+        curv[r] = Form.zero(cs.ctx, 2)
+        for s, f in enumerate(pieces):
+            curv[r] = curv[r] + f[r].scale(t ** s)
+    assert (_slot_contraction(cs, heads, *pieces)
+            == oracles.t_integrand_contraction(cs, heads, curv))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
+def test_homotopy_matches_the_t_integrand_oracle(k, case, data):
+    # the pieces F_B, nabla_B D and H of the curvature of B + t(a - B)
+    # against the t-polynomial curvature; on the 7D base a non-abelian
+    # algebra gets two heads, so one curvature slot, to bound the run time
+    dim, c, u1, _ = case
+    g = LieAlgebraData(dim, c)
+    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS),
+                background=data.draw(st.sampled_from(["symbolic", "zero"])))
+    rng = data.draw(st.randoms(use_true_random=False))
+    j = data.draw(st.integers(2 if k == 4 and c else 0, min(2, k - 1)))
+    heads = [_random_head(data.draw, cs, rng) for _ in range(j)]
+    assert homotopy(cs, heads) == oracles.t_integrand_homotopy(cs, heads)
 
 
 @pytest.mark.parametrize("alg,inv,k", [
@@ -239,7 +291,7 @@ def test_transgression_formula_zero_background():
     ("su2", "killing", 2), ("u1", "unit", 3)])
 def test_lagrangian_routes_agree(alg, inv, k):
     cs = _model(alg, inv, k, h=Q(1, 3))
-    assert (cs_lagrangian(cs) - cs_lagrangian_direct(cs)).is_zero()
+    assert (cs_lagrangian(cs) - oracles.cs_lagrangian_direct(cs)).is_zero()
 
 
 def test_abelian_cs_form_without_background_is_a_wedge_da():

@@ -58,6 +58,12 @@ GOLDEN_CASES = [
     # the 7D frontier case
     ("verify_conservation_u1_k4.txt", ["verify-conservation", "--config",
                                        str(TEST_CONFIGS / "u1_k4.json")], 0),
+    # h = 1/3: every coefficient goes through the one division by the
+    # common denominator of the t-integral and the tensor
+    *((f"{cmd.replace('-', '_')}_{model}_h1_3.txt",
+       [cmd, "--config", str(TEST_CONFIGS / f"{model}_h1_3.json")], 0)
+      for model in ("su2_k2", "u1su2_k3")
+      for cmd in ("transgression", "verify-conservation")),
     # the two algebra negatives: the first failing Jacobi index, and the
     # residual entries of a non-invariant tensor
     ("check_algebra_jacobi_violation.txt", [

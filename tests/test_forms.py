@@ -290,6 +290,12 @@ def forms(draw, degree=None, gens=COORDS):
     return Form(CTX, degree, {d: p for d, p in terms.items() if p})
 
 
+@settings(max_examples=150, deadline=None)
+@given(forms(), st.integers(0, 300))
+def test_render_width_is_a_prefix_of_the_text(a, width):
+    assert a.render(width) == str(a)[:width]
+
+
 @st.composite
 def pullback_cases(draw):
     """A random form of degree 0..3 and bindings whose values may mention

