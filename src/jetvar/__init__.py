@@ -7,7 +7,7 @@ from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                       section_bracket)
 from .chern_simons import (CSData, canonical_curvature, characteristic_at_B,
                            characteristic_form, cs_form, cs_lagrangian)
-from .forms import Form, contract, exterior_d, lie_derivative_form, wedge
+from .forms import Form, contract, exterior_d, wedge
 from .jets import (JetContext, contact_form, horizontal_differential,
                    horizontal_projection, prolong, total_derivative)
 from .polynomial import Poly, Q

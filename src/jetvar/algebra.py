@@ -78,11 +78,12 @@ class InvariantTensor:
     def __init__(self, degree: int, entries: dict):
         self.degree = degree
         self.entries = {}
+        seen: dict = {}   # every given value by sorted key, zeros too
         for idx, v in entries.items():
             if len(idx) != degree:
                 raise JetvarError(f"entry {idx} has wrong arity")
             key = tuple(sorted(idx))
-            if key in self.entries and self.entries[key] != v:
+            if seen.setdefault(key, v) != v:
                 raise JetvarError(f"conflicting symmetric entries at {key}")
             if v:
                 self.entries[key] = v

@@ -44,6 +44,7 @@ class CSData:
         self.n = 2 * k - 1
         self.background = background
         self.h = Q(h)
+        self.invariant = invariant   # as given, before the scaling by h
         self.b = invariant.scaled(self.h)
         # the least common denominator of the values of b
         self.den = lcm(*(v.denominator for v in self.b.entries.values()))
@@ -118,6 +119,16 @@ def background_curvature(cs: CSData) -> dict:
     r of b."""
     return _curvature(cs, lambda r: exterior_d(cs.background_one_form(r)),
                       cs.background_one_form)
+
+
+def _F(cs: CSData) -> dict:
+    """canonical_curvature(cs), built once per CSData."""
+    return cs._memo(("F",), lambda: canonical_curvature(cs))
+
+
+def _FB(cs: CSData) -> dict:
+    """background_curvature(cs), built once per CSData."""
+    return cs._memo(("F_B",), lambda: background_curvature(cs))
 
 
 def _leads(cs: CSData, j: int) -> dict:
@@ -216,7 +227,7 @@ def _slot_contraction(cs: CSData, heads: list, *pieces: dict) -> Form:
 def characteristic_form(cs: CSData) -> Form:
     """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}; closed and gauge-invariant
     when b is ad-invariant."""
-    F = canonical_curvature(cs)
+    F = _F(cs)
     return _slot_contraction(cs, [F], F)
 
 
@@ -225,7 +236,7 @@ def characteristic_at_B(cs: CSData) -> Form:
     section.  Pull-back commutes with wedge and d and takes F^r to F_B^r
     (naturality of characteristic forms), so this is the slot contraction
     of the background curvature."""
-    FB = background_curvature(cs)
+    FB = _FB(cs)
     return _slot_contraction(cs, [FB], FB)
 
 
@@ -236,8 +247,7 @@ def _t_pieces(cs: CSData) -> tuple:
     H = sum_{p<q} c^r_pq D^p ^ D^q, each r -> 2-form at the indices of b.
     At t = 1 it is the canonical curvature F, so nabla_B D = F - F_B - H."""
     def build():
-        FB = background_curvature(cs)
-        F = canonical_curvature(cs)
+        FB, F = _FB(cs), _F(cs)
         H = _curvature(cs, lambda r: Form.zero(cs.ctx, 2),
                        cs.difference_one_form)
         nabla = {r: linear_combination(cs.ctx, 2, ((F[r], 1), (FB[r], -1),
@@ -277,6 +287,16 @@ def cs_form(cs: CSData) -> Form:
     return homotopy(cs)
 
 
+def _S(cs: CSData) -> Form:
+    """cs_form(cs), built once per CSData."""
+    return cs._memo(("S",), lambda: cs_form(cs))
+
+
+def _dS(cs: CSData) -> Form:
+    """d S, built once per CSData."""
+    return cs._memo(("dS",), lambda: exterior_d(_S(cs)))
+
+
 def cs_lagrangian(cs: CSData) -> Form:
     """Horizontal projection of the CS form: the Lagrangian density form on J1."""
-    return horizontal_projection(cs_form(cs), cs.ctx)
+    return horizontal_projection(_S(cs), cs.ctx)

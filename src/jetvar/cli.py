@@ -22,7 +22,7 @@ from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                       builtin_invariant, check_invariant_tensor,
                       gauge_generator, load_lie_algebra)
 from .chern_simons import (CSData, characteristic_at_B, characteristic_form,
-                           cs_form, cs_lagrangian)
+                           cs_form)
 from .errors import (AntisymmetryViolation, ConfigError, JacobiViolation,
                      JetvarError, TermLimitExceeded)
 from .forms import Form, _wrap, add_into, exterior_d_into, is_empty
@@ -30,9 +30,9 @@ from .indets import indet_str
 from .jets import JetContext, horizontal_differential_into
 from .polynomial import Poly, max_terms, set_max_terms
 from .random_inputs import random_density, random_vertical_field
-from .variational import (Lagrangian, euler_lagrange, first_variational_check,
-                          lie_derivative_lagrangian, noether_current,
-                          verify_conservation)
+from .variational import (Lagrangian, _lagrangian, euler_lagrange,
+                          first_variational_check, lie_derivative_lagrangian,
+                          noether_current, verify_conservation)
 
 TRUNCATE_AT = 40
 # characters of a truncated form that are printed
@@ -157,7 +157,11 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
                 raise ConfigError(f"invariant.entries[{i}] must be [[indices], value]")
             where = f"invariant.entries[{i}]"
             idx = config_indices(row[0], g.dim, where)
-            entries[idx] = parse_rational(row[1], where)
+            value = parse_rational(row[1], where)
+            # a repeated index list may only repeat its value, as a
+            # permuted one may (see InvariantTensor)
+            if entries.setdefault(idx, value) != value:
+                raise ConfigError(f"{where}: conflicting entries at {list(idx)}")
         try:
             return InvariantTensor(degree, entries), None
         except JetvarError as exc:
@@ -281,7 +285,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
     report_line("antisymmetry c^r_pq = -c^r_qp", True)
     report_line("Jacobi identity", True)
     ok = report_line(f"invariant tensor ad-invariance (degree {inv.degree})",
-                     not residual)
+                     not residual, not inv.entries)
     if residual:
         for key in sorted(residual)[:TRUNCATE_AT]:
             emit(f"  residual at {key}: {residual[key]}")
@@ -307,14 +311,9 @@ def cmd_transgression(args, dump: Dump) -> int:
     if not residual.is_zero():
         show_form("residual", residual, dump)
     inv_ok = report_line("invariant tensor ad-invariance",
-                         not cs.invariance_residual)
+                         not cs.invariance_residual, not cs.invariant.entries)
     note(f"transgression check: {elapsed:.2f}s")
     return 0 if ok and inv_ok else 1
-
-
-def _el_components(cs: CSData) -> dict:
-    L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    return euler_lagrange(L)
 
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
@@ -323,7 +322,8 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
-    el = _el_components(cs)
+    el = euler_lagrange(_lagrangian(cs))
+    del cs   # frees the model data that cs holds before cs0 builds its own
     for i in sorted(el):
         show_poly(f"delta L / delta {indet_str(i)}", el[i], dump)
     ok = True
@@ -331,7 +331,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
         cfg0 = dict(cfg)
         cfg0["background"] = "zero"
         cs0, _, _ = build_model(cfg0)
-        el0 = _el_components(cs0)
+        el0 = euler_lagrange(_lagrangian(cs0))
         diff_zero = True
         for i in sorted(el):
             d = el[i] - el0[i]
@@ -350,7 +350,7 @@ def cmd_noether(args, dump: Dump) -> int:
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
-    L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+    L = _lagrangian(cs)
     xi_C = gauge_generator(cs.algebra, cs.ctx, params)
     J = noether_current(L, xi_C)
     for lam, comp in enumerate(cs.ctx.current_components(J)):

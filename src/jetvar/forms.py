@@ -26,10 +26,10 @@ from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import (Poly, _memoized, add_dicts, chain_rule, div_dict,
                          mul_dicts)
 
-__all__ = ["Form", "wedge", "exterior_d", "contract",
-           "lie_derivative_form", "apply_derivation", "map_generators",
-           "linear_combination", "add_into", "wedge_into", "differential_into",
-           "exterior_d_into", "contract_into", "apply_derivation_into"]
+__all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
+           "map_generators", "linear_combination", "add_into", "wedge_into",
+           "differential_into", "exterior_d_into", "contract_into",
+           "apply_derivation_into"]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -123,14 +123,6 @@ class Form:
 
     def coefficient(self, dcs: tuple) -> Poly:
         return self.terms.get(tuple(dcs), Poly.zero())
-
-    def map_coefficients(self, fn) -> "Form":
-        out = {}
-        for d, p in self.terms.items():
-            q = fn(p)
-            if q:
-                out[d] = q
-        return Form(self.ctx, self.degree, out)
 
     def render(self, width: int | None = None) -> str:
         """str(self); with width, its first width characters, of which only
@@ -282,12 +274,6 @@ def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
 
 def contract(X: dict, a: Form) -> Form:
     return _wrap(a.ctx, max(a.degree - 1, 0), contract_into({}, X, a))
-
-
-def lie_derivative_form(X: dict, a: Form) -> Form:
-    """Cartan formula: L_X = X . d + d . X ."""
-    acc = contract_into({}, X, exterior_d(a))
-    return _wrap(a.ctx, a.degree, exterior_d_into(acc, contract(X, a)))
 
 
 def apply_derivation_into(out: dict, X: dict, grad: dict, c=1) -> dict:

@@ -1,18 +1,16 @@
-"""Seeded random polynomials, Lagrangians, forms, and vertical fields for
-property tests and the first-variational self-test."""
+"""Seeded random polynomials, Lagrangians and vertical fields for property
+tests and the first-variational self-test."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .forms import Form
 from .indets import x
 from .jets import JetContext
 from .polynomial import Poly
 
-__all__ = ["random_poly", "random_density", "random_vertical_field",
-           "random_form"]
+__all__ = ["random_poly", "random_density", "random_vertical_field"]
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -53,20 +51,4 @@ def random_vertical_field(ctx: JetContext, rng: random.Random) -> dict:
         if rng.random() < 0.25:
             continue
         out[i] = random_poly(pool, rng, max_monomials=2)
-    return out
-
-
-def random_form(ctx: JetContext, degree: int, rng: random.Random,
-                max_summands: int = 3, pool: list | None = None) -> Form:
-    """Random form whose generators are drawn from pool (default: x and
-    order-0 fields) with random polynomial coefficients."""
-    gens = pool or _pool(ctx, 0)
-    coeff_pool = _pool(ctx, 1)
-    out = Form.zero(ctx, degree)
-    for _ in range(rng.randint(1, max_summands)):
-        if degree > len(gens):
-            break
-        dcs = tuple(sorted(rng.sample(gens, degree)))
-        p = random_poly(coeff_pool, rng, max_monomials=2)
-        out = out + Form(ctx, degree, {dcs: p} if p else {})
     return out

@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import gauge_generator
-from .chern_simons import (CSData, _slot_contraction, canonical_curvature,
-                           cs_form, cs_lagrangian, homotopy)
+from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction,
+                           cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, apply_derivation,
-                    apply_derivation_into, contract_into, exterior_d,
-                    exterior_d_into, is_empty, wedge_into)
+                    apply_derivation_into, contract_into, exterior_d_into,
+                    is_empty, wedge_into)
 from .indets import (GAUGE, gauge, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
 from .jets import (JetContext, contact_form, horizontal_differential_into,
@@ -24,7 +24,7 @@ from .polynomial import Poly, mul_dicts, split_terms
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
            "first_variational_check", "sigma_boundary_term",
-           "conservation_check", "gauge_components", "verify_conservation",
+           "conservation_check", "verify_conservation",
            "invariant_sector"]
 
 
@@ -153,19 +153,11 @@ def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
 # -- the boundary term, one gauge component at a time ---------------------
 
 
-class _Model:
-    """The data of one CS model that every gauge component shares, built
-    once: S, its Lagrangian L = h0 S (unless the caller has them), dS and
-    the canonical curvature F."""
-
-    def __init__(self, cs: CSData, S: Form | None = None,
-                 L: Lagrangian | None = None):
-        self.cs = cs
-        self.S = cs_form(cs) if S is None else S
-        self.L = L if L is not None else Lagrangian.from_horizontal_form(
-            cs.ctx, horizontal_projection(self.S, cs.ctx))
-        self.dS = exterior_d(self.S)
-        self.F = canonical_curvature(cs)
+def _lagrangian(cs: CSData) -> Lagrangian:
+    """The CS Lagrangian L = h0 S, built once per CSData; it holds its
+    Euler-Lagrange components once they are built."""
+    return cs._memo(("L",), lambda: Lagrangian.from_horizontal_form(
+        cs.ctx, cs_lagrangian(cs)))
 
 
 def _xi_index(v: tuple):
@@ -198,13 +190,13 @@ def _components(cs: CSData, params: list | None) -> list:
             for r in range(g.dim)]
 
 
-def _component_sigma(model: _Model, name: str, head: dict, xi_C: dict) -> Form:
+def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     """sigma of one gauge component, post-verified (see sigma_boundary_term);
     a failed check names the component.  psi, eta and the sum are released
     before the post-check."""
-    cs, ctx = model.cs, model.cs.ctx
-    psi = _slot_contraction(cs, [head], model.F)
-    residual = contract_into(exterior_d_into({}, psi), xi_C, model.dS, -1)
+    ctx = cs.ctx
+    psi = _slot_contraction(cs, [head], _F(cs))
+    residual = contract_into(exterior_d_into({}, psi), xi_C, _dS(cs), -1)
     if not is_empty(residual):
         residual = _wrap(ctx, psi.degree + 1, residual)
         raise NonzeroResidual(f"{name}: descent residual has "
@@ -213,23 +205,21 @@ def _component_sigma(model: _Model, name: str, head: dict, xi_C: dict) -> Form:
     acc = exterior_d_into(add_into({}, psi), eta, -1)
     degree = psi.degree
     del psi, eta, residual
-    contract_into(acc, xi_C, model.S)
+    contract_into(acc, xi_C, _S(cs))
     sigma = _wrap(ctx, degree, acc)
     del acc
     sigma = horizontal_projection(sigma, ctx)
     # d_H sigma - L_{J1 xi_C} L, in one accumulator
     check = horizontal_differential_into({}, sigma, ctx)
     apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
-                          prolong(xi_C, ctx), model.L.gradient, -1)
+                          prolong(xi_C, ctx), _lagrangian(cs).gradient, -1)
     if not is_empty(check):
         raise SigmaMismatch(
             f"{name}: d_H sigma != Lie derivative of the CS Lagrangian")
     return sigma
 
 
-def sigma_boundary_term(cs: CSData, params: list | None = None,
-                        S: Form | None = None,
-                        L: Lagrangian | None = None) -> Form:
+def sigma_boundary_term(cs: CSData, params: list | None = None) -> Form:
     """sigma = h0(psi - d eta + xi_C . S(B)), a horizontal primitive of the
     Lie derivative of the CS Lagrangian along J1 xi_C.
 
@@ -241,16 +231,16 @@ def sigma_boundary_term(cs: CSData, params: list | None = None,
     so psi - d eta is the primitive H(xi_C . dS - d chi) + chi of the
     homotopy formula dH + Hd = id - s*pi*, chi being the restriction of psi
     to the background section.  Post-verified: d_H sigma equals the Lie
-    derivative of the CS Lagrangian along J1 xi_C, else SigmaMismatch.  S
-    and its Lagrangian L = h0 S are built here unless the caller has them.
+    derivative of the CS Lagrangian along J1 xi_C, else SigmaMismatch.  S,
+    dS, F and the Lagrangian L = h0 S are the model data of cs, built once
+    per CSData and shared with every other call on it.
 
     Everything here is linear in the gauge parameters, so sigma and both
-    checks are run one gauge component at a time (see gauge_components)
-    and the components' sigmas are summed."""
-    model = _Model(cs, S, L)
+    checks are run one gauge component at a time (see _components) and the
+    components' sigmas are summed."""
     acc: dict = {}
     for part in _components(cs, params):
-        add_into(acc, _component_sigma(model, *part))
+        add_into(acc, _component_sigma(cs, *part))
     return _wrap(cs.ctx, cs.n - 1, acc)
 
 
@@ -272,28 +262,18 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
 
 
-def gauge_components(cs: CSData, params: list | None = None):
-    """Yields (sigma, report, modified) for each gauge component in turn:
-    its sigma (see sigma_boundary_term) and its conservation_check along
-    its part of xi_C, with the Lagrangian L = h0 S.
+def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
+    """The conservation law of the CS model cs along xi_C: for each gauge
+    component in turn (see _components), its sigma (see
+    sigma_boundary_term) and its conservation_check along its part of xi_C,
+    with the model's Lagrangian L = h0 S.
 
     Every monomial of xi_C, sigma, J, J - sigma and each residual of the
     symbolic family holds exactly one factor xi^r_D, so each splits by r
     into parts that share no monomial: the component r runs with
     params = xi^r e_r and checks the part r of the same residuals.
     Explicit parameters are one component.  S, L and its Euler-Lagrange
-    components, dS and F are built once and shared."""
-    model = _Model(cs)
-    for name, head, xi_C in _components(cs, params):
-        sigma = _component_sigma(model, name, head, xi_C)
-        report, modified = conservation_check(model.L, xi_C, sigma)
-        yield sigma, report, modified
-        del sigma, report, modified
-
-
-def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
-    """The conservation law of the CS model cs along xi_C, checked one
-    gauge component at a time (see gauge_components).
+    components, dS and F are the model data of cs, built once per CSData.
 
     Returns (report, modified, sizes): the components' residuals and
     modified currents J - sigma added into one form each (they share no
@@ -304,7 +284,9 @@ def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
     current: dict = {}
     vacuous = True
     sizes = []
-    for sigma, report, modified in gauge_components(cs, params):
+    for name, head, xi_C in _components(cs, params):
+        sigma = _component_sigma(cs, name, head, xi_C)
+        report, modified = conservation_check(_lagrangian(cs), xi_C, sigma)
         sizes.append(sigma.term_count())
         vacuous = vacuous and report.vacuous
         add_into(residual, report.residual)
@@ -326,5 +308,4 @@ def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,
     lie_inv = lie_derivative_lagrangian(L_inv, u_total)
     if not lie_inv.is_zero():
         raise NotInvariant(f"L_inv is not gauge-invariant: {lie_inv}")
-    L_cs = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
-    return conservation_check(L_cs + L_inv, u_total, sigma)
+    return conservation_check(_lagrangian(cs) + L_inv, u_total, sigma)

@@ -15,9 +15,11 @@ route of the fiberwise scaling homotopy, against which the closed-form
 descent route of the library is tested.  The section after it runs sigma
 and the conservation law on the whole gauge generator at once, where the
 library runs them one gauge component at a time.  The dense algebra loops
-at the end run over every index, where the library sums over nonzero
+near the end run over every index, where the library sums over nonzero
 structure constants and nonzero tensor entries only and builds per-index
-forms only at the indices of the invariant tensor.
+forms only at the indices of the invariant tensor.  The last section holds
+random forms and the hand-expanded 3D displays of the CS density, its Lie
+derivative and its Noether current, which only the tests compare against.
 """
 
 from bisect import bisect_left
@@ -36,7 +38,9 @@ from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
 from jetvar.indets import T, conn, gauge, indet_str, matter, x
 from jetvar.jets import (horizontal_differential, horizontal_projection,
                          prolong, total_derivative)
-from jetvar.polynomial import _T, Poly, _exact, decode_monomial, div_dict
+from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial, div_dict
+from jetvar.random_inputs import _pool, random_poly
+from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
 from jetvar.variational import Lagrangian, conservation_check
 
 
@@ -401,6 +405,23 @@ def map_generators(a: Form, image) -> Form:
     return Form(a.ctx, a.degree, out)
 
 
+def map_coefficients(a: Form, fn) -> Form:
+    """f dcs -> fn(f) dcs, term by term; zero results are dropped."""
+    out = {}
+    for d, p in a.terms.items():
+        q = fn(p)
+        if q:
+            out[d] = q
+    return Form(a.ctx, a.degree, out)
+
+
+def lie_derivative_form(X: dict, a: Form) -> Form:
+    """Cartan formula: L_X = X . d + d . X ."""
+    acc = forms.contract_into({}, X, exterior_d(a))
+    return _wrap(a.ctx, a.degree,
+                 forms.exterior_d_into(acc, forms.contract(X, a)))
+
+
 def pullback(a: Form, bindings: dict) -> Form:
     """Pull back along the map substituting coordinates by bindings.
 
@@ -411,7 +432,7 @@ def pullback(a: Form, bindings: dict) -> Form:
     its da becomes t da + (a - B) dt + (1 - t) dB.
     """
     return map_generators(
-        a.map_coefficients(lambda f: substitute(f, bindings)),
+        map_coefficients(a, lambda f: substitute(f, bindings)),
         lambda c: forms.exterior_d(
             Form.from_poly(a.ctx, bindings.get(c, Poly.var(c)))))
 
@@ -445,8 +466,8 @@ def homotopy_operator(a: Form, cs) -> Form:
     bindings = {conn(r, mu): interp_poly(cs, r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     pulled = pullback(a, bindings)
-    return forms.contract({T: Poly.const(1)}, pulled).map_coefficients(
-        t_integral)
+    return map_coefficients(forms.contract({T: Poly.const(1)}, pulled),
+                            t_integral)
 
 
 def fiber_homotopy(omega: Form, cs) -> Form:
@@ -665,3 +686,91 @@ def curvature(cs, linear: list, ones: list) -> list:
     for (r, p, q), cval in cs.algebra.c.items():
         wedge_into(accs[r], ones[p], ones[q], cval / 2)
     return [forms._wrap(cs.ctx, 2, acc) for acc in accs]
+
+
+# -- random forms and the 3D displays --------------------------------------
+
+
+def random_form(ctx, degree: int, rng, max_summands: int = 3,
+                pool: list | None = None) -> Form:
+    """Random form whose generators are drawn from pool (default: x and
+    order-0 fields) with random polynomial coefficients."""
+    gens = pool or _pool(ctx, 0)
+    coeff_pool = _pool(ctx, 1)
+    out = Form.zero(ctx, degree)
+    for _ in range(rng.randint(1, max_summands)):
+        if degree > len(gens):
+            break
+        dcs = tuple(sorted(rng.sample(gens, degree)))
+        p = random_poly(coeff_pool, rng, max_monomials=2)
+        out = out + Form(ctx, degree, {dcs: p} if p else {})
+    return out
+
+
+# The displays of the 3D model (k = 2, Killing tensor h * kappa), written out
+# index by index as in reference3d: epsilon^{012} = +1 and
+# D_beta xi^m = d_beta xi^m + c^m_pq a^p_beta xi^q.
+
+
+def _cs_inner(g, be: int, ga: int, field) -> list:
+    """F^n_{be ga} - 1/3 c^n_pq f^p_be f^q_ga for every n, where
+    F^n_{be ga} = d_be f_ga - d_ga f_be + c^n_pq f^p_be f^q_ga."""
+    quad = algebra.section_bracket([field(p, be) for p in range(g.dim)],
+                                   [field(q, ga) for q in range(g.dim)], g)
+    return [field(n, ga, (be,)) - field(n, be, (ga,)) + quad[n] - Q(1, 3) * quad[n]
+            for n in range(g.dim)]
+
+
+def cs_density_3d(g, h: Fraction, ctx, symbolic_bg: bool) -> Poly:
+    """The displayed 3D CS density: the potential group, the background group,
+    and the total-derivative cross group."""
+    kappa = algebra.killing_form(g)
+    dens = Poly.zero()
+    for al, be, ga in product(range(3), repeat=3):
+        e = levi_civita(al, be, ga)
+        if not e:
+            continue
+        inner = _cs_inner(g, be, ga, _A)
+        inner2 = _cs_inner(g, be, ga, _B) if symbolic_bg else None
+        for (m, n_), kv in kappa.items():
+            dens = dens + Q(h, 2) * kv * e * _A(m, al) * inner[n_]
+            if symbolic_bg:
+                dens = dens - Q(h, 2) * kv * e * _B(m, al) * inner2[n_]
+                dens = dens - total_derivative(
+                    h * kv * e * _A(m, be) * _B(n_, ga), al, ctx)
+    return dens
+
+
+def lie_derivative_density_3d(g, h: Fraction, ctx, symbolic_bg: bool) -> Poly:
+    """-d_al(h kappa eps (d_be xi^m a^n_ga + D_be xi^m B^n_ga))."""
+    kappa = algebra.killing_form(g)
+    quad = [_xi_bracket(g, be) for be in range(3)]
+    dens = Poly.zero()
+    for al, be, ga in product(range(3), repeat=3):
+        e = levi_civita(al, be, ga)
+        if not e:
+            continue
+        for (m, n_), kv in kappa.items():
+            inner = _XI(m, (be,)) * _A(n_, ga)
+            if symbolic_bg:
+                inner = inner + (_XI(m, (be,)) + quad[be][m]) * _B(n_, ga)
+            dens = dens - total_derivative(h * kv * e * inner, al, ctx)
+    return dens
+
+
+def noether_components_3d(g, h: Fraction, symbolic_bg: bool) -> list:
+    """J^al = h kappa eps D_be xi^m (a^n_ga - B^n_ga)."""
+    kappa = algebra.killing_form(g)
+    quad = [_xi_bracket(g, be) for be in range(3)]
+    out = []
+    for al in range(3):
+        s = Poly.zero()
+        for (m, n_), kv in kappa.items():
+            for be, ga in product(range(3), repeat=2):
+                e = levi_civita(al, be, ga)
+                if not e:
+                    continue
+                tail = _A(n_, ga) - _B(n_, ga) if symbolic_bg else _A(n_, ga)
+                s = s + h * kv * e * (_XI(m, (be,)) + quad[be][m]) * tail
+        out.append(s)
+    return out

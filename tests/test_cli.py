@@ -74,6 +74,11 @@ GOLDEN_CASES = [
 ]
 
 
+def test_every_golden_file_is_a_golden_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == \
+        sorted(g for g, _, _ in GOLDEN_CASES)
+
+
 @pytest.mark.parametrize("golden,args,code", GOLDEN_CASES,
                          ids=[g for g, _, _ in GOLDEN_CASES])
 def test_stdout_matches_golden_file(golden, args, code):
@@ -315,6 +320,51 @@ def test_bad_invariant_index_exits_2(capsys, tmp_path, command, index, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[[0, 0], "1"], [[0, 0], "2"]],
+     "invariant.entries[1]: conflicting entries at [0, 0]"),
+    ([[[0, 0], "1"], [[1, 1], "1"], [[2, 2], "1"], [[2, 2], "0"]],
+     "invariant.entries[3]: conflicting entries at [2, 2]"),
+    # a permuted repeat, also when its first value is zero
+    ([[[0, 1], "1"], [[1, 0], "2"]], "conflicting symmetric entries at (0, 1)"),
+    ([[[0, 1], "0"], [[1, 0], "2"]], "conflicting symmetric entries at (0, 1)")])
+@pytest.mark.parametrize("command", ["check-algebra", "transgression"])
+def test_repeated_invariant_entry_with_another_value_exits_2(
+        capsys, tmp_path, command, rows, message):
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": "su2", "k": 2, "invariant": {"entries": rows}})
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "transgression"])
+def test_repeated_invariant_entry_with_its_value_is_one_entry(
+        capsys, tmp_path, command):
+    unit = [[[s, s], "1"] for s in range(3)]
+    once = _main_exit(capsys, tmp_path, command, {
+        "algebra": "su2", "k": 2, "invariant": {"entries": unit}})
+    twice = _main_exit(capsys, tmp_path, command, {
+        "algebra": "su2", "k": 2,
+        "invariant": {"entries": unit + [[[2, 2], "1"], [[0, 0], "1"]]}})
+    assert once[0] == twice[0] == 0
+    assert once[2] == twice[2]
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    {"algebra": "u1", "k": 2},   # the Killing form of u1 is zero
+    {"algebra": "su2", "k": 2, "invariant": {"entries": []}},
+    {"algebra": "su2", "k": 2, "invariant": {"entries": [[[0, 0], "0"]]}}])
+def test_all_zero_tensor_is_invariant_vacuously(capsys, tmp_path, cfg_obj):
+    code, _, out = _main_exit(capsys, tmp_path, "check-algebra", cfg_obj)
+    assert code == 0
+    assert (f"[PASS] invariant tensor ad-invariance (degree 2)"
+            f"{cli.VACUOUS}\n") in out
+    code, _, out = _main_exit(capsys, tmp_path, "transgression", cfg_obj)
+    assert code == 0
+    assert f"[PASS] invariant tensor ad-invariance{cli.VACUOUS}\n" in out
 
 
 @pytest.mark.parametrize("row,message", [

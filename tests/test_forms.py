@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, _wrap, add_into, apply_derivation,
                           apply_derivation_into, contract, contract_into,
-                          exterior_d, exterior_d_into, lie_derivative_form,
-                          linear_combination, map_generators, wedge,
-                          wedge_into)
+                          exterior_d, exterior_d_into, linear_combination,
+                          map_generators, wedge, wedge_into)
 from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
                            with_extra_deriv, x)
 from jetvar.jets import JetContext
 from jetvar.polynomial import Poly, Q
-from jetvar.random_inputs import random_form, random_poly
+from jetvar.random_inputs import random_poly
 import oracles
-from oracles import pullback
+from oracles import lie_derivative_form, pullback, random_form
 
 CTX = JetContext(2, 1)
 COORDS = oracles.jet_chart(CTX, 2)

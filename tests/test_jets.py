@@ -14,8 +14,8 @@ from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_differential_into, horizontal_projection,
                          prolong, total_derivative, total_derivative_into)
 from jetvar.polynomial import Poly, Q
-from jetvar.random_inputs import random_form, random_poly, random_vertical_field
-from oracles import jet_chart, partial
+from jetvar.random_inputs import random_poly, random_vertical_field
+from oracles import jet_chart, partial, random_form
 
 CTX = JetContext(2, 1, matter_dim=1)
 

@@ -3,18 +3,19 @@ first variational formula, Noether currents, the boundary term sigma (with
 the fiberwise homotopy route as its oracle), and the conservation law."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from jetvar import cli, variational
+from jetvar import chern_simons, cli, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
                             gauge_generator)
 from jetvar.chern_simons import (CSData, _slot_contraction, canonical_curvature,
-                                 characteristic_form, cs_form, cs_lagrangian,
-                                 homotopy)
+                                 characteristic_at_B, characteristic_form,
+                                 cs_form, cs_lagrangian, homotopy)
 from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
                            SigmaMismatch)
 from jetvar.forms import Form, contract, exterior_d, wedge
@@ -22,14 +23,12 @@ from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
                          horizontal_projection, total_derivative)
 from jetvar.polynomial import Poly, Q
-from jetvar.random_inputs import random_density, random_form, \
-    random_vertical_field
+from jetvar.random_inputs import random_density, random_vertical_field
 from jetvar.variational import (Lagrangian, conservation_check,
                                 euler_lagrange, first_variational_check,
-                                gauge_components, invariant_sector,
-                                lie_derivative_lagrangian, noether_current,
-                                poincare_cartan, sigma_boundary_term,
-                                verify_conservation)
+                                invariant_sector, lie_derivative_lagrangian,
+                                noether_current, poincare_cartan,
+                                sigma_boundary_term, verify_conservation)
 import oracles
 from oracles import NotClosed, evaluate, fiber_homotopy, section_correction
 
@@ -289,7 +288,7 @@ def test_sigma_matches_the_fiber_homotopy_oracle(name):
     cs, params = _sigma_case(name)
     xi_C = gauge_generator(cs.algebra, cs.ctx, params=params)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, params=params, S=S)
+    sigma = sigma_boundary_term(cs, params=params)
     assert sigma == oracles.sigma_boundary_term(cs, xi_C, params=params, S=S)
     vacuous = cs.h == 0 or params == [Poly.zero()] * cs.algebra.dim
     assert sigma.is_zero() == vacuous
@@ -314,7 +313,13 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     # share no monomial, and their union is the one-shot result
     cs, params = _sigma_case(name)
     sigma, report, modified = oracles.one_shot_conservation(cs, params)
-    sigmas, reports, currents = zip(*gauge_components(cs, params))
+    L = variational._lagrangian(cs)
+    sigmas, reports, currents = [], [], []
+    for label, head, xi_C in variational._components(cs, params):
+        sigmas.append(variational._component_sigma(cs, label, head, xi_C))
+        r, m = conservation_check(L, xi_C, sigmas[-1])
+        reports.append(r)
+        currents.append(m)
     assert len(sigmas) == (cs.algebra.dim if params is None else 1)
     for got, want in ((sigmas, sigma), (currents, modified),
                       ([r.residual for r in reports], report.residual)):
@@ -326,6 +331,32 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     assert merged_report.residual == report.residual
     assert merged_report.vacuous == report.vacuous
     assert sizes == [s.term_count() for s in sigmas]
+
+
+def test_model_data_is_built_once_per_csdata(monkeypatch):
+    # P(F), P(F_B), S, sigma and the conservation law on one CSData share
+    # one S and one of each curvature
+    calls = Counter()
+
+    def counted(fn):
+        def run(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return run
+
+    for name in ("cs_form", "canonical_curvature", "background_curvature"):
+        monkeypatch.setattr(chern_simons, name,
+                            counted(getattr(chern_simons, name)))
+    cs = _su2_model()
+    characteristic_form(cs)
+    characteristic_at_B(cs)
+    assert cs_lagrangian(cs) == horizontal_projection(chern_simons._S(cs),
+                                                      cs.ctx)
+    sigma = sigma_boundary_term(cs)
+    report, _, _ = verify_conservation(cs)
+    assert report.passed and not sigma.is_zero()
+    assert calls == {"cs_form": 1, "canonical_curvature": 1,
+                     "background_curvature": 1}
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
@@ -357,7 +388,7 @@ def test_sigma_satisfies_its_defining_identity():
     cs = _su2_model()
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, S=S)
+    sigma = sigma_boundary_term(cs)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
     lie = lie_derivative_lagrangian(L, xi_C)
@@ -370,7 +401,7 @@ def test_conservation_law(alg, inv, k):
     cs = CSData(g, builtin_invariant(inv, g, k), k)
     xi_C = gauge_generator(g, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, S=S)
+    sigma = sigma_boundary_term(cs)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
     report, modified = conservation_check(L, xi_C, sigma)
@@ -384,7 +415,7 @@ def test_conservation_with_explicit_gauge_parameters():
     params = [Poly.var(x(0)) * Poly.var(x(1)) + Poly.var(x(2), 2)]
     xi_C = gauge_generator(g, cs.ctx, params=params)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, params=params, S=S)
+    sigma = sigma_boundary_term(cs, params=params)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
     report, _ = conservation_check(L, xi_C, sigma)
@@ -404,18 +435,20 @@ def test_zero_gauge_parameters_give_a_zero_current():
     assert modified.is_zero()
 
 
-def test_sigma_post_check_uses_the_given_lagrangian():
+def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     cs = _su2_model()
-    xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
-    assert sigma_boundary_term(cs, S=S, L=L) == \
-        sigma_boundary_term(cs, S=S)
-    # the post-check compares d_H sigma with the Lie derivative of this L;
-    # the first component fails it
+    sigma = sigma_boundary_term(cs)
+    # the post-check reads the model's L from its one builder
+    monkeypatch.setattr(variational, "_lagrangian", lambda _: L)
+    assert sigma_boundary_term(cs) == sigma
+    # it compares d_H sigma with the Lie derivative of that L; the first
+    # component fails it for 2L
+    monkeypatch.setattr(variational, "_lagrangian", lambda _: L + L)
     with pytest.raises(SigmaMismatch, match="^gauge component 0: "):
-        sigma_boundary_term(cs, S=S, L=L + L)
+        sigma_boundary_term(cs)
 
 
 def _assert_stored_form(a: Form):
@@ -435,7 +468,7 @@ def test_pipeline_coefficients_are_int_unless_fractional(h, kinds):
     dS = exterior_d(S)
     chi = section_correction(cs)
     psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
-    sigma = sigma_boundary_term(cs, S=S)
+    sigma = sigma_boundary_term(cs)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
     report, modified = conservation_check(L, xi_C, sigma)
@@ -456,7 +489,7 @@ def su2_law():
     cs = _su2_model()
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, S=S)
+    sigma = sigma_boundary_term(cs)
     L = Lagrangian.from_horizontal_form(
         cs.ctx, horizontal_projection(S, cs.ctx))
     assert conservation_check(L, xi_C, sigma)[0].passed
@@ -512,8 +545,7 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
     # sigma with one coefficient of one term off by 1 must fail d_H sigma =
     # L_xi L; the term is a longest monomial, so its total derivative is
     # nonzero and d_H sees the change
-    cs, _, sigma, L = su2_law
-    S = cs_form(cs)
+    cs, _, sigma, _ = su2_law
     h0 = variational.horizontal_projection
 
     def off_by_one(a, ctx):
@@ -527,10 +559,10 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
             del terms[m]
         return Form(ctx, out.degree, {**out.terms, key: Poly(terms)})
 
-    assert sigma_boundary_term(cs, S=S, L=L) == sigma
+    assert sigma_boundary_term(cs) == sigma
     monkeypatch.setattr(variational, "horizontal_projection", off_by_one)
     with pytest.raises(SigmaMismatch):
-        sigma_boundary_term(cs, S=S, L=L)
+        sigma_boundary_term(cs)
 
 
 # -- gauge-invariant sector ---------------------------------------------
