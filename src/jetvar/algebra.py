@@ -11,7 +11,7 @@ from math import factorial
 
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
-from .jets import JetContext, total_derivative
+from .jets import JetContext, total_derivative_into
 from .polynomial import Poly, Q, mul_dicts
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
@@ -153,26 +153,30 @@ def gauge_generator(g: LieAlgebraData, ctx: JetContext,
                     params: list | None = None) -> dict:
     """Vertical field xi_C on C: component d_mu xi^r + [a_mu, xi]^r.
 
-    params, when given, are explicit per-index gauge parameters (Poly in x);
-    by default the symbolic xi family is used.  Derivatives of explicit
-    parameters are taken with total derivatives (they depend on x only).
+    params are the per-index gauge parameters, Polys in x and the xi
+    symbols; by default the symbolic family xi^r.  Derivatives are total
+    derivatives, so d_mu of the symbol xi^r is the symbol xi^r_mu.
     """
     if g.dim != ctx.gauge_dim:
         raise JetvarError("algebra dimension does not match the jet context")
-    xi = [Poly.var(gauge(q)) for q in range(g.dim)] if params is None else params
-    ad = [section_bracket([Poly.var(conn(p, mu)) for p in range(g.dim)], xi, g)
-          for mu in range(ctx.n)]
-    out = {}
-    for r in range(g.dim):
+    if params is None:
+        params = [Poly.var(gauge(q)) for q in range(g.dim)]
+    return _generator(g, ctx, {r: p for r, p in enumerate(params) if p})
+
+
+def _generator(g: LieAlgebraData, ctx: JetContext, xi: dict) -> dict:
+    """gauge_generator of the sparse parameters xi: r -> nonzero Poly, the
+    others zero.  Only the constants c^r_pq whose q is in xi are read."""
+    out: dict = {}
+    for r, p in xi.items():
         for mu in range(ctx.n):
-            if params is None:
-                comp = Poly.var(gauge(r, (mu,)))
-            else:
-                comp = total_derivative(params[r], mu, ctx)
-            comp = comp + ad[mu][r]
-            if comp:
-                out[conn(r, mu)] = comp
-    return out
+            total_derivative_into(out.setdefault(conn(r, mu), {}), p, mu, ctx)
+    for (r, p, q), cval in g.c.items():
+        if q in xi:
+            for mu in range(ctx.n):
+                mul_dicts(Poly.var(conn(p, mu)).terms, xi[q].terms,
+                          out.setdefault(conn(r, mu), {}), cval)
+    return {c: Poly(out[c]) for c in sorted(out) if out[c]}
 
 
 def section_bracket(xi: list, eta: list, g: LieAlgebraData) -> list:

@@ -46,8 +46,7 @@ MAX_K = 8
 # grow quadratically with it.
 MAX_N = 2 * MAX_K - 1
 SELFTEST_KEYS = frozenset({"selftest_instances", "dimensions"})
-CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h",
-                               "gauge_params"}
+CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h"}
 
 
 # -- config ------------------------------------------------------------
@@ -170,30 +169,24 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
 
 
 def config_options(cfg: dict) -> tuple:
-    """(background, h, gauge_params) of a model config, each validated."""
+    """(background, h) of a model config, each validated."""
     background = cfg.get("background", "symbolic")
     if background not in ("zero", "symbolic"):
         raise ConfigError("background must be 'zero' or 'symbolic'")
-    h = parse_rational(cfg.get("h", 1), "h")
-    mode = cfg.get("gauge_params", "symbolic")
-    if mode not in ("symbolic", "zero"):
-        raise ConfigError("gauge_params must be 'symbolic' or 'zero'")
-    return background, h, mode
+    return background, parse_rational(cfg.get("h", 1), "h")
 
 
 def build_model(cfg: dict) -> tuple:
-    """Returns (CSData, invariant tensor name or None, gauge parameters):
-    the parameters are None for the symbolic xi family, or explicit Polys."""
+    """Returns (CSData, invariant tensor name or None)."""
     g = config_algebra(cfg)
     k = config_int(cfg.get("k"), 2, "k", MAX_K)
     inv, inv_name = config_invariant(cfg, g, k)
-    background, h, mode = config_options(cfg)
-    params = None if mode == "symbolic" else [Poly.zero() for _ in range(g.dim)]
+    background, h = config_options(cfg)
     try:
         cs = CSData(g, inv, k, background=background, h=h)
     except JetvarError as exc:
         raise ConfigError(str(exc)) from exc
-    return cs, inv_name, params
+    return cs, inv_name
 
 
 # -- output helpers ----------------------------------------------------
@@ -294,7 +287,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
 
 def cmd_transgression(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _, _ = build_model(cfg)
+    cs, _ = build_model(cfg)
     t0 = time.perf_counter()
     P = characteristic_form(cs)
     PB = characteristic_at_B(cs)
@@ -318,7 +311,7 @@ def cmd_transgression(args, dump: Dump) -> int:
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _, _ = build_model(cfg)
+    cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
@@ -330,7 +323,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
     if args.compare_background:
         cfg0 = dict(cfg)
         cfg0["background"] = "zero"
-        cs0, _, _ = build_model(cfg0)
+        cs0, _ = build_model(cfg0)
         el0 = euler_lagrange(_lagrangian(cs0))
         diff_zero = True
         for i in sorted(el):
@@ -346,12 +339,12 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
 
 def cmd_noether(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, _, params = build_model(cfg)
+    cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
     L = _lagrangian(cs)
-    xi_C = gauge_generator(cs.algebra, cs.ctx, params)
+    xi_C = gauge_generator(cs.algebra, cs.ctx)
     J = noether_current(L, xi_C)
     for lam, comp in enumerate(cs.ctx.current_components(J)):
         show_poly(f"J^{lam}", comp, dump)
@@ -395,11 +388,11 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
 
 def cmd_verify_conservation(args, dump: Dump) -> int:
     cfg = load_config(args.config)
-    cs, inv_name, params = build_model(cfg)
+    cs, inv_name = build_model(cfg)
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
-    report, modified, sizes = verify_conservation(cs, params)
+    report, modified, sizes = verify_conservation(cs)
     ok = report_line("d_H(J - sigma) + u.(delta L) = 0", report.passed,
                      report.vacuous)
     if not report.passed:
@@ -410,7 +403,7 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
         dump.write("residual", text)
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
         show_poly(f"modified current component {lam}", comp, dump)
-    if cs.k == 2 and inv_name == "killing" and params is None:
+    if cs.k == 2 and inv_name == "killing":
         ok &= _display_diff_3d(cs, modified, dump)
     note(f"verify-conservation: {time.perf_counter() - t0:.2f}s, "
          f"{len(sizes)} gauge component{'s' if len(sizes) > 1 else ''}, "
@@ -466,18 +459,18 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact verification of Chern-Simons conservation laws")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, config_required=True):
+    def add(name, fn, help_, config_required=True, dump=True):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=config_required,
                         help="path to a JSON run configuration")
-        sp.add_argument("--dump", help="write untruncated expressions to this file")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for randomized commands")
-        sp.set_defaults(fn=fn)
+        if dump:
+            sp.add_argument("--dump",
+                            help="write untruncated expressions to this file")
+        sp.set_defaults(fn=fn, dump=None)
         return sp
 
     add("check-algebra", cmd_check_algebra,
-        "validate structure constants and the invariant tensor")
+        "validate structure constants and the invariant tensor", dump=False)
     add("transgression", cmd_transgression,
         "verify d(transgression form) = P(F) - P(F_B)")
     el = add("euler-lagrange", cmd_euler_lagrange,
@@ -488,9 +481,11 @@ def _parser() -> argparse.ArgumentParser:
         "print the gauge Noether current of the CS Lagrangian")
     add("verify-conservation", cmd_verify_conservation,
         "verify the conservation law of the modified current")
-    add("first-variational-selftest", cmd_selftest,
-        "random-instance check of the first variational formula",
-        config_required=False)
+    st = add("first-variational-selftest", cmd_selftest,
+             "random-instance check of the first variational formula",
+             config_required=False, dump=False)
+    st.add_argument("--seed", type=int, default=0,
+                    help="seed of the random instances")
     return p
 
 

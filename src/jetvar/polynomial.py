@@ -230,25 +230,6 @@ def chain_rule(terms: dict, route) -> None:
                 raise TermLimitExceeded(f"{len(out)} terms exceeds cap {_cap}")
 
 
-def split_terms(terms: dict, label) -> dict:
-    """The term dict terms split by a label of its monomials: label(v) is a
-    key or None for an indeterminate v, called once per indeterminate, and
-    a monomial goes to the key of its first factor whose label is not None,
-    or to None when it has none.  Returns key -> term dict."""
-    labels: dict = {}
-    out: dict = {}
-    for m, c in terms.items():
-        key = None
-        for i in m:
-            if i not in labels:
-                labels[i] = label(_INDETS[i])
-            key = labels[i]
-            if key is not None:
-                break
-        out.setdefault(key, {})[m] = c
-    return out
-
-
 def _scaled(terms: dict, c) -> dict:
     """The term dict c * terms for a stored-form c other than 1; negation
     needs no gcd, so c = -1 is a plain sign flip."""
@@ -362,7 +343,7 @@ class Poly:
     # -- calculus ------------------------------------------------------
 
     def gradient(self, keep=None) -> dict:
-        """Every partial derivative in one walk over the monomials: v -> d/dv.
+        """Every partial derivative in one chain_rule pass: v -> d/dv.
 
         Keys are exactly self.indets(), or those v for which keep(v) is
         true when keep is given; keep is called once per indeterminate, and
@@ -370,23 +351,15 @@ class Poly:
         monomials by the same v keeps them distinct, so no partial sums
         terms or is zero.
         """
-        grads: dict = {}   # id -> term dict of its partial, False if rejected
-        for m, c in self.terms.items():
-            prev = None
-            for i, v in enumerate(m):
-                if v == prev:
-                    continue
-                prev = v
-                terms = grads.get(v)
-                if terms is None:
-                    terms = grads[v] = (
-                        {} if keep is None or keep(_INDETS[v]) else False)
-                if terms is False:
-                    continue
-                e = m.count(v)
-                terms[m[:i] + m[i + 1:]] = c if e == 1 else _exact(c * e)
-        return {_INDETS[v]: Poly(terms) for v, terms in grads.items()
-                if terms is not False}
+        grads: dict = {}
+
+        def route(v):
+            if keep is None or keep(v):
+                return ((grads.setdefault(v, {}), 1, None),)
+            return ()
+
+        chain_rule(self.terms, route)
+        return {v: Poly(terms) for v, terms in grads.items()}
 
     # -- queries -------------------------------------------------------
 

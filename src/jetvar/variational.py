@@ -8,18 +8,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import gauge_generator
+from .algebra import _generator
 from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction,
                            cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, apply_derivation,
                     apply_derivation_into, contract_into, exterior_d_into,
                     is_empty, wedge_into)
-from .indets import (GAUGE, gauge, indet_str, is_field_jet, multi_index,
+from .indets import (gauge, indet_str, is_field_jet, multi_index,
                      with_extra_deriv, x)
 from .jets import (JetContext, contact_form, horizontal_differential_into,
                    horizontal_projection, prolong, total_derivative_into)
-from .polynomial import Poly, mul_dicts, split_terms
+from .polynomial import Poly, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
@@ -160,34 +160,22 @@ def _lagrangian(cs: CSData) -> Lagrangian:
         cs.ctx, cs_lagrangian(cs)))
 
 
-def _xi_index(v: tuple):
-    """r for a gauge parameter symbol xi^r_D, None for any other
-    indeterminate."""
-    return v[1] if v[0] == GAUGE else None
-
-
 def _components(cs: CSData, params: list | None) -> list:
-    """The gauge components as (name, head, xi_C) triples: head maps an
-    algebra index to the 0-form k xi^r of the descent primitive's head slot,
-    and xi_C is the gauge generator of those parameters.
+    """The gauge components as (name, head, xi_C) triples, one per sparse
+    parameter dict xi: r -> nonzero Poly.  head maps an algebra index to the
+    0-form k xi^r of the descent primitive's head slot, and xi_C is the
+    gauge generator of xi.
 
-    For the symbolic xi family there is one component per index r, with
-    params = xi^r e_r.  xi_C is built once and split by the index of the
-    one factor xi^r_D that each of its monomials holds, so every component
-    costs its own support only.  Explicit parameters are one component."""
-    ctx, g = cs.ctx, cs.algebra
-    if params is not None:
-        head = {r: Form.from_poly(ctx, p * cs.k)
-                for r, p in enumerate(params) if p}
-        return [("explicit gauge parameters", head,
-                 gauge_generator(g, ctx, params))]
-    parts: dict = {}
-    for c, p in gauge_generator(g, ctx).items():
-        for r, terms in split_terms(p.terms, _xi_index).items():
-            parts.setdefault(r, {})[c] = Poly(terms)
-    return [(f"gauge component {r}",
-             {r: Form.from_poly(ctx, Poly.var(gauge(r), coeff=cs.k))}, parts[r])
-            for r in range(g.dim)]
+    The symbolic family runs as one component per index r, with the
+    parameters xi^r e_r; explicit parameters are one component."""
+    if params is None:
+        parts = [(f"gauge component {r}", {r: Poly.var(gauge(r))})
+                 for r in range(cs.algebra.dim)]
+    else:
+        parts = [("explicit gauge parameters",
+                  {r: p for r, p in enumerate(params) if p})]
+    return [(name, {r: Form.from_poly(cs.ctx, p * cs.k) for r, p in xi.items()},
+             _generator(cs.algebra, cs.ctx, xi)) for name, xi in parts]
 
 
 def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:

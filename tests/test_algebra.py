@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from jetvar.algebra import (_EPS3, InvariantTensor, LieAlgebraData,
-                            _multinomial, builtin_algebra, builtin_invariant,
-                            check_invariant_tensor, direct_sum, gauge_generator,
-                            killing_form, load_lie_algebra, section_bracket)
+                            _generator, _multinomial, builtin_algebra,
+                            builtin_invariant, check_invariant_tensor,
+                            direct_sum, gauge_generator, killing_form,
+                            load_lie_algebra, section_bracket)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError)
 from jetvar.forms import apply_derivation
 from jetvar.indets import conn, gauge, x
@@ -270,3 +271,28 @@ def test_bracket_and_gauge_generator_match_the_dense_oracles(case, data):
     assert gauge_generator(g, ctx) == oracles.gauge_generator(g, ctx)
     assert (gauge_generator(g, ctx, params=xi)
             == oracles.gauge_generator(g, ctx, params=xi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=algebra_cases(), data=st.data())
+def test_sparse_and_symbolic_parameters_take_one_path(case, data):
+    dim, c, _, _ = case
+    g = _outcome(LieAlgebraData, dim, dict(c))
+    assume(isinstance(g, LieAlgebraData))
+    ctx = JetContext(3, dim)
+    params = [data.draw(PARAMS) if data.draw(st.booleans()) else Poly.zero()
+              for _ in range(dim)]
+    assert (gauge_generator(g, ctx, params=params)
+            == oracles.gauge_generator(g, ctx, params=params))
+    # the symbolic family's component r is the explicit xi^r e_r; the
+    # components add up to its generator and share no monomial
+    total: dict = {}
+    for r in range(dim):
+        part = _generator(g, ctx, {r: Poly.var(gauge(r))})
+        e_r = [Poly.var(gauge(r)) if s == r else Poly.zero() for s in range(dim)]
+        assert part == gauge_generator(g, ctx, params=e_r)
+        for coord, p in part.items():
+            terms = total.setdefault(coord, {})
+            assert not terms.keys() & p.terms.keys()
+            terms.update(p.terms)
+    assert {coord: Poly(t) for coord, t in total.items()} == gauge_generator(g, ctx)

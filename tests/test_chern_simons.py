@@ -106,8 +106,8 @@ def test_characteristic_at_B_matches_the_pullback_oracle(name, background):
     # P(F_B) is a 2k-form on the (2k-1)-dimensional base, so it is zero on
     # every config; only the curvature comparison tells the slot contraction
     # of F_B from the zero form
-    cs, _, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
-                                    background=background))
+    cs, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
+                                 background=background))
     bindings = {conn(r, mu): cs.bg_poly(r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     FB = background_curvature(cs)

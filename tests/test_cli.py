@@ -245,19 +245,6 @@ def test_term_cap_in_the_chain_rule_exits_3():
     assert "[PASS]" not in r.stdout
 
 
-def test_zero_gauge_parameters_give_zero_current(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"algebra": "su2", "invariant": "killing", "k": 2,
-         "gauge_params": "zero"}))
-    r = run_cli("verify-conservation", "--config", str(cfg))
-    assert r.returncode == 0
-    assert ("[PASS] d_H(J - sigma) + u.(delta L) = 0 "
-            "(vacuous: every term is zero)\n") in r.stdout
-    for lam in range(3):
-        assert f"modified current component {lam} = 0" in r.stdout
-
-
 def test_dump_writes_full_expressions(tmp_path):
     dump = tmp_path / "dump.txt"
     r = run_cli("verify-conservation", "--config",
@@ -286,6 +273,28 @@ def test_dump_is_created_when_nothing_is_dumped(capsys, tmp_path):
                      "--dump", str(dump)])
     capsys.readouterr()
     assert code == 0 and dump.read_text() == ""
+
+
+UNREAD_FLAGS = [(command, "--seed", "1") for command in
+                ("check-algebra", "transgression", "euler-lagrange", "noether",
+                 "verify-conservation")] + [
+    (command, "--dump", "f")
+    for command in ("check-algebra", "first-variational-selftest")]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_flags_a_command_never_reads_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # only the self-test draws random instances; check-algebra and the
+    # self-test print no expression to dump
+    monkeypatch.chdir(tmp_path)
+    config = "selftest.json" if argv[0] == "first-variational-selftest" \
+        else "u1_k2.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(CONFIGS / config)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _main_exit(capsys, tmp_path, command, cfg_obj):
@@ -420,7 +429,8 @@ def test_selftest_rejects_model_keys(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("cfg_obj,message", [
-    ({"gauge_params": "bogus"}, "gauge_params must be"),
+    # the CLI's gauge parameters are always the symbolic xi family
+    ({"gauge_params": "zero"}, "unknown key 'gauge_params'"),
     ({"background": "none"}, "background must be"),
     ({"h": 0.5}, "h: rationals must be"),
     ({"h": "1/0"}, "h: bad rational")])
@@ -445,16 +455,6 @@ def test_jet_order_is_an_unknown_key(capsys, tmp_path):
         "jet_order": 40})
     assert code == 2
     assert "unknown key 'jet_order'" in err
-    assert out == ""
-
-
-@pytest.mark.parametrize("command", ["transgression", "euler-lagrange",
-                                     "noether", "verify-conservation"])
-def test_bad_gauge_params_exit_2(capsys, tmp_path, command):
-    code, err, out = _main_exit(capsys, tmp_path, command, {
-        "algebra": "u1", "invariant": "unit", "k": 2, "gauge_params": "bogus"})
-    assert code == 2
-    assert "gauge_params must be" in err
     assert out == ""
 
 

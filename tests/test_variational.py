@@ -277,8 +277,8 @@ def _sigma_case(name):
         g = builtin_algebra(alg)
         b = inv if isinstance(inv, InvariantTensor) else builtin_invariant(inv, g, k)
         return CSData(g, b, k, **kw), params
-    cs, _, params = cli.build_model(cli.load_config(str(ROOT / name)))
-    return cs, params
+    cs, _ = cli.build_model(cli.load_config(str(ROOT / name)))
+    return cs, None
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
