@@ -23,7 +23,9 @@ __all__ = ["CSData", "canonical_curvature", "characteristic_form",
 class CSData:
     """Inputs of one CS model: algebra, degree-k invariant tensor, background.
 
-    base dimension is pinned to 2k-1.  h is an overall constant multiple on
+    base dimension is pinned to 2k-1, and the jet context ctx is built from
+    it, the algebra's dimension and matter_dim, the number of matter fields
+    beside the connection.  h is an overall constant multiple on
     the invariant polynomial (the characteristic form gets h * b).  The
     ad-invariance residual of b is computed here and kept for reporting;
     construction proceeds either way so a bad tensor surfaces as a FAIL in
@@ -32,7 +34,7 @@ class CSData:
 
     def __init__(self, algebra: LieAlgebraData, invariant: InvariantTensor,
                  k: int, background: str = "symbolic", h=1,
-                 ctx: JetContext | None = None):
+                 matter_dim: int = 0):
         if k < 2:
             raise JetvarError("CS degree k must be >= 2")
         if invariant.degree != k:
@@ -49,9 +51,7 @@ class CSData:
         # the least common denominator of the values of b
         self.den = lcm(*(v.denominator for v in self.b.entries.values()))
         self.invariance_residual = check_invariant_tensor(algebra, invariant)
-        self.ctx = ctx or JetContext(self.n, algebra.dim)
-        if self.ctx.n != self.n or self.ctx.gauge_dim != algebra.dim:
-            raise JetvarError("jet context does not match the CS data")
+        self.ctx = JetContext(self.n, algebra.dim, matter_dim)
         # the algebra indices that occur in b: a slot contraction reads the
         # per-index forms at these indices only, so only these are built
         self.indices = sorted({i for idx in self.b.entries for i in idx})
@@ -299,4 +299,4 @@ def _dS(cs: CSData) -> Form:
 
 def cs_lagrangian(cs: CSData) -> Form:
     """Horizontal projection of the CS form: the Lagrangian density form on J1."""
-    return horizontal_projection(_S(cs), cs.ctx)
+    return horizontal_projection(_S(cs))

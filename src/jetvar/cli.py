@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import resource
 import sys
@@ -376,7 +377,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
     prim = current_discrepancy_primitive(cs.algebra, cs.h, ctx)
     # modified - want - d_H prim, in one accumulator
     acc = add_into(add_into({}, modified), ctx.current_form(want), -1)
-    exact = is_empty(horizontal_differential_into(acc, prim, ctx, -1))
+    exact = is_empty(horizontal_differential_into(acc, prim, -1))
     report_line("difference from the displayed current is d_H-exact", exact)
     if exact:
         emit("closed-form difference: d_H of")
@@ -424,6 +425,9 @@ def cmd_selftest(args, dump: Dump) -> int:
             and all(type(d) is int and 1 <= d <= MAX_N for d in dims)):
         raise ConfigError(
             f"dimensions must be a nonempty array of integers in 1..{MAX_N}")
+    repeated = sorted({d for d in dims if dims.count(d) > 1})
+    if repeated:
+        raise ConfigError(f"dimensions repeat {', '.join(map(str, repeated))}")
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
     failures = 0
@@ -495,6 +499,14 @@ def main(argv=None) -> int:
     try:
         set_max_terms(max_terms())
         if args.dump is not None:
+            # opening the dump truncates it before the config is read
+            try:
+                same = os.path.samefile(args.dump, args.config)
+            except OSError:   # one of them does not exist
+                same = os.path.abspath(args.dump) == os.path.abspath(args.config)
+            if same:
+                raise ConfigError(
+                    f"--dump {args.dump} is the config file {args.config}")
             try:
                 fh = open(args.dump, "w")
             except OSError as exc:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import (Poly, _memoized, add_dicts, chain_rule, div_dict,
-                         mul_dicts)
+from .polynomial import Poly, add_dicts, chain_rule, div_dict, mul_dicts
 
 __all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
            "map_generators", "linear_combination", "add_into", "wedge_into",
@@ -240,7 +239,7 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
     """Add c * da into the accumulator acc; returns acc.  d is the chain
     rule: a coordinate v gives dv, a function symbol s gives
     s_{D+lam} dx^lam; any other indeterminate raises.  The image of each
-    indeterminate is built once per process and context key."""
+    indeterminate is built once per process and context."""
     ctx = a.ctx
 
     def image(v):
@@ -251,7 +250,7 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 
-    return differential_into(acc, a, _memoized(("d",) + ctx._key(), image), c)
+    return differential_into(acc, a, ctx._images("d", image), c)
 
 
 def exterior_d(a: Form) -> Form:

@@ -4,6 +4,7 @@ currents as horizontal (n-1)-forms."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import JetvarError
@@ -11,13 +12,17 @@ from .forms import (Form, _wrap, differential_into, linear_combination,
                     map_generators, wedge)
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly, _memoized, chain_rule
+from .polynomial import Poly, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "total_derivative_into",
            "horizontal_projection", "horizontal_differential",
            "horizontal_differential_into", "contact_form", "prolong"]
 
 
+_IMAGE_TABLES: dict = {}   # (map name, context) -> {argument: image}
+
+
+@dataclass(frozen=True)
 class JetContext:
     """Base dimension and field content of the infinite jet bundle J^inf.
 
@@ -26,23 +31,26 @@ class JetContext:
     follow a rule, not a list: x^lam for lam < n, the auxiliary scalar t (so
     the transgression homotopy has a dt generator), and every jet
     a^r_{D;mu}, z^A_D whose indices are in range, at any order |D|.
-    Contexts with the same (n, gauge_dim, matter_dim) are equal.
+    A context is an immutable value that every form carries; contexts with
+    the same (n, gauge_dim, matter_dim) are equal.
     """
 
-    def __init__(self, n: int, gauge_dim: int, matter_dim: int = 0):
-        self.n = n
-        self.gauge_dim = gauge_dim
-        self.matter_dim = matter_dim
+    n: int
+    gauge_dim: int
+    matter_dim: int = 0
 
-    def _key(self) -> tuple:
-        return (self.n, self.gauge_dim, self.matter_dim)
+    def _images(self, name: str, build):
+        """The map v -> build(v), memoized for the life of the process in
+        the table that equal contexts share under name.  A build that raises
+        stores nothing, so it raises again on every call."""
+        memo = _IMAGE_TABLES.setdefault((name, self), {})
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, JetContext)
-                                 and self._key() == other._key())
-
-    def __hash__(self):
-        return hash(self._key())
+        def image(v):
+            img = memo.get(v)
+            if img is None:
+                img = memo[v] = build(v)
+            return img
+        return image
 
     def __contains__(self, c: tuple) -> bool:
         """The coordinate rule."""
@@ -104,7 +112,7 @@ class JetContext:
 def _horizontal_image(ctx: JetContext):
     """The map v -> d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed
     over lam for a field jet or function symbol, dx^lam for x^lam, nothing
-    for t; each image is built once per process and context key."""
+    for t; each image is built once per process and context."""
     n = ctx.n
 
     def image(v):
@@ -115,7 +123,7 @@ def _horizontal_image(ctx: JetContext):
             return ()
         return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(n))
 
-    return _memoized(("d_H",) + ctx._key(), image)
+    return ctx._images("d_H", image)
 
 
 def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
@@ -144,40 +152,39 @@ def _require_horizontal(a: Form):
                 raise JetvarError(f"form is not horizontal: d{indet_str(c)}")
 
 
-def horizontal_differential_into(acc: dict, a: Form, ctx: JetContext,
-                                 c=1) -> dict:
+def horizontal_differential_into(acc: dict, a: Form, c=1) -> dict:
     """Add c * d_H a into the accumulator acc (see forms); returns acc.
     d_H = dx^lam wedge d_lam on horizontal forms; d_lam of a coefficient is
     formed only for the lam whose dx^lam the wedge keeps."""
     _require_horizontal(a)
-    return differential_into(acc, a, _horizontal_image(ctx), c)
+    return differential_into(acc, a, _horizontal_image(a.ctx), c)
 
 
-def horizontal_differential(a: Form, ctx: JetContext) -> Form:
-    return _wrap(a.ctx, a.degree + 1, horizontal_differential_into({}, a, ctx))
+def horizontal_differential(a: Form) -> Form:
+    return _wrap(a.ctx, a.degree + 1, horizontal_differential_into({}, a))
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
     """d_H c as a 1-form."""
-    return horizontal_differential(Form.from_poly(ctx, Poly.var(c)), ctx)
+    return horizontal_differential(Form.from_poly(ctx, Poly.var(c)))
 
 
-def horizontal_projection(a: Form, ctx: JetContext) -> Form:
+def horizontal_projection(a: Form) -> Form:
     """h0: each dc becomes d_H c, coefficients unchanged.  d_H t is 0, but
     h0 is undefined on dt and raises there.  The image of each generator
     tuple, the wedge of the d_H of its coordinates, is built once per
-    process and context key."""
+    process and context."""
     def image(dcs):
-        img = Form.from_poly(ctx, Poly.const(1))
+        img = Form.from_poly(a.ctx, Poly.const(1))
         for c in dcs:
             if c[0] == AUX:
                 raise JetvarError(f"h0 undefined on d{indet_str(c)}")
-            img = wedge(img, _d_H_coordinate(c, ctx))
+            img = wedge(img, _d_H_coordinate(c, a.ctx))
             if img.is_zero():
                 break
         return img
 
-    return map_generators(a, _memoized(("h0",) + ctx._key(), image))
+    return map_generators(a, a.ctx._images("h0", image))
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:

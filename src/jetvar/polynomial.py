@@ -15,9 +15,7 @@ first, so id 0 is t.  Canonical form is therefore unique by construction:
 equal expressions have equal dicts.  Id order is intern order, not the
 natural tuple order of indets.py, so only decode_monomial() turns a monomial
 back into (indeterminate, exponent) pairs in that order, and encode_terms()
-builds raw term dicts from such pairs.  Beside the intern table sits the
-process-wide memo of the images of indeterminates under d and d_H, and of
-generator tuples under h0 (_memoized), which forms.py and jets.py fill.
+builds raw term dicts from such pairs.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the decoded pairs.  It does not depend on intern order;
@@ -67,28 +65,6 @@ def _intern(v: tuple) -> int:
 
 
 _T = _intern(T)   # 0: the run of t ids leads every monomial that has one
-
-# The images of indeterminates under the derivations d and d_H, and of
-# generator tuples under h0 (forms.py, jets.py), kept like the ids for the
-# life of the process: (map, n, gauge_dim, matter_dim) -> {argument: image}.
-# Jet contexts with equal (n, gauge_dim, matter_dim) are equal, so one image
-# serves them all.
-_IMAGES: dict = {}
-
-
-def _memoized(key: tuple, build):
-    """The map v -> build(v), memoized in the process-wide table under key.
-    A build that raises stores nothing, so it raises again on every call."""
-    memo = _IMAGES.get(key)
-    if memo is None:
-        memo = _IMAGES[key] = {}
-
-    def image(v):
-        img = memo.get(v)
-        if img is None:
-            img = memo[v] = build(v)
-        return img
-    return image
 
 
 def decode_monomial(m: tuple) -> tuple:
@@ -283,11 +259,10 @@ class Poly:
         return cls({(): c} if c else {})
 
     @classmethod
-    def var(cls, v: tuple, exp: int = 1, coeff: int | Fraction = 1) -> "Poly":
+    def var(cls, v: tuple, exp: int = 1) -> "Poly":
         if exp < 0:
             raise ValueError("negative exponent")
-        c = _as_q(coeff)
-        return cls({(_intern(v),) * exp: c} if c else {})
+        return cls({(_intern(v),) * exp: 1})
 
     # -- ring operations ----------------------------------------------
 

@@ -16,7 +16,7 @@ from .forms import (Form, _wrap, add_into, apply_derivation,
                     apply_derivation_into, contract_into, exterior_d_into,
                     is_empty, wedge_into)
 from .indets import (gauge, indet_str, is_field_jet, multi_index,
-                     with_extra_deriv, x)
+                     with_extra_deriv)
 from .jets import (JetContext, contact_form, horizontal_differential_into,
                    horizontal_projection, prolong, total_derivative_into)
 from .polynomial import Poly, mul_dicts
@@ -57,17 +57,19 @@ class Lagrangian:
         self._el = None   # euler_lagrange(self), built by _el_into
 
     @classmethod
-    def from_horizontal_form(cls, ctx: JetContext, a: Form) -> "Lagrangian":
-        key = tuple(x(lam) for lam in range(ctx.n))
+    def from_horizontal_form(cls, a: Form) -> "Lagrangian":
+        key = a.ctx.volume_key()
         for dcs in a.terms:
             if dcs != key:
                 raise JetvarError("not a horizontal top-degree form")
-        return cls(ctx, a.coefficient(key))
+        return cls(a.ctx, a.coefficient(key))
 
     def form(self) -> Form:
         return self.ctx.volume_form(self.density)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
+        if self.ctx != other.ctx:
+            raise JetvarError("forms live on different jet contexts")
         return Lagrangian(self.ctx, self.density + other.density)
 
 
@@ -146,7 +148,7 @@ def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
     vol = apply_derivation_into({}, prolong(u, ctx), L.gradient)
     _el_into(vol, L, u, -1)
     acc = {ctx.volume_key(): vol}
-    horizontal_differential_into(acc, noether_current(L, u), ctx, -1)
+    horizontal_differential_into(acc, noether_current(L, u), -1)
     return VerificationReport(_wrap(ctx, ctx.n, acc))
 
 
@@ -157,7 +159,7 @@ def _lagrangian(cs: CSData) -> Lagrangian:
     """The CS Lagrangian L = h0 S, built once per CSData; it holds its
     Euler-Lagrange components once they are built."""
     return cs._memo(("L",), lambda: Lagrangian.from_horizontal_form(
-        cs.ctx, cs_lagrangian(cs)))
+        cs_lagrangian(cs)))
 
 
 def _components(cs: CSData, params: list | None) -> list:
@@ -196,9 +198,9 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     contract_into(acc, xi_C, _S(cs))
     sigma = _wrap(ctx, degree, acc)
     del acc
-    sigma = horizontal_projection(sigma, ctx)
+    sigma = horizontal_projection(sigma)
     # d_H sigma - L_{J1 xi_C} L, in one accumulator
-    check = horizontal_differential_into({}, sigma, ctx)
+    check = horizontal_differential_into({}, sigma)
     apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
                           prolong(xi_C, ctx), _lagrangian(cs).gradient, -1)
     if not is_empty(check):
@@ -243,7 +245,7 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
         raise JetvarError("forms live on different jet contexts")
     modified = _wrap(ctx, ctx.n - 1,
                      add_into(_noether_into({}, L_total, u), sigma, -1))
-    acc = horizontal_differential_into({}, modified, ctx)
+    acc = horizontal_differential_into({}, modified)
     boundary_zero = is_empty(acc)
     _el_into(acc.setdefault(ctx.volume_key(), {}), L_total, u)
     residual = _wrap(ctx, ctx.n, acc)

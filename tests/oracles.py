@@ -514,7 +514,7 @@ def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
     chi = section_correction(cs, params)
     omega = forms.contract(xi_C, forms.exterior_d(S))
     psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
-    return horizontal_projection(psi + forms.contract(xi_C, S), cs.ctx)
+    return horizontal_projection(psi + forms.contract(xi_C, S))
 
 
 # -- sigma and the conservation law in one shot ----------------------------
@@ -527,7 +527,7 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     otherwise), and conservation_check along the whole xi_C."""
     ctx = cs.ctx
     S = cs_form(cs)
-    L = Lagrangian.from_horizontal_form(ctx, horizontal_projection(S, ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
     head = gauge_head(cs, params)
     psi = _slot_contraction(cs, [head], canonical_curvature(cs))
@@ -536,10 +536,9 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
         raise NonzeroResidual(f"descent residual has "
                               f"{residual.term_count()} terms: {residual}")
     sigma = horizontal_projection(
-        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S),
-        ctx)
+        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S))
     lie = forms.apply_derivation(prolong(xi_C, ctx), L.gradient)
-    if horizontal_differential(sigma, ctx) != ctx.volume_form(lie):
+    if horizontal_differential(sigma) != ctx.volume_form(lie):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     report, modified = conservation_check(L, xi_C, sigma)
     return sigma, report, modified

@@ -82,7 +82,7 @@ def test_criterion_3_3d_reproduction_of_the_displayed_formulas():
     h = Q(1)
     cs = _model("su2", "killing", 2, h=h)
     ctx, g = cs.ctx, cs.algebra
-    L = Lagrangian.from_horizontal_form(ctx, cs_lagrangian(cs))
+    L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
     xi_C = gauge_generator(g, ctx)
 
     density_ok = L.density == cs_density_3d(g, h, ctx, True)
@@ -99,7 +99,7 @@ def test_criterion_3_3d_reproduction_of_the_displayed_formulas():
     diff = modified - ctx.current_form(modified_current_components_3d(g, h))
     prim = current_discrepancy_primitive(g, h, ctx)
     # convention shift reported in closed form: diff = d_H(-2h kappa xi B dx)
-    diff_ok = (diff - horizontal_differential(prim, ctx)).is_zero()
+    diff_ok = (diff - horizontal_differential(prim)).is_zero()
 
     _report("3 (3D displays: density, Lie derivative, Noether current match; "
             "modified-current difference is d_H of the stated primitive)",
@@ -115,8 +115,7 @@ def test_criterion_4_conservation_identity_all_cases():
         xi_C = gauge_generator(cs.algebra, cs.ctx)
         S = cs_form(cs)
         sigma = sigma_boundary_term(cs)
-        L = Lagrangian.from_horizontal_form(
-            cs.ctx, horizontal_projection(S, cs.ctx))
+        L = Lagrangian.from_horizontal_form(horizontal_projection(S))
         report, _ = conservation_check(L, xi_C, sigma)
         case_s = time.perf_counter() - t1
         assert report.passed, f"{alg} k={k}: {report.residual}"
@@ -133,7 +132,7 @@ def test_criterion_5_euler_lagrange_background_independence():
         els = []
         for background in ("symbolic", "zero"):
             cs = _model(alg, inv, k, background=background)
-            L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+            L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
             els.append(euler_lagrange(L))
         ok &= all(els[0][i] == els[1][i] for i in els[0])
     _report("5 (Euler-Lagrange background independence, su2 k=2 and u1 k=3)",
@@ -150,8 +149,8 @@ def test_criterion_6_structural_suite_with_negative_controls():
         for _ in range(10):
             a = random_form(ctx, degree, rng)
             assert exterior_d(exterior_d(a)).is_zero()
-            lhs = horizontal_differential(horizontal_projection(a, ctx), ctx)
-            assert (lhs - horizontal_projection(exterior_d(a), ctx)).is_zero()
+            lhs = horizontal_differential(horizontal_projection(a))
+            assert (lhs - horizontal_projection(exterior_d(a))).is_zero()
 
     # Jacobi validation plus a mutated negative control
     builtin_algebra("su2")
@@ -171,7 +170,7 @@ def test_criterion_6_structural_suite_with_negative_controls():
         eta = Form(ctx, ctx.n - 1,
                    {gens: random_poly(pool0, rng, max_monomials=3)})
         L = Lagrangian.from_horizontal_form(
-            ctx, horizontal_projection(exterior_d(eta), ctx))
+            horizontal_projection(exterior_d(eta)))
         assert all(not v for v in euler_lagrange(L).values())
     live = Lagrangian(ctx, Poly.var(matter(0), 2))
     assert any(v for v in euler_lagrange(live).values())
@@ -187,7 +186,7 @@ def test_criterion_6_structural_suite_with_negative_controls():
         s = s + ui * el[i]
     el_form = ctx.volume_form(s)
     bad = noether_current(L, u).scale(Q(2))
-    assert not (lie - el_form - horizontal_differential(bad, ctx)).is_zero()
+    assert not (lie - el_form - horizontal_differential(bad)).is_zero()
 
     _report("6 (structural suite: d^2=0, d_H h0 = h0 d, Jacobi, tensor "
             "invariance, variational triviality; mutations detected)",

@@ -309,7 +309,7 @@ def test_h_scales_the_lagrangian_linearly():
 def test_3d_lagrangian_matches_the_displayed_density():
     for background in ("zero", "symbolic"):
         cs = _model("su2", "killing", 2, background=background, h=Q(1, 2))
-        L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+        L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
         assert L.density == cs_density_3d(cs.algebra, Q(1, 2), cs.ctx,
                                           background == "symbolic")
 
@@ -318,7 +318,7 @@ def test_euler_lagrange_background_independence_u1_k2():
     els = []
     for background in ("symbolic", "zero"):
         cs = _model("u1", "unit", 2, background=background)
-        L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+        L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
         els.append(euler_lagrange(L))
     for i in els[0]:
         assert els[0][i] == els[1][i]
@@ -331,7 +331,7 @@ def test_abelian_el_components_are_the_contracted_strength():
     from jetvar.reference3d import levi_civita
     h = Q(3, 2)
     cs = _model("u1", "unit", 2, background="zero", h=h)
-    L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+    L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
     el = euler_lagrange(L)
     for mu in range(3):
         expected = Poly.zero()

@@ -267,6 +267,23 @@ def test_unwritable_dump_exits_2_before_any_output(capsys, tmp_path, command,
     assert err.startswith("config error: cannot write dump "), err
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+def test_dump_onto_the_config_exits_2_and_keeps_it(capsys, tmp_path, spelling):
+    # opening the dump truncated the config before it was read
+    cfg = tmp_path / "mine.json"
+    text = (CONFIGS / "su2_k2.json").read_bytes()
+    cfg.write_bytes(text)
+    dump = {"same": cfg, "dotted": tmp_path / "." / "mine.json",
+            "link": tmp_path / "link.json"}[spelling]
+    if spelling == "link":
+        dump.symlink_to(cfg)
+    code = cli.main(["transgression", "--config", str(cfg), "--dump", str(dump)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"--dump {dump} is the config file {cfg}" in err
+    assert cfg.read_bytes() == text
+
+
 def test_dump_is_created_when_nothing_is_dumped(capsys, tmp_path):
     dump = tmp_path / "dump.txt"
     code = cli.main(["transgression", "--config", str(CONFIGS / "su2_k2.json"),
@@ -458,13 +475,18 @@ def test_jet_order_is_an_unknown_key(capsys, tmp_path):
     assert out == ""
 
 
-@pytest.mark.parametrize("n", [cli.MAX_N + 1, 10**30])
-def test_dimension_above_the_bound_exits_2(capsys, tmp_path, n):
+@pytest.mark.parametrize("dims,message", [
     # the self-test's coordinate pools grow quadratically with n
+    ([cli.MAX_N + 1], f"integers in 1..{cli.MAX_N}"),
+    ([10**30], f"integers in 1..{cli.MAX_N}"),
+    # "n=1: 6 instances" printed twice read as 12 instances
+    ([2, 1, 2, 1], "dimensions repeat 1, 2")],
+    ids=[str(cli.MAX_N + 1), str(10**30), "repeated"])
+def test_bad_dimensions_exit_2(capsys, tmp_path, dims, message):
     code, err, out = _main_exit(capsys, tmp_path, "first-variational-selftest",
-                                {"selftest_instances": 1, "dimensions": [n]})
+                                {"selftest_instances": 6, "dimensions": dims})
     assert code == 2
-    assert f"integers in 1..{cli.MAX_N}" in err
+    assert message in err
     assert out == ""
 
 

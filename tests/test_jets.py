@@ -1,10 +1,14 @@
 """Total derivatives, horizontal projection and differential, contact forms,
 and prolongation of vertical fields."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetvar.algebra import builtin_algebra, builtin_invariant
+from jetvar.chern_simons import CSData
 from jetvar.errors import JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, _wrap, add_into, apply_derivation, exterior_d,
                           linear_combination, wedge)
@@ -126,7 +130,7 @@ def horizontal_forms(draw, degree):
 @given(data=st.data())
 def test_horizontal_differential_matches_the_all_directions_oracle(degree, data):
     a = data.draw(horizontal_forms(degree))
-    assert horizontal_differential(a, CTX3) == _horizontal_differential_oracle(a)
+    assert horizontal_differential(a) == _horizontal_differential_oracle(a)
 
 
 WEIGHTS = [1, -1, Q(3, 2)]
@@ -139,13 +143,13 @@ def test_horizontal_differential_core_adds_into_a_filled_accumulator(degree, dat
     # seed + c * d_H a, with seed sharing terms with -c * d_H a half the time
     a = data.draw(horizontal_forms(degree))
     c = data.draw(st.sampled_from(WEIGHTS))
-    result = horizontal_differential(a, CTX3)
+    result = horizontal_differential(a)
     seed = data.draw(horizontal_forms(degree + 1))
     if data.draw(st.booleans()):
         seed = seed - result.scale(c)
     seed = seed + Form(CTX3, degree + 1,
                        {tuple(x(lam) for lam in range(degree + 1)): Poly.var(T)})
-    acc = horizontal_differential_into(add_into({}, seed), a, CTX3, c)
+    acc = horizontal_differential_into(add_into({}, seed), a, c)
     assert _wrap(CTX3, degree + 1, acc) == linear_combination(
         CTX3, degree + 1, ((seed, 1), (result, c)))
 
@@ -181,13 +185,13 @@ def test_term_cap_stops_horizontal_differential(term_cap):
     b = Form(CTX, 1, {(conn(0, 0),): Poly.var(conn(0, 0))
                             + Poly.var(conn(0, 1))})
     term_cap(2)
-    assert horizontal_differential(a, CTX).term_count() == 2
-    assert horizontal_projection(b, CTX).term_count() == 4
+    assert horizontal_differential(a).term_count() == 2
+    assert horizontal_projection(b).term_count() == 4
     term_cap(1)
     with pytest.raises(TermLimitExceeded):
-        horizontal_differential(a, CTX)
+        horizontal_differential(a)
     with pytest.raises(TermLimitExceeded):
-        horizontal_projection(b, CTX)
+        horizontal_projection(b)
 
 
 def _fiber_replacement_oracle(c: tuple) -> Form:
@@ -247,7 +251,7 @@ def projection_forms(draw):
 @settings(max_examples=150, deadline=None)
 @given(projection_forms())
 def test_horizontal_projection_matches_the_wedge_loop_oracle(a):
-    assert _outcome(lambda b: horizontal_projection(b, CTX), a) \
+    assert _outcome(horizontal_projection, a) \
         == _outcome(_horizontal_projection_oracle, a)
 
 
@@ -276,7 +280,7 @@ def test_total_derivative_of_a_third_order_jet_gives_fourth_order_jets():
 
 @pytest.mark.parametrize("sizes", [(3, 5, 3), (5, 3, 5)])
 def test_memoized_images_follow_the_base_dimension(sizes):
-    # d and d_H images are memoized per process and context key; the same
+    # d and d_H images are memoized per process and context; the same
     # indeterminate on contexts of other dimensions gets only in-range lifts
     for n in sizes:
         ctx = JetContext(n, 1)
@@ -287,42 +291,54 @@ def test_memoized_images_follow_the_base_dimension(sizes):
         for v in (a, bg(0, 1)):
             f = Form.from_poly(ctx, Poly.var(v))
             lifts = {(x(mu),): Poly.var(with_extra_deriv(v, mu)) for mu in lam}
-            assert horizontal_differential(f, ctx).terms == lifts
+            assert horizontal_differential(f).terms == lifts
             d_lifts = {(v,): Poly.const(1)} if v in ctx else lifts
             assert exterior_d(f).terms == d_lifts
+    # a context is a frozen value: equal contexts built apart share one
+    # image table, and a context of another dimension has its own
+    name, built = object(), []   # a map that nothing else builds
+    for n in (sizes[0], sizes[0], 4):
+        ctx = JetContext(n, 1)
+        image = ctx._images(name, lambda v: built.append(ctx) or v)
+        assert image(x(0)) == x(0)
+    assert built == [JetContext(sizes[0], 1), JetContext(4, 1)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.n = 5
+    su2 = builtin_algebra("su2")
+    cs = CSData(su2, builtin_invariant("killing", su2, 2), 2, matter_dim=3)
+    assert cs.ctx == JetContext(3, 3, 3)
 
 
 def test_horizontal_projection_kills_contact_forms():
     for c in CTX.field_coords(0) + CTX.field_coords(1):
         theta = contact_form(c, CTX)
-        assert horizontal_projection(theta, CTX).is_zero()
+        assert horizontal_projection(theta).is_zero()
 
 
 def test_horizontal_projection_is_identity_on_dx():
     a = Form.generator(CTX, x(1))
-    assert (horizontal_projection(a, CTX) - a).is_zero()
+    assert (horizontal_projection(a) - a).is_zero()
 
 
 def test_horizontal_projection_rejects_dt():
     a = Form.generator(CTX, T)
     with pytest.raises(JetvarError):
-        horizontal_projection(a, CTX)
+        horizontal_projection(a)
 
 
 def test_dH_h0_equals_h0_d(rng):
     for degree in (0, 1):
         for _ in range(6):
             a = random_form(CTX, degree, rng)
-            lhs = horizontal_differential(horizontal_projection(a, CTX), CTX)
-            rhs = horizontal_projection(exterior_d(a), CTX)
+            lhs = horizontal_differential(horizontal_projection(a))
+            rhs = horizontal_projection(exterior_d(a))
             assert (lhs - rhs).is_zero()
 
 
 def test_dH_squared_is_zero(rng):
     for _ in range(6):
-        a = horizontal_projection(random_form(CTX, 0, rng), CTX)
-        assert horizontal_differential(
-            horizontal_differential(a, CTX), CTX).is_zero()
+        a = horizontal_projection(random_form(CTX, 0, rng))
+        assert horizontal_differential(horizontal_differential(a)).is_zero()
 
 
 def test_prolongation_components():

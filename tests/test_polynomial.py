@@ -160,7 +160,7 @@ def test_term_cap_stops_products_and_sums(term_cap):
 
 
 def test_text_format_is_frozen():
-    p = Poly.var(A00, 2, coeff=Q(3, 4)) - Poly.var(conn(1, 2, (0, 1))) \
+    p = Poly.var(A00, 2) * Q(3, 4) - Poly.var(conn(1, 2, (0, 1))) \
         + Poly.const(Q(-1, 2)) + Poly.var(X1) * Poly.var(XI)
     assert str(p) == ("1/1*x[1]*xi[r=0;D=()] + 3/4*a[r=0;mu=0;D=()]^2 "
                       "+ -1/1*a[r=1;mu=2;D=(0,1)] + -1/2")
@@ -322,18 +322,18 @@ def test_non_rational_coefficients_are_rejected(bad):
     with pytest.raises(TypeError):
         Poly.const(bad)
     with pytest.raises(TypeError):
-        Poly.var(A00, coeff=bad)
+        Poly.var(A00) * bad
 
 
 def test_integral_values_are_stored_as_int():
     half = Poly.const(Q(1, 2))
-    a = Poly.var(A00, 2, coeff=Q(1, 2))
+    a = Poly.var(A00, 2) * Q(1, 2)
     for p, want in [(Poly.const(Fraction(4, 2)), 2),
-                    (Poly.var(A00, coeff=Fraction(3, 1)), 3),
+                    (Poly.var(A00) * Fraction(3, 1), 3),
                     (Poly.const(True), 1),
                     (half * 2, 1),
                     (half + half, 1),
-                    (Poly.var(A00, coeff=Q(2, 3)) * Q(3, 2), 1),
+                    (Poly.var(A00) * Q(2, 3) * Q(3, 2), 1),
                     (a.gradient()[A00], 1)]:
         (c,) = p.terms.values()
         assert c == want and type(c) is int

@@ -12,7 +12,7 @@ import pytest
 
 from jetvar import chern_simons, cli, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
-                            gauge_generator)
+                            gauge_generator, killing_form)
 from jetvar.chern_simons import (CSData, _slot_contraction, canonical_curvature,
                                  characteristic_at_B, characteristic_form,
                                  cs_form, cs_lagrangian, homotopy)
@@ -136,7 +136,7 @@ def test_poincare_cartan_projects_back_to_the_lagrangian():
     rng = random.Random(12)
     for _ in range(6):
         L = Lagrangian(CTX2, random_density(CTX2, rng))
-        assert (horizontal_projection(poincare_cartan(L), CTX2)
+        assert (horizontal_projection(poincare_cartan(L))
                 - L.form()).is_zero()
 
 
@@ -172,7 +172,7 @@ def test_first_variational_detects_a_broken_boundary_term():
         s = s + ui * el[i]
     el_form = CTX2.volume_form(s)
     bad = noether_current(L, u).scale(Q(2))
-    residual = lie - el_form - horizontal_differential(bad, CTX2)
+    residual = lie - el_form - horizontal_differential(bad)
     assert not residual.is_zero()
 
 
@@ -187,7 +187,7 @@ def test_variational_triviality_of_horizontal_projections_of_exact_forms():
         eta = Form(CTX2, CTX2.n - 1,
                    {gens: random_poly(pool0, rng, max_monomials=3)})
         L = Lagrangian.from_horizontal_form(
-            CTX2, horizontal_projection(exterior_d(eta), CTX2))
+            horizontal_projection(exterior_d(eta)))
         el = euler_lagrange(L)
         assert all(not v for v in el.values()), str(L.density)
 
@@ -350,8 +350,7 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     cs = _su2_model()
     characteristic_form(cs)
     characteristic_at_B(cs)
-    assert cs_lagrangian(cs) == horizontal_projection(chern_simons._S(cs),
-                                                      cs.ctx)
+    assert cs_lagrangian(cs) == horizontal_projection(chern_simons._S(cs))
     sigma = sigma_boundary_term(cs)
     report, _, _ = verify_conservation(cs)
     assert report.passed and not sigma.is_zero()
@@ -389,10 +388,9 @@ def test_sigma_satisfies_its_defining_identity():
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
     sigma = sigma_boundary_term(cs)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     lie = lie_derivative_lagrangian(L, xi_C)
-    assert (horizontal_differential(sigma, cs.ctx) - lie).is_zero()
+    assert (horizontal_differential(sigma) - lie).is_zero()
 
 
 @pytest.mark.parametrize("alg,inv,k", [("u1", "unit", 2), ("su2", "killing", 2)])
@@ -402,8 +400,7 @@ def test_conservation_law(alg, inv, k):
     xi_C = gauge_generator(g, cs.ctx)
     S = cs_form(cs)
     sigma = sigma_boundary_term(cs)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed, report.residual
     assert modified.degree == cs.n - 1
@@ -416,8 +413,7 @@ def test_conservation_with_explicit_gauge_parameters():
     xi_C = gauge_generator(g, cs.ctx, params=params)
     S = cs_form(cs)
     sigma = sigma_boundary_term(cs, params=params)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, _ = conservation_check(L, xi_C, sigma)
     assert report.passed, report.residual
 
@@ -428,7 +424,7 @@ def test_zero_gauge_parameters_give_a_zero_current():
     params = [Poly.zero()] * 3
     xi_C = gauge_generator(g, cs.ctx, params=params)
     sigma = sigma_boundary_term(cs, params=params)
-    L = Lagrangian.from_horizontal_form(cs.ctx, cs_lagrangian(cs))
+    L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed
     assert report.vacuous
@@ -438,8 +434,7 @@ def test_zero_gauge_parameters_give_a_zero_current():
 def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     cs = _su2_model()
     S = cs_form(cs)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     sigma = sigma_boundary_term(cs)
     # the post-check reads the model's L from its one builder
     monkeypatch.setattr(variational, "_lagrangian", lambda _: L)
@@ -469,8 +464,7 @@ def test_pipeline_coefficients_are_int_unless_fractional(h, kinds):
     chi = section_correction(cs)
     psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
     sigma = sigma_boundary_term(cs)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed and not report.vacuous
     stages = (S, dS, psi, sigma, modified)
@@ -490,8 +484,7 @@ def su2_law():
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
     sigma = sigma_boundary_term(cs)
-    L = Lagrangian.from_horizontal_form(
-        cs.ctx, horizontal_projection(S, cs.ctx))
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     assert conservation_check(L, xi_C, sigma)[0].passed
     return cs, xi_C, sigma, L
 
@@ -533,7 +526,7 @@ def test_conservation_is_not_vacuous_when_nonzero_sides_cancel(su2_law):
     # d_H(J - sigma) and u . delta L are both nonzero and cancel exactly
     cs, xi_C, sigma, L = su2_law
     report, modified = conservation_check(L, xi_C, sigma)
-    boundary = horizontal_differential(modified, cs.ctx)
+    boundary = horizontal_differential(modified)
     el = euler_lagrange(L)
     u_el = cs.ctx.volume_form(sum((xi_C[i] * el[i] for i in el), Poly.zero()))
     assert not boundary.is_zero() and not u_el.is_zero()
@@ -548,8 +541,8 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
     cs, _, sigma, _ = su2_law
     h0 = variational.horizontal_projection
 
-    def off_by_one(a, ctx):
-        out = h0(a, ctx)
+    def off_by_one(a):
+        out = h0(a)
         key = min(out.terms)
         terms = dict(out.terms[key].terms)
         m = max(terms, key=len)
@@ -557,7 +550,7 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
         terms[m] += 1
         if not terms[m]:
             del terms[m]
-        return Form(ctx, out.degree, {**out.terms, key: Poly(terms)})
+        return Form(a.ctx, out.degree, {**out.terms, key: Poly(terms)})
 
     assert sigma_boundary_term(cs) == sigma
     monkeypatch.setattr(variational, "horizontal_projection", off_by_one)
@@ -570,9 +563,8 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
 
 def _matter_model():
     g = builtin_algebra("su2")
-    ctx = JetContext(3, 3, matter_dim=3)
-    cs = CSData(g, builtin_invariant("killing", g, 2), 2, ctx=ctx)
-    return g, ctx, cs
+    cs = CSData(g, builtin_invariant("killing", g, 2), 2, matter_dim=3)
+    return g, cs.ctx, cs
 
 
 def _yang_mills_density(g, ctx, kappa):
@@ -605,14 +597,16 @@ def _adjoint_variation(g):
     return out
 
 
+def _mass_density(kappa):
+    return sum((kv * Poly.var(matter(m)) * Poly.var(matter(n_))
+                for (m, n_), kv in kappa.items()), Poly.zero())
+
+
 def test_invariant_sector_conserves_the_combined_current():
-    from jetvar.algebra import killing_form
     g, ctx, cs = _matter_model()
     kappa = killing_form(g)
-    mass = sum((kv * Poly.var(matter(m)) * Poly.var(matter(n_))
-                for (m, n_), kv in kappa.items()),
-               Poly.zero())
-    L_inv = Lagrangian(ctx, _yang_mills_density(g, ctx, kappa) + mass)
+    L_inv = Lagrangian(ctx, _yang_mills_density(g, ctx, kappa)
+                       + _mass_density(kappa))
     xi_C = gauge_generator(g, ctx)
     sigma = sigma_boundary_term(cs)
     report, modified = invariant_sector(L_inv, _adjoint_variation(g), xi_C,
@@ -628,3 +622,17 @@ def test_invariant_sector_rejects_non_invariant_lagrangians():
     sigma = sigma_boundary_term(cs)
     with pytest.raises(NotInvariant):
         invariant_sector(L_bad, _adjoint_variation(g), xi_C, cs, sigma)
+
+
+def test_lagrangians_on_different_contexts_do_not_add(su2_law):
+    # the su2 model has no matter fields: a sum on its context would drop
+    # the matter Euler-Lagrange components, and the law would PASS unchecked
+    cs, _, sigma, L = su2_law
+    g, ctx, _ = _matter_model()
+    L_inv = Lagrangian(ctx, _mass_density(killing_form(g)))
+    for a, b in ((L, L_inv), (L_inv, L)):
+        with pytest.raises(JetvarError, match="different jet contexts"):
+            a + b
+    with pytest.raises(JetvarError, match="different jet contexts"):
+        invariant_sector(L_inv, _adjoint_variation(g), gauge_generator(g, ctx),
+                         cs, sigma)
