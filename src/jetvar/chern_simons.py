@@ -4,7 +4,7 @@ background section, and the resulting first-order Lagrangian."""
 from __future__ import annotations
 
 from itertools import permutations
-from math import lcm
+from math import comb, lcm
 
 from .algebra import (InvariantTensor, LieAlgebraData, _multinomial,
                       check_invariant_tensor)
@@ -154,45 +154,70 @@ def _leads(cs: CSData, j: int) -> dict:
     return cs._memo(("leads", j), build)
 
 
-def _slot_sum(cs: CSData, heads: list, *pieces: dict) -> tuple:
+def _t_free(curv: dict) -> dict:
+    """The pieces of a curvature that does not depend on t: r -> the one
+    piece (0, 0, curv^r)."""
+    return {r: ((0, 0, f),) for r, f in curv.items()}
+
+
+def _beta_weights(pieces: dict, slots: int) -> tuple:
+    """(N, weights): weights[A, B] = N * A! B! / (A+B+1)!, which is N times
+    the integral of t^A (1-t)^B over [0, 1], at each (A, B) that the picks
+    of slots pieces can sum to.  That integral is 1 / ((A+B+1) C(A+B, A)),
+    and N is the lcm of these denominators, so every weight is an int; for
+    pieces in powers of t alone N is lcm(1, ..., P+1) for the highest power
+    P."""
+    steps = {(alpha, beta) for choices in pieces.values()
+             for alpha, beta, _ in choices}
+    sums = {(0, 0)}
+    for _ in range(slots):
+        sums = {(A + alpha, B + beta) for A, B in sums for alpha, beta in steps}
+    dens = {(A, B): (A + B + 1) * comb(A + B, A) for A, B in sums}
+    N = lcm(*dens.values())
+    return N, {AB: N // den for AB, den in dens.items()}
+
+
+def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
     """(acc, den, degree): den times the slot contraction below, as an
     accumulator (see forms), and its degree, for the curvature
-    F(t) = sum_s t^s pieces[s] integrated over t in [0, 1]; one piece is a
-    curvature that does not depend on t.
+    F^r(t) = sum t^alpha (1-t)^beta form over the pieces (alpha, beta, form)
+    of pieces[r], integrated over t in [0, 1]; a curvature that does not
+    depend on t is the one piece (0, 0, F^r) (see _t_free).
 
-    Each curvature slot picks a piece s, and the picks fix the power p of
-    t.  In a run of equal curvature indices the 2-forms commute, so there
-    the picks are taken in nondecreasing order and counted by the
-    multinomial of the (index, pick) pairs.  Each product is added with the
-    int weight N/(p+1), N = lcm(1, ..., P+1) for the highest power P, and
-    den = N * cs.den, so that every weight is an int and the kernel
-    multiplies ints only.  Only the leads of the nonzero entries of b whose
-    first index heads[0] holds are walked, so a sparse first head costs
-    only its own leads.  The head of each lead is wedged once, a wedge
-    prefix is shared by the picks that extend it, and the last curvature
-    factor of each term is wedged straight into acc."""
+    Each curvature slot picks a piece, and the picks sum to the weight
+    t^A (1-t)^B of the product.  In a run of equal curvature indices the
+    2-forms commute, so there the picks are taken in nondecreasing order and
+    counted by the multinomial of the (index, pick) pairs.  Each product is
+    added with the int weight N A! B! / (A+B+1)! of _beta_weights, and
+    den = N * cs.den, so the kernel multiplies ints only.  Only the leads of
+    the nonzero entries of b whose first index heads[0] holds are walked, so
+    a sparse first head costs only its own leads.  The head of each lead is
+    wedged once, a wedge prefix is shared by the picks that extend it, and
+    the last curvature factor of each term is wedged straight into acc."""
     index = _leads(cs, len(heads))
-    top = (len(pieces) - 1) * (cs.k - len(heads))
-    N = lcm(*range(1, top + 2))
+    N, weights = _beta_weights(pieces, cs.k - len(heads))
     acc: dict = {}
 
-    def walk(term: Form, rest: tuple, picks: tuple, weight: int):
+    def walk(term: Form, rest: tuple, picks: tuple, A: int, B: int,
+             weight: int):
         # wedge the curvature slot len(picks) of rest, and those after it
         i = rest[len(picks)]
         least = picks[-1] if picks and rest[len(picks) - 1] == i else 0
         last = len(picks) + 1 == len(rest)
-        for s in range(least, len(pieces)):
-            f = pieces[s][i]
+        choices = pieces[i]
+        for s in range(least, len(choices)):
+            alpha, beta, f = choices[s]
             if f.is_zero():
                 continue
             if last:
                 count = _multinomial(tuple(zip(rest, picks + (s,))))
                 wedge_into(acc, term, f,
-                           weight * count * (N // (sum(picks) + s + 1)))
+                           weight * count * weights[A + alpha, B + beta])
             else:
                 prefix = wedge(term, f)
                 if not prefix.is_zero():
-                    walk(prefix, rest, picks + (s,), weight)
+                    walk(prefix, rest, picks + (s,), A + alpha, B + beta,
+                         weight)
 
     for first in sorted(index.keys() & heads[0].keys()):
         for lead, rests in index[first]:
@@ -204,7 +229,7 @@ def _slot_sum(cs: CSData, heads: list, *pieces: dict) -> tuple:
                 head = wedge(head, f)
             for rest, weight in rests:
                 if rest:
-                    walk(head, rest, (), weight)
+                    walk(head, rest, (), 0, 0, weight)
                 else:
                     add_into(acc, head, weight)
     # the forms of one head share a degree; an empty head adds nothing, and
@@ -213,14 +238,15 @@ def _slot_sum(cs: CSData, heads: list, *pieces: dict) -> tuple:
     return acc, N * cs.den, degree + 2 * (cs.k - len(heads))
 
 
-def _slot_contraction(cs: CSData, heads: list, *pieces: dict) -> Form:
+def _slot_contraction(cs: CSData, heads: list, pieces: dict) -> Form:
     """The integral over t in [0, 1] of b_{r1..rk} heads[0]^{r1} ^ ... ^
     heads[j-1]^{rj} ^ F^{r(j+1)}(t) ^ ... ^ F^{rk}(t), summed over ordered
-    tuples, for F(t) = sum_s t^s pieces[s]: each head and piece map an
-    algebra index to a form, an index a head lacks adds nothing, and each
-    piece holds every index of b.  The even curvature slots commute and are
-    enumerated as multisets with multinomial weights (see _slot_sum)."""
-    acc, den, degree = _slot_sum(cs, heads, *pieces)
+    tuples, for F^r(t) = sum t^alpha (1-t)^beta form over the pieces of
+    pieces[r]: each head maps an algebra index to a form, an index a head
+    lacks adds nothing, and pieces holds every index of b.  The even
+    curvature slots commute and are enumerated as multisets with
+    multinomial weights (see _slot_sum)."""
+    acc, den, degree = _slot_sum(cs, heads, pieces)
     return _wrap(cs.ctx, degree, acc, den)
 
 
@@ -228,7 +254,7 @@ def characteristic_form(cs: CSData) -> Form:
     """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}; closed and gauge-invariant
     when b is ad-invariant."""
     F = _F(cs)
-    return _slot_contraction(cs, [F], F)
+    return _slot_contraction(cs, [F], _t_free(F))
 
 
 def characteristic_at_B(cs: CSData) -> Form:
@@ -237,23 +263,42 @@ def characteristic_at_B(cs: CSData) -> Form:
     (naturality of characteristic forms), so this is the slot contraction
     of the background curvature."""
     FB = _FB(cs)
-    return _slot_contraction(cs, [FB], FB)
+    return _slot_contraction(cs, [FB], _t_free(FB))
 
 
-def _t_pieces(cs: CSData) -> tuple:
-    """(F_B, nabla_B D, H), built once per CSData: with D = a - B, the
-    curvature of B + tD is F(t) = F_B + t nabla_B D + t^2 H, where
-    nabla_B D = dD + sum_{p<q} c^r_pq (B^p ^ D^q + D^p ^ B^q) and
-    H = sum_{p<q} c^r_pq D^p ^ D^q, each r -> 2-form at the indices of b.
-    At t = 1 it is the canonical curvature F, so nabla_B D = F - F_B - H."""
+def _t_pieces(cs: CSData) -> dict:
+    """r -> the three pieces (alpha, beta, form) of the curvature of B + tD,
+    F^r(t) = sum t^alpha (1-t)^beta form, at each index r of b; built once
+    per CSData.  With D = a - B, nabla_B D = dD + sum_{p<q} c^r_pq
+    (B^p ^ D^q + D^p ^ B^q) and H = sum_{p<q} c^r_pq D^p ^ D^q, F(t) is
+    written in one of two bases:
+
+        power      F_B + t nabla_B D + t^2 H,
+        Bernstein  (1-t)^2 F_B + t(1-t) (2 F_B + nabla_B D) + t^2 F,
+
+    equal since nabla_B D = F - F_B - H.  Each index keeps the basis whose
+    pieces hold fewer terms, the power basis on a tie: a non-abelian index
+    at a symbolic background takes the Bernstein pieces, an abelian index
+    (H = 0) or the zero background (F_B = 0) the power pieces."""
     def build():
         FB, F = _FB(cs), _F(cs)
         H = _curvature(cs, lambda r: Form.zero(cs.ctx, 2),
                        cs.difference_one_form)
-        nabla = {r: linear_combination(cs.ctx, 2, ((F[r], 1), (FB[r], -1),
-                                                   (H[r], -1)))
-                 for r in cs.indices}
-        return FB, nabla, H
+        pieces = {}
+        for r in cs.indices:
+            nabla = linear_combination(cs.ctx, 2, ((F[r], 1), (FB[r], -1),
+                                                  (H[r], -1)))
+            power = ((0, 0, FB[r]), (1, 0, nabla), (2, 0, H[r]))
+            if H[r].is_zero():
+                # F = F_B + nabla_B D, so each term of nabla_B D is one of
+                # 2 F_B + nabla_B D or of F: the power pieces win or tie
+                pieces[r] = power
+                continue
+            mid = linear_combination(cs.ctx, 2, ((FB[r], 2), (nabla, 1)))
+            pieces[r] = min(power, ((0, 2, FB[r]), (1, 1, mid), (2, 0, F[r])),
+                            key=lambda choices: sum(f.term_count()
+                                                    for _, _, f in choices))
+        return pieces
 
     return cs._memo(("F_t",), build)
 
@@ -274,12 +319,14 @@ def homotopy(cs: CSData, heads: list = ()) -> Form:
     a -> ta + (1-t)B contracted by d/dt and integrated, applied to
     b(heads, F, ..., F) for heads that do not depend on a.  With no heads
     it is the transgression form.  The integral is taken in closed form:
-    F(t) = F_B + t nabla_B D + t^2 H (see _t_pieces), so each choice of
-    pieces fixes the power of t (the homotopy formula of Chern & Simons,
-    "Characteristic forms and geometric invariants", 1974)."""
+    each index writes F(t) in the power or the Bernstein basis of t,
+    whichever holds fewer terms (see _t_pieces), so each choice of pieces fixes a
+    weight t^A (1-t)^B, integrated as the Beta integral A! B! / (A+B+1)!
+    (the homotopy formula of Chern & Simons, "Characteristic forms and
+    geometric invariants", 1974)."""
     # the factor (k-j) goes on the small one-forms a-B, not on the result
     return _slot_contraction(cs, [*heads, _a_minus_B(cs, len(heads))],
-                             *_t_pieces(cs))
+                             _t_pieces(cs))
 
 
 def cs_form(cs: CSData) -> Form:

@@ -4,7 +4,9 @@ stdout carries only the verification text (byte-deterministic for a fixed
 config and seed); timings and diagnostics go to stderr.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 configuration or usage error,
 3 term-expansion cap exceeded (env JETVAR_MAX_TERMS, read once per run
-before the subcommand; a malformed cap exits 2).
+before the subcommand; a malformed cap exits 2), 141 (128 + SIGPIPE, as
+a shell reports a process that SIGPIPE ended) stdout was closed before
+the output was written, as by `| head`: no verdict.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ MAX_K = 8
 MAX_N = 2 * MAX_K - 1
 SELFTEST_KEYS = frozenset({"selftest_instances", "dimensions"})
 CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h"}
+# the keys of an algebra or invariant given as an object
+ALGEBRA_KEYS = frozenset({"dim", "constants"})
+INVARIANT_KEYS = frozenset({"degree", "entries"})
 
 
 # -- config ------------------------------------------------------------
@@ -104,10 +109,16 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+    check_keys(cfg, CONFIG_KEYS, path)
     return cfg
+
+
+def check_keys(obj: dict, known: frozenset, where: str):
+    """Reject a key of obj outside known, so that a misspelt key is not
+    silently ignored."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
 def config_algebra(cfg: dict) -> LieAlgebraData:
@@ -120,6 +131,7 @@ def config_algebra(cfg: dict) -> LieAlgebraData:
         except JetvarError as exc:
             raise ConfigError(str(exc)) from exc
     if isinstance(spec, dict):
+        check_keys(spec, ALGEBRA_KEYS, "algebra")
         dim = config_int(spec.get("dim"), 1, "algebra.dim")
         rows = spec.get("constants", [])
         if not isinstance(rows, list):
@@ -146,6 +158,7 @@ def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
         except JetvarError as exc:
             raise ConfigError(str(exc)) from exc
     if isinstance(spec, dict):
+        check_keys(spec, INVARIANT_KEYS, "invariant")
         degree = config_int(spec.get("degree", k), 1, "invariant.degree")
         rows = spec.get("entries", [])
         if not isinstance(rows, list):
@@ -494,6 +507,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # stdout was closed early: point it at devnull, so that the flush at
+        # exit writes nowhere instead of raising again (the SIGPIPE note of
+        # Python's signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _main(argv) -> int:
     args = _parser().parse_args(argv)
     fh = None
     try:

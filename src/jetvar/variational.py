@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _generator
-from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction,
+from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction, _t_free,
                            cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, apply_derivation,
@@ -185,7 +185,7 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     a failed check names the component.  psi, eta and the sum are released
     before the post-check."""
     ctx = cs.ctx
-    psi = _slot_contraction(cs, [head], _F(cs))
+    psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
     residual = contract_into(exterior_d_into({}, psi), xi_C, _dS(cs), -1)
     if not is_empty(residual):
         residual = _wrap(ctx, psi.degree + 1, residual)

@@ -29,8 +29,9 @@ from math import lcm
 
 from jetvar import algebra, forms
 from jetvar.chern_simons import (_a_minus_B, _curvature, _multinomial,
-                                 _slot_contraction, background_curvature,
-                                 canonical_curvature, cs_form, homotopy)
+                                 _slot_contraction, _t_free,
+                                 background_curvature, canonical_curvature,
+                                 cs_form, homotopy)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual, SigmaMismatch)
 from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
@@ -503,7 +504,7 @@ def section_correction(cs, params: list | None = None) -> Form:
     if cs.background == "zero":
         return Form.zero(cs.ctx, 2 * cs.k - 2)
     return _slot_contraction(cs, [gauge_head(cs, params)],
-                             background_curvature(cs))
+                             _t_free(background_curvature(cs)))
 
 
 def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
@@ -530,7 +531,7 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
     head = gauge_head(cs, params)
-    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
+    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
     residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
     if not residual.is_zero():
         raise NonzeroResidual(f"descent residual has "

@@ -12,7 +12,7 @@ from jetvar import cli
 from jetvar.algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                             builtin_invariant, gauge_generator)
 from jetvar.chern_simons import (CSData, _slot_contraction, _slot_sum,
-                                 _t_pieces, background_curvature,
+                                 _t_free, _t_pieces, background_curvature,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
@@ -131,7 +131,7 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     assert not P.is_zero()
     assert P == oracles.invariant_contraction(cs, canonical_curvature(cs))
     for curv in (background_curvature(cs), oracles.interp_curvature(cs)):
-        assert (_slot_contraction(cs, [curv], curv)
+        assert (_slot_contraction(cs, [curv], _t_free(curv))
                 == oracles.invariant_contraction(cs, curv))
 
 
@@ -140,7 +140,7 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
 def test_curvatures_match_the_ordered_pair_oracle(case, data):
     # the sum over p < q with weight c against the sum over ordered pairs
     # with weight c/2, at the indices of b, for F, F_B and F(t), the last
-    # as the sum of its pieces F_B + t nabla_B D + t^2 H; b need not be
+    # as the sum of its pieces t^alpha (1-t)^beta form; b need not be
     # invariant, and rescaled su2 constants are not all integral
     dim, c, _, _ = case
     g = LieAlgebraData(dim, c)
@@ -156,18 +156,61 @@ def test_curvatures_match_the_ordered_pair_oracle(case, data):
     linear_t = [exterior_d(a).scale(t) + exterior_d(bg).scale(1 - t)
                 for a, bg in zip(A, B)]
     interp = [oracles.interp_one_form(cs, r) for r in range(dim)]
-    FB, nabla, H = _t_pieces(cs)
-    assert FB == background_curvature(cs)
+    pieces = _t_pieces(cs)
+    assert sorted(pieces) == cs.indices
     for got, want in (
             (canonical_curvature(cs),
              oracles.curvature(cs, [exterior_d(a) for a in A], A)),
             (background_curvature(cs),
              oracles.curvature(cs, [exterior_d(bg) for bg in B], B)),
-            ({r: FB[r] + nabla[r].scale(t) + H[r].scale(t * t)
-              for r in cs.indices},
+            ({r: _t_sum(cs, choices) for r, choices in pieces.items()},
              oracles.curvature(cs, linear_t, interp))):
         assert got == {r: want[r] for r in cs.indices}
     assert cs.indices == sorted({i for idx in cs.b.entries for i in idx})
+
+
+def _t_sum(cs, choices) -> Form:
+    """sum t^alpha (1-t)^beta form over the pieces (alpha, beta, form)."""
+    t = Poly.var(T)
+    out = Form.zero(cs.ctx, 2)
+    for alpha, beta, f in choices:
+        out = out + f.scale(t ** alpha * (1 - t) ** beta)
+    return out
+
+
+POWER = ((0, 0), (1, 0), (2, 0))
+BERNSTEIN = ((0, 2), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize("name,background,bernstein", [
+    ("configs/u1su2_k3.json", "symbolic", [1, 2, 3]),
+    ("configs/su2_k2.json", "symbolic", [0, 1, 2]),
+    ("configs/u1_k3.json", "symbolic", []),
+    ("configs/u1su2_k3.json", "zero", []),
+    ("configs/su2_k2.json", "zero", []),
+    ("tests/configs/su2_k4_zero_x3.json", "zero", [])])
+def test_each_index_takes_the_basis_with_fewer_terms(name, background,
+                                                     bernstein):
+    # the su2 indices at a symbolic background take the Bernstein pieces;
+    # the u1 index (H = 0) and every index at the zero background (F_B = 0)
+    # keep the powers of t
+    cs, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
+                                 background=background))
+    pieces = _t_pieces(cs)
+    assert {r: tuple((a, b) for a, b, _ in choices)
+            for r, choices in pieces.items()} == {
+        r: BERNSTEIN if r in bernstein else POWER for r in cs.indices}
+    # the term counts of both bases, from the ordered-pair oracle's H
+    dim = cs.algebra.dim
+    H = oracles.curvature(cs, [Form.zero(cs.ctx, 2)] * dim,
+                          [cs.difference_one_form(r) for r in range(dim)])
+    FB, F = background_curvature(cs), canonical_curvature(cs)
+    for r, choices in pieces.items():
+        nabla = F[r] - FB[r] - H[r]
+        sizes = [sum(f.term_count() for f in basis) for basis in (
+            (FB[r], nabla, H[r]), (FB[r], FB[r].scale(2) + nabla, F[r]))]
+        assert sum(f.term_count() for _, _, f in choices) == min(sizes)
+        assert (sizes[1] < sizes[0]) == (r in bernstein)
 
 
 # -- the sparse slot sum against the dense oracle ------------------------------
@@ -223,7 +266,7 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
         curv = canonical_curvature(cs)
     else:
         curv = {r: random_form(cs.ctx, 2, rng) for r in range(dim)}
-    acc, den, degree = _slot_sum(cs, heads, curv)
+    acc, den, degree = _slot_sum(cs, heads, _t_free(curv))
     want, want_den, want_degree = oracles.slot_sum(cs, heads, curv)
     assert (den, degree) == (want_den, want_degree)
     assert _wrap(cs.ctx, degree, acc, den) == _wrap(cs.ctx, degree, want, den)
@@ -232,10 +275,12 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
 @settings(max_examples=80, deadline=None)
 @given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
 def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
-    # one to three t-pieces of random 2-forms per index against the dense
-    # slot sum of their t-polynomial sum, integrated term by term: up to
-    # three curvature slots, so runs of equal indices with mixed picks and
-    # every power of t up to 6 occur
+    # one to three pieces t^alpha (1-t)^beta form of random 2-forms per
+    # index, all in powers of t, all in the Bernstein basis, or the basis
+    # drawn per index, against the dense slot sum of their t-polynomial sum,
+    # integrated term by term: up to three curvature slots, so runs of equal
+    # indices with mixed picks and every weight t^A (1-t)^B with A + B <= 6
+    # occur
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)
     k = data.draw(st.integers(2, 4))
@@ -243,16 +288,18 @@ def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
-    pieces = [{r: random_form(cs.ctx, 2, rng) if data.draw(st.booleans())
-               else Form.zero(cs.ctx, 2) for r in range(dim)}
-              for _ in range(data.draw(st.integers(1, 3)))]
-    t = Poly.var(T)
-    curv = {}
+    mode = data.draw(st.sampled_from(["power", "bernstein", "mixed"]))
+    count = data.draw(st.integers(1, 3))
+    pieces = {}
     for r in range(dim):
-        curv[r] = Form.zero(cs.ctx, 2)
-        for s, f in enumerate(pieces):
-            curv[r] = curv[r] + f[r].scale(t ** s)
-    assert (_slot_contraction(cs, heads, *pieces)
+        basis = {"power": POWER, "bernstein": BERNSTEIN}.get(mode) or (
+            data.draw(st.sampled_from([POWER, BERNSTEIN])))
+        pieces[r] = tuple(
+            (alpha, beta, random_form(cs.ctx, 2, rng)
+             if data.draw(st.booleans()) else Form.zero(cs.ctx, 2))
+            for alpha, beta in basis[:count])
+    curv = {r: _t_sum(cs, choices) for r, choices in pieces.items()}
+    assert (_slot_contraction(cs, heads, pieces)
             == oracles.t_integrand_contraction(cs, heads, curv))
 
 
@@ -260,8 +307,8 @@ def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
 @settings(max_examples=20, deadline=None)
 @given(case=algebra_cases().filter(lambda case: not case[3]), data=st.data())
 def test_homotopy_matches_the_t_integrand_oracle(k, case, data):
-    # the pieces F_B, nabla_B D and H of the curvature of B + t(a - B)
-    # against the t-polynomial curvature; on the 7D base a non-abelian
+    # the pieces of the curvature of B + t(a - B), in the basis that each
+    # index takes, against the t-polynomial curvature; on the 7D base a non-abelian
     # algebra gets two heads, so one curvature slot, to bound the run time
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)

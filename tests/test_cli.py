@@ -1,6 +1,7 @@
 """CLI behavior: byte-deterministic stdout (golden files), exit codes, config
 errors, and the term cap."""
 
+import io
 import json
 import os
 import random
@@ -63,6 +64,12 @@ GOLDEN_CASES = [
     *((f"{cmd.replace('-', '_')}_{model}_h1_3.txt",
        [cmd, "--config", str(TEST_CONFIGS / f"{model}_h1_3.json")], 0)
       for model in ("su2_k2", "u1su2_k3")
+      for cmd in ("transgression", "verify-conservation")),
+    # non-abelian k = 4 at the zero background: three curvature slots, with
+    # the integral tensor sym(delta delta) x 3 and its 1/3 twin
+    *((f"{cmd.replace('-', '_')}_su2_k4_zero_{tensor}.txt",
+       [cmd, "--config", str(TEST_CONFIGS / f"su2_k4_zero_{tensor}.json")], 0)
+      for tensor in ("x3", "1_3")
       for cmd in ("transgression", "verify-conservation")),
     # the two algebra negatives: the first failing Jacobi index, and the
     # residual entries of a non-invariant tensor
@@ -433,6 +440,50 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert "unknown key 'backgroud'" in err
     assert out == ""
+
+
+SU2_CONSTANTS = [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
+@pytest.mark.parametrize("cfg_obj,message", [
+    # a misspelt constants key would leave the abelian algebra, and a
+    # misspelt entries key the empty tensor: both would PASS the wrong model
+    ({"algebra": {"dim": 3, "constant": SU2_CONSTANTS}, "invariant": "unit",
+      "k": 2}, "algebra: unknown key 'constant'"),
+    ({"algebra": "su2", "invariant": {"degree": 2, "entry": [[[0, 0], "1"]]},
+      "k": 2}, "invariant: unknown key 'entry'")])
+def test_unknown_key_inside_algebra_or_invariant_exits_2(
+        capsys, tmp_path, command, cfg_obj, message):
+    code, err, out = _main_exit(capsys, tmp_path, command, cfg_obj)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch,
+                                                     tmp_path):
+    # a reader that stops early, as `| head -1` does: the run is cut, which
+    # is no verdict, so the exit code is neither 0 nor 1; the devnull left
+    # on the stdout descriptor is a temporary file's here
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = cli.main(["verify-conservation", "--config",
+                         str(CONFIGS / "u1_k2.json")])
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 def test_selftest_rejects_model_keys(capsys, tmp_path):

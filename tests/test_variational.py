@@ -13,9 +13,10 @@ import pytest
 from jetvar import chern_simons, cli, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
                             gauge_generator, killing_form)
-from jetvar.chern_simons import (CSData, _slot_contraction, canonical_curvature,
-                                 characteristic_at_B, characteristic_form,
-                                 cs_form, cs_lagrangian, homotopy)
+from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
+                                 canonical_curvature, characteristic_at_B,
+                                 characteristic_form, cs_form, cs_lagrangian,
+                                 homotopy)
 from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
                            SigmaMismatch)
 from jetvar.forms import Form, contract, exterior_d, wedge
@@ -364,7 +365,7 @@ def test_homotopy_matches_the_pullback_oracle(name):
     # on P(F) = b(F, ..., F), whose H is the transgression form S
     cs, params = _sigma_case(name)
     head = oracles.gauge_head(cs, params)
-    psi = _slot_contraction(cs, [head], canonical_curvature(cs))
+    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
     assert homotopy(cs, [head]) == oracles.homotopy_operator(psi, cs)
     assert cs_form(cs) == oracles.homotopy_operator(characteristic_form(cs), cs)
 
