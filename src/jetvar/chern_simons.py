@@ -345,5 +345,9 @@ def _dS(cs: CSData) -> Form:
 
 
 def cs_lagrangian(cs: CSData) -> Form:
-    """Horizontal projection of the CS form: the Lagrangian density form on J1."""
-    return horizontal_projection(_S(cs))
+    """Horizontal projection of the CS form: the Lagrangian density form on J1.
+    It reads S from cs when cs already holds it, and otherwise builds S for
+    this call alone, so a command that never reads S again does not keep it
+    while L, its gradient and its Euler-Lagrange components are built."""
+    S = cs._shared.get(("S",))
+    return horizontal_projection(cs_form(cs) if S is None else S)

@@ -68,11 +68,15 @@ class JetContext:
         return fiber and all(0 <= d < self.n for d in multi_index(c))
 
     def field_coords(self, order: int = 0) -> list:
-        """Field coordinates of exactly the given jet order, sorted."""
-        Ds = list(combinations_with_replacement(range(self.n), order))
-        return ([conn(r, mu, D) for r in range(self.gauge_dim)
-                 for mu in range(self.n) for D in Ds]
-                + [matter(A, D) for A in range(self.matter_dim) for D in Ds])
+        """Field coordinates of exactly the given jet order, sorted, as a
+        fresh list; each order is enumerated once per process and context."""
+        def build(order):
+            Ds = list(combinations_with_replacement(range(self.n), order))
+            return (*(conn(r, mu, D) for r in range(self.gauge_dim)
+                      for mu in range(self.n) for D in Ds),
+                    *(matter(A, D) for A in range(self.matter_dim) for D in Ds))
+
+        return list(self._images("field_coords", build)(order))
 
     def volume_key(self) -> tuple:
         """The generator tuple of omega = d^n x."""
@@ -196,14 +200,19 @@ def contact_form(c: tuple, ctx: JetContext) -> Form:
 
 def prolong(u: dict, ctx: JetContext) -> dict:
     """First jet prolongation of a vertical field given on order-0 field
-    coordinates: adds the components d_lam u^i on the first-order jets."""
+    coordinates: adds the components d_lam u^i on the first-order jets.
+    All n total derivatives of a component come from one chain-rule walk,
+    which routes each term of d_H u^i to the part of its dx^lam."""
     for c in u:
         if not is_field_jet(c) or multi_index(c):
             raise JetvarError(f"field is not vertical order-0: {indet_str(c)}")
+    image = _horizontal_image(ctx)
     out = {c: p for c, p in u.items() if p}
     for c, p in u.items():
-        for lam in range(ctx.n):
-            comp = total_derivative(p, lam, ctx)
+        parts = [{} for _ in range(ctx.n)]
+        chain_rule(p.terms, lambda v: [(parts[dx[1]], 1, lift)
+                                       for dx, lift in image(v)])
+        for lam, comp in enumerate(parts):
             if comp:
-                out[with_extra_deriv(c, lam)] = comp
+                out[with_extra_deriv(c, lam)] = Poly(comp)
     return out

@@ -24,8 +24,10 @@ the exact text format is frozen by golden tests.
 The term-expansion kernel (add_dicts, mul_dicts, chain_rule, div_dict) works
 on those raw dicts directly; zero coefficients are never stored.  A product of
 monomials is one sort of their concatenation, so no exponent is ever added
-field by field.  A sum or product of two ints is an int, so only a value
-that came out as a Fraction goes through _exact().
+field by field.  A lifted chain-rule term is the monomial with one copy of v
+replaced by its lift and sorted once: the e - 1 copies of v that stay next
+to the lift make it e * v^(e-1) * lift.  A sum or product of two ints is an
+int, so only a value that came out as a Fraction goes through _exact().
 
 The kernel sums in place: add_dicts, mul_dicts and chain_rule add their
 result into a term dict the caller owns and passes in, so a long sum is built
@@ -39,7 +41,6 @@ max_terms() parses the environment's cap (JETVAR_MAX_TERMS), once per run.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from heapq import nsmallest
@@ -139,7 +140,9 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = (*sorted(ma + mb),)
+            m = [*ma, *mb]
+            m.sort()
+            m = (*m,)
             s = get(m)
             s = ca * cb if s is None else s + ca * cb
             if type(s) is not int:
@@ -159,7 +162,9 @@ def chain_rule(terms: dict, route) -> None:
     it is called once per indeterminate v of the terms.  Each triple adds
     w * df/dv into the term dict out for the rational weight w, times the
     indeterminate lift unless lift is None.  Partials with no route are never
-    formed.
+    formed.  A term with a lift is m with its first v replaced by the lift,
+    sorted once; a term without one drops that v, and is built once per
+    monomial and v.
     """
     routes: dict = {}
     for m, c in terms.items():
@@ -174,15 +179,19 @@ def chain_rule(terms: dict, route) -> None:
                                  for out, w, lift in route(_INDETS[v])]
             if not r:
                 continue
-            rest = m[:i] + m[i + 1:]
             e = m.count(v)
             ce = c if e == 1 else _exact(c * e)
+            rest = None
             for out, w, lift in r:
                 if lift is None:
+                    if rest is None:
+                        rest = m[:i] + m[i + 1:]
                     nm = rest
                 else:
-                    j = bisect_left(rest, lift)
-                    nm = rest[:j] + (lift,) + rest[j:]
+                    nm = list(m)
+                    nm[i] = lift
+                    nm.sort()
+                    nm = (*nm,)
                 if w == 1:
                     val = ce
                 elif w == -1:

@@ -7,19 +7,22 @@ keyed by (indeterminate, exponent) pair tuples, which the multiset-id kernel
 of polynomial.py replaced, is kept here as the oracle of that kernel, and so
 is the t-integrand route of the fiber homotopy (the interpolated curvature
 as one t-polynomial, each coefficient integrated term by term), the oracle
-of the library's closed-form t-integral.  The form oracles below sum Poly coefficients one `+` at a time, key by key, where the
-library sums raw term dicts in place.  The pullback of forms along a
-substitution lives here only: the library builds P(F_B) and the fiber
-homotopy in closed form, and the last section builds sigma by the pullback
-route of the fiberwise scaling homotopy, against which the closed-form
-descent route of the library is tested.  The section after it runs sigma
-and the conservation law on the whole gauge generator at once, where the
-library runs them one gauge component at a time.  The dense algebra loops
-near the end run over every index, where the library sums over nonzero
-structure constants and nonzero tensor entries only and builds per-index
-forms only at the indices of the invariant tensor.  The last section holds
-random forms and the hand-expanded 3D displays of the CS density, its Lie
-derivative and its Noether current, which only the tests compare against.
+of the library's closed-form t-integral.  Prolongation takes one total
+derivative at a time here, where the library takes all n of a component in
+one chain-rule walk.  The form oracles below sum Poly coefficients one `+`
+at a time, key by key, where the library sums raw term dicts in place.  The
+pullback of forms along a substitution lives here only: the library builds
+P(F_B) and the fiber homotopy in closed form, and the last section builds
+sigma by the pullback route of the fiberwise scaling homotopy, against which
+the closed-form descent route of the library is tested.  The section after
+it runs sigma and the conservation law on the whole gauge generator at once,
+where the library runs them one gauge component at a time.  The dense
+algebra loops near the end run over every index, where the library sums over
+nonzero structure constants and nonzero tensor entries only and builds
+per-index forms only at the indices of the invariant tensor.  The last
+section holds random forms and the hand-expanded 3D displays of the CS
+density, its Lie derivative and its Noether current, which only the tests
+compare against.
 """
 
 from bisect import bisect_left
@@ -36,9 +39,10 @@ from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual, SigmaMismatch)
 from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
                           wedge_into)
-from jetvar.indets import T, conn, gauge, indet_str, matter, x
+from jetvar.indets import (T, conn, gauge, indet_str, matter, with_extra_deriv,
+                           x)
 from jetvar.jets import (horizontal_differential, horizontal_projection,
-                         prolong, total_derivative)
+                         total_derivative)
 from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial, div_dict
 from jetvar.random_inputs import _pool, random_poly
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
@@ -309,7 +313,7 @@ def cs_lagrangian_direct(cs) -> Form:
     return t_integrand_homotopy(cs, curv=interp_curvature_horizontal(cs))
 
 
-# -- the jet chart, enumerated --------------------------------------------
+# -- the jet chart, enumerated, and prolongation by total derivatives ------
 
 
 def jet_chart(ctx, max_order: int) -> list:
@@ -325,6 +329,18 @@ def jet_chart(ctx, max_order: int) -> list:
             for A in range(ctx.matter_dim):
                 coords.append(matter(A, D))
     return sorted(coords)
+
+
+def prolong(u: dict, ctx) -> dict:
+    """First jet prolongation of a vertical order-0 field, one total
+    derivative d_lam u^i at a time."""
+    out = {c: p for c, p in u.items() if p}
+    for c, p in u.items():
+        for lam in range(ctx.n):
+            comp = total_derivative(p, lam, ctx)
+            if comp:
+                out[with_extra_deriv(c, lam)] = comp
+    return out
 
 
 # -- forms, summed one Poly at a time ------------------------------------

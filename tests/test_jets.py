@@ -2,6 +2,7 @@
 and prolongation of vertical fields."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          prolong, total_derivative, total_derivative_into)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly, random_vertical_field
+import oracles
 from oracles import jet_chart, partial, random_form
 
 CTX = JetContext(2, 1, matter_dim=1)
@@ -37,6 +39,9 @@ def test_field_coords_match_the_enumerated_chart(dims):
     for k in range(4):
         assert ctx.field_coords(k) == [
             c for c in chart if is_field_jet(c) and len(multi_index(c)) == k]
+        # a fresh list each call: a caller may extend it
+        ctx.field_coords(k).append(T)
+        assert T not in ctx.field_coords(k)
     assert all(c in ctx for c in chart)
 
 
@@ -349,6 +354,23 @@ def test_prolongation_components():
         assert j[conn(0, 0, (lam,))] == total_derivative(f, lam, CTX)
     # other fields untouched
     assert conn(0, 1) not in j
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 1), st.integers(0, 2**32))
+def test_prolongation_equals_the_per_lambda_oracle(n, matter_dim, seed):
+    # one chain-rule walk per component against one total derivative per
+    # lam; one component also holds x^lam and one a B or xi symbol
+    ctx = JetContext(n, 2, matter_dim)
+    rng = random.Random(seed)
+    u = random_vertical_field(ctx, rng)
+    first, last = ctx.field_coords(0)[0], ctx.field_coords(0)[-1]
+    lam = rng.randrange(n)
+    u[first] = u.get(first, Poly.zero()) + Poly.var(x(lam)) * Poly.var(last)
+    symbol = rng.choice([bg(1, lam), bg(0, 0, (lam,)), gauge(1), gauge(0, (lam,))])
+    u[last] = u.get(last, Poly.zero()) + Poly.var(symbol, 2) * Q(-3, 2)
+    got, want = prolong(u, ctx), oracles.prolong(u, ctx)
+    assert got == want and list(got) == list(want)
 
 
 def test_prolongation_is_linear(rng):

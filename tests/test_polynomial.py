@@ -399,6 +399,41 @@ def test_kernel_equals_the_pair_tuple_kernel(a, b, out, c):
     assert decode_pairs(oracles.t_integral(p).terms) == oracles.integrate_t(a)
 
 
+# Monomials as long as the 5D ones, 4 to 6 distinct factors, with every
+# indeterminate routed to every lift of the pool and to none: each lifted term
+# sorts its lift before, between or after the other factors, or onto one.
+LONG_POOL = POOL + [x(2), conn(1, 2), conn(0, 1, (1, 2)), bg(1, 0, (0,)),
+                    gauge(1), gauge(0, (2,))]
+long_monomials = st.lists(
+    st.tuples(st.sampled_from(LONG_POOL), st.integers(1, 3)), min_size=4,
+    max_size=6, unique_by=lambda p: p[0]).map(lambda ps: tuple(sorted(ps)))
+long_term_dicts = st.dictionaries(long_monomials, coefficients, min_size=1,
+                                  max_size=4)
+
+
+def _every_lift(outs):
+    def route(v):
+        return [(outs[k % 2], (1, -1, Q(3, 2))[k % 3], lift)
+                for k, lift in enumerate([None, *LONG_POOL])]
+    return route
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_term_dicts, long_term_dicts, st.sampled_from([1, -1, Q(3, 2)]))
+def test_kernel_on_long_monomials_equals_the_pair_tuple_kernel(a, b, c):
+    got, want = ({}, {}), ({}, {})
+    chain_rule(encode_terms(a), _every_lift(got))
+    oracles.chain_rule(a, _every_lift(want))
+    product, want_product = {}, {}
+    mul_dicts(encode_terms(a), encode_terms(b), product, c)
+    oracles.mul_dicts(a, b, want_product, c)
+    assert tuple(map(decode_pairs, got)) == want
+    assert decode_pairs(product) == want_product
+    for terms in (*got, product):
+        assert all(list(m) == sorted(m) for m in terms)   # canonical keys
+        assert_stored_form(terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(polys(), min_size=1, max_size=4).flatmap(
     lambda fs: st.tuples(st.just(fs), st.permutations(fs))))

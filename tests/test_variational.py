@@ -351,12 +351,26 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     cs = _su2_model()
     characteristic_form(cs)
     characteristic_at_B(cs)
-    assert cs_lagrangian(cs) == horizontal_projection(chern_simons._S(cs))
+    # cs_lagrangian reads the S that cs holds
+    assert horizontal_projection(chern_simons._S(cs)) == cs_lagrangian(cs)
     sigma = sigma_boundary_term(cs)
     report, _, _ = verify_conservation(cs)
     assert report.passed and not sigma.is_zero()
     assert calls == {"cs_form": 1, "canonical_curvature": 1,
                      "background_curvature": 1}
+
+
+def test_the_lagrangian_alone_does_not_keep_the_cs_form():
+    # euler-lagrange and noether read S only to build L = h0 S, so S is not
+    # kept while L, its gradient and its Euler-Lagrange components are
+    # built; verify-conservation keeps S, and L is then built from it
+    cs = _su2_model()
+    L = variational._lagrangian(cs)
+    euler_lagrange(L)
+    assert ("S",) not in cs._shared
+    report, _, _ = verify_conservation(cs)
+    assert report.passed and ("S",) in cs._shared
+    assert horizontal_projection(chern_simons._S(cs)) == L.form()
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
