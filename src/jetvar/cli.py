@@ -113,6 +113,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def load_model_config(args) -> dict:
+    """The config of a model subcommand; the self-test's keys, which it
+    would ignore, are rejected as the self-test rejects model keys."""
+    cfg = load_config(args.config)
+    selftest = sorted(set(cfg) & SELFTEST_KEYS)
+    if selftest:
+        raise ConfigError(f"{args.command} takes no self-test key: "
+                          + ", ".join(map(repr, selftest)))
+    return cfg
+
+
 def check_keys(obj: dict, known: frozenset, where: str):
     """Reject a key of obj outside known, so that a misspelt key is not
     silently ignored."""
@@ -278,7 +289,7 @@ def fails_invariance(cs: CSData) -> bool:
 
 
 def cmd_check_algebra(args, dump: Dump) -> int:
-    cfg = load_config(args.config)
+    cfg = load_model_config(args)
     k = config_int(cfg.get("k", 2), 2, "k", MAX_K)
     config_options(cfg)
     try:
@@ -300,7 +311,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
 
 
 def cmd_transgression(args, dump: Dump) -> int:
-    cfg = load_config(args.config)
+    cfg = load_model_config(args)
     cs, _ = build_model(cfg)
     t0 = time.perf_counter()
     P = characteristic_form(cs)
@@ -324,7 +335,7 @@ def cmd_transgression(args, dump: Dump) -> int:
 
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
-    cfg = load_config(args.config)
+    cfg = load_model_config(args)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
@@ -352,7 +363,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
 
 
 def cmd_noether(args, dump: Dump) -> int:
-    cfg = load_config(args.config)
+    cfg = load_model_config(args)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
@@ -401,7 +412,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
 
 
 def cmd_verify_conservation(args, dump: Dump) -> int:
-    cfg = load_config(args.config)
+    cfg = load_model_config(args)
     cs, inv_name = build_model(cfg)
     if fails_invariance(cs):
         return 1

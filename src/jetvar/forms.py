@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly, add_dicts, chain_rule, div_dict, mul_dicts
+from .polynomial import (Poly, _interned, add_dicts, chain_rule, div_dict,
+                         mul_dicts)
 
 __all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
            "map_generators", "linear_combination", "add_into", "wedge_into",
@@ -239,14 +240,16 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
     """Add c * da into the accumulator acc; returns acc.  d is the chain
     rule: a coordinate v gives dv, a function symbol s gives
     s_{D+lam} dx^lam; any other indeterminate raises.  The image of each
-    indeterminate is built once per process and context."""
+    indeterminate is built once per process and context, and holds the
+    interned tuples of x^lam and s_{D+lam}."""
     ctx = a.ctx
 
     def image(v):
         if v in ctx:
             return ((v, None),)
         if v[0] in (BG, GAUGE):
-            return tuple((x(lam), with_extra_deriv(v, lam))
+            return tuple((_interned(x(lam)),
+                          _interned(with_extra_deriv(v, lam)))
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 

@@ -12,7 +12,7 @@ from .forms import (Form, _wrap, differential_into, linear_combination,
                     map_generators, wedge)
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly, chain_rule
+from .polynomial import Poly, _interned, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "total_derivative_into",
            "horizontal_projection", "horizontal_differential",
@@ -115,17 +115,19 @@ class JetContext:
 
 def _horizontal_image(ctx: JetContext):
     """The map v -> d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed
-    over lam for a field jet or function symbol, dx^lam for x^lam, nothing
-    for t; each image is built once per process and context."""
+    over lam for a field jet or function symbol, in the order of lam,
+    dx^lam for x^lam, nothing for t; each image is built once per process
+    and context, and holds the interned tuples of x^lam and the lifts."""
     n = ctx.n
 
     def image(v):
         k = v[0]
         if k == X:
-            return ((v, None),)
+            return ((_interned(v), None),)
         if k == AUX:
             return ()
-        return tuple((x(lam), with_extra_deriv(v, lam)) for lam in range(n))
+        return tuple((_interned(x(lam)), _interned(with_extra_deriv(v, lam)))
+                     for lam in range(n))
 
     return ctx._images("d_H", image)
 
@@ -202,7 +204,8 @@ def prolong(u: dict, ctx: JetContext) -> dict:
     """First jet prolongation of a vertical field given on order-0 field
     coordinates: adds the components d_lam u^i on the first-order jets.
     All n total derivatives of a component come from one chain-rule walk,
-    which routes each term of d_H u^i to the part of its dx^lam."""
+    which routes each term of d_H u^i to the part of its dx^lam; that part
+    is keyed by the jet i_lam that the d_H image of i pairs with dx^lam."""
     for c in u:
         if not is_field_jet(c) or multi_index(c):
             raise JetvarError(f"field is not vertical order-0: {indet_str(c)}")
@@ -212,7 +215,8 @@ def prolong(u: dict, ctx: JetContext) -> dict:
         parts = [{} for _ in range(ctx.n)]
         chain_rule(p.terms, lambda v: [(parts[dx[1]], 1, lift)
                                        for dx, lift in image(v)])
-        for lam, comp in enumerate(parts):
+        for dx, lift in image(c):
+            comp = parts[dx[1]]
             if comp:
-                out[with_extra_deriv(c, lam)] = Poly(comp)
+                out[lift] = Poly(comp)
     return out

@@ -65,6 +65,12 @@ def _intern(v: tuple) -> int:
     return i
 
 
+def _interned(v: tuple) -> tuple:
+    """The tuple that the intern table keeps for v, interning v if it is
+    new: a table built from it then holds no duplicate of that tuple."""
+    return _INDETS[_intern(v)]
+
+
 _T = _intern(T)   # 0: the run of t ids leads every monomial that has one
 
 

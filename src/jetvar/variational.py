@@ -15,8 +15,7 @@ from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, apply_derivation,
                     apply_derivation_into, contract_into, exterior_d_into,
                     is_empty, wedge_into)
-from .indets import (gauge, indet_str, is_field_jet, multi_index,
-                     with_extra_deriv)
+from .indets import gauge, indet_str, is_field_jet, multi_index
 from .jets import (JetContext, contact_form, horizontal_differential_into,
                    horizontal_projection, prolong, total_derivative_into)
 from .polynomial import Poly, mul_dicts
@@ -44,16 +43,27 @@ class Lagrangian:
     gradient maps each field-jet indeterminate of the density to its
     partial, the only partials that the Euler-Lagrange operator, Noether
     currents and Lie derivatives read; it is built once and shared by every
-    operator on L."""
+    operator on L.  jet_partials indexes the partials in the first-order
+    jets i_lam by their order-0 coordinate i, as (lam, partial) pairs: the
+    same Polys, so the operators that read partial^lam_i visit only those
+    that the density has."""
 
     def __init__(self, ctx: JetContext, density: Poly):
         grad = density.gradient(is_field_jet)
-        for v in grad:
-            if len(multi_index(v)) > 1:
+        jet_partials: dict = {}
+        for v, p in grad.items():
+            D = multi_index(v)
+            if not D:
+                continue
+            if len(D) > 1:
                 raise JetvarError(f"Lagrangian is not first-order: {indet_str(v)}")
+            # v = (..., 1, lam) ends in its multi-index (see indets), so i
+            # is (..., 0)
+            jet_partials.setdefault((*v[:-2], 0), []).append((D[0], p))
         self.ctx = ctx
         self.density = density
         self.gradient = grad
+        self.jet_partials = jet_partials
         self._el = None   # euler_lagrange(self), built by _el_into
 
     @classmethod
@@ -76,16 +86,17 @@ class Lagrangian:
 def euler_lagrange(L: Lagrangian) -> dict:
     """delta_i = partial_i - d_lam partial^lam_i applied to the density.
 
-    Returns a dict over order-0 field coordinates; values live on J2."""
+    Returns a dict over every order-0 field coordinate, in field_coords
+    order (a zero component included); values live on J2."""
     ctx = L.ctx
     grad = L.gradient
+    jet_partials = L.jet_partials
     out = {}
     for i in ctx.field_coords(0):
-        comp = dict(grad[i].terms) if i in grad else {}
-        for lam in range(ctx.n):
-            dldj = grad.get(with_extra_deriv(i, lam))
-            if dldj:
-                total_derivative_into(comp, dldj, lam, ctx, -1)
+        p = grad.get(i)
+        comp = dict(p.terms) if p else {}
+        for lam, dldj in jet_partials.get(i, ()):
+            total_derivative_into(comp, dldj, lam, ctx, -1)
         out[i] = Poly(comp)
     return out
 
@@ -93,27 +104,23 @@ def euler_lagrange(L: Lagrangian) -> dict:
 def poincare_cartan(L: Lagrangian) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
     ctx = L.ctx
-    grad = L.gradient
     acc = add_into({}, L.form())
-    for i in ctx.field_coords(0):
-        for lam in range(ctx.n):
-            dldj = grad.get(with_extra_deriv(i, lam))
-            if dldj:
-                wedge_into(acc, contact_form(i, ctx), ctx.omega_lambda(lam, dldj))
+    for i, partials in L.jet_partials.items():
+        theta = contact_form(i, ctx)
+        for lam, dldj in partials:
+            wedge_into(acc, theta, ctx.omega_lambda(lam, dldj))
     return _wrap(ctx, ctx.n, acc)
 
 
 def _noether_into(acc: dict, L: Lagrangian, u: dict, c=1) -> dict:
     """Add c * J_u (see noether_current) into the accumulator acc."""
     ctx = L.ctx
-    grad = L.gradient
-    for lam in range(ctx.n):
-        s = acc.setdefault(ctx.omega_key(lam), {})
-        w = -c if lam % 2 else c
-        for i, ui in u.items():
-            dldj = grad.get(with_extra_deriv(i, lam))
-            if dldj:
-                mul_dicts(ui.terms, dldj.terms, s, w)
+    jet_partials = L.jet_partials
+    for i, ui in u.items():
+        for lam, dldj in jet_partials.get(i, ()):
+            mul_dicts(ui.terms, dldj.terms,
+                      acc.setdefault(ctx.omega_key(lam), {}),
+                      -c if lam % 2 else c)
     return acc
 
 

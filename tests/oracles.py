@@ -9,20 +9,24 @@ is the t-integrand route of the fiber homotopy (the interpolated curvature
 as one t-polynomial, each coefficient integrated term by term), the oracle
 of the library's closed-form t-integral.  Prolongation takes one total
 derivative at a time here, where the library takes all n of a component in
-one chain-rule walk.  The form oracles below sum Poly coefficients one `+`
-at a time, key by key, where the library sums raw term dicts in place.  The
-pullback of forms along a substitution lives here only: the library builds
-P(F_B) and the fiber homotopy in closed form, and the last section builds
-sigma by the pullback route of the fiberwise scaling homotopy, against which
-the closed-form descent route of the library is tested.  The section after
-it runs sigma and the conservation law on the whole gauge generator at once,
+one chain-rule walk, and the Euler-Lagrange operator, the Poincare-Cartan
+form and Noether currents probe every (coordinate, direction) pair for a
+first-order partial, where the library visits the partials the density
+has.  The form oracles below sum Poly coefficients one `+` at a time, key
+by key, where the library sums raw term dicts in place.  The pullback of
+forms along a substitution lives here only: the library builds P(F_B) and
+the fiber homotopy in closed form, and the last section builds sigma by
+the pullback route of the fiberwise scaling homotopy, against which the
+closed-form descent route of the library is tested.  The section after it
+runs sigma and the conservation law on the whole gauge generator at once,
 where the library runs them one gauge component at a time.  The dense
-algebra loops near the end run over every index, where the library sums over
-nonzero structure constants and nonzero tensor entries only and builds
+algebra loops near the end run over every index, where the library sums
+over nonzero structure constants and nonzero tensor entries only and builds
 per-index forms only at the indices of the invariant tensor.  The last
-section holds random forms and the hand-expanded 3D displays of the CS
-density, its Lie derivative and its Noether current, which only the tests
-compare against.
+section holds random polynomials built by Poly arithmetic (the library
+builds the same ones as term dicts), random forms and the hand-expanded 3D
+displays of the CS density, its Lie derivative and its Noether current,
+which only the tests compare against.
 """
 
 from bisect import bisect_left
@@ -41,10 +45,10 @@ from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
                           wedge_into)
 from jetvar.indets import (T, conn, gauge, indet_str, matter, with_extra_deriv,
                            x)
-from jetvar.jets import (horizontal_differential, horizontal_projection,
-                         total_derivative)
+from jetvar.jets import (contact_form, horizontal_differential,
+                         horizontal_projection, total_derivative)
 from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial, div_dict
-from jetvar.random_inputs import _pool, random_poly
+from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
 from jetvar.variational import Lagrangian, conservation_check
 
@@ -341,6 +345,58 @@ def prolong(u: dict, ctx) -> dict:
             if comp:
                 out[with_extra_deriv(c, lam)] = comp
     return out
+
+
+# -- first-variational operators that probe every (coordinate, lam) pair ---
+#
+# The library indexes a Lagrangian's first-order partials by their order-0
+# coordinate and visits only those the density has; these look up the
+# partial in i_lam for every order-0 coordinate i and every lam.
+
+
+def euler_lagrange(L) -> dict:
+    """delta_i = partial_i - d_lam partial^lam_i over every order-0 field
+    coordinate, in field_coords order."""
+    ctx = L.ctx
+    grad = L.gradient
+    out = {}
+    for i in ctx.field_coords(0):
+        comp = grad.get(i, Poly.zero())
+        for lam in range(ctx.n):
+            dldj = grad.get(with_extra_deriv(i, lam))
+            if dldj:
+                comp = comp - total_derivative(dldj, lam, ctx)
+        out[i] = comp
+    return out
+
+
+def poincare_cartan(L) -> Form:
+    """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
+    ctx = L.ctx
+    grad = L.gradient
+    out = L.form()
+    for i in ctx.field_coords(0):
+        for lam in range(ctx.n):
+            dldj = grad.get(with_extra_deriv(i, lam))
+            if dldj:
+                out = add_forms(out, wedge(contact_form(i, ctx),
+                                           ctx.omega_lambda(lam, dldj)))
+    return out
+
+
+def noether_current(L, u: dict) -> Form:
+    """J = J^lam omega_lam, J^lam = u^i partial^lam_i(density)."""
+    ctx = L.ctx
+    grad = L.gradient
+    comps = []
+    for lam in range(ctx.n):
+        s = Poly.zero()
+        for i, ui in u.items():
+            dldj = grad.get(with_extra_deriv(i, lam))
+            if dldj:
+                s = s + ui * dldj
+        comps.append(s)
+    return ctx.current_form(comps)
 
 
 # -- forms, summed one Poly at a time ------------------------------------
@@ -705,6 +761,27 @@ def curvature(cs, linear: list, ones: list) -> list:
 
 
 # -- random forms and the 3D displays --------------------------------------
+
+
+def random_coeff(rng) -> Fraction:
+    num = rng.randint(-6, 6)
+    if num == 0:
+        num = 1
+    return Fraction(num, rng.randint(1, 4))
+
+
+def random_poly(pool: list, rng, max_monomials: int = 3,
+                max_exp: int = 2) -> Poly:
+    """The random polynomial of random_inputs.random_poly, built by Poly
+    arithmetic one factor and one term at a time."""
+    out = Poly.zero()
+    for _ in range(rng.randint(1, max_monomials)):
+        term = Poly.const(random_coeff(rng))
+        for _ in range(rng.randint(0, 2)):
+            v = rng.choice(pool)
+            term = term * Poly.var(v, rng.randint(1, max_exp))
+        out = out + term
+    return out
 
 
 def random_form(ctx, degree: int, rng, max_summands: int = 3,

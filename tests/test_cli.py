@@ -78,6 +78,11 @@ GOLDEN_CASES = [
      1),
     ("check_algebra_su2_unit.txt", ["check-algebra", "--config",
                                     str(TEST_CONFIGS / "su2_unit.json")], 1),
+    # the self-test's random instances: a changed generator or operator
+    # that checks other instances shows here
+    ("first_variational_selftest_seed7.txt", [
+        "first-variational-selftest", "--seed", "7", "--config",
+        str(CONFIGS / "selftest.json")], 0),
 ]
 
 
@@ -496,6 +501,23 @@ def test_selftest_rejects_model_keys(capsys, tmp_path):
                                  "algebra": "nope"})
     assert code == 2
     assert "takes no model key: 'algebra', 'k'" in err
+    assert out == ""
+
+
+MODEL_COMMANDS = ["check-algebra", "transgression", "euler-lagrange",
+                  "noether", "verify-conservation"]
+
+
+@pytest.mark.parametrize("key,value", [("selftest_instances", 5),
+                                       ("dimensions", [1, 2])])
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_model_commands_reject_selftest_keys(capsys, tmp_path, command, key,
+                                             value):
+    # a known key the model subcommand would ignore is an error too
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": "u1", "invariant": "unit", "k": 2, key: value})
+    assert code == 2
+    assert f"{command} takes no self-test key: {key!r}" in err
     assert out == ""
 
 

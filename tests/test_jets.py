@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetvar import jets, polynomial
 from jetvar.algebra import builtin_algebra, builtin_invariant
 from jetvar.chern_simons import CSData
 from jetvar.errors import JetvarError, TermLimitExceeded
@@ -371,6 +372,31 @@ def test_prolongation_equals_the_per_lambda_oracle(n, matter_dim, seed):
     u[last] = u.get(last, Poly.zero()) + Poly.var(symbol, 2) * Q(-3, 2)
     got, want = prolong(u, ctx), oracles.prolong(u, ctx)
     assert got == want and list(got) == list(want)
+
+
+def _is_interned(v):
+    return polynomial._INDETS[polynomial._IDS[v]] is v
+
+
+def test_image_memos_hold_the_interned_tuples(rng):
+    # the d and d_H images, and the first-order keys of a prolongation that
+    # come from them, are the tuples of the intern table, not equal copies
+    ctx = JetContext(3, 2, matter_dim=1)
+    image = jets._horizontal_image(ctx)
+    for v in (x(1), conn(1, 2), matter(0, (1,)), bg(0, 1), gauge(1, (2,))):
+        for g, lift in image(v):
+            assert _is_interned(g)
+            assert lift is None or _is_interned(lift)
+    u = random_vertical_field(ctx, rng)
+    assert all(_is_interned(c) for c in prolong(u, ctx) if multi_index(c))
+    exterior_d(Form.from_poly(ctx, Poly.var(bg(0, 1)) * Poly.var(gauge(1))
+                              * Poly.var(conn(0, 2))))
+    d_images = jets._IMAGE_TABLES[("d", ctx)].values()
+    assert {len(img) for img in d_images} == {1, 3}
+    for img in d_images:
+        for g, lift in img:
+            assert _is_interned(g)
+            assert lift is None or _is_interned(lift)
 
 
 def test_prolongation_is_linear(rng):

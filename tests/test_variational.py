@@ -9,6 +9,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetvar import chern_simons, cli, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
@@ -24,7 +26,8 @@ from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
                          horizontal_projection, total_derivative)
 from jetvar.polynomial import Poly, Q
-from jetvar.random_inputs import random_density, random_vertical_field
+from jetvar.random_inputs import (_pool, random_density, random_poly,
+                                  random_vertical_field)
 from jetvar.variational import (Lagrangian, conservation_check,
                                 euler_lagrange, first_variational_check,
                                 invariant_sector, lie_derivative_lagrangian,
@@ -150,6 +153,28 @@ def test_noether_current_example():
     assert J[1] == Poly.var(matter(0)) * Poly.var(matter(0, (0,)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 2), st.integers(0, 1),
+       st.integers(0, 2**32), st.data())
+def test_first_order_operators_match_the_probing_oracles(n, gauge_dim,
+                                                         matter_dim, seed,
+                                                         data):
+    # the library visits the first-order partials the density has; the
+    # oracles probe every (coordinate, lam) pair.  u leaves at least one
+    # coordinate out.
+    ctx = JetContext(n, gauge_dim, matter_dim)
+    rng = random.Random(seed)
+    L = Lagrangian(ctx, random_poly(_pool(ctx, 1), rng, max_monomials=8))
+    coords = ctx.field_coords(0)
+    kept = data.draw(st.lists(st.sampled_from(coords), unique=True,
+                              max_size=len(coords) - 1))
+    u = {c: random_poly(_pool(ctx, 0), rng, max_monomials=2) for c in kept}
+    el, want = euler_lagrange(L), oracles.euler_lagrange(L)
+    assert el == want and list(el) == list(want) == coords
+    assert noether_current(L, u) == oracles.noether_current(L, u)
+    assert poincare_cartan(L) == oracles.poincare_cartan(L)
+
+
 def test_first_variational_formula_on_random_instances():
     rng = random.Random(13)
     ctxs = [JetContext(n, 2, matter_dim=1) for n in (1, 2, 3)]
@@ -180,7 +205,6 @@ def test_first_variational_detects_a_broken_boundary_term():
 def test_variational_triviality_of_horizontal_projections_of_exact_forms():
     # delta(h0(d eta)) = 0: exact n-forms have empty field equations
     rng = random.Random(15)
-    from jetvar.random_inputs import random_poly
     pool0 = [x(lam) for lam in range(CTX2.n)] + CTX2.field_coords(0)
     for _ in range(6):
         # order-0 coefficients keep h0(d eta) first-order
