@@ -1,5 +1,18 @@
 """Canonical curvature, characteristic forms, the transgression form with a
-background section, and the resulting first-order Lagrangian."""
+background section, and the resulting first-order Lagrangian.
+
+Every form built from a CSData is held scale times its value, for the int
+cs.scale = N: P(F), P(F_B), S, dS, the descent primitive psi, the homotopy
+eta, and downstream (see variational) sigma, L, J, the Euler-Lagrange
+components and every residual.  Each is linear in the invariant
+polynomial, so it is zero exactly when N times it is, with the same terms.
+N is the least common denominator of h * b times lcm(1, ..., 2k-1), which
+makes every weight of a slot sum an int, so nothing here divides: a rational
+h or tensor costs what an integral one does.  N depends only on h * b and
+k, so the two backgrounds of one model share it.  Outside data mixed with
+these forms is scaled by N, and only printed coefficients are divided by N
+(Poly.render's den).
+"""
 
 from __future__ import annotations
 
@@ -48,8 +61,10 @@ class CSData:
         self.h = Q(h)
         self.invariant = invariant   # as given, before the scaling by h
         self.b = invariant.scaled(self.h)
-        # the least common denominator of the values of b
-        self.den = lcm(*(v.denominator for v in self.b.entries.values()))
+        # the int N that every form built from this model is N times its
+        # value (see the module docstring)
+        self.scale = (lcm(*(v.denominator for v in self.b.entries.values()))
+                      * _beta_scale(k))
         self.invariance_residual = check_invariant_tensor(algebra, invariant)
         self.ctx = JetContext(self.n, algebra.dim, matter_dim)
         # the algebra indices that occur in b: a slot contraction reads the
@@ -136,11 +151,13 @@ def _leads(cs: CSData, j: int) -> dict:
     r -> the sorted (lead, [(rest, weight), ...]) pairs whose lead starts
     with r.  Each distinct ordering of j of an entry's indices is a lead,
     the remaining indices are the multiset of curvature slots, and weight is
-    cs.den times the entry: an int."""
+    the entry times cs.scale / lcm(1, ..., 2k-1), the tensor's least common
+    denominator: an int."""
     def build():
+        den = cs.scale // _beta_scale(cs.k)
         by_lead: dict = {}
         for idx, bval in cs.b.entries.items():
-            weight = (bval * cs.den).numerator
+            weight = (bval * den).numerator
             for lead in set(permutations(idx, j)):
                 rest = list(idx)
                 for r in lead:
@@ -160,25 +177,35 @@ def _t_free(curv: dict) -> dict:
     return {r: ((0, 0, f),) for r, f in curv.items()}
 
 
-def _beta_weights(pieces: dict, slots: int) -> tuple:
-    """(N, weights): weights[A, B] = N * A! B! / (A+B+1)!, which is N times
-    the integral of t^A (1-t)^B over [0, 1], at each (A, B) that the picks
-    of slots pieces can sum to.  That integral is 1 / ((A+B+1) C(A+B, A)),
-    and N is the lcm of these denominators, so every weight is an int; for
-    pieces in powers of t alone N is lcm(1, ..., P+1) for the highest power
-    P."""
+def _beta_scale(k: int) -> int:
+    """lcm(1, ..., 2k-1), the factor of a model's scale that makes its Beta
+    weights ints (see _beta_weights)."""
+    return lcm(*range(1, 2 * k))
+
+
+def _beta_weights(pieces: dict, slots: int, k: int) -> dict:
+    """weights[A, B] = M * A! B! / (A+B+1)! for M = _beta_scale(k), which
+    is M times the integral of t^A (1-t)^B over [0, 1], at each (A, B) that
+    the picks of slots pieces can sum to.  That integral is
+    1 / ((A+B+1) C(A+B, A)), and (n+1) times the lcm of the binomials
+    C(n, .) is lcm(1, ..., n+1), so the weight is an int whenever
+    A+B+1 <= 2k-1: a piece is at most quadratic in t, and a slot sum of
+    the model has at most k-1 curvature slots."""
     steps = {(alpha, beta) for choices in pieces.values()
              for alpha, beta, _ in choices}
     sums = {(0, 0)}
     for _ in range(slots):
         sums = {(A + alpha, B + beta) for A, B in sums for alpha, beta in steps}
-    dens = {(A, B): (A + B + 1) * comb(A + B, A) for A, B in sums}
-    N = lcm(*dens.values())
-    return N, {AB: N // den for AB, den in dens.items()}
+    M = _beta_scale(k)
+    weights = {}
+    for A, B in sums:
+        weights[A, B], r = divmod(M, (A + B + 1) * comb(A + B, A))
+        assert r == 0, f"the Beta weight of t^{A} (1-t)^{B} is not an int"
+    return weights
 
 
 def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
-    """(acc, den, degree): den times the slot contraction below, as an
+    """(acc, degree): cs.scale times the slot contraction below, as an
     accumulator (see forms), and its degree, for the curvature
     F^r(t) = sum t^alpha (1-t)^beta form over the pieces (alpha, beta, form)
     of pieces[r], integrated over t in [0, 1]; a curvature that does not
@@ -188,14 +215,15 @@ def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
     t^A (1-t)^B of the product.  In a run of equal curvature indices the
     2-forms commute, so there the picks are taken in nondecreasing order and
     counted by the multinomial of the (index, pick) pairs.  Each product is
-    added with the int weight N A! B! / (A+B+1)! of _beta_weights, and
-    den = N * cs.den, so the kernel multiplies ints only.  Only the leads of
+    added with the int weight M A! B! / (A+B+1)! of _beta_weights times the
+    int weight of its lead (see _leads), whose product is cs.scale times the
+    real weight, so the kernel multiplies ints only.  Only the leads of
     the nonzero entries of b whose first index heads[0] holds are walked, so
     a sparse first head costs only its own leads.  The head of each lead is
     wedged once, a wedge prefix is shared by the picks that extend it, and
     the last curvature factor of each term is wedged straight into acc."""
     index = _leads(cs, len(heads))
-    N, weights = _beta_weights(pieces, cs.k - len(heads))
+    weights = _beta_weights(pieces, cs.k - len(heads), cs.k)
     acc: dict = {}
 
     def walk(term: Form, rest: tuple, picks: tuple, A: int, B: int,
@@ -231,35 +259,38 @@ def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
                 if rest:
                     walk(head, rest, (), 0, 0, weight)
                 else:
-                    add_into(acc, head, weight)
+                    add_into(acc, head, weight * weights[0, 0])
+    # walk refers to itself through its closure: clear it, so that the
+    # cycle does not keep acc alive until a cyclic collection
+    walk = None
     # the forms of one head share a degree; an empty head adds nothing, and
     # counts as degree 0
     degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
-    return acc, N * cs.den, degree + 2 * (cs.k - len(heads))
+    return acc, degree + 2 * (cs.k - len(heads))
 
 
 def _slot_contraction(cs: CSData, heads: list, pieces: dict) -> Form:
     """The integral over t in [0, 1] of b_{r1..rk} heads[0]^{r1} ^ ... ^
     heads[j-1]^{rj} ^ F^{r(j+1)}(t) ^ ... ^ F^{rk}(t), summed over ordered
     tuples, for F^r(t) = sum t^alpha (1-t)^beta form over the pieces of
-    pieces[r]: each head maps an algebra index to a form, an index a head
-    lacks adds nothing, and pieces holds every index of b.  The even
-    curvature slots commute and are enumerated as multisets with
+    pieces[r], times cs.scale: each head maps an algebra index to a form,
+    an index a head lacks adds nothing, and pieces holds every index of b.
+    The even curvature slots commute and are enumerated as multisets with
     multinomial weights (see _slot_sum)."""
-    acc, den, degree = _slot_sum(cs, heads, pieces)
-    return _wrap(cs.ctx, degree, acc, den)
+    acc, degree = _slot_sum(cs, heads, pieces)
+    return _wrap(cs.ctx, degree, acc)
 
 
 def characteristic_form(cs: CSData) -> Form:
-    """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}; closed and gauge-invariant
-    when b is ad-invariant."""
+    """P_2k(F) = b_{r1..rk} F^{r1} ^ ... ^ F^{rk}, times cs.scale; closed and
+    gauge-invariant when b is ad-invariant."""
     F = _F(cs)
     return _slot_contraction(cs, [F], _t_free(F))
 
 
 def characteristic_at_B(cs: CSData) -> Form:
     """P_2k(F_B), the characteristic form pulled back along the background
-    section.  Pull-back commutes with wedge and d and takes F^r to F_B^r
+    section, times cs.scale.  Pull-back commutes with wedge and d and takes F^r to F_B^r
     (naturality of characteristic forms), so this is the slot contraction
     of the background curvature."""
     FB = _FB(cs)
@@ -313,7 +344,7 @@ def _a_minus_B(cs: CSData, j: int) -> dict:
 def homotopy(cs: CSData, heads: list = ()) -> Form:
     """(k-j) * integral over t in [0,1] of b_{r1..rk} heads^{r1} ^ ... ^
     heads^{rj} ^ (a-B)^{r(j+1)} ^ F^{r(j+2)}(t) ^ ... ^ F^{rk}(t), with F(t)
-    the curvature of ta + (1-t)B.
+    the curvature of ta + (1-t)B, times cs.scale.
 
     This is the fiber homotopy H centred at a = B, the pullback along
     a -> ta + (1-t)B contracted by d/dt and integrated, applied to
@@ -330,7 +361,8 @@ def homotopy(cs: CSData, heads: list = ()) -> Form:
 
 
 def cs_form(cs: CSData) -> Form:
-    """S_{2k-1}(B), the transgression form, in order-0 jet coordinates."""
+    """S_{2k-1}(B), the transgression form, in order-0 jet coordinates,
+    times cs.scale."""
     return homotopy(cs)
 
 
@@ -345,8 +377,8 @@ def _dS(cs: CSData) -> Form:
 
 
 def cs_lagrangian(cs: CSData) -> Form:
-    """Horizontal projection of the CS form: the Lagrangian density form on J1.
-    It reads S from cs when cs already holds it, and otherwise builds S for
+    """Horizontal projection of the CS form: the Lagrangian density form on
+    J1, times cs.scale.  It reads S from cs when cs already holds it, and otherwise builds S for
     this call alone, so a command that never reads S again does not keep it
     while L, its gradient and its Euler-Lagrange components are built."""
     S = cs._shared.get(("S",))

@@ -1,11 +1,16 @@
 """Command-line front end: config parsing, dispatch, deterministic output.
 
 stdout carries only the verification text (byte-deterministic for a fixed
-config and seed); timings and diagnostics go to stderr.  Exit codes:
-0 all checks pass, 1 a verification failed, 2 configuration or usage error,
-3 term-expansion cap exceeded (env JETVAR_MAX_TERMS, read once per run
-before the subcommand; a malformed cap exits 2), 141 (128 + SIGPIPE, as
-a shell reports a process that SIGPIPE ended) stdout was closed before
+config and seed); timings and diagnostics go to stderr.  Every check runs on
+integral multiples of its inputs: a model's forms are cs.scale times their
+values (see chern_simons), and the self-test checks N_L L along M u for the
+least common denominators N_L of the density and M of the field.  A
+coefficient is divided by that scale only where it is printed or dumped.
+
+Exit codes: 0 all checks pass, 1 a verification failed, 2 configuration or
+usage error, 3 term-expansion cap exceeded (env JETVAR_MAX_TERMS, read once
+per run before the subcommand; a malformed cap exits 2), 141 (128 + SIGPIPE,
+as a shell reports a process that SIGPIPE ended) stdout was closed before
 the output was written, as by `| head`: no verdict.
 """
 
@@ -31,7 +36,7 @@ from .errors import (AntisymmetryViolation, ConfigError, JacobiViolation,
 from .forms import Form, _wrap, add_into, exterior_d_into, is_empty
 from .indets import indet_str
 from .jets import JetContext, horizontal_differential_into
-from .polynomial import Poly, max_terms, set_max_terms
+from .polynomial import Poly, integral_multiple, max_terms, set_max_terms
 from .random_inputs import random_density, random_vertical_field
 from .variational import (Lagrangian, _lagrangian, euler_lagrange,
                           first_variational_check, lie_derivative_lagrangian,
@@ -236,21 +241,25 @@ def note(line: str):
     print(line, file=sys.stderr)
 
 
-def show_poly(label: str, p: Poly, dump: Dump):
+def show_poly(label: str, p: Poly, dump: Dump, den: int = 1):
+    """Print p / den, truncated, and dump it whole."""
     n = p.term_count()
     if n > TRUNCATE_AT:
-        emit(f"{label} = {p.render(TRUNCATE_AT)} + ... ({n - TRUNCATE_AT} more "
+        emit(f"{label} = {p.render(TRUNCATE_AT, den=den)} + ... "
+             f"({n - TRUNCATE_AT} more "
              f"terms{'' if dump.fh else '; pass --dump for the full expression'})")
     else:
-        emit(f"{label} = {p}")
+        emit(f"{label} = {p.render(den=den)}")
     if dump.fh:
-        dump.write(label, str(p))
+        dump.write(label, p.render(den=den))
 
 
-def show_form(label: str, a: Form, dump: Dump):
+def show_form(label: str, a: Form, dump: Dump, den: int = 1):
+    """Print a / den, truncated, and dump it whole."""
     n = a.term_count()
     # without --dump a truncated form is rendered only as far as it is printed
-    text = a.render(PREVIEW_CHARS) if n > TRUNCATE_AT and not dump.fh else str(a)
+    text = a.render(PREVIEW_CHARS if n > TRUNCATE_AT and not dump.fh else None,
+                    den)
     if n > TRUNCATE_AT:
         emit(f"{label}: {n} terms (truncated"
              f"{'' if dump.fh else '; pass --dump for the full expression'})")
@@ -327,7 +336,7 @@ def cmd_transgression(args, dump: Dump) -> int:
     ok = report_line("d(transgression form) = P(F) - P(F_B)", residual.is_zero(),
                      P.is_zero() and PB.is_zero())
     if not residual.is_zero():
-        show_form("residual", residual, dump)
+        show_form("residual", residual, dump, cs.scale)
     inv_ok = report_line("invariant tensor ad-invariance",
                          not cs.invariance_residual, not cs.invariant.entries)
     note(f"transgression check: {elapsed:.2f}s")
@@ -341,21 +350,24 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
         return 1
     t0 = time.perf_counter()
     el = euler_lagrange(_lagrangian(cs))
+    scale = cs.scale
     del cs   # frees the model data that cs holds before cs0 builds its own
     for i in sorted(el):
-        show_poly(f"delta L / delta {indet_str(i)}", el[i], dump)
+        show_poly(f"delta L / delta {indet_str(i)}", el[i], dump, scale)
     ok = True
     if args.compare_background:
         cfg0 = dict(cfg)
         cfg0["background"] = "zero"
         cs0, _ = build_model(cfg0)
+        # the scale depends on h * b and k alone, so both sides share it
         el0 = euler_lagrange(_lagrangian(cs0))
         diff_zero = True
         for i in sorted(el):
             d = el[i] - el0[i]
             if d:
                 diff_zero = False
-                show_poly(f"background difference at {indet_str(i)}", d, dump)
+                show_poly(f"background difference at {indet_str(i)}", d, dump,
+                          scale)
         ok = report_line("Euler-Lagrange operator is background-independent",
                          diff_zero, not any(el.values()))
     note(f"euler-lagrange: {time.perf_counter() - t0:.2f}s")
@@ -372,40 +384,44 @@ def cmd_noether(args, dump: Dump) -> int:
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     J = noether_current(L, xi_C)
     for lam, comp in enumerate(cs.ctx.current_components(J)):
-        show_poly(f"J^{lam}", comp, dump)
+        show_poly(f"J^{lam}", comp, dump, cs.scale)
     lie = lie_derivative_lagrangian(L, xi_C)
-    show_form("Lie derivative of the Lagrangian", lie, dump)
+    show_form("Lie derivative of the Lagrangian", lie, dump, cs.scale)
     note(f"noether: {time.perf_counter() - t0:.2f}s")
     return 0
 
 
 def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
     """Term-by-term comparison of the k=2 Killing-tensor current against the
-    hand-expanded display, reporting the convention difference in closed form."""
+    hand-expanded display, reporting the convention difference in closed form.
+    modified is cs.scale times its value, and both displays are linear in h,
+    so they are built at cs.scale h and each difference printed divided by
+    cs.scale."""
     from .reference3d import (current_discrepancy_primitive,
                               modified_current_components_3d)
     ctx = cs.ctx
+    scale = cs.scale
     got = ctx.current_components(modified)
-    want = modified_current_components_3d(cs.algebra, cs.h)
+    want = modified_current_components_3d(cs.algebra, cs.h * scale)
     all_match = True
     for lam in range(3):
         d = got[lam] - want[lam]
         if d:
             all_match = False
             show_poly(f"difference from the displayed current at component {lam}",
-                      d, dump)
+                      d, dump, scale)
     if all_match:
         report_line("modified current matches the displayed 3D formula "
                     "term-by-term", True, not any(want))
         return True
-    prim = current_discrepancy_primitive(cs.algebra, cs.h, ctx)
+    prim = current_discrepancy_primitive(cs.algebra, cs.h * scale, ctx)
     # modified - want - d_H prim, in one accumulator
     acc = add_into(add_into({}, modified), ctx.current_form(want), -1)
     exact = is_empty(horizontal_differential_into(acc, prim, -1))
     report_line("difference from the displayed current is d_H-exact", exact)
     if exact:
         emit("closed-form difference: d_H of")
-        show_form("primitive", prim, dump)
+        show_form("primitive", prim, dump, scale)
         emit("(a homotopy-convention shift; both currents obey the "
              "conservation law)")
     return exact
@@ -422,12 +438,12 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
                      report.vacuous)
     if not report.passed:
         residual = report.residual
-        text = str(residual) if dump.fh else residual.render(PREVIEW_CHARS)
+        text = residual.render(None if dump.fh else PREVIEW_CHARS, cs.scale)
         emit(f"residual ({residual.term_count()} terms):")
         emit("  " + text[:PREVIEW_CHARS])
         dump.write("residual", text)
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
-        show_poly(f"modified current component {lam}", comp, dump)
+        show_poly(f"modified current component {lam}", comp, dump, cs.scale)
     if cs.k == 2 and inv_name == "killing":
         ok &= _display_diff_3d(cs, modified, dump)
     note(f"verify-conservation: {time.perf_counter() - t0:.2f}s, "
@@ -460,13 +476,18 @@ def cmd_selftest(args, dump: Dump) -> int:
     for i in range(instances):
         n = dims[i % len(dims)]
         ctx = ctxs[n]
-        L = Lagrangian(ctx, random_density(ctx, rng))
+        # the residual is bilinear in the density and the whole field, so
+        # it is checked on N_L density and M u, and divided by N_L M to print
+        N_L, (density,) = integral_multiple([random_density(ctx, rng)])
         u = random_vertical_field(ctx, rng)
-        rep = first_variational_check(L, u)
+        M, comps = integral_multiple(u.values())
+        rep = first_variational_check(Lagrangian(ctx, density),
+                                      dict(zip(u, comps)))
         per_n[n] += 1
         if not rep.passed:
             failures += 1
-            emit(f"[FAIL] instance {i} (n={n}): residual {rep.residual}")
+            emit(f"[FAIL] instance {i} (n={n}): residual "
+                 f"{rep.residual.render(den=N_L * M)}")
     for n in dims:
         emit(f"n={n}: {per_n[n]} instances")
     report_line(f"first variational formula on {instances} random instances "

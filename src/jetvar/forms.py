@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import (Poly, _interned, add_dicts, chain_rule, div_dict,
-                         mul_dicts)
+from .polynomial import Poly, _interned, add_dicts, chain_rule, mul_dicts
 
 __all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
            "map_generators", "linear_combination", "add_into", "wedge_into",
@@ -124,15 +123,16 @@ class Form:
     def coefficient(self, dcs: tuple) -> Poly:
         return self.terms.get(tuple(dcs), Poly.zero())
 
-    def render(self, width: int | None = None) -> str:
+    def render(self, width: int | None = None, den: int = 1) -> str:
         """str(self); with width, its first width characters, of which only
-        the terms that reach into them are rendered."""
+        the terms that reach into them are rendered.  Each printed
+        coefficient is divided by the int den >= 1 (see Poly.render)."""
         parts = []
         size = -3   # the length of " + ".join(parts)
         for dcs in sorted(self.terms):
             # the text of p starts after a separator and "("
             p = self.terms[dcs].render(
-                width=None if width is None else width - size - 4)
+                width=None if width is None else width - size - 4, den=den)
             if dcs:
                 gens = "∧".join("d" + indet_str(c) for c in dcs)
                 parts.append(f"({p}) {gens}")
@@ -150,14 +150,10 @@ class Form:
         return f"Form(deg={self.degree}, {self})"
 
 
-def _wrap(ctx, degree: int, raw: dict, den: int = 1) -> Form:
-    """The form whose coefficients are the raw term dicts raw[key] divided
-    by the int den; empty dicts are dropped.  Each coefficient holds a copy
-    sized to its terms, so the hash-table slack a dict keeps after sums that
-    cancel is freed."""
-    if den != 1:
-        return Form(ctx, degree, {key: Poly(div_dict(t, den))
-                                  for key, t in raw.items() if t})
+def _wrap(ctx, degree: int, raw: dict) -> Form:
+    """The form whose coefficients are the raw term dicts raw[key]; empty
+    dicts are dropped.  Each coefficient holds a copy sized to its terms, so
+    the hash-table slack a dict keeps after sums that cancel is freed."""
     return Form(ctx, degree, {key: Poly(dict(t)) for key, t in raw.items() if t})
 
 

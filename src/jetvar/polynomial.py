@@ -13,21 +13,24 @@ Ids come from one process-wide intern table; an indeterminate gets the next
 id on first use and keeps it for the life of the process, and t is interned
 first, so id 0 is t.  Canonical form is therefore unique by construction:
 equal expressions have equal dicts.  Id order is intern order, not the
-natural tuple order of indets.py, so only decode_monomial() turns a monomial
-back into (indeterminate, exponent) pairs in that order, and encode_terms()
-builds raw term dicts from such pairs.
+natural tuple order of indets.py, so decode_monomial() turns a monomial
+back into (indeterminate, exponent) pairs in that order (render decodes its
+own sort keys), and encode_terms() builds raw term dicts from such pairs.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
 tuple comparison of the decoded pairs.  It does not depend on intern order;
 the exact text format is frozen by golden tests.
 
-The term-expansion kernel (add_dicts, mul_dicts, chain_rule, div_dict) works
-on those raw dicts directly; zero coefficients are never stored.  A product of
+The term-expansion kernel (add_dicts, mul_dicts, chain_rule) works on those
+raw dicts directly; zero coefficients are never stored.  A product of
 monomials is one sort of their concatenation, so no exponent is ever added
 field by field.  A lifted chain-rule term is the monomial with one copy of v
 replaced by its lift and sorted once: the e - 1 copies of v that stay next
 to the lift make it e * v^(e-1) * lift.  A sum or product of two ints is an
 int, so only a value that came out as a Fraction goes through _exact().
+Nothing in the kernel divides: a caller that wants int arithmetic throughout
+scales its inputs by a common denominator N, and divides by N only the
+coefficients it prints (Poly.render's den).
 
 The kernel sums in place: add_dicts, mul_dicts and chain_rule add their
 result into a term dict the caller owns and passes in, so a long sum is built
@@ -44,6 +47,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from heapq import nsmallest
+from math import lcm
 
 from .errors import ConfigError, TermLimitExceeded
 from .indets import T, indet_str
@@ -54,6 +58,7 @@ Q = Fraction
 
 _IDS: dict = {}      # indeterminate -> id
 _INDETS: list = []   # id -> indeterminate
+_NAMES: dict = {}    # id -> indet_str of its indeterminate, once rendered
 
 
 def _intern(v: tuple) -> int:
@@ -229,17 +234,16 @@ def _scaled(terms: dict, c) -> dict:
     return {m: _exact(v * c) for m, v in terms.items()} if c else {}
 
 
-def div_dict(terms: dict, den: int) -> dict:
-    """The term dict terms / den for an int den >= 1; zero values of terms
-    are dropped.  An int value stays an int when den divides it."""
-    out = {}
-    for m, s in terms.items():
-        if s:
-            if type(s) is int:
-                out[m] = Fraction(s, den) if s % den else s // den
-            else:
-                out[m] = _exact(s / den)
-    return out
+def integral_multiple(polys) -> tuple:
+    """(N, scaled): the least common denominator N of the coefficients of
+    the Polys polys, and the list of the Polys N p, whose coefficients are
+    all ints."""
+    polys = list(polys)
+    N = lcm(*{c.denominator for p in polys for c in p.terms.values()
+              if type(c) is not int})
+    if N == 1:
+        return 1, polys
+    return N, [Poly(_scaled(p.terms, N)) for p in polys]
 
 
 def _exact(c):
@@ -361,12 +365,15 @@ class Poly:
 
     # -- serialization ---------------------------------------------------
 
-    def render(self, limit: int | None = None, width: int | None = None) -> str:
+    def render(self, limit: int | None = None, width: int | None = None,
+               den: int = 1) -> str:
         """The text of the first limit terms in serialization order, or of
         every term when limit is None; str(p) is p.render().  With width,
         terms stop once the text reaches width characters: the text is then
         a prefix of the full one, at least width long unless it is all of
-        it."""
+        it.  Each printed coefficient is divided by the int den >= 1, so a
+        Poly held N times its value prints its value with den = N; only the
+        printed terms are divided."""
         if not self.terms:
             return "0"
         shown = list(self.terms)
@@ -381,25 +388,33 @@ class Poly:
             shown = [m for m in shown if len(m) >= least]
         # Sort on ints, not decoded pairs: with the ids ranked in
         # indeterminate order, rank * k + exponent (every exponent < k)
-        # orders as the pair (indeterminate, exponent) does.
+        # orders as the pair (indeterminate, exponent) does, and decodes to
+        # the factors in print order.  Distinct monomials have distinct
+        # keys, so a (key, m) row never compares m.
         k = 1 + max(map(len, shown))
         ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
         rank = {i: r * k for r, i in enumerate(ids)}
-
-        def key(m):
-            return (-len(m), sorted([rank[i] + m.count(i) for i in set(m)]))
-
+        rows = (((-len(m), sorted([rank[i] + m.count(i) for i in set(m)])), m)
+                for m in shown)
         if limit is None or limit >= len(shown):
-            shown.sort(key=key)
+            rows = sorted(rows)
         else:
-            shown = nsmallest(limit, shown, key=key)
+            rows = nsmallest(limit, rows)
+        names = _NAMES
         parts = []
         size = -3   # the length of " + ".join(parts)
-        for m in shown[:limit]:
+        for (_, codes), m in rows:
             c = self.terms[m]
+            if den != 1:
+                c = Fraction(c, den)
             frag = [f"{c.numerator}/{c.denominator}"]
-            for v, e in decode_monomial(m):
-                frag.append(indet_str(v) if e == 1 else f"{indet_str(v)}^{e}")
+            for code in codes:
+                i = ids[code // k]
+                name = names.get(i)
+                if name is None:
+                    name = names[i] = indet_str(_INDETS[i])
+                e = code % k
+                frag.append(name if e == 1 else f"{name}^{e}")
             parts.append("*".join(frag))
             size += len(parts[-1]) + 3
             if width is not None and size >= width:

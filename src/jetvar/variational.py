@@ -2,7 +2,11 @@
 boundary term sigma, and the exact on-shell conservation check.
 
 Every operator works on the jet context of its Lagrangian, L.ctx; a Noether
-current is the horizontal (n-1)-form J^lam omega_lam."""
+current is the horizontal (n-1)-form J^lam omega_lam.  Each operator is
+linear in the Lagrangian and in the field, so its result on N L and M u is
+N M times its result on L and u: the operators on a CS model (sigma, its
+checks, the conservation law) run on the model's forms, held cs.scale times
+their value (see chern_simons), and return cs.scale times theirs."""
 
 from __future__ import annotations
 
@@ -196,8 +200,9 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     residual = contract_into(exterior_d_into({}, psi), xi_C, _dS(cs), -1)
     if not is_empty(residual):
         residual = _wrap(ctx, psi.degree + 1, residual)
-        raise NonzeroResidual(f"{name}: descent residual has "
-                              f"{residual.term_count()} terms: {residual}")
+        raise NonzeroResidual(
+            f"{name}: descent residual has {residual.term_count()} terms: "
+            f"{residual.render(den=cs.scale)}")
     eta = homotopy(cs, [head])
     acc = exterior_d_into(add_into({}, psi), eta, -1)
     degree = psi.degree
@@ -230,7 +235,8 @@ def sigma_boundary_term(cs: CSData, params: list | None = None) -> Form:
     to the background section.  Post-verified: d_H sigma equals the Lie
     derivative of the CS Lagrangian along J1 xi_C, else SigmaMismatch.  S,
     dS, F and the Lagrangian L = h0 S are the model data of cs, built once
-    per CSData and shared with every other call on it.
+    per CSData and shared with every other call on it, and sigma is
+    cs.scale times its value.
 
     Everything here is linear in the gauge parameters, so sigma and both
     checks are run one gauge component at a time (see _components) and the
@@ -275,7 +281,8 @@ def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
     Returns (report, modified, sizes): the components' residuals and
     modified currents J - sigma added into one form each (they share no
     monomial, so nothing cancels), a report that is vacuous iff every
-    component's is, and the term count of each component's sigma."""
+    component's is, and the term count of each component's sigma.  The
+    residual and J - sigma are cs.scale times their values."""
     ctx = cs.ctx
     residual: dict = {}
     current: dict = {}
@@ -298,11 +305,14 @@ def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,
     """Adds a gauge-invariant Lagrangian to the CS one and re-runs the law.
 
     matter_variation maps order-0 matter coordinates to their linear-in-xi
-    variation polynomials.  Raises NotInvariant when L_inv fails invariance
-    under the combined field."""
+    variation polynomials.  sigma, like the CS Lagrangian, is cs.scale times
+    its value, so L_inv is added as cs.scale L_inv, and the report and
+    current are cs.scale times their values.  Raises NotInvariant when L_inv
+    fails invariance under the combined field."""
     u_total = dict(xi_C)
     u_total.update(matter_variation)
     lie_inv = lie_derivative_lagrangian(L_inv, u_total)
     if not lie_inv.is_zero():
         raise NotInvariant(f"L_inv is not gauge-invariant: {lie_inv}")
-    return conservation_check(_lagrangian(cs) + L_inv, u_total, sigma)
+    L = _lagrangian(cs) + Lagrangian(L_inv.ctx, L_inv.density * cs.scale)
+    return conservation_check(L, u_total, sigma)

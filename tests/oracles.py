@@ -27,6 +27,13 @@ section holds random polynomials built by Poly arithmetic (the library
 builds the same ones as term dicts), random forms and the hand-expanded 3D
 displays of the CS density, its Lie derivative and its Noether current,
 which only the tests compare against.
+
+The oracles of a CS model give each form's value, where the library holds
+cs.scale times it (see chern_simons): unscaled() divides a library result
+by the scale.  The t-integrand route and the dense slot sum divide by their
+own denominators, so they share no scaling code with the library; sigma by
+the pullback route and in one shot run on the library's slot contractions
+divided by the scale.
 """
 
 from bisect import bisect_left
@@ -47,7 +54,7 @@ from jetvar.indets import (T, conn, gauge, indet_str, matter, with_extra_deriv,
                            x)
 from jetvar.jets import (contact_form, horizontal_differential,
                          horizontal_projection, total_derivative)
-from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial, div_dict
+from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial
 from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
 from jetvar.variational import Lagrangian, conservation_check
@@ -114,6 +121,23 @@ def substitute(p: Poly, bindings: dict) -> Poly:
 # A monomial is a tuple of (indeterminate, exponent) pairs sorted by the
 # natural tuple order of the indeterminates.  decode_pairs() turns a term
 # dict of the library into this form.
+
+
+def divided(p: Poly, den) -> Poly:
+    """p / den for a nonzero rational den, term by term; a zero term of p
+    is dropped."""
+    return Poly({m: _exact(Fraction(c) / den) for m, c in p.terms.items() if c})
+
+
+def unscaled(a, cs):
+    """The value of a Form, a Poly or a dict of Polys that the model cs
+    holds cs.scale times its value (see chern_simons): each divided by
+    cs.scale."""
+    if isinstance(a, Poly):
+        return divided(a, cs.scale)
+    if isinstance(a, dict):
+        return {key: unscaled(p, cs) for key, p in a.items()}
+    return map_coefficients(a, lambda p: divided(p, cs.scale))
 
 
 def render(p: Poly) -> str:
@@ -249,7 +273,7 @@ def t_integral(p: Poly) -> Poly:
         e = m.count(_T)
         nm = m[e:]
         sums[nm] = get(nm, 0) + c * weight[e]
-    return Poly(div_dict(sums, den))
+    return divided(Poly(sums), den)
 
 
 def interp_poly(cs, r: int, mu: int, D: tuple = ()) -> Poly:
@@ -281,8 +305,8 @@ def t_integrand_contraction(cs, heads: list, curv: dict) -> Form:
     of heads and the t-polynomial curvature curv, each coefficient then
     integrated over t in [0, 1]."""
     acc, den, degree = slot_sum(cs, heads, curv)
-    return _wrap(cs.ctx, degree,
-                 {key: t_integral(Poly(t)).terms for key, t in acc.items()}, den)
+    return map_coefficients(_wrap(cs.ctx, degree, acc),
+                            lambda p: divided(t_integral(p), den))
 
 
 def t_integrand_homotopy(cs, heads: list = (), curv: dict | None = None) -> Form:
@@ -572,18 +596,21 @@ def section_correction(cs, params: list | None = None) -> Form:
 
     d(chi) equals the restriction of xi_C . P_2k(F) to the background
     section (Bianchi plus ad-invariance), the boundary piece the scaling
-    homotopy cannot see.  Vanishes identically for B = 0."""
+    homotopy cannot see.  Vanishes identically for B = 0.  Its value: the
+    library's slot contraction divided by cs.scale."""
     if cs.background == "zero":
         return Form.zero(cs.ctx, 2 * cs.k - 2)
-    return _slot_contraction(cs, [gauge_head(cs, params)],
-                             _t_free(background_curvature(cs)))
+    return unscaled(_slot_contraction(cs, [gauge_head(cs, params)],
+                                      _t_free(background_curvature(cs))), cs)
 
 
 def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
                         S: Form | None = None) -> Form:
-    """h0(fiber_homotopy(xi_C . dS - d chi) + chi + xi_C . S), unverified."""
+    """h0(fiber_homotopy(xi_C . dS - d chi) + chi + xi_C . S), unverified:
+    the value of sigma for the value S of the CS form, by default that of
+    the library (which holds cs.scale times each)."""
     if S is None:
-        S = cs_form(cs)
+        S = unscaled(cs_form(cs), cs)
     chi = section_correction(cs, params)
     omega = forms.contract(xi_C, forms.exterior_d(S))
     psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
@@ -597,19 +624,24 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     """(sigma, report, modified) of the whole gauge generator at once, by
     the descent route with its checks: d psi = xi_C . dS (NonzeroResidual
     otherwise), the post-check d_H sigma = L_{J1 xi_C} L (SigmaMismatch
-    otherwise), and conservation_check along the whole xi_C."""
+    otherwise), and conservation_check along the whole xi_C.  It runs on
+    the values of S, psi and eta, the library's slot contractions divided
+    by cs.scale, so each result is a value, where the library holds
+    cs.scale times it."""
     ctx = cs.ctx
-    S = cs_form(cs)
+    S = unscaled(cs_form(cs), cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
     head = gauge_head(cs, params)
-    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
+    psi = unscaled(_slot_contraction(cs, [head],
+                                     _t_free(canonical_curvature(cs))), cs)
     residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
     if not residual.is_zero():
         raise NonzeroResidual(f"descent residual has "
                               f"{residual.term_count()} terms: {residual}")
     sigma = horizontal_projection(
-        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S))
+        psi - forms.exterior_d(unscaled(homotopy(cs, [head]), cs))
+        + forms.contract(xi_C, S))
     lie = forms.apply_derivation(prolong(xi_C, ctx), L.gradient)
     if horizontal_differential(sigma) != ctx.volume_form(lie):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")

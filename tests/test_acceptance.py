@@ -25,7 +25,7 @@ from jetvar.variational import (Lagrangian, conservation_check, euler_lagrange,
                                 first_variational_check,
                                 lie_derivative_lagrangian, noether_current,
                                 sigma_boundary_term)
-from oracles import random_form
+from oracles import random_form, unscaled
 
 CASES = [("u1", "unit", 2), ("su2", "killing", 2), ("u1", "unit", 3),
          ("u1+su2", "u1su2-cubic", 3)]
@@ -82,7 +82,8 @@ def test_criterion_3_3d_reproduction_of_the_displayed_formulas():
     h = Q(1)
     cs = _model("su2", "killing", 2, h=h)
     ctx, g = cs.ctx, cs.algebra
-    L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
+    # the model's forms are cs.scale times their values
+    L = Lagrangian.from_horizontal_form(unscaled(cs_lagrangian(cs), cs))
     xi_C = gauge_generator(g, ctx)
 
     density_ok = L.density == cs_density_3d(g, h, ctx, True)
@@ -94,7 +95,7 @@ def test_criterion_3_3d_reproduction_of_the_displayed_formulas():
     J = ctx.current_components(noether_current(L, xi_C))
     noether_ok = J == noether_components_3d(g, h, True)
 
-    sigma = sigma_boundary_term(cs)
+    sigma = unscaled(sigma_boundary_term(cs), cs)
     _, modified = conservation_check(L, xi_C, sigma)
     diff = modified - ctx.current_form(modified_current_components_3d(g, h))
     prim = current_discrepancy_primitive(g, h, ctx)

@@ -22,7 +22,7 @@ from jetvar.indets import T, conn, x
 from jetvar.polynomial import Poly
 from jetvar.variational import Lagrangian, euler_lagrange
 import oracles
-from oracles import cs_density_3d, lie_derivative_form, random_form
+from oracles import cs_density_3d, lie_derivative_form, random_form, unscaled
 from test_algebra import RATIONALS, _invariant_tensor, algebra_cases
 
 
@@ -129,9 +129,10 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     cs = _model(alg, inv, k)
     P = characteristic_form(cs)
     assert not P.is_zero()
-    assert P == oracles.invariant_contraction(cs, canonical_curvature(cs))
+    assert unscaled(P, cs) == oracles.invariant_contraction(
+        cs, canonical_curvature(cs))
     for curv in (background_curvature(cs), oracles.interp_curvature(cs)):
-        assert (_slot_contraction(cs, [curv], _t_free(curv))
+        assert (unscaled(_slot_contraction(cs, [curv], _t_free(curv)), cs)
                 == oracles.invariant_contraction(cs, curv))
 
 
@@ -266,10 +267,13 @@ def test_slot_sum_matches_the_dense_oracle(case, data):
         curv = canonical_curvature(cs)
     else:
         curv = {r: random_form(cs.ctx, 2, rng) for r in range(dim)}
-    acc, den, degree = _slot_sum(cs, heads, _t_free(curv))
+    acc, degree = _slot_sum(cs, heads, _t_free(curv))
     want, want_den, want_degree = oracles.slot_sum(cs, heads, curv)
-    assert (den, degree) == (want_den, want_degree)
-    assert _wrap(cs.ctx, degree, acc, den) == _wrap(cs.ctx, degree, want, den)
+    assert degree == want_degree
+    # the library sums cs.scale times the contraction, the oracle want_den
+    # times it
+    assert _wrap(cs.ctx, degree, acc) == _wrap(cs.ctx, degree, want).scale(
+        Q(cs.scale, want_den))
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,7 +303,7 @@ def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
              if data.draw(st.booleans()) else Form.zero(cs.ctx, 2))
             for alpha, beta in basis[:count])
     curv = {r: _t_sum(cs, choices) for r, choices in pieces.items()}
-    assert (_slot_contraction(cs, heads, pieces)
+    assert (unscaled(_slot_contraction(cs, heads, pieces), cs)
             == oracles.t_integrand_contraction(cs, heads, curv))
 
 
@@ -317,7 +321,8 @@ def test_homotopy_matches_the_t_integrand_oracle(k, case, data):
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(2 if k == 4 and c else 0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j)]
-    assert homotopy(cs, heads) == oracles.t_integrand_homotopy(cs, heads)
+    assert (unscaled(homotopy(cs, heads), cs)
+            == oracles.t_integrand_homotopy(cs, heads))
 
 
 @pytest.mark.parametrize("alg,inv,k", [
@@ -338,25 +343,27 @@ def test_transgression_formula_zero_background():
     ("su2", "killing", 2), ("u1", "unit", 3)])
 def test_lagrangian_routes_agree(alg, inv, k):
     cs = _model(alg, inv, k, h=Q(1, 3))
-    assert (cs_lagrangian(cs) - oracles.cs_lagrangian_direct(cs)).is_zero()
+    assert (unscaled(cs_lagrangian(cs), cs)
+            - oracles.cs_lagrangian_direct(cs)).is_zero()
 
 
 def test_abelian_cs_form_without_background_is_a_wedge_da():
     cs = _model("u1", "unit", 2, background="zero")
     a = cs.potential_one_form(0)
-    assert (cs_form(cs) - wedge(a, exterior_d(a))).is_zero()
+    assert (unscaled(cs_form(cs), cs) - wedge(a, exterior_d(a))).is_zero()
 
 
 def test_h_scales_the_lagrangian_linearly():
-    one = cs_lagrangian(_model("su2", "killing", 2, h=1))
-    third = cs_lagrangian(_model("su2", "killing", 2, h=Q(1, 3)))
-    assert (one - third.scale(Q(3))).is_zero()
+    one, third = (_model("su2", "killing", 2, h=h) for h in (1, Q(1, 3)))
+    assert (one.scale, third.scale) == (6, 18)
+    assert (unscaled(cs_lagrangian(one), one)
+            - unscaled(cs_lagrangian(third), third).scale(Q(3))).is_zero()
 
 
 def test_3d_lagrangian_matches_the_displayed_density():
     for background in ("zero", "symbolic"):
         cs = _model("su2", "killing", 2, background=background, h=Q(1, 2))
-        L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
+        L = Lagrangian.from_horizontal_form(unscaled(cs_lagrangian(cs), cs))
         assert L.density == cs_density_3d(cs.algebra, Q(1, 2), cs.ctx,
                                           background == "symbolic")
 
@@ -378,7 +385,7 @@ def test_abelian_el_components_are_the_contracted_strength():
     from jetvar.reference3d import levi_civita
     h = Q(3, 2)
     cs = _model("u1", "unit", 2, background="zero", h=h)
-    L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
+    L = Lagrangian.from_horizontal_form(unscaled(cs_lagrangian(cs), cs))
     el = euler_lagrange(L)
     for mu in range(3):
         expected = Poly.zero()

@@ -142,6 +142,38 @@ def test_selftest_is_deterministic_for_a_seed():
     assert "[PASS]" in a.stdout
 
 
+def test_selftest_prints_the_residual_of_the_drawn_instance(monkeypatch,
+                                                            capsys):
+    # a wrong Noether current (twice the right one) fails the instances
+    # whose current is nonzero; each is checked as an integral multiple
+    # N_L L, M u of the drawn one, and its printed residual is that of the
+    # drawn instance
+    from jetvar import variational
+    from jetvar.jets import JetContext
+    from jetvar.polynomial import integral_multiple
+    from jetvar.random_inputs import random_density, random_vertical_field
+    right = variational.noether_current
+    monkeypatch.setattr(variational, "noether_current",
+                        lambda L, u: right(L, u).scale(2))
+    assert cli.main(["first-variational-selftest", "--seed", "3"]) == 1
+    got = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("[FAIL] instance")]
+    rng = random.Random(3)
+    want, scaled = [], 0
+    for i in range(100):
+        n = 1 + i % 3
+        ctx = JetContext(n, 2, matter_dim=1)
+        L = variational.Lagrangian(ctx, random_density(ctx, rng))
+        u = random_vertical_field(ctx, rng)
+        rep = variational.first_variational_check(L, u)
+        if not rep.passed:
+            want.append(f"[FAIL] instance {i} (n={n}): residual {rep.residual}")
+            scaled += (integral_multiple([L.density])[0]
+                       * integral_multiple(u.values())[0] > 1)
+    assert got == want
+    assert scaled > 0
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

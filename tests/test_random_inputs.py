@@ -54,3 +54,12 @@ def test_selftest_instances_are_the_oracle_stream(monkeypatch, seed,
     got = stream()
     monkeypatch.setattr(random_inputs, "random_poly", oracles.random_poly)
     assert stream() == got
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8, 13, 64, 1000])
+def test_below_draws_what_randrange_draws(width):
+    for seed in range(50):
+        got, want = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert random_inputs._below(got, width) == want.randrange(width)
+        assert got.getstate() == want.getstate()

@@ -2,6 +2,7 @@
 first variational formula, Noether currents, the boundary term sigma (with
 the fiberwise homotopy route as its oracle), and the conservation law."""
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +35,8 @@ from jetvar.variational import (Lagrangian, conservation_check,
                                 noether_current, poincare_cartan,
                                 sigma_boundary_term, verify_conservation)
 import oracles
-from oracles import NotClosed, evaluate, fiber_homotopy, section_correction
+from oracles import (NotClosed, evaluate, fiber_homotopy, section_correction,
+                     unscaled)
 
 CTX2 = JetContext(2, 1, matter_dim=1)
 
@@ -312,9 +314,9 @@ def test_sigma_matches_the_fiber_homotopy_oracle(name):
     # comparison pins eta
     cs, params = _sigma_case(name)
     xi_C = gauge_generator(cs.algebra, cs.ctx, params=params)
-    S = cs_form(cs)
     sigma = sigma_boundary_term(cs, params=params)
-    assert sigma == oracles.sigma_boundary_term(cs, xi_C, params=params, S=S)
+    assert unscaled(sigma, cs) == oracles.sigma_boundary_term(cs, xi_C,
+                                                              params=params)
     vacuous = cs.h == 0 or params == [Poly.zero()] * cs.algebra.dim
     assert sigma.is_zero() == vacuous
 
@@ -335,7 +337,8 @@ def _disjoint_union(parts) -> dict:
 def test_gauge_components_match_the_one_shot_oracle(name):
     # the symbolic family runs one component per algebra index, explicit
     # parameters run once; the components' sigma, J - sigma and residuals
-    # share no monomial, and their union is the one-shot result
+    # share no monomial, and their union divided by cs.scale is the
+    # one-shot result
     cs, params = _sigma_case(name)
     sigma, report, modified = oracles.one_shot_conservation(cs, params)
     L = variational._lagrangian(cs)
@@ -346,16 +349,49 @@ def test_gauge_components_match_the_one_shot_oracle(name):
         reports.append(r)
         currents.append(m)
     assert len(sigmas) == (cs.algebra.dim if params is None else 1)
+    # a rational h or tensor entry is scaled away, so no stored coefficient
+    # of S, sigma or J - sigma is a Fraction
+    assert {type(c) for a in (chern_simons._S(cs), *sigmas, *currents)
+            for p in a.terms.values() for c in p.terms.values()} <= {int}
     for got, want in ((sigmas, sigma), (currents, modified),
                       ([r.residual for r in reports], report.residual)):
-        assert _disjoint_union(got) == {key: p.terms
-                                        for key, p in want.terms.items()}
+        assert _disjoint_union(unscaled(a, cs) for a in got) == {
+            key: p.terms for key, p in want.terms.items()}
     assert all(r.vacuous for r in reports) == report.vacuous
     merged_report, merged, sizes = verify_conservation(cs, params)
-    assert merged == modified
-    assert merged_report.residual == report.residual
+    assert unscaled(merged, cs) == modified
+    assert unscaled(merged_report.residual, cs) == report.residual
     assert merged_report.vacuous == report.vacuous
     assert sizes == [s.term_count() for s in sigmas]
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from([("su2", "killing", 2), ("u1", "unit", 3)]),
+       c=st.sampled_from([Q(1), Q(-2, 3), Q(5, 4), Q(3, 7)]),
+       h=st.sampled_from([Q(0), Q(1), Q(1, 3), Q(-5, 2), Q(2, 9)]),
+       background=st.sampled_from(["symbolic", "zero"]))
+def test_scaled_pipeline_is_the_scale_times_the_oracles(model, c, h,
+                                                        background):
+    # c times the model's tensor spans its invariant tensors (the Killing
+    # form is the only invariant of su2 in degree 2, u1 has one entry)
+    alg, inv, k = model
+    g = builtin_algebra(alg)
+    cs = CSData(g, builtin_invariant(inv, g, k).scaled(c), k,
+                background=background, h=h)
+    # the Killing form of su2 is -2 delta; lcm(1, 2, 3) = 6, lcm(1..5) = 60
+    entry = -2 if alg == "su2" else 1
+    assert cs.scale == (c * h * entry).denominator * (6 if k == 2 else 60)
+    S = oracles.t_integrand_homotopy(cs)
+    assert unscaled(cs_form(cs), cs) == S
+    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
+    el = oracles.euler_lagrange(L)
+    assert unscaled(euler_lagrange(variational._lagrangian(cs)), cs) == el
+    sigma, report, modified = oracles.one_shot_conservation(cs)
+    assert unscaled(sigma_boundary_term(cs), cs) == sigma
+    got, got_modified, _ = verify_conservation(cs)
+    assert unscaled(got_modified, cs) == modified
+    assert got.passed and report.passed
+    assert got.vacuous == report.vacuous == (h == 0)
 
 
 def test_model_data_is_built_once_per_csdata(monkeypatch):
@@ -382,6 +418,21 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     assert report.passed and not sigma.is_zero()
     assert calls == {"cs_form": 1, "canonical_curvature": 1,
                      "background_curvature": 1}
+
+
+def test_verify_conservation_leaves_no_reference_cycle():
+    # a cycle would keep its objects, such as a slot sum's accumulator,
+    # alive until a cyclic collection
+    cs, _ = cli.build_model(cli.load_config(str(ROOT / "configs/u1su2_k3.json")))
+    gc.collect()
+    gc.disable()
+    try:
+        report, _, _ = verify_conservation(cs)
+        assert report.passed
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_lagrangian_alone_does_not_keep_the_cs_form():
@@ -493,14 +544,15 @@ def _assert_stored_form(a: Form):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
 
 
-@pytest.mark.parametrize("h,kinds", [(1, {int}), (Q(1, 4), {int, Fraction})])
-def test_pipeline_coefficients_are_int_unless_fractional(h, kinds):
+@pytest.mark.parametrize("h", [1, Q(1, 4)])
+def test_pipeline_coefficients_are_ints(h):
+    # a rational h scales the model (cs.scale), so no stage holds a Fraction
     g = builtin_algebra("su2")
     cs = CSData(g, builtin_invariant("killing", g, 2), 2, h=h)
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
     dS = exterior_d(S)
-    chi = section_correction(cs)
+    chi = section_correction(cs).scale(cs.scale)
     psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
     sigma = sigma_boundary_term(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
@@ -510,7 +562,7 @@ def test_pipeline_coefficients_are_int_unless_fractional(h, kinds):
     for a in stages:
         assert not a.is_zero()
         _assert_stored_form(a)
-    assert kinds == {type(c) for a in stages for p in a.terms.values()
+    assert {int} == {type(c) for a in stages for p in a.terms.values()
                      for c in p.terms.values()}
 
 
