@@ -12,7 +12,7 @@ from math import factorial
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
 from .jets import JetContext, total_derivative_into
-from .polynomial import Poly, Q, mul_dicts
+from .polynomial import Poly, Q, _as_q, mul_dicts
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
            "killing_form", "check_invariant_tensor", "gauge_generator",
@@ -82,6 +82,7 @@ class InvariantTensor:
         for idx, v in entries.items():
             if len(idx) != degree:
                 raise JetvarError(f"entry {idx} has wrong arity")
+            _as_q(v)   # an int or a Fraction, else TypeError
             key = tuple(sorted(idx))
             if seen.setdefault(key, v) != v:
                 raise JetvarError(f"conflicting symmetric entries at {key}")
@@ -98,7 +99,7 @@ def load_lie_algebra(dim: int, constants) -> LieAlgebraData:
     Entries are mirrored antisymmetrically when only one orientation is given."""
     c: dict = {}
     for r, p, q, v in constants:
-        v = Q(v)
+        v = Q(_as_q(v))
         c[(r, p, q)] = v
         mirror = (r, q, p)
         if mirror in c:

@@ -26,7 +26,7 @@ from .forms import (Form, _wrap, add_into, exterior_d, linear_combination,
                     wedge, wedge_into)
 from .indets import bg, conn, x
 from .jets import JetContext, horizontal_projection
-from .polynomial import Poly, Q
+from .polynomial import Poly, Q, _as_q
 
 __all__ = ["CSData", "canonical_curvature", "characteristic_form",
            "characteristic_at_B", "background_curvature", "homotopy",
@@ -58,7 +58,7 @@ class CSData:
         self.k = k
         self.n = 2 * k - 1
         self.background = background
-        self.h = Q(h)
+        self.h = Q(_as_q(h))
         self.invariant = invariant   # as given, before the scaling by h
         self.b = invariant.scaled(self.h)
         # the int N that every form built from this model is N times its
@@ -88,7 +88,7 @@ class CSData:
 
     def potential_one_form(self, r: int) -> Form:
         terms = {(x(mu),): Poly.var(conn(r, mu)) for mu in range(self.n)}
-        return Form(self.ctx, 1, terms)
+        return Form(self.ctx, terms)
 
     def background_one_form(self, r: int) -> Form:
         return self._one_form(r, self.bg_poly)
@@ -103,7 +103,7 @@ class CSData:
             p = coeff(r, mu)
             if p:
                 terms[(x(mu),)] = p
-        return Form(self.ctx, 1, terms)
+        return Form(self.ctx, terms)
 
 
 def _curvature(cs: CSData, linear, one) -> dict:
@@ -119,7 +119,7 @@ def _curvature(cs: CSData, linear, one) -> dict:
                 if i not in ones:
                     ones[i] = one(i)
             wedge_into(accs[r], ones[p], ones[q], cval)
-    return {r: _wrap(cs.ctx, 2, acc) for r, acc in accs.items()}
+    return {r: _wrap(cs.ctx, acc) for r, acc in accs.items()}
 
 
 def canonical_curvature(cs: CSData) -> dict:
@@ -204,49 +204,54 @@ def _beta_weights(pieces: dict, slots: int, k: int) -> dict:
     return weights
 
 
-def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
-    """(acc, degree): cs.scale times the slot contraction below, as an
-    accumulator (see forms), and its degree, for the curvature
-    F^r(t) = sum t^alpha (1-t)^beta form over the pieces (alpha, beta, form)
-    of pieces[r], integrated over t in [0, 1]; a curvature that does not
-    depend on t is the one piece (0, 0, F^r) (see _t_free).
+def _walk_slots(acc: dict, pieces: dict, weights: dict, term: Form,
+                rest: tuple, picks: tuple, A: int, B: int, weight: int):
+    """Add into acc the wedges of term with the curvature slot len(picks)
+    of rest and those after it, for the picks made so far of weight
+    t^A (1-t)^B (see _slot_contraction)."""
+    i = rest[len(picks)]
+    least = picks[-1] if picks and rest[len(picks) - 1] == i else 0
+    last = len(picks) + 1 == len(rest)
+    choices = pieces[i]
+    for s in range(least, len(choices)):
+        alpha, beta, f = choices[s]
+        if f.is_zero():
+            continue
+        if last:
+            count = _multinomial(tuple(zip(rest, picks + (s,))))
+            wedge_into(acc, term, f,
+                       weight * count * weights[A + alpha, B + beta])
+        else:
+            prefix = wedge(term, f)
+            if not prefix.is_zero():
+                _walk_slots(acc, pieces, weights, prefix, rest, picks + (s,),
+                            A + alpha, B + beta, weight)
+
+
+def _slot_contraction(cs: CSData, heads: list, pieces: dict) -> Form:
+    """The integral over t in [0, 1] of b_{r1..rk} heads[0]^{r1} ^ ... ^
+    heads[j-1]^{rj} ^ F^{r(j+1)}(t) ^ ... ^ F^{rk}(t), summed over ordered
+    tuples, for F^r(t) = sum t^alpha (1-t)^beta form over the pieces
+    (alpha, beta, form) of pieces[r], times cs.scale: each head maps an
+    algebra index to a form, an index a head lacks adds nothing, and
+    pieces holds every index of b.  A curvature that does not depend on t
+    is the one piece (0, 0, F^r) (see _t_free).
 
     Each curvature slot picks a piece, and the picks sum to the weight
-    t^A (1-t)^B of the product.  In a run of equal curvature indices the
-    2-forms commute, so there the picks are taken in nondecreasing order and
-    counted by the multinomial of the (index, pick) pairs.  Each product is
-    added with the int weight M A! B! / (A+B+1)! of _beta_weights times the
-    int weight of its lead (see _leads), whose product is cs.scale times the
-    real weight, so the kernel multiplies ints only.  Only the leads of
-    the nonzero entries of b whose first index heads[0] holds are walked, so
-    a sparse first head costs only its own leads.  The head of each lead is
-    wedged once, a wedge prefix is shared by the picks that extend it, and
-    the last curvature factor of each term is wedged straight into acc."""
+    t^A (1-t)^B of the product.  The even curvature slots commute, so in a
+    run of equal curvature indices the picks are taken in nondecreasing
+    order and counted by the multinomial of the (index, pick) pairs.  Each
+    product is added with the int weight M A! B! / (A+B+1)! of
+    _beta_weights times the int weight of its lead (see _leads), whose
+    product is cs.scale times the real weight, so the kernel multiplies
+    ints only.  Only the leads of the nonzero entries of b whose first
+    index heads[0] holds are walked, so a sparse first head costs only its
+    own leads.  The head of each lead is wedged once, a wedge prefix is
+    shared by the picks that extend it, and the last curvature factor of
+    each term is wedged straight into the accumulator (see _walk_slots)."""
     index = _leads(cs, len(heads))
     weights = _beta_weights(pieces, cs.k - len(heads), cs.k)
     acc: dict = {}
-
-    def walk(term: Form, rest: tuple, picks: tuple, A: int, B: int,
-             weight: int):
-        # wedge the curvature slot len(picks) of rest, and those after it
-        i = rest[len(picks)]
-        least = picks[-1] if picks and rest[len(picks) - 1] == i else 0
-        last = len(picks) + 1 == len(rest)
-        choices = pieces[i]
-        for s in range(least, len(choices)):
-            alpha, beta, f = choices[s]
-            if f.is_zero():
-                continue
-            if last:
-                count = _multinomial(tuple(zip(rest, picks + (s,))))
-                wedge_into(acc, term, f,
-                           weight * count * weights[A + alpha, B + beta])
-            else:
-                prefix = wedge(term, f)
-                if not prefix.is_zero():
-                    walk(prefix, rest, picks + (s,), A + alpha, B + beta,
-                         weight)
-
     for first in sorted(index.keys() & heads[0].keys()):
         for lead, rests in index[first]:
             factors = [h.get(r) for h, r in zip(heads, lead)]
@@ -257,28 +262,11 @@ def _slot_sum(cs: CSData, heads: list, pieces: dict) -> tuple:
                 head = wedge(head, f)
             for rest, weight in rests:
                 if rest:
-                    walk(head, rest, (), 0, 0, weight)
+                    _walk_slots(acc, pieces, weights, head, rest, (), 0, 0,
+                                weight)
                 else:
                     add_into(acc, head, weight * weights[0, 0])
-    # walk refers to itself through its closure: clear it, so that the
-    # cycle does not keep acc alive until a cyclic collection
-    walk = None
-    # the forms of one head share a degree; an empty head adds nothing, and
-    # counts as degree 0
-    degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
-    return acc, degree + 2 * (cs.k - len(heads))
-
-
-def _slot_contraction(cs: CSData, heads: list, pieces: dict) -> Form:
-    """The integral over t in [0, 1] of b_{r1..rk} heads[0]^{r1} ^ ... ^
-    heads[j-1]^{rj} ^ F^{r(j+1)}(t) ^ ... ^ F^{rk}(t), summed over ordered
-    tuples, for F^r(t) = sum t^alpha (1-t)^beta form over the pieces of
-    pieces[r], times cs.scale: each head maps an algebra index to a form,
-    an index a head lacks adds nothing, and pieces holds every index of b.
-    The even curvature slots commute and are enumerated as multisets with
-    multinomial weights (see _slot_sum)."""
-    acc, degree = _slot_sum(cs, heads, pieces)
-    return _wrap(cs.ctx, degree, acc)
+    return _wrap(cs.ctx, acc)
 
 
 def characteristic_form(cs: CSData) -> Form:
@@ -313,19 +301,19 @@ def _t_pieces(cs: CSData) -> dict:
     (H = 0) or the zero background (F_B = 0) the power pieces."""
     def build():
         FB, F = _FB(cs), _F(cs)
-        H = _curvature(cs, lambda r: Form.zero(cs.ctx, 2),
+        H = _curvature(cs, lambda r: Form.zero(cs.ctx),
                        cs.difference_one_form)
         pieces = {}
         for r in cs.indices:
-            nabla = linear_combination(cs.ctx, 2, ((F[r], 1), (FB[r], -1),
-                                                  (H[r], -1)))
+            nabla = linear_combination(cs.ctx, ((F[r], 1), (FB[r], -1),
+                                               (H[r], -1)))
             power = ((0, 0, FB[r]), (1, 0, nabla), (2, 0, H[r]))
             if H[r].is_zero():
                 # F = F_B + nabla_B D, so each term of nabla_B D is one of
                 # 2 F_B + nabla_B D or of F: the power pieces win or tie
                 pieces[r] = power
                 continue
-            mid = linear_combination(cs.ctx, 2, ((FB[r], 2), (nabla, 1)))
+            mid = linear_combination(cs.ctx, ((FB[r], 2), (nabla, 1)))
             pieces[r] = min(power, ((0, 2, FB[r]), (1, 1, mid), (2, 0, F[r])),
                             key=lambda choices: sum(f.term_count()
                                                     for _, _, f in choices))

@@ -328,7 +328,7 @@ def cmd_transgression(args, dump: Dump) -> int:
     S = cs_form(cs)
     # dS - (P - PB), in one accumulator
     acc = add_into(add_into(exterior_d_into({}, S), P, -1), PB)
-    residual = _wrap(cs.ctx, S.degree + 1, acc)
+    residual = _wrap(cs.ctx, acc)
     elapsed = time.perf_counter() - t0
     emit(f"characteristic form: {P.term_count()} terms")
     emit(f"characteristic form at the background section: {PB.term_count()} terms")

@@ -9,7 +9,9 @@ s -> s_{D+lam} dx^lam.  Any other indeterminate outside the rule has no
 differential, and d raises rather than drop it.
 
 Form terms are keyed by strictly increasing tuples of coordinate
-indeterminates; antisymmetry is normalized away at construction time.
+indeterminates; antisymmetry is normalized away at construction time.  A
+form's degree is the length of its generator tuples, which must all have
+one length; the zero form has no tuple and every degree.
 
 Every operator has one core that adds c * op(...) into an accumulator the
 caller owns: a dict from generator tuples to raw term dicts (add_into,
@@ -61,32 +63,42 @@ class Form:
     """A sum of Poly coefficients times wedges of coordinate differentials,
     on the JetContext ctx; two forms combine only on equal contexts."""
 
-    __slots__ = ("ctx", "degree", "terms")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, degree: int, terms: dict | None = None):
+    def __init__(self, ctx, terms: dict | None = None):
         self.ctx = ctx
-        self.degree = degree
         if terms:
+            size = len(next(iter(terms)))
             for dcs in terms:
-                if any(dcs[i] >= dcs[i + 1] for i in range(len(dcs) - 1)):
+                if len(dcs) != size:
+                    raise JetvarError(f"degree mismatch: generator tuples of "
+                                      f"lengths {size} and {len(dcs)}")
+                if any(dcs[i] >= dcs[i + 1] for i in range(size - 1)):
                     raise AntisymmetryViolation(
                         f"generator tuple not strictly increasing: {dcs}")
         self.terms = terms or {}
 
+    @property
+    def degree(self) -> int | None:
+        """The length of the generator tuples, or None for the zero form."""
+        for dcs in self.terms:
+            return len(dcs)
+        return None
+
     @classmethod
-    def zero(cls, ctx, degree: int = 0) -> "Form":
-        return cls(ctx, degree)
+    def zero(cls, ctx) -> "Form":
+        return cls(ctx)
 
     @classmethod
     def from_poly(cls, ctx, p: Poly) -> "Form":
-        return cls(ctx, 0, {(): p} if p else {})
+        return cls(ctx, {(): p} if p else {})
 
     @classmethod
     def generator(cls, ctx, c: tuple) -> "Form":
         """The 1-form dc for a coordinate c of ctx."""
         if c not in ctx:
             raise JetvarError(f"{indet_str(c)} is not a jet coordinate")
-        return cls(ctx, 1, {(c,): Poly.const(1)})
+        return cls(ctx, {(c,): Poly.const(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,12 +111,10 @@ class Form:
             raise JetvarError("forms live on different jet contexts")
 
     def __add__(self, other: "Form") -> "Form":
-        degree = self.degree if self.terms else other.degree
-        return linear_combination(self.ctx, degree, ((self, 1), (other, 1)))
+        return linear_combination(self.ctx, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "Form") -> "Form":
-        degree = self.degree if self.terms else other.degree
-        return linear_combination(self.ctx, degree, ((self, 1), (other, -1)))
+        return linear_combination(self.ctx, ((self, 1), (other, -1)))
 
     def scale(self, c) -> "Form":
         out = {}
@@ -112,7 +122,7 @@ class Form:
             q = p * c
             if q:
                 out[d] = q
-        return Form(self.ctx, self.degree, out)
+        return Form(self.ctx, out)
 
     def __eq__(self, other):
         return (isinstance(other, Form) and self.ctx == other.ctx
@@ -150,11 +160,11 @@ class Form:
         return f"Form(deg={self.degree}, {self})"
 
 
-def _wrap(ctx, degree: int, raw: dict) -> Form:
+def _wrap(ctx, raw: dict) -> Form:
     """The form whose coefficients are the raw term dicts raw[key]; empty
     dicts are dropped.  Each coefficient holds a copy sized to its terms, so
     the hash-table slack a dict keeps after sums that cancel is freed."""
-    return Form(ctx, degree, {key: Poly(dict(t)) for key, t in raw.items() if t})
+    return Form(ctx, {key: Poly(dict(t)) for key, t in raw.items() if t})
 
 
 def is_empty(acc: dict) -> bool:
@@ -169,18 +179,16 @@ def add_into(acc: dict, a: Form, c=1) -> dict:
     return acc
 
 
-def linear_combination(ctx, degree: int, pairs) -> Form:
-    """The sum of c * a over the (a, c) pairs, c rational, as a form of the
-    given degree (a zero a may have any degree), built in one accumulator.
-    pairs may be a generator: each a is then dropped once it is summed."""
+def linear_combination(ctx, pairs) -> Form:
+    """The sum of c * a over the (a, c) pairs, c rational, built in one
+    accumulator.  pairs may be a generator: each a is then dropped once it
+    is summed."""
     acc: dict = {}
     for a, c in pairs:
         if a.ctx != ctx:
             raise JetvarError("forms live on different jet contexts")
-        if a.terms and a.degree != degree:
-            raise JetvarError("degree mismatch in form addition")
         add_into(acc, a, c)
-    return _wrap(ctx, degree, acc)
+    return _wrap(ctx, acc)
 
 
 def wedge_into(acc: dict, a: Form, b: Form, c=1) -> dict:
@@ -198,7 +206,7 @@ def wedge_into(acc: dict, a: Form, b: Form, c=1) -> dict:
 
 
 def wedge(a: Form, b: Form) -> Form:
-    return _wrap(a.ctx, a.degree + b.degree, wedge_into({}, a, b))
+    return _wrap(a.ctx, wedge_into({}, a, b))
 
 
 def differential_into(acc: dict, a: Form, image, c=1) -> dict:
@@ -253,7 +261,7 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
 
 
 def exterior_d(a: Form) -> Form:
-    return _wrap(a.ctx, a.degree + 1, exterior_d_into({}, a))
+    return _wrap(a.ctx, exterior_d_into({}, a))
 
 
 def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
@@ -271,7 +279,7 @@ def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
 
 
 def contract(X: dict, a: Form) -> Form:
-    return _wrap(a.ctx, max(a.degree - 1, 0), contract_into({}, X, a))
+    return _wrap(a.ctx, contract_into({}, X, a))
 
 
 def apply_derivation_into(out: dict, X: dict, grad: dict, c=1) -> dict:
@@ -305,4 +313,4 @@ def map_generators(a: Form, image) -> Form:
                 mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
             else:
                 add_dicts(out.setdefault(key, {}), f.terms, c)
-    return _wrap(a.ctx, a.degree, out)
+    return _wrap(a.ctx, out)

@@ -88,18 +88,18 @@ class JetContext:
 
     def volume_form(self, coeff: Poly) -> Form:
         """coeff * omega, omega = d^n x."""
-        return Form(self, self.n, {self.volume_key(): coeff} if coeff else None)
+        return Form(self, {self.volume_key(): coeff} if coeff else None)
 
     def omega_lambda(self, lam: int, coeff: Poly) -> Form:
         """coeff * omega_lam, omega_lam = d/dx^lam | omega (interior product
         with the volume)."""
         if lam % 2:
             coeff = -coeff
-        return Form(self, self.n - 1, {self.omega_key(lam): coeff} if coeff else None)
+        return Form(self, {self.omega_key(lam): coeff} if coeff else None)
 
     def current_form(self, components: list) -> Form:
         """The horizontal (n-1)-form J^lam omega_lam of current components."""
-        return linear_combination(self, self.n - 1, (
+        return linear_combination(self, (
             (self.omega_lambda(lam, p), 1) for lam, p in enumerate(components)))
 
     def current_components(self, a: Form) -> list:
@@ -167,7 +167,7 @@ def horizontal_differential_into(acc: dict, a: Form, c=1) -> dict:
 
 
 def horizontal_differential(a: Form) -> Form:
-    return _wrap(a.ctx, a.degree + 1, horizontal_differential_into({}, a))
+    return _wrap(a.ctx, horizontal_differential_into({}, a))
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:

@@ -77,4 +77,4 @@ def current_discrepancy_primitive(g: LieAlgebraData, h: Fraction,
             s = s - 2 * h * kv * _XI(m) * _B(n_, ga)
         if s:
             terms[(x(ga),)] = s
-    return Form(ctx, 1, terms)
+    return Form(ctx, terms)

@@ -113,7 +113,7 @@ def poincare_cartan(L: Lagrangian) -> Form:
         theta = contact_form(i, ctx)
         for lam, dldj in partials:
             wedge_into(acc, theta, ctx.omega_lambda(lam, dldj))
-    return _wrap(ctx, ctx.n, acc)
+    return _wrap(ctx, acc)
 
 
 def _noether_into(acc: dict, L: Lagrangian, u: dict, c=1) -> dict:
@@ -131,7 +131,7 @@ def _noether_into(acc: dict, L: Lagrangian, u: dict, c=1) -> dict:
 def noether_current(L: Lagrangian, u: dict) -> Form:
     """J = J^lam omega_lam, J^lam = u^i partial^lam_i(density), for a
     vertical order-0 field u."""
-    return _wrap(L.ctx, L.ctx.n - 1, _noether_into({}, L, u))
+    return _wrap(L.ctx, _noether_into({}, L, u))
 
 
 def lie_derivative_lagrangian(L: Lagrangian, u: dict) -> Form:
@@ -160,7 +160,7 @@ def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
     _el_into(vol, L, u, -1)
     acc = {ctx.volume_key(): vol}
     horizontal_differential_into(acc, noether_current(L, u), -1)
-    return VerificationReport(_wrap(ctx, ctx.n, acc))
+    return VerificationReport(_wrap(ctx, acc))
 
 
 # -- the boundary term, one gauge component at a time ---------------------
@@ -199,16 +199,15 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
     residual = contract_into(exterior_d_into({}, psi), xi_C, _dS(cs), -1)
     if not is_empty(residual):
-        residual = _wrap(ctx, psi.degree + 1, residual)
+        residual = _wrap(ctx, residual)
         raise NonzeroResidual(
             f"{name}: descent residual has {residual.term_count()} terms: "
             f"{residual.render(den=cs.scale)}")
     eta = homotopy(cs, [head])
     acc = exterior_d_into(add_into({}, psi), eta, -1)
-    degree = psi.degree
     del psi, eta, residual
     contract_into(acc, xi_C, _S(cs))
-    sigma = _wrap(ctx, degree, acc)
+    sigma = _wrap(ctx, acc)
     del acc
     sigma = horizontal_projection(sigma)
     # d_H sigma - L_{J1 xi_C} L, in one accumulator
@@ -244,7 +243,7 @@ def sigma_boundary_term(cs: CSData, params: list | None = None) -> Form:
     acc: dict = {}
     for part in _components(cs, params):
         add_into(acc, _component_sigma(cs, *part))
-    return _wrap(cs.ctx, cs.n - 1, acc)
+    return _wrap(cs.ctx, acc)
 
 
 def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
@@ -256,12 +255,11 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     ctx = L_total.ctx
     if sigma.ctx != ctx:
         raise JetvarError("forms live on different jet contexts")
-    modified = _wrap(ctx, ctx.n - 1,
-                     add_into(_noether_into({}, L_total, u), sigma, -1))
+    modified = _wrap(ctx, add_into(_noether_into({}, L_total, u), sigma, -1))
     acc = horizontal_differential_into({}, modified)
     boundary_zero = is_empty(acc)
     _el_into(acc.setdefault(ctx.volume_key(), {}), L_total, u)
-    residual = _wrap(ctx, ctx.n, acc)
+    residual = _wrap(ctx, acc)
     return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
 
 
@@ -296,8 +294,8 @@ def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
         add_into(residual, report.residual)
         add_into(current, modified)
         del sigma, report, modified
-    return (VerificationReport(_wrap(ctx, ctx.n, residual), vacuous),
-            _wrap(ctx, ctx.n - 1, current), sizes)
+    return (VerificationReport(_wrap(ctx, residual), vacuous),
+            _wrap(ctx, current), sizes)
 
 
 def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,

@@ -304,8 +304,8 @@ def t_integrand_contraction(cs, heads: list, curv: dict) -> Form:
     """chern_simons._slot_contraction by the t-integrand: the dense slot sum
     of heads and the t-polynomial curvature curv, each coefficient then
     integrated over t in [0, 1]."""
-    acc, den, degree = slot_sum(cs, heads, curv)
-    return map_coefficients(_wrap(cs.ctx, degree, acc),
+    acc, den, _ = slot_sum(cs, heads, curv)
+    return map_coefficients(_wrap(cs.ctx, acc),
                             lambda p: divided(t_integral(p), den))
 
 
@@ -328,9 +328,9 @@ def interp_curvature_horizontal(cs) -> dict:
         acc: dict = {}
         for lam in range(cs.n):
             for mu in range(cs.n):
-                coeff = Form(ctx, 1, {(x(lam),): interp_poly(cs, r, mu, (lam,))})
+                coeff = Form(ctx, {(x(lam),): interp_poly(cs, r, mu, (lam,))})
                 wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
-        return _wrap(ctx, 2, acc)
+        return _wrap(ctx, acc)
 
     return _curvature(cs, linear, lambda r: interp_one_form(cs, r))
 
@@ -448,7 +448,7 @@ def add_forms(a: Form, b: Form) -> Form:
     out = dict(a.terms)
     for dcs, p in b.terms.items():
         _accumulate(out, dcs, p)
-    return Form(a.ctx, a.degree, out)
+    return Form(a.ctx, out)
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -461,14 +461,12 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             dcs, sign = merged
             _accumulate(out, dcs, fa * fb if sign > 0 else -(fa * fb))
-    return Form(a.ctx, a.degree + b.degree, out)
+    return Form(a.ctx, out)
 
 
 def contract(X: dict, a: Form) -> Form:
     """Interior product with the vector field of components X: coord -> Poly."""
-    if a.degree == 0:
-        return Form.zero(a.ctx, 0)
-    out = Form.zero(a.ctx, a.degree - 1)
+    out = Form.zero(a.ctx)
     for dcs, f in a.terms.items():
         for j, c in enumerate(dcs):
             comp = X.get(c)
@@ -499,7 +497,7 @@ def map_generators(a: Form, image) -> Form:
         else:
             for key, g in img.terms.items():
                 _accumulate(out, key, f * g)
-    return Form(a.ctx, a.degree, out)
+    return Form(a.ctx, out)
 
 
 def map_coefficients(a: Form, fn) -> Form:
@@ -509,14 +507,13 @@ def map_coefficients(a: Form, fn) -> Form:
         q = fn(p)
         if q:
             out[d] = q
-    return Form(a.ctx, a.degree, out)
+    return Form(a.ctx, out)
 
 
 def lie_derivative_form(X: dict, a: Form) -> Form:
     """Cartan formula: L_X = X . d + d . X ."""
     acc = forms.contract_into({}, X, exterior_d(a))
-    return _wrap(a.ctx, a.degree,
-                 forms.exterior_d_into(acc, forms.contract(X, a)))
+    return _wrap(a.ctx, forms.exterior_d_into(acc, forms.contract(X, a)))
 
 
 def pullback(a: Form, bindings: dict) -> Form:
@@ -538,7 +535,7 @@ def invariant_contraction(cs, factors: list) -> Form:
     """b_{r1..rk} factors^{r1} ^ ... ^ factors^{rk} summed over ordered index
     tuples, with multiset enumeration and multinomial weights (all factors
     are even)."""
-    out = Form.zero(cs.ctx, 2 * cs.k)
+    out = Form.zero(cs.ctx)
     for idx in combinations_with_replacement(range(cs.algebra.dim), cs.k):
         bval = tensor_value(cs.b, idx)
         if not bval:
@@ -599,7 +596,7 @@ def section_correction(cs, params: list | None = None) -> Form:
     homotopy cannot see.  Vanishes identically for B = 0.  Its value: the
     library's slot contraction divided by cs.scale."""
     if cs.background == "zero":
-        return Form.zero(cs.ctx, 2 * cs.k - 2)
+        return Form.zero(cs.ctx)
     return unscaled(_slot_contraction(cs, [gauge_head(cs, params)],
                                       _t_free(background_curvature(cs))), cs)
 
@@ -753,9 +750,11 @@ def gauge_generator(g, ctx, params: list | None = None) -> dict:
 
 
 def slot_sum(cs, heads: list, curv: dict) -> tuple:
-    """chern_simons._slot_sum over every ordered lead of j = len(heads)
-    indices and every multiset of the k - j curvature slots, looking b up
-    at each index tuple; an index that a head lacks adds nothing."""
+    """(acc, den, degree): chern_simons._slot_contraction before the
+    t-integral, den times it as an accumulator, summed over every ordered
+    lead of j = len(heads) indices and every multiset of the k - j
+    curvature slots, looking b up at each index tuple (an index that a head
+    lacks adds nothing), and its degree."""
     m = cs.algebra.dim
     j = len(heads)
     den = lcm(*(v.denominator for v in cs.b.entries.values()))
@@ -779,7 +778,10 @@ def slot_sum(cs, heads: list, curv: dict) -> tuple:
             for i in rest[:-1]:
                 term = wedge(term, curv[i])
             wedge_into(acc, term, curv[rest[-1]], weight)
-    degree = sum(next((f.degree for f in h.values()), 0) for h in heads)
+    # the nonzero forms of one head share a degree; a head without one adds
+    # nothing, and counts as degree 0
+    degree = sum(next((f.degree for f in h.values() if not f.is_zero()), 0)
+                 for h in heads)
     return acc, den, degree + 2 * (cs.k - j)
 
 
@@ -789,7 +791,7 @@ def curvature(cs, linear: list, ones: list) -> list:
     accs = [add_into({}, f) for f in linear]
     for (r, p, q), cval in cs.algebra.c.items():
         wedge_into(accs[r], ones[p], ones[q], cval / 2)
-    return [forms._wrap(cs.ctx, 2, acc) for acc in accs]
+    return [forms._wrap(cs.ctx, acc) for acc in accs]
 
 
 # -- random forms and the 3D displays --------------------------------------
@@ -822,13 +824,13 @@ def random_form(ctx, degree: int, rng, max_summands: int = 3,
     order-0 fields) with random polynomial coefficients."""
     gens = pool or _pool(ctx, 0)
     coeff_pool = _pool(ctx, 1)
-    out = Form.zero(ctx, degree)
+    out = Form.zero(ctx)
     for _ in range(rng.randint(1, max_summands)):
         if degree > len(gens):
             break
         dcs = tuple(sorted(rng.sample(gens, degree)))
         p = random_poly(coeff_pool, rng, max_monomials=2)
-        out = out + Form(ctx, degree, {dcs: p} if p else {})
+        out = out + Form(ctx, {dcs: p} if p else {})
     return out
 
 

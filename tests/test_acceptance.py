@@ -168,8 +168,7 @@ def test_criterion_6_structural_suite_with_negative_controls():
     pool0 = [x(lam) for lam in range(ctx.n)] + ctx.field_coords(0)
     for _ in range(10):
         gens = tuple(sorted(rng.sample(pool0, ctx.n - 1)))
-        eta = Form(ctx, ctx.n - 1,
-                   {gens: random_poly(pool0, rng, max_monomials=3)})
+        eta = Form(ctx, {gens: random_poly(pool0, rng, max_monomials=3)})
         L = Lagrangian.from_horizontal_form(
             horizontal_projection(exterior_d(eta)))
         assert all(not v for v in euler_lagrange(L).values())

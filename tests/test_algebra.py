@@ -16,6 +16,7 @@ from jetvar.algebra import (_EPS3, InvariantTensor, LieAlgebraData,
                             builtin_invariant, check_invariant_tensor,
                             direct_sum, gauge_generator, killing_form,
                             load_lie_algebra, section_bracket)
+from jetvar.chern_simons import CSData
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError)
 from jetvar.forms import apply_derivation
 from jetvar.indets import conn, gauge, x
@@ -60,6 +61,20 @@ def test_jacobi_violation_detected():
     # [e1,e2]=e0, [e0,e1]=e1 breaks Jacobi on (0,1,2)
     with pytest.raises(JacobiViolation):
         load_lie_algebra(3, [(0, 1, 2, 1), (1, 0, 1, 1)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_lie_algebra(2, [(0, 0, 1, 0.5)]),
+    lambda: InvariantTensor(2, {(0, 0): 0.5}),
+    lambda: CSData(builtin_algebra("su2"),
+                   builtin_invariant("killing", builtin_algebra("su2"), 2), 2,
+                   h=0.1),
+], ids=["structure constant", "tensor entry", "h"])
+def test_float_model_data_raises_type_error(build):
+    # exactness: a float would be stored as its binary fraction, or reach
+    # the scale as one without a denominator
+    with pytest.raises(TypeError, match="rational coefficient expected"):
+        build()
 
 
 def test_rescaled_epsilon_still_satisfies_jacobi():

@@ -15,7 +15,8 @@ from jetvar.forms import (Form, _wrap, add_into, apply_derivation,
                           map_generators, wedge, wedge_into)
 from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
                            with_extra_deriv, x)
-from jetvar.jets import JetContext
+from jetvar.jets import (JetContext, horizontal_differential,
+                         horizontal_projection)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly
 import oracles
@@ -50,25 +51,39 @@ def test_one_form_squares_to_zero(rng):
 
 def test_duplicate_generator_rejected():
     with pytest.raises(JetvarError):
-        Form(CTX, 2, {(x(0), x(0)): Poly.const(1)})
+        Form(CTX, {(x(0), x(0)): Poly.const(1)})
     with pytest.raises(JetvarError):
-        Form(CTX, 2, {(x(1), x(0)): Poly.const(1)})
+        Form(CTX, {(x(1), x(0)): Poly.const(1)})
+    # the degree is the length of the generator tuples: one length per form
+    with pytest.raises(JetvarError, match="degree mismatch"):
+        Form(CTX, {(x(0),): Poly.const(1), (x(0), x(1)): Poly.const(1)})
 
 
 def test_form_sums_check_degree_and_chart():
     dx0 = Form.generator(CTX, x(0))
     dx01 = wedge(dx0, Form.generator(CTX, x(1)))
-    with pytest.raises(JetvarError):
+    with pytest.raises(JetvarError, match="degree mismatch"):
         dx0 + dx01
-    with pytest.raises(JetvarError):
+    with pytest.raises(JetvarError, match="degree mismatch"):
         dx01 - dx0
     with pytest.raises(JetvarError):
-        dx0 + Form.zero(JetContext(3, 1), 1)
+        dx0 + Form.zero(JetContext(3, 1))
     # contexts with the same dimensions are the same context
-    assert dx0 + Form.zero(JetContext(2, 1), 1) == dx0
-    # a zero form of any degree adds nothing
-    for s in (dx0 + Form.zero(CTX, 2), Form.zero(CTX, 2) + dx0, dx0 - Form.zero(CTX)):
+    assert dx0 + Form.zero(JetContext(2, 1)) == dx0
+    # the zero form has every degree and adds nothing
+    assert Form.zero(CTX).degree is None and (dx0 - dx0).degree is None
+    for s in (dx0 + Form.zero(CTX), Form.zero(CTX) + dx0, dx0 - Form.zero(CTX)):
         assert s == dx0 and s.degree == 1
+
+
+def test_operators_on_the_zero_form_give_zero():
+    zero = Form.zero(CTX)
+    dx0 = Form.generator(CTX, x(0))
+    X = {x(0): Poly.var(x(1))}
+    for out in (exterior_d(zero), horizontal_differential(zero),
+                wedge(zero, dx0), wedge(dx0, zero), contract(X, zero),
+                horizontal_projection(zero)):
+        assert out.is_zero() and out.degree is None
 
 
 def test_d_squared_is_zero(rng):
@@ -102,22 +117,22 @@ def test_d_of_an_off_chart_coordinate_raises(v):
 def _d_coefficient_oracle(f: Poly) -> Form:
     """The gradient route: (df/dv) dv for a coordinate v, and
     (df/ds) * s_{D+lam} dx^lam, built as a Poly product, for a symbol s."""
-    out = Form.zero(CTX, 1)
+    out = Form.zero(CTX)
     for v, g in f.gradient().items():
         if v in CTX:
-            out = out + Form(CTX, 1, {(v,): g})
+            out = out + Form(CTX, {(v,): g})
         else:
             for lam in range(CTX.n):
-                out = out + Form(CTX, 1, {(x(lam),): g * Poly.var(
+                out = out + Form(CTX, {(x(lam),): g * Poly.var(
                     with_extra_deriv(v, lam))})
     return out
 
 
 def _exterior_d_oracle(a: Form) -> Form:
-    out = Form.zero(CTX, a.degree + 1)
+    out = Form.zero(CTX)
     for dcs, f in a.terms.items():
         out = out + wedge(_d_coefficient_oracle(f),
-                          Form(CTX, len(dcs), {dcs: Poly.const(1)}))
+                          Form(CTX, {dcs: Poly.const(1)}))
     return out
 
 
@@ -140,7 +155,7 @@ def d_forms(draw):
             p = p + term
         dcs = (draw(st.sampled_from(COORDS)),) if degree else ()
         terms[dcs] = terms.get(dcs, Poly.zero()) + p
-    return Form(CTX, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX, {d: p for d, p in terms.items() if p})
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,8 +180,8 @@ def test_term_cap_stops_exterior_d(term_cap):
 def test_term_cap_stops_wedge_and_contract(term_cap):
     # (a0 + a1) dx0 ^ (x1 + B) dx1 has four terms on dx0^dx1, and the
     # contraction of that 2-form by x0 d/dx0 has four on dx1
-    a = Form(CTX, 1, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
-    b = Form(CTX, 1, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
+    a = Form(CTX, {(x(0),): Poly.var(conn(0, 0)) + Poly.var(conn(0, 1))})
+    b = Form(CTX, {(x(1),): Poly.var(x(1)) + Poly.var(bg(0, 0))})
     X = {x(0): Poly.var(x(0))}
     term_cap(4)
     ab = wedge(a, b)
@@ -247,7 +262,7 @@ def test_pullback_commutes_with_d(rng):
 def _pullback_oracle(a: Form, bindings: dict) -> Form:
     """The wedge loop: the substituted coefficient as a 0-form, wedged in
     turn with the image of each generator."""
-    out = Form.zero(CTX, a.degree)
+    out = Form.zero(CTX)
     for dcs, f in a.terms.items():
         acc = Form.from_poly(CTX, oracles.substitute(f, bindings))
         for c in dcs:
@@ -286,7 +301,7 @@ def forms(draw, degree=None, gens=COORDS):
                                          min_size=degree, max_size=degree,
                                          unique=True))))
         terms[dcs] = terms.get(dcs, Poly.zero()) + _draw_poly(draw, PB_POOL)
-    return Form(CTX, degree, {d: p for d, p in terms.items() if p})
+    return Form(CTX, {d: p for d, p in terms.items() if p})
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,10 +346,12 @@ FEW = [x(0), x(1), conn(0, 0), conn(0, 1)]
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_in_place_form_operations_match_the_poly_at_a_time_oracles(data):
-    a = data.draw(forms(gens=FEW))
+    # a may be zero, so b takes the drawn degree
+    degree = data.draw(st.integers(0, 3))
+    a = data.draw(forms(degree, FEW))
     # b shares keys and monomials with a; c = -1 cancels them
     c = data.draw(st.sampled_from([Q(-1), Q(1), Q(-2, 3)]))
-    b = oracles.add_forms(data.draw(forms(a.degree, FEW)), a.scale(c))
+    b = oracles.add_forms(data.draw(forms(degree, FEW)), a.scale(c))
     e = data.draw(forms(gens=FEW))
     assert a + b == oracles.add_forms(a, b)
     assert a - b == oracles.add_forms(a, b.scale(-1))
@@ -369,39 +386,43 @@ def test_aliased_form_operands(a):
 WEIGHTS = [1, -1, Q(3, 2)]
 
 
-def _seed(data, result, c):
-    """A non-empty accumulator of the degree of result: a random form, less
-    c * result half the time, so that adding c * result cancels terms."""
-    seed = data.draw(forms(result.degree, FEW))
+def _seed(data, result, degree, c):
+    """A non-empty accumulator of the given degree, that of result, which
+    may be zero: a random form, less c * result half the time, so that
+    adding c * result cancels terms."""
+    seed = data.draw(forms(degree, FEW))
     if data.draw(st.booleans()):
         seed = seed - result.scale(c)
-    return seed + Form(CTX, result.degree,
-                       {tuple(FEW[:result.degree]): Poly.var(T)})
+    return seed + Form(CTX, {tuple(FEW[:degree]): Poly.var(T)})
 
 
-def _assert_core_adds(data, core, result):
-    """core(acc, c) adds c * result into a non-empty accumulator acc: the
-    sum equals seed + c * result built by linear_combination."""
+def _assert_core_adds(data, core, result, degree):
+    """core(acc, c) adds c * result, a form of the given degree, into a
+    non-empty accumulator acc: the sum equals seed + c * result built by
+    linear_combination."""
     c = data.draw(st.sampled_from(WEIGHTS))
-    seed = _seed(data, result, c)
+    seed = _seed(data, result, degree, c)
     acc = add_into({}, seed)
     core(acc, c)
-    assert _wrap(CTX, result.degree, acc) == linear_combination(
-        CTX, result.degree, ((seed, 1), (result, c)))
+    assert _wrap(CTX, acc) == linear_combination(CTX, ((seed, 1), (result, c)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_form_cores_add_into_a_filled_accumulator(data):
-    a = data.draw(forms(gens=FEW))
-    e = data.draw(forms(data.draw(st.integers(0, 4 - a.degree)), FEW))
+    # a and e may be zero, so their degrees are the drawn p and q
+    p = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(0, 4 - p))
+    a = data.draw(forms(p, FEW))
+    e = data.draw(forms(q, FEW))
     X = {v: _draw_poly(data.draw, PB_POOL) for v in FEW[1:]}
-    _assert_core_adds(data, lambda acc, c: add_into(acc, a, c), a)
-    _assert_core_adds(data, lambda acc, c: wedge_into(acc, a, e, c), wedge(a, e))
+    _assert_core_adds(data, lambda acc, c: add_into(acc, a, c), a, p)
+    _assert_core_adds(data, lambda acc, c: wedge_into(acc, a, e, c),
+                      wedge(a, e), p + q)
     _assert_core_adds(data, lambda acc, c: exterior_d_into(acc, a, c),
-                      exterior_d(a))
+                      exterior_d(a), p + 1)
     _assert_core_adds(data, lambda acc, c: contract_into(acc, X, a, c),
-                      contract(X, a))
+                      contract(X, a), max(p - 1, 0))
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,7 +21,7 @@ from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
 from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
-                           SigmaMismatch)
+                           SigmaMismatch, TermLimitExceeded)
 from jetvar.forms import Form, contract, exterior_d, wedge
 from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
@@ -211,8 +211,7 @@ def test_variational_triviality_of_horizontal_projections_of_exact_forms():
     for _ in range(6):
         # order-0 coefficients keep h0(d eta) first-order
         gens = tuple(sorted(rng.sample(pool0, CTX2.n - 1)))
-        eta = Form(CTX2, CTX2.n - 1,
-                   {gens: random_poly(pool0, rng, max_monomials=3)})
+        eta = Form(CTX2, {gens: random_poly(pool0, rng, max_monomials=3)})
         L = Lagrangian.from_horizontal_form(
             horizontal_projection(exterior_d(eta)))
         el = euler_lagrange(L)
@@ -231,7 +230,7 @@ def _su2_model(background="symbolic"):
 def test_fiber_homotopy_recovers_a_primitive():
     cs = _su2_model("zero")
     ctx = cs.ctx
-    alpha = wedge(Form(ctx, 0, {(): Poly.var(conn(0, 0))}),
+    alpha = wedge(Form(ctx, {(): Poly.var(conn(0, 0))}),
                   wedge(Form.generator(ctx, conn(1, 1)),
                         Form.generator(ctx, x(2))))
     omega = exterior_d(alpha)
@@ -242,7 +241,7 @@ def test_fiber_homotopy_recovers_a_primitive():
 def test_fiber_homotopy_rejects_non_closed_forms():
     cs = _su2_model("zero")
     ctx = cs.ctx
-    not_closed = wedge(Form(ctx, 0, {(): Poly.var(conn(0, 0))}),
+    not_closed = wedge(Form(ctx, {(): Poly.var(conn(0, 0))}),
                        Form.generator(ctx, conn(1, 1)))
     with pytest.raises(NotClosed):
         fiber_homotopy(not_closed, cs)
@@ -353,6 +352,7 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     # of S, sigma or J - sigma is a Fraction
     assert {type(c) for a in (chern_simons._S(cs), *sigmas, *currents)
             for p in a.terms.values() for c in p.terms.values()} <= {int}
+    assert all(a.is_zero() or a.degree == cs.n - 1 for a in (*sigmas, *currents))
     for got, want in ((sigmas, sigma), (currents, modified),
                       ([r.residual for r in reports], report.residual)):
         assert _disjoint_union(unscaled(a, cs) for a in got) == {
@@ -420,9 +420,10 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
                      "background_curvature": 1}
 
 
-def test_verify_conservation_leaves_no_reference_cycle():
+def test_verify_conservation_leaves_no_reference_cycle(term_cap):
     # a cycle would keep its objects, such as a slot sum's accumulator,
-    # alive until a cyclic collection
+    # alive until a cyclic collection; so would one on the path of a
+    # TermLimitExceeded, which the cap raises inside the slot sum of S
     cs, _ = cli.build_model(cli.load_config(str(ROOT / "configs/u1su2_k3.json")))
     gc.collect()
     gc.disable()
@@ -430,6 +431,14 @@ def test_verify_conservation_leaves_no_reference_cycle():
         report, _, _ = verify_conservation(cs)
         assert report.passed
         del report
+        assert gc.collect() == 0
+        term_cap(2000)
+        try:
+            cs_form(cs)
+        except TermLimitExceeded:
+            pass
+        else:
+            raise AssertionError("the cap did not stop cs_form")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -455,8 +464,12 @@ def test_homotopy_matches_the_pullback_oracle(name):
     cs, params = _sigma_case(name)
     head = oracles.gauge_head(cs, params)
     psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
+    P, S = characteristic_form(cs), cs_form(cs)
     assert homotopy(cs, [head]) == oracles.homotopy_operator(psi, cs)
-    assert cs_form(cs) == oracles.homotopy_operator(characteristic_form(cs), cs)
+    assert S == oracles.homotopy_operator(P, cs)
+    # a form's degree is the length of its generator tuples
+    for a, degree in ((P, 2 * cs.k), (S, 2 * cs.k - 1), (psi, 2 * cs.k - 2)):
+        assert a.is_zero() or a.degree == degree
 
 
 @pytest.mark.parametrize("background", ["symbolic", "zero"])
@@ -585,14 +598,14 @@ def test_conservation_fails_for_sigma_plus_a_non_exact_form(su2_law):
     ctx = cs.ctx
     # d_H eta = (a^0_{0;0} - a^1_{1;1} + a^2_{2;2}) d^3x, one term from each
     # direction, so d_H eta != 0 and eta is not d_H-exact
-    eta = Form(ctx, 2, {(x(1), x(2)): Poly.var(conn(0, 0)),
-                       (x(0), x(2)): Poly.var(conn(1, 1)),
-                       (x(0), x(1)): Poly.var(conn(2, 2))})
+    eta = Form(ctx, {(x(1), x(2)): Poly.var(conn(0, 0)),
+                     (x(0), x(2)): Poly.var(conn(1, 1)),
+                     (x(0), x(1)): Poly.var(conn(2, 2))})
     report, _ = conservation_check(L, xi_C, sigma + eta)
     assert not report.passed
     d_eta = Poly.var(conn(0, 0, (0,))) - Poly.var(conn(1, 1, (1,))) \
         + Poly.var(conn(2, 2, (2,)))
-    assert report.residual == Form(ctx, 3, {(x(0), x(1), x(2)): -d_eta})
+    assert report.residual == Form(ctx, {(x(0), x(1), x(2)): -d_eta})
 
 
 @pytest.mark.parametrize("lam", range(3))
@@ -641,7 +654,7 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
         terms[m] += 1
         if not terms[m]:
             del terms[m]
-        return Form(a.ctx, out.degree, {**out.terms, key: Poly(terms)})
+        return Form(a.ctx, {**out.terms, key: Poly(terms)})
 
     assert sigma_boundary_term(cs) == sigma
     monkeypatch.setattr(variational, "horizontal_projection", off_by_one)
