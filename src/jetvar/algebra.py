@@ -27,6 +27,8 @@ class LieAlgebraData:
         if dim < 1:
             raise JetvarError(f"algebra dimension must be >= 1, got {dim}")
         self.dim = dim
+        for v in c.values():
+            _as_q(v)   # an int or a Fraction, else TypeError
         self.c = {k: v for k, v in c.items() if v}
         self._validate()
 

@@ -24,6 +24,7 @@ import random
 import resource
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
@@ -241,9 +242,12 @@ def note(line: str):
     print(line, file=sys.stderr)
 
 
-def show_poly(label: str, p: Poly, dump: Dump, den: int = 1):
-    """Print p / den, truncated, and dump it whole."""
-    n = p.term_count()
+def show_poly(label: str, p: Poly, dump: Dump, den: int = 1,
+              n: int | None = None):
+    """Print p / den, truncated, and dump it whole.  p may hold only the
+    first TRUNCATE_AT terms (see Poly.leading) of a Poly of n terms, unless
+    there is a dump; n defaults to p's own term count."""
+    n = n or p.term_count()
     if n > TRUNCATE_AT:
         emit(f"{label} = {p.render(TRUNCATE_AT, den=den)} + ... "
              f"({n - TRUNCATE_AT} more "
@@ -270,12 +274,6 @@ def show_form(label: str, a: Form, dump: Dump, den: int = 1):
 
 
 VACUOUS = " (vacuous: every term is zero)"
-
-
-def peak_rss_mb() -> float:
-    """The peak resident set size of this process so far, in MB (Linux
-    reports ru_maxrss in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def report_line(name: str, passed: bool, vacuous: bool = False) -> bool:
@@ -313,9 +311,8 @@ def cmd_check_algebra(args, dump: Dump) -> int:
     report_line("Jacobi identity", True)
     ok = report_line(f"invariant tensor ad-invariance (degree {inv.degree})",
                      not residual, not inv.entries)
-    if residual:
-        for key in sorted(residual)[:TRUNCATE_AT]:
-            emit(f"  residual at {key}: {residual[key]}")
+    for key in sorted(residual)[:TRUNCATE_AT]:
+        emit(f"  residual at {key}: {residual[key]}")
     return 0 if ok else 1
 
 
@@ -356,9 +353,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
         show_poly(f"delta L / delta {indet_str(i)}", el[i], dump, scale)
     ok = True
     if args.compare_background:
-        cfg0 = dict(cfg)
-        cfg0["background"] = "zero"
-        cs0, _ = build_model(cfg0)
+        cs0, _ = build_model({**cfg, "background": "zero"})
         # the scale depends on h * b and k alone, so both sides share it
         el0 = euler_lagrange(_lagrangian(cs0))
         diff_zero = True
@@ -433,22 +428,47 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
-    report, modified, sizes = verify_conservation(cs)
-    ok = report_line("d_H(J - sigma) + u.(delta L) = 0", report.passed,
-                     report.vacuous)
-    if not report.passed:
-        residual = report.residual
+    ctx = cs.ctx
+    display = cs.k == 2 and inv_name == "killing"
+    # The components' parts of J - sigma share no monomial, so the first
+    # TRUNCATE_AT terms of their sum lie among the first TRUNCATE_AT of
+    # each part, and the term counts add: of each part only those terms are
+    # kept, unless the dump or the display check reads every term.
+    whole = dump.fh or display
+    residual = {}
+    current = {}
+    counts = Counter()
+    vacuous = True
+    sizes = []
+    for report, modified, sigma_terms in verify_conservation(cs):
+        sizes.append(sigma_terms)
+        vacuous &= report.vacuous
+        add_into(residual, report.residual)
+        counts.update({dcs: p.term_count()
+                       for dcs, p in modified.terms.items()})
+        if not whole:
+            modified = modified.leading(TRUNCATE_AT)
+        add_into(current, modified)
+        del report, modified   # before the next component is built
+    residual = _wrap(ctx, residual)
+    ok = report_line("d_H(J - sigma) + u.(delta L) = 0", residual.is_zero(),
+                     vacuous)
+    if not ok:
         text = residual.render(None if dump.fh else PREVIEW_CHARS, cs.scale)
         emit(f"residual ({residual.term_count()} terms):")
         emit("  " + text[:PREVIEW_CHARS])
         dump.write("residual", text)
-    for lam, comp in enumerate(cs.ctx.current_components(modified)):
-        show_poly(f"modified current component {lam}", comp, dump, cs.scale)
-    if cs.k == 2 and inv_name == "killing":
+    modified = _wrap(ctx, current)
+    for lam, comp in enumerate(ctx.current_components(modified)):
+        show_poly(f"modified current component {lam}", comp, dump, cs.scale,
+                  counts[ctx.omega_key(lam)])
+    if display:
         ok &= _display_diff_3d(cs, modified, dump)
+    # the peak resident set size so far, which Linux reports in KiB
     note(f"verify-conservation: {time.perf_counter() - t0:.2f}s, "
          f"{len(sizes)} gauge component{'s' if len(sizes) > 1 else ''}, "
-         f"largest sigma {max(sizes)} terms, peak RSS {peak_rss_mb():.1f} MB")
+         f"largest sigma {max(sizes)} terms, peak RSS "
+         f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return 0 if ok else 1
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from .errors import AntisymmetryViolation, JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import Poly, _interned, add_dicts, chain_rule, mul_dicts
+from .polynomial import (Poly, _held, _interned, add_dicts, chain_rule,
+                         mul_dicts)
 
 __all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
            "map_generators", "linear_combination", "add_into", "wedge_into",
@@ -69,7 +70,10 @@ class Form:
         self.ctx = ctx
         if terms:
             size = len(next(iter(terms)))
-            for dcs in terms:
+            for dcs, p in terms.items():
+                if not p.terms:
+                    raise JetvarError(
+                        f"zero coefficient at generator tuple {dcs}")
                 if len(dcs) != size:
                     raise JetvarError(f"degree mismatch: generator tuples of "
                                       f"lengths {size} and {len(dcs)}")
@@ -133,6 +137,11 @@ class Form:
     def coefficient(self, dcs: tuple) -> Poly:
         return self.terms.get(tuple(dcs), Poly.zero())
 
+    def leading(self, limit: int) -> "Form":
+        """The first limit terms of each coefficient (see Poly.leading)."""
+        return Form(self.ctx, {dcs: p.leading(limit)
+                               for dcs, p in self.terms.items()})
+
     def render(self, width: int | None = None, den: int = 1) -> str:
         """str(self); with width, its first width characters, of which only
         the terms that reach into them are rendered.  Each printed
@@ -162,9 +171,12 @@ class Form:
 
 def _wrap(ctx, raw: dict) -> Form:
     """The form whose coefficients are the raw term dicts raw[key]; empty
-    dicts are dropped.  Each coefficient holds a copy sized to its terms, so
-    the hash-table slack a dict keeps after sums that cancel is freed."""
-    return Form(ctx, {key: Poly(dict(t)) for key, t in raw.items() if t})
+    dicts are dropped.  Each coefficient holds a copy of its dict (see
+    polynomial._held), so the hash-table slack a dict keeps after sums that
+    cancel is freed, and the coefficients of the form share one table."""
+    shared: dict = {}
+    return Form(ctx, {key: Poly(_held(t, shared))
+                      for key, t in raw.items() if t})
 
 
 def is_empty(acc: dict) -> bool:

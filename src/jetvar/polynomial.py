@@ -234,6 +234,19 @@ def _scaled(terms: dict, c) -> dict:
     return {m: _exact(v * c) for m, v in terms.items()} if c else {}
 
 
+def _held(terms: dict, shared: dict) -> dict:
+    """A copy of the term dict terms for a Poly that outlives its call.
+
+    The copy is sized to its terms: a dict that a sum grew keeps the table
+    of its largest size after terms cancel.  Equal coefficients are stored
+    as one object, the first one stored for the value in the table shared:
+    CPython shares only the ints -5..256, and a Poly held N times its value
+    has many coefficients above 256 that take few distinct values.  The
+    caller passes one table for all the Polys of one held object."""
+    get = shared.setdefault
+    return {m: get(c, c) for m, c in terms.items()}
+
+
 def integral_multiple(polys) -> tuple:
     """(N, scaled): the least common denominator N of the coefficients of
     the Polys polys, and the list of the Polys N p, whose coefficients are
@@ -343,7 +356,8 @@ class Poly:
         true when keep is given; keep is called once per indeterminate, and
         the partials it rejects are never formed.  Dividing distinct
         monomials by the same v keeps them distinct, so no partial sums
-        terms or is zero.
+        terms or is zero.  The partials are held copies (see _held) that
+        share one table of coefficients.
         """
         grads: dict = {}
 
@@ -353,7 +367,8 @@ class Poly:
             return ()
 
         chain_rule(self.terms, route)
-        return {v: Poly(terms) for v, terms in grads.items()}
+        shared: dict = {}
+        return {v: Poly(_held(terms, shared)) for v, terms in grads.items()}
 
     # -- queries -------------------------------------------------------
 
@@ -364,6 +379,15 @@ class Poly:
         return len(self.terms)
 
     # -- serialization ---------------------------------------------------
+
+    def leading(self, limit: int) -> "Poly":
+        """The first limit terms of self in serialization order, as a Poly
+        (self when it has no more); p.render(limit) is
+        p.leading(limit).render()."""
+        if len(self.terms) <= limit:
+            return self
+        _, _, rows = _ranked(self.terms, limit)
+        return Poly({m: self.terms[m] for _, m in rows})
 
     def render(self, limit: int | None = None, width: int | None = None,
                den: int = 1) -> str:
@@ -376,30 +400,7 @@ class Poly:
         printed terms are divided."""
         if not self.terms:
             return "0"
-        shown = list(self.terms)
-        if limit is not None and limit < len(shown):
-            # the first limit terms lie in the highest-degree buckets that
-            # together hold limit terms; only those are ranked
-            held = 0
-            for least, n in sorted(Counter(map(len, shown)).items(), reverse=True):
-                held += n
-                if held >= limit:
-                    break
-            shown = [m for m in shown if len(m) >= least]
-        # Sort on ints, not decoded pairs: with the ids ranked in
-        # indeterminate order, rank * k + exponent (every exponent < k)
-        # orders as the pair (indeterminate, exponent) does, and decodes to
-        # the factors in print order.  Distinct monomials have distinct
-        # keys, so a (key, m) row never compares m.
-        k = 1 + max(map(len, shown))
-        ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
-        rank = {i: r * k for r, i in enumerate(ids)}
-        rows = (((-len(m), sorted([rank[i] + m.count(i) for i in set(m)])), m)
-                for m in shown)
-        if limit is None or limit >= len(shown):
-            rows = sorted(rows)
-        else:
-            rows = nsmallest(limit, rows)
+        ids, k, rows = _ranked(self.terms, limit)
         names = _NAMES
         parts = []
         size = -3   # the length of " + ".join(parts)
@@ -426,6 +427,39 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _ranked(terms: dict, limit: int | None) -> tuple:
+    """(ids, k, rows): the first limit monomials of the nonempty term dict
+    terms in serialization order, or all of them when limit is None, as a
+    list of rows ((-degree, codes), m).  codes are the factors of m in
+    print order, each the int rank * k + exponent of an indeterminate whose
+    id is ids[rank]."""
+    shown = list(terms)
+    if limit is not None and limit < len(shown):
+        # the first limit terms lie in the highest-degree buckets that
+        # together hold limit terms; only those are ranked
+        held = 0
+        for least, n in sorted(Counter(map(len, shown)).items(), reverse=True):
+            held += n
+            if held >= limit:
+                break
+        shown = [m for m in shown if len(m) >= least]
+    # Sort on ints, not decoded pairs: with the ids ranked in indeterminate
+    # order, rank * k + exponent (every exponent < k) orders as the pair
+    # (indeterminate, exponent) does, and decodes to the factors in print
+    # order.  Distinct monomials have distinct keys, so a (key, m) row never
+    # compares m.
+    k = 1 + max(map(len, shown))
+    ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
+    rank = {i: r * k for r, i in enumerate(ids)}
+    rows = (((-len(m), sorted([rank[i] + m.count(i) for i in set(m)])), m)
+            for m in shown)
+    if limit is None or limit >= len(shown):
+        rows = sorted(rows)
+    else:
+        rows = nsmallest(limit, rows)
+    return ids, k, rows
 
 
 def _coerce(other) -> Poly:

@@ -22,7 +22,7 @@ from .forms import (Form, _wrap, add_into, apply_derivation,
 from .indets import gauge, indet_str, is_field_jet, multi_index
 from .jets import (JetContext, contact_form, horizontal_differential_into,
                    horizontal_projection, prolong, total_derivative_into)
-from .polynomial import Poly, mul_dicts
+from .polynomial import Poly, _held, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
@@ -91,17 +91,19 @@ def euler_lagrange(L: Lagrangian) -> dict:
     """delta_i = partial_i - d_lam partial^lam_i applied to the density.
 
     Returns a dict over every order-0 field coordinate, in field_coords
-    order (a zero component included); values live on J2."""
+    order (a zero component included); values live on J2.  Each component
+    is a held copy of the sum it was built in (see polynomial._held)."""
     ctx = L.ctx
     grad = L.gradient
     jet_partials = L.jet_partials
     out = {}
+    shared: dict = {}
     for i in ctx.field_coords(0):
         p = grad.get(i)
         comp = dict(p.terms) if p else {}
         for lam, dldj in jet_partials.get(i, ()):
             total_derivative_into(comp, dldj, lam, ctx, -1)
-        out[i] = Poly(comp)
+        out[i] = Poly(_held(comp, shared))
     return out
 
 
@@ -263,7 +265,7 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
 
 
-def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
+def verify_conservation(cs: CSData, params: list | None = None):
     """The conservation law of the CS model cs along xi_C: for each gauge
     component in turn (see _components), its sigma (see
     sigma_boundary_term) and its conservation_check along its part of xi_C,
@@ -276,26 +278,20 @@ def verify_conservation(cs: CSData, params: list | None = None) -> tuple:
     Explicit parameters are one component.  S, L and its Euler-Lagrange
     components, dS and F are the model data of cs, built once per CSData.
 
-    Returns (report, modified, sizes): the components' residuals and
-    modified currents J - sigma added into one form each (they share no
-    monomial, so nothing cancels), a report that is vacuous iff every
-    component's is, and the term count of each component's sigma.  The
-    residual and J - sigma are cs.scale times their values."""
-    ctx = cs.ctx
-    residual: dict = {}
-    current: dict = {}
-    vacuous = True
-    sizes = []
+    A generator: it yields (report, modified, sigma_terms) for each
+    component as the component finishes, its report, its part of the
+    modified current J - sigma and the term count of its sigma, and holds
+    none of them once it resumes.  The law holds iff every component's
+    report passes, and it is vacuous iff every one is; the caller keeps
+    what it reads of the parts.  The residuals and J - sigma are cs.scale
+    times their values."""
     for name, head, xi_C in _components(cs, params):
         sigma = _component_sigma(cs, name, head, xi_C)
         report, modified = conservation_check(_lagrangian(cs), xi_C, sigma)
-        sizes.append(sigma.term_count())
-        vacuous = vacuous and report.vacuous
-        add_into(residual, report.residual)
-        add_into(current, modified)
-        del sigma, report, modified
-    return (VerificationReport(_wrap(ctx, residual), vacuous),
-            _wrap(ctx, current), sizes)
+        sigma_terms = sigma.term_count()
+        del sigma
+        yield report, modified, sigma_terms
+        del report, modified
 
 
 def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,

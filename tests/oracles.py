@@ -19,7 +19,9 @@ the fiber homotopy in closed form, and the last section builds sigma by
 the pullback route of the fiberwise scaling homotopy, against which the
 closed-form descent route of the library is tested.  The section after it
 runs sigma and the conservation law on the whole gauge generator at once,
-where the library runs them one gauge component at a time.  The dense
+where the library runs them one gauge component at a time, and folds the
+library's components into one residual and one current, where the CLI
+keeps of each component only the terms it prints.  The dense
 algebra loops near the end run over every index, where the library sums
 over nonzero structure constants and nonzero tensor entries only and builds
 per-index forms only at the indices of the invariant tensor.  The last
@@ -57,7 +59,8 @@ from jetvar.jets import (contact_form, horizontal_differential,
 from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial
 from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
-from jetvar.variational import Lagrangian, conservation_check
+from jetvar.variational import (Lagrangian, VerificationReport,
+                                conservation_check, verify_conservation)
 
 
 def partial(p: Poly, v: tuple) -> Poly:
@@ -644,6 +647,26 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     report, modified = conservation_check(L, xi_C, sigma)
     return sigma, report, modified
+
+
+def merged_conservation(cs, params: list | None = None) -> tuple:
+    """(report, modified, sizes): the gauge components of
+    verify_conservation folded into one form each, as the library returned
+    them before its caller kept only the printed terms.  The components'
+    residuals and parts of J - sigma share no monomial, so each is added
+    into one accumulator; the report is vacuous iff every component's is,
+    and sizes lists the term count of each component's sigma."""
+    residual: dict = {}
+    current: dict = {}
+    vacuous = True
+    sizes = []
+    for report, modified, sigma_terms in verify_conservation(cs, params):
+        sizes.append(sigma_terms)
+        vacuous = vacuous and report.vacuous
+        add_into(residual, report.residual)
+        add_into(current, modified)
+    return (VerificationReport(_wrap(cs.ctx, residual), vacuous),
+            _wrap(cs.ctx, current), sizes)
 
 
 # -- dense algebra loops ----------------------------------------------------

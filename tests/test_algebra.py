@@ -65,11 +65,13 @@ def test_jacobi_violation_detected():
 
 @pytest.mark.parametrize("build", [
     lambda: load_lie_algebra(2, [(0, 0, 1, 0.5)]),
+    lambda: LieAlgebraData(2, {(0, 0, 1): 0.5, (0, 1, 0): -0.5}),
     lambda: InvariantTensor(2, {(0, 0): 0.5}),
     lambda: CSData(builtin_algebra("su2"),
                    builtin_invariant("killing", builtin_algebra("su2"), 2), 2,
                    h=0.1),
-], ids=["structure constant", "tensor entry", "h"])
+], ids=["structure constant", "direct structure constant", "tensor entry",
+         "h"])
 def test_float_model_data_raises_type_error(build):
     # exactness: a float would be stored as its binary fraction, or reach
     # the scale as one without a denominator

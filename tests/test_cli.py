@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetvar import cli
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -679,6 +680,28 @@ def test_verify_conservation_notes_components_and_memory(capsys):
                      str(CONFIGS / "u1_k2.json")])
     err = capsys.readouterr().err
     assert ", 1 gauge component, largest sigma 18 terms, " in err
+
+
+@pytest.mark.parametrize("config", [
+    *sorted(p.name for p in CONFIGS.glob("*.json") if p.name != "selftest.json"),
+    "u1su2_k3_h1_3.json"])
+def test_printed_current_matches_the_merged_current_oracle(config, capsys):
+    # the CLI keeps the leading terms and the term count of each gauge
+    # component's part of J - sigma; the oracle adds the whole parts into
+    # one form, whose components print as they did before
+    path = CONFIGS / config
+    if not path.exists():
+        path = TEST_CONFIGS / config
+    assert cli.main(["verify-conservation", "--config", str(path)]) == 0
+    got = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("modified current component ")]
+    cs, _ = cli.build_model(cli.load_config(str(path)))
+    _, modified, _ = oracles.merged_conservation(cs)
+    for lam, comp in enumerate(cs.ctx.current_components(modified)):
+        cli.show_poly(f"modified current component {lam}", comp,
+                      cli.Dump(None), cs.scale)
+    assert got == capsys.readouterr().out.splitlines()
+    assert len(got) == cs.n
 
 
 # -- one parser per process: no flag or default leaks between calls ---------

@@ -57,6 +57,11 @@ def test_duplicate_generator_rejected():
     # the degree is the length of the generator tuples: one length per form
     with pytest.raises(JetvarError, match="degree mismatch"):
         Form(CTX, {(x(0),): Poly.const(1), (x(0), x(1)): Poly.const(1)})
+    # a zero coefficient would make the form read as nonzero
+    with pytest.raises(JetvarError, match="zero coefficient"):
+        Form(CTX, {(x(0),): Poly.zero()})
+    with pytest.raises(JetvarError, match="zero coefficient"):
+        Form(CTX, {(x(0),): Poly.const(1), (x(1),): Poly.zero()})
 
 
 def test_form_sums_check_degree_and_chart():

@@ -473,6 +473,26 @@ def test_render_width_stops_at_the_first_term_that_reaches_it(p, width):
         assert p.render(lim, width) == " + ".join(parts[:min(n, lim)])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(polys(), min_size=1, max_size=4), st.integers(1, 6))
+def test_leading_terms_rank_as_render_does(parts, limit):
+    # one ranking: render(limit) is the text of the leading terms, and the
+    # leading terms of a sum of parts that share no monomial lie among the
+    # leading terms of the parts
+    disjoint = []
+    seen: set = set()
+    for p in parts:
+        assert p.leading(limit).render() == p.render(limit)
+        assert p.leading(limit).terms.items() <= p.terms.items()
+        q = Poly({m: c for m, c in p.terms.items() if m not in seen})
+        seen |= q.terms.keys()
+        disjoint.append(q)
+    whole = sum(disjoint, Poly.zero())
+    kept = sum((q.leading(limit) for q in disjoint), Poly.zero())
+    assert kept.leading(limit) == whole.leading(limit)
+    assert kept.render(limit) == whole.render(limit)
+
+
 def test_text_order_does_not_depend_on_intern_order():
     # x[1002] is interned first, so ids sort opposite to the indeterminates
     x2, x1, x0 = (Poly.var(x(1000 + i)) for i in (2, 1, 0))

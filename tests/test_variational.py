@@ -4,6 +4,7 @@ the fiberwise homotopy route as its oracle), and the conservation law."""
 
 import gc
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -358,7 +359,7 @@ def test_gauge_components_match_the_one_shot_oracle(name):
         assert _disjoint_union(unscaled(a, cs) for a in got) == {
             key: p.terms for key, p in want.terms.items()}
     assert all(r.vacuous for r in reports) == report.vacuous
-    merged_report, merged, sizes = verify_conservation(cs, params)
+    merged_report, merged, sizes = oracles.merged_conservation(cs, params)
     assert unscaled(merged, cs) == modified
     assert unscaled(merged_report.residual, cs) == report.residual
     assert merged_report.vacuous == report.vacuous
@@ -388,7 +389,7 @@ def test_scaled_pipeline_is_the_scale_times_the_oracles(model, c, h,
     assert unscaled(euler_lagrange(variational._lagrangian(cs)), cs) == el
     sigma, report, modified = oracles.one_shot_conservation(cs)
     assert unscaled(sigma_boundary_term(cs), cs) == sigma
-    got, got_modified, _ = verify_conservation(cs)
+    got, got_modified, _ = oracles.merged_conservation(cs)
     assert unscaled(got_modified, cs) == modified
     assert got.passed and report.passed
     assert got.vacuous == report.vacuous == (h == 0)
@@ -414,7 +415,7 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     # cs_lagrangian reads the S that cs holds
     assert horizontal_projection(chern_simons._S(cs)) == cs_lagrangian(cs)
     sigma = sigma_boundary_term(cs)
-    report, _, _ = verify_conservation(cs)
+    report, _, _ = oracles.merged_conservation(cs)
     assert report.passed and not sigma.is_zero()
     assert calls == {"cs_form": 1, "canonical_curvature": 1,
                      "background_curvature": 1}
@@ -428,7 +429,7 @@ def test_verify_conservation_leaves_no_reference_cycle(term_cap):
     gc.collect()
     gc.disable()
     try:
-        report, _, _ = verify_conservation(cs)
+        report, _, _ = oracles.merged_conservation(cs)
         assert report.passed
         del report
         assert gc.collect() == 0
@@ -444,6 +445,54 @@ def test_verify_conservation_leaves_no_reference_cycle(term_cap):
         gc.enable()
 
 
+@pytest.mark.parametrize("config", ["configs/su2_k2.json",
+                                    "configs/u1su2_k3.json"])
+def test_held_model_polys_are_sized_and_share_their_coefficients(config):
+    # each Poly that the model holds is no larger than a fresh copy of its
+    # dict, and the equal coefficients of one held object are one int
+    cs, _ = cli.build_model(cli.load_config(str(ROOT / config)))
+    L = variational._lagrangian(cs)
+    held = {
+        "S": list(chern_simons._S(cs).terms.values()),
+        "density": [L.density],
+        "gradient": list(L.gradient.values()),
+        "jet_partials": [p for pairs in L.jet_partials.values()
+                         for _, p in pairs],
+        "Euler-Lagrange": list(euler_lagrange(L).values()),
+    }
+    for name, polys in held.items():
+        assert polys, name
+        shared: dict = {}
+        for p in polys:
+            assert sys.getsizeof(p.terms) <= sys.getsizeof(dict(p.terms)), name
+            for c in p.terms.values():
+                assert shared.setdefault(c, c) is c, (name, c)
+        # the scaled model has coefficients that CPython does not cache
+        if config.endswith("u1su2_k3.json") and name != "Euler-Lagrange":
+            assert any(abs(c) > 256 for c in shared), name
+
+
+def test_verify_conservation_yields_each_component_as_it_finishes(
+        monkeypatch):
+    # a component's report and part of J - sigma reach the caller before
+    # the next component's sigma is built
+    built = []
+    component_sigma = variational._component_sigma
+
+    def counted(cs, name, head, xi_C):
+        built.append(name)
+        return component_sigma(cs, name, head, xi_C)
+
+    monkeypatch.setattr(variational, "_component_sigma", counted)
+    cs = _su2_model()
+    parts = verify_conservation(cs)
+    for r in range(3):
+        report, modified, sigma_terms = next(parts)
+        assert built == [f"gauge component {i}" for i in range(r + 1)]
+        assert report.passed and not modified.is_zero() and sigma_terms
+    assert next(parts, None) is None
+
+
 def test_the_lagrangian_alone_does_not_keep_the_cs_form():
     # euler-lagrange and noether read S only to build L = h0 S, so S is not
     # kept while L, its gradient and its Euler-Lagrange components are
@@ -452,7 +501,7 @@ def test_the_lagrangian_alone_does_not_keep_the_cs_form():
     L = variational._lagrangian(cs)
     euler_lagrange(L)
     assert ("S",) not in cs._shared
-    report, _, _ = verify_conservation(cs)
+    report, _, _ = oracles.merged_conservation(cs)
     assert report.passed and ("S",) in cs._shared
     assert horizontal_projection(chern_simons._S(cs)) == L.form()
 
