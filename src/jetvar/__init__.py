@@ -9,7 +9,7 @@ from .chern_simons import (CSData, canonical_curvature, characteristic_at_B,
                            characteristic_form, cs_form, cs_lagrangian)
 from .forms import Form, contract, exterior_d, wedge
 from .jets import (JetContext, contact_form, horizontal_differential,
-                   horizontal_projection, prolong, total_derivative)
+                   horizontal_projection, total_derivative)
 from .polynomial import Poly, Q
 from .variational import (Lagrangian, VerificationReport, conservation_check,
                           euler_lagrange, first_variational_check,

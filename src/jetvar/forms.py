@@ -15,10 +15,10 @@ one length; the zero form has no tuple and every degree.
 
 Every operator has one core that adds c * op(...) into an accumulator the
 caller owns: a dict from generator tuples to raw term dicts (add_into,
-wedge_into, differential_into, exterior_d_into, contract_into; for scalars,
-apply_derivation_into adds into one term dict).  A sum of operator results
-is built in one accumulator and turned into a Form once, by _wrap; each
-returning operator is that core added into an empty accumulator.
+wedge_into, differential_into, exterior_d_into, contract_into).  A sum of
+operator results is built in one accumulator and turned into a Form once, by
+_wrap; each returning operator is that core added into an empty
+accumulator.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import (Poly, _held, _interned, add_dicts, chain_rule,
                          mul_dicts)
 
-__all__ = ["Form", "wedge", "exterior_d", "contract", "apply_derivation",
-           "map_generators", "linear_combination", "add_into", "wedge_into",
-           "differential_into", "exterior_d_into", "contract_into",
-           "apply_derivation_into"]
+__all__ = ["Form", "wedge", "exterior_d", "contract", "map_generators",
+           "linear_combination", "add_into", "wedge_into",
+           "differential_into", "exterior_d_into", "contract_into"]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -292,21 +291,6 @@ def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
 
 def contract(X: dict, a: Form) -> Form:
     return _wrap(a.ctx, contract_into({}, X, a))
-
-
-def apply_derivation_into(out: dict, X: dict, grad: dict, c=1) -> dict:
-    """Add c * X(f) into the term dict out, for the vector field X acting on
-    a scalar f given by its gradient f.gradient(): sum X^g partial_g f;
-    returns out."""
-    for g, df in grad.items():
-        comp = X.get(g)
-        if comp:
-            mul_dicts(comp.terms, df.terms, out, c)
-    return out
-
-
-def apply_derivation(X: dict, grad: dict) -> Poly:
-    return Poly(apply_derivation_into({}, X, grad))
 
 
 def map_generators(a: Form, image) -> Form:

@@ -1,10 +1,9 @@
 """Jet-bundle operators: total derivatives, horizontal projection and
-differential, contact forms, first prolongation of vertical fields, and
-currents as horizontal (n-1)-forms."""
+differential, contact forms, and currents as horizontal (n-1)-forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import JetvarError
@@ -16,7 +15,7 @@ from .polynomial import Poly, _interned, chain_rule
 
 __all__ = ["JetContext", "total_derivative", "total_derivative_into",
            "horizontal_projection", "horizontal_differential",
-           "horizontal_differential_into", "contact_form", "prolong"]
+           "horizontal_differential_into", "contact_form"]
 
 
 _IMAGE_TABLES: dict = {}   # (map name, context) -> {argument: image}
@@ -38,18 +37,27 @@ class JetContext:
     n: int
     gauge_dim: int
     matter_dim: int = 0
+    # name -> the memoized map that _images made for it on this context
+    _maps: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def _images(self, name: str, build):
         """The map v -> build(v), memoized for the life of the process in
-        the table that equal contexts share under name.  A build that raises
-        stores nothing, so it raises again on every call."""
-        memo = _IMAGE_TABLES.setdefault((name, self), {})
+        the table that equal contexts share under name.  The map is made on
+        the first call for name on this context and kept by it, so a later
+        call costs one lookup and its build is not read: a build must
+        capture nothing but the context.  A build that raises stores
+        nothing, so it raises again on every call."""
+        image = self._maps.get(name)
+        if image is None:
+            memo = _IMAGE_TABLES.setdefault((name, self), {})
 
-        def image(v):
-            img = memo.get(v)
-            if img is None:
-                img = memo[v] = build(v)
-            return img
+            def image(v):
+                img = memo.get(v)
+                if img is None:
+                    img = memo[v] = build(v)
+                return img
+            self._maps[name] = image
         return image
 
     def __contains__(self, c: tuple) -> bool:
@@ -132,18 +140,25 @@ def _horizontal_image(ctx: JetContext):
     return ctx._images("d_H", image)
 
 
+def _total_derivatives_into(outs: dict, f: Poly, ctx: JetContext, c=1):
+    """Add c * d_lam f into the term dict outs[lam] for each lam in outs,
+    in one chain-rule walk over f: each term of d_H f goes to outs[lam]
+    for the dx^lam it pairs with, and one whose lam is not in outs is never
+    formed."""
+    image = _horizontal_image(ctx)
+
+    def route(v):
+        return [(outs[g[1]], c, lift) for g, lift in image(v) if g[1] in outs]
+
+    chain_rule(f.terms, route)
+
+
 def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
                           c=1) -> dict:
     """Add c * d_lam f into the term dict out; returns out.  d_lam f is the
     chain rule: the partial in x^lam, plus (df/dv) v_{D+lam} for every field
     jet and function symbol v; other x and t are constants."""
-    dx = x(lam)
-    image = _horizontal_image(ctx)
-
-    def route(v):
-        return [(out, c, lift) for g, lift in image(v) if g == dx]
-
-    chain_rule(f.terms, route)
+    _total_derivatives_into({lam: out}, f, ctx, c)
     return out
 
 
@@ -180,17 +195,19 @@ def horizontal_projection(a: Form) -> Form:
     h0 is undefined on dt and raises there.  The image of each generator
     tuple, the wedge of the d_H of its coordinates, is built once per
     process and context."""
+    ctx = a.ctx
+
     def image(dcs):
-        img = Form.from_poly(a.ctx, Poly.const(1))
+        img = Form.from_poly(ctx, Poly.const(1))
         for c in dcs:
             if c[0] == AUX:
                 raise JetvarError(f"h0 undefined on d{indet_str(c)}")
-            img = wedge(img, _d_H_coordinate(c, a.ctx))
+            img = wedge(img, _d_H_coordinate(c, ctx))
             if img.is_zero():
                 break
         return img
 
-    return map_generators(a, a.ctx._images("h0", image))
+    return map_generators(a, ctx._images("h0", image))
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:
@@ -199,24 +216,3 @@ def contact_form(c: tuple, ctx: JetContext) -> Form:
         raise JetvarError(f"{indet_str(c)} is not a field coordinate")
     return Form.generator(ctx, c) - _d_H_coordinate(c, ctx)
 
-
-def prolong(u: dict, ctx: JetContext) -> dict:
-    """First jet prolongation of a vertical field given on order-0 field
-    coordinates: adds the components d_lam u^i on the first-order jets.
-    All n total derivatives of a component come from one chain-rule walk,
-    which routes each term of d_H u^i to the part of its dx^lam; that part
-    is keyed by the jet i_lam that the d_H image of i pairs with dx^lam."""
-    for c in u:
-        if not is_field_jet(c) or multi_index(c):
-            raise JetvarError(f"field is not vertical order-0: {indet_str(c)}")
-    image = _horizontal_image(ctx)
-    out = {c: p for c, p in u.items() if p}
-    for c, p in u.items():
-        parts = [{} for _ in range(ctx.n)]
-        chain_rule(p.terms, lambda v: [(parts[dx[1]], 1, lift)
-                                       for dx, lift in image(v)])
-        for dx, lift in image(c):
-            comp = parts[dx[1]]
-            if comp:
-                out[lift] = Poly(comp)
-    return out

@@ -250,13 +250,17 @@ def _held(terms: dict, shared: dict) -> dict:
 def integral_multiple(polys) -> tuple:
     """(N, scaled): the least common denominator N of the coefficients of
     the Polys polys, and the list of the Polys N p, whose coefficients are
-    all ints."""
+    all ints.  N is a multiple of every denominator, so each coefficient
+    is scaled in ints: v * N for an int v, and the numerator times
+    N // denominator for a Fraction."""
     polys = list(polys)
     N = lcm(*{c.denominator for p in polys for c in p.terms.values()
               if type(c) is not int})
     if N == 1:
         return 1, polys
-    return N, [Poly(_scaled(p.terms, N)) for p in polys]
+    return N, [Poly({m: v * N if type(v) is int
+                     else v.numerator * (N // v.denominator)
+                     for m, v in p.terms.items()}) for p in polys]
 
 
 def _exact(c):

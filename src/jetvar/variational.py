@@ -16,12 +16,12 @@ from .algebra import _generator
 from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction, _t_free,
                            cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
-from .forms import (Form, _wrap, add_into, apply_derivation,
-                    apply_derivation_into, contract_into, exterior_d_into,
+from .forms import (Form, _wrap, add_into, contract_into, exterior_d_into,
                     is_empty, wedge_into)
 from .indets import gauge, indet_str, is_field_jet, multi_index
-from .jets import (JetContext, contact_form, horizontal_differential_into,
-                   horizontal_projection, prolong, total_derivative_into)
+from .jets import (JetContext, _total_derivatives_into, contact_form,
+                   horizontal_differential_into, horizontal_projection,
+                   total_derivative_into)
 from .polynomial import Poly, _held, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
@@ -136,10 +136,38 @@ def noether_current(L: Lagrangian, u: dict) -> Form:
     return _wrap(L.ctx, _noether_into({}, L, u))
 
 
+def _lie_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
+    """Add c * (u^i partial_i + d_lam u^i partial^lam_i) density, the
+    coefficient of omega in the Lie derivative of L along the first
+    prolongation J1 u, into the term dict out; returns out.
+
+    u is a vertical field on order-0 field coordinates, else JetvarError.
+    Only the partials that the density has are read: u^i partial_i from
+    L.gradient, and d_lam u^i only for the (lam, partial^lam_i) pairs of
+    L.jet_partials, all of them from one chain-rule walk over u^i; a
+    component of J1 u that meets no partial is never formed."""
+    for i in u:
+        if not is_field_jet(i) or multi_index(i):
+            raise JetvarError(f"field is not vertical order-0: {indet_str(i)}")
+    ctx = L.ctx
+    grad = L.gradient
+    jet_partials = L.jet_partials
+    for i, ui in u.items():
+        p = grad.get(i)
+        if p:
+            mul_dicts(ui.terms, p.terms, out, c)
+        partials = jet_partials.get(i)
+        if partials:
+            parts = {lam: {} for lam, _ in partials}
+            _total_derivatives_into(parts, ui, ctx)
+            for lam, dldj in partials:
+                mul_dicts(parts[lam], dldj.terms, out, c)
+    return out
+
+
 def lie_derivative_lagrangian(L: Lagrangian, u: dict) -> Form:
     """(u^i partial_i + d_lam u^i partial^lam_i) density * omega."""
-    scalar = apply_derivation(prolong(u, L.ctx), L.gradient)
-    return L.ctx.volume_form(scalar)
+    return L.ctx.volume_form(Poly(_lie_into({}, L, u)))
 
 
 def _el_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
@@ -158,7 +186,7 @@ def _el_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
 def first_variational_check(L: Lagrangian, u: dict) -> VerificationReport:
     """Residual of L_{J1u}L - u.deltaL - d_H(J_u); passes iff exactly zero."""
     ctx = L.ctx
-    vol = apply_derivation_into({}, prolong(u, ctx), L.gradient)
+    vol = _lie_into({}, L, u)
     _el_into(vol, L, u, -1)
     acc = {ctx.volume_key(): vol}
     horizontal_differential_into(acc, noether_current(L, u), -1)
@@ -214,8 +242,8 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     sigma = horizontal_projection(sigma)
     # d_H sigma - L_{J1 xi_C} L, in one accumulator
     check = horizontal_differential_into({}, sigma)
-    apply_derivation_into(check.setdefault(ctx.volume_key(), {}),
-                          prolong(xi_C, ctx), _lagrangian(cs).gradient, -1)
+    L = _lagrangian(cs)
+    _lie_into(check.setdefault(ctx.volume_key(), {}), L, xi_C, -1)
     if not is_empty(check):
         raise SigmaMismatch(
             f"{name}: d_H sigma != Lie derivative of the CS Lagrangian")

@@ -7,35 +7,39 @@ keyed by (indeterminate, exponent) pair tuples, which the multiset-id kernel
 of polynomial.py replaced, is kept here as the oracle of that kernel, and so
 is the t-integrand route of the fiber homotopy (the interpolated curvature
 as one t-polynomial, each coefficient integrated term by term), the oracle
-of the library's closed-form t-integral.  Prolongation takes one total
-derivative at a time here, where the library takes all n of a component in
-one chain-rule walk, and the Euler-Lagrange operator, the Poincare-Cartan
-form and Noether currents probe every (coordinate, direction) pair for a
-first-order partial, where the library visits the partials the density
-has.  The form oracles below sum Poly coefficients one `+` at a time, key
-by key, where the library sums raw term dicts in place.  The pullback of
-forms along a substitution lives here only: the library builds P(F_B) and
-the fiber homotopy in closed form, and the last section builds sigma by
-the pullback route of the fiberwise scaling homotopy, against which the
-closed-form descent route of the library is tested.  The section after it
-runs sigma and the conservation law on the whole gauge generator at once,
-where the library runs them one gauge component at a time, and folds the
-library's components into one residual and one current, where the CLI
-keeps of each component only the terms it prints.  The dense
-algebra loops near the end run over every index, where the library sums
-over nonzero structure constants and nonzero tensor entries only and builds
-per-index forms only at the indices of the invariant tensor.  The last
-section holds random polynomials built by Poly arithmetic (the library
-builds the same ones as term dicts), random forms and the hand-expanded 3D
-displays of the CS density, its Lie derivative and its Noether current,
-which only the tests compare against.
+of the library's closed-form t-integral.  Prolongation of vertical fields
+lives here only, one total derivative at a time: the Lie derivative of a
+Lagrangian along the prolongation J1 u is the prolonged field applied as a
+derivation to the density's gradient, where the library forms d_lam u^i only
+for the first-order partials that the density has.  Likewise the
+Euler-Lagrange operator, the Poincare-Cartan form and Noether currents probe
+every (coordinate, direction) pair for a first-order partial, where the
+library visits the partials the density has.  The form oracles below sum
+Poly coefficients one `+` at a time, key by key, where the library sums raw
+term dicts in place.  The pullback of forms along a substitution lives here
+only: the library builds P(F_B) and the fiber homotopy in closed form, and
+the last section builds sigma by the pullback route of the fiberwise scaling
+homotopy, against which the closed-form descent route of the library is
+tested.  The section after it runs sigma and the conservation law on the
+whole gauge generator at once, where the library runs them one gauge
+component at a time, and folds the library's components into one residual
+and one current, where the CLI keeps of each component only the terms it
+prints; the one-shot run works on the library's scaled forms and divides by
+the scale only what it returns.  The dense algebra loops near the end run over every index,
+where the library sums over nonzero structure constants and nonzero tensor
+entries only and builds per-index forms only at the indices of the invariant
+tensor.  The last section holds random polynomials built by Poly arithmetic
+(the library builds the same ones as term dicts), random forms and the
+hand-expanded 3D displays of the CS density, its Lie derivative and its
+Noether current, which only the tests compare against.
 
 The oracles of a CS model give each form's value, where the library holds
 cs.scale times it (see chern_simons): unscaled() divides a library result
 by the scale.  The t-integrand route and the dense slot sum divide by their
 own denominators, so they share no scaling code with the library; sigma by
-the pullback route and in one shot run on the library's slot contractions
-divided by the scale.
+the pullback route runs on the library's slot contractions divided by the
+scale, and sigma in one shot on the slot contractions as the library holds
+them, dividing its results.
 """
 
 from bisect import bisect_left
@@ -43,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from jetvar import algebra, forms
+from jetvar import algebra, forms, polynomial
 from jetvar.chern_simons import (_a_minus_B, _curvature, _multinomial,
                                  _slot_contraction, _t_free,
                                  background_curvature, canonical_curvature,
@@ -129,7 +133,7 @@ def substitute(p: Poly, bindings: dict) -> Poly:
 def divided(p: Poly, den) -> Poly:
     """p / den for a nonzero rational den, term by term; a zero term of p
     is dropped."""
-    return Poly({m: _exact(Fraction(c) / den) for m, c in p.terms.items() if c})
+    return Poly({m: _exact(Fraction(c, den)) for m, c in p.terms.items() if c})
 
 
 def unscaled(a, cs):
@@ -364,7 +368,8 @@ def jet_chart(ctx, max_order: int) -> list:
 
 def prolong(u: dict, ctx) -> dict:
     """First jet prolongation of a vertical order-0 field, one total
-    derivative d_lam u^i at a time."""
+    derivative d_lam u^i at a time: every component of u in every
+    direction."""
     out = {c: p for c, p in u.items() if p}
     for c, p in u.items():
         for lam in range(ctx.n):
@@ -372,6 +377,24 @@ def prolong(u: dict, ctx) -> dict:
             if comp:
                 out[with_extra_deriv(c, lam)] = comp
     return out
+
+
+def apply_derivation(X: dict, grad: dict) -> Poly:
+    """X(f) = sum X^g partial_g f for the vector field X: coord -> Poly
+    and a scalar f given by its gradient f.gradient(), summed in one term
+    dict."""
+    out: dict = {}
+    for g, df in grad.items():
+        comp = X.get(g)
+        if comp:
+            polynomial.mul_dicts(comp.terms, df.terms, out)
+    return Poly(out)
+
+
+def lie_derivative(L, u: dict) -> Poly:
+    """The coefficient of omega in the Lie derivative of L along J1 u: the
+    prolonged field applied as a derivation to the density."""
+    return apply_derivation(prolong(u, L.ctx), L.gradient)
 
 
 # -- first-variational operators that probe every (coordinate, lam) pair ---
@@ -624,29 +647,31 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     """(sigma, report, modified) of the whole gauge generator at once, by
     the descent route with its checks: d psi = xi_C . dS (NonzeroResidual
     otherwise), the post-check d_H sigma = L_{J1 xi_C} L (SigmaMismatch
-    otherwise), and conservation_check along the whole xi_C.  It runs on
-    the values of S, psi and eta, the library's slot contractions divided
-    by cs.scale, so each result is a value, where the library holds
-    cs.scale times it."""
+    otherwise), and conservation_check along the whole xi_C.  Every step is
+    linear in S, psi and eta, so it runs on the library's S and slot
+    contractions, which hold cs.scale times their values, and divides by
+    cs.scale only the results it returns: each is a value, where the
+    library holds cs.scale times it.  The checks compare zero with a
+    multiple of zero, which the scale does not change."""
     ctx = cs.ctx
-    S = unscaled(cs_form(cs), cs)
+    S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
     head = gauge_head(cs, params)
-    psi = unscaled(_slot_contraction(cs, [head],
-                                     _t_free(canonical_curvature(cs))), cs)
+    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
     residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
     if not residual.is_zero():
         raise NonzeroResidual(f"descent residual has "
-                              f"{residual.term_count()} terms: {residual}")
+                              f"{residual.term_count()} terms: "
+                              f"{residual.render(den=cs.scale)}")
     sigma = horizontal_projection(
-        psi - forms.exterior_d(unscaled(homotopy(cs, [head]), cs))
-        + forms.contract(xi_C, S))
-    lie = forms.apply_derivation(prolong(xi_C, ctx), L.gradient)
-    if horizontal_differential(sigma) != ctx.volume_form(lie):
+        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S))
+    if horizontal_differential(sigma) != ctx.volume_form(lie_derivative(L, xi_C)):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     report, modified = conservation_check(L, xi_C, sigma)
-    return sigma, report, modified
+    return (unscaled(sigma, cs),
+            VerificationReport(unscaled(report.residual, cs), report.vacuous),
+            unscaled(modified, cs))
 
 
 def merged_conservation(cs, params: list | None = None) -> tuple:

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
-from jetvar.forms import (Form, _wrap, add_into, apply_derivation,
-                          apply_derivation_into, contract, contract_into,
+from jetvar.forms import (Form, _wrap, add_into, contract, contract_into,
                           exterior_d, exterior_d_into, linear_combination,
                           map_generators, wedge, wedge_into)
 from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
@@ -428,18 +427,3 @@ def test_form_cores_add_into_a_filled_accumulator(data):
                       exterior_d(a), p + 1)
     _assert_core_adds(data, lambda acc, c: contract_into(acc, X, a, c),
                       contract(X, a), max(p - 1, 0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_apply_derivation_core_adds_into_a_filled_term_dict(data):
-    f = _draw_poly(data.draw, PB_POOL)
-    X = {v: _draw_poly(data.draw, PB_POOL) for v in PB_POOL[::2]}
-    c = data.draw(st.sampled_from(WEIGHTS))
-    result = apply_derivation(X, f.gradient())
-    seed = _draw_poly(data.draw, PB_POOL)
-    if data.draw(st.booleans()):
-        seed = seed - result * c
-    seed = seed + Poly.var(T)
-    out = apply_derivation_into(dict(seed.terms), X, f.gradient(), c)
-    assert Poly(out) == seed + result * c

@@ -1,8 +1,10 @@
 """Total derivatives, horizontal projection and differential, contact forms,
-and prolongation of vertical fields."""
+the context's image memos, and the prolongation of vertical fields by the
+test oracle."""
 
 import dataclasses
-import random
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,16 @@ from jetvar import jets, polynomial
 from jetvar.algebra import builtin_algebra, builtin_invariant
 from jetvar.chern_simons import CSData
 from jetvar.errors import JetvarError, TermLimitExceeded
-from jetvar.forms import (Form, _wrap, add_into, apply_derivation, exterior_d,
+from jetvar.forms import (Form, _wrap, add_into, exterior_d,
                           linear_combination, wedge)
 from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
                            matter, multi_index, with_extra_deriv, x)
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_differential_into, horizontal_projection,
-                         prolong, total_derivative, total_derivative_into)
+                         total_derivative, total_derivative_into)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly, random_vertical_field
-import oracles
-from oracles import jet_chart, partial, random_form
+from oracles import apply_derivation, jet_chart, partial, prolong, random_form
 
 CTX = JetContext(2, 1, matter_dim=1)
 
@@ -313,6 +314,47 @@ def test_memoized_images_follow_the_base_dimension(sizes):
     assert cs.ctx == JetContext(3, 3, 3)
 
 
+def test_a_context_keeps_the_map_it_made_for_each_name():
+    # the first call for a name on a context makes its memoized map and the
+    # context keeps it; a later call returns that map and ignores its build.
+    # An equal context built apart makes its own map over the same table.
+    ctx = JetContext(2, 3, 1)
+    name, built = object(), []
+    image = ctx._images(name, lambda v: built.append(v) or (v,))
+    assert ctx._images(name, lambda v: ()) is image
+    assert image(x(1)) == (x(1),) and image(x(1)) == (x(1),)
+    other = JetContext(2, 3, 1)
+    twin = other._images(name, lambda v: ())
+    assert twin is not image and twin(x(1)) == (x(1),)
+    assert built == [x(1)]
+    # the kept maps take no part in a context's value
+    assert other == ctx and hash(other) == hash(ctx)
+    assert repr(ctx) == "JetContext(n=2, gauge_dim=3, matter_dim=1)"
+
+
+class _Tracked(Form):
+    """A form that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("op", [horizontal_projection, exterior_d,
+                                horizontal_differential])
+def test_a_kept_image_build_holds_no_form(op):
+    # the build that a context keeps for the first call of an operator
+    # captures only the context, so the form of that call is freed once its
+    # caller drops it
+    ctx = JetContext(2, 1, 1)   # a new context object keeps no map yet
+    assert not ctx._maps
+    a = _Tracked(ctx, {(x(0),): Poly.var(conn(0, 1)) * Poly.var(bg(0, 0))})
+    op(a)
+    assert ctx._maps
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
 def test_horizontal_projection_kills_contact_forms():
     for c in CTX.field_coords(0) + CTX.field_coords(1):
         theta = contact_form(c, CTX)
@@ -355,38 +397,19 @@ def test_prolongation_components():
     assert conn(0, 1) not in j
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 1), st.integers(0, 2**32))
-def test_prolongation_equals_the_per_lambda_oracle(n, matter_dim, seed):
-    # one chain-rule walk per component against one total derivative per
-    # lam; one component also holds x^lam and one a B or xi symbol
-    ctx = JetContext(n, 2, matter_dim)
-    rng = random.Random(seed)
-    u = random_vertical_field(ctx, rng)
-    first, last = ctx.field_coords(0)[0], ctx.field_coords(0)[-1]
-    lam = rng.randrange(n)
-    u[first] = u.get(first, Poly.zero()) + Poly.var(x(lam)) * Poly.var(last)
-    symbol = rng.choice([bg(1, lam), bg(0, 0, (lam,)), gauge(1), gauge(0, (lam,))])
-    u[last] = u.get(last, Poly.zero()) + Poly.var(symbol, 2) * Q(-3, 2)
-    got, want = prolong(u, ctx), oracles.prolong(u, ctx)
-    assert got == want and list(got) == list(want)
-
-
 def _is_interned(v):
     return polynomial._INDETS[polynomial._IDS[v]] is v
 
 
-def test_image_memos_hold_the_interned_tuples(rng):
-    # the d and d_H images, and the first-order keys of a prolongation that
-    # come from them, are the tuples of the intern table, not equal copies
+def test_image_memos_hold_the_interned_tuples():
+    # the d and d_H images are the tuples of the intern table, not equal
+    # copies
     ctx = JetContext(3, 2, matter_dim=1)
     image = jets._horizontal_image(ctx)
     for v in (x(1), conn(1, 2), matter(0, (1,)), bg(0, 1), gauge(1, (2,))):
         for g, lift in image(v):
             assert _is_interned(g)
             assert lift is None or _is_interned(lift)
-    u = random_vertical_field(ctx, rng)
-    assert all(_is_interned(c) for c in prolong(u, ctx) if multi_index(c))
     exterior_d(Form.from_poly(ctx, Poly.var(bg(0, 1)) * Poly.var(gauge(1))
                               * Poly.var(conn(0, 2))))
     d_images = jets._IMAGE_TABLES[("d", ctx)].values()

@@ -5,6 +5,7 @@ import operator
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from jetvar.errors import TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
-from jetvar.polynomial import (Poly, Q, add_dicts, chain_rule, encode_terms,
-                               mul_dicts)
+from jetvar.polynomial import (Poly, Q, _scaled, add_dicts, chain_rule,
+                               encode_terms, integral_multiple, mul_dicts)
 import oracles
 from oracles import (CyclicSubstitution, decode_pairs, evaluate, partial,
                      substitute)
@@ -337,6 +338,22 @@ def test_integral_values_are_stored_as_int():
                     (a.gradient()[A00], 1)]:
         (c,) = p.terms.values()
         assert c == want and type(c) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polys(), max_size=4))
+def test_integral_multiple_scales_in_ints_as_the_fraction_route(ps):
+    # each coefficient is scaled in ints; the route through Fraction
+    # products and _exact gives the same values, all stored as ints
+    N, scaled = integral_multiple(iter(ps))
+    dens = {c.denominator for p in ps for c in p.terms.values()
+            if type(c) is not int}
+    assert N == functools.reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    want = [Poly(_scaled(p.terms, N)) for p in ps] if N > 1 else ps
+    assert scaled == want
+    for got, p in zip(scaled, want):
+        assert list(got.terms) == list(p.terms)
+        assert all(type(c) is int for c in got.terms.values())
 
 
 def _t_term(e, *pairs):

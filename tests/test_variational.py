@@ -24,7 +24,7 @@ from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
 from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
                            SigmaMismatch, TermLimitExceeded)
 from jetvar.forms import Form, contract, exterior_d, wedge
-from jetvar.indets import conn, gauge, matter, with_extra_deriv, x
+from jetvar.indets import bg, conn, gauge, indet_str, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
                          horizontal_projection, total_derivative)
 from jetvar.polynomial import Poly, Q
@@ -203,6 +203,54 @@ def test_first_variational_detects_a_broken_boundary_term():
     bad = noether_current(L, u).scale(Q(2))
     residual = lie - el_form - horizontal_differential(bad)
     assert not residual.is_zero()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 1), st.integers(0, 2**32), st.data())
+def test_lie_derivative_equals_the_prolongation_oracle(n, matter_dim, seed,
+                                                       data):
+    # the library forms d_lam u^i only for the first-order partials that the
+    # density has; the oracle prolongs every component in every direction.
+    # The density may have no first-order jet; u has a component on a
+    # coordinate that the density lacks, one with x^lam and a B or xi
+    # symbol, and a zero component.
+    ctx = JetContext(n, 2, matter_dim)
+    rng = random.Random(seed)
+    top = data.draw(st.integers(0, 1))
+    L = Lagrangian(ctx, random_poly(_pool(ctx, top), rng, max_monomials=4))
+    u = random_vertical_field(ctx, rng)
+    coords = ctx.field_coords(0)
+    lacking = [c for c in coords if c not in L.gradient
+               and c not in L.jet_partials]
+    if lacking:
+        u[rng.choice(lacking)] = random_poly(_pool(ctx, 0), rng)
+    first, last = coords[0], coords[-1]
+    lam = rng.randrange(n)
+    u[first] = u.get(first, Poly.zero()) + Poly.var(x(lam)) * Poly.var(last)
+    symbol = rng.choice([bg(1, lam), bg(0, 0, (lam,)), gauge(1), gauge(0, (lam,))])
+    u[last] = u.get(last, Poly.zero()) + Poly.var(symbol, 2) * Q(-3, 2)
+    u[data.draw(st.sampled_from(coords))] = Poly.zero()
+    want = oracles.lie_derivative(L, u)
+    assert lie_derivative_lagrangian(L, u) == ctx.volume_form(want)
+    # the core adds c times it into a filled term dict, where terms may cancel
+    c = data.draw(st.sampled_from([1, -1, Q(3, 2)]))
+    filled = random_poly(_pool(ctx, 1), rng)
+    if data.draw(st.booleans()):
+        filled = filled - want * c
+    out = variational._lie_into(dict(filled.terms), L, u, c)
+    assert Poly(out) == filled + want * c
+
+
+@pytest.mark.parametrize("bad", [conn(0, 1, (0,)), matter(0, (1,)), x(0),
+                                 gauge(0), bg(0, 1)])
+def test_lie_derivative_rejects_a_field_that_is_not_vertical_order_0(bad):
+    L = Lagrangian(CTX2, Poly.var(conn(0, 0, (1,))) * Poly.var(matter(0)))
+    u = {conn(0, 0): Poly.var(x(0)), bad: Poly.const(1)}
+    message = f"field is not vertical order-0: {indet_str(bad)}"
+    for op in (lie_derivative_lagrangian, first_variational_check):
+        with pytest.raises(JetvarError) as err:
+            op(L, u)
+        assert str(err.value) == message
 
 
 def test_variational_triviality_of_horizontal_projections_of_exact_forms():
