@@ -164,6 +164,9 @@ def gauge_generator(g: LieAlgebraData, ctx: JetContext,
         raise JetvarError("algebra dimension does not match the jet context")
     if params is None:
         params = [Poly.var(gauge(q)) for q in range(g.dim)]
+    elif len(params) > g.dim:
+        raise JetvarError(f"{len(params)} gauge parameters for an algebra "
+                          f"of dimension {g.dim}")
     return _generator(g, ctx, {r: p for r, p in enumerate(params) if p})
 
 

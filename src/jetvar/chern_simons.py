@@ -54,6 +54,10 @@ class CSData:
             raise JetvarError("invariant tensor degree must equal k")
         if background not in ("zero", "symbolic"):
             raise JetvarError(f"unknown background {background!r}")
+        for idx in invariant.entries:
+            if not all(0 <= i < algebra.dim for i in idx):
+                raise JetvarError(f"invariant tensor entry {idx} has an "
+                                  f"index out of range 0..{algebra.dim - 1}")
         self.algebra = algebra
         self.k = k
         self.n = 2 * k - 1

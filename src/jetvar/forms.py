@@ -13,12 +13,11 @@ indeterminates; antisymmetry is normalized away at construction time.  A
 form's degree is the length of its generator tuples, which must all have
 one length; the zero form has no tuple and every degree.
 
-Every operator has one core that adds c * op(...) into an accumulator the
-caller owns: a dict from generator tuples to raw term dicts (add_into,
-wedge_into, differential_into, exterior_d_into, contract_into).  A sum of
-operator results is built in one accumulator and turned into a Form once, by
-_wrap; each returning operator is that core added into an empty
-accumulator.
+Every operator, here and in jets, has one core that adds c * op(...) into an
+accumulator the caller owns: a dict from generator tuples to raw term dicts
+(add_into, wedge_into, differential_into, exterior_d_into, contract_into).  A
+sum of operator results is built in one accumulator and turned into a Form
+once, by _wrap; each returning operator is that core added into an empty one.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import (Poly, _held, _interned, add_dicts, chain_rule,
                          mul_dicts)
 
-__all__ = ["Form", "wedge", "exterior_d", "contract", "map_generators",
-           "linear_combination", "add_into", "wedge_into",
-           "differential_into", "exterior_d_into", "contract_into"]
+__all__ = ["Form", "wedge", "exterior_d", "contract", "linear_combination",
+           "add_into", "wedge_into", "differential_into", "exterior_d_into",
+           "contract_into"]
 
 
 def _merge_tuples(ta: tuple, tb: tuple):
@@ -292,21 +291,3 @@ def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
 def contract(X: dict, a: Form) -> Form:
     return _wrap(a.ctx, contract_into({}, X, a))
 
-
-def map_generators(a: Form, image) -> Form:
-    """The algebra map f dc1 ^ ... ^ dcp -> f image(c1) ^ ... ^ image(cp).
-
-    image(dcs) is the form that the generator tuple dcs maps to: the wedge
-    of the images of its generators (the 0-form 1 for the empty tuple),
-    which the caller builds and may memoize.  Each coefficient is multiplied
-    once per output key; by a constant image coefficient it is only added.
-    """
-    out: dict = {}
-    for dcs, f in a.terms.items():
-        for key, g in image(dcs).terms.items():
-            c = g.terms.get(()) if len(g.terms) == 1 else None
-            if c is None:
-                mul_dicts(f.terms, g.terms, out.setdefault(key, {}))
-            else:
-                add_dicts(out.setdefault(key, {}), f.terms, c)
-    return _wrap(a.ctx, out)

@@ -7,15 +7,15 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import JetvarError
-from .forms import (Form, _wrap, differential_into, linear_combination,
-                    map_generators, wedge)
+from .forms import Form, _wrap, differential_into, linear_combination, wedge
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly, _interned, chain_rule
+from .polynomial import Poly, _interned, chain_rule, mul_dicts
 
 __all__ = ["JetContext", "total_derivative", "total_derivative_into",
-           "horizontal_projection", "horizontal_differential",
-           "horizontal_differential_into", "contact_form"]
+           "horizontal_projection", "horizontal_projection_into",
+           "horizontal_differential", "horizontal_differential_into",
+           "contact_form"]
 
 
 _IMAGE_TABLES: dict = {}   # (map name, context) -> {argument: image}
@@ -186,28 +186,38 @@ def horizontal_differential(a: Form) -> Form:
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
-    """d_H c as a 1-form."""
-    return horizontal_differential(Form.from_poly(ctx, Poly.var(c)))
+    """d_H c as a 1-form, read from the memoized d_H image of c."""
+    return Form(ctx, {(g,): Poly.const(1) if lift is None else Poly.var(lift)
+                      for g, lift in _horizontal_image(ctx)(c)})
 
 
-def horizontal_projection(a: Form) -> Form:
-    """h0: each dc becomes d_H c, coefficients unchanged.  d_H t is 0, but
+def horizontal_projection_into(acc: dict, a: Form, c=1) -> dict:
+    """Add c * h0(a) into the accumulator acc (see forms); returns acc.
+    h0: each dc becomes d_H c, coefficients unchanged.  d_H t is 0, but
     h0 is undefined on dt and raises there.  The image of each generator
     tuple, the wedge of the d_H of its coordinates, is built once per
     process and context."""
     ctx = a.ctx
 
-    def image(dcs):
+    def build(dcs):
         img = Form.from_poly(ctx, Poly.const(1))
-        for c in dcs:
-            if c[0] == AUX:
-                raise JetvarError(f"h0 undefined on d{indet_str(c)}")
-            img = wedge(img, _d_H_coordinate(c, ctx))
+        for v in dcs:
+            if v[0] == AUX:
+                raise JetvarError(f"h0 undefined on d{indet_str(v)}")
+            img = wedge(img, _d_H_coordinate(v, ctx))
             if img.is_zero():
                 break
         return img
 
-    return map_generators(a, ctx._images("h0", image))
+    image = ctx._images("h0", build)
+    for dcs, f in a.terms.items():
+        for key, g in image(dcs).terms.items():
+            mul_dicts(f.terms, g.terms, acc.setdefault(key, {}), c)
+    return acc
+
+
+def horizontal_projection(a: Form) -> Form:
+    return _wrap(a.ctx, horizontal_projection_into({}, a))
 
 
 def contact_form(c: tuple, ctx: JetContext) -> Form:

@@ -24,8 +24,8 @@ tested.  The section after it runs sigma and the conservation law on the
 whole gauge generator at once, where the library runs them one gauge
 component at a time, and folds the library's components into one residual
 and one current, where the CLI keeps of each component only the terms it
-prints; the one-shot run works on the library's scaled forms and divides by
-the scale only what it returns.  The dense algebra loops near the end run over every index,
+prints; the one-shot run works on the library's scaled forms and returns
+them as the library holds them.  The dense algebra loops near the end run over every index,
 where the library sums over nonzero structure constants and nonzero tensor
 entries only and builds per-index forms only at the indices of the invariant
 tensor.  The last section holds random polynomials built by Poly arithmetic
@@ -39,7 +39,7 @@ by the scale.  The t-integrand route and the dense slot sum divide by their
 own denominators, so they share no scaling code with the library; sigma by
 the pullback route runs on the library's slot contractions divided by the
 scale, and sigma in one shot on the slot contractions as the library holds
-them, dividing its results.
+them, returning cs.scale times its results as the library does.
 """
 
 from bisect import bisect_left
@@ -649,10 +649,10 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     otherwise), the post-check d_H sigma = L_{J1 xi_C} L (SigmaMismatch
     otherwise), and conservation_check along the whole xi_C.  Every step is
     linear in S, psi and eta, so it runs on the library's S and slot
-    contractions, which hold cs.scale times their values, and divides by
-    cs.scale only the results it returns: each is a value, where the
-    library holds cs.scale times it.  The checks compare zero with a
-    multiple of zero, which the scale does not change."""
+    contractions, which hold cs.scale times their values, and each result
+    it returns is cs.scale times its value, as the library holds it.  The
+    checks compare zero with a multiple of zero, which the scale does not
+    change."""
     ctx = cs.ctx
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
@@ -669,9 +669,7 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     if horizontal_differential(sigma) != ctx.volume_form(lie_derivative(L, xi_C)):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
     report, modified = conservation_check(L, xi_C, sigma)
-    return (unscaled(sigma, cs),
-            VerificationReport(unscaled(report.residual, cs), report.vacuous),
-            unscaled(modified, cs))
+    return sigma, report, modified
 
 
 def merged_conservation(cs, params: list | None = None) -> tuple:

@@ -78,6 +78,21 @@ def test_float_model_data_raises_type_error(build):
         build()
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: CSData(builtin_algebra("u1"), InvariantTensor(2, {(0, 1): 1}), 2),
+     r"entry \(0, 1\) has an index out of range 0\.\.0"),
+    (lambda: gauge_generator(builtin_algebra("u1"), JetContext(3, 1),
+                             [Poly.var(x(0)), Poly.var(x(1))]),
+     "2 gauge parameters for an algebra of dimension 1"),
+], ids=["tensor index", "gauge parameters"])
+def test_off_algebra_model_data_raises(build, match):
+    # an index past the algebra would reach a connection a^r outside the
+    # jet chart: d a^r fails later in cs_form, and a gauge component on it
+    # is silently off the chart
+    with pytest.raises(JetvarError, match=match):
+        build()
+
+
 def test_rescaled_epsilon_still_satisfies_jacobi():
     # basis rescaling keeps the algebra valid
     g = load_lie_algebra(3, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 2)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, _wrap, add_into, contract, contract_into,
                           exterior_d, exterior_d_into, linear_combination,
-                          map_generators, wedge, wedge_into)
+                          wedge, wedge_into)
 from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
                            with_extra_deriv, x)
 from jetvar.jets import (JetContext, horizontal_differential,
@@ -362,17 +362,6 @@ def test_in_place_form_operations_match_the_poly_at_a_time_oracles(data):
     assert wedge(a, e) == oracles.wedge(a, e)
     X = {v: _draw_poly(data.draw, PB_POOL) for v in FEW[1:]}
     assert contract(X, a) == oracles.contract(X, a)
-    imgs = [data.draw(forms(1, FEW)) for _ in range(3)]
-
-    def image(v):
-        return imgs[COORDS.index(v) % 3]
-
-    def tuple_image(dcs):
-        img = Form.from_poly(a.ctx, Poly.const(1))
-        for c in dcs:
-            img = oracles.wedge(img, image(c))
-        return img
-    assert map_generators(a, tuple_image) == oracles.map_generators(a, image)
 
 
 @settings(max_examples=100, deadline=None)

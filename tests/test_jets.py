@@ -20,7 +20,8 @@ from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
                            matter, multi_index, with_extra_deriv, x)
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_differential_into, horizontal_projection,
-                         total_derivative, total_derivative_into)
+                         horizontal_projection_into, total_derivative,
+                         total_derivative_into)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly, random_vertical_field
 from oracles import apply_derivation, jet_chart, partial, prolong, random_form
@@ -260,6 +261,22 @@ def test_horizontal_projection_matches_the_wedge_loop_oracle(a):
         == _outcome(_horizontal_projection_oracle, a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(projection_forms(), st.sampled_from([1, -1, Q(2, 3)]))
+def test_horizontal_projection_into_adds_into_a_filled_accumulator(a, c):
+    # the accumulator starts as a, whose dx-only tuples h0 fixes, so their
+    # terms collide and, for c = -1, cancel
+    def added(a):
+        return _wrap(CTX, horizontal_projection_into(add_into({}, a), a, c))
+
+    def want(a):
+        return a + _horizontal_projection_oracle(a).scale(c)
+
+    assert _outcome(added, a) == _outcome(want, a)
+    with pytest.raises(JetvarError, match="h0 undefined on dt"):
+        horizontal_projection_into(add_into({}, a), Form.generator(CTX, T), c)
+
+
 def test_total_derivative_is_a_derivation(rng):
     for f, g in zip(_densities(rng), _densities(rng)):
         lhs = total_derivative(f * g, 0, CTX)
@@ -338,7 +355,8 @@ class _Tracked(Form):
     __slots__ = ("__weakref__",)
 
 
-@pytest.mark.parametrize("op", [horizontal_projection, exterior_d,
+@pytest.mark.parametrize("op", [horizontal_projection,
+                                horizontal_projection_into, exterior_d,
                                 horizontal_differential])
 def test_a_kept_image_build_holds_no_form(op):
     # the build that a context keeps for the first call of an operator
@@ -347,7 +365,7 @@ def test_a_kept_image_build_holds_no_form(op):
     ctx = JetContext(2, 1, 1)   # a new context object keeps no map yet
     assert not ctx._maps
     a = _Tracked(ctx, {(x(0),): Poly.var(conn(0, 1)) * Poly.var(bg(0, 0))})
-    op(a)
+    op({}, a) if op is horizontal_projection_into else op(a)
     assert ctx._maps
     ref = weakref.ref(a)
     del a

@@ -385,8 +385,7 @@ def _disjoint_union(parts) -> dict:
 def test_gauge_components_match_the_one_shot_oracle(name):
     # the symbolic family runs one component per algebra index, explicit
     # parameters run once; the components' sigma, J - sigma and residuals
-    # share no monomial, and their union divided by cs.scale is the
-    # one-shot result
+    # share no monomial, and their union is the one-shot result
     cs, params = _sigma_case(name)
     sigma, report, modified = oracles.one_shot_conservation(cs, params)
     L = variational._lagrangian(cs)
@@ -404,12 +403,12 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     assert all(a.is_zero() or a.degree == cs.n - 1 for a in (*sigmas, *currents))
     for got, want in ((sigmas, sigma), (currents, modified),
                       ([r.residual for r in reports], report.residual)):
-        assert _disjoint_union(unscaled(a, cs) for a in got) == {
+        assert _disjoint_union(got) == {
             key: p.terms for key, p in want.terms.items()}
     assert all(r.vacuous for r in reports) == report.vacuous
     merged_report, merged, sizes = oracles.merged_conservation(cs, params)
-    assert unscaled(merged, cs) == modified
-    assert unscaled(merged_report.residual, cs) == report.residual
+    assert merged == modified
+    assert merged_report.residual == report.residual
     assert merged_report.vacuous == report.vacuous
     assert sizes == [s.term_count() for s in sigmas]
 
@@ -436,9 +435,9 @@ def test_scaled_pipeline_is_the_scale_times_the_oracles(model, c, h,
     el = oracles.euler_lagrange(L)
     assert unscaled(euler_lagrange(variational._lagrangian(cs)), cs) == el
     sigma, report, modified = oracles.one_shot_conservation(cs)
-    assert unscaled(sigma_boundary_term(cs), cs) == sigma
+    assert sigma_boundary_term(cs) == sigma
     got, got_modified, _ = oracles.merged_conservation(cs)
-    assert unscaled(got_modified, cs) == modified
+    assert got_modified == modified
     assert got.passed and report.passed
     assert got.vacuous == report.vacuous == (h == 0)
 
