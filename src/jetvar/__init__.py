@@ -14,7 +14,6 @@ from .polynomial import Poly, Q
 from .variational import (Lagrangian, VerificationReport, conservation_check,
                           euler_lagrange, first_variational_check,
                           invariant_sector, lie_derivative_lagrangian,
-                          noether_current, poincare_cartan,
-                          sigma_boundary_term)
+                          noether_current, sigma_boundary_term)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from math import factorial
 
 from .errors import AntisymmetryViolation, JacobiViolation, JetvarError
 from .indets import conn, gauge
-from .jets import JetContext, total_derivative_into
+from .jets import JetContext, total_derivatives_into
 from .polynomial import Poly, Q, _as_q, mul_dicts
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
@@ -175,8 +175,8 @@ def _generator(g: LieAlgebraData, ctx: JetContext, xi: dict) -> dict:
     others zero.  Only the constants c^r_pq whose q is in xi are read."""
     out: dict = {}
     for r, p in xi.items():
-        for mu in range(ctx.n):
-            total_derivative_into(out.setdefault(conn(r, mu), {}), p, mu, ctx)
+        total_derivatives_into({mu: out.setdefault(conn(r, mu), {})
+                                for mu in range(ctx.n)}, p, ctx)
     for (r, p, q), cval in g.c.items():
         if q in xi:
             for mu in range(ctx.n):

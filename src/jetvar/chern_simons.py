@@ -36,22 +36,21 @@ __all__ = ["CSData", "canonical_curvature", "characteristic_form",
 class CSData:
     """Inputs of one CS model: algebra, degree-k invariant tensor, background.
 
-    base dimension is pinned to 2k-1, and the jet context ctx is built from
-    it, the algebra's dimension and matter_dim, the number of matter fields
-    beside the connection.  h is an overall constant multiple on
-    the invariant polynomial (the characteristic form gets h * b).  The
-    ad-invariance residual of b is computed here and kept for reporting;
-    construction proceeds either way so a bad tensor surfaces as a FAIL in
-    the gauge-invariance check rather than an exception.
+    k is the tensor's degree, and the base dimension is pinned to 2k-1;
+    the jet context ctx is built from it, the algebra's dimension and
+    matter_dim, the number of matter fields beside the connection.  h is an
+    overall constant multiple on the invariant polynomial (the
+    characteristic form gets h * b).  The ad-invariance residual of b is
+    computed here and kept for reporting; construction proceeds either way
+    so a bad tensor surfaces as a FAIL in the gauge-invariance check rather
+    than an exception.
     """
 
     def __init__(self, algebra: LieAlgebraData, invariant: InvariantTensor,
-                 k: int, background: str = "symbolic", h=1,
-                 matter_dim: int = 0):
+                 background: str = "symbolic", h=1, matter_dim: int = 0):
+        k = invariant.degree
         if k < 2:
             raise JetvarError("CS degree k must be >= 2")
-        if invariant.degree != k:
-            raise JetvarError("invariant tensor degree must equal k")
         if background not in ("zero", "symbolic"):
             raise JetvarError(f"unknown background {background!r}")
         for idx in invariant.entries:

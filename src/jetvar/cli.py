@@ -208,16 +208,15 @@ def config_options(cfg: dict) -> tuple:
 
 
 def build_model(cfg: dict) -> tuple:
-    """Returns (CSData, invariant tensor name or None)."""
+    """Returns (CSData, invariant tensor name or None).  Every check that
+    CSData makes on its inputs is made here first, as a ConfigError."""
     g = config_algebra(cfg)
     k = config_int(cfg.get("k"), 2, "k", MAX_K)
     inv, inv_name = config_invariant(cfg, g, k)
     background, h = config_options(cfg)
-    try:
-        cs = CSData(g, inv, k, background=background, h=h)
-    except JetvarError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cs, inv_name
+    if inv.degree != k:
+        raise ConfigError("invariant tensor degree must equal k")
+    return CSData(g, inv, background=background, h=h), inv_name
 
 
 # -- output helpers ----------------------------------------------------
@@ -249,7 +248,7 @@ def show_poly(label: str, p: Poly, dump: Dump, den: int = 1,
     there is a dump; n defaults to p's own term count."""
     n = n or p.term_count()
     if n > TRUNCATE_AT:
-        emit(f"{label} = {p.render(TRUNCATE_AT, den=den)} + ... "
+        emit(f"{label} = {p.leading(TRUNCATE_AT).render(den=den)} + ... "
              f"({n - TRUNCATE_AT} more "
              f"terms{'' if dump.fh else '; pass --dump for the full expression'})")
     else:

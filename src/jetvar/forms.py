@@ -22,7 +22,7 @@ once, by _wrap; each returning operator is that core added into an empty one.
 
 from __future__ import annotations
 
-from .errors import AntisymmetryViolation, JetvarError
+from .errors import JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import (Poly, _held, _interned, add_dicts, chain_rule,
                          mul_dicts)
@@ -76,7 +76,7 @@ class Form:
                     raise JetvarError(f"degree mismatch: generator tuples of "
                                       f"lengths {size} and {len(dcs)}")
                 if any(dcs[i] >= dcs[i + 1] for i in range(size - 1)):
-                    raise AntisymmetryViolation(
+                    raise JetvarError(
                         f"generator tuple not strictly increasing: {dcs}")
         self.terms = terms or {}
 

@@ -28,48 +28,51 @@ def x(lam: int) -> tuple:
     return (X, lam)
 
 
-def conn(r: int, mu: int, D: tuple = ()) -> tuple:
+# kind -> the position of len(D) in its indeterminates, which follows the
+# kind and its fiber indices; kinds without a multi-index are absent
+_LEN_AT = {CONN: 3, MATTER: 2, BG: 3, GAUGE: 2}
+
+
+def _jet(head: tuple, D: tuple) -> tuple:
     D = tuple(sorted(D))
-    return (CONN, r, mu, len(D)) + D
+    return (*head, len(D), *D)
+
+
+def conn(r: int, mu: int, D: tuple = ()) -> tuple:
+    return _jet((CONN, r, mu), D)
 
 
 def matter(A: int, D: tuple = ()) -> tuple:
-    D = tuple(sorted(D))
-    return (MATTER, A, len(D)) + D
+    return _jet((MATTER, A), D)
 
 
 def bg(r: int, mu: int, D: tuple = ()) -> tuple:
-    D = tuple(sorted(D))
-    return (BG, r, mu, len(D)) + D
+    return _jet((BG, r, mu), D)
 
 
 def gauge(r: int, D: tuple = ()) -> tuple:
-    D = tuple(sorted(D))
-    return (GAUGE, r, len(D)) + D
+    return _jet((GAUGE, r), D)
 
 
 def multi_index(v: tuple) -> tuple:
     """Derivative multi-index of a jet coordinate or function symbol."""
-    k = v[0]
-    if k in (CONN, BG):
-        return v[4:]
-    if k in (MATTER, GAUGE):
-        return v[3:]
-    raise ValueError(f"{indet_str(v)} carries no multi-index")
+    at = _LEN_AT.get(v[0])
+    if at is None:
+        raise ValueError(f"{indet_str(v)} carries no multi-index")
+    return v[at + 1:]
 
 
 def with_extra_deriv(v: tuple, lam: int) -> tuple:
     """Same symbol with one more derivative in direction lam (D kept sorted)."""
-    k = v[0]
-    if k == CONN:
-        return conn(v[1], v[2], multi_index(v) + (lam,))
-    if k == BG:
-        return bg(v[1], v[2], multi_index(v) + (lam,))
-    if k == MATTER:
-        return matter(v[1], multi_index(v) + (lam,))
-    if k == GAUGE:
-        return gauge(v[1], multi_index(v) + (lam,))
-    raise ValueError(f"cannot differentiate {indet_str(v)}")
+    at = _LEN_AT.get(v[0])
+    if at is None:
+        raise ValueError(f"cannot differentiate {indet_str(v)}")
+    return _jet(v[:at], v[at + 1:] + (lam,))
+
+
+def order_zero(v: tuple) -> tuple:
+    """The order-0 coordinate or symbol of the jet v, for any D."""
+    return v[:_LEN_AT[v[0]]] + (0,)
 
 
 def is_field_jet(v: tuple) -> bool:
@@ -86,13 +89,13 @@ def indet_str(v: tuple) -> str:
     if k == X:
         return f"x[{v[1]}]"
     if k == CONN:
-        return f"a[r={v[1]};mu={v[2]};D={_dstr(v[4:])}]"
+        return f"a[r={v[1]};mu={v[2]};D={_dstr(multi_index(v))}]"
     if k == MATTER:
-        return f"z[A={v[1]};D={_dstr(v[3:])}]"
+        return f"z[A={v[1]};D={_dstr(multi_index(v))}]"
     if k == BG:
-        return f"B[r={v[1]};mu={v[2]};D={_dstr(v[4:])}]"
+        return f"B[r={v[1]};mu={v[2]};D={_dstr(multi_index(v))}]"
     if k == GAUGE:
-        return f"xi[r={v[1]};D={_dstr(v[3:])}]"
+        return f"xi[r={v[1]};D={_dstr(multi_index(v))}]"
     if k == AUX:
         return "t"
     raise ValueError(f"unknown indeterminate {v!r}")

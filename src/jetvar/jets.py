@@ -12,7 +12,7 @@ from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
 from .polynomial import Poly, _interned, chain_rule, mul_dicts
 
-__all__ = ["JetContext", "total_derivative", "total_derivative_into",
+__all__ = ["JetContext", "total_derivative", "total_derivatives_into",
            "horizontal_projection", "horizontal_projection_into",
            "horizontal_differential", "horizontal_differential_into",
            "contact_form"]
@@ -140,30 +140,25 @@ def _horizontal_image(ctx: JetContext):
     return ctx._images("d_H", image)
 
 
-def _total_derivatives_into(outs: dict, f: Poly, ctx: JetContext, c=1):
+def total_derivatives_into(outs: dict, f: Poly, ctx: JetContext,
+                           c=1) -> dict:
     """Add c * d_lam f into the term dict outs[lam] for each lam in outs,
-    in one chain-rule walk over f: each term of d_H f goes to outs[lam]
-    for the dx^lam it pairs with, and one whose lam is not in outs is never
-    formed."""
+    in one chain-rule walk over f; returns outs.  d_lam f is the chain rule:
+    the partial in x^lam, plus (df/dv) v_{D+lam} for every field jet and
+    function symbol v; other x and t are constants.  Each term of d_H f goes
+    to outs[lam] for the dx^lam it pairs with, and one whose lam is not in
+    outs is never formed."""
     image = _horizontal_image(ctx)
 
     def route(v):
         return [(outs[g[1]], c, lift) for g, lift in image(v) if g[1] in outs]
 
     chain_rule(f.terms, route)
-
-
-def total_derivative_into(out: dict, f: Poly, lam: int, ctx: JetContext,
-                          c=1) -> dict:
-    """Add c * d_lam f into the term dict out; returns out.  d_lam f is the
-    chain rule: the partial in x^lam, plus (df/dv) v_{D+lam} for every field
-    jet and function symbol v; other x and t are constants."""
-    _total_derivatives_into({lam: out}, f, ctx, c)
-    return out
+    return outs
 
 
 def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
-    return Poly(total_derivative_into({}, f, lam, ctx))
+    return Poly(total_derivatives_into({lam: {}}, f, ctx)[lam])
 
 
 def _require_horizontal(a: Form):

@@ -140,10 +140,13 @@ def add_dicts(a: dict, b: dict, c=1) -> None:
 
 
 def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
-    """Add c * a * b into the term dict out."""
+    """Add c * a * b into the term dict out.  A constant factor a = {(): v}
+    adds c * v * b, so out keeps b's monomials and sorts none."""
     cap = _cap
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1 and () in a:
+        return add_dicts(out, b, c * a[()])
     if type(c) is not int:
         c = _exact(c)
     if c != 1:
@@ -386,25 +389,22 @@ class Poly:
 
     def leading(self, limit: int) -> "Poly":
         """The first limit terms of self in serialization order, as a Poly
-        (self when it has no more); p.render(limit) is
-        p.leading(limit).render()."""
+        (self when it has no more)."""
         if len(self.terms) <= limit:
             return self
         _, _, rows = _ranked(self.terms, limit)
         return Poly({m: self.terms[m] for _, m in rows})
 
-    def render(self, limit: int | None = None, width: int | None = None,
-               den: int = 1) -> str:
-        """The text of the first limit terms in serialization order, or of
-        every term when limit is None; str(p) is p.render().  With width,
-        terms stop once the text reaches width characters: the text is then
-        a prefix of the full one, at least width long unless it is all of
-        it.  Each printed coefficient is divided by the int den >= 1, so a
-        Poly held N times its value prints its value with den = N; only the
-        printed terms are divided."""
+    def render(self, width: int | None = None, den: int = 1) -> str:
+        """The text of every term in serialization order; str(p) is
+        p.render().  With width, terms stop once the text reaches width
+        characters: the text is then a prefix of the full one, at least
+        width long unless it is all of it.  Each printed coefficient is
+        divided by the int den >= 1, so a Poly held N times its value prints
+        its value with den = N; only the printed terms are divided."""
         if not self.terms:
             return "0"
-        ids, k, rows = _ranked(self.terms, limit)
+        ids, k, rows = _ranked(self.terms, None)
         names = _NAMES
         parts = []
         size = -3   # the length of " + ".join(parts)

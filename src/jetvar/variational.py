@@ -17,15 +17,14 @@ from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction, _t_free,
                            cs_lagrangian, homotopy)
 from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
 from .forms import (Form, _wrap, add_into, contract_into, exterior_d_into,
-                    is_empty, wedge_into)
-from .indets import gauge, indet_str, is_field_jet, multi_index
-from .jets import (JetContext, _total_derivatives_into, contact_form,
-                   horizontal_differential_into, horizontal_projection,
-                   total_derivative_into)
+                    is_empty)
+from .indets import gauge, indet_str, is_field_jet, multi_index, order_zero
+from .jets import (JetContext, horizontal_differential_into,
+                   horizontal_projection, total_derivatives_into)
 from .polynomial import Poly, _held, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
-           "poincare_cartan", "noether_current", "lie_derivative_lagrangian",
+           "noether_current", "lie_derivative_lagrangian",
            "first_variational_check", "sigma_boundary_term",
            "conservation_check", "verify_conservation",
            "invariant_sector"]
@@ -61,9 +60,7 @@ class Lagrangian:
                 continue
             if len(D) > 1:
                 raise JetvarError(f"Lagrangian is not first-order: {indet_str(v)}")
-            # v = (..., 1, lam) ends in its multi-index (see indets), so i
-            # is (..., 0)
-            jet_partials.setdefault((*v[:-2], 0), []).append((D[0], p))
+            jet_partials.setdefault(order_zero(v), []).append((D[0], p))
         self.ctx = ctx
         self.density = density
         self.gradient = grad
@@ -102,20 +99,9 @@ def euler_lagrange(L: Lagrangian) -> dict:
         p = grad.get(i)
         comp = dict(p.terms) if p else {}
         for lam, dldj in jet_partials.get(i, ()):
-            total_derivative_into(comp, dldj, lam, ctx, -1)
+            total_derivatives_into({lam: comp}, dldj, ctx, -1)
         out[i] = Poly(_held(comp, shared))
     return out
-
-
-def poincare_cartan(L: Lagrangian) -> Form:
-    """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
-    ctx = L.ctx
-    acc = add_into({}, L.form())
-    for i, partials in L.jet_partials.items():
-        theta = contact_form(i, ctx)
-        for lam, dldj in partials:
-            wedge_into(acc, theta, ctx.omega_lambda(lam, dldj))
-    return _wrap(ctx, acc)
 
 
 def _noether_into(acc: dict, L: Lagrangian, u: dict, c=1) -> dict:
@@ -158,8 +144,8 @@ def _lie_into(out: dict, L: Lagrangian, u: dict, c=1) -> dict:
             mul_dicts(ui.terms, p.terms, out, c)
         partials = jet_partials.get(i)
         if partials:
-            parts = {lam: {} for lam, _ in partials}
-            _total_derivatives_into(parts, ui, ctx)
+            parts = total_derivatives_into({lam: {} for lam, _ in partials},
+                                           ui, ctx)
             for lam, dldj in partials:
                 mul_dicts(parts[lam], dldj.terms, out, c)
     return out

@@ -64,7 +64,7 @@ from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial
 from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
 from jetvar.variational import (Lagrangian, VerificationReport,
-                                conservation_check, verify_conservation)
+                                conservation_check)
 
 
 def partial(p: Poly, v: tuple) -> Poly:
@@ -672,24 +672,26 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     return sigma, report, modified
 
 
-def merged_conservation(cs, params: list | None = None) -> tuple:
-    """(report, modified, sizes): the gauge components of
-    verify_conservation folded into one form each, as the library returned
-    them before its caller kept only the printed terms.  The components'
-    residuals and parts of J - sigma share no monomial, so each is added
-    into one accumulator; the report is vacuous iff every component's is,
-    and sizes lists the term count of each component's sigma."""
+def merged_conservation(parts) -> tuple:
+    """(report, modified, sizes): the (report, modified, sigma_terms) parts
+    of the gauge components, as verify_conservation yields them, folded into
+    one form each, as the library returned them before its caller kept only
+    the printed terms.  The components' residuals and parts of J - sigma
+    share no monomial, so each is added into one accumulator; the report is
+    vacuous iff every component's is, and sizes lists the term count of
+    each component's sigma."""
     residual: dict = {}
     current: dict = {}
     vacuous = True
     sizes = []
-    for report, modified, sigma_terms in verify_conservation(cs, params):
+    for report, modified, sigma_terms in parts:
         sizes.append(sigma_terms)
         vacuous = vacuous and report.vacuous
         add_into(residual, report.residual)
         add_into(current, modified)
-    return (VerificationReport(_wrap(cs.ctx, residual), vacuous),
-            _wrap(cs.ctx, current), sizes)
+        ctx = modified.ctx
+    return (VerificationReport(_wrap(ctx, residual), vacuous),
+            _wrap(ctx, current), sizes)
 
 
 # -- dense algebra loops ----------------------------------------------------

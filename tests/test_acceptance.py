@@ -33,8 +33,7 @@ CASES = [("u1", "unit", 2), ("su2", "killing", 2), ("u1", "unit", 3),
 
 def _model(alg, inv, k, background="symbolic", h=1):
     g = builtin_algebra(alg)
-    return CSData(g, builtin_invariant(inv, g, k), k,
-                  background=background, h=h)
+    return CSData(g, builtin_invariant(inv, g, k), background=background, h=h)
 
 
 def _report(name, ok, seconds):

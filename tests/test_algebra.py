@@ -67,7 +67,7 @@ def test_jacobi_violation_detected():
     lambda: LieAlgebraData(2, {(0, 0, 1): 0.5, (0, 1, 0): -0.5}),
     lambda: InvariantTensor(2, {(0, 0): 0.5}),
     lambda: CSData(builtin_algebra("su2"),
-                   builtin_invariant("killing", builtin_algebra("su2"), 2), 2,
+                   builtin_invariant("killing", builtin_algebra("su2"), 2),
                    h=0.1),
 ], ids=["structure constant", "direct structure constant", "tensor entry",
          "h"])
@@ -79,7 +79,7 @@ def test_float_model_data_raises_type_error(build):
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: CSData(builtin_algebra("u1"), InvariantTensor(2, {(0, 1): 1}), 2),
+    (lambda: CSData(builtin_algebra("u1"), InvariantTensor(2, {(0, 1): 1})),
      r"entry \(0, 1\) has an index out of range 0\.\.0"),
     (lambda: gauge_generator(builtin_algebra("u1"), JetContext(3, 1),
                              [Poly.var(x(0)), Poly.var(x(1))]),

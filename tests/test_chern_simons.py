@@ -40,18 +40,19 @@ SHIPPED = sorted(p.relative_to(ROOT).as_posix()
 def _model(alg, inv, k, background="symbolic", h=1):
     g = builtin_algebra(alg)
     b = builtin_invariant(inv, g, k)
-    return CSData(g, b, k, background=background, h=h)
+    return CSData(g, b, background=background, h=h)
 
 
 def test_csdata_validation():
     g = builtin_algebra("su2")
     b = builtin_invariant("killing", g, 2)
+    # k is the tensor's degree: the base is 2k - 1 dimensional
+    cs = CSData(builtin_algebra("u1"), InvariantTensor(3, {(0, 0, 0): 1}))
+    assert (cs.k, cs.n, cs.ctx.n) == (3, 5, 5)
+    with pytest.raises(JetvarError, match="CS degree k must be >= 2"):
+        CSData(builtin_algebra("u1"), InvariantTensor(1, {(0,): 1}))
     with pytest.raises(JetvarError):
-        CSData(g, b, 1)
-    with pytest.raises(JetvarError):
-        CSData(g, b, 3)  # tensor degree mismatch
-    with pytest.raises(JetvarError):
-        CSData(g, b, 2, background="random")
+        CSData(g, b, background="random")
 
 
 def test_bianchi_identity_for_the_canonical_curvature():
@@ -149,7 +150,7 @@ def test_curvatures_match_the_ordered_pair_oracle(case, data):
     b = InvariantTensor(k, {
         tuple(sorted(data.draw(st.integers(0, dim - 1)) for _ in range(k))):
         data.draw(RATIONALS) for _ in range(data.draw(st.integers(1, 3)))})
-    cs = CSData(g, b, k, background=data.draw(st.sampled_from(
+    cs = CSData(g, b, background=data.draw(st.sampled_from(
         ["symbolic", "zero"])))
     A = [cs.potential_one_form(r) for r in range(dim)]
     B = [cs.background_one_form(r) for r in range(dim)]
@@ -259,7 +260,7 @@ def test_slot_contraction_matches_the_dense_oracle(case, data):
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)
     k = data.draw(st.integers(2, 3))
-    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS))
+    cs = CSData(g, _tensor(data.draw, g, u1, k), h=data.draw(RATIONALS))
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
@@ -287,7 +288,7 @@ def test_closed_form_t_integral_matches_the_t_integrand_oracle(case, data):
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)
     k = data.draw(st.integers(2, 4))
-    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS))
+    cs = CSData(g, _tensor(data.draw, g, u1, k), h=data.draw(RATIONALS))
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
@@ -315,7 +316,7 @@ def test_homotopy_matches_the_t_integrand_oracle(k, case, data):
     # algebra gets two heads, so one curvature slot, to bound the run time
     dim, c, u1, _ = case
     g = LieAlgebraData(dim, c)
-    cs = CSData(g, _tensor(data.draw, g, u1, k), k, h=data.draw(RATIONALS),
+    cs = CSData(g, _tensor(data.draw, g, u1, k), h=data.draw(RATIONALS),
                 background=data.draw(st.sampled_from(["symbolic", "zero"])))
     rng = data.draw(st.randoms(use_true_random=False))
     j = data.draw(st.integers(2 if k == 4 and c else 0, min(2, k - 1)))

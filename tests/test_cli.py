@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetvar import cli
+from jetvar.variational import verify_conservation
 import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -381,6 +382,21 @@ def test_malformed_abelian_power_exits_2(capsys, tmp_path, command, algebra):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("command", ["transgression", "euler-lagrange",
+                                     "noether", "verify-conservation"])
+def test_invariant_degree_other_than_k_exits_2(capsys, tmp_path, command,
+                                               degree):
+    # a config states k beside its tensor's degree, and a model is built
+    # only when they agree; no verdict is printed
+    code, err, out = _main_exit(capsys, tmp_path, command, {
+        "algebra": "u1", "k": 2,
+        "invariant": {"degree": degree, "entries": [[[0] * degree, "1"]]}})
+    assert code == 2
+    assert "config error: invariant tensor degree must equal k" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("index,message", [
     ([0, 7], "index out of range"), ([-1, 0], "index out of range"),
     ([3, 3], "index out of range"), ([True, True], "indices must be ints")])
@@ -696,7 +712,7 @@ def test_printed_current_matches_the_merged_current_oracle(config, capsys):
     got = [line for line in capsys.readouterr().out.splitlines()
            if line.startswith("modified current component ")]
     cs, _ = cli.build_model(cli.load_config(str(path)))
-    _, modified, _ = oracles.merged_conservation(cs)
+    _, modified, _ = oracles.merged_conservation(verify_conservation(cs))
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
         cli.show_poly(f"modified current component {lam}", comp,
                       cli.Dump(None), cs.scale)

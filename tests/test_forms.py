@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar.errors import AntisymmetryViolation, JetvarError, TermLimitExceeded
+from jetvar.errors import JetvarError, TermLimitExceeded
 from jetvar.forms import (Form, _wrap, add_into, contract, contract_into,
                           exterior_d, exterior_d_into, linear_combination,
                           wedge, wedge_into)
@@ -49,10 +49,12 @@ def test_one_form_squares_to_zero(rng):
 
 
 def test_duplicate_generator_rejected():
-    with pytest.raises(JetvarError):
+    with pytest.raises(JetvarError, match="not strictly increasing"):
         Form(CTX, {(x(0), x(0)): Poly.const(1)})
-    with pytest.raises(JetvarError):
+    with pytest.raises(JetvarError, match="not strictly increasing") as exc:
         Form(CTX, {(x(1), x(0)): Poly.const(1)})
+    # a structure-constant error names the algebra, not a form
+    assert type(exc.value) is JetvarError
     # the degree is the length of the generator tuples: one length per form
     with pytest.raises(JetvarError, match="degree mismatch"):
         Form(CTX, {(x(0),): Poly.const(1), (x(0), x(1)): Poly.const(1)})

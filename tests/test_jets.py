@@ -21,7 +21,7 @@ from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
 from jetvar.jets import (JetContext, contact_form, horizontal_differential,
                          horizontal_differential_into, horizontal_projection,
                          horizontal_projection_into, total_derivative,
-                         total_derivative_into)
+                         total_derivatives_into)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly, random_vertical_field
 from oracles import apply_derivation, jet_chart, partial, prolong, random_form
@@ -165,15 +165,20 @@ def test_horizontal_differential_core_adds_into_a_filled_accumulator(degree, dat
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_total_derivative_core_adds_into_a_filled_term_dict(data):
+    # the lam asked for, each into its own filled term dict, in one walk
     f = data.draw(horizontal_forms(0)).coefficient(())
-    lam = data.draw(st.integers(0, CTX3.n - 1))
+    lams = data.draw(st.sets(st.integers(0, CTX3.n - 1), min_size=1))
     c = data.draw(st.sampled_from(WEIGHTS))
-    result = total_derivative(f, lam, CTX3)
-    seed = Poly.var(T) + Poly.var(matter(0)) * Poly.var(x(lam))
-    if data.draw(st.booleans()):
-        seed = seed - result * c
-    out = total_derivative_into(dict(seed.terms), f, lam, CTX3, c)
-    assert Poly(out) == seed + result * c
+    want, outs = {}, {}
+    for lam in lams:
+        result = _total_derivative_oracle(f, lam)
+        seed = Poly.var(T) + Poly.var(matter(0)) * Poly.var(x(lam))
+        if data.draw(st.booleans()):
+            seed = seed - result * c
+        want[lam] = seed + result * c
+        outs[lam] = dict(seed.terms)
+    assert total_derivatives_into(outs, f, CTX3, c) is outs
+    assert {lam: Poly(out) for lam, out in outs.items()} == want
 
 
 def test_term_cap_stops_total_derivative(term_cap):
@@ -327,7 +332,7 @@ def test_memoized_images_follow_the_base_dimension(sizes):
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.n = 5
     su2 = builtin_algebra("su2")
-    cs = CSData(su2, builtin_invariant("killing", su2, 2), 2, matter_dim=3)
+    cs = CSData(su2, builtin_invariant("killing", su2, 2), matter_dim=3)
     assert cs.ctx == JetContext(3, 3, 3)
 
 
