@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .errors import JetvarError
 from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
-from .polynomial import (Poly, _held, _interned, add_dicts, chain_rule,
-                         mul_dicts)
+from .polynomial import (_INDETS, Poly, _held, _intern, _interned, add_dicts,
+                         chain_rule, mul_dicts)
 
 __all__ = ["Form", "wedge", "exterior_d", "contract", "linear_combination",
            "add_into", "wedge_into", "differential_into", "exterior_d_into",
@@ -221,21 +221,22 @@ def wedge(a: Form, b: Form) -> Form:
 
 def differential_into(acc: dict, a: Form, image, c=1) -> dict:
     """Add c * d(a) into the accumulator acc for the derivation d with
-    d(f dcs) = df ^ dcs and dv = image(v); returns acc.
+    d(f dcs) = df ^ dcs and dv = image(i) for the indeterminate v of id i;
+    returns acc.
 
-    image(v) lists (g, lift) pairs meaning dv = sum lift dg over coordinate
-    generators g, where lift is None for 1 or the indeterminate w; it is
-    called once per indeterminate per coefficient, so it should be
-    memoized (d and d_H are, for the process).  Each coefficient is walked
-    once by the chain-rule kernel, and a partial whose dc already occurs in
-    dcs is never formed.
+    image(i) lists (g, lift) pairs meaning dv = sum lift dg over coordinate
+    generators g, where lift is None for 1 or the id of an indeterminate w;
+    it is called once per id per coefficient, so it should be memoized (the
+    images of d and d_H are, for the process, keyed by id).  Each
+    coefficient is walked once by the chain-rule kernel, and a partial whose
+    dc already occurs in dcs is never formed.
     """
     for dcs, f in a.terms.items():
         slots: dict = {}  # g -> (terms of dg ^ dcs, weight), or () when it is 0
 
-        def route(v):
+        def route(i):
             r = []
-            for g, lift in image(v):
+            for g, lift in image(i):
                 slot = slots.get(g)
                 if slot is None:
                     merged = _merge_tuples((g,), dcs)
@@ -254,16 +255,16 @@ def exterior_d_into(acc: dict, a: Form, c=1) -> dict:
     """Add c * da into the accumulator acc; returns acc.  d is the chain
     rule: a coordinate v gives dv, a function symbol s gives
     s_{D+lam} dx^lam; any other indeterminate raises.  The image of each
-    indeterminate is built once per process and context, and holds the
-    interned tuples of x^lam and s_{D+lam}."""
+    indeterminate is built once per process and context, keyed by its id,
+    and holds the interned tuples of x^lam and the ids of s_{D+lam}."""
     ctx = a.ctx
 
-    def image(v):
+    def image(i):
+        v = _INDETS[i]
         if v in ctx:
             return ((v, None),)
         if v[0] in (BG, GAUGE):
-            return tuple((_interned(x(lam)),
-                          _interned(with_extra_deriv(v, lam)))
+            return tuple((_interned(x(lam)), _intern(with_extra_deriv(v, lam)))
                          for lam in range(ctx.n))
         raise JetvarError(f"d{indet_str(v)} is not a coordinate differential")
 

@@ -10,7 +10,8 @@ from .errors import JetvarError
 from .forms import Form, _wrap, differential_into, linear_combination, wedge
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
-from .polynomial import Poly, _interned, chain_rule, mul_dicts
+from .polynomial import (_INDETS, Poly, _intern, _interned, chain_rule,
+                         mul_dicts)
 
 __all__ = ["JetContext", "total_derivative", "total_derivatives_into",
            "horizontal_projection", "horizontal_projection_into",
@@ -122,19 +123,21 @@ class JetContext:
 
 
 def _horizontal_image(ctx: JetContext):
-    """The map v -> d_H v as (dx^lam, lift) pairs: v_{D+lam} dx^lam summed
-    over lam for a field jet or function symbol, in the order of lam,
-    dx^lam for x^lam, nothing for t; each image is built once per process
-    and context, and holds the interned tuples of x^lam and the lifts."""
+    """The map i -> d_H v for the indeterminate v of id i, as (dx^lam, lift)
+    pairs: v_{D+lam} dx^lam summed over lam for a field jet or function
+    symbol, in the order of lam, dx^lam for x^lam, nothing for t; each image
+    is built once per process and context, keyed by id, and holds the
+    interned tuples of x^lam and the ids of the lifts."""
     n = ctx.n
 
-    def image(v):
+    def image(i):
+        v = _INDETS[i]
         k = v[0]
         if k == X:
-            return ((_interned(v), None),)
+            return ((v, None),)
         if k == AUX:
             return ()
-        return tuple((_interned(x(lam)), _interned(with_extra_deriv(v, lam)))
+        return tuple((_interned(x(lam)), _intern(with_extra_deriv(v, lam)))
                      for lam in range(n))
 
     return ctx._images("d_H", image)
@@ -150,8 +153,8 @@ def total_derivatives_into(outs: dict, f: Poly, ctx: JetContext,
     outs is never formed."""
     image = _horizontal_image(ctx)
 
-    def route(v):
-        return [(outs[g[1]], c, lift) for g, lift in image(v) if g[1] in outs]
+    def route(i):
+        return [(outs[g[1]], c, lift) for g, lift in image(i) if g[1] in outs]
 
     chain_rule(f.terms, route)
     return outs
@@ -182,8 +185,8 @@ def horizontal_differential(a: Form) -> Form:
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
     """d_H c as a 1-form, read from the memoized d_H image of c."""
-    return Form(ctx, {(g,): Poly.const(1) if lift is None else Poly.var(lift)
-                      for g, lift in _horizontal_image(ctx)(c)})
+    return Form(ctx, {(g,): Poly({() if lift is None else (lift,): 1})
+                      for g, lift in _horizontal_image(ctx)(_intern(c))})
 
 
 def horizontal_projection_into(acc: dict, a: Form, c=1) -> dict:

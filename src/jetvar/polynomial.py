@@ -26,8 +26,12 @@ raw dicts directly; zero coefficients are never stored.  A product of
 monomials is one sort of their concatenation, so no exponent is ever added
 field by field.  A lifted chain-rule term is the monomial with one copy of v
 replaced by its lift and sorted once: the e - 1 copies of v that stay next
-to the lift make it e * v^(e-1) * lift.  A sum or product of two ints is an
-int, so only a value that came out as a Fraction goes through _exact().
+to the lift make it e * v^(e-1) * lift.  chain_rule's routes speak ids as
+well: a route is asked for the id of v and names each lift by its id, so
+building one decodes and interns no indeterminate.  A sum or product of two
+ints is an int, so only a value that came out as a Fraction goes through
+_exact(), and a product of two nonzero coefficients that starts a new term
+needs no zero test.
 Nothing in the kernel divides: a caller that wants int arithmetic throughout
 scales its inputs by a common denominator N, and divides by N only the
 coefficients it prints (Poly.render's den).
@@ -156,15 +160,20 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
         for mb, cb in b.items():
             m = [*ma, *mb]
             m.sort()
-            m = (*m,)
+            m = tuple(m)
+            val = ca * cb
             s = get(m)
-            s = ca * cb if s is None else s + ca * cb
-            if type(s) is not int:
-                s = _exact(s)
-            if s:
-                out[m] = s
+            if s is None:
+                # a product of two nonzero coefficients is nonzero
+                out[m] = val if type(val) is int else _exact(val)
             else:
-                del out[m]
+                s += val
+                if type(s) is not int:
+                    s = _exact(s)
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
         if len(out) > cap:
             raise TermLimitExceeded(f"{len(out)} terms exceeds cap {cap}")
 
@@ -172,13 +181,13 @@ def mul_dicts(a: dict, b: dict, out: dict, c=1) -> None:
 def chain_rule(terms: dict, route) -> None:
     """Add the chain rule of one term dict into caller-owned term dicts.
 
-    route(v) lists the (out, w, lift) triples that the partial df/dv feeds;
-    it is called once per indeterminate v of the terms.  Each triple adds
-    w * df/dv into the term dict out for the rational weight w, times the
-    indeterminate lift unless lift is None.  Partials with no route are never
-    formed.  A term with a lift is m with its first v replaced by the lift,
-    sorted once; a term without one drops that v, and is built once per
-    monomial and v.
+    route(i) lists the (out, w, lift) triples that the partial df/dv feeds,
+    for the indeterminate v of id i; it is called once per id of the terms,
+    and lift is an id or None.  Each triple adds w * df/dv into the term dict
+    out for the rational weight w, times the indeterminate of id lift unless
+    lift is None.  Partials with no route are never formed.  A term with a
+    lift is m with its first copy of i replaced by the lift, sorted once; a
+    term without one drops that copy, and is built once per monomial and i.
     """
     routes: dict = {}
     for m, c in terms.items():
@@ -189,8 +198,7 @@ def chain_rule(terms: dict, route) -> None:
             prev = v
             r = routes.get(v)
             if r is None:
-                r = routes[v] = [(out, w, None if lift is None else _intern(lift))
-                                 for out, w, lift in route(_INDETS[v])]
+                r = routes[v] = route(v)
             if not r:
                 continue
             e = m.count(v)
@@ -202,10 +210,10 @@ def chain_rule(terms: dict, route) -> None:
                         rest = m[:i] + m[i + 1:]
                     nm = rest
                 else:
-                    nm = list(m)
+                    nm = [*m]
                     nm[i] = lift
                     nm.sort()
-                    nm = (*nm,)
+                    nm = tuple(nm)
                 if w == 1:
                     val = ce
                 elif w == -1:
@@ -216,7 +224,7 @@ def chain_rule(terms: dict, route) -> None:
                 if s is None:
                     out[nm] = val
                 else:
-                    s = s + val
+                    s += val
                     if type(s) is not int:
                         s = _exact(s)
                     if s:
@@ -366,16 +374,17 @@ class Poly:
         terms or is zero.  The partials are held copies (see _held) that
         share one table of coefficients.
         """
-        grads: dict = {}
+        grads: dict = {}   # id -> terms of the partial by its indeterminate
 
-        def route(v):
-            if keep is None or keep(v):
-                return ((grads.setdefault(v, {}), 1, None),)
+        def route(i):
+            if keep is None or keep(_INDETS[i]):
+                return ((grads.setdefault(i, {}), 1, None),)
             return ()
 
         chain_rule(self.terms, route)
         shared: dict = {}
-        return {v: Poly(_held(terms, shared)) for v, terms in grads.items()}
+        return {_INDETS[i]: Poly(_held(terms, shared))
+                for i, terms in grads.items()}
 
     # -- queries -------------------------------------------------------
 

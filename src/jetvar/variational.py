@@ -189,22 +189,26 @@ def _lagrangian(cs: CSData) -> Lagrangian:
         cs_lagrangian(cs)))
 
 
-def _components(cs: CSData, params: list | None) -> list:
+def _components(cs: CSData, params: list | None):
     """The gauge components as (name, head, xi_C) triples, one per sparse
     parameter dict xi: r -> nonzero Poly.  head maps an algebra index to the
     0-form k xi^r of the descent primitive's head slot, and xi_C is the
     gauge generator of xi.
 
     The symbolic family runs as one component per index r, with the
-    parameters xi^r e_r; explicit parameters are one component."""
+    parameters xi^r e_r; explicit parameters are one component.  A
+    generator: each component is built only when it is reached, so the
+    components are never all held at once."""
     if params is None:
-        parts = [(f"gauge component {r}", {r: Poly.var(gauge(r))})
-                 for r in range(cs.algebra.dim)]
+        parts = ((f"gauge component {r}", {r: Poly.var(gauge(r))})
+                 for r in range(cs.algebra.dim))
     else:
         parts = [("explicit gauge parameters",
                   {r: p for r, p in enumerate(params) if p})]
-    return [(name, {r: Form.from_poly(cs.ctx, p * cs.k) for r, p in xi.items()},
-             _generator(cs.algebra, cs.ctx, xi)) for name, xi in parts]
+    for name, xi in parts:
+        yield (name, {r: Form.from_poly(cs.ctx, p * cs.k)
+                      for r, p in xi.items()},
+               _generator(cs.algebra, cs.ctx, xi))
 
 
 def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:

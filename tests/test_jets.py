@@ -425,22 +425,36 @@ def _is_interned(v):
 
 
 def test_image_memos_hold_the_interned_tuples():
-    # the d and d_H images are the tuples of the intern table, not equal
-    # copies
+    # the d and d_H images are keyed by id: their generators are the tuples
+    # of the intern table, not equal copies, and each lift is the id of
+    # with_extra_deriv(v, lam) for the lam of its generator x^lam
     ctx = JetContext(3, 2, matter_dim=1)
     image = jets._horizontal_image(ctx)
-    for v in (x(1), conn(1, 2), matter(0, (1,)), bg(0, 1), gauge(1, (2,))):
-        for g, lift in image(v):
-            assert _is_interned(g)
-            assert lift is None or _is_interned(lift)
-    exterior_d(Form.from_poly(ctx, Poly.var(bg(0, 1)) * Poly.var(gauge(1))
-                              * Poly.var(conn(0, 2))))
-    d_images = jets._IMAGE_TABLES[("d", ctx)].values()
-    assert {len(img) for img in d_images} == {1, 3}
-    for img in d_images:
+
+    def assert_interned(v, img):
         for g, lift in img:
             assert _is_interned(g)
-            assert lift is None or _is_interned(lift)
+            if lift is None:
+                assert g == v
+            else:
+                assert g[0] == X
+                assert polynomial._INDETS[lift] == with_extra_deriv(v, g[1])
+
+    for v in (x(1), conn(1, 2), matter(0, (1,)), bg(0, 1), gauge(1, (2,))):
+        assert_interned(v, image(polynomial._intern(v)))
+    exterior_d(Form.from_poly(ctx, Poly.var(bg(0, 1)) * Poly.var(gauge(1))
+                              * Poly.var(conn(0, 2))))
+    d_images = jets._IMAGE_TABLES[("d", ctx)]
+    assert {len(img) for img in d_images.values()} == {1, 3}
+    for i, img in d_images.items():
+        assert_interned(polynomial._INDETS[i], img)
+    # the forms read from the d_H image are the ones the indeterminates give
+    assert jets._d_H_coordinate(x(2), ctx) == Form.generator(ctx, x(2))
+    for c in (conn(1, 2), matter(0, (1,))):
+        d_H_c = Form(ctx, {(x(lam),): Poly.var(with_extra_deriv(c, lam))
+                           for lam in range(3)})
+        assert jets._d_H_coordinate(c, ctx) == d_H_c
+        assert contact_form(c, ctx) == Form.generator(ctx, c) - d_H_c
 
 
 def test_prolongation_is_linear(rng):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from jetvar.errors import TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
-from jetvar.polynomial import (Poly, Q, _scaled, add_dicts, chain_rule,
-                               encode_terms, integral_multiple, mul_dicts)
+from jetvar.polynomial import (_INDETS, Poly, Q, _intern, _scaled, add_dicts,
+                               chain_rule, encode_terms, integral_multiple,
+                               mul_dicts, set_max_terms)
 import oracles
 from oracles import (CyclicSubstitution, decode_pairs, evaluate, partial,
                      substitute)
@@ -296,6 +297,15 @@ def test_aliased_operands(p):
     assert p.terms == before
 
 
+def _by_id(route):
+    """The kernel's route on ids for a route on indeterminates, the form in
+    which the pair-tuple oracles take it."""
+    def by_id(i):
+        return [(out, w, None if lift is None else _intern(lift))
+                for out, w, lift in route(_INDETS[i])]
+    return by_id
+
+
 def _route_to(outs):
     # every indeterminate feeds a fixed mix of weights, lifts and no route
     def route(v):
@@ -309,7 +319,7 @@ def _route_to(outs):
 @given(term_dicts)
 def test_chain_rule_and_integration_equal_the_all_fraction_oracle(a):
     got, want = ({}, {}), ({}, {})
-    chain_rule(encode_terms(a), _route_to(got))
+    chain_rule(encode_terms(a), _by_id(_route_to(got)))
     _oracle_chain_rule(a, _route_to(want))
     assert tuple(map(decode_pairs, got)) == want
     p = Poly(encode_terms(a))
@@ -406,7 +416,7 @@ def test_kernel_equals_the_pair_tuple_kernel(a, b, out, c):
     mul_dicts(encode_terms(a), encode_terms(b), product, c)
     oracles.mul_dicts(a, b, want_product, c)
     got, want = ({}, {}), ({}, {})
-    chain_rule(encode_terms(a), _route_to(got))
+    chain_rule(encode_terms(a), _by_id(_route_to(got)))
     oracles.chain_rule(a, _route_to(want))
     p = Poly(encode_terms(a))
     assert decode_pairs(total) == want_total
@@ -449,7 +459,7 @@ def _every_lift(outs):
 @given(long_term_dicts, long_term_dicts, st.sampled_from([1, -1, Q(3, 2)]))
 def test_kernel_on_long_monomials_equals_the_pair_tuple_kernel(a, b, c):
     got, want = ({}, {}), ({}, {})
-    chain_rule(encode_terms(a), _every_lift(got))
+    chain_rule(encode_terms(a), _by_id(_every_lift(got)))
     oracles.chain_rule(a, _every_lift(want))
     product, want_product = {}, {}
     mul_dicts(encode_terms(a), encode_terms(b), product, c)
@@ -459,6 +469,75 @@ def test_kernel_on_long_monomials_equals_the_pair_tuple_kernel(a, b, c):
     for terms in (*got, product):
         assert all(list(m) == sorted(m) for m in terms)   # canonical keys
         assert_stored_form(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_term_dicts)
+def test_lifts_onto_neighbouring_ids_equal_the_pair_tuple_kernel(a):
+    # every indeterminate is lifted onto each factor of a and onto the ids
+    # next to those, so a lift lands on v itself, on the factor just before
+    # or after it in the term, or on an id one away from a factor
+    ids = {i for m in encode_terms(a) for i in m}
+    lifts = sorted({j for i in ids for j in (i - 1, i, i + 1)
+                    if 0 <= j < len(_INDETS)})
+
+    def route_to(outs):
+        def route(v):
+            return [(outs[k % 2], (1, -1, Q(3, 2))[k % 3], _INDETS[j])
+                    for k, j in enumerate(lifts)]
+        return route
+
+    got, want = ({}, {}), ({}, {})
+    chain_rule(encode_terms(a), _by_id(route_to(got)))
+    oracles.chain_rule(a, route_to(want))
+    assert tuple(map(decode_pairs, got)) == want
+    for terms in got:
+        assert all(list(m) == sorted(m) for m in terms)
+        assert_stored_form(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 7), (5, 3), (5, 7)]),
+       st.dictionaries(long_monomials,
+                       st.sampled_from([1, -1, 7, -11, 13, 29, -31, 49]),
+                       min_size=1, max_size=6),
+       long_monomials)
+def test_integral_fraction_products_on_new_keys_are_stored_as_ints(de, ns, mb):
+    # (e n / d) * (d / e) = n: each product of two Fractions is an int, and
+    # a's monomials are distinct, so each lands on a new key of out
+    d, e = de
+    a = {m: Fraction(e * n, d) for m, n in ns.items()}
+    b = {mb: Fraction(d, e)}
+    product: dict = {}
+    mul_dicts(encode_terms(a), encode_terms(b), product)
+    assert decode_pairs(product) == _oracle_mul_dicts(a, b)
+    assert len(product) == len(a)
+    assert all(type(c) is int for c in product.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_new_keys_alone_cross_the_term_cap(data):
+    # a's monomials and b's share no indeterminate, so their products are
+    # distinct and each is a new key of out
+    def term_dicts_over(pool):
+        keys = st.dictionaries(st.sampled_from(pool), st.integers(1, 3),
+                               min_size=1, max_size=3)
+        return st.dictionaries(keys.map(lambda d: tuple(sorted(d.items()))),
+                               coefficients, min_size=1, max_size=4)
+
+    a = data.draw(term_dicts_over(POOL[:4]))
+    b = data.draw(term_dicts_over(POOL[4:]))
+    n = len(a) * len(b)
+    cap = data.draw(st.integers(0, n - 1))
+    out: dict = {}
+    old = set_max_terms(cap)
+    try:
+        with pytest.raises(TermLimitExceeded):
+            mul_dicts(encode_terms(a), encode_terms(b), out)
+    finally:
+        set_max_terms(old)
+    assert cap < len(out) <= n
 
 
 @settings(max_examples=100, deadline=None)
