@@ -13,13 +13,18 @@ Ids come from one process-wide intern table; an indeterminate gets the next
 id on first use and keeps it for the life of the process, and t is interned
 first, so id 0 is t.  Canonical form is therefore unique by construction:
 equal expressions have equal dicts.  Id order is intern order, not the
-natural tuple order of indets.py, so decode_monomial() turns a monomial
-back into (indeterminate, exponent) pairs in that order (render decodes its
-own sort keys), and encode_terms() builds raw term dicts from such pairs.
+natural tuple order of indets.py.
 
 Serialization order is graded-lex: decreasing total degree, ties broken by
-tuple comparison of the decoded pairs.  It does not depend on intern order;
-the exact text format is frozen by golden tests.
+tuple comparison of the (indeterminate, exponent) pairs of the monomials.
+It does not depend on intern order; the exact text format is frozen by
+golden tests.  A sort key ranks the ids in indeterminate order and codes a
+factor as one int, rank * k + exponent; ranks are multiples of k and every
+exponent is below k, so a key starts with the degree and the rank of the
+least indeterminate, and that start orders the groups of monomials that
+share it.  A group is keyed and sorted only when a reader reaches it
+(_ranked): leading(limit) and render(width) key only the groups they print,
+and a full render keys every monomial and sorts once.
 
 The term-expansion kernel (add_dicts, mul_dicts, chain_rule) works on those
 raw dicts directly; zero coefficients are never stored.  A product of
@@ -48,9 +53,8 @@ max_terms() parses the environment's cap (JETVAR_MAX_TERMS), once per run.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from fractions import Fraction
-from heapq import nsmallest
+from itertools import islice
 from math import lcm
 
 from .errors import ConfigError, TermLimitExceeded
@@ -81,19 +85,6 @@ def _interned(v: tuple) -> tuple:
 
 
 _T = _intern(T)   # 0: the run of t ids leads every monomial that has one
-
-
-def decode_monomial(m: tuple) -> tuple:
-    """The (indeterminate, exponent) pairs of monomial m, sorted by
-    indeterminate."""
-    return tuple(sorted([(_INDETS[i], m.count(i)) for i in set(m)]))
-
-
-def encode_terms(terms: dict) -> dict:
-    """The raw term dict of terms, keyed by tuples of (indeterminate,
-    exponent) pairs with distinct indeterminates."""
-    return {(*sorted(i for v, e in pairs for i in (_intern(v),) * e),): c
-            for pairs, c in terms.items()}
 
 
 DEFAULT_MAX_TERMS = 10_000_000
@@ -401,8 +392,8 @@ class Poly:
         (self when it has no more)."""
         if len(self.terms) <= limit:
             return self
-        _, _, rows = _ranked(self.terms, limit)
-        return Poly({m: self.terms[m] for _, m in rows})
+        _, _, rows = _ranked(self.terms)
+        return Poly({m: self.terms[m] for *_, m in islice(rows, limit)})
 
     def render(self, width: int | None = None, den: int = 1) -> str:
         """The text of every term in serialization order; str(p) is
@@ -413,11 +404,11 @@ class Poly:
         its value with den = N; only the printed terms are divided."""
         if not self.terms:
             return "0"
-        ids, k, rows = _ranked(self.terms, None)
+        ids, k, rows = _ranked(self.terms, whole=width is None)
         names = _NAMES
         parts = []
         size = -3   # the length of " + ".join(parts)
-        for (_, codes), m in rows:
+        for _, codes, m in rows:
             c = self.terms[m]
             if den != 1:
                 c = Fraction(c, den)
@@ -442,37 +433,42 @@ class Poly:
         return f"Poly({self})"
 
 
-def _ranked(terms: dict, limit: int | None) -> tuple:
-    """(ids, k, rows): the first limit monomials of the nonempty term dict
-    terms in serialization order, or all of them when limit is None, as a
-    list of rows ((-degree, codes), m).  codes are the factors of m in
-    print order, each the int rank * k + exponent of an indeterminate whose
-    id is ids[rank]."""
-    shown = list(terms)
-    if limit is not None and limit < len(shown):
-        # the first limit terms lie in the highest-degree buckets that
-        # together hold limit terms; only those are ranked
-        held = 0
-        for least, n in sorted(Counter(map(len, shown)).items(), reverse=True):
-            held += n
-            if held >= limit:
-                break
-        shown = [m for m in shown if len(m) >= least]
-    # Sort on ints, not decoded pairs: with the ids ranked in indeterminate
-    # order, rank * k + exponent (every exponent < k) orders as the pair
-    # (indeterminate, exponent) does, and decodes to the factors in print
-    # order.  Distinct monomials have distinct keys, so a (key, m) row never
-    # compares m.
-    k = 1 + max(map(len, shown))
-    ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
+def _ranked(terms: dict, whole: bool = False) -> tuple:
+    """(ids, k, rows): the monomials m of the nonempty term dict terms in
+    serialization order, as rows (-degree, codes, m).  codes are the factors
+    of m in print order, each the int rank * k + exponent of an
+    indeterminate whose id is ids[rank]; they order as the (indeterminate,
+    exponent) pairs do (module docstring).  With whole, for a reader of
+    every row, rows is one sorted list; else it is an iterator that keys and
+    sorts a group of monomials only when the reader reaches it.  Distinct
+    monomials have distinct codes, so a row never compares m."""
+    k = 1 + max(map(len, terms))
+    ids = sorted(set().union(*terms), key=_INDETS.__getitem__)
     rank = {i: r * k for r, i in enumerate(ids)}
-    rows = (((-len(m), sorted([rank[i] + m.count(i) for i in set(m)])), m)
-            for m in shown)
-    if limit is None or limit >= len(shown):
-        rows = sorted(rows)
-    else:
-        rows = nsmallest(limit, rows)
-    return ids, k, rows
+
+    def row(m):
+        return -len(m), sorted([rank[i] + m.count(i) for i in set(m)]), m
+    return ids, k, (sorted(map(row, terms)) if whole
+                    else _groups(terms, rank, row))
+
+
+def _groups(terms: dict, rank: dict, row):
+    """The rows of terms, one group at a time: a group shares the degree and
+    the least indeterminate, and a degree is split into its groups only when
+    the reader reaches it."""
+    by_degree: dict = {}
+    for m in terms:
+        by_degree.setdefault(len(m), []).append(m)
+    for d in sorted(by_degree, reverse=True):
+        group = by_degree[d]
+        if len(group) == 1:   # so () is alone
+            yield row(group[0])
+            continue
+        split: dict = {}
+        for m in group:
+            split.setdefault(min(map(rank.__getitem__, m)), []).append(m)
+        for r in sorted(split):
+            yield from sorted(map(row, split[r]))
 
 
 def _coerce(other) -> Poly:

@@ -2,16 +2,21 @@
 
 They read a monomial only through decode_monomial and otherwise use only
 Poly's public ring operations, so they check the library's calculus
-(gradient, chain rule, total derivatives) from outside.  The term kernel
-keyed by (indeterminate, exponent) pair tuples, which the multiset-id kernel
-of polynomial.py replaced, is kept here as the oracle of that kernel, and so
-is the t-integrand route of the fiber homotopy (the interpolated curvature
-as one t-polynomial, each coefficient integrated term by term), the oracle
-of the library's closed-form t-integral.  Prolongation of vertical fields
-lives here only, one total derivative at a time: the Lie derivative of a
-Lagrangian along the prolongation J1 u is the prolonged field applied as a
-derivation to the density's gradient, where the library forms d_lam u^i only
-for the first-order partials that the density has.  Likewise the
+(gradient, chain rule, total derivatives) from outside.  decode_monomial
+and its inverse encode_terms live here, as no library path decodes a
+monomial to pairs.  So does the eager ranking of serialization order, which
+keyed every monomial before the first was printed: the oracle of the
+library's stream, which keys a group of monomials only when it is read.
+The term kernel keyed by (indeterminate, exponent) pair tuples, which the
+multiset-id kernel of polynomial.py replaced, is kept here as the oracle of
+that kernel, and so is the t-integrand route of the fiber homotopy (the
+interpolated curvature as one t-polynomial, each coefficient integrated
+term by term), the oracle of the library's closed-form t-integral.
+Prolongation of vertical fields lives here only, one total derivative at a
+time: the Lie derivative of a Lagrangian along the prolongation J1 u is the
+prolonged field applied as a derivation to the density's gradient, where
+the library forms d_lam u^i only for the first-order partials that the
+density has.  Likewise the
 Euler-Lagrange operator, the Poincare-Cartan form and Noether currents probe
 every (coordinate, direction) pair for a first-order partial, where the
 library visits the partials the density has.  The form oracles below sum
@@ -43,7 +48,9 @@ them, returning cs.scale times its results as the library does.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from heapq import nsmallest
 from itertools import combinations_with_replacement, product
 from math import lcm
 
@@ -60,11 +67,24 @@ from jetvar.indets import (T, conn, gauge, indet_str, matter, with_extra_deriv,
                            x)
 from jetvar.jets import (contact_form, horizontal_differential,
                          horizontal_projection, total_derivative)
-from jetvar.polynomial import _T, Poly, Q, _exact, decode_monomial
+from jetvar.polynomial import _INDETS, _T, Poly, Q, _exact, _intern
 from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
 from jetvar.variational import (Lagrangian, VerificationReport,
                                 conservation_check)
+
+
+def decode_monomial(m: tuple) -> tuple:
+    """The (indeterminate, exponent) pairs of monomial m, sorted by
+    indeterminate."""
+    return tuple(sorted([(_INDETS[i], m.count(i)) for i in set(m)]))
+
+
+def encode_terms(terms: dict) -> dict:
+    """The raw term dict of terms, keyed by tuples of (indeterminate,
+    exponent) pairs with distinct indeterminates."""
+    return {(*sorted(i for v, e in pairs for i in (_intern(v),) * e),): c
+            for pairs, c in terms.items()}
 
 
 def partial(p: Poly, v: tuple) -> Poly:
@@ -156,6 +176,61 @@ def render(p: Poly) -> str:
                  + [indet_str(v) if e == 1 else f"{indet_str(v)}^{e}"
                     for v, e in pairs])
         for (_, pairs), c in rows) or "0"
+
+
+def ranked(terms: dict, limit: int | None) -> tuple:
+    """(ids, k, rows): the first limit monomials of the nonempty term dict
+    terms in serialization order, or all of them when limit is None, as a
+    list of rows ((-degree, codes), m).  codes are the factors of m in
+    print order, each the int rank * k + exponent of an indeterminate whose
+    id is ids[rank].  Every monomial of the highest-degree buckets that hold
+    limit terms is keyed before the first row is known."""
+    shown = list(terms)
+    if limit is not None and limit < len(shown):
+        held = 0
+        for least, n in sorted(Counter(map(len, shown)).items(), reverse=True):
+            held += n
+            if held >= limit:
+                break
+        shown = [m for m in shown if len(m) >= least]
+    k = 1 + max(map(len, shown))
+    ids = sorted({i for m in shown for i in m}, key=_INDETS.__getitem__)
+    rank = {i: r * k for r, i in enumerate(ids)}
+    rows = (((-len(m), sorted([rank[i] + m.count(i) for i in set(m)])), m)
+            for m in shown)
+    if limit is None or limit >= len(shown):
+        rows = sorted(rows)
+    else:
+        rows = nsmallest(limit, rows)
+    return ids, k, rows
+
+
+def leading(p: Poly, limit: int) -> Poly:
+    """Poly.leading by the eager ranking."""
+    if len(p.terms) <= limit:
+        return p
+    _, _, rows = ranked(p.terms, limit)
+    return Poly({m: p.terms[m] for _, m in rows})
+
+
+def render_ranked(p: Poly, width: int | None = None, den: int = 1) -> str:
+    """Poly.render by the eager ranking: every term is keyed and sorted
+    before the first is printed."""
+    if not p.terms:
+        return "0"
+    ids, k, rows = ranked(p.terms, None)
+    parts = []
+    size = -3   # the length of " + ".join(parts)
+    for (_, codes), m in rows:
+        c = p.terms[m] if den == 1 else Fraction(p.terms[m], den)
+        parts.append("*".join(
+            [f"{c.numerator}/{c.denominator}"]
+            + [indet_str(_INDETS[ids[code // k]])
+               + ("" if code % k == 1 else f"^{code % k}") for code in codes]))
+        size += len(parts[-1]) + 3
+        if width is not None and size >= width:
+            break
+    return " + ".join(parts)
 
 
 def decode_pairs(terms: dict) -> dict:

@@ -2,6 +2,7 @@
 
 import functools
 import operator
+from bisect import bisect_left
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 from jetvar.errors import TermLimitExceeded
 from jetvar.indets import T, bg, conn, gauge, x
 from jetvar.polynomial import (_INDETS, Poly, Q, _intern, _scaled, add_dicts,
-                               chain_rule, encode_terms, integral_multiple,
-                               mul_dicts, set_max_terms)
+                               chain_rule, integral_multiple, mul_dicts,
+                               set_max_terms)
 import oracles
-from oracles import (CyclicSubstitution, decode_pairs, evaluate, partial,
-                     substitute)
+from oracles import (CyclicSubstitution, decode_pairs, encode_terms, evaluate,
+                     partial, substitute)
 
 X0, X1 = x(0), x(1)
 A00 = conn(0, 0)
@@ -555,8 +556,8 @@ def test_text_equals_the_decoded_pairs_oracle(p, limit):
     text = oracles.render(p)
     assert str(p) == text
     parts = text.split(" + ")
-    # leading(limit) ranks only the highest-degree buckets that hold limit
-    # terms: also try limits below, at and just past each bucket boundary
+    # the stream splits by degree first: also try limits below, at and
+    # just past each degree's boundary
     limits = {limit}
     held = 0
     for _, n in sorted(Counter(map(len, p.terms)).items(), reverse=True):
@@ -607,3 +608,53 @@ def test_text_order_does_not_depend_on_intern_order():
     assert i2 < i0
     p = x2 ** 2 + x0 * x1 + x2
     assert str(p) == "1/1*x[1000]*x[1001] + 1/1*x[1002]^2 + 1/1*x[1002]"
+
+
+# x[2005], ..., x[2000] are interned in that order, so their ids run
+# opposite to the natural order of the indeterminates
+REVERSED = [x(2000 + i) for i in range(5, -1, -1)]
+for v in REVERSED:
+    Poly.var(v)
+# 12 to 60 terms of degree 0 to 6 over 8 indeterminates, so exponents up
+# to 6 and the constant monomial: a poly spans many groups of the stream,
+# and many monomials share their degree and their least indeterminate
+long_polys = st.lists(
+    st.tuples(st.lists(st.sampled_from(POOL[:4] + REVERSED[:4]), max_size=6),
+              coefficients), min_size=12, max_size=60).map(
+    lambda t: Poly(encode_terms({tuple(Counter(vs).items()): c for vs, c in t})))
+
+
+def _group_ends(p: Poly) -> list:
+    """The term counts at the ends of the groups of serialization order:
+    the monomials of one degree and one least indeterminate."""
+    starts = Counter((-len(m), oracles.decode_monomial(m)[0][0] if m else ())
+                     for m in p.terms)
+    ends, held = [], 0
+    for _, n in sorted(starts.items()):
+        held += n
+        ends.append(held)
+    return ends
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_polys, st.sampled_from([1, 2, 6]))
+def test_lazy_ranking_equals_the_eager_oracle(p, den):
+    assert [_intern(v) for v in REVERSED] == sorted(map(_intern, REVERSED))
+    parts = oracles.render(p).split(" + ")
+    assert str(p) == " + ".join(parts)
+    assert p.render(den=den) == oracles.render_ranked(p, den=den)
+    # size[i]: the length of the text of the first i terms
+    size = [-3]
+    for part in parts:
+        size.append(size[-1] + len(part) + 3)
+    ends = _group_ends(p)
+    # limits at, just below and just past each group boundary
+    for lim in sorted({n + d for n in ends for d in (-1, 0, 1)} - {0}):
+        lead = p.leading(lim)
+        assert lead == oracles.leading(p, lim)
+        assert lead.render() == " + ".join(parts[:lim])
+    # widths at, just below and just past the text of each group boundary
+    for w in {size[n] + d for n in ends for d in (-1, 0, 1)}:
+        n = min(max(bisect_left(size, w), 1), len(parts))
+        assert p.render(w) == " + ".join(parts[:n])
+        assert p.render(w, den) == oracles.render_ranked(p, w, den)
