@@ -24,7 +24,7 @@ exponent is below k, so a key starts with the degree and the rank of the
 least indeterminate, and that start orders the groups of monomials that
 share it.  A group is keyed and sorted only when a reader reaches it
 (_ranked): leading(limit) and render(width) key only the groups they print,
-and a full render keys every monomial and sorts once.
+and a full render keys every group in turn.
 
 The term-expansion kernel (add_dicts, mul_dicts, chain_rule) works on those
 raw dicts directly; zero coefficients are never stored.  A product of
@@ -404,7 +404,7 @@ class Poly:
         its value with den = N; only the printed terms are divided."""
         if not self.terms:
             return "0"
-        ids, k, rows = _ranked(self.terms, whole=width is None)
+        ids, k, rows = _ranked(self.terms)
         names = _NAMES
         parts = []
         size = -3   # the length of " + ".join(parts)
@@ -433,23 +433,21 @@ class Poly:
         return f"Poly({self})"
 
 
-def _ranked(terms: dict, whole: bool = False) -> tuple:
+def _ranked(terms: dict) -> tuple:
     """(ids, k, rows): the monomials m of the nonempty term dict terms in
-    serialization order, as rows (-degree, codes, m).  codes are the factors
-    of m in print order, each the int rank * k + exponent of an
-    indeterminate whose id is ids[rank]; they order as the (indeterminate,
-    exponent) pairs do (module docstring).  With whole, for a reader of
-    every row, rows is one sorted list; else it is an iterator that keys and
-    sorts a group of monomials only when the reader reaches it.  Distinct
-    monomials have distinct codes, so a row never compares m."""
+    serialization order, as an iterator of rows (-degree, codes, m) that
+    keys and sorts a group of monomials only when the reader reaches it.
+    codes are the factors of m in print order, each the int
+    rank * k + exponent of an indeterminate whose id is ids[rank]; they
+    order as the (indeterminate, exponent) pairs do (module docstring).
+    Distinct monomials have distinct codes, so a row never compares m."""
     k = 1 + max(map(len, terms))
     ids = sorted(set().union(*terms), key=_INDETS.__getitem__)
     rank = {i: r * k for r, i in enumerate(ids)}
 
     def row(m):
         return -len(m), sorted([rank[i] + m.count(i) for i in set(m)]), m
-    return ids, k, (sorted(map(row, terms)) if whole
-                    else _groups(terms, rank, row))
+    return ids, k, _groups(terms, rank, row)
 
 
 def _groups(terms: dict, rank: dict, row):
