@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, dispatch, deterministic output.
+"""Command-line front end: dispatch and deterministic output.
 
 stdout carries only the verification text (byte-deterministic for a fixed
 config and seed); timings and diagnostics go to stderr.  Every check runs on
@@ -8,30 +8,29 @@ least common denominators N_L of the density and M of the field.  A
 coefficient is divided by that scale only where it is printed or dumped.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 configuration or
-usage error, 3 term-expansion cap exceeded (env JETVAR_MAX_TERMS, read once
-per run before the subcommand; a malformed cap exits 2), 141 (128 + SIGPIPE,
-as a shell reports a process that SIGPIPE ended) stdout was closed before
-the output was written, as by `| head`: no verdict.
+usage error, 3 a resource cap was exceeded: the term cap (env
+JETVAR_MAX_TERMS, read once per run before the subcommand; a malformed cap
+exits 2) or memory, 141 (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended) stdout was closed before the output was written, as by
+`| head`: no verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import resource
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 
-from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
-                      builtin_invariant, check_invariant_tensor,
-                      gauge_generator, load_lie_algebra)
+from .algebra import check_invariant_tensor, gauge_generator
 from .chern_simons import (CSData, characteristic_at_B, characteristic_form,
                            cs_form)
+from .config import (SELFTEST, algebra_and_tensor, build_model, load_config,
+                     selftest_options)
 from .errors import (AntisymmetryViolation, ConfigError, JacobiViolation,
                      JetvarError, TermLimitExceeded)
 from .forms import Form, _wrap, add_into, exterior_d_into, is_empty
@@ -46,177 +45,6 @@ from .variational import (Lagrangian, _lagrangian, euler_lagrange,
 TRUNCATE_AT = 40
 # characters of a truncated form that are printed
 PREVIEW_CHARS = 2000
-# Largest CS degree k: a (2k-1) = 15-dimensional base, well past the k = 4
-# frontier.  The transgression form grows fast with k (u1: 9,520 terms at
-# k = 4, 263,340 at k = 5), so a larger k only hangs, and a huge one
-# overflows building the degree-k invariant tensor.
-MAX_K = 8
-# Largest base dimension, that of k = MAX_K; the self-test's coordinate pools
-# grow quadratically with it.
-MAX_N = 2 * MAX_K - 1
-SELFTEST_KEYS = frozenset({"selftest_instances", "dimensions"})
-CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h"}
-# the keys of an algebra or invariant given as an object
-ALGEBRA_KEYS = frozenset({"dim", "constants"})
-INVARIANT_KEYS = frozenset({"degree", "entries"})
-
-
-# -- config ------------------------------------------------------------
-
-
-def parse_rational(v, where: str) -> Fraction:
-    if isinstance(v, bool):
-        raise ConfigError(f"{where}: expected a rational, got a boolean")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{where}: bad rational {v!r}: {exc}") from exc
-    # exactness forbids floats in configs
-    raise ConfigError(f"{where}: rationals must be ints or 'p/q' strings, "
-                      f"got {type(v).__name__}")
-
-
-def config_int(v, least: int, what: str, most: int | None = None) -> int:
-    """v when it is an int >= least (and <= most when given); a JSON true is
-    not the int 1."""
-    if type(v) is not int or v < least or (most is not None and v > most):
-        bound = f">= {least}" if most is None else f"in {least}..{most}"
-        raise ConfigError(f"{what} must be an integer {bound}")
-    return v
-
-
-def config_indices(idx: list, dim: int, where: str) -> tuple:
-    """idx as a tuple of algebra indices in 0..dim-1."""
-    if not all(type(j) is int for j in idx):
-        raise ConfigError(f"{where}: indices must be ints")
-    if not all(0 <= j < dim for j in idx):
-        raise ConfigError(f"{where}: index out of range 0..{dim - 1}: {idx}")
-    return tuple(idx)
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path}: JSON nested too deeply") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    check_keys(cfg, CONFIG_KEYS, path)
-    return cfg
-
-
-def load_model_config(args) -> dict:
-    """The config of a model subcommand; the self-test's keys, which it
-    would ignore, are rejected as the self-test rejects model keys."""
-    cfg = load_config(args.config)
-    selftest = sorted(set(cfg) & SELFTEST_KEYS)
-    if selftest:
-        raise ConfigError(f"{args.command} takes no self-test key: "
-                          + ", ".join(map(repr, selftest)))
-    return cfg
-
-
-def check_keys(obj: dict, known: frozenset, where: str):
-    """Reject a key of obj outside known, so that a misspelt key is not
-    silently ignored."""
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
-
-
-def config_algebra(cfg: dict) -> LieAlgebraData:
-    spec = cfg.get("algebra")
-    if spec is None:
-        raise ConfigError("missing key 'algebra'")
-    if isinstance(spec, str):
-        try:
-            return builtin_algebra(spec)
-        except JetvarError as exc:
-            raise ConfigError(str(exc)) from exc
-    if isinstance(spec, dict):
-        check_keys(spec, ALGEBRA_KEYS, "algebra")
-        dim = config_int(spec.get("dim"), 1, "algebra.dim")
-        rows = spec.get("constants", [])
-        if not isinstance(rows, list):
-            raise ConfigError("algebra.constants must be an array")
-        quads = []
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 4):
-                raise ConfigError(f"algebra.constants[{i}] must be [r, p, q, value]")
-            where = f"algebra.constants[{i}]"
-            quads.append(config_indices(row[:3], dim, where)
-                         + (parse_rational(row[3], where),))
-        return load_lie_algebra(dim, quads)
-    raise ConfigError("algebra must be a name or an object")
-
-
-def config_invariant(cfg: dict, g: LieAlgebraData, k: int) -> tuple:
-    """Returns (tensor, name or None)."""
-    spec = cfg.get("invariant", "killing" if k == 2 else None)
-    if spec is None:
-        raise ConfigError("missing key 'invariant'")
-    if isinstance(spec, str):
-        try:
-            return builtin_invariant(spec, g, k), spec.strip().lower()
-        except JetvarError as exc:
-            raise ConfigError(str(exc)) from exc
-    if isinstance(spec, dict):
-        check_keys(spec, INVARIANT_KEYS, "invariant")
-        degree = config_int(spec.get("degree", k), 1, "invariant.degree")
-        rows = spec.get("entries", [])
-        if not isinstance(rows, list):
-            raise ConfigError("invariant.entries must be an array")
-        entries = {}
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 2
-                    and isinstance(row[0], list)):
-                raise ConfigError(f"invariant.entries[{i}] must be [[indices], value]")
-            where = f"invariant.entries[{i}]"
-            idx = config_indices(row[0], g.dim, where)
-            value = parse_rational(row[1], where)
-            # a repeated index list may only repeat its value, as a
-            # permuted one may (see InvariantTensor)
-            if entries.setdefault(idx, value) != value:
-                raise ConfigError(f"{where}: conflicting entries at {list(idx)}")
-        try:
-            return InvariantTensor(degree, entries), None
-        except JetvarError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError("invariant must be a name or an object")
-
-
-def config_options(cfg: dict) -> tuple:
-    """(background, h) of a model config, each validated."""
-    background = cfg.get("background", "symbolic")
-    if background not in ("zero", "symbolic"):
-        raise ConfigError("background must be 'zero' or 'symbolic'")
-    return background, parse_rational(cfg.get("h", 1), "h")
-
-
-def build_model(cfg: dict) -> tuple:
-    """Returns (CSData, invariant tensor name or None).  Every check that
-    CSData makes on its inputs is made here first, as a ConfigError."""
-    g = config_algebra(cfg)
-    k = config_int(cfg.get("k"), 2, "k", MAX_K)
-    inv, inv_name = config_invariant(cfg, g, k)
-    background, h = config_options(cfg)
-    if inv.degree != k:
-        raise ConfigError("invariant tensor degree must equal k")
-    return CSData(g, inv, background=background, h=h), inv_name
 
 
 # -- output helpers ----------------------------------------------------
@@ -295,15 +123,11 @@ def fails_invariance(cs: CSData) -> bool:
 
 
 def cmd_check_algebra(args, dump: Dump) -> int:
-    cfg = load_model_config(args)
-    k = config_int(cfg.get("k", 2), 2, "k", MAX_K)
-    config_options(cfg)
     try:
-        g = config_algebra(cfg)
+        g, inv = algebra_and_tensor(load_config(args.config, args.command))
     except (AntisymmetryViolation, JacobiViolation) as exc:
         emit(f"[FAIL] structure constants: {exc}")
         return 1
-    inv, _ = config_invariant(cfg, g, k)
     residual = check_invariant_tensor(g, inv)
     emit(f"algebra: dim {g.dim}, {len(g.c)} nonzero structure constants")
     report_line("antisymmetry c^r_pq = -c^r_qp", True)
@@ -316,8 +140,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
 
 
 def cmd_transgression(args, dump: Dump) -> int:
-    cfg = load_model_config(args)
-    cs, _ = build_model(cfg)
+    cs, _ = build_model(load_config(args.config, args.command))
     t0 = time.perf_counter()
     P = characteristic_form(cs)
     PB = characteristic_at_B(cs)
@@ -340,7 +163,7 @@ def cmd_transgression(args, dump: Dump) -> int:
 
 
 def cmd_euler_lagrange(args, dump: Dump) -> int:
-    cfg = load_model_config(args)
+    cfg = load_config(args.config, args.command)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
         return 1
@@ -369,8 +192,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
 
 
 def cmd_noether(args, dump: Dump) -> int:
-    cfg = load_model_config(args)
-    cs, _ = build_model(cfg)
+    cs, _ = build_model(load_config(args.config, args.command))
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
@@ -422,8 +244,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
 
 
 def cmd_verify_conservation(args, dump: Dump) -> int:
-    cfg = load_model_config(args)
-    cs, inv_name = build_model(cfg)
+    cs, inv_name = build_model(load_config(args.config, args.command))
     if fails_invariance(cs):
         return 1
     t0 = time.perf_counter()
@@ -472,21 +293,7 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
 
 
 def cmd_selftest(args, dump: Dump) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    model = sorted(set(cfg) - SELFTEST_KEYS)
-    if model:
-        raise ConfigError("first-variational-selftest takes no model key: "
-                          + ", ".join(map(repr, model)))
-    instances = config_int(cfg.get("selftest_instances", 100), 1,
-                           "selftest_instances")
-    dims = cfg.get("dimensions", [1, 2, 3])
-    if not (isinstance(dims, list) and dims
-            and all(type(d) is int and 1 <= d <= MAX_N for d in dims)):
-        raise ConfigError(
-            f"dimensions must be a nonempty array of integers in 1..{MAX_N}")
-    repeated = sorted({d for d in dims if dims.count(d) > 1})
-    if repeated:
-        raise ConfigError(f"dimensions repeat {', '.join(map(str, repeated))}")
+    instances, dims = selftest_options(args.config)
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
     failures = 0
@@ -549,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
         "print the gauge Noether current of the CS Lagrangian")
     add("verify-conservation", cmd_verify_conservation,
         "verify the conservation law of the modified current")
-    st = add("first-variational-selftest", cmd_selftest,
+    st = add(SELFTEST, cmd_selftest,
              "random-instance check of the first variational formula",
              config_required=False, dump=False)
     st.add_argument("--seed", type=int, default=0,
@@ -592,6 +399,8 @@ def _main(argv) -> int:
     except TermLimitExceeded as exc:
         note(f"term limit exceeded: {exc}")
         return 3
+    except MemoryError:
+        pass   # noted below, once the traceback has let its frames' data go
     except ConfigError as exc:
         note(f"config error: {exc}")
         return 2
@@ -601,6 +410,8 @@ def _main(argv) -> int:
     finally:
         if fh is not None:
             fh.close()
+    note("out of memory: the run needs more than this process may allocate")
+    return 3
 
 
 if __name__ == "__main__":

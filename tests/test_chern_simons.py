@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar import cli
 from jetvar.algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                             builtin_invariant, gauge_generator)
 from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
@@ -16,6 +15,7 @@ from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
+from jetvar.config import build_model, load_config
 from jetvar.errors import JetvarError
 from jetvar.forms import Form, _wrap, exterior_d, wedge
 from jetvar.indets import T, conn, x
@@ -33,7 +33,7 @@ NEGATIVES = ("jacobi_violation.json", "su2_unit.json")
 SHIPPED = sorted(p.relative_to(ROOT).as_posix()
                  for d in ("configs", "tests/configs")
                  for p in (ROOT / d).glob("*.json")
-                 if "algebra" in cli.load_config(str(p))
+                 if "algebra" in load_config(str(p))
                  and p.name not in NEGATIVES)
 
 
@@ -107,8 +107,8 @@ def test_characteristic_at_B_matches_the_pullback_oracle(name, background):
     # P(F_B) is a 2k-form on the (2k-1)-dimensional base, so it is zero on
     # every config; only the curvature comparison tells the slot contraction
     # of F_B from the zero form
-    cs, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
-                                 background=background))
+    cs, _ = build_model(dict(load_config(str(ROOT / name)),
+                             background=background))
     bindings = {conn(r, mu): cs.bg_poly(r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     FB = background_curvature(cs)
@@ -196,8 +196,8 @@ def test_each_index_takes_the_basis_with_fewer_terms(name, background,
     # the su2 indices at a symbolic background take the Bernstein pieces;
     # the u1 index (H = 0) and every index at the zero background (F_B = 0)
     # keep the powers of t
-    cs, _ = cli.build_model(dict(cli.load_config(str(ROOT / name)),
-                                 background=background))
+    cs, _ = build_model(dict(load_config(str(ROOT / name)),
+                             background=background))
     pieces = _t_pieces(cs)
     assert {r: tuple((a, b) for a, b, _ in choices)
             for r, choices in pieces.items()} == {

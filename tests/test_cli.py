@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetvar import cli
+from jetvar.config import (CONFIG_KEYS, MAX_K, MAX_N, build_model,
+                            load_config, parse_rational)
+from jetvar.errors import ConfigError
 from jetvar.variational import verify_conservation
 import oracles
 
@@ -285,6 +289,27 @@ def test_term_cap_exits_3():
                 env_extra={"JETVAR_MAX_TERMS": "50"})
     assert r.returncode == 3
     assert "term limit exceeded" in r.stderr
+
+
+def test_running_out_of_memory_exits_3(tmp_path):
+    # the address-space limit acts on the child alone; u1^1000000 runs out
+    # of it building the per-component jet coordinates, within 2 s
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"algebra": "u1^1000000", "invariant": "unit",
+                               "k": 2}))
+    limit = 200 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "jetvar.cli", "verify-conservation",
+         "--config", str(cfg)], capture_output=True, text=True, cwd=ROOT,
+        preexec_fn=cap_memory)
+    assert r.returncode == 3, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("out of memory: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_term_cap_in_the_chain_rule_exits_3():
@@ -580,7 +605,10 @@ def test_model_commands_reject_selftest_keys(capsys, tmp_path, command, key,
     ({"gauge_params": "zero"}, "unknown key 'gauge_params'"),
     ({"background": "none"}, "background must be"),
     ({"h": 0.5}, "h: rationals must be"),
-    ({"h": "1/0"}, "h: bad rational")])
+    ({"h": "1/0"}, "h: bad rational"),
+    # Fraction would build 10**1000000000
+    ({"h": "1e1000000000"}, "h: bad rational '1e1000000000': exponents are "
+                            "not accepted")])
 @pytest.mark.parametrize("algebra", [
     "su2", {"dim": 3, "constants": [[0, 1, 2, "1"], [1, 0, 1, "1"]]}],
     ids=["su2", "jacobi-violation"])
@@ -607,11 +635,11 @@ def test_jet_order_is_an_unknown_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("dims,message", [
     # the self-test's coordinate pools grow quadratically with n
-    ([cli.MAX_N + 1], f"integers in 1..{cli.MAX_N}"),
-    ([10**30], f"integers in 1..{cli.MAX_N}"),
+    ([MAX_N + 1], f"integers in 1..{MAX_N}"),
+    ([10**30], f"integers in 1..{MAX_N}"),
     # "n=1: 6 instances" printed twice read as 12 instances
     ([2, 1, 2, 1], "dimensions repeat 1, 2")],
-    ids=[str(cli.MAX_N + 1), str(10**30), "repeated"])
+    ids=[str(MAX_N + 1), str(10**30), "repeated"])
 def test_bad_dimensions_exit_2(capsys, tmp_path, dims, message):
     code, err, out = _main_exit(capsys, tmp_path, "first-variational-selftest",
                                 {"selftest_instances": 6, "dimensions": dims})
@@ -620,12 +648,39 @@ def test_bad_dimensions_exit_2(capsys, tmp_path, dims, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("text,value", [
+    ("3", 3), (" -3/4 ", Fraction(-3, 4)), ("0.25", Fraction(1, 4)),
+    ("-.5", Fraction(-1, 2)), ("1_000/3", Fraction(1000, 3)),
+    ("+2.", 2)])
+def test_rationals_without_an_exponent_are_accepted(text, value):
+    assert parse_rational(text, "h") == value
+
+
+@pytest.mark.parametrize("text", ["1e5", "1E5", " 2.5e-3 ", "-.5e+1", "1.e0",
+                                  "1_0e1_0"])
+def test_rationals_with_an_exponent_are_rejected(text):
+    with pytest.raises(ConfigError, match="exponents are not accepted"):
+        parse_rational(text, "h")
+
+
+@pytest.mark.parametrize("text", ["zero", "e5", ".e5", "1e", "1/2e3", "inf"])
+def test_other_bad_rationals_keep_fractions_message(text):
+    with pytest.raises(ConfigError, match="Invalid literal for Fraction"):
+        parse_rational(text, "h")
+
+
+def test_cli_runs_the_config_entry_points():
+    # jetbench's set-up child calls both through cli
+    assert cli.load_config is load_config
+    assert cli.build_model is build_model
+
+
 @pytest.mark.parametrize("path", sorted(
     p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
                                              "jetbench/configs")
     for p in (ROOT / d).glob("*.json")))
 def test_shipped_configs_use_known_keys(path):
-    assert set(cli.load_config(str(ROOT / path))) <= cli.CONFIG_KEYS
+    assert set(load_config(str(ROOT / path))) <= CONFIG_KEYS
 
 
 @pytest.mark.parametrize("content,message", [
@@ -643,7 +698,7 @@ def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
     assert out == ""
 
 
-@pytest.mark.parametrize("k", [cli.MAX_K + 1, 10**6, 10**30])
+@pytest.mark.parametrize("k", [MAX_K + 1, 10**6, 10**30])
 @pytest.mark.parametrize("command", ["check-algebra", "transgression",
                                      "verify-conservation"])
 def test_k_above_the_bound_exits_2(capsys, tmp_path, command, k):
@@ -651,7 +706,7 @@ def test_k_above_the_bound_exits_2(capsys, tmp_path, command, k):
     code, err, out = _main_exit(capsys, tmp_path, command,
                                 {"algebra": "u1", "invariant": "unit", "k": k})
     assert code == 2
-    assert f"k must be an integer in 2..{cli.MAX_K}" in err
+    assert f"k must be an integer in 2..{MAX_K}" in err
     assert out == ""
 
 
@@ -716,7 +771,7 @@ def test_printed_current_matches_the_merged_current_oracle(config, capsys):
     assert cli.main(["verify-conservation", "--config", str(path)]) == 0
     got = [line for line in capsys.readouterr().out.splitlines()
            if line.startswith("modified current component ")]
-    cs, _ = cli.build_model(cli.load_config(str(path)))
+    cs, _ = build_model(load_config(str(path)))
     _, modified, _ = oracles.merged_conservation(verify_conservation(cs))
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
         cli.show_poly(f"modified current component {lam}", comp,
@@ -782,7 +837,7 @@ def test_repeated_in_process_calls_match_fresh_interpreters(capsys, tmp_path):
 # the three large models (5D u1+su2, 7D u1, an abelian algebra of dimension
 # 3000) take about a second or more per run, and dropping "background" from
 # either su2 k=4 seed gives the symbolic 7D probe, a minute and 740 MB
-FUZZ_SEEDS = [cli.load_config(str(ROOT / path)) for path in sorted(
+FUZZ_SEEDS = [load_config(str(ROOT / path)) for path in sorted(
     p.relative_to(ROOT).as_posix() for d in ("configs", "tests/configs",
                                              "jetbench/configs")
     for p in (ROOT / d).glob("*.json")
@@ -796,7 +851,7 @@ FUZZ_VALUES = [None, True, -1, 0, 1, 2, 3, 1.5, "", "x", "1/0", [], [0], {},
 # 10^30 only for k: with the k=4 seeds left out, no other key turns it
 # into a long valid run
 FUZZ_K_VALUES = FUZZ_VALUES + [10**30]
-FUZZ_KEYS = sorted(cli.CONFIG_KEYS) + ["backgroud", "order", "jet_order"]
+FUZZ_KEYS = sorted(CONFIG_KEYS) + ["backgroud", "order", "jet_order"]
 FUZZ_COMMANDS = [["check-algebra"], ["transgression"], ["noether"],
                  ["euler-lagrange", "--compare-background"],
                  ["verify-conservation"], ["first-variational-selftest"]]
@@ -839,8 +894,14 @@ def test_mutated_configs_exit_cleanly(capsys, tmp_path, cfg, command):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cfg))
     code = cli.main([*command, "--config", str(path)])
-    capsys.readouterr()
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3), (command, cfg)
+    assert "Traceback" not in out + err, (command, cfg)
+    if code == 2:
+        # every config rule is checked before the first verdict line
+        assert out == "", (command, cfg)
+        assert err.startswith("config error: ") and err.count("\n") == 1, \
+            (command, cfg, err)
 
 
 # -- small valid models: transgression and conservation pass non-vacuously --

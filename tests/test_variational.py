@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetvar import chern_simons, cli, variational
+from jetvar import chern_simons, variational
 from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
                             gauge_generator, killing_form)
 from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
+from jetvar.config import build_model, load_config
 from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
                            SigmaMismatch, TermLimitExceeded)
 from jetvar.forms import Form, contract, exterior_d, wedge
@@ -311,7 +312,7 @@ NEGATIVES = ("jacobi_violation.json", "su2_unit.json")
 SHIPPED = sorted(p.relative_to(ROOT).as_posix()
                  for d in ("configs", "tests/configs")
                  for p in (ROOT / d).glob("*.json")
-                 if "algebra" in cli.load_config(str(p))
+                 if "algebra" in load_config(str(p))
                  and p.name not in NEGATIVES)
 
 
@@ -350,7 +351,7 @@ def _sigma_case(name):
         g = builtin_algebra(alg)
         b = inv if isinstance(inv, InvariantTensor) else builtin_invariant(inv, g, k)
         return CSData(g, b, **kw), params
-    cs, _ = cli.build_model(cli.load_config(str(ROOT / name)))
+    cs, _ = build_model(load_config(str(ROOT / name)))
     return cs, None
 
 
@@ -473,7 +474,7 @@ def test_verify_conservation_leaves_no_reference_cycle(term_cap):
     # a cycle would keep its objects, such as a slot sum's accumulator,
     # alive until a cyclic collection; so would one on the path of a
     # TermLimitExceeded, which the cap raises inside the slot sum of S
-    cs, _ = cli.build_model(cli.load_config(str(ROOT / "configs/u1su2_k3.json")))
+    cs, _ = build_model(load_config(str(ROOT / "configs/u1su2_k3.json")))
     gc.collect()
     gc.disable()
     try:
@@ -498,7 +499,7 @@ def test_verify_conservation_leaves_no_reference_cycle(term_cap):
 def test_held_model_polys_are_sized_and_share_their_coefficients(config):
     # each Poly that the model holds is no larger than a fresh copy of its
     # dict, and the equal coefficients of one held object are one int
-    cs, _ = cli.build_model(cli.load_config(str(ROOT / config)))
+    cs, _ = build_model(load_config(str(ROOT / config)))
     L = variational._lagrangian(cs)
     held = {
         "S": list(chern_simons._S(cs).terms.values()),
