@@ -50,15 +50,11 @@ PREVIEW_CHARS = 2000
 # -- output helpers ----------------------------------------------------
 
 
-class Dump:
-    """Untruncated expressions, written to the open --dump file if any."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, label: str, text: str):
-        if self.fh is not None:
-            self.fh.write(f"## {label}\n{text}\n")
+def write_dump(dump, label: str, text: str):
+    """Write an untruncated expression to dump, the open --dump file or
+    None."""
+    if dump:
+        dump.write(f"## {label}\n{text}\n")
 
 
 def emit(line: str = ""):
@@ -69,7 +65,7 @@ def note(line: str):
     print(line, file=sys.stderr)
 
 
-def show_poly(label: str, p: Poly, dump: Dump, den: int = 1,
+def show_poly(label: str, p: Poly, dump, den: int = 1,
               n: int | None = None):
     """Print p / den, truncated, and dump it whole.  p may hold only the
     first TRUNCATE_AT terms (see Poly.leading) of a Poly of n terms, unless
@@ -78,26 +74,26 @@ def show_poly(label: str, p: Poly, dump: Dump, den: int = 1,
     if n > TRUNCATE_AT:
         emit(f"{label} = {p.leading(TRUNCATE_AT).render(den=den)} + ... "
              f"({n - TRUNCATE_AT} more "
-             f"terms{'' if dump.fh else '; pass --dump for the full expression'})")
+             f"terms{'' if dump else '; pass --dump for the full expression'})")
     else:
         emit(f"{label} = {p.render(den=den)}")
-    if dump.fh:
-        dump.write(label, p.render(den=den))
+    if dump:
+        write_dump(dump, label, p.render(den=den))
 
 
-def show_form(label: str, a: Form, dump: Dump, den: int = 1):
+def show_form(label: str, a: Form, dump, den: int = 1):
     """Print a / den, truncated, and dump it whole."""
     n = a.term_count()
     # without --dump a truncated form is rendered only as far as it is printed
-    text = a.render(PREVIEW_CHARS if n > TRUNCATE_AT and not dump.fh else None,
+    text = a.render(PREVIEW_CHARS if n > TRUNCATE_AT and not dump else None,
                     den)
     if n > TRUNCATE_AT:
         emit(f"{label}: {n} terms (truncated"
-             f"{'' if dump.fh else '; pass --dump for the full expression'})")
+             f"{'' if dump else '; pass --dump for the full expression'})")
         emit("  " + text[:PREVIEW_CHARS])
     else:
         emit(f"{label} = {text}")
-    dump.write(label, text)
+    write_dump(dump, label, text)
 
 
 VACUOUS = " (vacuous: every term is zero)"
@@ -122,7 +118,7 @@ def fails_invariance(cs: CSData) -> bool:
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_check_algebra(args, dump: Dump) -> int:
+def cmd_check_algebra(args, dump) -> int:
     try:
         g, inv = algebra_and_tensor(load_config(args.config, args.command))
     except (AntisymmetryViolation, JacobiViolation) as exc:
@@ -139,7 +135,7 @@ def cmd_check_algebra(args, dump: Dump) -> int:
     return 0 if ok else 1
 
 
-def cmd_transgression(args, dump: Dump) -> int:
+def cmd_transgression(args, dump) -> int:
     cs, _ = build_model(load_config(args.config, args.command))
     t0 = time.perf_counter()
     P = characteristic_form(cs)
@@ -162,7 +158,7 @@ def cmd_transgression(args, dump: Dump) -> int:
     return 0 if ok and inv_ok else 1
 
 
-def cmd_euler_lagrange(args, dump: Dump) -> int:
+def cmd_euler_lagrange(args, dump) -> int:
     cfg = load_config(args.config, args.command)
     cs, _ = build_model(cfg)
     if fails_invariance(cs):
@@ -191,7 +187,7 @@ def cmd_euler_lagrange(args, dump: Dump) -> int:
     return 0 if ok else 1
 
 
-def cmd_noether(args, dump: Dump) -> int:
+def cmd_noether(args, dump) -> int:
     cs, _ = build_model(load_config(args.config, args.command))
     if fails_invariance(cs):
         return 1
@@ -207,7 +203,7 @@ def cmd_noether(args, dump: Dump) -> int:
     return 0
 
 
-def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
+def _display_diff_3d(cs: CSData, modified: Form, dump) -> bool:
     """Term-by-term comparison of the k=2 Killing-tensor current against the
     hand-expanded display, reporting the convention difference in closed form.
     modified is cs.scale times its value, and both displays are linear in h,
@@ -243,7 +239,7 @@ def _display_diff_3d(cs: CSData, modified: Form, dump: Dump) -> bool:
     return exact
 
 
-def cmd_verify_conservation(args, dump: Dump) -> int:
+def cmd_verify_conservation(args, dump) -> int:
     cs, inv_name = build_model(load_config(args.config, args.command))
     if fails_invariance(cs):
         return 1
@@ -254,7 +250,7 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     # TRUNCATE_AT terms of their sum lie among the first TRUNCATE_AT of
     # each part, and the term counts add: of each part only those terms are
     # kept, unless the dump or the display check reads every term.
-    whole = dump.fh or display
+    whole = dump or display
     residual = {}
     current = {}
     counts = Counter()
@@ -274,10 +270,10 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     ok = report_line("d_H(J - sigma) + u.(delta L) = 0", residual.is_zero(),
                      vacuous)
     if not ok:
-        text = residual.render(None if dump.fh else PREVIEW_CHARS, cs.scale)
+        text = residual.render(None if dump else PREVIEW_CHARS, cs.scale)
         emit(f"residual ({residual.term_count()} terms):")
         emit("  " + text[:PREVIEW_CHARS])
-        dump.write("residual", text)
+        write_dump(dump, "residual", text)
     modified = _wrap(ctx, current)
     for lam, comp in enumerate(ctx.current_components(modified)):
         show_poly(f"modified current component {lam}", comp, dump, cs.scale,
@@ -292,7 +288,7 @@ def cmd_verify_conservation(args, dump: Dump) -> int:
     return 0 if ok else 1
 
 
-def cmd_selftest(args, dump: Dump) -> int:
+def cmd_selftest(args, dump) -> int:
     instances, dims = selftest_options(args.config)
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
@@ -395,7 +391,7 @@ def _main(argv) -> int:
                 fh = open(args.dump, "w")
             except OSError as exc:
                 raise ConfigError(f"cannot write dump {args.dump}: {exc}") from exc
-        return args.fn(args, Dump(fh))
+        return args.fn(args, fh)
     except TermLimitExceeded as exc:
         note(f"term limit exceeded: {exc}")
         return 3

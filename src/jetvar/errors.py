@@ -25,9 +25,5 @@ class SigmaMismatch(JetvarError):
     """d_H of the boundary term disagrees with the Lie derivative of the Lagrangian."""
 
 
-class NotInvariant(JetvarError):
-    """A Lagrangian declared gauge-invariant has a nonzero Lie derivative."""
-
-
 class ConfigError(JetvarError):
     """Malformed run configuration."""

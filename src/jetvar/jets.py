@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .errors import JetvarError
-from .forms import Form, _wrap, differential_into, linear_combination, wedge
+from .forms import Form, _wrap, differential_into, wedge
 from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
                      matter, multi_index, with_extra_deriv, x)
 from .polynomial import (_INDETS, Poly, _intern, _interned, chain_rule,
@@ -99,17 +99,11 @@ class JetContext:
         """coeff * omega, omega = d^n x."""
         return Form(self, {self.volume_key(): coeff} if coeff else None)
 
-    def omega_lambda(self, lam: int, coeff: Poly) -> Form:
-        """coeff * omega_lam, omega_lam = d/dx^lam | omega (interior product
-        with the volume)."""
-        if lam % 2:
-            coeff = -coeff
-        return Form(self, {self.omega_key(lam): coeff} if coeff else None)
-
     def current_form(self, components: list) -> Form:
-        """The horizontal (n-1)-form J^lam omega_lam of current components."""
-        return linear_combination(self, (
-            (self.omega_lambda(lam, p), 1) for lam, p in enumerate(components)))
+        """The horizontal (n-1)-form J^lam omega_lam of current components,
+        omega_lam = d/dx^lam | omega (interior product with the volume)."""
+        return Form(self, {self.omega_key(lam): -p if lam % 2 else p
+                           for lam, p in enumerate(components) if p})
 
     def current_components(self, a: Form) -> list:
         """The components J^lam of a horizontal (n-1)-form J^lam omega_lam."""

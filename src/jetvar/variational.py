@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import _generator
 from .chern_simons import (CSData, _dS, _F, _S, _slot_contraction, _t_free,
                            cs_lagrangian, homotopy)
-from .errors import JetvarError, NonzeroResidual, NotInvariant, SigmaMismatch
+from .errors import JetvarError, NonzeroResidual, SigmaMismatch
 from .forms import (Form, _wrap, add_into, contract_into, exterior_d_into,
                     is_empty)
 from .indets import gauge, indet_str, is_field_jet, multi_index, order_zero
@@ -26,8 +26,7 @@ from .polynomial import Poly, _held, mul_dicts
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "noether_current", "lie_derivative_lagrangian",
            "first_variational_check", "sigma_boundary_term",
-           "conservation_check", "verify_conservation",
-           "invariant_sector"]
+           "conservation_check", "verify_conservation"]
 
 
 @dataclass
@@ -77,11 +76,6 @@ class Lagrangian:
 
     def form(self) -> Form:
         return self.ctx.volume_form(self.density)
-
-    def __add__(self, other: "Lagrangian") -> "Lagrangian":
-        if self.ctx != other.ctx:
-            raise JetvarError("forms live on different jet contexts")
-        return Lagrangian(self.ctx, self.density + other.density)
 
 
 def euler_lagrange(L: Lagrangian) -> dict:
@@ -311,20 +305,3 @@ def verify_conservation(cs: CSData, params: list | None = None):
         yield report, modified, sigma_terms
         del report, modified
 
-
-def invariant_sector(L_inv: Lagrangian, matter_variation: dict, xi_C: dict,
-                     cs: CSData, sigma: Form) -> tuple:
-    """Adds a gauge-invariant Lagrangian to the CS one and re-runs the law.
-
-    matter_variation maps order-0 matter coordinates to their linear-in-xi
-    variation polynomials.  sigma, like the CS Lagrangian, is cs.scale times
-    its value, so L_inv is added as cs.scale L_inv, and the report and
-    current are cs.scale times their values.  Raises NotInvariant when L_inv
-    fails invariance under the combined field."""
-    u_total = dict(xi_C)
-    u_total.update(matter_variation)
-    lie_inv = lie_derivative_lagrangian(L_inv, u_total)
-    if not lie_inv.is_zero():
-        raise NotInvariant(f"L_inv is not gauge-invariant: {lie_inv}")
-    L = _lagrangian(cs) + Lagrangian(L_inv.ctx, L_inv.density * cs.scale)
-    return conservation_check(L, u_total, sigma)

@@ -504,8 +504,8 @@ def poincare_cartan(L) -> Form:
         for lam in range(ctx.n):
             dldj = grad.get(with_extra_deriv(i, lam))
             if dldj:
-                out = add_forms(out, wedge(contact_form(i, ctx),
-                                           ctx.omega_lambda(lam, dldj)))
+                omega = ctx.current_form([Poly.zero()] * lam + [dldj])
+                out = add_forms(out, wedge(contact_form(i, ctx), omega))
     return out
 
 

@@ -775,7 +775,7 @@ def test_printed_current_matches_the_merged_current_oracle(config, capsys):
     _, modified, _ = oracles.merged_conservation(verify_conservation(cs))
     for lam, comp in enumerate(cs.ctx.current_components(modified)):
         cli.show_poly(f"modified current component {lam}", comp,
-                      cli.Dump(None), cs.scale)
+                      None, cs.scale)
     assert got == capsys.readouterr().out.splitlines()
     assert len(got) == cs.n
 

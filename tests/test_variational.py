@@ -8,7 +8,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +21,8 @@ from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
 from jetvar.config import build_model, load_config
-from jetvar.errors import (JetvarError, NonzeroResidual, NotInvariant,
-                           SigmaMismatch, TermLimitExceeded)
+from jetvar.errors import (JetvarError, NonzeroResidual, SigmaMismatch,
+                           TermLimitExceeded)
 from jetvar.forms import Form, contract, exterior_d, wedge
 from jetvar.indets import bg, conn, gauge, indet_str, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
@@ -33,12 +32,12 @@ from jetvar.random_inputs import (_pool, random_density, random_poly,
                                   random_vertical_field)
 from jetvar.variational import (Lagrangian, conservation_check,
                                 euler_lagrange, first_variational_check,
-                                invariant_sector, lie_derivative_lagrangian,
-                                noether_current, sigma_boundary_term,
-                                verify_conservation)
+                                lie_derivative_lagrangian, noether_current,
+                                sigma_boundary_term, verify_conservation)
 import oracles
 from oracles import (NotClosed, evaluate, fiber_homotopy, section_correction,
                      unscaled)
+from test_chern_simons import ROOT, SHIPPED
 
 CTX2 = JetContext(2, 1, matter_dim=1)
 
@@ -304,17 +303,6 @@ def test_fiber_homotopy_rejects_forms_alive_on_the_section():
 
 
 # -- sigma: the descent route against the fiber homotopy oracle -----------
-
-ROOT = Path(__file__).resolve().parent.parent
-# the model configs that pass; the two known negatives are checked by their
-# golden check-algebra output in test_cli
-NEGATIVES = ("jacobi_violation.json", "su2_unit.json")
-SHIPPED = sorted(p.relative_to(ROOT).as_posix()
-                 for d in ("configs", "tests/configs")
-                 for p in (ROOT / d).glob("*.json")
-                 if "algebra" in load_config(str(p))
-                 and p.name not in NEGATIVES)
-
 
 def _x(i):
     return Poly.var(x(i))
@@ -642,7 +630,8 @@ def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     assert sigma_boundary_term(cs) == sigma
     # it compares d_H sigma with the Lie derivative of that L; the first
     # component fails it for 2L
-    monkeypatch.setattr(variational, "_lagrangian", lambda _: L + L)
+    monkeypatch.setattr(variational, "_lagrangian",
+                        lambda _: Lagrangian(L.ctx, L.density * 2))
     with pytest.raises(SigmaMismatch, match="^gauge component 0: "):
         sigma_boundary_term(cs)
 
@@ -714,7 +703,7 @@ def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
     J_lam = J[lam]
     assert J_lam
     # J - (sigma + 2 J^lam omega_lam) is J with J^lam negated, minus sigma
-    shift = ctx.omega_lambda(lam, J_lam * 2)
+    shift = ctx.current_form([Poly.zero()] * lam + [J_lam * 2])
     report, modified = conservation_check(L, xi_C, sigma + shift)
     assert not report.passed
     flipped = ctx.current_components(modified + sigma)
@@ -805,36 +794,28 @@ def _mass_density(kappa):
 
 
 def test_invariant_sector_conserves_the_combined_current():
+    # CS plus the su2 Yang-Mills + mass Lagrangian, with adjoint matter: the
+    # added Lagrangian is gauge-invariant, so the CS sigma still makes the
+    # combined current J - sigma conserved
     g, ctx, cs = _matter_model()
     kappa = killing_form(g)
     L_inv = Lagrangian(ctx, _yang_mills_density(g, ctx, kappa)
                        + _mass_density(kappa))
-    xi_C = gauge_generator(g, ctx)
-    sigma = sigma_boundary_term(cs)
-    report, modified = invariant_sector(L_inv, _adjoint_variation(g), xi_C,
-                                        cs, sigma)
-    assert report.passed, report.residual
+    u = {**gauge_generator(g, ctx), **_adjoint_variation(g)}
+    assert lie_derivative_lagrangian(L_inv, u).is_zero()
+    # sigma, like the CS Lagrangian, is cs.scale times its value
+    L = Lagrangian(ctx, variational._lagrangian(cs).density
+                   + L_inv.density * cs.scale)
+    report, modified = conservation_check(L, u, sigma_boundary_term(cs))
+    assert report.passed and not report.vacuous, report.residual
     assert not modified.is_zero()
 
 
-def test_invariant_sector_rejects_non_invariant_lagrangians():
-    g, ctx, cs = _matter_model()
-    L_bad = Lagrangian(ctx, Poly.var(matter(0), 2))
-    xi_C = gauge_generator(g, ctx)
-    sigma = sigma_boundary_term(cs)
-    with pytest.raises(NotInvariant):
-        invariant_sector(L_bad, _adjoint_variation(g), xi_C, cs, sigma)
-
-
-def test_lagrangians_on_different_contexts_do_not_add(su2_law):
-    # the su2 model has no matter fields: a sum on its context would drop
-    # the matter Euler-Lagrange components, and the law would PASS unchecked
-    cs, _, sigma, L = su2_law
+def test_conservation_check_rejects_a_sigma_on_another_context(su2_law):
+    # the su2 model has no matter fields: a check on the matter context
+    # would read its sigma as if the matter components were zero
+    _, _, sigma, _ = su2_law
     g, ctx, _ = _matter_model()
     L_inv = Lagrangian(ctx, _mass_density(killing_form(g)))
-    for a, b in ((L, L_inv), (L_inv, L)):
-        with pytest.raises(JetvarError, match="different jet contexts"):
-            a + b
     with pytest.raises(JetvarError, match="different jet contexts"):
-        invariant_sector(L_inv, _adjoint_variation(g), gauge_generator(g, ctx),
-                         cs, sigma)
+        conservation_check(L_inv, gauge_generator(g, ctx), sigma)
