@@ -152,22 +152,13 @@ def check_invariant_tensor(g: LieAlgebraData, b: InvariantTensor):
     return {k2: v for k2, v in residual.items() if v}
 
 
-def gauge_generator(g: LieAlgebraData, ctx: JetContext,
-                    params: list | None = None) -> dict:
-    """Vertical field xi_C on C: component d_mu xi^r + [a_mu, xi]^r.
-
-    params are the per-index gauge parameters, Polys in x and the xi
-    symbols; by default the symbolic family xi^r.  Derivatives are total
-    derivatives, so d_mu of the symbol xi^r is the symbol xi^r_mu.
-    """
+def gauge_generator(g: LieAlgebraData, ctx: JetContext) -> dict:
+    """Vertical field xi_C on C: component d_mu xi^r + [a_mu, xi]^r of the
+    symbolic family xi^r, whose jets are free symbols.  It stands for every
+    gauge parameter, as substituting xi^r = f^r(x) commutes with d_mu."""
     if g.dim != ctx.gauge_dim:
         raise JetvarError("algebra dimension does not match the jet context")
-    if params is None:
-        params = [Poly.var(gauge(q)) for q in range(g.dim)]
-    elif len(params) > g.dim:
-        raise JetvarError(f"{len(params)} gauge parameters for an algebra "
-                          f"of dimension {g.dim}")
-    return _generator(g, ctx, {r: p for r, p in enumerate(params) if p})
+    return _generator(g, ctx, {q: Poly.var(gauge(q)) for q in range(g.dim)})
 
 
 def _generator(g: LieAlgebraData, ctx: JetContext, xi: dict) -> dict:

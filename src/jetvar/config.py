@@ -20,8 +20,9 @@ from .chern_simons import CSData
 from .errors import (AntisymmetryViolation, ConfigError, JacobiViolation,
                      JetvarError)
 
-__all__ = ["MAX_K", "MAX_N", "CONFIG_KEYS", "SELFTEST", "load_config",
-           "algebra_and_tensor", "build_model", "selftest_options"]
+__all__ = ["MAX_K", "MAX_N", "MAX_DIM", "CONFIG_KEYS", "SELFTEST",
+           "load_config", "algebra_and_tensor", "build_model",
+           "selftest_options"]
 
 # Largest CS degree k: a (2k-1) = 15-dimensional base, well past the k = 4
 # frontier.  The transgression form grows fast with k (u1: 9,520 terms at
@@ -31,6 +32,10 @@ MAX_K = 8
 # Largest base dimension, that of k = MAX_K; the self-test's coordinate pools
 # grow quadratically with it.
 MAX_N = 2 * MAX_K - 1
+# Largest algebra dimension of a model: a model command runs one gauge
+# component per index, and u1^1000000 already runs out of a 200 MB address
+# space within 2 s, so a larger one only hangs.
+MAX_DIM = 10**6
 SELFTEST = "first-variational-selftest"
 SELFTEST_KEYS = frozenset({"selftest_instances", "dimensions"})
 CONFIG_KEYS = SELFTEST_KEYS | {"algebra", "invariant", "k", "background", "h"}
@@ -85,7 +90,7 @@ def load_config(path: str, command: str | None = None) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, object_pairs_hook=lambda p: unique_keys(p, path))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -102,6 +107,17 @@ def load_config(path: str, command: str | None = None) -> dict:
         raise ConfigError(f"{command} takes no {kind} key: "
                           + ", ".join(map(repr, sorted(other))))
     return cfg
+
+
+def unique_keys(pairs: list, where: str) -> dict:
+    """A JSON object's (key, value) pairs as a dict.  A repeated key is
+    rejected, at any level: json would silently keep its last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
 
 
 def check_keys(obj: dict, known: set, where: str):
@@ -197,6 +213,8 @@ def build_model(cfg: dict) -> tuple:
     """Returns (CSData, invariant tensor name or None).  Every check that
     CSData makes on its inputs is made here first, as a ConfigError."""
     g = config_algebra(cfg)
+    if g.dim > MAX_DIM:
+        raise ConfigError(f"algebra: a model's dimension is at most {MAX_DIM}")
     k = config_int(cfg.get("k"), 2, "k", MAX_K)
     inv, inv_name = config_invariant(cfg, g, k)
     background, h = config_options(cfg)

@@ -25,8 +25,8 @@ from .polynomial import Poly, _held, mul_dicts
 
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "noether_current", "lie_derivative_lagrangian",
-           "first_variational_check", "sigma_boundary_term",
-           "conservation_check", "verify_conservation"]
+           "first_variational_check", "conservation_check",
+           "verify_conservation"]
 
 
 @dataclass
@@ -73,9 +73,6 @@ class Lagrangian:
             if dcs != key:
                 raise JetvarError("not a horizontal top-degree form")
         return cls(a.ctx, a.coefficient(key))
-
-    def form(self) -> Form:
-        return self.ctx.volume_form(self.density)
 
 
 def euler_lagrange(L: Lagrangian) -> dict:
@@ -183,32 +180,33 @@ def _lagrangian(cs: CSData) -> Lagrangian:
         cs_lagrangian(cs)))
 
 
-def _components(cs: CSData, params: list | None):
-    """The gauge components as (name, head, xi_C) triples, one per sparse
-    parameter dict xi: r -> nonzero Poly.  head maps an algebra index to the
-    0-form k xi^r of the descent primitive's head slot, and xi_C is the
-    gauge generator of xi.
-
-    The symbolic family runs as one component per index r, with the
-    parameters xi^r e_r; explicit parameters are one component.  A
-    generator: each component is built only when it is reached, so the
-    components are never all held at once."""
-    if params is None:
-        parts = ((f"gauge component {r}", {r: Poly.var(gauge(r))})
-                 for r in range(cs.algebra.dim))
-    else:
-        parts = [("explicit gauge parameters",
-                  {r: p for r, p in enumerate(params) if p})]
-    for name, xi in parts:
-        yield (name, {r: Form.from_poly(cs.ctx, p * cs.k)
-                      for r, p in xi.items()},
-               _generator(cs.algebra, cs.ctx, xi))
+def _components(cs: CSData):
+    """The gauge components as (name, head, xi_C) triples, one per index r
+    of the symbolic family, with the parameters xi^r e_r.  head maps r to
+    the 0-form k xi^r of the descent primitive's head slot, and xi_C is the
+    gauge generator of xi^r e_r.  A generator: each component is built only
+    when it is reached, so the components are never all held at once."""
+    for r in range(cs.algebra.dim):
+        xi = Poly.var(gauge(r))
+        yield (f"gauge component {r}", {r: Form.from_poly(cs.ctx, xi * cs.k)},
+               _generator(cs.algebra, cs.ctx, {r: xi}))
 
 
 def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
-    """sigma of one gauge component, post-verified (see sigma_boundary_term);
-    a failed check names the component.  psi, eta and the sum are released
-    before the post-check."""
+    """sigma = h0(psi - d eta + xi_C . S(B)) of one gauge component: a
+    horizontal primitive of the CS Lagrangian's Lie derivative along J1 xi_C.
+
+    psi = k b(xi, F, ..., F) is the descent primitive of xi_C . dS
+    (Bianchi plus ad-invariance); d psi == xi_C . dS is asserted exactly
+    and raises NonzeroResidual otherwise.  eta = homotopy(cs, [k xi]) is the
+    fiber homotopy H of psi, so psi - d eta is the primitive
+    H(xi_C . dS - d chi) + chi of the homotopy formula dH + Hd = id - s*pi*,
+    chi being the restriction of psi to the background section.
+    Post-verified: d_H sigma equals the Lie derivative of the CS Lagrangian
+    along J1 xi_C, else SigmaMismatch.  A failed check names the component.
+    S, dS, F and the Lagrangian L = h0 S are the model data of cs, built
+    once per CSData, and sigma is cs.scale times its value.  psi, eta and
+    the sum are released before the post-check."""
     ctx = cs.ctx
     psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
     residual = contract_into(exterior_d_into({}, psi), xi_C, _dS(cs), -1)
@@ -234,32 +232,6 @@ def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
     return sigma
 
 
-def sigma_boundary_term(cs: CSData, params: list | None = None) -> Form:
-    """sigma = h0(psi - d eta + xi_C . S(B)), a horizontal primitive of the
-    Lie derivative of the CS Lagrangian along J1 xi_C.
-
-    xi_C is the gauge generator of the parameters params (explicit Polys in
-    x, or the symbolic xi family when None).  psi = k b(xi, F, ..., F) is
-    the descent primitive of xi_C . dS (Bianchi plus ad-invariance);
-    d psi == xi_C . dS is asserted exactly and raises NonzeroResidual
-    otherwise.  eta = homotopy(cs, [k xi]) is the fiber homotopy H of psi,
-    so psi - d eta is the primitive H(xi_C . dS - d chi) + chi of the
-    homotopy formula dH + Hd = id - s*pi*, chi being the restriction of psi
-    to the background section.  Post-verified: d_H sigma equals the Lie
-    derivative of the CS Lagrangian along J1 xi_C, else SigmaMismatch.  S,
-    dS, F and the Lagrangian L = h0 S are the model data of cs, built once
-    per CSData and shared with every other call on it, and sigma is
-    cs.scale times its value.
-
-    Everything here is linear in the gauge parameters, so sigma and both
-    checks are run one gauge component at a time (see _components) and the
-    components' sigmas are summed."""
-    acc: dict = {}
-    for part in _components(cs, params):
-        add_into(acc, _component_sigma(cs, *part))
-    return _wrap(cs.ctx, acc)
-
-
 def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     """Strong rendering of the weak conservation law:
     d_H(J_u - sigma) + u^i delta_i(density) omega = 0 exactly.
@@ -277,17 +249,17 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
     return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
 
 
-def verify_conservation(cs: CSData, params: list | None = None):
-    """The conservation law of the CS model cs along xi_C: for each gauge
-    component in turn (see _components), its sigma (see
-    sigma_boundary_term) and its conservation_check along its part of xi_C,
-    with the model's Lagrangian L = h0 S.
+def verify_conservation(cs: CSData):
+    """The conservation law of the CS model cs along the gauge generator
+    xi_C of the symbolic family: for each gauge component in turn (see
+    _components), its sigma (see _component_sigma) and its
+    conservation_check along its part of xi_C, with the model's Lagrangian
+    L = h0 S.
 
-    Every monomial of xi_C, sigma, J, J - sigma and each residual of the
-    symbolic family holds exactly one factor xi^r_D, so each splits by r
-    into parts that share no monomial: the component r runs with
-    params = xi^r e_r and checks the part r of the same residuals.
-    Explicit parameters are one component.  S, L and its Euler-Lagrange
+    Every monomial of xi_C, sigma, J, J - sigma and each residual holds
+    exactly one factor xi^r_D, so each splits by r into parts that share no
+    monomial: the component r runs with the parameters xi^r e_r and checks
+    the part r of the same residuals.  S, L and its Euler-Lagrange
     components, dS and F are the model data of cs, built once per CSData.
 
     A generator: it yields (report, modified, sigma_terms) for each
@@ -297,7 +269,7 @@ def verify_conservation(cs: CSData, params: list | None = None):
     report passes, and it is vacuous iff every one is; the caller keeps
     what it reads of the parts.  The residuals and J - sigma are cs.scale
     times their values."""
-    for name, head, xi_C in _components(cs, params):
+    for name, head, xi_C in _components(cs):
         sigma = _component_sigma(cs, name, head, xi_C)
         report, modified = conservation_check(_lagrangian(cs), xi_C, sigma)
         sigma_terms = sigma.term_count()

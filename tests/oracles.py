@@ -499,7 +499,7 @@ def poincare_cartan(L) -> Form:
     """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
     ctx = L.ctx
     grad = L.gradient
-    out = L.form()
+    out = L.ctx.volume_form(L.density)
     for i in ctx.field_coords(0):
         for lam in range(ctx.n):
             dldj = grad.get(with_extra_deriv(i, lam))
@@ -731,7 +731,10 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     ctx = cs.ctx
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    xi_C = algebra.gauge_generator(cs.algebra, ctx, params)
+    # the dense generator loops dim^3 times, which the symbolic family of a
+    # large abelian config cannot afford
+    xi_C = (algebra.gauge_generator(cs.algebra, ctx) if params is None
+            else gauge_generator(cs.algebra, ctx, params))
     head = gauge_head(cs, params)
     psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
     residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))

@@ -23,9 +23,9 @@ from jetvar.random_inputs import random_density, random_poly, \
     random_vertical_field
 from jetvar.variational import (Lagrangian, conservation_check, euler_lagrange,
                                 first_variational_check,
-                                lie_derivative_lagrangian, noether_current,
-                                sigma_boundary_term)
+                                lie_derivative_lagrangian, noether_current)
 from oracles import random_form, unscaled
+from test_variational import summed_sigma
 
 CASES = [("u1", "unit", 2), ("su2", "killing", 2), ("u1", "unit", 3),
          ("u1+su2", "u1su2-cubic", 3)]
@@ -94,7 +94,7 @@ def test_criterion_3_3d_reproduction_of_the_displayed_formulas():
     J = ctx.current_components(noether_current(L, xi_C))
     noether_ok = J == noether_components_3d(g, h, True)
 
-    sigma = unscaled(sigma_boundary_term(cs), cs)
+    sigma = unscaled(summed_sigma(cs), cs)
     _, modified = conservation_check(L, xi_C, sigma)
     diff = modified - ctx.current_form(modified_current_components_3d(g, h))
     prim = current_discrepancy_primitive(g, h, ctx)
@@ -114,7 +114,7 @@ def test_criterion_4_conservation_identity_all_cases():
         cs = _model(alg, inv, k)
         xi_C = gauge_generator(cs.algebra, cs.ctx)
         S = cs_form(cs)
-        sigma = sigma_boundary_term(cs)
+        sigma = summed_sigma(cs)
         L = Lagrangian.from_horizontal_form(horizontal_projection(S))
         report, _ = conservation_check(L, xi_C, sigma)
         case_s = time.perf_counter() - t1

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetvar import cli
-from jetvar.config import (CONFIG_KEYS, MAX_K, MAX_N, build_model,
+from jetvar.config import (CONFIG_KEYS, MAX_DIM, MAX_K, MAX_N, build_model,
                             load_config, parse_rational)
 from jetvar.errors import ConfigError
 from jetvar.variational import verify_conservation
@@ -685,7 +685,13 @@ def test_shipped_configs_use_known_keys(path):
 
 @pytest.mark.parametrize("content,message", [
     (b'{"algebra": "su2\xff"}', "not UTF-8 text"),
-    (b"[" * 200000, "JSON nested too deeply")], ids=["not-utf8", "deep"])
+    (b"[" * 200000, "JSON nested too deeply"),
+    # json keeps the last value of a repeated key: h = 0 made
+    # verify-conservation pass vacuously
+    (b'{"algebra": "su2", "k": 2, "h": "1", "h": "0"}', "duplicate key 'h'"),
+    (b'{"algebra": {"dim": 3, "dim": 1}, "invariant": "unit", "k": 2}',
+     "duplicate key 'dim'")],
+    ids=["not-utf8", "deep", "duplicate-key", "nested-duplicate-key"])
 @pytest.mark.parametrize("command", ["check-algebra", "verify-conservation"])
 def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
                                            message):
@@ -694,8 +700,28 @@ def test_unreadable_config_contents_exit_2(capsys, tmp_path, command, content,
     code = cli.main([command, "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("algebra", ["u1^1000000000000", {"dim": MAX_DIM + 1}],
+                         ids=["name", "dim"])
+def test_model_algebra_above_the_dimension_bound_exits_2(capsys, tmp_path,
+                                                         algebra):
+    # a model command looped over 10^12 gauge components; check-algebra
+    # reads only the nonzero structure constants and tensor entries
+    cfg = {"algebra": algebra, "invariant": "unit", "k": 2}
+    for command in MODEL_COMMANDS[1:]:
+        code, err, out = _main_exit(capsys, tmp_path, command, cfg)
+        assert code == 2
+        assert err == ("config error: algebra: a model's dimension is at "
+                       f"most {MAX_DIM}\n")
+        assert out == ""
+    code, err, out = _main_exit(capsys, tmp_path, "check-algebra", cfg)
+    assert code == 0, err
+    assert out.startswith("algebra: dim 1000")
+    assert out.endswith("[PASS] invariant tensor ad-invariance (degree 2)\n")
 
 
 @pytest.mark.parametrize("k", [MAX_K + 1, 10**6, 10**30])

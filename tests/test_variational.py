@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetvar import chern_simons, variational
-from jetvar.algebra import (InvariantTensor, builtin_algebra, builtin_invariant,
-                            gauge_generator, killing_form)
+from jetvar.algebra import (InvariantTensor, _generator, builtin_algebra,
+                            builtin_invariant, gauge_generator, killing_form)
 from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
                                  canonical_curvature, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
@@ -23,7 +23,7 @@ from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
 from jetvar.config import build_model, load_config
 from jetvar.errors import (JetvarError, NonzeroResidual, SigmaMismatch,
                            TermLimitExceeded)
-from jetvar.forms import Form, contract, exterior_d, wedge
+from jetvar.forms import Form, _wrap, add_into, contract, exterior_d, wedge
 from jetvar.indets import bg, conn, gauge, indet_str, matter, with_extra_deriv, x
 from jetvar.jets import (JetContext, horizontal_differential,
                          horizontal_projection, total_derivative)
@@ -33,10 +33,11 @@ from jetvar.random_inputs import (_pool, random_density, random_poly,
 from jetvar.variational import (Lagrangian, conservation_check,
                                 euler_lagrange, first_variational_check,
                                 lie_derivative_lagrangian, noether_current,
-                                sigma_boundary_term, verify_conservation)
+                                verify_conservation)
 import oracles
 from oracles import (NotClosed, evaluate, fiber_homotopy, section_correction,
                      unscaled)
+from test_algebra import _sparse
 from test_chern_simons import ROOT, SHIPPED
 
 CTX2 = JetContext(2, 1, matter_dim=1)
@@ -144,7 +145,7 @@ def test_poincare_cartan_projects_back_to_the_lagrangian():
     for _ in range(6):
         L = Lagrangian(CTX2, random_density(CTX2, rng))
         assert (horizontal_projection(oracles.poincare_cartan(L))
-                - L.form()).is_zero()
+                - L.ctx.volume_form(L.density)).is_zero()
 
 
 def test_noether_current_example():
@@ -343,13 +344,35 @@ def _sigma_case(name):
     return cs, None
 
 
+def gauge_parts(cs, params=None) -> list:
+    """The gauge components (name, head, xi_C) of the symbolic family, as
+    the library runs them, or the one component of the explicit gauge
+    parameters params (a Poly in x per algebra index), built alike."""
+    if params is None:
+        return list(variational._components(cs))
+    xi = _sparse(params)
+    return [("explicit gauge parameters",
+             {r: Form.from_poly(cs.ctx, p * cs.k) for r, p in xi.items()},
+             _generator(cs.algebra, cs.ctx, xi))]
+
+
+def summed_sigma(cs, params=None) -> Form:
+    """sigma of the whole gauge generator: the post-verified sigmas of
+    gauge_parts(cs, params), summed; cs.scale times its value."""
+    acc: dict = {}
+    for part in gauge_parts(cs, params):
+        add_into(acc, variational._component_sigma(cs, *part))
+    return _wrap(cs.ctx, acc)
+
+
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
 def test_sigma_matches_the_fiber_homotopy_oracle(name):
     # d_H sigma cannot see a d-exact change of psi - d eta, so only this
     # comparison pins eta
     cs, params = _sigma_case(name)
-    xi_C = gauge_generator(cs.algebra, cs.ctx, params=params)
-    sigma = sigma_boundary_term(cs, params=params)
+    xi_C = (gauge_generator(cs.algebra, cs.ctx) if params is None
+            else oracles.gauge_generator(cs.algebra, cs.ctx, params=params))
+    sigma = summed_sigma(cs, params)
     assert unscaled(sigma, cs) == oracles.sigma_boundary_term(cs, xi_C,
                                                               params=params)
     vacuous = cs.h == 0 or params == [Poly.zero()] * cs.algebra.dim
@@ -377,7 +400,7 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     sigma, report, modified = oracles.one_shot_conservation(cs, params)
     L = variational._lagrangian(cs)
     sigmas, reports, currents = [], [], []
-    for label, head, xi_C in variational._components(cs, params):
+    for label, head, xi_C in gauge_parts(cs, params):
         sigmas.append(variational._component_sigma(cs, label, head, xi_C))
         r, m = conservation_check(L, xi_C, sigmas[-1])
         reports.append(r)
@@ -422,7 +445,7 @@ def test_scaled_pipeline_is_the_scale_times_the_oracles(model, c, h,
     el = oracles.euler_lagrange(L)
     assert unscaled(euler_lagrange(variational._lagrangian(cs)), cs) == el
     sigma, report, modified = oracles.one_shot_conservation(cs)
-    assert sigma_boundary_term(cs) == sigma
+    assert summed_sigma(cs) == sigma
     got, got_modified, sizes = oracles.merged_conservation(
         verify_conservation(cs))
     assert got_modified == modified
@@ -451,7 +474,7 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     characteristic_at_B(cs)
     # cs_lagrangian reads the S that cs holds
     assert horizontal_projection(chern_simons._S(cs)) == cs_lagrangian(cs)
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     report, _, _ = oracles.merged_conservation(verify_conservation(cs))
     assert report.passed and not sigma.is_zero()
     assert calls == {"cs_form": 1, "canonical_curvature": 1,
@@ -540,7 +563,8 @@ def test_the_lagrangian_alone_does_not_keep_the_cs_form():
     assert ("S",) not in cs._shared
     report, _, _ = oracles.merged_conservation(verify_conservation(cs))
     assert report.passed and ("S",) in cs._shared
-    assert horizontal_projection(chern_simons._S(cs)) == L.form()
+    assert (horizontal_projection(chern_simons._S(cs))
+            == L.ctx.volume_form(L.density))
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
@@ -566,7 +590,7 @@ def test_sigma_rejects_a_non_invariant_tensor(background):
     assert cs.invariance_residual
     with pytest.raises(NonzeroResidual,
                        match=r"^gauge component \d: descent residual"):
-        sigma_boundary_term(cs)
+        summed_sigma(cs)
 
 
 # -- sigma and the conservation law -------------------------------------
@@ -576,7 +600,7 @@ def test_sigma_satisfies_its_defining_identity():
     cs = _su2_model()
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     lie = lie_derivative_lagrangian(L, xi_C)
     assert (horizontal_differential(sigma) - lie).is_zero()
@@ -588,7 +612,7 @@ def test_conservation_law(alg, inv, k):
     cs = CSData(g, builtin_invariant(inv, g, k))
     xi_C = gauge_generator(g, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed, report.residual
@@ -599,9 +623,9 @@ def test_conservation_with_explicit_gauge_parameters():
     g = builtin_algebra("u1")
     cs = CSData(g, builtin_invariant("unit", g, 2))
     params = [Poly.var(x(0)) * Poly.var(x(1)) + Poly.var(x(2), 2)]
-    xi_C = gauge_generator(g, cs.ctx, params=params)
+    xi_C = oracles.gauge_generator(g, cs.ctx, params=params)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs, params=params)
+    sigma = summed_sigma(cs, params)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, _ = conservation_check(L, xi_C, sigma)
     assert report.passed, report.residual
@@ -611,8 +635,8 @@ def test_zero_gauge_parameters_give_a_zero_current():
     g = builtin_algebra("su2")
     cs = CSData(g, builtin_invariant("killing", g, 2))
     params = [Poly.zero()] * 3
-    xi_C = gauge_generator(g, cs.ctx, params=params)
-    sigma = sigma_boundary_term(cs, params=params)
+    xi_C = oracles.gauge_generator(g, cs.ctx, params=params)
+    sigma = summed_sigma(cs, params)
     L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed
@@ -624,16 +648,16 @@ def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     cs = _su2_model()
     S = cs_form(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     # the post-check reads the model's L from its one builder
     monkeypatch.setattr(variational, "_lagrangian", lambda _: L)
-    assert sigma_boundary_term(cs) == sigma
+    assert summed_sigma(cs) == sigma
     # it compares d_H sigma with the Lie derivative of that L; the first
     # component fails it for 2L
     monkeypatch.setattr(variational, "_lagrangian",
                         lambda _: Lagrangian(L.ctx, L.density * 2))
     with pytest.raises(SigmaMismatch, match="^gauge component 0: "):
-        sigma_boundary_term(cs)
+        summed_sigma(cs)
 
 
 def _assert_stored_form(a: Form):
@@ -654,7 +678,7 @@ def test_pipeline_coefficients_are_ints(h):
     dS = exterior_d(S)
     chi = section_correction(cs).scale(cs.scale)
     psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     report, modified = conservation_check(L, xi_C, sigma)
     assert report.passed and not report.vacuous
@@ -674,7 +698,7 @@ def su2_law():
     cs = _su2_model()
     xi_C = gauge_generator(cs.algebra, cs.ctx)
     S = cs_form(cs)
-    sigma = sigma_boundary_term(cs)
+    sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
     assert conservation_check(L, xi_C, sigma)[0].passed
     return cs, xi_C, sigma, L
@@ -743,10 +767,10 @@ def test_sigma_post_check_catches_one_wrong_coefficient(su2_law, monkeypatch):
             del terms[m]
         return Form(a.ctx, {**out.terms, key: Poly(terms)})
 
-    assert sigma_boundary_term(cs) == sigma
+    assert summed_sigma(cs) == sigma
     monkeypatch.setattr(variational, "horizontal_projection", off_by_one)
     with pytest.raises(SigmaMismatch):
-        sigma_boundary_term(cs)
+        summed_sigma(cs)
 
 
 # -- gauge-invariant sector ---------------------------------------------
@@ -806,7 +830,7 @@ def test_invariant_sector_conserves_the_combined_current():
     # sigma, like the CS Lagrangian, is cs.scale times its value
     L = Lagrangian(ctx, variational._lagrangian(cs).density
                    + L_inv.density * cs.scale)
-    report, modified = conservation_check(L, u, sigma_boundary_term(cs))
+    report, modified = conservation_check(L, u, summed_sigma(cs))
     assert report.passed and not report.vacuous, report.residual
     assert not modified.is_zero()
 
