@@ -16,8 +16,7 @@ from .polynomial import Poly, Q, _as_q, mul_dicts
 
 __all__ = ["LieAlgebraData", "InvariantTensor", "load_lie_algebra",
            "killing_form", "check_invariant_tensor", "gauge_generator",
-           "section_bracket", "builtin_algebra", "builtin_invariant",
-           "direct_sum"]
+           "section_bracket", "builtin_algebra", "builtin_invariant"]
 
 
 class LieAlgebraData:
@@ -191,22 +190,18 @@ _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
          (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 
-def direct_sum(a: LieAlgebraData, b: LieAlgebraData) -> LieAlgebraData:
-    c = dict(a.c)
-    off = a.dim
-    for (r, p, q), v in b.c.items():
-        c[(r + off, p + off, q + off)] = v
-    return LieAlgebraData(a.dim + b.dim, c)
-
-
 def builtin_algebra(name: str) -> LieAlgebraData:
+    """The named algebra.  A '+'-joined name is the direct sum of its parts:
+    each part's constants are shifted by the dimensions before it into one
+    dict, and the sum is validated once."""
     name = name.strip().lower()
     if "+" in name:
-        parts = [builtin_algebra(p) for p in name.split("+")]
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum(out, p)
-        return out
+        dim, c = 0, {}
+        for part in map(builtin_algebra, name.split("+")):
+            for (r, p, q), v in part.c.items():
+                c[r + dim, p + dim, q + dim] = v
+            dim += part.dim
+        return LieAlgebraData(dim, c)
     if name == "u1":
         return LieAlgebraData(1, {})
     if name.startswith("u1^"):

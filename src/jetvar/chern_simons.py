@@ -28,9 +28,8 @@ from .indets import bg, conn, x
 from .jets import JetContext, horizontal_projection
 from .polynomial import Poly, Q, _as_q
 
-__all__ = ["CSData", "canonical_curvature", "characteristic_form",
-           "characteristic_at_B", "background_curvature", "homotopy",
-           "cs_form", "cs_lagrangian"]
+__all__ = ["CSData", "characteristic_form", "characteristic_at_B",
+           "homotopy", "cs_form", "cs_lagrangian"]
 
 
 class CSData:
@@ -83,27 +82,18 @@ class CSData:
             value = self._shared[key] = build()
         return value
 
-    # background coefficient: B^r_mu symbol, or 0 for the zero section
-    def bg_poly(self, r: int, mu: int, D: tuple = ()) -> Poly:
+    def one_form(self, r: int, a=1, b=0) -> Form:
+        """(a a^r_mu + b B^r_mu) dx^mu for numbers or Polys a and b, with
+        B = 0 at the zero background: a^r at the defaults, B^r at (0, 1)
+        and a^r - B^r, the direction of the homotopy from B to a, at
+        (1, -1)."""
         if self.background == "zero":
-            return Poly.zero()
-        return Poly.var(bg(r, mu, D))
-
-    def potential_one_form(self, r: int) -> Form:
-        terms = {(x(mu),): Poly.var(conn(r, mu)) for mu in range(self.n)}
-        return Form(self.ctx, terms)
-
-    def background_one_form(self, r: int) -> Form:
-        return self._one_form(r, self.bg_poly)
-
-    def difference_one_form(self, r: int) -> Form:
-        """D^r = a^r - B^r, the direction of the homotopy B + tD from B to a."""
-        return self.potential_one_form(r) - self.background_one_form(r)
-
-    def _one_form(self, r: int, coeff) -> Form:
+            b = 0
         terms = {}
         for mu in range(self.n):
-            p = coeff(r, mu)
+            p = Poly.var(conn(r, mu)) * a if a else Poly.zero()
+            if b:
+                p = p + Poly.var(bg(r, mu)) * b
             if p:
                 terms[(x(mu),)] = p
         return Form(self.ctx, terms)
@@ -125,28 +115,20 @@ def _curvature(cs: CSData, linear, one) -> dict:
     return {r: _wrap(cs.ctx, acc) for r, acc in accs.items()}
 
 
-def canonical_curvature(cs: CSData) -> dict:
-    """r -> F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu,
-    at each index r of b."""
-    return _curvature(cs, lambda r: exterior_d(cs.potential_one_form(r)),
-                      cs.potential_one_form)
-
-
-def background_curvature(cs: CSData) -> dict:
-    """r -> F_B^r as a 2-form on X: dB^r + 1/2 c^r_pq B^p B^q, at each index
-    r of b."""
-    return _curvature(cs, lambda r: exterior_d(cs.background_one_form(r)),
-                      cs.background_one_form)
-
-
 def _F(cs: CSData) -> dict:
-    """canonical_curvature(cs), built once per CSData."""
-    return cs._memo(("F",), lambda: canonical_curvature(cs))
+    """r -> F^r = da^r_mu ^ dx^mu + 1/2 c^r_pq a^p_lam a^q_mu dx^lam ^ dx^mu,
+    the canonical curvature, at each index r of b; built once per CSData."""
+    return cs._memo(("F",), lambda: _curvature(
+        cs, lambda r: exterior_d(cs.one_form(r)), cs.one_form))
 
 
 def _FB(cs: CSData) -> dict:
-    """background_curvature(cs), built once per CSData."""
-    return cs._memo(("F_B",), lambda: background_curvature(cs))
+    """r -> F_B^r = dB^r + 1/2 c^r_pq B^p ^ B^q, the background curvature as
+    a 2-form on X, at each index r of b; built once per CSData."""
+    def B(r):
+        return cs.one_form(r, 0, 1)
+    return cs._memo(("F_B",), lambda: _curvature(
+        cs, lambda r: exterior_d(B(r)), B))
 
 
 def _leads(cs: CSData, j: int) -> dict:
@@ -305,7 +287,7 @@ def _t_pieces(cs: CSData) -> dict:
     def build():
         FB, F = _FB(cs), _F(cs)
         H = _curvature(cs, lambda r: Form.zero(cs.ctx),
-                       cs.difference_one_form)
+                       lambda r: cs.one_form(r, 1, -1))
         pieces = {}
         for r in cs.indices:
             nabla = linear_combination(cs.ctx, ((F[r], 1), (FB[r], -1),
@@ -329,7 +311,7 @@ def _a_minus_B(cs: CSData, j: int) -> dict:
     """r -> (k - j)(a^r - B^r), the last slot of homotopy after j heads, at
     each index r of b; built once per CSData and j."""
     return cs._memo(("a-B", j), lambda: {
-        r: cs.difference_one_form(r).scale(cs.k - j) for r in cs.indices})
+        r: cs.one_form(r, 1, -1).scale(cs.k - j) for r in cs.indices})
 
 
 def homotopy(cs: CSData, heads: list = ()) -> Form:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
@@ -233,7 +234,7 @@ def selftest_options(path: str | None) -> tuple:
             and all(type(d) is int and 1 <= d <= MAX_N for d in dims)):
         raise ConfigError(
             f"dimensions must be a nonempty array of integers in 1..{MAX_N}")
-    repeated = sorted({d for d in dims if dims.count(d) > 1})
+    repeated = sorted(d for d, n in Counter(dims).items() if n > 1)
     if repeated:
         raise ConfigError(f"dimensions repeat {', '.join(map(str, repeated))}")
     return instances, dims

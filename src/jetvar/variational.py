@@ -26,7 +26,7 @@ from .polynomial import Poly, _held, mul_dicts
 __all__ = ["Lagrangian", "VerificationReport", "euler_lagrange",
            "noether_current", "lie_derivative_lagrangian",
            "first_variational_check", "conservation_check",
-           "verify_conservation"]
+           "sigma_boundary_term", "verify_conservation"]
 
 
 @dataclass
@@ -192,7 +192,8 @@ def _components(cs: CSData):
                _generator(cs.algebra, cs.ctx, {r: xi}))
 
 
-def _component_sigma(cs: CSData, name: str, head: dict, xi_C: dict) -> Form:
+def sigma_boundary_term(cs: CSData, name: str, head: dict,
+                        xi_C: dict) -> Form:
     """sigma = h0(psi - d eta + xi_C . S(B)) of one gauge component: a
     horizontal primitive of the CS Lagrangian's Lie derivative along J1 xi_C.
 
@@ -252,7 +253,7 @@ def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
 def verify_conservation(cs: CSData):
     """The conservation law of the CS model cs along the gauge generator
     xi_C of the symbolic family: for each gauge component in turn (see
-    _components), its sigma (see _component_sigma) and its
+    _components), its sigma (see sigma_boundary_term) and its
     conservation_check along its part of xi_C, with the model's Lagrangian
     L = h0 S.
 
@@ -270,7 +271,7 @@ def verify_conservation(cs: CSData):
     what it reads of the parts.  The residuals and J - sigma are cs.scale
     times their values."""
     for name, head, xi_C in _components(cs):
-        sigma = _component_sigma(cs, name, head, xi_C)
+        sigma = sigma_boundary_term(cs, name, head, xi_C)
         report, modified = conservation_check(_lagrangian(cs), xi_C, sigma)
         sigma_terms = sigma.term_count()
         del sigma

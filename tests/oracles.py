@@ -33,7 +33,9 @@ prints; the one-shot run works on the library's scaled forms and returns
 them as the library holds them.  The dense algebra loops near the end run over every index,
 where the library sums over nonzero structure constants and nonzero tensor
 entries only and builds per-index forms only at the indices of the invariant
-tensor.  The last section holds random polynomials built by Poly arithmetic
+tensor; beside them, the direct sum of a '+'-joined algebra name folded pair
+by pair, each partial sum validated again, is the oracle of the library's
+one-pass sum.  The last section holds random polynomials built by Poly arithmetic
 (the library builds the same ones as term dicts), random forms and the
 hand-expanded 3D displays of the CS density, its Lie derivative and its
 Noether current, which only the tests compare against.
@@ -55,16 +57,15 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from jetvar import algebra, forms, polynomial
-from jetvar.chern_simons import (_a_minus_B, _curvature, _multinomial,
-                                 _slot_contraction, _t_free,
-                                 background_curvature, canonical_curvature,
+from jetvar.chern_simons import (_F, _FB, _a_minus_B, _curvature,
+                                 _multinomial, _slot_contraction, _t_free,
                                  cs_form, homotopy)
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual, SigmaMismatch)
 from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
                           wedge_into)
-from jetvar.indets import (T, conn, gauge, indet_str, matter, with_extra_deriv,
-                           x)
+from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
+                           with_extra_deriv, x)
 from jetvar.jets import (contact_form, horizontal_differential,
                          horizontal_projection, total_derivative)
 from jetvar.polynomial import _INDETS, _T, Poly, Q, _exact, _intern
@@ -358,15 +359,24 @@ def t_integral(p: Poly) -> Poly:
     return divided(Poly(sums), den)
 
 
+def bg_poly(cs, r: int, mu: int, D: tuple = ()) -> Poly:
+    """B^r_{D;mu}, or 0 at the zero background."""
+    if cs.background == "zero":
+        return Poly.zero()
+    return Poly.var(bg(r, mu, D))
+
+
 def interp_poly(cs, r: int, mu: int, D: tuple = ()) -> Poly:
     """t a^r_{D;mu} + (1-t) B^r_{D;mu}: the homotopy from B to a."""
     t = Poly.var(T)
     return (t * Poly.var(conn(r, mu, D))
-            + (Poly.const(1) - t) * cs.bg_poly(r, mu, D))
+            + (Poly.const(1) - t) * bg_poly(cs, r, mu, D))
 
 
 def interp_one_form(cs, r: int) -> Form:
-    return cs._one_form(r, lambda r, mu: interp_poly(cs, r, mu))
+    """t a^r + (1-t) B^r, by the library's one-form builder."""
+    t = Poly.var(T)
+    return cs.one_form(r, t, Poly.const(1) - t)
 
 
 def interp_curvature(cs) -> dict:
@@ -376,8 +386,8 @@ def interp_curvature(cs) -> dict:
     one_minus_t = Poly.const(1) - t
 
     def linear(r):
-        return (exterior_d(cs.potential_one_form(r)).scale(t)
-                + exterior_d(cs.background_one_form(r)).scale(one_minus_t))
+        return (exterior_d(cs.one_form(r)).scale(t)
+                + exterior_d(cs.one_form(r, 0, 1)).scale(one_minus_t))
 
     return _curvature(cs, linear, lambda r: interp_one_form(cs, r))
 
@@ -699,7 +709,7 @@ def section_correction(cs, params: list | None = None) -> Form:
     if cs.background == "zero":
         return Form.zero(cs.ctx)
     return unscaled(_slot_contraction(cs, [gauge_head(cs, params)],
-                                      _t_free(background_curvature(cs))), cs)
+                                      _t_free(_FB(cs))), cs)
 
 
 def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
@@ -736,7 +746,7 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     xi_C = (algebra.gauge_generator(cs.algebra, ctx) if params is None
             else gauge_generator(cs.algebra, ctx, params))
     head = gauge_head(cs, params)
-    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
+    psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
     residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
     if not residual.is_zero():
         raise NonzeroResidual(f"descent residual has "
@@ -783,6 +793,25 @@ def bracket_const(g, r: int, p: int, q: int) -> Fraction:
 def tensor_value(b, idx: tuple) -> Fraction:
     """b at any ordering of idx, zero when not stored."""
     return b.entries.get(tuple(sorted(idx)), Fraction(0))
+
+
+def direct_sum(a, b):
+    """a + b, b's constants shifted by a's dimension, validated anew."""
+    c = dict(a.c)
+    off = a.dim
+    for (r, p, q), v in b.c.items():
+        c[(r + off, p + off, q + off)] = v
+    return algebra.LieAlgebraData(a.dim + b.dim, c)
+
+
+def folded_sum(name: str):
+    """algebra.builtin_algebra of a '+'-joined name by the pairwise fold:
+    every partial sum is built and validated again."""
+    parts = [algebra.builtin_algebra(p) for p in name.split("+")]
+    out = parts[0]
+    for p in parts[1:]:
+        out = direct_sum(out, p)
+    return out
 
 
 def validate_algebra(dim: int, c: dict) -> None:

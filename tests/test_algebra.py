@@ -14,8 +14,8 @@ import oracles
 from jetvar.algebra import (_EPS3, InvariantTensor, LieAlgebraData,
                             _generator, _multinomial, builtin_algebra,
                             builtin_invariant, check_invariant_tensor,
-                            direct_sum, gauge_generator, killing_form,
-                            load_lie_algebra, section_bracket)
+                            gauge_generator, killing_form, load_lie_algebra,
+                            section_bracket)
 from jetvar.chern_simons import CSData
 from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError)
 from jetvar.indets import conn, gauge, x
@@ -44,6 +44,35 @@ def test_direct_sum_blocks():
     assert oracles.bracket_const(g, 3, 1, 2) == 1
     for r, p in product(range(4), repeat=2):
         assert oracles.bracket_const(g, r, 0, p) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.sampled_from(["u1", "su2", "so3"])
+                      | st.integers(1, 4).map(lambda m: f"u1^{m}"),
+                      min_size=1, max_size=6))
+def test_one_pass_sum_matches_the_pairwise_fold(parts):
+    name = "+".join(parts)
+    got, want = builtin_algebra(name), oracles.folded_sum(name)
+    assert (got.dim, got.c) == (want.dim, want.c)
+
+
+def test_a_sum_is_validated_once(monkeypatch):
+    # each part and the sum are validated once: 2 * 6 * 2,000 constants
+    # for 2,000 su2 parts, where the pairwise fold walked every partial
+    # sum again, about 12M
+    bound = 24_000
+    walked = 0
+    validate = LieAlgebraData._validate
+
+    def counted(self):
+        nonlocal walked
+        walked += len(self.c)
+        assert walked <= bound, f"more than {bound} constants validated"
+        validate(self)
+
+    monkeypatch.setattr(LieAlgebraData, "_validate", counted)
+    g = builtin_algebra("+".join(["su2"] * 2000))
+    assert (g.dim, len(g.c)) == (6000, 12_000)
 
 
 def test_unknown_algebra_rejected():

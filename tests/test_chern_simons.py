@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from jetvar.algebra import (InvariantTensor, LieAlgebraData, builtin_algebra,
                             builtin_invariant, gauge_generator)
-from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
-                                 _t_pieces, background_curvature,
-                                 canonical_curvature, characteristic_at_B,
+from jetvar.chern_simons import (_F, _FB, CSData, _slot_contraction,
+                                 _t_free, _t_pieces, characteristic_at_B,
                                  characteristic_form, cs_form, cs_lagrangian,
                                  homotopy)
 from jetvar.config import build_model, load_config
@@ -57,28 +56,28 @@ def test_csdata_validation():
 
 def test_bianchi_identity_for_the_canonical_curvature():
     cs = _model("su2", "killing", 2)
-    F = canonical_curvature(cs)
+    F = _F(cs)
     for r in range(3):
         rhs = None
         for p in range(3):
             for q in range(3):
                 cval = oracles.bracket_const(cs.algebra, r, p, q)
                 if cval:
-                    term = wedge(F[p], cs.potential_one_form(q)).scale(cval)
+                    term = wedge(F[p], cs.one_form(q)).scale(cval)
                     rhs = term if rhs is None else rhs + term
         assert (exterior_d(F[r]) - rhs).is_zero()
 
 
 def test_bianchi_identity_for_the_background_curvature():
     cs = _model("su2", "killing", 2)
-    FB = background_curvature(cs)
+    FB = _FB(cs)
     for r in range(3):
         rhs = None
         for p in range(3):
             for q in range(3):
                 cval = oracles.bracket_const(cs.algebra, r, p, q)
                 if cval:
-                    term = wedge(FB[p], cs.background_one_form(q)).scale(cval)
+                    term = wedge(FB[p], cs.one_form(q, 0, 1)).scale(cval)
                     rhs = term if rhs is None else rhs + term
         assert (exterior_d(FB[r]) - rhs).is_zero()
 
@@ -109,11 +108,11 @@ def test_characteristic_at_B_matches_the_pullback_oracle(name, background):
     # of F_B from the zero form
     cs, _ = build_model(dict(load_config(str(ROOT / name)),
                              background=background))
-    bindings = {conn(r, mu): cs.bg_poly(r, mu)
+    bindings = {conn(r, mu): oracles.bg_poly(cs, r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
-    FB = background_curvature(cs)
+    FB = _FB(cs)
     assert {r: oracles.pullback(f, bindings)
-            for r, f in canonical_curvature(cs).items()} == FB
+            for r, f in _F(cs).items()} == FB
     # h = 0 leaves b without entries, so no curvature is built
     assert any(not f.is_zero() for f in FB.values()) == (
         background == "symbolic" and bool(cs.indices))
@@ -131,8 +130,8 @@ def test_characteristic_forms_match_the_multiset_oracle(alg, inv, k):
     P = characteristic_form(cs)
     assert not P.is_zero()
     assert unscaled(P, cs) == oracles.invariant_contraction(
-        cs, canonical_curvature(cs))
-    for curv in (background_curvature(cs), oracles.interp_curvature(cs)):
+        cs, _F(cs))
+    for curv in (_FB(cs), oracles.interp_curvature(cs)):
         assert (unscaled(_slot_contraction(cs, [curv], _t_free(curv)), cs)
                 == oracles.invariant_contraction(cs, curv))
 
@@ -152,8 +151,8 @@ def test_curvatures_match_the_ordered_pair_oracle(case, data):
         data.draw(RATIONALS) for _ in range(data.draw(st.integers(1, 3)))})
     cs = CSData(g, b, background=data.draw(st.sampled_from(
         ["symbolic", "zero"])))
-    A = [cs.potential_one_form(r) for r in range(dim)]
-    B = [cs.background_one_form(r) for r in range(dim)]
+    A = [cs.one_form(r) for r in range(dim)]
+    B = [cs.one_form(r, 0, 1) for r in range(dim)]
     t = Poly.var(T)
     linear_t = [exterior_d(a).scale(t) + exterior_d(bg).scale(1 - t)
                 for a, bg in zip(A, B)]
@@ -161,9 +160,9 @@ def test_curvatures_match_the_ordered_pair_oracle(case, data):
     pieces = _t_pieces(cs)
     assert sorted(pieces) == cs.indices
     for got, want in (
-            (canonical_curvature(cs),
+            (_F(cs),
              oracles.curvature(cs, [exterior_d(a) for a in A], A)),
-            (background_curvature(cs),
+            (_FB(cs),
              oracles.curvature(cs, [exterior_d(bg) for bg in B], B)),
             ({r: _t_sum(cs, choices) for r, choices in pieces.items()},
              oracles.curvature(cs, linear_t, interp))):
@@ -205,8 +204,8 @@ def test_each_index_takes_the_basis_with_fewer_terms(name, background,
     # the term counts of both bases, from the ordered-pair oracle's H
     dim = cs.algebra.dim
     H = oracles.curvature(cs, [Form.zero(cs.ctx)] * dim,
-                          [cs.difference_one_form(r) for r in range(dim)])
-    FB, F = background_curvature(cs), canonical_curvature(cs)
+                          [cs.one_form(r, 1, -1) for r in range(dim)])
+    FB, F = _FB(cs), _F(cs)
     for r, choices in pieces.items():
         nabla = F[r] - FB[r] - H[r]
         sizes = [sum(f.term_count() for f in basis) for basis in (
@@ -265,7 +264,7 @@ def test_slot_contraction_matches_the_dense_oracle(case, data):
     j = data.draw(st.integers(0, min(2, k - 1)))
     heads = [_random_head(data.draw, cs, rng) for _ in range(j + 1)]
     if data.draw(st.booleans()):
-        curv = canonical_curvature(cs)
+        curv = _F(cs)
     else:
         curv = {r: random_form(cs.ctx, 2, rng) for r in range(dim)}
     got = _slot_contraction(cs, heads, _t_free(curv))
@@ -349,7 +348,7 @@ def test_lagrangian_routes_agree(alg, inv, k):
 
 def test_abelian_cs_form_without_background_is_a_wedge_da():
     cs = _model("u1", "unit", 2, background="zero")
-    a = cs.potential_one_form(0)
+    a = cs.one_form(0)
     assert (unscaled(cs_form(cs), cs) - wedge(a, exterior_d(a))).is_zero()
 
 

@@ -638,8 +638,10 @@ def test_jet_order_is_an_unknown_key(capsys, tmp_path):
     ([MAX_N + 1], f"integers in 1..{MAX_N}"),
     ([10**30], f"integers in 1..{MAX_N}"),
     # "n=1: 6 instances" printed twice read as 12 instances
-    ([2, 1, 2, 1], "dimensions repeat 1, 2")],
-    ids=[str(MAX_N + 1), str(10**30), "repeated"])
+    ([2, 1, 2, 1], "dimensions repeat 1, 2"),
+    # one count per distinct dimension, not one per entry
+    ([2, 1, 3] * 33_333 + [4], "dimensions repeat 1, 2, 3")],
+    ids=[str(MAX_N + 1), str(10**30), "repeated", "repeated-1e5"])
 def test_bad_dimensions_exit_2(capsys, tmp_path, dims, message):
     code, err, out = _main_exit(capsys, tmp_path, "first-variational-selftest",
                                 {"selftest_instances": 6, "dimensions": dims})

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from jetvar import chern_simons, variational
 from jetvar.algebra import (InvariantTensor, _generator, builtin_algebra,
                             builtin_invariant, gauge_generator, killing_form)
-from jetvar.chern_simons import (CSData, _slot_contraction, _t_free,
-                                 canonical_curvature, characteristic_at_B,
-                                 characteristic_form, cs_form, cs_lagrangian,
-                                 homotopy)
+from jetvar.chern_simons import (_F, CSData, _slot_contraction, _t_free,
+                                 characteristic_at_B, characteristic_form,
+                                 cs_form, cs_lagrangian, homotopy)
 from jetvar.config import build_model, load_config
 from jetvar.errors import (JetvarError, NonzeroResidual, SigmaMismatch,
                            TermLimitExceeded)
@@ -361,7 +360,7 @@ def summed_sigma(cs, params=None) -> Form:
     gauge_parts(cs, params), summed; cs.scale times its value."""
     acc: dict = {}
     for part in gauge_parts(cs, params):
-        add_into(acc, variational._component_sigma(cs, *part))
+        add_into(acc, variational.sigma_boundary_term(cs, *part))
     return _wrap(cs.ctx, acc)
 
 
@@ -401,7 +400,7 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     L = variational._lagrangian(cs)
     sigmas, reports, currents = [], [], []
     for label, head, xi_C in gauge_parts(cs, params):
-        sigmas.append(variational._component_sigma(cs, label, head, xi_C))
+        sigmas.append(variational.sigma_boundary_term(cs, label, head, xi_C))
         r, m = conservation_check(L, xi_C, sigmas[-1])
         reports.append(r)
         currents.append(m)
@@ -457,7 +456,8 @@ def test_scaled_pipeline_is_the_scale_times_the_oracles(model, c, h,
 
 def test_model_data_is_built_once_per_csdata(monkeypatch):
     # P(F), P(F_B), S, sigma and the conservation law on one CSData share
-    # one S and one of each curvature
+    # one S and one of each curvature: F, F_B and the H of the homotopy's
+    # pieces are the three curvatures built
     calls = Counter()
 
     def counted(fn):
@@ -466,7 +466,7 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
             return fn(*args)
         return run
 
-    for name in ("cs_form", "canonical_curvature", "background_curvature"):
+    for name in ("cs_form", "_curvature"):
         monkeypatch.setattr(chern_simons, name,
                             counted(getattr(chern_simons, name)))
     cs = _su2_model()
@@ -477,8 +477,8 @@ def test_model_data_is_built_once_per_csdata(monkeypatch):
     sigma = summed_sigma(cs)
     report, _, _ = oracles.merged_conservation(verify_conservation(cs))
     assert report.passed and not sigma.is_zero()
-    assert calls == {"cs_form": 1, "canonical_curvature": 1,
-                     "background_curvature": 1}
+    assert calls == {"cs_form": 1, "_curvature": 3}
+    assert {("F",), ("F_B",), ("F_t",)} <= cs._shared.keys()
 
 
 def test_verify_conservation_leaves_no_reference_cycle(term_cap):
@@ -537,13 +537,13 @@ def test_verify_conservation_yields_each_component_as_it_finishes(
     # a component's report and part of J - sigma reach the caller before
     # the next component's sigma is built
     built = []
-    component_sigma = variational._component_sigma
+    component_sigma = variational.sigma_boundary_term
 
     def counted(cs, name, head, xi_C):
         built.append(name)
         return component_sigma(cs, name, head, xi_C)
 
-    monkeypatch.setattr(variational, "_component_sigma", counted)
+    monkeypatch.setattr(variational, "sigma_boundary_term", counted)
     cs = _su2_model()
     parts = verify_conservation(cs)
     for r in range(3):
@@ -573,7 +573,7 @@ def test_homotopy_matches_the_pullback_oracle(name):
     # on P(F) = b(F, ..., F), whose H is the transgression form S
     cs, params = _sigma_case(name)
     head = oracles.gauge_head(cs, params)
-    psi = _slot_contraction(cs, [head], _t_free(canonical_curvature(cs)))
+    psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
     P, S = characteristic_form(cs), cs_form(cs)
     assert homotopy(cs, [head]) == oracles.homotopy_operator(psi, cs)
     assert S == oracles.homotopy_operator(P, cs)
