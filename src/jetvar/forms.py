@@ -27,8 +27,8 @@ from .indets import BG, GAUGE, indet_str, with_extra_deriv, x
 from .polynomial import (_INDETS, Poly, _held, _intern, _interned, add_dicts,
                          chain_rule, mul_dicts)
 
-__all__ = ["Form", "wedge", "exterior_d", "contract", "linear_combination",
-           "add_into", "wedge_into", "differential_into", "exterior_d_into",
+__all__ = ["Form", "wedge", "exterior_d", "linear_combination", "add_into",
+           "wedge_into", "differential_into", "exterior_d_into",
            "contract_into"]
 
 
@@ -80,13 +80,6 @@ class Form:
                         f"generator tuple not strictly increasing: {dcs}")
         self.terms = terms or {}
 
-    @property
-    def degree(self) -> int | None:
-        """The length of the generator tuples, or None for the zero form."""
-        for dcs in self.terms:
-            return len(dcs)
-        return None
-
     @classmethod
     def zero(cls, ctx) -> "Form":
         return cls(ctx)
@@ -94,13 +87,6 @@ class Form:
     @classmethod
     def from_poly(cls, ctx, p: Poly) -> "Form":
         return cls(ctx, {(): p} if p else {})
-
-    @classmethod
-    def generator(cls, ctx, c: tuple) -> "Form":
-        """The 1-form dc for a coordinate c of ctx."""
-        if c not in ctx:
-            raise JetvarError(f"{indet_str(c)} is not a jet coordinate")
-        return cls(ctx, {(c,): Poly.const(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -164,7 +150,8 @@ class Form:
         return self.render()
 
     def __repr__(self):
-        return f"Form(deg={self.degree}, {self})"
+        degree = next((len(dcs) for dcs in self.terms), None)
+        return f"Form(deg={degree}, {self})"
 
 
 def _wrap(ctx, raw: dict) -> Form:
@@ -287,8 +274,4 @@ def contract_into(acc: dict, X: dict, a: Form, c=1) -> dict:
             mul_dicts(comp.terms, f.terms, acc.setdefault(key, {}),
                       -c if j & 1 else c)
     return acc
-
-
-def contract(X: dict, a: Form) -> Form:
-    return _wrap(a.ctx, contract_into({}, X, a))
 

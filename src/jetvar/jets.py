@@ -1,5 +1,5 @@
 """Jet-bundle operators: total derivatives, horizontal projection and
-differential, contact forms, and currents as horizontal (n-1)-forms."""
+differential, and currents as horizontal (n-1)-forms."""
 
 from __future__ import annotations
 
@@ -8,15 +8,13 @@ from itertools import combinations_with_replacement
 
 from .errors import JetvarError
 from .forms import Form, _wrap, differential_into, wedge
-from .indets import (AUX, CONN, MATTER, X, conn, indet_str, is_field_jet,
-                     matter, multi_index, with_extra_deriv, x)
+from .indets import (AUX, CONN, MATTER, X, conn, indet_str, matter,
+                     multi_index, with_extra_deriv, x)
 from .polynomial import (_INDETS, Poly, _intern, _interned, chain_rule,
                          mul_dicts)
 
-__all__ = ["JetContext", "total_derivative", "total_derivatives_into",
-           "horizontal_projection", "horizontal_projection_into",
-           "horizontal_differential", "horizontal_differential_into",
-           "contact_form"]
+__all__ = ["JetContext", "total_derivatives_into", "horizontal_projection",
+           "horizontal_projection_into", "horizontal_differential_into"]
 
 
 _IMAGE_TABLES: dict = {}   # (map name, context) -> {argument: image}
@@ -154,10 +152,6 @@ def total_derivatives_into(outs: dict, f: Poly, ctx: JetContext,
     return outs
 
 
-def total_derivative(f: Poly, lam: int, ctx: JetContext) -> Poly:
-    return Poly(total_derivatives_into({lam: {}}, f, ctx)[lam])
-
-
 def _require_horizontal(a: Form):
     for dcs in a.terms:
         for c in dcs:
@@ -171,10 +165,6 @@ def horizontal_differential_into(acc: dict, a: Form, c=1) -> dict:
     formed only for the lam whose dx^lam the wedge keeps."""
     _require_horizontal(a)
     return differential_into(acc, a, _horizontal_image(a.ctx), c)
-
-
-def horizontal_differential(a: Form) -> Form:
-    return _wrap(a.ctx, horizontal_differential_into({}, a))
 
 
 def _d_H_coordinate(c: tuple, ctx: JetContext) -> Form:
@@ -210,11 +200,4 @@ def horizontal_projection_into(acc: dict, a: Form, c=1) -> dict:
 
 def horizontal_projection(a: Form) -> Form:
     return _wrap(a.ctx, horizontal_projection_into({}, a))
-
-
-def contact_form(c: tuple, ctx: JetContext) -> Form:
-    """theta^c = dc - d_H c for a fiber coordinate c."""
-    if not is_field_jet(c):
-        raise JetvarError(f"{indet_str(c)} is not a field coordinate")
-    return Form.generator(ctx, c) - _d_H_coordinate(c, ctx)
 

@@ -358,9 +358,9 @@ class Poly:
     def gradient(self, keep=None) -> dict:
         """Every partial derivative in one chain_rule pass: v -> d/dv.
 
-        Keys are exactly self.indets(), or those v for which keep(v) is
-        true when keep is given; keep is called once per indeterminate, and
-        the partials it rejects are never formed.  Dividing distinct
+        Keys are exactly the indeterminates of self, or those v for which
+        keep(v) is true when keep is given; keep is called once per
+        indeterminate, and the partials it rejects are never formed.  Dividing distinct
         monomials by the same v keeps them distinct, so no partial sums
         terms or is zero.  The partials are held copies (see _held) that
         share one table of coefficients.
@@ -378,9 +378,6 @@ class Poly:
                 for i, terms in grads.items()}
 
     # -- queries -------------------------------------------------------
-
-    def indets(self) -> set:
-        return {_INDETS[i] for m in self.terms for i in m}
 
     def term_count(self) -> int:
         return len(self.terms)

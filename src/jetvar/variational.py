@@ -40,7 +40,8 @@ class VerificationReport:
 
 
 class Lagrangian:
-    """First-order horizontal n-form L = density * d^n x.
+    """First-order horizontal n-form L = density * d^n x, held as the
+    partials of its density.
 
     gradient maps each field-jet indeterminate of the density to its
     partial, the only partials that the Euler-Lagrange operator, Noether
@@ -48,7 +49,8 @@ class Lagrangian:
     operator on L.  jet_partials indexes the partials in the first-order
     jets i_lam by their order-0 coordinate i, as (lam, partial) pairs: the
     same Polys, so the operators that read partial^lam_i visit only those
-    that the density has."""
+    that the density has.  No operator reads the density itself, so L
+    does not keep it once the partials are built."""
 
     def __init__(self, ctx: JetContext, density: Poly):
         grad = density.gradient(is_field_jet)
@@ -61,7 +63,6 @@ class Lagrangian:
                 raise JetvarError(f"Lagrangian is not first-order: {indet_str(v)}")
             jet_partials.setdefault(order_zero(v), []).append((D[0], p))
         self.ctx = ctx
-        self.density = density
         self.gradient = grad
         self.jet_partials = jet_partials
         self._el = None   # euler_lagrange(self), built by _el_into
@@ -233,29 +234,30 @@ def sigma_boundary_term(cs: CSData, name: str, head: dict,
     return sigma
 
 
-def conservation_check(L_total: Lagrangian, u: dict, sigma: Form) -> tuple:
+def conservation_check(L_total: Lagrangian, u: dict,
+                       modified: Form) -> VerificationReport:
     """Strong rendering of the weak conservation law:
-    d_H(J_u - sigma) + u^i delta_i(density) omega = 0 exactly.
+    d_H(J_u - sigma) + u^i delta_i(density) omega = 0 exactly, for the
+    modified current J_u - sigma given as modified.
 
     The report is vacuous when both d_H(J_u - sigma) and the Euler-Lagrange
-    term are zero.  Returns (report, modified current form J - sigma)."""
+    term are zero."""
     ctx = L_total.ctx
-    if sigma.ctx != ctx:
+    if modified.ctx != ctx:
         raise JetvarError("forms live on different jet contexts")
-    modified = _wrap(ctx, add_into(_noether_into({}, L_total, u), sigma, -1))
     acc = horizontal_differential_into({}, modified)
     boundary_zero = is_empty(acc)
     _el_into(acc.setdefault(ctx.volume_key(), {}), L_total, u)
     residual = _wrap(ctx, acc)
-    return VerificationReport(residual, boundary_zero and residual.is_zero()), modified
+    return VerificationReport(residual, boundary_zero and residual.is_zero())
 
 
 def verify_conservation(cs: CSData):
     """The conservation law of the CS model cs along the gauge generator
     xi_C of the symbolic family: for each gauge component in turn (see
-    _components), its sigma (see sigma_boundary_term) and its
-    conservation_check along its part of xi_C, with the model's Lagrangian
-    L = h0 S.
+    _components), its sigma (see sigma_boundary_term), its part of the
+    modified current J - sigma, and its conservation_check along its part
+    of xi_C, with the model's Lagrangian L = h0 S.
 
     Every monomial of xi_C, sigma, J, J - sigma and each residual holds
     exactly one factor xi^r_D, so each splits by r into parts that share no
@@ -266,15 +268,19 @@ def verify_conservation(cs: CSData):
     A generator: it yields (report, modified, sigma_terms) for each
     component as the component finishes, its report, its part of the
     modified current J - sigma and the term count of its sigma, and holds
-    none of them once it resumes.  The law holds iff every component's
-    report passes, and it is vacuous iff every one is; the caller keeps
-    what it reads of the parts.  The residuals and J - sigma are cs.scale
-    times their values."""
+    none of them once it resumes.  sigma is released once J - sigma is
+    built, before the check takes d_H(J - sigma).  The law holds iff every
+    component's report passes, and it is vacuous iff every one is; the
+    caller keeps what it reads of the parts.  The residuals and J - sigma
+    are cs.scale times their values."""
     for name, head, xi_C in _components(cs):
         sigma = sigma_boundary_term(cs, name, head, xi_C)
-        report, modified = conservation_check(_lagrangian(cs), xi_C, sigma)
         sigma_terms = sigma.term_count()
+        L = _lagrangian(cs)
+        acc = add_into(_noether_into({}, L, xi_C), sigma, -1)
         del sigma
+        modified = _wrap(cs.ctx, acc)
+        del acc
+        report = conservation_check(L, xi_C, modified)
         yield report, modified, sigma_terms
         del report, modified
-

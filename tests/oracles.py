@@ -7,6 +7,9 @@ and its inverse encode_terms live here, as no library path decodes a
 monomial to pairs.  So does the eager ranking of serialization order, which
 keyed every monomial before the first was printed: the oracle of the
 library's stream, which keys a group of monomials only when it is read.
+What no subcommand reads lives here too: the returning forms of the
+library's contract, total derivative and d_H cores, the contact forms, the
+1-form dc of one coordinate, a Poly's indeterminates and a form's degree.
 The term kernel keyed by (indeterminate, exponent) pair tuples, which the
 multiset-id kernel of polynomial.py replaced, is kept here as the oracle of
 that kernel, and so is the t-integrand route of the fiber homotopy (the
@@ -56,7 +59,7 @@ from heapq import nsmallest
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from jetvar import algebra, forms, polynomial
+from jetvar import algebra, forms, jets, polynomial, variational
 from jetvar.chern_simons import (_F, _FB, _a_minus_B, _curvature,
                                  _multinomial, _slot_contraction, _t_free,
                                  cs_form, homotopy)
@@ -64,10 +67,9 @@ from jetvar.errors import (AntisymmetryViolation, JacobiViolation, JetvarError,
                            NonzeroResidual, SigmaMismatch)
 from jetvar.forms import (Form, _merge_tuples, _wrap, add_into, exterior_d,
                           wedge_into)
-from jetvar.indets import (T, bg, conn, gauge, indet_str, matter,
+from jetvar.indets import (T, bg, conn, gauge, indet_str, is_field_jet, matter,
                            with_extra_deriv, x)
-from jetvar.jets import (contact_form, horizontal_differential,
-                         horizontal_projection, total_derivative)
+from jetvar.jets import horizontal_projection
 from jetvar.polynomial import _INDETS, _T, Poly, Q, _exact, _intern
 from jetvar.random_inputs import _pool
 from jetvar.reference3d import _A, _B, _XI, _xi_bracket, levi_civita
@@ -126,7 +128,7 @@ def substitute(p: Poly, bindings: dict) -> Poly:
     """
     bound = set(bindings)
     for v, q in bindings.items():
-        hit = (q.indets() & bound) - {v}
+        hit = (indets(q) & bound) - {v}
         if hit:
             names = ", ".join(sorted(indet_str(w) for w in hit))
             raise CyclicSubstitution(
@@ -421,7 +423,7 @@ def interp_curvature_horizontal(cs) -> dict:
         for lam in range(cs.n):
             for mu in range(cs.n):
                 coeff = Form(ctx, {(x(lam),): interp_poly(cs, r, mu, (lam,))})
-                wedge_into(acc, coeff, Form.generator(ctx, x(mu)))
+                wedge_into(acc, coeff, generator(ctx, x(mu)))
         return _wrap(ctx, acc)
 
     return _curvature(cs, linear, lambda r: interp_one_form(cs, r))
@@ -431,6 +433,49 @@ def cs_lagrangian_direct(cs) -> Form:
     """Independent construction of the horizontal CS Lagrangian via the
     explicit first-order formula; must agree with cs_lagrangian exactly."""
     return t_integrand_homotopy(cs, curv=interp_curvature_horizontal(cs))
+
+
+# -- what no subcommand runs: returning operators and queries -------------
+
+
+def indets(p: Poly) -> set:
+    """The indeterminates of p."""
+    return {v for m in p.terms for v, _ in decode_monomial(m)}
+
+
+def degree(a: Form):
+    """The length of a's generator tuples, or None for the zero form."""
+    return next((len(dcs) for dcs in a.terms), None)
+
+
+def generator(ctx, c: tuple) -> Form:
+    """The 1-form dc for a coordinate c of ctx."""
+    if c not in ctx:
+        raise JetvarError(f"{indet_str(c)} is not a jet coordinate")
+    return Form(ctx, {(c,): Poly.const(1)})
+
+
+def contracted(X: dict, a: Form) -> Form:
+    """X . a, the library's core forms.contract_into added into an empty
+    accumulator (contract below sums one Poly at a time)."""
+    return _wrap(a.ctx, forms.contract_into({}, X, a))
+
+
+def total_derivative(f: Poly, lam: int, ctx) -> Poly:
+    """d_lam f, the library's core jets.total_derivatives_into."""
+    return Poly(jets.total_derivatives_into({lam: {}}, f, ctx)[lam])
+
+
+def horizontal_differential(a: Form) -> Form:
+    """d_H a, the library's core jets.horizontal_differential_into."""
+    return _wrap(a.ctx, jets.horizontal_differential_into({}, a))
+
+
+def contact_form(c: tuple, ctx) -> Form:
+    """theta^c = dc - d_H c for a fiber coordinate c."""
+    if not is_field_jet(c):
+        raise JetvarError(f"{indet_str(c)} is not a field coordinate")
+    return generator(ctx, c) - jets._d_H_coordinate(c, ctx)
 
 
 # -- the jet chart, enumerated, and prolongation by total derivatives ------
@@ -505,11 +550,12 @@ def euler_lagrange(L) -> dict:
     return out
 
 
-def poincare_cartan(L) -> Form:
-    """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam."""
+def poincare_cartan(L, density: Poly) -> Form:
+    """H_L = density * omega + partial^lam_i(density) theta^i ^ omega_lam,
+    for the Lagrangian L built from density."""
     ctx = L.ctx
     grad = L.gradient
-    out = L.ctx.volume_form(L.density)
+    out = L.ctx.volume_form(density)
     for i in ctx.field_coords(0):
         for lam in range(ctx.n):
             dldj = grad.get(with_extra_deriv(i, lam))
@@ -554,7 +600,7 @@ def add_forms(a: Form, b: Form) -> Form:
         return b
     if b.is_zero():
         return a
-    if a.degree != b.degree:
+    if degree(a) != degree(b):
         raise JetvarError("degree mismatch in form addition")
     out = dict(a.terms)
     for dcs, p in b.terms.items():
@@ -624,7 +670,7 @@ def map_coefficients(a: Form, fn) -> Form:
 def lie_derivative_form(X: dict, a: Form) -> Form:
     """Cartan formula: L_X = X . d + d . X ."""
     acc = forms.contract_into({}, X, exterior_d(a))
-    return _wrap(a.ctx, forms.exterior_d_into(acc, forms.contract(X, a)))
+    return _wrap(a.ctx, forms.exterior_d_into(acc, contracted(X, a)))
 
 
 def pullback(a: Form, bindings: dict) -> Form:
@@ -671,7 +717,7 @@ def homotopy_operator(a: Form, cs) -> Form:
     bindings = {conn(r, mu): interp_poly(cs, r, mu)
                 for r in range(cs.algebra.dim) for mu in range(cs.n)}
     pulled = pullback(a, bindings)
-    return map_coefficients(forms.contract({T: Poly.const(1)}, pulled),
+    return map_coefficients(contracted({T: Poly.const(1)}, pulled),
                             t_integral)
 
 
@@ -720,9 +766,9 @@ def sigma_boundary_term(cs, xi_C: dict, params: list | None = None,
     if S is None:
         S = unscaled(cs_form(cs), cs)
     chi = section_correction(cs, params)
-    omega = forms.contract(xi_C, forms.exterior_d(S))
+    omega = contracted(xi_C, forms.exterior_d(S))
     psi = fiber_homotopy(omega - forms.exterior_d(chi), cs) + chi
-    return horizontal_projection(psi + forms.contract(xi_C, S))
+    return horizontal_projection(psi + contracted(xi_C, S))
 
 
 # -- sigma and the conservation law in one shot ----------------------------
@@ -732,7 +778,7 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
     """(sigma, report, modified) of the whole gauge generator at once, by
     the descent route with its checks: d psi = xi_C . dS (NonzeroResidual
     otherwise), the post-check d_H sigma = L_{J1 xi_C} L (SigmaMismatch
-    otherwise), and conservation_check along the whole xi_C.  Every step is
+    otherwise), and conservation_check of J - sigma along the whole xi_C.  Every step is
     linear in S, psi and eta, so it runs on the library's S and slot
     contractions, which hold cs.scale times their values, and each result
     it returns is cs.scale times its value, as the library holds it.  The
@@ -747,17 +793,24 @@ def one_shot_conservation(cs, params: list | None = None) -> tuple:
             else gauge_generator(cs.algebra, ctx, params))
     head = gauge_head(cs, params)
     psi = _slot_contraction(cs, [head], _t_free(_F(cs)))
-    residual = forms.exterior_d(psi) - forms.contract(xi_C, forms.exterior_d(S))
+    residual = forms.exterior_d(psi) - contracted(xi_C, forms.exterior_d(S))
     if not residual.is_zero():
         raise NonzeroResidual(f"descent residual has "
                               f"{residual.term_count()} terms: "
                               f"{residual.render(den=cs.scale)}")
     sigma = horizontal_projection(
-        psi - forms.exterior_d(homotopy(cs, [head])) + forms.contract(xi_C, S))
+        psi - forms.exterior_d(homotopy(cs, [head])) + contracted(xi_C, S))
     if horizontal_differential(sigma) != ctx.volume_form(lie_derivative(L, xi_C)):
         raise SigmaMismatch("d_H sigma != Lie derivative of the CS Lagrangian")
-    report, modified = conservation_check(L, xi_C, sigma)
+    report, modified = conservation_with_sigma(L, xi_C, sigma)
     return sigma, report, modified
+
+
+def conservation_with_sigma(L, u: dict, sigma: Form) -> tuple:
+    """(report, modified): conservation_check on the modified current
+    modified = J_u - sigma, the library's Noether current minus sigma."""
+    modified = variational.noether_current(L, u) - sigma
+    return conservation_check(L, u, modified), modified
 
 
 def merged_conservation(parts) -> tuple:
@@ -935,9 +988,9 @@ def slot_sum(cs, heads: list, curv: dict) -> tuple:
             wedge_into(acc, term, curv[rest[-1]], weight)
     # the nonzero forms of one head share a degree; a head without one adds
     # nothing, and counts as degree 0
-    degree = sum(next((f.degree for f in h.values() if not f.is_zero()), 0)
-                 for h in heads)
-    return acc, den, degree + 2 * (cs.k - j)
+    total = sum(next((degree(f) for f in h.values() if not f.is_zero()), 0)
+                for h in heads)
+    return acc, den, total + 2 * (cs.k - j)
 
 
 def curvature(cs, linear: list, ones: list) -> list:

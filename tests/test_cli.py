@@ -102,6 +102,15 @@ def test_every_golden_file_is_a_golden_case():
         sorted(g for g, _, _ in GOLDEN_CASES)
 
 
+def test_every_frontier_file_is_named_in_the_workflow():
+    # the frontier probes take a minute or more each, so CI runs them and
+    # diffs their stdout; a file there that CI does not name goes stale
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    names = [p.name for p in (ROOT / "tests" / "frontier").iterdir()]
+    assert names
+    assert [n for n in names if f"tests/frontier/{n}" not in workflow] == []
+
+
 @pytest.mark.parametrize("golden,args,code", GOLDEN_CASES,
                          ids=[g for g, _, _ in GOLDEN_CASES])
 def test_stdout_matches_golden_file(golden, args, code):
@@ -174,12 +183,13 @@ def test_selftest_prints_the_residual_of_the_drawn_instance(monkeypatch,
     for i in range(100):
         n = 1 + i % 3
         ctx = JetContext(n, 2, matter_dim=1)
-        L = variational.Lagrangian(ctx, random_density(ctx, rng))
+        density = random_density(ctx, rng)
+        L = variational.Lagrangian(ctx, density)
         u = random_vertical_field(ctx, rng)
         rep = variational.first_variational_check(L, u)
         if not rep.passed:
             want.append(f"[FAIL] instance {i} (n={n}): residual {rep.residual}")
-            scaled += (integral_multiple([L.density])[0]
+            scaled += (integral_multiple([density])[0]
                        * integral_multiple(u.values())[0] > 1)
     assert got == want
     assert scaled > 0

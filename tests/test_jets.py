@@ -18,13 +18,14 @@ from jetvar.forms import (Form, _wrap, add_into, exterior_d,
                           linear_combination, wedge)
 from jetvar.indets import (BG, GAUGE, T, X, bg, conn, gauge, is_field_jet,
                            matter, multi_index, with_extra_deriv, x)
-from jetvar.jets import (JetContext, contact_form, horizontal_differential,
-                         horizontal_differential_into, horizontal_projection,
-                         horizontal_projection_into, total_derivative,
+from jetvar.jets import (JetContext, horizontal_differential_into,
+                         horizontal_projection, horizontal_projection_into,
                          total_derivatives_into)
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import random_poly, random_vertical_field
-from oracles import apply_derivation, jet_chart, partial, prolong, random_form
+from oracles import (apply_derivation, contact_form, generator,
+                     horizontal_differential, indets, jet_chart, partial,
+                     prolong, random_form, total_derivative)
 
 CTX = JetContext(2, 1, matter_dim=1)
 
@@ -68,7 +69,7 @@ def test_total_derivative_applies_the_chain_rule_to_function_symbols():
 def _total_derivative_oracle(f: Poly, lam: int) -> Poly:
     """The per-indeterminate route: one partial scan per indeterminate."""
     out = partial(f, x(lam))
-    for v in f.indets():
+    for v in indets(f):
         if is_field_jet(v) or v[0] in (BG, GAUGE):
             out = out + Poly.var(with_extra_deriv(v, lam)) * partial(f, v)
     return out
@@ -224,7 +225,7 @@ def _horizontal_projection_oracle(a: Form) -> Form:
             if acc.is_zero():
                 break
             if c[0] == X:
-                acc = wedge(acc, Form.generator(CTX, c))
+                acc = wedge(acc, generator(CTX, c))
             elif is_field_jet(c):
                 acc = wedge(acc, _fiber_replacement_oracle(c))
             else:
@@ -279,7 +280,7 @@ def test_horizontal_projection_into_adds_into_a_filled_accumulator(a, c):
 
     assert _outcome(added, a) == _outcome(want, a)
     with pytest.raises(JetvarError, match="h0 undefined on dt"):
-        horizontal_projection_into(add_into({}, a), Form.generator(CTX, T), c)
+        horizontal_projection_into(add_into({}, a), generator(CTX, T), c)
 
 
 def test_total_derivative_is_a_derivation(rng):
@@ -385,12 +386,12 @@ def test_horizontal_projection_kills_contact_forms():
 
 
 def test_horizontal_projection_is_identity_on_dx():
-    a = Form.generator(CTX, x(1))
+    a = generator(CTX, x(1))
     assert (horizontal_projection(a) - a).is_zero()
 
 
 def test_horizontal_projection_rejects_dt():
-    a = Form.generator(CTX, T)
+    a = generator(CTX, T)
     with pytest.raises(JetvarError):
         horizontal_projection(a)
 
@@ -449,12 +450,12 @@ def test_image_memos_hold_the_interned_tuples():
     for i, img in d_images.items():
         assert_interned(polynomial._INDETS[i], img)
     # the forms read from the d_H image are the ones the indeterminates give
-    assert jets._d_H_coordinate(x(2), ctx) == Form.generator(ctx, x(2))
+    assert jets._d_H_coordinate(x(2), ctx) == generator(ctx, x(2))
     for c in (conn(1, 2), matter(0, (1,))):
         d_H_c = Form(ctx, {(x(lam),): Poly.var(with_extra_deriv(c, lam))
                            for lam in range(3)})
         assert jets._d_H_coordinate(c, ctx) == d_H_c
-        assert contact_form(c, ctx) == Form.generator(ctx, c) - d_H_c
+        assert contact_form(c, ctx) == generator(ctx, c) - d_H_c
 
 
 def test_prolongation_is_linear(rng):

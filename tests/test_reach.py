@@ -4,8 +4,9 @@ named below.
 The subcommands run in-process under sys.setprofile, which records the code
 object of every Python function entered; a function in a module's __all__,
 or a public method or property of a class that jetvar defines there, whose
-code is never entered is unused API unless an entry here says why it stays.  The package root binds no function or class: callers import the
-submodule that defines it."""
+code is never entered is unused API unless an entry here says why it stays.
+The package root binds no function or class: callers import the submodule
+that defines it."""
 
 import contextlib
 import importlib
@@ -31,21 +32,8 @@ RUNS = [
 ]
 
 # (module, function or Class.method) -> why it stays although no subcommand
-# enters it
-UNREACHED = {
-    ("forms", "contract"): "the returning form of contract_into",
-    ("jets", "total_derivative"): "the returning form of "
-                                  "total_derivatives_into",
-    ("jets", "horizontal_differential"): "the returning form of "
-                                         "horizontal_differential_into",
-    ("jets", "contact_form"): "theta^c, the contact forms of the jet bundle",
-    ("forms", "Form.degree"): "the degree of a homogeneous form, which "
-                              "__repr__ and the tests read",
-    ("forms", "Form.generator"): "the 1-form dc of one coordinate, which "
-                                 "contact_form and the tests build on",
-    ("polynomial", "Poly.indets"): "the indeterminates of a Poly, which the "
-                                   "oracles read",
-}
+# enters it; a name that only the tests read lives in tests/oracles.py
+UNREACHED: dict = {}
 
 
 def _public_functions():

@@ -22,10 +22,9 @@ from jetvar.chern_simons import (_F, CSData, _slot_contraction, _t_free,
 from jetvar.config import build_model, load_config
 from jetvar.errors import (JetvarError, NonzeroResidual, SigmaMismatch,
                            TermLimitExceeded)
-from jetvar.forms import Form, _wrap, add_into, contract, exterior_d, wedge
+from jetvar.forms import Form, _wrap, add_into, exterior_d, wedge
 from jetvar.indets import bg, conn, gauge, indet_str, matter, with_extra_deriv, x
-from jetvar.jets import (JetContext, horizontal_differential,
-                         horizontal_projection, total_derivative)
+from jetvar.jets import JetContext, horizontal_projection
 from jetvar.polynomial import Poly, Q
 from jetvar.random_inputs import (_pool, random_density, random_poly,
                                   random_vertical_field)
@@ -34,8 +33,9 @@ from jetvar.variational import (Lagrangian, conservation_check,
                                 lie_derivative_lagrangian, noether_current,
                                 verify_conservation)
 import oracles
-from oracles import (NotClosed, evaluate, fiber_homotopy, section_correction,
-                     unscaled)
+from oracles import (NotClosed, conservation_with_sigma, contracted, evaluate,
+                     fiber_homotopy, generator, horizontal_differential,
+                     indets, section_correction, total_derivative, unscaled)
 from test_algebra import _sparse
 from test_chern_simons import ROOT, SHIPPED
 
@@ -95,7 +95,7 @@ def _oracle_el_value(density, ctx, i, point):
         return evaluate(density, q)
 
     total = _num_partial(fun, point, i)
-    variables = sorted(density.indets())
+    variables = sorted(indets(density))
     for lam in range(ctx.n):
         jet = with_extra_deriv(i, lam)
 
@@ -142,9 +142,10 @@ def test_lagrangian_rejects_higher_order_densities():
 def test_poincare_cartan_projects_back_to_the_lagrangian():
     rng = random.Random(12)
     for _ in range(6):
-        L = Lagrangian(CTX2, random_density(CTX2, rng))
-        assert (horizontal_projection(oracles.poincare_cartan(L))
-                - L.ctx.volume_form(L.density)).is_zero()
+        density = random_density(CTX2, rng)
+        L = Lagrangian(CTX2, density)
+        assert (horizontal_projection(oracles.poincare_cartan(L, density))
+                - L.ctx.volume_form(density)).is_zero()
 
 
 def test_noether_current_example():
@@ -260,10 +261,9 @@ def test_variational_triviality_of_horizontal_projections_of_exact_forms():
         # order-0 coefficients keep h0(d eta) first-order
         gens = tuple(sorted(rng.sample(pool0, CTX2.n - 1)))
         eta = Form(CTX2, {gens: random_poly(pool0, rng, max_monomials=3)})
-        L = Lagrangian.from_horizontal_form(
-            horizontal_projection(exterior_d(eta)))
-        el = euler_lagrange(L)
-        assert all(not v for v in el.values()), str(L.density)
+        h = horizontal_projection(exterior_d(eta))
+        el = euler_lagrange(Lagrangian.from_horizontal_form(h))
+        assert all(not v for v in el.values()), str(h)
 
 
 # -- the fiber homotopy oracle --------------------------------------------
@@ -278,8 +278,8 @@ def test_fiber_homotopy_recovers_a_primitive():
     cs = _su2_model("zero")
     ctx = cs.ctx
     alpha = wedge(Form(ctx, {(): Poly.var(conn(0, 0))}),
-                  wedge(Form.generator(ctx, conn(1, 1)),
-                        Form.generator(ctx, x(2))))
+                  wedge(generator(ctx, conn(1, 1)),
+                        generator(ctx, x(2))))
     omega = exterior_d(alpha)
     psi = fiber_homotopy(omega, cs)
     assert (exterior_d(psi) - omega).is_zero()
@@ -289,7 +289,7 @@ def test_fiber_homotopy_rejects_non_closed_forms():
     cs = _su2_model("zero")
     ctx = cs.ctx
     not_closed = wedge(Form(ctx, {(): Poly.var(conn(0, 0))}),
-                       Form.generator(ctx, conn(1, 1)))
+                       generator(ctx, conn(1, 1)))
     with pytest.raises(NotClosed):
         fiber_homotopy(not_closed, cs)
 
@@ -297,7 +297,7 @@ def test_fiber_homotopy_rejects_non_closed_forms():
 def test_fiber_homotopy_rejects_forms_alive_on_the_section():
     cs = _su2_model("zero")
     ctx = cs.ctx
-    base_area = wedge(Form.generator(ctx, x(0)), Form.generator(ctx, x(1)))
+    base_area = wedge(generator(ctx, x(0)), generator(ctx, x(1)))
     with pytest.raises(NonzeroResidual):
         fiber_homotopy(base_area, cs)
 
@@ -401,7 +401,7 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     sigmas, reports, currents = [], [], []
     for label, head, xi_C in gauge_parts(cs, params):
         sigmas.append(variational.sigma_boundary_term(cs, label, head, xi_C))
-        r, m = conservation_check(L, xi_C, sigmas[-1])
+        r, m = conservation_with_sigma(L, xi_C, sigmas[-1])
         reports.append(r)
         currents.append(m)
     assert len(sigmas) == (cs.algebra.dim if params is None else 1)
@@ -409,7 +409,8 @@ def test_gauge_components_match_the_one_shot_oracle(name):
     # of S, sigma or J - sigma is a Fraction
     assert {type(c) for a in (chern_simons._S(cs), *sigmas, *currents)
             for p in a.terms.values() for c in p.terms.values()} <= {int}
-    assert all(a.is_zero() or a.degree == cs.n - 1 for a in (*sigmas, *currents))
+    assert all(a.is_zero() or oracles.degree(a) == cs.n - 1
+               for a in (*sigmas, *currents))
     for got, want in ((sigmas, sigma), (currents, modified),
                       ([r.residual for r in reports], report.residual)):
         assert _disjoint_union(got) == {
@@ -514,7 +515,6 @@ def test_held_model_polys_are_sized_and_share_their_coefficients(config):
     L = variational._lagrangian(cs)
     held = {
         "S": list(chern_simons._S(cs).terms.values()),
-        "density": [L.density],
         "gradient": list(L.gradient.values()),
         "jet_partials": [p for pairs in L.jet_partials.values()
                          for _, p in pairs],
@@ -563,8 +563,16 @@ def test_the_lagrangian_alone_does_not_keep_the_cs_form():
     assert ("S",) not in cs._shared
     report, _, _ = oracles.merged_conservation(verify_conservation(cs))
     assert report.passed and ("S",) in cs._shared
-    assert (horizontal_projection(chern_simons._S(cs))
-            == L.ctx.volume_form(L.density))
+    assert (Lagrangian.from_horizontal_form(
+        horizontal_projection(chern_simons._S(cs))).gradient == L.gradient)
+
+
+def test_the_model_lagrangian_keeps_no_density():
+    # every operator reads L's partials, so L = h0 S lets its density go
+    # once they are built, and does not keep h0 S alive
+    L = variational._lagrangian(_su2_model())
+    assert not hasattr(L, "density")
+    assert set(vars(L)) == {"ctx", "gradient", "jet_partials", "_el"}
 
 
 @pytest.mark.parametrize("name", SHIPPED + list(VARIANTS))
@@ -579,7 +587,7 @@ def test_homotopy_matches_the_pullback_oracle(name):
     assert S == oracles.homotopy_operator(P, cs)
     # a form's degree is the length of its generator tuples
     for a, degree in ((P, 2 * cs.k), (S, 2 * cs.k - 1), (psi, 2 * cs.k - 2)):
-        assert a.is_zero() or a.degree == degree
+        assert a.is_zero() or oracles.degree(a) == degree
 
 
 @pytest.mark.parametrize("background", ["symbolic", "zero"])
@@ -614,9 +622,9 @@ def test_conservation_law(alg, inv, k):
     S = cs_form(cs)
     sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    report, modified = conservation_check(L, xi_C, sigma)
+    report, modified = conservation_with_sigma(L, xi_C, sigma)
     assert report.passed, report.residual
-    assert modified.degree == cs.n - 1
+    assert oracles.degree(modified) == cs.n - 1
 
 
 def test_conservation_with_explicit_gauge_parameters():
@@ -627,7 +635,7 @@ def test_conservation_with_explicit_gauge_parameters():
     S = cs_form(cs)
     sigma = summed_sigma(cs, params)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    report, _ = conservation_check(L, xi_C, sigma)
+    report, _ = conservation_with_sigma(L, xi_C, sigma)
     assert report.passed, report.residual
 
 
@@ -638,7 +646,7 @@ def test_zero_gauge_parameters_give_a_zero_current():
     xi_C = oracles.gauge_generator(g, cs.ctx, params=params)
     sigma = summed_sigma(cs, params)
     L = Lagrangian.from_horizontal_form(cs_lagrangian(cs))
-    report, modified = conservation_check(L, xi_C, sigma)
+    report, modified = conservation_with_sigma(L, xi_C, sigma)
     assert report.passed
     assert report.vacuous
     assert modified.is_zero()
@@ -647,7 +655,8 @@ def test_zero_gauge_parameters_give_a_zero_current():
 def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     cs = _su2_model()
     S = cs_form(cs)
-    L = Lagrangian.from_horizontal_form(horizontal_projection(S))
+    h = horizontal_projection(S)
+    L = Lagrangian.from_horizontal_form(h)
     sigma = summed_sigma(cs)
     # the post-check reads the model's L from its one builder
     monkeypatch.setattr(variational, "_lagrangian", lambda _: L)
@@ -655,7 +664,7 @@ def test_sigma_post_check_uses_the_given_lagrangian(monkeypatch):
     # it compares d_H sigma with the Lie derivative of that L; the first
     # component fails it for 2L
     monkeypatch.setattr(variational, "_lagrangian",
-                        lambda _: Lagrangian(L.ctx, L.density * 2))
+                        lambda _: Lagrangian.from_horizontal_form(h.scale(2)))
     with pytest.raises(SigmaMismatch, match="^gauge component 0: "):
         summed_sigma(cs)
 
@@ -677,10 +686,10 @@ def test_pipeline_coefficients_are_ints(h):
     S = cs_form(cs)
     dS = exterior_d(S)
     chi = section_correction(cs).scale(cs.scale)
-    psi = fiber_homotopy(contract(xi_C, dS) - exterior_d(chi), cs) + chi
+    psi = fiber_homotopy(contracted(xi_C, dS) - exterior_d(chi), cs) + chi
     sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    report, modified = conservation_check(L, xi_C, sigma)
+    report, modified = conservation_with_sigma(L, xi_C, sigma)
     assert report.passed and not report.vacuous
     stages = (S, dS, psi, sigma, modified)
     for a in stages:
@@ -700,7 +709,7 @@ def su2_law():
     S = cs_form(cs)
     sigma = summed_sigma(cs)
     L = Lagrangian.from_horizontal_form(horizontal_projection(S))
-    assert conservation_check(L, xi_C, sigma)[0].passed
+    assert conservation_with_sigma(L, xi_C, sigma)[0].passed
     return cs, xi_C, sigma, L
 
 
@@ -712,7 +721,7 @@ def test_conservation_fails_for_sigma_plus_a_non_exact_form(su2_law):
     eta = Form(ctx, {(x(1), x(2)): Poly.var(conn(0, 0)),
                      (x(0), x(2)): Poly.var(conn(1, 1)),
                      (x(0), x(1)): Poly.var(conn(2, 2))})
-    report, _ = conservation_check(L, xi_C, sigma + eta)
+    report, _ = conservation_with_sigma(L, xi_C, sigma + eta)
     assert not report.passed
     d_eta = Poly.var(conn(0, 0, (0,))) - Poly.var(conn(1, 1, (1,))) \
         + Poly.var(conn(2, 2, (2,)))
@@ -728,7 +737,7 @@ def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
     assert J_lam
     # J - (sigma + 2 J^lam omega_lam) is J with J^lam negated, minus sigma
     shift = ctx.current_form([Poly.zero()] * lam + [J_lam * 2])
-    report, modified = conservation_check(L, xi_C, sigma + shift)
+    report, modified = conservation_with_sigma(L, xi_C, sigma + shift)
     assert not report.passed
     flipped = ctx.current_components(modified + sigma)
     assert flipped == [-c if i == lam else c for i, c in enumerate(J)]
@@ -740,7 +749,7 @@ def test_conservation_fails_for_a_current_with_one_flipped_sign(su2_law, lam):
 def test_conservation_is_not_vacuous_when_nonzero_sides_cancel(su2_law):
     # d_H(J - sigma) and u . delta L are both nonzero and cancel exactly
     cs, xi_C, sigma, L = su2_law
-    report, modified = conservation_check(L, xi_C, sigma)
+    report, modified = conservation_with_sigma(L, xi_C, sigma)
     boundary = horizontal_differential(modified)
     el = euler_lagrange(L)
     u_el = cs.ctx.volume_form(sum((xi_C[i] * el[i] for i in el), Poly.zero()))
@@ -823,21 +832,22 @@ def test_invariant_sector_conserves_the_combined_current():
     # combined current J - sigma conserved
     g, ctx, cs = _matter_model()
     kappa = killing_form(g)
-    L_inv = Lagrangian(ctx, _yang_mills_density(g, ctx, kappa)
-                       + _mass_density(kappa))
+    inv_density = _yang_mills_density(g, ctx, kappa) + _mass_density(kappa)
+    L_inv = Lagrangian(ctx, inv_density)
     u = {**gauge_generator(g, ctx), **_adjoint_variation(g)}
     assert lie_derivative_lagrangian(L_inv, u).is_zero()
     # sigma, like the CS Lagrangian, is cs.scale times its value
-    L = Lagrangian(ctx, variational._lagrangian(cs).density
-                   + L_inv.density * cs.scale)
-    report, modified = conservation_check(L, u, summed_sigma(cs))
+    L = Lagrangian(ctx, cs_lagrangian(cs).coefficient(ctx.volume_key())
+                   + inv_density * cs.scale)
+    report, modified = conservation_with_sigma(L, u, summed_sigma(cs))
     assert report.passed and not report.vacuous, report.residual
     assert not modified.is_zero()
 
 
 def test_conservation_check_rejects_a_sigma_on_another_context(su2_law):
     # the su2 model has no matter fields: a check on the matter context
-    # would read its sigma as if the matter components were zero
+    # would read a current built from its sigma, here sigma itself, as if
+    # the matter components were zero
     _, _, sigma, _ = su2_law
     g, ctx, _ = _matter_model()
     L_inv = Lagrangian(ctx, _mass_density(killing_form(g)))
